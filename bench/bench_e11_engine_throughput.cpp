@@ -11,11 +11,13 @@
 //
 // The table prints a direct wall-clock comparison (the number quoted in
 // docs/PERFORMANCE.md); the google-benchmark registrations below give
-// the stable timed series for BENCH_engine.json.
+// the stable timed series for BENCH_engine.json. Every row runs one
+// configuration as a width-1 sim::BatchEngine -- the per-cell run, with
+// the planner owning its own (lazy) frontier geometry.
 #include <chrono>
 
 #include "bench/bench_common.hpp"
-#include "sim/engine.hpp"
+#include "sim/batch_engine.hpp"
 #include "sim/trace_gen.hpp"
 #include "support/table.hpp"
 
@@ -114,9 +116,9 @@ void print_tables() {
               {"indexed+memoized", EngineMode::kIndexed, 1'000'000}};
   for (const auto& row : rows) {
     const auto& w = sweep_workload(10'000, row.steps);
-    sim::Engine engine(w.graph, *w.image, sweep_config(row.mode));
+    sim::BatchEngine engine(w.graph, *w.image, {sweep_config(row.mode)});
     const auto start = std::chrono::steady_clock::now();
-    const sim::RunResult r = engine.run(w.trace);
+    const sim::RunResult r = engine.run(w.trace).front().value();
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     const double rate =
@@ -150,10 +152,10 @@ void bm_engine_steps(benchmark::State& state) {
   const std::uint64_t steps =
       reference ? (blocks >= 10'000 ? 20'000 : 200'000) : 1'000'000;
   const auto& w = sweep_workload(blocks, steps);
-  sim::Engine engine(w.graph, *w.image, sweep_config(mode));
+  sim::BatchEngine engine(w.graph, *w.image, {sweep_config(mode)});
   std::uint64_t total_steps = 0;
   for (auto _ : state) {
-    const sim::RunResult r = engine.run(w.trace);
+    const sim::RunResult r = engine.run(w.trace).front().value();
     benchmark::DoNotOptimize(r.total_cycles);
     total_steps += r.block_entries;
   }
@@ -173,10 +175,10 @@ void bm_engine_budget_evictions(benchmark::State& state) {
       sweep_config(reference ? EngineMode::kReference : EngineMode::kIndexed);
   config.policy.memory_budget = 4096;  // a handful of resident copies
   config.policy.victim_policy = runtime::VictimPolicy::kLru;
-  sim::Engine engine(w.graph, *w.image, config);
+  sim::BatchEngine engine(w.graph, *w.image, {config});
   std::uint64_t total_steps = 0;
   for (auto _ : state) {
-    const sim::RunResult r = engine.run(w.trace);
+    const sim::RunResult r = engine.run(w.trace).front().value();
     benchmark::DoNotOptimize(r.evictions);
     total_steps += r.block_entries;
   }

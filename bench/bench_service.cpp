@@ -1,7 +1,7 @@
 // Service throughput: cold vs warm artifact cache on the persistent
 // job-submission API.
 //
-// The PR 0-3 entry points rebuild the compressed BlockImage (codec
+// The one-shot entry points rebuild the compressed BlockImage (codec
 // training + per-block compression) and frontier geometry on every
 // call. serving::Service builds them once per (workload, codec) /
 // (workload, k) key on its pool and serves every later job from the
@@ -35,6 +35,26 @@ serving::ServiceOptions one_worker() {
   serving::ServiceOptions options;
   options.workers = 1;
   return options;
+}
+
+/// A kind=run job over registered workload `id`, default config.
+serving::JobSpec run_spec(serving::WorkloadId id) {
+  serving::JobSpec spec;
+  spec.kind = serving::JobKind::kRun;
+  spec.workloads = {"@" + std::to_string(id)};
+  return spec;
+}
+
+/// A kind=sweep job of `tasks` over registered workload `id`.
+serving::JobSpec sweep_spec(serving::WorkloadId id,
+                            std::vector<sweep::SweepTask> tasks,
+                            std::uint32_t batch_cells = 0) {
+  serving::JobSpec spec;
+  spec.kind = serving::JobKind::kSweep;
+  spec.workloads = {"@" + std::to_string(id)};
+  spec.tasks = std::move(tasks);
+  spec.batch_cells = batch_cells;
+  return spec;
 }
 
 /// FNV digest over the counters every mode must agree on.
@@ -81,7 +101,7 @@ void print_tables() {
   };
 
   {
-    // The PR 0-3 shape: every request rebuilds image + geometry.
+    // The one-shot shape: every request rebuilds image + geometry.
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t checksum = 0;
     for (int i = 0; i < reps; ++i) {
@@ -101,8 +121,7 @@ void print_tables() {
     for (int i = 0; i < reps; ++i) {
       serving::Service service(one_worker());
       const auto id = service.register_workload(workload);
-      checksum = result_checksum(
-          service.submit(serving::RunJob{id}).wait());
+      checksum = result_checksum(service.submit(run_spec(id)).wait().run);
     }
     const std::chrono::duration<double, std::milli> elapsed =
         std::chrono::steady_clock::now() - start;
@@ -112,12 +131,11 @@ void print_tables() {
     // Warm: one persistent Service, every request borrows the cache.
     serving::Service service(one_worker());
     const auto id = service.register_workload(workload);
-    (void)service.submit(serving::RunJob{id}).wait();  // prime
+    (void)service.submit(run_spec(id)).wait();  // prime
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t checksum = 0;
     for (int i = 0; i < reps; ++i) {
-      checksum = result_checksum(
-          service.submit(serving::RunJob{id}).wait());
+      checksum = result_checksum(service.submit(run_spec(id)).wait().run);
     }
     const std::chrono::duration<double, std::milli> elapsed =
         std::chrono::steady_clock::now() - start;
@@ -153,7 +171,7 @@ void bm_service_cold_run(benchmark::State& state) {
   for (auto _ : state) {
     serving::Service service(one_worker());
     const auto id = service.register_workload(workload);
-    benchmark::DoNotOptimize(service.submit(serving::RunJob{id}).wait());
+    benchmark::DoNotOptimize(service.submit(run_spec(id)).wait().run);
   }
   state.SetLabel("fresh Service per submit");
 }
@@ -163,9 +181,9 @@ void bm_service_warm_run(benchmark::State& state) {
   const auto& workload = bench::cached_workload(kKind);
   serving::Service service(one_worker());
   const auto id = service.register_workload(workload);
-  (void)service.submit(serving::RunJob{id}).wait();
+  (void)service.submit(run_spec(id)).wait();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service.submit(serving::RunJob{id}).wait());
+    benchmark::DoNotOptimize(service.submit(run_spec(id)).wait().run);
   }
   state.SetLabel("persistent Service, cached artifacts");
 }
@@ -197,21 +215,20 @@ void bm_service_warm_sweep(benchmark::State& state) {
   const auto& workload = bench::cached_workload(kKind);
   serving::Service service(one_worker());
   const auto id = service.register_workload(workload);
-  std::vector<sweep::SweepTask> tasks = six_task_grid();
-  // range(0) is the lockstep batch width (0 = historical per-engine
-  // scheduling), so BENCH_service.json records which batch mode each
+  // range(0) is the lockstep batch width (0 = width 1, one cell per
+  // work item), so BENCH_service.json records which batch mode each
   // series ran under -- the label spells it out for consumers.
-  serving::SweepJob job{id, {}, tasks, true,
-                        static_cast<std::uint32_t>(state.range(0))};
+  const serving::JobSpec job = sweep_spec(
+      id, six_task_grid(), static_cast<std::uint32_t>(state.range(0)));
   (void)service.submit(job).wait();
   std::uint64_t cells = 0;
   for (auto _ : state) {
-    cells += service.submit(job).wait().size();
+    cells += service.submit(job).wait().sweep.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cells));
   state.SetLabel(std::string("6-task grid, cached artifacts, ") +
                  (state.range(0) == 0
-                      ? "per-engine"
+                      ? "width-1"
                       : "batch-" + std::to_string(state.range(0))));
 }
 BENCHMARK(bm_service_warm_sweep)
@@ -228,7 +245,7 @@ std::uint64_t warm_working_set_bytes() {
     serving::Service service(one_worker());
     const auto id =
         service.register_workload(bench::cached_workload(kKind));
-    (void)service.submit(serving::SweepJob{id, {}, six_task_grid()}).wait();
+    (void)service.submit(sweep_spec(id, six_task_grid())).wait();
     const auto stats = service.cache_stats();
     return stats.images.bytes + stats.frontiers.bytes;
   }();
@@ -250,11 +267,11 @@ void bm_service_thrash(benchmark::State& state) {
       pct == 0 ? 0 : warm_working_set_bytes() * static_cast<std::uint64_t>(pct) / 100;
   serving::Service service(options);
   const auto id = service.register_workload(workload);
-  serving::SweepJob job{id, {}, six_task_grid()};
+  const serving::JobSpec job = sweep_spec(id, six_task_grid());
   (void)service.submit(job).wait();  // prime
   std::uint64_t cells = 0;
   for (auto _ : state) {
-    cells += service.submit(job).wait().size();
+    cells += service.submit(job).wait().sweep.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cells));
   const auto stats = service.cache_stats();

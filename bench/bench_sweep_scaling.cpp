@@ -1,7 +1,7 @@
 // Sweep scaling: sharded policy-grid throughput across worker counts.
 //
 // The fig3 / E10 grids are embarrassingly parallel -- every grid point
-// is an independent Engine run over the same immutable BlockImage -- and
+// is an independent engine cell over the same immutable BlockImage -- and
 // sweep::run_sweep shards them across a thread pool. This bench builds a
 // fig3-style grid (strategy x k x budget x fit, 72 points) on the
 // gsm-like workload and reports wall clock and speedup per worker count;
@@ -226,7 +226,7 @@ BENCHMARK(bm_sweep_batch)
     ->UseRealTime();
 
 /// Wide-CFG / short-trace workload: the regime where batching's shared
-/// setup dominates. Per cell the per-engine path pays O(B + T) setup --
+/// setup dominates. Per cell the width-1 path pays O(B + T) setup --
 /// trace validation, slot layout, size + execution-cost tables, a
 /// profile-predictor trace pass, and for planning strategies one
 /// bounded frontier BFS per exited block -- before an O(T) run; with B

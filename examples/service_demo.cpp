@@ -36,9 +36,15 @@ int main() {
   // 3. Submit everything before waiting on anything: a single run, the
   //    same run under LZSS (a second image artifact), a 6-point policy
   //    grid, and a two-workload campaign. Four jobs in flight on one
-  //    pool.
-  serving::RunJob run{gsm, {}, true};
-  serving::RunJob run_lzss = run;
+  //    pool. Every job is a JobSpec; "@<id>" names a registered
+  //    workload.
+  const auto ref = [](serving::WorkloadId id) {
+    return "@" + std::to_string(id);
+  };
+  serving::JobSpec run;
+  run.kind = serving::JobKind::kRun;
+  run.workloads = {ref(gsm)};
+  serving::JobSpec run_lzss = run;
   run_lzss.config.codec = compress::CodecKind::kLzss;
 
   std::vector<sweep::SweepTask> grid;
@@ -55,27 +61,36 @@ int main() {
     }
   }
 
+  serving::JobSpec sweep;
+  sweep.kind = serving::JobKind::kSweep;
+  sweep.workloads = {ref(gsm)};
+  sweep.tasks = grid;
+  serving::JobSpec campaign;
+  campaign.kind = serving::JobKind::kCampaign;
+  campaign.workloads = {ref(gsm), ref(crc)};
+  campaign.tasks = grid;
+
   const auto run_handle = service.submit(run);
   const auto lzss_handle = service.submit(run_lzss);
-  const auto sweep_handle = service.submit(serving::SweepJob{gsm, {}, grid});
-  const auto campaign_handle =
-      service.submit(serving::CampaignJob{{gsm, crc}, {}, grid});
+  const auto sweep_handle = service.submit(sweep);
+  const auto campaign_handle = service.submit(campaign);
 
   // 4. Handles are futures: wait() blocks until the job retires and
-  //    returns a reference to its result.
+  //    returns a reference to its JobResult; the job's kind names the
+  //    member holding the outcome (.run, .sweep, or .campaign).
   std::cout << "single run (huffman-shared): slowdown "
-            << run_handle.wait().slowdown() << "\n"
+            << run_handle.wait().run.slowdown() << "\n"
             << "single run (lzss):           slowdown "
-            << lzss_handle.wait().slowdown() << "\n\n";
+            << lzss_handle.wait().run.slowdown() << "\n\n";
 
   std::cout << "sweep over " << service.workload(gsm).name << ":\n";
-  for (const auto& outcome : sweep_handle.wait()) {
+  for (const auto& outcome : sweep_handle.wait().sweep) {
     std::cout << "  " << outcome.label << ": slowdown "
               << outcome.result.slowdown() << "\n";
   }
 
   std::cout << "\ncampaign:\n";
-  for (const auto& result : campaign_handle.wait()) {
+  for (const auto& result : campaign_handle.wait().campaign) {
     std::cout << "  " << result.workload << ": " << result.outcomes.size()
               << " grid points, best slowdown ";
     double best = result.outcomes.front().result.slowdown();

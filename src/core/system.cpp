@@ -1,6 +1,7 @@
 #include "core/system.hpp"
 
 #include "memory/layout.hpp"
+#include "sim/batch_engine.hpp"
 #include "support/assert.hpp"
 
 namespace apcc::core {
@@ -53,15 +54,14 @@ sim::EngineConfig CodeCompressionSystem::engine_config() const {
 }
 
 sim::RunResult CodeCompressionSystem::run(const cfg::BlockTrace& trace) const {
-  sim::Engine engine(cfg_, *image_, engine_config());
-  return engine.run(trace);
+  return run_with_events(trace, nullptr);
 }
 
 sim::RunResult CodeCompressionSystem::run_with_events(
     const cfg::BlockTrace& trace, sim::EventSink sink) const {
-  sim::Engine engine(cfg_, *image_, engine_config());
-  engine.set_event_sink(std::move(sink));
-  return engine.run(trace);
+  sim::BatchEngine engine(cfg_, *image_, {engine_config()});
+  engine.set_event_sink(0, std::move(sink));
+  return engine.run(trace).front().value();
 }
 
 std::vector<sweep::SweepOutcome> CodeCompressionSystem::run_sweep(

@@ -2,13 +2,13 @@
 //
 // Wraps the full pipeline -- CFG, per-block compression, runtime policy,
 // and the three-thread execution engine -- behind one object. This is
-// the synchronous, build-per-call veneer: each from_workload call
-// compresses the image afresh and each run owns its engine state. For
-// repeated submissions over a persistent workload set -- cached
-// compressed images, cached frontier geometry, several grids in flight
-// on one shared pool -- use serving::Service (docs/API.md), for which
-// these entry points are the kept-for-compatibility reference: a
-// Service job's outcome is byte-identical to the equivalent call here.
+// the synchronous, build-per-call layer: each from_workload call
+// compresses the image afresh and each run steps a fresh width-1
+// sim::BatchEngine. For repeated submissions over a persistent workload
+// set -- cached compressed images, cached frontier geometry, several
+// grids in flight on one shared pool -- use serving::Service
+// (docs/API.md); a Service job's outcome is byte-identical to the
+// equivalent call here.
 //
 //   auto workload = workloads::make_workload(WorkloadKind::kGsmLike);
 //   core::SystemConfig config;
@@ -27,7 +27,7 @@
 
 #include "cfg/cfg.hpp"
 #include "runtime/block_image.hpp"
-#include "sim/engine.hpp"
+#include "sim/step_policy.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/sweep.hpp"
 #include "workloads/suite.hpp"
@@ -121,7 +121,7 @@ struct CampaignEntry {
 /// Run `grid` over every entry's image and default trace through
 /// sweep::run_campaign: the whole (workload x task) matrix flattened
 /// onto one shared pool, with per-(workload, predecompress_k)
-/// FrontierCache geometry built once and borrowed by every engine when
+/// FrontierCache geometry built once and borrowed by every cell when
 /// options.share_frontiers is set. Outcomes come back grouped per
 /// entry, in task order, byte-identical to running each entry's grid
 /// sequentially.

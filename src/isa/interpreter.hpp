@@ -37,8 +37,8 @@ struct ExecResult {
   std::uint32_t final_pc = 0;
 };
 
-/// A simple in-order interpreter. Not the timing model -- sim::Engine owns
-/// timing; this produces architectural behaviour only.
+/// A simple in-order interpreter. Not the timing model -- sim::BatchEngine
+/// owns timing; this produces architectural behaviour only.
 class Interpreter {
  public:
   explicit Interpreter(const Program& program,

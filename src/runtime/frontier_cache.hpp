@@ -11,15 +11,16 @@
 //
 // Ownership and thread-safety: a lazily-filled cache is not thread-safe
 // and is owned by one DecompressionPlanner / StaticPredictor inside one
-// single-threaded Engine. But the geometry is keyed on (CFG, k) alone,
-// so campaign runs (sweep::run_campaign) build one cache per
-// (workload, k), call materialize() -- which computes every block's list
-// eagerly and freezes the cache -- and hand a `const FrontierCache*` to
-// every engine sharing that key. A materialized cache is immutable, so
-// concurrent candidates() calls are pure reads; the borrowed lists are
-// the exact values an owned cache would compute, which keeps borrowed
-// and owned runs bit-identical (pinned by tests/sweep and the engine
-// equivalence grid).
+// engine cell, stepped on one thread. But the geometry is keyed on
+// (CFG, k) alone, so campaign runs (sweep::run_campaign), the Service's
+// artifact cache, and a BatchEngine whose cells share a k build one
+// cache per (workload, k), call materialize() -- which computes every
+// block's list eagerly and freezes the cache -- and hand a
+// `const FrontierCache*` to every cell sharing that key. A materialized
+// cache is immutable, so concurrent candidates() calls are pure reads;
+// the borrowed lists are the exact values an owned cache would compute,
+// which keeps borrowed and owned runs bit-identical (pinned by
+// tests/sweep and the engine equivalence grid).
 #pragma once
 
 #include <condition_variable>

@@ -12,8 +12,8 @@
 // StateTable is the *cell view* over one lane of that plane -- the
 // interface every policy-side consumer (engine step logic, k-edge
 // manager, planner, predictors) programs against. A standalone
-// `StateTable(block_count)` owns a private single-cell batch, so the
-// per-engine path is the same code as the batched path with N == 1.
+// `StateTable(block_count)` owns a private single-cell batch, the same
+// code as a batch with N == 1.
 //
 // The view is indexed: it maintains the set of decompressed blocks as a
 // dense id list (O(D) iteration instead of O(B) full scans) plus two

@@ -1,20 +1,18 @@
 // serving::JobSpec -- the one canonical job representation.
 //
-// PR 4's Service exposed three ad-hoc typed submit() overloads (RunJob
-// / SweepJob / CampaignJob) that only existed in-process. JobSpec
-// unifies them into a single versioned, self-describing value: the job
-// kind, the workload references, the policy grid, and the scheduling
-// metadata (QoS) the pool needs -- everything a job *is*, with nothing
-// tied to one address space. One value type means one validation
-// routine, one wire codec (serving/wire.hpp), and one submission path:
-// the typed overloads survive as thin veneers that build a JobSpec and
-// project its unified JobResult back to their historical return types.
+// A single versioned, self-describing value: the job kind, the workload
+// references, the policy grid, and the scheduling metadata (QoS) the
+// pool needs -- everything a job *is*, with nothing tied to one address
+// space. One value type means one validation routine, one wire codec
+// (serving/wire.hpp), and one submission path: Service::submit(JobSpec)
+// returning a JobHandle<JobResult>, for in-process callers and wire
+// records alike.
 //
 // Workload references are strings so a JobSpec can leave the process:
 //   "gsm-like"   -- resolved against registered workload names (first
 //                   registration wins; the CLI registers each spec once)
 //   "@3"         -- a literal WorkloadId, exact and collision-proof;
-//                   this is what the typed veneers emit in-process.
+//                   what in-process callers use.
 //
 // QoS fields feed sweep::Pool's scheduler: a strict priority class
 // (high > normal > batch, lowest-job-id tie-break), a max-worker budget
@@ -73,7 +71,7 @@ enum class JobStatus : std::uint8_t {
 /// v3: added the optional `deadline-ms` job field and the rejected /
 /// cancelled / deadline-exceeded result statuses.
 /// v4: added the optional `batch-cells` job field (lockstep multi-cell
-/// stepping for sweep/campaign); omitted means 0, the per-engine path,
+/// stepping for sweep/campaign); omitted means 0, the width-1 path,
 /// which is byte-identical to every batched setting.
 struct JobSpec {
   static constexpr int kWireVersion = 4;
@@ -92,10 +90,10 @@ struct JobSpec {
   /// (bit-identical either way).
   bool share_frontiers = true;
   /// Grid cells stepped per pool work item (sweep/campaign only; a run
-  /// job has a single cell and rejects a nonzero value). 0 and 1 keep
-  /// the one-Engine-per-cell path; N > 1 advances N consecutive grid
-  /// cells in lockstep per work item (sim::BatchEngine). Scheduling
-  /// granularity changes; results never do.
+  /// job has a single cell and rejects a nonzero value): each work item
+  /// advances max(1, batch_cells) consecutive grid cells in lockstep
+  /// through one sim::BatchEngine, so 0 and 1 are the same width-1
+  /// path. Scheduling granularity changes; results never do.
   std::uint32_t batch_cells = 0;
 
   // -- QoS / scheduling metadata --------------------------------------
@@ -113,9 +111,9 @@ struct JobSpec {
 };
 
 /// The unified outcome: `status` says whether the job produced a
-/// payload, `kind` says which member carries it. Kept a plain struct
-/// (not a variant) so JobHandle<T> can hand out stable references to
-/// the active member and the wire codec can stream it.
+/// payload, `kind` says which member carries it: callers read `.run`,
+/// `.sweep`, or `.campaign`. Kept a plain struct (not a variant) so the
+/// wire codec can stream it.
 struct JobResult {
   JobKind kind = JobKind::kRun;
   /// kOk: the kind-selected member below is the outcome. Anything

@@ -1,13 +1,10 @@
 #include "serving/service.hpp"
 
-#include <algorithm>
 #include <map>
 #include <thread>
 #include <utility>
 
 #include "compress/codec.hpp"
-#include "sim/batch_engine.hpp"
-#include "sim/engine.hpp"
 #include "support/strings.hpp"
 
 namespace apcc::serving {
@@ -139,7 +136,7 @@ WorkloadId Service::resolve(const std::string& ref) const {
   APCC_CHECK(!ref.empty(), "empty workload reference");
   const std::lock_guard<std::mutex> lock(mutex_);
   if (ref[0] == '@') {
-    // Literal id, the exact form the typed veneers emit.
+    // Literal id: exact and collision-proof for in-process callers.
     const std::int64_t id = parse_int(ref.substr(1));
     APCC_CHECK(id >= 0 && static_cast<std::size_t>(id) < registry_.size(),
                "unknown workload reference '" + ref + "'");
@@ -473,7 +470,11 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
     JobSpec spec;
     std::vector<Registered*> entries;
     std::vector<std::string> names;
-    std::vector<sweep::ResultSink> sinks;
+    /// The cell grid: the spec's tasks, or -- for a run job, whose spec
+    /// carries none -- one cell under the spec's own engine knobs.
+    std::vector<sweep::SweepTask> grid;
+    std::vector<sweep::CellChunk> chunks;
+    std::vector<sweep::ResultSink> sinks;  // one per workload
   };
   auto ctx = std::make_shared<Ctx>();
   ctx->spec = std::move(spec);
@@ -484,6 +485,14 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
     ctx->entries.push_back(&target);
     ctx->names.push_back(target.workload->name);
   }
+  if (ctx->spec.kind == JobKind::kRun) {
+    ctx->grid = {sweep::SweepTask{"", core::engine_config(ctx->spec.config)}};
+  } else {
+    ctx->grid = std::move(ctx->spec.tasks);
+  }
+  ctx->chunks = sweep::chunk_cells(ctx->entries.size(), ctx->grid.size(),
+                                   ctx->spec.batch_cells);
+  ctx->sinks = std::vector<sweep::ResultSink>(ctx->entries.size());
 
   auto state = std::make_shared<detail::JobState>();
   state->value.kind = ctx->spec.kind;
@@ -544,28 +553,26 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
                   std::chrono::milliseconds(deadline_ms);
   }
 
-  // Batched stepping (batch-cells > 1): a pool work item advances a run
-  // of consecutive grid cells in lockstep (sim::BatchEngine) instead of
-  // one cell. The task boundary and the artifact lookups stay *per
-  // cell*, so FaultPlan ordinals, cancellation points, and cache-stats
-  // counters are identical to the sequential path; a cell that faults
-  // or cancels is retired in place while its batch siblings finish, and
-  // the first failure propagates after the batch (the sequential
-  // rethrow order at one worker).
-  const auto run_batch = [this, ctx, state](Registered& target,
-                                            std::size_t begin,
-                                            std::size_t end,
-                                            sweep::ResultSink& sink) {
-    std::vector<std::size_t> indices;
+  // The one item function, for every kind at every batch width: a pool
+  // work item is one chunk of the executor's workload-major matrix
+  // (sweep::chunk_cells), stepped by one BatchEngine. The per-cell
+  // prologue -- task boundary, artifact lookups, lease -- keeps FaultPlan
+  // ordinals, cancellation points, and cache-stats counters identical at
+  // every width; a cell that faults or cancels retires in place while
+  // its chunk siblings finish, and the first failure propagates after
+  // the chunk (the sequential rethrow order at one worker).
+  sweep::Pool::ItemFn item = [this, ctx, state](std::size_t c) {
+    const sweep::CellChunk& chunk = ctx->chunks[c];
+    Registered& target = *ctx->entries[chunk.workload];
+    std::vector<std::size_t> cells;
     std::vector<sim::EngineConfig> configs;
-    // One lease per admitted cell, collected so every borrow outlives
-    // the whole batched run below (a batch sibling's artifacts must not
-    // become eviction victims while the lockstep engine still reads
-    // them). Destruction at scope exit releases the pins.
+    // One lease per admitted cell, held past the engine run below so a
+    // chunk sibling's artifacts never become eviction victims while the
+    // lockstep engine still reads them; scope exit releases the pins.
     std::vector<CellLease> leases;
     std::exception_ptr first_error;
     const runtime::BlockImage* image = nullptr;
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t t = chunk.begin; t < chunk.end; ++t) {
       try {
         // Cancelled cells retire quietly; a boundary that throws (fault
         // injection) fails only this cell -- siblings still run.
@@ -573,139 +580,30 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
         CellLease lease;
         image =
             &image_for(target, ctx->spec.config, state->token.get(), lease);
-        configs.push_back(cell_config(target, ctx->spec.tasks[i].config,
+        configs.push_back(cell_config(target, ctx->grid[t].config,
                                       ctx->spec.share_frontiers,
                                       state->token.get(), lease));
-        indices.push_back(i);
+        cells.push_back(t);
         leases.push_back(std::move(lease));
       } catch (const JobCancelled&) {
       } catch (...) {
         if (!first_error) first_error = std::current_exception();
       }
     }
-    if (!indices.empty()) {
-      sim::BatchEngine engine(target.workload->cfg, *image,
-                              std::move(configs));
-      auto outcomes = engine.run(target.workload->trace);
-      for (std::size_t c = 0; c < indices.size(); ++c) {
-        if (!outcomes[c].ok()) {
-          if (!first_error) first_error = outcomes[c].error;
-          continue;
-        }
-        sink.push(sweep::SweepOutcome{indices[c],
-                                      ctx->spec.tasks[indices[c]].label,
-                                      outcomes[c].result});
+    if (!cells.empty()) {
+      try {
+        sweep::run_chunk(target.workload->cfg, *image, target.workload->trace,
+                         ctx->grid, cells, std::move(configs),
+                         ctx->sinks[chunk.workload]);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
       }
     }
     if (first_error) std::rethrow_exception(first_error);
   };
-  const std::size_t batch = ctx->spec.batch_cells;
-
-  std::size_t total = 0;
-  sweep::Pool::ItemFn item;
-  switch (ctx->spec.kind) {
-    case JobKind::kRun:
-      total = 1;
-      item = [this, ctx, state](std::size_t) {
-        if (!task_boundary(*state)) return;
-        try {
-          Registered& target = *ctx->entries[0];
-          // The lease pins the cell's borrows until scope exit -- after
-          // the engine run, so eviction never races a live engine.
-          CellLease lease;
-          const runtime::BlockImage& image =
-              image_for(target, ctx->spec.config, state->token.get(), lease);
-          const sim::EngineConfig config = cell_config(
-              target, core::engine_config(ctx->spec.config),
-              ctx->spec.share_frontiers, state->token.get(), lease);
-          sim::Engine engine(target.workload->cfg, image, config);
-          sim::RunResult result = engine.run(target.workload->trace);
-          const std::lock_guard<std::mutex> lock(state->mutex);
-          state->value.run = std::move(result);
-        } catch (const JobCancelled&) {
-          // The job is being cancelled; this item retires without a
-          // result (the finalize reports kCancelled, payload-free).
-        }
-      };
-      break;
-    case JobKind::kSweep:
-      if (batch > 1) {
-        total = (ctx->spec.tasks.size() + batch - 1) / batch;
-        ctx->sinks = std::vector<sweep::ResultSink>(1);
-        item = [ctx, run_batch, batch](std::size_t chunk) {
-          const std::size_t begin = chunk * batch;
-          const std::size_t end =
-              std::min(begin + batch, ctx->spec.tasks.size());
-          run_batch(*ctx->entries[0], begin, end, ctx->sinks[0]);
-        };
-        break;
-      }
-      total = ctx->spec.tasks.size();
-      ctx->sinks = std::vector<sweep::ResultSink>(1);
-      item = [this, ctx, state](std::size_t i) {
-        if (!task_boundary(*state)) return;
-        try {
-          Registered& target = *ctx->entries[0];
-          CellLease lease;  // pins the cell's borrows past the run
-          const runtime::BlockImage& image =
-              image_for(target, ctx->spec.config, state->token.get(), lease);
-          const sweep::SweepTask& task = ctx->spec.tasks[i];
-          const sim::EngineConfig config =
-              cell_config(target, task.config, ctx->spec.share_frontiers,
-                          state->token.get(), lease);
-          sim::Engine engine(target.workload->cfg, image, config);
-          ctx->sinks[0].push(sweep::SweepOutcome{
-              i, task.label, engine.run(target.workload->trace)});
-        } catch (const JobCancelled&) {
-        }
-      };
-      break;
-    case JobKind::kCampaign: {
-      // Same workload-major flattening as sweep::run_campaign: cell i
-      // is workload i / |grid|, task i % |grid|.
-      const std::size_t grid_size = ctx->spec.tasks.size();
-      if (batch > 1) {
-        // Batches never span workloads (one (cfg, image, trace) triple
-        // per batch): chunk each workload's grid independently.
-        const std::size_t per_workload = (grid_size + batch - 1) / batch;
-        total = ctx->entries.size() * per_workload;
-        ctx->sinks = std::vector<sweep::ResultSink>(ctx->entries.size());
-        item = [ctx, run_batch, batch, per_workload,
-                grid_size](std::size_t i) {
-          const std::size_t w = i / per_workload;
-          const std::size_t begin = (i % per_workload) * batch;
-          const std::size_t end = std::min(begin + batch, grid_size);
-          run_batch(*ctx->entries[w], begin, end, ctx->sinks[w]);
-        };
-        break;
-      }
-      total = ctx->entries.size() * grid_size;
-      ctx->sinks = std::vector<sweep::ResultSink>(ctx->entries.size());
-      item = [this, ctx, state, grid_size](std::size_t i) {
-        if (!task_boundary(*state)) return;
-        try {
-          const std::size_t w = i / grid_size;
-          const std::size_t t = i % grid_size;
-          Registered& target = *ctx->entries[w];
-          CellLease lease;  // pins the cell's borrows past the run
-          const runtime::BlockImage& image =
-              image_for(target, ctx->spec.config, state->token.get(), lease);
-          const sweep::SweepTask& task = ctx->spec.tasks[t];
-          const sim::EngineConfig config =
-              cell_config(target, task.config, ctx->spec.share_frontiers,
-                          state->token.get(), lease);
-          sim::Engine engine(target.workload->cfg, image, config);
-          ctx->sinks[w].push(sweep::SweepOutcome{
-              t, task.label, engine.run(target.workload->trace)});
-        } catch (const JobCancelled&) {
-        }
-      };
-      break;
-    }
-  }
 
   const JobId id = pool_->submit(
-      total, std::move(item),
+      ctx->chunks.size(), std::move(item),
       [this, ctx, state, client](const sweep::FinalizeInfo& info) {
         std::function<void()> callback;
         {
@@ -724,8 +622,11 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
           switch (info.outcome) {
             case sweep::JobOutcome::kCompleted:
               switch (ctx->spec.kind) {
-                case JobKind::kRun:
-                  break;  // the single item wrote value.run already
+                case JobKind::kRun: {
+                  const auto outcomes = ctx->sinks[0].take_sorted();
+                  if (!outcomes.empty()) state->value.run = outcomes[0].result;
+                  break;
+                }
                 case JobKind::kSweep:
                   state->value.sweep = ctx->sinks[0].take_sorted();
                   break;
@@ -784,43 +685,6 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
     pool_->cancel_if_unstarted(id);
   }
   return JobHandle<JobResult>(std::move(state));
-}
-
-JobHandle<sim::RunResult> Service::submit(RunJob job) {
-  JobSpec spec;
-  spec.kind = JobKind::kRun;
-  spec.workloads.push_back("@" + std::to_string(job.workload));
-  spec.config = job.config;
-  spec.share_frontiers = job.share_frontiers;
-  return JobHandle<sim::RunResult>(submit(std::move(spec)).state_);
-}
-
-JobHandle<std::vector<sweep::SweepOutcome>> Service::submit(SweepJob job) {
-  JobSpec spec;
-  spec.kind = JobKind::kSweep;
-  spec.workloads.push_back("@" + std::to_string(job.workload));
-  spec.config = job.config;
-  spec.tasks = std::move(job.tasks);
-  spec.share_frontiers = job.share_frontiers;
-  spec.batch_cells = job.batch_cells;
-  return JobHandle<std::vector<sweep::SweepOutcome>>(
-      submit(std::move(spec)).state_);
-}
-
-JobHandle<std::vector<sweep::CampaignResult>> Service::submit(
-    CampaignJob job) {
-  JobSpec spec;
-  spec.kind = JobKind::kCampaign;
-  spec.workloads.reserve(job.workloads.size());
-  for (const WorkloadId id : job.workloads) {
-    spec.workloads.push_back("@" + std::to_string(id));
-  }
-  spec.config = job.config;
-  spec.tasks = std::move(job.grid);
-  spec.share_frontiers = job.share_frontiers;
-  spec.batch_cells = job.batch_cells;
-  return JobHandle<std::vector<sweep::CampaignResult>>(
-      submit(std::move(spec)).state_);
 }
 
 void Service::drain() { pool_->drain(); }

@@ -1,9 +1,9 @@
 // apcc::serving::Service -- the persistent job-submission API.
 //
-// The PR 0-3 entry points (CodeCompressionSystem::run / run_sweep,
-// core::run_campaign) are one-shot: every call rebuilds the compressed
-// BlockImage, re-materializes frontier geometry, and spins a pool up
-// and down. That is the wrong shape for the workload the ROADMAP aims
+// The one-shot entry points (CodeCompressionSystem::run / run_sweep,
+// core::run_campaign) rebuild the compressed BlockImage per system,
+// re-materialize frontier geometry per call, and spin a pool up and
+// down. That is the wrong shape for the workload the ROADMAP aims
 // at -- the same suite replayed under many policy grids, by many
 // clients -- where the expensive transforms are *artifacts of the
 // workload*, not of the request. Service inverts the lifecycle:
@@ -29,17 +29,17 @@
 //    never on the submitting thread -- deduplicated by a claim-build /
 //    wait handshake, and immutable afterwards, so any number of
 //    concurrent jobs borrow them without copies or locks.
-//  * submit(JobSpec) is the single submission path: it validates the
+//  * submit(JobSpec) is the one submission path: it validates the
 //    spec, resolves its workload references, enqueues the job onto one
 //    shared sweep::Pool under the spec's QoS (priority class, worker
-//    budget), and returns a future-style JobHandle immediately. The
-//    typed overloads (RunJob / SweepJob / CampaignJob) are thin veneers
-//    that build a JobSpec and project the unified JobResult back to
-//    their historical return types -- same state, zero copies.
+//    budget), and returns a future-style JobHandle<JobResult>
+//    immediately. Every kind runs as a grid -- a run job is a 1x1 grid
+//    -- cut into the cell executor's chunks (sweep.hpp), one pool work
+//    item per chunk, each stepped by one sim::BatchEngine.
 //
 // The invariant the whole design hangs on: a job's outcome is
-// **byte-identical** to the equivalent direct run / run_sweep /
-// run_campaign call. Cached images are built by the same codec
+// **byte-identical** to running each of its cells alone, in order, on a
+// width-1 BatchEngine. Cached images are built by the same codec
 // training on the same bytes; borrowed geometry holds exactly the
 // lists an owned cache would compute (pinned by the engine-equivalence
 // grid); scheduling -- including priorities and budgets -- only changes
@@ -126,47 +126,10 @@ struct ServiceOptions {
   std::map<std::string, unsigned> client_weights;
 };
 
-/// Simulate one workload's default trace under one configuration --
-/// the typed veneer over a kind=run JobSpec.
-struct RunJob {
-  WorkloadId workload = 0;
-  core::SystemConfig config{};
-  /// Borrow the cached (workload, predecompress_k) geometry instead of
-  /// the engine building its own (bit-identical either way).
-  bool share_frontiers = true;
-};
-
-/// Run a policy grid over one workload -- the typed veneer over a
-/// kind=sweep JobSpec. `config` supplies the codec (image artifact
-/// key); each task carries its own engine knobs.
-struct SweepJob {
-  WorkloadId workload = 0;
-  core::SystemConfig config{};
-  std::vector<sweep::SweepTask> tasks;
-  /// Borrow the cached per-(workload, k) geometry. Outcomes are
-  /// bit-identical either way; off forces every engine to own its
-  /// frontier cache (the reference behaviour).
-  bool share_frontiers = true;
-  /// Grid cells stepped per pool work item (JobSpec::batch_cells).
-  std::uint32_t batch_cells = 0;
-};
-
-/// Run one grid over many workloads -- the typed veneer over a
-/// kind=campaign JobSpec, returning per-workload task-ordered outcomes.
-struct CampaignJob {
-  std::vector<WorkloadId> workloads;
-  core::SystemConfig config{};
-  std::vector<sweep::SweepTask> grid;
-  bool share_frontiers = true;
-  /// Grid cells stepped per pool work item (JobSpec::batch_cells).
-  std::uint32_t batch_cells = 0;
-};
-
 namespace detail {
 
-/// Shared completion state of one submitted job. One non-template
-/// state type holding the unified JobResult, so every JobHandle<T> --
-/// whatever T it projects -- is a view of the same object.
+/// Shared completion state of one submitted job; every copy of its
+/// JobHandle is a view of the same object.
 struct JobState {
   JobId id = 0;
   mutable std::mutex mutex;
@@ -188,31 +151,19 @@ struct JobState {
   std::function<void()> callback;
 };
 
-/// Project the handle's static type out of the unified JobResult.
-template <typename T>
-[[nodiscard]] inline const T& project(const JobResult& value) {
-  if constexpr (std::is_same_v<T, JobResult>) {
-    return value;
-  } else if constexpr (std::is_same_v<T, sim::RunResult>) {
-    return value.run;
-  } else if constexpr (std::is_same_v<T, std::vector<sweep::SweepOutcome>>) {
-    return value.sweep;
-  } else {
-    static_assert(std::is_same_v<T, std::vector<sweep::CampaignResult>>,
-                  "JobHandle<T>: T is not a job result projection");
-    return value.campaign;
-  }
-}
-
 }  // namespace detail
 
-/// Future-style result of a submitted job: a typed projection of the
-/// job's unified JobResult. Handles are cheap shared references: copy
-/// them, stash them, wait from any thread. wait() blocks until the job
-/// retires and rethrows the job's first failure; the returned
-/// reference stays valid for the handle's lifetime.
+/// Future-style result of a submitted job. Handles are cheap shared
+/// references: copy them, stash them, wait from any thread. wait()
+/// blocks until the job retires; the returned reference stays valid
+/// for the handle's lifetime. JobResult is the one result type: the
+/// template parameter survives only as the spelling
+/// JobHandle<JobResult>.
 template <typename T>
 class JobHandle {
+  static_assert(std::is_same_v<T, JobResult>,
+                "a JobHandle carries the job's JobResult");
+
  public:
   JobHandle() = default;
 
@@ -268,26 +219,16 @@ class JobHandle {
     fn();
   }
 
-  /// Block until the job retires; rethrows its first failure. May be
-  /// called repeatedly and from several threads.
-  ///
-  /// Typed projections (the RunJob/SweepJob/CampaignJob veneers) have
-  /// no way to express a payload-free outcome, so a non-ok status
-  /// throws CheckError with the result's message. JobHandle<JobResult>
-  /// -- the JobSpec front door -- returns the structured result
-  /// instead: rejected / cancelled / deadline-exceeded are ordinary
-  /// values there (kError still rethrows the original exception).
-  const T& wait() const {
+  /// Block until the job retires and return its result; a failed job
+  /// (kError) rethrows its first failure. Rejected / cancelled /
+  /// deadline-exceeded are ordinary payload-free results. May be called
+  /// repeatedly and from several threads.
+  const JobResult& wait() const {
     APCC_CHECK(state_ != nullptr, "wait() on an empty JobHandle");
     std::unique_lock<std::mutex> lock(state_->mutex);
     state_->cv.wait(lock, [&] { return state_->done; });
     if (state_->failure) std::rethrow_exception(state_->failure);
-    if constexpr (!std::is_same_v<T, JobResult>) {
-      APCC_CHECK(state_->value.ok(),
-                 std::string(status_name(state_->value.status)) + ": " +
-                     state_->value.error);
-    }
-    return detail::project<T>(state_->value);
+    return state_->value;
   }
 
  private:
@@ -329,14 +270,6 @@ class Service {
   /// Returns immediately; errors in the spec throw synchronously.
   [[nodiscard]] JobHandle<JobResult> submit(JobSpec spec);
 
-  /// Typed veneers over submit(JobSpec): same path, same pool, same
-  /// state -- the handle merely projects the matching JobResult member.
-  [[nodiscard]] JobHandle<sim::RunResult> submit(RunJob job);
-  [[nodiscard]] JobHandle<std::vector<sweep::SweepOutcome>> submit(
-      SweepJob job);
-  [[nodiscard]] JobHandle<std::vector<sweep::CampaignResult>> submit(
-      CampaignJob job);
-
   /// Block until every job submitted so far has retired.
   void drain();
 
@@ -375,10 +308,10 @@ class Service {
   /// RAII record of one grid cell's borrowed artifacts. Every borrow
   /// (and every publish -- the builder borrows what it built) pins the
   /// artifact's slot; the lease unpins at destruction, which the item
-  /// lambdas arrange to happen only after the cell's engine run
+  /// function arranges to happen only after the cell's engine run
   /// finished. While a lease is live its artifacts are never eviction
   /// victims, so engines hold plain references with no locking --
-  /// exactly the pre-budget borrowing contract. Movable (batched cells
+  /// exactly the pre-budget borrowing contract. Movable (a chunk's cells
   /// collect their leases into a vector that outlives the BatchEngine
   /// run), not copyable (a pin has one owner).
   class CellLease {

@@ -738,7 +738,7 @@ JobSpec parse_job(std::string_view text, std::size_t first_line) {
       spec.deadline_ms =
           parse_u64(rest, "deadline-ms", line->number, line->text);
     } else if (key == "batch-cells") {
-      // Optional since v4; omitted means 0 (the per-engine path), which
+      // Optional since v4; omitted means 0 (the width-1 path), which
       // keeps v3-era records meaningful under the v4 header.
       spec.batch_cells =
           parse_u32(rest, "batch-cells", line->number, line->text);
@@ -807,7 +807,7 @@ JobSpec parse_job(std::string_view text, std::size_t first_line) {
   }
   // A grid job with no grid -- or a campaign with no workloads -- would
   // "succeed" with zero outcomes: the silent-ignore trap this format
-  // rejects everywhere else. (The typed in-process API keeps its
+  // rejects everywhere else. (An in-process JobSpec keeps its
   // empty-job semantics; only records are held to this. The old batch
   // format's bare `campaign` meant "whole suite"; a record spells its
   // workloads out.)

@@ -34,8 +34,8 @@
 // carries a payload; `error` requires an `error` message line; the
 // other non-ok statuses may carry one.
 //
-// v4 (PR 7) adds the optional `batch-cells` job field (0 = the
-// per-engine path): grid cells stepped in lockstep per pool work item
+// v4 adds the optional `batch-cells` job field (0 = the width-1
+// path): grid cells stepped in lockstep per pool work item
 // for sweep/campaign jobs. Omitting it reproduces v3 behaviour exactly;
 // any value changes scheduling granularity, never results. Result
 // records are unchanged from v3 apart from the header version.

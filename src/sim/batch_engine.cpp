@@ -31,7 +31,7 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
 
   // Batch-amortized immutable inputs. Declared before `cells` so the
   // borrowing planners/predictors are destroyed first.
-  const std::vector<memory::CompressedSlot> slots =
+  std::vector<memory::CompressedSlot> slots =
       memory::layout_slots(image_.slot_sizes());
   std::vector<std::uint64_t> sizes;
   sizes.reserve(cfg_.block_count());
@@ -39,18 +39,27 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
     sizes.push_back(image_.original_size(b));
   }
 
-  // One materialized FrontierCache per distinct predecompress_k, lent to
-  // every planning cell that does not already borrow campaign/service
-  // geometry. Borrowed geometry is pinned bit-identical to owned, so
-  // this changes no cell's results.
+  // One materialized FrontierCache per predecompress_k that two or more
+  // planning cells share, lent to each of them -- unless a cell already
+  // borrows campaign/service geometry. A lone planner keeps its own lazy
+  // cache, which fills only the blocks the trace actually exits;
+  // materializing every block for one reader would be pure waste.
+  // Borrowed geometry is pinned bit-identical to owned, so this changes
+  // no cell's results.
+  const auto plans_unshared = [](const EngineConfig& config) {
+    return config.shared_frontiers == nullptr &&
+           config.policy.strategy != runtime::DecompressionStrategy::kOnDemand;
+  };
+  std::map<std::uint32_t, std::size_t> planners_per_k;
+  for (const EngineConfig& config : configs_) {
+    if (plans_unshared(config)) ++planners_per_k[config.policy.predecompress_k];
+  }
   std::map<std::uint32_t, std::unique_ptr<runtime::FrontierCache>> frontiers;
   std::vector<EngineConfig> cell_configs = configs_;
   for (EngineConfig& config : cell_configs) {
-    if (config.shared_frontiers != nullptr) continue;
-    if (config.policy.strategy == runtime::DecompressionStrategy::kOnDemand) {
-      continue;  // never plans: building geometry would be pure waste
-    }
+    if (!plans_unshared(config)) continue;
     const std::uint32_t k = config.policy.predecompress_k;
+    if (planners_per_k[k] < 2) continue;
     auto it = frontiers.find(k);
     if (it == frontiers.end()) {
       auto cache = std::make_unique<runtime::FrontierCache>(cfg_, k);
@@ -100,7 +109,10 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
     cell.predictor = pr->second.get();
 
     try {
-      policy_.init_cell(cell, batch.cell(i), trace, slots, sizes);
+      // The last cell takes the layout itself; earlier cells copy it.
+      policy_.init_cell(cell, batch.cell(i), trace,
+                        i + 1 == cells.size() ? std::move(slots) : slots,
+                        sizes);
     } catch (...) {
       cell.failed = true;
       cell.error = std::current_exception();
@@ -113,7 +125,7 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
   // independent, so this interleaving is byte-identical to any other --
   // the tile keeps the trace hot across cells while each cell's state
   // stays hot for a whole tile instead of one event (rotating cells
-  // per event measured ~4% *slower* than per-engine on the fig3 grid;
+  // per event measured ~4% *slower* than width-1 runs on the fig3 grid;
   // tiling recovers that, leaving the shared setup above as pure
   // savings -- a measured win where setup is a real fraction of the
   // cell, see bench_sweep_scaling's bm_sweep_batch_widecfg). A

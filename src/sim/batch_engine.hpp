@@ -1,18 +1,45 @@
-// Batched multi-cell engine: N configurations advance in lockstep over
-// one trace read.
+// The APCC execution engine: a discrete-event model of the paper's
+// three-thread runtime (Figure 4), stepping N configurations in
+// lockstep over one trace read.
 //
-// The design-space sweeps (fig3/e4/campaigns) run many engines over the
-// *same* immutable (CFG, trace, image); per-engine runs re-validate the
-// trace, recompute the slot layout and block-size tables, rebuild
-// predictors, and rebuild frontier geometry for every cell. BatchEngine
-// hoists everything immutable out of the per-cell loop:
+//  * The execution thread walks the block trace; entering a block in
+//    compressed form raises a memory-protection exception whose handler
+//    decompresses it in the critical path (on-demand), or waits for the
+//    background decompressor if the block is in flight.
+//  * The decompression thread consumes pre-decompression requests the
+//    planner makes at each block exit; it is modelled as a single helper
+//    that is busy for the codec's decompression time per job.
+//  * The compression thread applies the k-edge deletions; in the paper's
+//    design "compression" is deleting the decompressed copy (§5), so the
+//    job cost is metadata work plus remember-set unpatching -- unless the
+//    recompress_for_real ablation charges the codec's compression time.
+//
+// Timing rules:
+//  * helper work overlaps execution when background_* is set, otherwise
+//    it stalls the execution thread inline;
+//  * an execution-thread arrival at an in-flight block stalls until the
+//    helper's completion time;
+//  * memory is allocated when a decompression starts and freed when a
+//    deletion is applied, with the §2 LRU budget loop on allocation
+//    failure.
+//
+// The per-step decision logic lives in sim::StepPolicy (the scalar
+// policy half of the policy/data-plane split); BatchEngine is the one
+// engine that steps it. A width-1 BatchEngine is the per-cell run; the
+// design-space sweeps (fig3/e4/campaigns) run many cells over the
+// *same* immutable (CFG, trace, image), so BatchEngine hoists
+// everything immutable out of the per-cell loop:
 //
 //  * trace validation and decode        -- once per batch,
 //  * compressed slot layout             -- computed once, copied per cell,
 //  * block-size table                   -- computed once, copied per cell,
 //  * predictors                         -- shared per (kind, k, geometry),
 //  * planner frontier geometry          -- one materialized FrontierCache
-//                                          per distinct predecompress_k,
+//                                          per predecompress_k that two or
+//                                          more planning cells share (a
+//                                          lone planner keeps its own lazy
+//                                          cache, filled only for the
+//                                          blocks the trace exits),
 //  * per-block dynamic state            -- one SoA runtime::StateBatch
 //                                          instead of N pointer-chased
 //                                          tables.
@@ -24,11 +51,10 @@
 // its exception in its CellOutcome while the siblings run to
 // completion.
 //
-// Equivalence: a batched run is byte-identical to running each cell in
-// its own Engine -- cells share only immutable inputs, and borrowed
-// frontier geometry is pinned bit-identical to owned geometry. The
-// extended engine_equivalence_test enforces this across the full config
-// grid at batch sizes {1, 4, 16}.
+// Equivalence: a cell's outcome does not depend on its batch -- cells
+// share only immutable inputs, and borrowed frontier geometry is pinned
+// bit-identical to owned geometry. engine_equivalence_test enforces
+// this across the full config grid at batch sizes {1, 4, 16}.
 #pragma once
 
 #include <vector>
@@ -44,11 +70,18 @@ struct CellOutcome {
   std::exception_ptr error;
 
   [[nodiscard]] bool ok() const { return error == nullptr; }
+
+  /// The cell's result (a copy, so it may outlive the outcome);
+  /// rethrows the cell's error when it failed.
+  [[nodiscard]] RunResult value() const {
+    if (error) std::rethrow_exception(error);
+    return result;
+  }
 };
 
-/// Runs N engine configurations over one trace in lockstep. Like
-/// Engine, a BatchEngine is a single-shot state machine: construct,
-/// optionally attach sinks, run.
+/// Runs N engine configurations over one trace in lockstep. A
+/// BatchEngine is a state machine: construct, optionally attach sinks,
+/// run; every run() starts from fresh runtime state.
 class BatchEngine {
  public:
   BatchEngine(const cfg::Cfg& cfg, const runtime::BlockImage& image,
@@ -56,8 +89,8 @@ class BatchEngine {
 
   [[nodiscard]] std::size_t cell_count() const { return configs_.size(); }
 
-  /// Attach an event sink to cell `cell` (same stream the equivalent
-  /// single Engine would produce).
+  /// Attach an event sink to cell `cell` (the same stream the cell
+  /// produces in a batch of any width).
   void set_event_sink(std::size_t cell, EventSink sink);
 
   /// Run every cell over the trace; outcomes are index-aligned with the

@@ -5,9 +5,8 @@
 // pre-decompression, k-edge deletion, patching, budget eviction. It is
 // stateless apart from the immutable (CFG, image) pair and operates on
 // one EngineCell at a time through the runtime::StateTable cell-view
-// interface -- the same code drives the single-engine path (sim::Engine,
-// one cell over a private single-cell StateBatch) and the batched path
-// (sim::BatchEngine, N cells in lockstep over one shared StateBatch).
+// interface; sim::BatchEngine drives it over N cells in lockstep on one
+// shared StateBatch (a width-1 batch is the per-cell run).
 //
 // EngineCell is everything one simulated configuration owns: its clock,
 // helper-thread availability, memory layout, state-table view, k-edge
@@ -77,18 +76,20 @@ struct EngineConfig {
   bool reference_frontiers = false;
   /// Optional shared read-only planner geometry: a *materialized*
   /// FrontierCache built on this engine's CFG with
-  /// k == policy.predecompress_k. Campaign runs (sweep::run_campaign)
-  /// set this so every engine over the same (workload, k) borrows one
-  /// cache instead of rebuilding it; null means the planner/predictor
-  /// own their own. Borrowed runs are bit-identical to owned runs.
+  /// k == policy.predecompress_k. Campaigns and the Service set this so
+  /// every cell over the same (workload, k) borrows one cache instead of
+  /// rebuilding it; null means BatchEngine lends batch-level geometry
+  /// when another cell of the batch plans at the same k, and the
+  /// planner/predictor own a lazy cache otherwise. Borrowed runs are
+  /// bit-identical to owned runs.
   const runtime::FrontierCache* shared_frontiers = nullptr;
 };
 
 /// One simulated configuration's complete mutable run state. Plain
 /// aggregate: StepPolicy::init_cell wires it up, step()/finish() advance
 /// it. The state-table view and the exec-cycles table are borrowed --
-/// their owners (Engine's or BatchEngine's StateBatch / cost cache)
-/// outlive the cell.
+/// their owners (BatchEngine's StateBatch / cost cache) outlive the
+/// cell.
 struct EngineCell {
   struct ExtraBlockInfo {
     bool from_predecomp = false;
@@ -128,7 +129,7 @@ struct EngineCell {
   std::exception_ptr error;
 };
 
-/// The scalar decision logic, shared verbatim by Engine and BatchEngine.
+/// The scalar decision logic BatchEngine drives, one cell at a time.
 class StepPolicy {
  public:
   StepPolicy(const cfg::Cfg& cfg, const runtime::BlockImage& image);

@@ -1,10 +1,7 @@
 #include "sweep/campaign.hpp"
 
-#include <algorithm>
 #include <map>
 
-#include "sim/batch_engine.hpp"
-#include "sim/engine.hpp"
 #include "support/assert.hpp"
 #include "sweep/pool.hpp"
 
@@ -55,87 +52,36 @@ std::vector<CampaignResult> run_campaign(
   GeometryMap geometry;
   if (options.share_frontiers) geometry = make_geometry_slots(workloads, grid);
 
-  // Per-cell config resolution, shared by both paths below.
-  const auto cell_config = [&](const CampaignWorkload& workload,
-                               std::size_t t) {
-    sim::EngineConfig config = grid[t].config;
-    if (options.share_frontiers) {
-      // Claim-build or wait: first cell over this (workload, k) key
-      // materializes the cache on its worker, everyone later borrows.
-      config.shared_frontiers =
-          geometry
-              .at(runtime::FrontierKey{workload.cfg,
-                                       config.policy.predecompress_k})
-              ->acquire();
-    }
-    return config;
-  };
-
-  std::vector<ResultSink> sinks(workloads.size());
-  if (options.batch_cells > 1) {
-    // Chunk each workload's grid independently (a batch shares one
-    // (cfg, image, trace) triple), workload-major like the flat path so
-    // the one-worker inline order stays the sequential reference order.
-    struct Chunk {
-      std::size_t workload;
-      std::size_t begin;  // task range [begin, end) within the grid
-      std::size_t end;
-    };
-    std::vector<Chunk> chunks;
-    const std::size_t batch = options.batch_cells;
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-      for (std::size_t begin = 0; begin < grid.size(); begin += batch) {
-        chunks.push_back(
-            Chunk{w, begin, std::min(begin + batch, grid.size())});
-      }
-    }
-    SweepOptions pool_options;
-    pool_options.workers = options.workers;
-    const unsigned workers = resolve_workers(pool_options, chunks.size());
-    detail::parallel_for_index(chunks.size(), workers, [&](std::size_t ci) {
-      const Chunk& chunk = chunks[ci];
-      const CampaignWorkload& workload = workloads[chunk.workload];
-      std::vector<sim::EngineConfig> configs;
-      configs.reserve(chunk.end - chunk.begin);
-      for (std::size_t t = chunk.begin; t < chunk.end; ++t) {
-        configs.push_back(cell_config(workload, t));
-      }
-      sim::BatchEngine engine(*workload.cfg, *workload.image,
-                              std::move(configs));
-      auto outcomes = engine.run(*workload.trace);
-      std::exception_ptr first_error;
-      for (std::size_t t = chunk.begin; t < chunk.end; ++t) {
-        sim::CellOutcome& cell = outcomes[t - chunk.begin];
-        if (!cell.ok()) {
-          if (!first_error) first_error = cell.error;
-          continue;
-        }
-        sinks[chunk.workload].push(
-            SweepOutcome{t, grid[t].label, cell.result});
-      }
-      if (first_error) std::rethrow_exception(first_error);
-    });
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-      results[w].outcomes = sinks[w].take_sorted();
-    }
-    return results;
-  }
-
-  // Flatten the (workload x task) matrix workload-major: cell i is
-  // workload i / |grid|, task i % |grid| -- so the one-worker inline
-  // order is exactly "each workload's grid sequentially".
-  const std::size_t total = workloads.size() * grid.size();
+  // Workload-major chunks, so the one-worker inline order is exactly
+  // "each workload's grid sequentially".
+  const std::vector<CellChunk> chunks =
+      chunk_cells(workloads.size(), grid.size(), options.batch_cells);
   SweepOptions pool_options;
   pool_options.workers = options.workers;
-  const unsigned workers = resolve_workers(pool_options, total);
+  const unsigned workers = resolve_workers(pool_options, chunks.size());
 
-  detail::parallel_for_index(total, workers, [&](std::size_t i) {
-    const std::size_t w = i / grid.size();
-    const std::size_t t = i % grid.size();
-    const CampaignWorkload& workload = workloads[w];
-    const sim::EngineConfig config = cell_config(workload, t);
-    sim::Engine engine(*workload.cfg, *workload.image, config);
-    sinks[w].push(SweepOutcome{t, grid[t].label, engine.run(*workload.trace)});
+  std::vector<ResultSink> sinks(workloads.size());
+  detail::parallel_for_index(chunks.size(), workers, [&](std::size_t c) {
+    const CellChunk& chunk = chunks[c];
+    const CampaignWorkload& workload = workloads[chunk.workload];
+    std::vector<std::size_t> cells;
+    std::vector<sim::EngineConfig> configs;
+    for (std::size_t t = chunk.begin; t < chunk.end; ++t) {
+      sim::EngineConfig config = grid[t].config;
+      if (options.share_frontiers) {
+        // Claim-build or wait: first cell over this (workload, k) key
+        // materializes the cache on its worker, everyone later borrows.
+        config.shared_frontiers =
+            geometry
+                .at(runtime::FrontierKey{workload.cfg,
+                                         config.policy.predecompress_k})
+                ->acquire();
+      }
+      cells.push_back(t);
+      configs.push_back(config);
+    }
+    run_chunk(*workload.cfg, *workload.image, *workload.trace, grid, cells,
+              std::move(configs), sinks[chunk.workload]);
   });
 
   for (std::size_t w = 0; w < workloads.size(); ++w) {

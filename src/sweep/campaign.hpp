@@ -2,17 +2,18 @@
 //
 // The paper's evaluation (fig3 / E10-style design-space exploration) is
 // inherently a *suite x grid* matrix: the same policy grid run over every
-// benchmark workload. run_sweep shards one workload's grid; run_campaign
-// flattens the whole (workload x task) matrix into a single
+// benchmark workload. run_campaign cuts the whole (workload x task)
+// matrix into the cell executor's chunks (sweep.hpp) on one
 // work-stealing queue over one shared thread pool, so a long workload's
 // tail tasks and a short workload's grid interleave instead of the pool
-// draining and refilling per workload. Outcomes come back grouped per
-// workload, in task order, byte-identical to running each workload's
-// grid sequentially (tests/sweep/campaign_test.cpp pins that).
+// draining and refilling per workload; run_sweep is a one-workload
+// campaign. Outcomes come back grouped per workload, in task order,
+// byte-identical to running each workload's grid sequentially
+// (tests/sweep/campaign_test.cpp pins that).
 //
 // Shared geometry: the planner/predictor FrontierCache is keyed on
-// (CFG, predecompress_k) -- per workload-and-k, not per task -- yet
-// every engine used to rebuild it. A campaign creates one SharedFrontier
+// (CFG, predecompress_k) -- per workload-and-k, not per task -- so
+// rebuilding it per cell is waste. A campaign creates one SharedFrontier
 // handshake slot per distinct (workload, k) key; the first pool worker
 // whose cell needs a key claims its build and materializes the cache on
 // that worker (overlapping with other cells' simulation -- the calling
@@ -53,26 +54,26 @@ struct CampaignResult {
 struct CampaignOptions {
   /// Worker threads for the shared pool; 0 means hardware concurrency
   /// (clamped to at least 1), and the pool never exceeds the number of
-  /// matrix cells. 1 runs the whole matrix inline, workload-major -- the
-  /// sequential reference order.
+  /// matrix cells. 1 runs the whole matrix inline, workload-major.
   unsigned workers = 0;
   /// Build one materialized FrontierCache per (workload, predecompress_k)
-  /// and have every engine borrow it, instead of each engine's
-  /// planner/predictor rebuilding identical geometry. Off means every
-  /// engine owns its own cache (the run_sweep behaviour); outcomes are
-  /// bit-identical either way.
+  /// and have every cell borrow it, instead of each cell's
+  /// planner/predictor rebuilding identical geometry. Off leaves
+  /// geometry to each chunk's BatchEngine (the run_sweep behaviour):
+  /// shared by the chunk's cells that plan at the same k, owned and
+  /// lazy for a lone planner. Outcomes are bit-identical either way.
   bool share_frontiers = true;
   /// Matrix cells stepped per pool work item (see
   /// SweepOptions::batch_cells). Batches never span workloads: each
   /// workload's grid is chunked independently, so a batch shares one
-  /// (CFG, image, trace) triple. 0 and 1 keep the one-Engine-per-cell
-  /// path; results are byte-identical at any value.
+  /// (CFG, image, trace) triple. 0 and 1 are the same width-1 path;
+  /// results are byte-identical at any value.
   std::uint32_t batch_cells = 0;
 };
 
 /// Run `grid` over every workload, sharded across one shared pool, and
 /// return per-workload task-ordered outcomes. A CheckError thrown by any
-/// engine run is rethrown on the calling thread after the pool drains.
+/// cell is rethrown on the calling thread after the pool drains.
 [[nodiscard]] std::vector<CampaignResult> run_campaign(
     const std::vector<CampaignWorkload>& workloads,
     const std::vector<SweepTask>& grid, const CampaignOptions& options = {});

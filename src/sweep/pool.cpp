@@ -345,9 +345,7 @@ void parallel_for_index(std::size_t total, unsigned workers,
   if (total == 0) return;
 
   if (workers <= 1) {
-    // Inline: no pool, no locks -- this is also the sequential
-    // reference the differential tests compare the sharded paths
-    // against.
+    // Inline: no pool, no locks, items in index order.
     for (std::size_t i = 0; i < total; ++i) fn(i);
     return;
   }

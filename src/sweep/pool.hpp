@@ -70,9 +70,8 @@
 //    resolved handle, never a stall.
 //
 // parallel_for_index is kept as the synchronous veneer the one-shot
-// runners (run_sweep / run_campaign) use: inline at workers <= 1 (the
-// sequential reference order the differential tests compare against),
-// a temporary Pool otherwise.
+// runners (run_sweep / run_campaign) use: inline at workers <= 1 (items
+// in index order on the calling thread), a temporary Pool otherwise.
 #pragma once
 
 #include <atomic>

@@ -4,7 +4,7 @@
 #include <thread>
 
 #include "sim/batch_engine.hpp"
-#include "sweep/pool.hpp"
+#include "sweep/campaign.hpp"
 
 namespace apcc::sweep {
 
@@ -41,51 +41,54 @@ unsigned resolve_workers(const SweepOptions& options,
   return std::max(1u, workers);
 }
 
+std::vector<CellChunk> chunk_cells(std::size_t workloads,
+                                   std::size_t grid_size,
+                                   std::uint32_t batch_cells) {
+  const std::size_t width = std::max<std::size_t>(1, batch_cells);
+  std::vector<CellChunk> chunks;
+  chunks.reserve(workloads * ((grid_size + width - 1) / width));
+  for (std::size_t w = 0; w < workloads; ++w) {
+    for (std::size_t begin = 0; begin < grid_size; begin += width) {
+      chunks.push_back(
+          CellChunk{w, begin, std::min(begin + width, grid_size)});
+    }
+  }
+  return chunks;
+}
+
+void run_chunk(const cfg::Cfg& cfg, const runtime::BlockImage& image,
+               const cfg::BlockTrace& trace,
+               const std::vector<SweepTask>& grid,
+               const std::vector<std::size_t>& cells,
+               std::vector<sim::EngineConfig> configs, ResultSink& sink) {
+  sim::BatchEngine engine(cfg, image, std::move(configs));
+  const std::vector<sim::CellOutcome> outcomes = engine.run(trace);
+  // Surviving siblings land in the sink even when a cell threw; the
+  // first failure (lowest task index -- the sequential rethrow order)
+  // propagates after that.
+  std::exception_ptr first_error;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    if (!outcomes[c].ok()) {
+      if (!first_error) first_error = outcomes[c].error;
+      continue;
+    }
+    sink.push(SweepOutcome{cells[c], grid[cells[c]].label, outcomes[c].result});
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 std::vector<SweepOutcome> run_sweep(const cfg::Cfg& cfg,
                                     const runtime::BlockImage& image,
                                     const cfg::BlockTrace& trace,
                                     const std::vector<SweepTask>& tasks,
                                     const SweepOptions& options) {
-  if (tasks.empty()) return {};
-  if (options.batch_cells > 1) {
-    const std::size_t batch = options.batch_cells;
-    const std::size_t chunks = (tasks.size() + batch - 1) / batch;
-    const unsigned workers = resolve_workers(options, chunks);
-    ResultSink sink;
-    detail::parallel_for_index(chunks, workers, [&](std::size_t chunk) {
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, tasks.size());
-      std::vector<sim::EngineConfig> configs;
-      configs.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        configs.push_back(tasks[i].config);
-      }
-      sim::BatchEngine engine(cfg, image, std::move(configs));
-      auto outcomes = engine.run(trace);
-      // Surviving siblings land in the sink even when a cell threw; the
-      // first failure (lowest task index, matching the sequential path's
-      // rethrow order at workers == 1) propagates after that.
-      std::exception_ptr first_error;
-      for (std::size_t i = begin; i < end; ++i) {
-        sim::CellOutcome& cell = outcomes[i - begin];
-        if (!cell.ok()) {
-          if (!first_error) first_error = cell.error;
-          continue;
-        }
-        sink.push(SweepOutcome{i, tasks[i].label, cell.result});
-      }
-      if (first_error) std::rethrow_exception(first_error);
-    });
-    return sink.take_sorted();
-  }
-  const unsigned workers = resolve_workers(options, tasks.size());
-
-  ResultSink sink;
-  detail::parallel_for_index(tasks.size(), workers, [&](std::size_t i) {
-    sim::Engine engine(cfg, image, tasks[i].config);
-    sink.push(SweepOutcome{i, tasks[i].label, engine.run(trace)});
-  });
-  return sink.take_sorted();
+  CampaignOptions campaign;
+  campaign.workers = options.workers;
+  campaign.share_frontiers = false;
+  campaign.batch_cells = options.batch_cells;
+  std::vector<CampaignResult> results = run_campaign(
+      {CampaignWorkload{"", &cfg, &image, &trace}}, tasks, campaign);
+  return std::move(results.front().outcomes);
 }
 
 }  // namespace apcc::sweep

@@ -1,18 +1,21 @@
-// Sharded policy-grid sweeps.
+// Sharded policy-grid sweeps and the cell executor every grid runner
+// shares.
 //
 // The paper's evaluation (and the fig3 / E10 benches) is a grid of
 // policy configurations run over the same workload. Each grid point is
-// an independent single-shot Engine run, and everything an Engine reads
-// -- the Cfg, the BlockImage, the trace -- is immutable after
-// construction, so the grid shards across a thread pool with one Engine
-// per in-flight task and zero shared mutable state. Results funnel into
-// a thread-safe ResultSink and come back in task order, so the parallel
-// sweep is byte-identical to running the grid sequentially (the
-// differential test in tests/sweep pins that).
+// an independent engine cell, and everything a cell reads -- the Cfg,
+// the BlockImage, the trace -- is immutable after construction, so the
+// grid shards across a thread pool with zero shared mutable state.
+// Results funnel into a thread-safe ResultSink and come back in task
+// order, so the parallel sweep is byte-identical to running the grid
+// sequentially (the differential tests in tests/sweep pin that against
+// an independent per-cell loop).
 //
-// The pool loop itself lives in sweep/pool.hpp and is shared with the
-// suite-wide campaign runner (sweep/campaign.hpp), which runs one grid
-// over many workloads through the same machinery.
+// The cell executor below is the one way a grid cell runs: run_campaign
+// (sweep/campaign.hpp), run_sweep (a one-workload campaign), and
+// serving::Service all cut their (workloads x grid) matrix with
+// chunk_cells() and run each chunk -- one pool work item -- through
+// run_chunk(), i.e. one sim::BatchEngine. Width 1 is the per-cell run.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +26,7 @@
 #include "cfg/cfg.hpp"
 #include "cfg/trace.hpp"
 #include "runtime/block_image.hpp"
-#include "sim/engine.hpp"
+#include "sim/step_policy.hpp"
 #include "sim/result.hpp"
 
 namespace apcc::sweep {
@@ -48,13 +51,13 @@ struct SweepOptions {
   /// never more than there are tasks). 1 runs inline on the caller's
   /// thread with no pool at all.
   unsigned workers = 0;
-  /// Grid cells stepped per pool work item. 0 and 1 keep the historical
-  /// one-Engine-per-task path; N > 1 chunks the task list into
-  /// consecutive runs of N cells, each advanced in lockstep by one
-  /// sim::BatchEngine (amortized trace decode, block metadata, and
-  /// frontier geometry). Batched and per-engine sweeps are byte-identical
-  /// (tests/sweep pins it); the knob trades scheduling granularity for
-  /// per-cell setup cost.
+  /// Grid cells stepped per pool work item: the task list is chunked
+  /// into consecutive runs of max(1, batch_cells) cells, each advanced
+  /// in lockstep by one sim::BatchEngine (amortized trace decode, block
+  /// metadata, and frontier geometry). 0 and 1 are the same width-1
+  /// path. Results are byte-identical at every width (tests/sweep pins
+  /// it); the knob trades scheduling granularity for per-cell setup
+  /// cost.
   std::uint32_t batch_cells = 0;
 };
 
@@ -78,11 +81,37 @@ class ResultSink {
 [[nodiscard]] unsigned resolve_workers(const SweepOptions& options,
                                        std::size_t task_count);
 
+/// A run of consecutive grid cells of one workload: one pool work item,
+/// stepped by one BatchEngine.
+struct CellChunk {
+  std::size_t workload = 0;
+  std::size_t begin = 0;  // grid task range [begin, end)
+  std::size_t end = 0;
+};
+
+/// Split the workload-major (workloads x grid_size) matrix into chunks
+/// of max(1, batch_cells) cells. Chunks never span workloads (a chunk
+/// shares one (cfg, image, trace) triple), so each workload's last chunk
+/// may be narrower; at width 1, chunk i is matrix cell i.
+[[nodiscard]] std::vector<CellChunk> chunk_cells(std::size_t workloads,
+                                                 std::size_t grid_size,
+                                                 std::uint32_t batch_cells);
+
+/// Run one chunk: the grid cells `cells` (ascending task indexes) under
+/// `configs` (index-aligned) through one BatchEngine over (cfg, image,
+/// trace). Every ok cell lands in `sink` labelled from `grid`; the first
+/// failing cell's error is rethrown after its siblings have landed.
+void run_chunk(const cfg::Cfg& cfg, const runtime::BlockImage& image,
+               const cfg::BlockTrace& trace,
+               const std::vector<SweepTask>& grid,
+               const std::vector<std::size_t>& cells,
+               std::vector<sim::EngineConfig> configs, ResultSink& sink);
+
 /// Run every task against (cfg, image, trace), sharded across a thread
-/// pool, and return the outcomes in task order. The image and cfg are
-/// shared read-only across workers; each task gets a fresh Engine. A
-/// CheckError thrown by any run is rethrown on the calling thread after
-/// the pool drains.
+/// pool, and return the outcomes in task order: run_campaign over this
+/// one workload, every cell owning its geometry. The image and cfg are
+/// shared read-only across workers. A CheckError thrown by any run is
+/// rethrown on the calling thread after the pool drains.
 [[nodiscard]] std::vector<SweepOutcome> run_sweep(
     const cfg::Cfg& cfg, const runtime::BlockImage& image,
     const cfg::BlockTrace& trace, const std::vector<SweepTask>& tasks,

@@ -156,8 +156,9 @@ TEST(CliSmoke, SweepCsvHasFullGridInTaskOrder) {
 
 TEST(CliSmoke, SweepBatchCellsMatchesPerEngineSweep) {
   // --batch-cells is a scheduling knob, never a results knob: the CSV
-  // (task order, every field) must be byte-identical to the per-engine
-  // sweep, including a width that does not divide the 12-task grid.
+  // (task order, every field) must be byte-identical to the default
+  // width-1 sweep, including a width that does not divide the 12-task
+  // grid.
   const auto reference =
       run_cli("sweep " + workload_path() + " --csv --workers 2");
   ASSERT_EQ(reference.exit_code, 0);
@@ -257,6 +258,38 @@ TEST(CliSmoke, UsageErrorsExitOne) {
 
 TEST(CliSmoke, MissingInputExitsTwo) {
   EXPECT_EQ(run_cli("sim /nonexistent/nope.s").exit_code, 2);
+}
+
+TEST(CliSmoke, EngineFailureNamesItsCauseWithoutTheCheckoutPath) {
+  // A budget too small for the working set: the engine cell fails, its
+  // CellOutcome error fails the job, and the job's rethrown CheckError
+  // is the CLI's exit-2 message. The failing check's location renders
+  // relative to the source root -- a failed job's error record must not
+  // depend on where the tree was checked out.
+  const std::string data_dir = kDataDir;
+  const std::string checkout =
+      data_dir.substr(0, data_dir.rfind("/tests/cli/data")) + "/";
+  const auto sim = run_cli_stderr("sim gsm-like --budget 16");
+  EXPECT_EQ(sim.exit_code, 2);
+  EXPECT_NE(sim.output.find("decompressed area exhausted"), std::string::npos)
+      << sim.output;
+  EXPECT_NE(sim.output.find(" at src/"), std::string::npos) << sim.output;
+  EXPECT_EQ(sim.output.find(checkout), std::string::npos) << sim.output;
+
+  // The same failure served as a wire error record.
+  const auto served = run_shell(
+      "printf 'apcc.job v4\\nkind run\\nworkload gsm-like\\n"
+      "policy budget=16\\nend\\n' | " +
+      std::string(kCliPath) + " serve 2>/dev/null");
+  EXPECT_EQ(served.exit_code, 0);
+  EXPECT_NE(served.output.find("status error"), std::string::npos)
+      << served.output;
+  EXPECT_NE(served.output.find("decompressed%20area%20exhausted"),
+            std::string::npos)
+      << served.output;
+  EXPECT_NE(served.output.find("%20at%20src/"), std::string::npos)
+      << served.output;
+  EXPECT_EQ(served.output.find(checkout), std::string::npos) << served.output;
 }
 
 TEST(CliSmoke, BatchRunsWireJobFileOverTheCheckedInWorkload) {

@@ -382,8 +382,9 @@ std::string adaptive_sweep_wire(unsigned workers, std::uint32_t batch_cells) {
   Service service(options);
   const WorkloadId id = service.register_workload(
       workloads::make_workload(workloads::WorkloadKind::kCrcLike));
-  SweepJob job;
-  job.workload = id;
+  JobSpec job;
+  job.kind = JobKind::kSweep;
+  job.workloads = {"@" + std::to_string(id)};
   job.config.codec = compress::CodecKind::kAdaptive;
   job.batch_cells = batch_cells;
   for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,
@@ -403,7 +404,7 @@ std::string adaptive_sweep_wire(unsigned workers, std::uint32_t batch_cells) {
   record.job = 1;
   record.client = "pattern-differential";
   record.result.kind = JobKind::kSweep;
-  record.result.sweep = service.submit(job).wait();
+  record.result.sweep = service.submit(job).wait().sweep;
   return wire::serialize_result(record);
 }
 

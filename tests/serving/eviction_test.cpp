@@ -4,7 +4,7 @@
 // constant thrash and pin four things:
 //
 //  * differential byte-identity: the same sweep under a tiny budget
-//    matches the direct one-shot path at several worker counts and
+//    matches the direct per-cell reference at several worker counts and
 //    lockstep batch widths, while the eviction counters prove the
 //    budget machinery actually ran;
 //  * pinning: artifacts borrowed by in-flight cells survive any
@@ -87,12 +87,10 @@ TEST(Eviction, TinyBudgetSweepIsByteIdenticalToDirect) {
   // The acceptance differential: per-kind budgets of one byte mean
   // every publish finds the cache over budget, so every unpinned
   // artifact is evicted as soon as a new one lands -- maximum thrash.
-  // Outcomes must still match the direct one-shot sweep byte for byte
-  // at every worker count and batch width.
+  // Outcomes must still match the direct per-cell reference byte for
+  // byte at every worker count and batch width.
   const auto grid = test_grid();
-  sweep::SweepOptions sequential;
-  sequential.workers = 1;
-  const auto direct = reference_systems()[0].run_sweep(grid, sequential);
+  const auto direct = direct_sweep(0, grid);
   CacheBudget tiny;
   tiny.image_bytes = 1;
   tiny.frontier_bytes = 1;
@@ -101,15 +99,8 @@ TEST(Eviction, TinyBudgetSweepIsByteIdenticalToDirect) {
       SCOPED_TRACE(std::to_string(workers) + " workers, batch " +
                    std::to_string(batch));
       Fixture fx(budgeted(workers, tiny));
-      SweepJob job;
-      job.workload = fx.ids[0];
-      job.tasks = grid;
-      job.batch_cells = batch;
-      const auto outcomes = fx.service.submit(job).wait();
-      ASSERT_EQ(outcomes.size(), direct.size());
-      for (std::size_t i = 0; i < direct.size(); ++i) {
-        expect_identical(outcomes[i], direct[i]);
-      }
+      const auto job = sweep_spec(ref(fx.ids[0]), grid, batch);
+      expect_identical(direct, fx.service.submit(job).wait().sweep);
       const auto stats = fx.service.cache_stats();
       // Eviction changes counters, never bytes: every rebuild is also
       // a fresh miss, so misses == built still holds (no build failed).
@@ -136,20 +127,12 @@ TEST(Eviction, SharedTotalBudgetIsByteIdenticalToDirect) {
   // Same differential through the shared-ceiling pass (total_bytes
   // covers both kinds at once; per-kind ceilings unset).
   const auto grid = test_grid();
-  sweep::SweepOptions sequential;
-  sequential.workers = 1;
-  const auto direct = reference_systems()[0].run_sweep(grid, sequential);
+  const auto direct = direct_sweep(0, grid);
   CacheBudget shared;
   shared.total_bytes = 1;
   Fixture fx(budgeted(1, shared));
-  SweepJob job;
-  job.workload = fx.ids[0];
-  job.tasks = grid;
-  const auto outcomes = fx.service.submit(job).wait();
-  ASSERT_EQ(outcomes.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    expect_identical(outcomes[i], direct[i]);
-  }
+  const auto job = sweep_spec(ref(fx.ids[0]), grid);
+  expect_identical(direct, fx.service.submit(job).wait().sweep);
   EXPECT_GT(fx.service.cache_stats().frontiers.evictions, 0u);
 }
 
@@ -163,8 +146,10 @@ TEST(Eviction, ImageEvictionAcrossWorkloadsRebuildsByteIdentical) {
   const sim::RunResult direct_a = reference_systems()[0].run();
   const sim::RunResult direct_b = reference_systems()[1].run();
 
-  expect_identical(fx.service.submit(RunJob{fx.ids[0]}).wait(), direct_a);
-  expect_identical(fx.service.submit(RunJob{fx.ids[1]}).wait(), direct_b);
+  expect_identical(fx.service.submit(run_spec(ref(fx.ids[0]))).wait().run,
+                   direct_a);
+  expect_identical(fx.service.submit(run_spec(ref(fx.ids[1]))).wait().run,
+                   direct_b);
   {
     // B's publish found A's image resident and unpinned: evicted.
     const auto stats = fx.service.cache_stats();
@@ -175,7 +160,8 @@ TEST(Eviction, ImageEvictionAcrossWorkloadsRebuildsByteIdentical) {
   }
   // A transparently rebuilds -- an ordinary miss, not a failure-path
   // rebuild -- and the rebuilt image serves byte-identical results.
-  expect_identical(fx.service.submit(RunJob{fx.ids[0]}).wait(), direct_a);
+  expect_identical(fx.service.submit(run_spec(ref(fx.ids[0]))).wait().run,
+                   direct_a);
   const auto stats = fx.service.cache_stats();
   EXPECT_EQ(stats.images.built, 3u);
   EXPECT_EQ(stats.images.misses, 3u);
@@ -192,10 +178,8 @@ TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
   // eviction pass B triggers, and A must complete byte-identical after
   // release.
   const auto grid = test_grid();
-  sweep::SweepOptions sequential;
-  sequential.workers = 1;
-  const auto direct_a = reference_systems()[0].run_sweep(grid, sequential);
-  const auto direct_b = reference_systems()[1].run_sweep(grid, sequential);
+  const auto direct_a = direct_sweep(0, grid);
+  const auto direct_b = direct_sweep(1, grid);
 
   ParkAt gate(2);  // boundary 1 = A's first cell; 2 = A's second
   CacheBudget tiny;
@@ -205,11 +189,8 @@ TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
   options.faults = gate.plan();
   Fixture fx(options);
 
-  SweepJob job_a;
-  job_a.workload = fx.ids[0];
-  job_a.tasks = grid;
-  job_a.batch_cells = 16;  // one item leases every cell it admits
-  const auto handle_a = fx.service.submit(job_a);
+  // Batch 16: one item leases every cell it admits.
+  const auto handle_a = fx.service.submit(sweep_spec(ref(fx.ids[0]), grid, 16));
   gate.await_parked();
 
   // While A is parked, its first cell's artifacts are pinned and
@@ -221,14 +202,8 @@ TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
   EXPECT_TRUE(slot_a->ready());
   EXPECT_GT(slot_a->pins(), 0u);
 
-  SweepJob job_b;
-  job_b.workload = fx.ids[1];
-  job_b.tasks = grid;
-  const auto outcomes_b = fx.service.submit(job_b).wait();
-  ASSERT_EQ(outcomes_b.size(), direct_b.size());
-  for (std::size_t i = 0; i < direct_b.size(); ++i) {
-    expect_identical(outcomes_b[i], direct_b[i]);
-  }
+  const auto job_b = sweep_spec(ref(fx.ids[1]), grid);
+  expect_identical(direct_b, fx.service.submit(job_b).wait().sweep);
 
   {
     const auto stats = fx.service.cache_stats();
@@ -243,11 +218,7 @@ TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
   }
 
   gate.release();
-  const auto outcomes_a = handle_a.wait();
-  ASSERT_EQ(outcomes_a.size(), direct_a.size());
-  for (std::size_t i = 0; i < direct_a.size(); ++i) {
-    expect_identical(outcomes_a[i], direct_a[i]);
-  }
+  expect_identical(direct_a, handle_a.wait().sweep);
 }
 
 TEST(Eviction, InjectedBuildFailureUnderPressureRollsBackCleanly) {
@@ -267,9 +238,10 @@ TEST(Eviction, InjectedBuildFailureUnderPressureRollsBackCleanly) {
   const sim::RunResult direct_a = reference_systems()[0].run();
   const sim::RunResult direct_b = reference_systems()[1].run();
 
-  expect_identical(fx.service.submit(RunJob{fx.ids[0]}).wait(), direct_a);
+  expect_identical(fx.service.submit(run_spec(ref(fx.ids[0]))).wait().run,
+                   direct_a);
 
-  const auto poisoned = fx.service.submit(RunJob{fx.ids[1]});
+  const auto poisoned = fx.service.submit(run_spec(ref(fx.ids[1])));
   try {
     (void)poisoned.wait();
     FAIL() << "expected the injected build failure to rethrow";
@@ -284,8 +256,10 @@ TEST(Eviction, InjectedBuildFailureUnderPressureRollsBackCleanly) {
     EXPECT_EQ(stats.images.entries, 1u);
   }
 
-  expect_identical(fx.service.submit(RunJob{fx.ids[1]}).wait(), direct_b);
-  expect_identical(fx.service.submit(RunJob{fx.ids[0]}).wait(), direct_a);
+  expect_identical(fx.service.submit(run_spec(ref(fx.ids[1]))).wait().run,
+                   direct_b);
+  expect_identical(fx.service.submit(run_spec(ref(fx.ids[0]))).wait().run,
+                   direct_a);
 
   const auto stats = fx.service.cache_stats();
   EXPECT_EQ(stats.images.built, 3u);     // A, B's retry, A's rebuild
@@ -308,18 +282,8 @@ TEST(Eviction, FaultPlanForcedFlushDrivesRebuildDeterministically) {
   options.faults = plan;
   Fixture fx(options);
   const auto grid = test_grid();
-  sweep::SweepOptions sequential;
-  sequential.workers = 1;
-  const auto direct = reference_systems()[0].run_sweep(grid, sequential);
-
-  SweepJob job;
-  job.workload = fx.ids[0];
-  job.tasks = grid;
-  const auto outcomes = fx.service.submit(job).wait();
-  ASSERT_EQ(outcomes.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    expect_identical(outcomes[i], direct[i]);
-  }
+  const auto job = sweep_spec(ref(fx.ids[0]), grid);
+  expect_identical(direct_sweep(0, grid), fx.service.submit(job).wait().sweep);
 
   const auto stats = fx.service.cache_stats();
   EXPECT_EQ(stats.images.evictions, 0u);     // pinned at the flush

@@ -306,7 +306,7 @@ TEST(FaultInjection, InjectedThrowInsideABatchFailsJobButSiblingsFinish) {
   // at boundary 2 must fail only that cell in place: every other cell
   // still reaches its own boundary (counted below) and runs to
   // completion, and the first failure is rethrown after the batch --
-  // the same job-level kError the per-engine path produces, with a
+  // the same job-level kError the width-1 path produces, with a
   // byte-identical record at every worker count.
   std::vector<std::string> records;
   for (const unsigned workers : {1u, 2u, 4u}) {

@@ -1,6 +1,6 @@
 // JobSpec front-door differentials: submit(JobSpec) must produce
-// results byte-identical to the typed overloads AND to the direct
-// run / run_sweep / run_campaign calls for all three kinds -- and the
+// results byte-identical to the direct per-cell reference (every cell
+// run alone on a width-1 BatchEngine) for all three kinds -- and the
 // QoS fields (priority class, worker budget, client tag) must change
 // *when* cells run, never what any job returns: mixed-priority /
 // budgeted submissions are pinned byte-identical to plain FIFO at
@@ -24,165 +24,73 @@ namespace {
 
 using namespace testsupport;
 
-JobSpec run_spec(const std::string& ref) {
-  JobSpec spec;
-  spec.kind = JobKind::kRun;
-  spec.workloads = {ref};
-  return spec;
-}
-
-JobSpec sweep_spec(const std::string& ref,
-                   std::vector<sweep::SweepTask> tasks) {
-  JobSpec spec;
-  spec.kind = JobKind::kSweep;
-  spec.workloads = {ref};
-  spec.tasks = std::move(tasks);
-  return spec;
-}
-
-JobSpec campaign_spec(std::vector<std::string> refs,
-                      std::vector<sweep::SweepTask> grid) {
-  JobSpec spec;
-  spec.kind = JobKind::kCampaign;
-  spec.workloads = std::move(refs);
-  spec.tasks = std::move(grid);
-  return spec;
-}
-
-TEST(JobSpec, RunMatchesTypedAndDirect) {
+TEST(JobSpec, RunMatchesDirect) {
   const sim::RunResult direct = reference_systems()[0].run();
   for (const unsigned workers : {1u, 2u, 4u}) {
     Fixture fx(workers);
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    // By id reference (what the typed veneer emits)...
-    const auto id_handle =
-        fx.service.submit(run_spec("@" + std::to_string(fx.ids[0])));
+    // By id reference...
+    const auto id_handle = fx.service.submit(run_spec(ref(fx.ids[0])));
     const JobResult& by_id = id_handle.wait();
     EXPECT_EQ(by_id.kind, JobKind::kRun);
     expect_identical(by_id.run, direct);
-    // ...by registered name...
+    // A run job is an internal 1x1 grid: its one outcome fills .run only.
+    EXPECT_TRUE(by_id.sweep.empty());
+    EXPECT_TRUE(by_id.campaign.empty());
+    // ...and by registered name.
     const auto name_handle = fx.service.submit(run_spec("crc-like"));
     expect_identical(name_handle.wait().run, direct);
-    // ...and through the typed veneer, which shares the same path.
-    expect_identical(fx.service.submit(RunJob{fx.ids[0]}).wait(), direct);
   }
 }
 
-TEST(JobSpec, SweepMatchesTypedAndDirect) {
+TEST(JobSpec, SweepMatchesDirect) {
   const auto grid = test_grid();
-  sweep::SweepOptions sequential;
-  sequential.workers = 1;
-  const auto direct = reference_systems()[0].run_sweep(grid, sequential);
+  const auto direct = direct_sweep(0, grid);
   for (const unsigned workers : {1u, 2u, 4u}) {
     Fixture fx(workers);
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    const auto unified_handle =
-        fx.service.submit(sweep_spec("crc-like", grid));
-    const JobResult& unified = unified_handle.wait();
-    EXPECT_EQ(unified.kind, JobKind::kSweep);
-    ASSERT_EQ(unified.sweep.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      expect_identical(direct[i], unified.sweep[i]);
-    }
-    const auto typed_handle = fx.service.submit(SweepJob{fx.ids[0], {}, grid});
-    const auto& typed = typed_handle.wait();
-    ASSERT_EQ(typed.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      expect_identical(direct[i], typed[i]);
-    }
+    const auto handle = fx.service.submit(sweep_spec("crc-like", grid));
+    const JobResult& result = handle.wait();
+    EXPECT_EQ(result.kind, JobKind::kSweep);
+    expect_identical(direct, result.sweep);
   }
 }
 
-TEST(JobSpec, CampaignMatchesTypedAndDirect) {
+TEST(JobSpec, CampaignMatchesDirect) {
   const auto grid = test_grid();
-  std::vector<core::CampaignEntry> entries;
-  const auto& systems = reference_systems();
-  for (std::size_t i = 0; i < systems.size(); ++i) {
-    entries.push_back({workloads::workload_name(kinds_under_test()[i]),
-                       &systems[i]});
-  }
-  sweep::CampaignOptions sequential;
-  sequential.workers = 1;
-  const auto direct = core::run_campaign(entries, grid, sequential);
-
+  const auto direct = direct_campaign(grid);
   for (const unsigned workers : {1u, 2u, 4u}) {
     Fixture fx(workers);
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    std::vector<std::string> refs;
-    for (const auto id : fx.ids) refs.push_back("@" + std::to_string(id));
-    const auto unified_handle = fx.service.submit(campaign_spec(refs, grid));
-    const JobResult& unified = unified_handle.wait();
-    EXPECT_EQ(unified.kind, JobKind::kCampaign);
-    ASSERT_EQ(unified.campaign.size(), direct.size());
-    for (std::size_t w = 0; w < direct.size(); ++w) {
-      EXPECT_EQ(unified.campaign[w].workload, direct[w].workload);
-      ASSERT_EQ(unified.campaign[w].outcomes.size(),
-                direct[w].outcomes.size());
-      for (std::size_t i = 0; i < direct[w].outcomes.size(); ++i) {
-        expect_identical(direct[w].outcomes[i],
-                         unified.campaign[w].outcomes[i]);
-      }
-    }
-    CampaignJob typed;
-    typed.workloads = fx.ids;
-    typed.grid = grid;
-    const auto typed_handle = fx.service.submit(std::move(typed));
-    const auto& typed_results = typed_handle.wait();
-    ASSERT_EQ(typed_results.size(), direct.size());
-    for (std::size_t w = 0; w < direct.size(); ++w) {
-      ASSERT_EQ(typed_results[w].outcomes.size(), direct[w].outcomes.size());
-      for (std::size_t i = 0; i < direct[w].outcomes.size(); ++i) {
-        expect_identical(direct[w].outcomes[i], typed_results[w].outcomes[i]);
-      }
-    }
+    const auto handle = fx.service.submit(campaign_spec(refs(fx.ids), grid));
+    const JobResult& result = handle.wait();
+    EXPECT_EQ(result.kind, JobKind::kCampaign);
+    expect_identical(direct, result.campaign);
   }
 }
 
 TEST(JobSpec, BatchedJobsMatchSequential) {
   // batch-cells is a scheduling knob only: a sweep or campaign run in
-  // lockstep batches (3 deliberately does not divide the grid) must be
-  // byte-identical to the per-engine sequential reference, through both
-  // the JobSpec front door and the typed veneers.
+  // lockstep batches -- 3 does not divide the grid, 16 is wider than
+  // it -- must be byte-identical to the per-cell reference.
   const auto grid = test_grid();
-  sweep::SweepOptions sequential;
-  sequential.workers = 1;
-  const auto direct = reference_systems()[0].run_sweep(grid, sequential);
+  const auto direct_crc = direct_sweep(0, grid);
+  const auto direct = direct_campaign(grid);
 
   for (const unsigned workers : {1u, 2u, 4u}) {
     Fixture fx(workers);
-    SCOPED_TRACE(std::to_string(workers) + " workers");
-    auto spec = sweep_spec("crc-like", grid);
-    spec.batch_cells = 3;
-    const auto unified_handle = fx.service.submit(spec);
-    const JobResult& unified = unified_handle.wait();
-    ASSERT_EQ(unified.sweep.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      expect_identical(direct[i], unified.sweep[i]);
-    }
-    const auto typed_handle =
-        fx.service.submit(SweepJob{fx.ids[0], {}, grid, true, 3});
-    const auto& typed = typed_handle.wait();
-    ASSERT_EQ(typed.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      expect_identical(direct[i], typed[i]);
-    }
-
-    auto campaign = campaign_spec({"crc-like", "adpcm-like"}, grid);
-    campaign.batch_cells = 3;
-    const auto batched_handle = fx.service.submit(campaign);
-    const JobResult& batched = batched_handle.wait();
-    auto plain = campaign_spec({"crc-like", "adpcm-like"}, grid);
-    const auto reference_handle = fx.service.submit(plain);
-    const JobResult& reference = reference_handle.wait();
-    ASSERT_EQ(batched.campaign.size(), reference.campaign.size());
-    for (std::size_t w = 0; w < reference.campaign.size(); ++w) {
-      EXPECT_EQ(batched.campaign[w].workload, reference.campaign[w].workload);
-      ASSERT_EQ(batched.campaign[w].outcomes.size(),
-                reference.campaign[w].outcomes.size());
-      for (std::size_t i = 0; i < reference.campaign[w].outcomes.size(); ++i) {
-        expect_identical(reference.campaign[w].outcomes[i],
-                         batched.campaign[w].outcomes[i]);
-      }
+    for (const std::uint32_t batch : {3u, 16u}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers, batch " +
+                   std::to_string(batch));
+      expect_identical(
+          direct_crc,
+          fx.service.submit(sweep_spec("crc-like", grid, batch)).wait().sweep);
+      expect_identical(
+          direct, fx.service
+                      .submit(campaign_spec({"crc-like", "adpcm-like"}, grid,
+                                            batch))
+                      .wait()
+                      .campaign);
     }
   }
 }

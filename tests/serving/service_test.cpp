@@ -1,11 +1,11 @@
 // Service differentials: a job submitted through serving::Service must
-// produce outcomes byte-identical to the equivalent direct
-// CodeCompressionSystem::run / run_sweep / core::run_campaign call --
-// cold cache and warm cache, shared pool, workers 1/2/4 -- while the
-// artifact cache deduplicates builds and geometry materialization stays
-// off the submitting thread. Two campaigns in flight on one Service
-// must interleave without ordering or outcome divergence (the TSan CI
-// job runs this binary).
+// produce outcomes byte-identical to the direct per-cell reference
+// (CodeCompressionSystem::run, or every grid cell run alone on a
+// width-1 BatchEngine) -- cold cache and warm cache, shared pool,
+// workers 1/2/4 -- while the artifact cache deduplicates builds and
+// geometry materialization stays off the submitting thread. Two
+// campaigns in flight on one Service must interleave without ordering
+// or outcome divergence (the TSan CI job runs this binary).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,15 +28,16 @@ TEST(Service, RunJobMatchesDirectRunColdAndWarm) {
   for (const unsigned workers : {1u, 2u, 4u}) {
     for (const bool share : {true, false}) {
       Fixture fx(workers);
-      RunJob job;
-      job.workload = fx.ids[0];
+      JobSpec job = run_spec(ref(fx.ids[0]));
       job.share_frontiers = share;
       SCOPED_TRACE(std::to_string(workers) + " workers, share=" +
                    std::to_string(share));
       // Cold: first submit builds the image (and geometry, if shared).
-      expect_identical(fx.service.submit(job).wait(), direct);
+      const auto cold = fx.service.submit(job);
+      EXPECT_EQ(cold.wait().kind, JobKind::kRun);
+      expect_identical(cold.wait().run, direct);
       // Warm: resubmission borrows every artifact, same bytes out.
-      expect_identical(fx.service.submit(job).wait(), direct);
+      expect_identical(fx.service.submit(job).wait().run, direct);
       const auto stats = fx.service.cache_stats();
       EXPECT_EQ(stats.images.built, 1u);
       EXPECT_EQ(stats.images.borrows, 1u);
@@ -54,54 +55,27 @@ TEST(Service, RunJobMatchesDirectRunColdAndWarm) {
 
 TEST(Service, SweepJobMatchesDirectRunSweep) {
   const auto grid = test_grid();
-  sweep::SweepOptions sequential;
-  sequential.workers = 1;
-  const auto direct = reference_systems()[0].run_sweep(grid, sequential);
+  const auto direct = direct_sweep(0, grid);
   for (const unsigned workers : {1u, 2u, 4u}) {
     for (const bool share : {true, false}) {
       Fixture fx(workers);
-      SweepJob job;
-      job.workload = fx.ids[0];
-      job.tasks = grid;
+      JobSpec job = sweep_spec(ref(fx.ids[0]), grid);
       job.share_frontiers = share;
-      const auto outcomes = fx.service.submit(job).wait();
       SCOPED_TRACE(std::to_string(workers) + " workers, share=" +
                    std::to_string(share));
-      ASSERT_EQ(outcomes.size(), direct.size());
-      for (std::size_t i = 0; i < direct.size(); ++i) {
-        expect_identical(direct[i], outcomes[i]);
-      }
+      expect_identical(direct, fx.service.submit(job).wait().sweep);
     }
   }
 }
 
 TEST(Service, CampaignJobMatchesDirectRunCampaign) {
   const auto grid = test_grid();
-  std::vector<core::CampaignEntry> entries;
-  const auto& systems = reference_systems();
-  for (std::size_t i = 0; i < systems.size(); ++i) {
-    entries.push_back({workloads::workload_name(kinds_under_test()[i]),
-                       &systems[i]});
-  }
-  sweep::CampaignOptions sequential;
-  sequential.workers = 1;
-  const auto direct = core::run_campaign(entries, grid, sequential);
-
+  const auto direct = direct_campaign(grid);
   for (const unsigned workers : {1u, 2u, 4u}) {
     Fixture fx(workers);
-    CampaignJob job;
-    job.workloads = fx.ids;
-    job.grid = grid;
-    const auto results = fx.service.submit(job).wait();
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    ASSERT_EQ(results.size(), direct.size());
-    for (std::size_t w = 0; w < direct.size(); ++w) {
-      EXPECT_EQ(results[w].workload, direct[w].workload);
-      ASSERT_EQ(results[w].outcomes.size(), direct[w].outcomes.size());
-      for (std::size_t i = 0; i < direct[w].outcomes.size(); ++i) {
-        expect_identical(direct[w].outcomes[i], results[w].outcomes[i]);
-      }
-    }
+    const auto job = campaign_spec(refs(fx.ids), grid);
+    expect_identical(direct, fx.service.submit(job).wait().campaign);
   }
 }
 
@@ -118,53 +92,27 @@ TEST(Service, TwoCampaignsInFlightInterleaveWithoutDivergence) {
     task.label += "/static";
   }
 
-  std::vector<core::CampaignEntry> entries;
-  const auto& systems = reference_systems();
-  for (std::size_t i = 0; i < systems.size(); ++i) {
-    entries.push_back({workloads::workload_name(kinds_under_test()[i]),
-                       &systems[i]});
-  }
-  sweep::CampaignOptions sequential;
-  sequential.workers = 1;
-  const auto direct_a = core::run_campaign(entries, grid_a, sequential);
-  const auto direct_b = core::run_campaign(entries, grid_b, sequential);
+  const auto direct_a = direct_campaign(grid_a);
+  const auto direct_b = direct_campaign(grid_b);
 
   for (const unsigned workers : {2u, 4u}) {
     Fixture fx(workers);
-    CampaignJob job_a;
-    job_a.workloads = fx.ids;
-    job_a.grid = grid_a;
-    CampaignJob job_b;
-    job_b.workloads = fx.ids;
-    job_b.grid = grid_b;
-    const auto handle_a = fx.service.submit(job_a);
-    const auto handle_b = fx.service.submit(job_b);
+    const auto handle_a =
+        fx.service.submit(campaign_spec(refs(fx.ids), grid_a));
+    const auto handle_b =
+        fx.service.submit(campaign_spec(refs(fx.ids), grid_b));
     EXPECT_NE(handle_a.id(), handle_b.id());
     const auto results_b = handle_b.wait();  // wait out of order on purpose
     const auto results_a = handle_a.wait();
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    const auto check = [](const std::vector<sweep::CampaignResult>& want,
-                          const std::vector<sweep::CampaignResult>& got) {
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t w = 0; w < want.size(); ++w) {
-        EXPECT_EQ(got[w].workload, want[w].workload);
-        ASSERT_EQ(got[w].outcomes.size(), want[w].outcomes.size());
-        for (std::size_t i = 0; i < want[w].outcomes.size(); ++i) {
-          expect_identical(want[w].outcomes[i], got[w].outcomes[i]);
-        }
-      }
-    };
-    check(direct_a, results_a);
-    check(direct_b, results_b);
+    expect_identical(direct_a, results_a.campaign);
+    expect_identical(direct_b, results_b.campaign);
   }
 }
 
 TEST(Service, GeometryMaterializesOffTheSubmittingThread) {
   Fixture fx(2);
-  SweepJob job;
-  job.workload = fx.ids[0];
-  job.tasks = test_grid();
-  (void)fx.service.submit(job).wait();
+  (void)fx.service.submit(sweep_spec(ref(fx.ids[0]), test_grid())).wait();
   // Every k the grid touched has a ready slot whose builder was a pool
   // worker, never this (submitting) thread.
   bool saw_slot = false;
@@ -182,9 +130,7 @@ TEST(Service, GeometryMaterializesOffTheSubmittingThread) {
 
 TEST(Service, ArtifactCacheDeduplicatesAcrossJobs) {
   Fixture fx(2);
-  SweepJob job;
-  job.workload = fx.ids[0];
-  job.tasks = test_grid();
+  const JobSpec job = sweep_spec(ref(fx.ids[0]), test_grid());
   const auto first = fx.service.submit(job);
   const auto second = fx.service.submit(job);
   (void)first.wait();
@@ -231,28 +177,22 @@ TEST(Service, RunResultIdenticalAcrossCodecs) {
                             config)
                             .run();
     Fixture fx(2);
-    RunJob job;
-    job.workload = fx.ids[0];
-    job.config = config;
-    expect_identical(fx.service.submit(job).wait(), direct);
+    const auto job = run_spec(ref(fx.ids[0]), config);
+    expect_identical(fx.service.submit(job).wait().run, direct);
   }
 }
 
 TEST(Service, FailurePropagatesAndServiceSurvives) {
   Fixture fx(2);
-  SweepJob poisoned;
-  poisoned.workload = fx.ids[0];
-  poisoned.tasks = test_grid();
+  auto grid = test_grid();
   // A budget smaller than any executed block: the engine's placement
   // loop finds no victim and throws -- from a pool worker, which must
   // surface on wait() without wedging the pool.
-  poisoned.tasks[1].config.policy.memory_budget = 1;
-  const auto bad = fx.service.submit(poisoned);
+  grid[1].config.policy.memory_budget = 1;
+  const auto bad = fx.service.submit(sweep_spec(ref(fx.ids[0]), grid));
   EXPECT_THROW({ (void)bad.wait(); }, apcc::CheckError);
 
-  RunJob job;
-  job.workload = fx.ids[0];
-  expect_identical(fx.service.submit(job).wait(),
+  expect_identical(fx.service.submit(run_spec(ref(fx.ids[0]))).wait().run,
                    reference_systems()[0].run());
 }
 
@@ -263,43 +203,34 @@ TEST(Service, ImageBuildFailureRollsBackTheSlotWithoutDeadlock) {
   // themselves instead of blocking on a ready flip that never comes,
   // and the slot stays usable for later (valid) jobs.
   Fixture fx(2);
-  RunJob bad;
-  bad.workload = fx.ids[0];
-  bad.config.codec = static_cast<compress::CodecKind>(250);
-  const auto first = fx.service.submit(bad);
-  const auto second = fx.service.submit(bad);
+  core::SystemConfig bad;
+  bad.codec = static_cast<compress::CodecKind>(250);
+  const auto first = fx.service.submit(run_spec(ref(fx.ids[0]), bad));
+  const auto second = fx.service.submit(run_spec(ref(fx.ids[0]), bad));
   EXPECT_THROW({ (void)first.wait(); }, apcc::AssertionError);
   EXPECT_THROW({ (void)second.wait(); }, apcc::AssertionError);
 
-  RunJob good;
-  good.workload = fx.ids[0];
-  expect_identical(fx.service.submit(good).wait(),
+  expect_identical(fx.service.submit(run_spec(ref(fx.ids[0]))).wait().run,
                    reference_systems()[0].run());
 }
 
 TEST(Service, SubmitValidatesWorkloadIds) {
   Fixture fx(1);
-  RunJob run;
-  run.workload = 99;
-  EXPECT_THROW({ (void)fx.service.submit(run); }, apcc::CheckError);
-  CampaignJob campaign;
-  campaign.workloads = {fx.ids[0], 99};
-  campaign.grid = test_grid();
+  EXPECT_THROW({ (void)fx.service.submit(run_spec("@99")); }, apcc::CheckError);
+  const auto campaign = campaign_spec({ref(fx.ids[0]), "@99"}, test_grid());
   EXPECT_THROW({ (void)fx.service.submit(campaign); }, apcc::CheckError);
 }
 
 TEST(Service, EmptyJobsRetireImmediately) {
   Fixture fx(1);
-  SweepJob sweep_job;
-  sweep_job.workload = fx.ids[0];
-  const auto sweep_handle = fx.service.submit(sweep_job);
+  const auto sweep_handle = fx.service.submit(sweep_spec(ref(fx.ids[0]), {}));
   EXPECT_TRUE(sweep_handle.ready());
-  EXPECT_TRUE(sweep_handle.wait().empty());
+  EXPECT_TRUE(sweep_handle.wait().ok());
+  EXPECT_TRUE(sweep_handle.wait().sweep.empty());
 
-  CampaignJob campaign;
-  campaign.workloads = fx.ids;
-  const auto campaign_handle = fx.service.submit(campaign);
-  const auto& results = campaign_handle.wait();
+  const auto campaign_handle =
+      fx.service.submit(campaign_spec(refs(fx.ids), {}));
+  const auto& results = campaign_handle.wait().campaign;
   ASSERT_EQ(results.size(), fx.ids.size());
   for (std::size_t w = 0; w < results.size(); ++w) {
     EXPECT_EQ(results[w].workload, fx.service.workload(fx.ids[w]).name);
@@ -309,23 +240,20 @@ TEST(Service, EmptyJobsRetireImmediately) {
 
 TEST(Service, HandlesAreReusableAndShareState) {
   Fixture fx(1);
-  RunJob job;
-  job.workload = fx.ids[0];
-  const auto handle = fx.service.submit(job);
+  const auto handle = fx.service.submit(run_spec(ref(fx.ids[0])));
   const auto copy = handle;
-  expect_identical(handle.wait(), copy.wait());
+  EXPECT_EQ(&handle.wait(), &copy.wait());  // one shared result
   EXPECT_TRUE(copy.ready());
   EXPECT_EQ(handle.id(), copy.id());
-  EXPECT_FALSE(JobHandle<sim::RunResult>{}.valid());
+  EXPECT_FALSE(JobHandle<JobResult>{}.valid());
 }
 
 TEST(Service, DrainWaitsForEverything) {
   Fixture fx(2);
-  std::vector<JobHandle<sim::RunResult>> handles;
-  for (int i = 0; i < 4; ++i) {
-    RunJob job;
-    job.workload = fx.ids[i % fx.ids.size()];
-    handles.push_back(fx.service.submit(job));
+  std::vector<JobHandle<JobResult>> handles;
+  for (std::size_t i = 0; i < 4; ++i) {
+    handles.push_back(
+        fx.service.submit(run_spec(ref(fx.ids[i % fx.ids.size()]))));
   }
   fx.service.drain();
   for (const auto& handle : handles) EXPECT_TRUE(handle.ready());
@@ -333,15 +261,11 @@ TEST(Service, DrainWaitsForEverything) {
 
 TEST(Service, RegisterWhileJobsInFlight) {
   Fixture fx(2);
-  SweepJob job;
-  job.workload = fx.ids[0];
-  job.tasks = test_grid();
-  const auto handle = fx.service.submit(job);
+  const auto handle =
+      fx.service.submit(sweep_spec(ref(fx.ids[0]), test_grid()));
   const auto late = fx.service.register_workload(
       workloads::make_workload(workloads::WorkloadKind::kG721Like));
-  RunJob run;
-  run.workload = late;
-  const auto late_result = fx.service.submit(run).wait();
+  const auto late_result = fx.service.submit(run_spec(ref(late))).wait().run;
   (void)handle.wait();
   expect_identical(late_result,
                    core::CodeCompressionSystem::from_workload(

@@ -264,7 +264,7 @@ TEST(Wire, StrictParsingPositionsErrors) {
       "end\n",
       "exclusive", 5);
   // A grid job record with no grid is the silent-zero-outcomes trap:
-  // rejected at the wire layer (the typed API keeps empty-grid
+  // rejected at the wire layer (an in-process JobSpec keeps empty-grid
   // semantics; tests/serving/service_test.cpp pins those).
   expect_wire_error("apcc.job v4\nkind sweep\nworkload x\nend\n",
                     "needs 'task' lines or 'grid strategy-k'", 1);

@@ -14,12 +14,14 @@
 // emitted event streams are bit-identical across all four, so any
 // divergence in settle order, victim tie-breaking, k-edge bookkeeping,
 // planner request order, or borrowed-vs-owned geometry fails loudly.
-// PR 7 adds the batched axis: BatchEngine steps N cells in lockstep
-// over one trace scan, and every cell must still be bit-identical to
-// its own per-engine run -- at batch sizes {1, 4, 16} (or the single
-// size named by APCC_EQ_BATCH_CELLS, which is how CI gates the batched
-// path at 16 explicitly), with heterogeneous owned/borrowed-geometry
-// cells mixed in one batch.
+// Every mode runs as a width-1 BatchEngine -- the per-cell run, whose
+// lone planner owns lazy geometry. The batched axis: BatchEngine steps
+// N cells in lockstep over one trace scan, and every cell must still be
+// bit-identical to its own width-1 run -- at batch sizes {1, 4, 16} (or
+// the single size named by APCC_EQ_BATCH_CELLS, which is how CI gates
+// the batched path at 16 explicitly), with heterogeneous
+// owned/borrowed-geometry cells mixed in one batch (owned cells that
+// share a k get batch-level materialized geometry).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -27,7 +29,6 @@
 #include <vector>
 
 #include "sim/batch_engine.hpp"
-#include "sim/engine.hpp"
 #include "workloads/suite.hpp"
 
 namespace apcc::sim {
@@ -113,10 +114,10 @@ class EngineEquivalenceTest : public ::testing::TestWithParam<GridParam> {
 
   Capture run(Mode mode) {
     Capture c;
-    Engine engine(workload().cfg, image(), config_for(GetParam(), mode));
+    BatchEngine engine(workload().cfg, image(), {config_for(GetParam(), mode)});
     engine.set_event_sink(
-        [&c](const Event& e) { c.events.push_back(e); });
-    c.result = engine.run(workload().trace);
+        0, [&c](const Event& e) { c.events.push_back(e); });
+    c.result = engine.run(workload().trace).front().value();
     return c;
   }
 
@@ -193,9 +194,10 @@ std::vector<std::size_t> batch_widths() {
 }
 
 TEST_P(EngineEquivalenceTest, BatchedMatchesPerEngineBitExactly) {
-  // Per-engine references for the two cell flavours the batch mixes:
-  // owned geometry (BatchEngine injects its own materialized frontier
-  // cache) and borrowed campaign geometry (shared_frontiers preset).
+  // Width-1 references for the two cell flavours the batch mixes: owned
+  // geometry (BatchEngine injects its own materialized frontier cache
+  // once two cells share the k) and borrowed campaign geometry
+  // (shared_frontiers preset).
   const Capture owned = run(Mode::kIndexed);
   const Capture borrowed = run(Mode::kBorrowedGeometry);
 
@@ -222,8 +224,8 @@ TEST_P(EngineEquivalenceTest, BatchedMatchesPerEngineBitExactly) {
       cells[i].result = outcomes[i].result;
       const Capture& ref = i % 2 == 0 ? owned : borrowed;
       expect_same_result(ref.result, cells[i].result,
-                         "batched vs per-engine counters");
-      expect_same_events(ref, cells[i], "batched vs per-engine events");
+                         "batched vs width-1 counters");
+      expect_same_events(ref, cells[i], "batched vs width-1 events");
     }
   }
 }

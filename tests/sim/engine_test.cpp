@@ -1,11 +1,13 @@
 // Engine semantics tests: on-demand behaviour, pre-decompression timing,
-// budget/LRU eviction, thread-model ablations, and accounting identities.
+// budget/LRU eviction, thread-model ablations, and accounting identities,
+// each on the per-cell run -- a width-1 BatchEngine whose cell error is
+// rethrown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "cfg/paper_graphs.hpp"
-#include "sim/engine.hpp"
+#include "sim/batch_engine.hpp"
 #include "sim/trace_gen.hpp"
 #include "workloads/synth_bytes.hpp"
 
@@ -27,9 +29,11 @@ struct Harness {
         codec));
   }
 
-  RunResult run(const EngineConfig& config, const cfg::BlockTrace& trace) {
-    Engine engine(graph, *image, config);
-    return engine.run(trace);
+  RunResult run(const EngineConfig& config, const cfg::BlockTrace& trace,
+                EventSink sink = nullptr) {
+    BatchEngine engine(graph, *image, {config});
+    engine.set_event_sink(0, std::move(sink));
+    return engine.run(trace).front().value();
   }
 };
 
@@ -153,8 +157,7 @@ TEST(Engine, PreSingleIssuesAtMostOneRequestPerExit) {
   config.policy.predecompress_k = 2;
   std::size_t issues_this_exit = 0;
   std::size_t max_issues = 0;
-  Engine engine(h.graph, *h.image, config);
-  engine.set_event_sink([&](const Event& e) {
+  (void)h.run(config, fig2_long_trace(), [&](const Event& e) {
     if (e.kind == EventKind::kBlockExit) {
       issues_this_exit = 0;
     } else if (e.kind == EventKind::kPredecompressIssue) {
@@ -162,7 +165,6 @@ TEST(Engine, PreSingleIssuesAtMostOneRequestPerExit) {
       max_issues = std::max(max_issues, issues_this_exit);
     }
   });
-  (void)engine.run(fig2_long_trace());
   EXPECT_LE(max_issues, 1u);
 }
 
@@ -198,8 +200,13 @@ TEST(Engine, BudgetSmallerThanExecutedBlockFailsAtRuntime) {
   Harness h(cfg::figure2_cfg());
   EngineConfig config;
   config.policy.memory_budget = 4;
-  Engine engine(h.graph, *h.image, config);
-  EXPECT_THROW((void)engine.run(fig2_long_trace()), apcc::CheckError);
+  EXPECT_THROW((void)h.run(config, fig2_long_trace()), apcc::CheckError);
+  // The failure stays in the cell's outcome until someone asks for it.
+  BatchEngine engine(h.graph, *h.image, {config});
+  const std::vector<CellOutcome> outcomes = engine.run(fig2_long_trace());
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok());
+  EXPECT_THROW((void)outcomes[0].value(), apcc::CheckError);
 }
 
 TEST(Engine, UnboundedNeverEvicts) {
@@ -309,25 +316,23 @@ TEST(Engine, EventTimesAreMonotoneForExecutionEvents) {
   EngineConfig config;
   config.policy.strategy = runtime::DecompressionStrategy::kPreAll;
   config.policy.predecompress_k = 2;
-  Engine engine(h.graph, *h.image, config);
   std::uint64_t last = 0;
   bool monotone = true;
-  engine.set_event_sink([&](const Event& e) {
+  (void)h.run(config, fig2_long_trace(), [&](const Event& e) {
     if (e.kind == EventKind::kBlockEnter || e.kind == EventKind::kBlockExit) {
       if (e.time < last) monotone = false;
       last = e.time;
     }
   });
-  (void)engine.run(fig2_long_trace());
   EXPECT_TRUE(monotone);
 }
 
 TEST(Engine, FreshStatePerRun) {
   Harness h(cfg::figure2_cfg());
   EngineConfig config;
-  Engine engine(h.graph, *h.image, config);
-  const RunResult a = engine.run(fig2_long_trace());
-  const RunResult b = engine.run(fig2_long_trace());
+  BatchEngine engine(h.graph, *h.image, {config});
+  const RunResult a = engine.run(fig2_long_trace()).front().value();
+  const RunResult b = engine.run(fig2_long_trace()).front().value();
   EXPECT_EQ(a.total_cycles, b.total_cycles);
   EXPECT_EQ(a.exceptions, b.exceptions);
   EXPECT_EQ(a.peak_occupancy_bytes, b.peak_occupancy_bytes);

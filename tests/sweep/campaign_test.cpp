@@ -1,12 +1,14 @@
 // Campaign tests: the suite x grid runner must be byte-identical to
-// running each workload's grid sequentially through run_sweep -- for
-// any worker count, with shared (borrowed, materialized) FrontierCache
-// geometry on and off -- and its per-workload grouping, error and
-// geometry plumbing must behave.
+// running every cell alone, workload by workload (the independent
+// per-cell reference in tests/common) -- for any worker count and batch
+// width, with shared (borrowed, materialized) FrontierCache geometry on
+// and off -- and its per-workload grouping, error and geometry plumbing
+// must behave.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "common/cell_reference.hpp"
 #include "core/system.hpp"
 #include "runtime/frontier_cache.hpp"
 #include "support/assert.hpp"
@@ -113,14 +115,9 @@ TEST(Campaign, ParallelCampaignIdenticalToSequentialPerWorkloadGrids) {
   const auto workloads = campaign_workloads();
   const auto grid = shared_grid();
 
-  // The reference: each workload's grid run sequentially through the
-  // single-workload runner, geometry owned per engine.
-  std::vector<std::vector<SweepOutcome>> expected;
-  SweepOptions sequential;
-  sequential.workers = 1;
-  for (const auto& w : workloads) {
-    expected.push_back(run_sweep(*w.cfg, *w.image, *w.trace, grid, sequential));
-  }
+  // The reference: every cell run alone, workload-major, geometry owned
+  // per cell.
+  const auto expected = testref::per_cell_campaign(workloads, grid);
 
   for (const bool share : {false, true}) {
     for (const unsigned workers : {1u, 2u, 4u}) {
@@ -134,9 +131,9 @@ TEST(Campaign, ParallelCampaignIdenticalToSequentialPerWorkloadGrids) {
         SCOPED_TRACE(results[w].workload + " @ " + std::to_string(workers) +
                      " workers, share=" + std::to_string(share));
         EXPECT_EQ(results[w].workload, workloads[w].name);
-        ASSERT_EQ(results[w].outcomes.size(), expected[w].size());
-        for (std::size_t i = 0; i < expected[w].size(); ++i) {
-          expect_identical(expected[w][i], results[w].outcomes[i]);
+        ASSERT_EQ(results[w].outcomes.size(), expected[w].outcomes.size());
+        for (std::size_t i = 0; i < expected[w].outcomes.size(); ++i) {
+          expect_identical(expected[w].outcomes[i], results[w].outcomes[i]);
         }
       }
     }
@@ -145,20 +142,15 @@ TEST(Campaign, ParallelCampaignIdenticalToSequentialPerWorkloadGrids) {
 
 TEST(Campaign, BatchedIdenticalToSequential) {
   // Batches never span workloads, so a 12-task grid at batch 8 gives
-  // each workload an 8 + 4 chunking; results must stay byte-identical
-  // to the per-engine sequential reference for every (batch, workers,
-  // share_frontiers) combination.
+  // each workload an 8 + 4 chunking and batch 16 one 12-cell chunk;
+  // results must stay byte-identical to the per-cell reference for
+  // every (batch, workers, share_frontiers) combination.
   const auto workloads = campaign_workloads();
   const auto grid = shared_grid();
-  std::vector<std::vector<SweepOutcome>> expected;
-  SweepOptions sequential;
-  sequential.workers = 1;
-  for (const auto& w : workloads) {
-    expected.push_back(run_sweep(*w.cfg, *w.image, *w.trace, grid, sequential));
-  }
+  const auto expected = testref::per_cell_campaign(workloads, grid);
 
   for (const bool share : {false, true}) {
-    for (const std::uint32_t batch : {4u, 8u}) {
+    for (const std::uint32_t batch : {4u, 8u, 16u}) {
       for (const unsigned workers : {1u, 2u, 4u}) {
         CampaignOptions options;
         options.workers = workers;
@@ -172,9 +164,10 @@ TEST(Campaign, BatchedIdenticalToSequential) {
                        std::to_string(workers) +
                        " workers, share=" + std::to_string(share));
           EXPECT_EQ(results[w].workload, workloads[w].name);
-          ASSERT_EQ(results[w].outcomes.size(), expected[w].size());
-          for (std::size_t i = 0; i < expected[w].size(); ++i) {
-            expect_identical(expected[w][i], results[w].outcomes[i]);
+          ASSERT_EQ(results[w].outcomes.size(),
+                    expected[w].outcomes.size());
+          for (std::size_t i = 0; i < expected[w].outcomes.size(); ++i) {
+            expect_identical(expected[w].outcomes[i], results[w].outcomes[i]);
           }
         }
       }
@@ -238,7 +231,7 @@ TEST(Campaign, WorkerFailureRethrownOnCaller) {
 
 TEST(Campaign, MaterializedCacheHoldsTheSameListsAsALazyOne) {
   // The geometry-sharing invariant at its root: a materialized cache
-  // hands out exactly the lists a per-engine lazy cache would compute,
+  // hands out exactly the lists a per-cell lazy cache would compute,
   // for every block and every k the campaign would key on.
   const auto& system = systems_under_test().front();
   for (const unsigned k : {1u, 4u}) {

@@ -1,11 +1,13 @@
-// Sharded sweep tests: the parallel policy-grid runner must be
-// byte-identical to the sequential grid, regardless of worker count,
-// and its sink/exception plumbing must behave.
+// Sharded sweep tests: the policy-grid runner must be byte-identical to
+// running each task alone (the independent per-cell reference in
+// tests/common), regardless of worker count or batch width, and its
+// sink/exception plumbing must behave.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <thread>
 
+#include "common/cell_reference.hpp"
 #include "core/system.hpp"
 #include "support/assert.hpp"
 #include "sweep/sweep.hpp"
@@ -92,12 +94,10 @@ void expect_identical(const SweepOutcome& a, const SweepOutcome& b) {
 
 TEST(Sweep, ParallelIdenticalToSequential) {
   const auto tasks = mixed_grid();
-  SweepOptions sequential;
-  sequential.workers = 1;
-  const auto expected = system_under_test().run_sweep(tasks, sequential);
+  const auto expected = testref::per_cell_sweep(system_under_test(), tasks);
   ASSERT_EQ(expected.size(), tasks.size());
 
-  for (const unsigned workers : {2u, 4u, 8u}) {
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
     SweepOptions options;
     options.workers = workers;
     const auto got = system_under_test().run_sweep(tasks, options);
@@ -111,15 +111,13 @@ TEST(Sweep, ParallelIdenticalToSequential) {
 TEST(Sweep, BatchedIdenticalToSequential) {
   // Lockstep batching is a scheduling-granularity knob, never a results
   // knob: every (batch width, worker count) combination must reproduce
-  // the sequential per-engine sweep byte-for-byte. 36 tasks with batch
-  // 16 also exercises the non-dividing tail chunk (16 + 16 + 4).
+  // the per-cell reference byte-for-byte. 36 tasks with batch 16 also
+  // exercises the non-dividing tail chunk (16 + 16 + 4).
   const auto tasks = mixed_grid();
-  SweepOptions sequential;
-  sequential.workers = 1;
-  const auto expected = system_under_test().run_sweep(tasks, sequential);
+  const auto expected = testref::per_cell_sweep(system_under_test(), tasks);
   ASSERT_EQ(expected.size(), tasks.size());
 
-  for (const std::uint32_t batch : {1u, 4u, 16u}) {
+  for (const std::uint32_t batch : {0u, 1u, 4u, 16u}) {
     for (const unsigned workers : {1u, 2u, 4u}) {
       SCOPED_TRACE("batch " + std::to_string(batch) + " x " +
                    std::to_string(workers) + " workers");
@@ -138,9 +136,7 @@ TEST(Sweep, BatchedIdenticalToSequential) {
 TEST(Sweep, BatchWiderThanGridIsOneChunk) {
   auto tasks = mixed_grid();
   tasks.resize(5);
-  SweepOptions sequential;
-  sequential.workers = 1;
-  const auto expected = system_under_test().run_sweep(tasks, sequential);
+  const auto expected = testref::per_cell_sweep(system_under_test(), tasks);
   SweepOptions options;
   options.workers = 4;
   options.batch_cells = 64;

@@ -576,32 +576,57 @@ serving::ServiceOptions service_options(const CliOptions& opts) {
   return options;
 }
 
-int cmd_sim(const std::string& spec, const CliOptions& opts) {
+/// The JobSpec a one-shot subcommand submits: `kind` over the registered
+/// workloads `ids`, carrying the command line's codec, engine knobs,
+/// geometry sharing, and batch width.
+serving::JobSpec command_spec(serving::JobKind kind,
+                              const std::vector<serving::WorkloadId>& ids,
+                              const CliOptions& opts) {
+  serving::JobSpec spec;
+  spec.kind = kind;
+  for (const auto id : ids) spec.workloads.push_back("@" + std::to_string(id));
+  spec.config = opts.config;
+  spec.share_frontiers = opts.share_frontiers;
+  spec.batch_cells = opts.batch_cells;
+  if (kind != serving::JobKind::kRun) {
+    spec.tasks = serving::strategy_k_grid(core::engine_config(opts.config));
+  }
+  return spec;
+}
+
+/// Wait for a one-shot subcommand's job: a failed job rethrows its
+/// error; any other non-ok status is an error too.
+const serving::JobResult& wait_ok(
+    const serving::JobHandle<serving::JobResult>& handle) {
+  const serving::JobResult& result = handle.wait();
+  APCC_CHECK(result.ok(), std::string(serving::status_name(result.status)) +
+                              ": " + result.error);
+  return result;
+}
+
+int cmd_sim(const std::string& workload, const CliOptions& opts) {
   reject_wire_flag("sim", opts);
   reject_max_queued("sim", opts);
   reject_batch_cells("sim", opts);
   serving::Service service(service_options(opts));
   WorkloadDirectory directory(service);
-  const auto id = directory.id_for(spec);
-  const auto handle = service.submit(
-      serving::RunJob{id, opts.config, opts.share_frontiers});
-  print_run(service, id, handle.wait(), opts.csv);
+  const auto id = directory.id_for(workload);
+  const auto handle =
+      service.submit(command_spec(serving::JobKind::kRun, {id}, opts));
+  print_run(service, id, wait_ok(handle).run, opts.csv);
   return 0;
 }
 
-int cmd_sweep(const std::string& spec, const CliOptions& opts) {
+int cmd_sweep(const std::string& workload, const CliOptions& opts) {
   reject_wire_flag("sweep", opts);
   reject_max_queued("sweep", opts);
   reject_grid_overrides("sweep", opts);
   serving::Service service(service_options(opts));
   WorkloadDirectory directory(service);
-  const auto id = directory.id_for(spec);
-  serving::SweepJob job{
-      id, opts.config,
-      serving::strategy_k_grid(core::engine_config(opts.config)),
-      opts.share_frontiers, opts.batch_cells};
-  const auto handle = service.submit(std::move(job));
-  print_sweep(handle.wait(), opts.csv);
+  const auto id = directory.id_for(workload);
+  const auto handle =
+      service.submit(command_spec(serving::JobKind::kSweep, {id}, opts));
+  print_sweep(wait_ok(handle).sweep, opts.csv);
   return 0;
 }
 
@@ -614,16 +639,16 @@ int cmd_suite(const CliOptions& opts) {
   // Submit every workload's run job before waiting on any: the whole
   // suite is in flight on the shared pool at once.
   std::vector<serving::WorkloadId> ids;
-  std::vector<serving::JobHandle<sim::RunResult>> handles;
+  std::vector<serving::JobHandle<serving::JobResult>> handles;
   for (const auto kind : workloads::all_workload_kinds()) {
     const auto id = directory.id_for(workloads::workload_name(kind));
     ids.push_back(id);
-    handles.push_back(service.submit(
-        serving::RunJob{id, opts.config, opts.share_frontiers}));
+    handles.push_back(
+        service.submit(command_spec(serving::JobKind::kRun, {id}, opts)));
   }
   std::vector<core::ReportRow> rows;
   for (std::size_t i = 0; i < handles.size(); ++i) {
-    rows.push_back({service.workload(ids[i]).name, handles[i].wait()});
+    rows.push_back({service.workload(ids[i]).name, wait_ok(handles[i]).run});
   }
   std::cout << (opts.csv ? core::to_csv(rows) : core::render_comparison(rows));
   return 0;
@@ -635,16 +660,13 @@ int cmd_campaign(const CliOptions& opts) {
   reject_grid_overrides("campaign", opts);
   serving::Service service(service_options(opts));
   WorkloadDirectory directory(service);
-  serving::CampaignJob job;
+  std::vector<serving::WorkloadId> ids;
   for (const auto kind : workloads::all_workload_kinds()) {
-    job.workloads.push_back(directory.id_for(workloads::workload_name(kind)));
+    ids.push_back(directory.id_for(workloads::workload_name(kind)));
   }
-  job.config = opts.config;
-  job.grid = serving::strategy_k_grid(core::engine_config(opts.config));
-  job.share_frontiers = opts.share_frontiers;
-  job.batch_cells = opts.batch_cells;
-  const auto handle = service.submit(std::move(job));
-  print_campaign(handle.wait(), opts.csv);
+  const auto handle =
+      service.submit(command_spec(serving::JobKind::kCampaign, ids, opts));
+  print_campaign(wait_ok(handle).campaign, opts.csv);
   return 0;
 }
 

@@ -15,7 +15,7 @@
 #                          geometry)
 #   BENCH_service.json  -- serving::Service submit latency (direct
 #                          one-shot vs cold vs warm artifact cache,
-#                          per-engine vs batched warm sweeps) + the
+#                          width-1 vs batched warm sweeps) + the
 #                          cache-budget thrash series (warm sweeps at
 #                          25/50/100% of the working set, eviction
 #                          counters included)
