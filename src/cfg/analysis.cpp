@@ -194,21 +194,36 @@ std::vector<BlockId> frontier_within(const Cfg& cfg, BlockId from,
   return result;
 }
 
-std::vector<FrontierEntry> frontier_distances(const Cfg& cfg, BlockId from,
-                                              unsigned k) {
+void frontier_distances(const Cfg& cfg, BlockId from, unsigned k,
+                        std::vector<unsigned>& dist,
+                        std::vector<FrontierEntry>& out) {
   APCC_CHECK(from < cfg.block_count(), "block id out of range");
-  std::vector<FrontierEntry> result;
-  if (k == 0) return result;
-  const std::vector<unsigned> dist = exit_distances(cfg, from, k);
-  for (BlockId b = 0; b < cfg.block_count(); ++b) {
-    if (dist[b] != UINT_MAX) result.push_back(FrontierEntry{b, dist[b]});
+  APCC_CHECK(dist.size() == cfg.block_count(), "scratch size mismatch");
+  out.clear();
+  if (k == 0) return;
+  // Bounded BFS whose result list is also its queue: entries are
+  // appended in nondecreasing distance, and `head` walks them. Only the
+  // visited entries of `dist` are written, and they are restored below,
+  // so the cost is O(frontier + its out-edges), not O(B).
+  const auto visit = [&](BlockId b, unsigned d) {
+    if (dist[b] != UINT_MAX) return;
+    dist[b] = d;
+    out.push_back(FrontierEntry{b, d});
+  };
+  for (const EdgeId e : cfg.block(from).out_edges) visit(cfg.edge(e).to, 1);
+  for (std::size_t head = 0; head < out.size(); ++head) {
+    const FrontierEntry cur = out[head];  // visit() may reallocate `out`
+    if (cur.distance >= k) continue;
+    for (const EdgeId e : cfg.block(cur.block).out_edges) {
+      visit(cfg.edge(e).to, cur.distance + 1);
+    }
   }
-  std::sort(result.begin(), result.end(),
+  for (const FrontierEntry& entry : out) dist[entry.block] = UINT_MAX;
+  std::sort(out.begin(), out.end(),
             [](const FrontierEntry& a, const FrontierEntry& b) {
               if (a.distance != b.distance) return a.distance < b.distance;
               return a.block < b.block;
             });
-  return result;
 }
 
 std::optional<unsigned> edge_distance(const Cfg& cfg, BlockId from,
@@ -249,11 +264,12 @@ std::vector<ReachScore> reach_scores(const Cfg& cfg, BlockId from,
   // b after t steps. score(b) = sum over t in [1,k] of mass[t][b], an
   // expected-visit count within k steps.
   std::vector<double> mass(n, 0.0);
+  std::vector<double> next(n, 0.0);
   std::vector<double> score(n, 0.0);
   std::vector<unsigned> min_dist(n, UINT_MAX);
   mass[from] = 1.0;
   for (unsigned step = 1; step <= k; ++step) {
-    std::vector<double> next(n, 0.0);
+    std::fill(next.begin(), next.end(), 0.0);
     for (BlockId b = 0; b < n; ++b) {
       if (mass[b] <= 0.0) continue;
       for (const EdgeId e : cfg.block(b).out_edges) {
@@ -267,7 +283,7 @@ std::vector<ReachScore> reach_scores(const Cfg& cfg, BlockId from,
         if (min_dist[b] == UINT_MAX) min_dist[b] = step;
       }
     }
-    mass = std::move(next);
+    mass.swap(next);
   }
   std::vector<ReachScore> out;
   for (BlockId b = 0; b < n; ++b) {

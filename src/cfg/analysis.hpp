@@ -56,12 +56,16 @@ struct FrontierEntry {
 };
 
 /// `frontier_within` plus each block's edge distance, from one bounded
-/// BFS, sorted by (distance, id) -- the planner's request order. The
-/// blocks are exactly frontier_within(cfg, from, k), and each distance
-/// equals edge_distance(cfg, from, block).
-[[nodiscard]] std::vector<FrontierEntry> frontier_distances(const Cfg& cfg,
-                                                            BlockId from,
-                                                            unsigned k);
+/// BFS, sorted by (distance, id) -- the planner's request order -- and
+/// written into `out`. The blocks are exactly frontier_within(cfg, from,
+/// k), and each distance equals edge_distance(cfg, from, block).
+/// `dist` is caller-owned scratch: block_count() entries, all UINT_MAX,
+/// restored before return. The BFS touches only the frontier and its
+/// out-edges, so a list costs O(frontier), not O(B), and filling every
+/// block's list (FrontierCache::materialize) is not O(B^2).
+void frontier_distances(const Cfg& cfg, BlockId from, unsigned k,
+                        std::vector<unsigned>& dist,
+                        std::vector<FrontierEntry>& out);
 
 /// Minimum number of edges on a non-empty path from `from` to `to`;
 /// nullopt if unreachable. For from == to this is the shortest cycle

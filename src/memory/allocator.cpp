@@ -15,6 +15,23 @@ FreeListAllocator::FreeListAllocator(std::uint64_t capacity, FitPolicy policy)
   }
 }
 
+void FreeListAllocator::put(Runs& runs, std::uint64_t address,
+                            std::uint64_t size) {
+  if (spare_nodes_.empty()) {
+    runs.emplace(address, size);
+    return;
+  }
+  Runs::node_type node = std::move(spare_nodes_.back());
+  spare_nodes_.pop_back();
+  node.key() = address;
+  node.mapped() = size;
+  runs.insert(std::move(node));
+}
+
+void FreeListAllocator::drop(Runs& runs, Runs::iterator it) {
+  spare_nodes_.push_back(runs.extract(it));
+}
+
 std::optional<std::uint64_t> FreeListAllocator::allocate(std::uint64_t size) {
   APCC_CHECK(size > 0, "cannot allocate zero bytes");
   const std::uint64_t need = align_up(size, kAlignment);
@@ -43,11 +60,11 @@ std::optional<std::uint64_t> FreeListAllocator::allocate(std::uint64_t size) {
 
   const std::uint64_t address = chosen->first;
   const std::uint64_t run_size = chosen->second;
-  free_runs_.erase(chosen);
+  drop(free_runs_, chosen);
   if (run_size > need) {
-    free_runs_[address + need] = run_size - need;
+    put(free_runs_, address + need, run_size - need);
   }
-  allocations_[address] = need;
+  put(allocations_, address, need);
   used_ += need;
   ++total_allocations_;
   return address;
@@ -58,14 +75,14 @@ void FreeListAllocator::release(std::uint64_t address) {
   APCC_CHECK(it != allocations_.end(), "release of unknown address");
   std::uint64_t start = address;
   std::uint64_t size = it->second;
-  allocations_.erase(it);
+  drop(allocations_, it);
   used_ -= size;
 
   // Coalesce with the following free run.
   const auto next = free_runs_.find(start + size);
   if (next != free_runs_.end()) {
     size += next->second;
-    free_runs_.erase(next);
+    drop(free_runs_, next);
   }
   // Coalesce with the preceding free run.
   if (!free_runs_.empty()) {
@@ -75,11 +92,11 @@ void FreeListAllocator::release(std::uint64_t address) {
       if (prev->first + prev->second == start) {
         start = prev->first;
         size += prev->second;
-        free_runs_.erase(prev);
+        drop(free_runs_, prev);
       }
     }
   }
-  free_runs_[start] = size;
+  put(free_runs_, start, size);
 }
 
 std::uint64_t FreeListAllocator::allocation_size(std::uint64_t address) const {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "support/assert.hpp"
 
@@ -38,6 +39,8 @@ struct AllocatorStats {
 
 /// Byte-granular allocator over [0, capacity) with 4-byte alignment and
 /// free-run coalescing. Addresses are offsets within the managed region.
+/// Map nodes are recycled, so once the maps have grown to their peak
+/// size, allocate() and release() do no heap allocation.
 class FreeListAllocator {
  public:
   explicit FreeListAllocator(std::uint64_t capacity,
@@ -62,10 +65,18 @@ class FreeListAllocator {
  private:
   static constexpr std::uint64_t kAlignment = 4;
 
+  using Runs = std::map<std::uint64_t, std::uint64_t>;  // addr -> size
+
+  /// Insert / erase through the spare-node pool (both maps share one
+  /// node type).
+  void put(Runs& runs, std::uint64_t address, std::uint64_t size);
+  void drop(Runs& runs, Runs::iterator it);
+
   std::uint64_t capacity_;
   FitPolicy policy_;
-  std::map<std::uint64_t, std::uint64_t> free_runs_;    // addr -> size
-  std::map<std::uint64_t, std::uint64_t> allocations_;  // addr -> size
+  Runs free_runs_;
+  Runs allocations_;
+  std::vector<Runs::node_type> spare_nodes_;
   std::uint64_t used_ = 0;
   std::uint64_t total_allocations_ = 0;
   std::uint64_t failed_allocations_ = 0;

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -87,6 +88,13 @@ Fd accept_client(int listen_fd) {
     fail_errno("accept");
   }
   Fd client(fd);
+  // Result records go out as soon as they are ready; Nagle would hold a
+  // short write back until the client's delayed ACK.
+  const int one = 1;
+  if (::setsockopt(client.get(), IPPROTO_TCP, TCP_NODELAY, &one,
+                   sizeof(one)) < 0) {
+    fail_errno("setsockopt(TCP_NODELAY)");
+  }
   set_nonblocking(client.get());
   return client;
 }

@@ -50,8 +50,9 @@ class Fd {
                             std::uint16_t* bound_port);
 
 /// One nonblocking accept on `listen_fd`: the connection (already
-/// nonblocking) or an empty Fd when no connection is pending
-/// (EAGAIN/EWOULDBLOCK). Throws CheckError on real accept failures.
+/// nonblocking, with TCP_NODELAY set) or an empty Fd when no connection
+/// is pending (EAGAIN/EWOULDBLOCK). Throws CheckError on real accept
+/// failures.
 [[nodiscard]] Fd accept_client(int listen_fd);
 
 /// O_NONBLOCK on an existing fd. Throws CheckError on failure.

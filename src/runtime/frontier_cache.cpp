@@ -1,5 +1,7 @@
 #include "runtime/frontier_cache.hpp"
 
+#include <climits>
+
 #include "support/assert.hpp"
 
 namespace apcc::runtime {
@@ -14,7 +16,8 @@ std::span<const cfg::FrontierEntry> FrontierCache::candidates(
     cfg::BlockId block) const {
   APCC_CHECK(block < computed_.size(), "block id out of range");
   if (!computed_[block]) {
-    entries_[block] = cfg::frontier_distances(cfg_, block, k_);
+    if (dist_scratch_.empty()) dist_scratch_.assign(computed_.size(), UINT_MAX);
+    cfg::frontier_distances(cfg_, block, k_, dist_scratch_, entries_[block]);
     computed_[block] = true;
   }
   return entries_[block];
@@ -24,6 +27,7 @@ void FrontierCache::materialize() {
   for (cfg::BlockId b = 0; b < computed_.size(); ++b) {
     (void)candidates(b);
   }
+  dist_scratch_ = {};  // a frozen cache never computes again
   materialized_ = true;
 }
 
@@ -32,6 +36,7 @@ void FrontierCache::reset() {
   // the point of evicting -- while keeping the per-CFG shape.
   entries_.assign(cfg_.block_count(), {});
   computed_.assign(cfg_.block_count(), false);
+  dist_scratch_ = {};
   materialized_ = false;
 }
 

@@ -78,6 +78,9 @@ class FrontierCache {
   // Lazily filled; entries_[b] is meaningful only once computed_[b].
   mutable std::vector<std::vector<cfg::FrontierEntry>> entries_;
   mutable std::vector<bool> computed_;
+  // The bounded BFS's all-UINT_MAX distance scratch, sized on the first
+  // computed list and released once materialized.
+  mutable std::vector<unsigned> dist_scratch_;
 };
 
 /// The geometry cache key: frontier candidate lists depend on the CFG

@@ -17,9 +17,9 @@ void KEdgeCompressionManager::on_block_executed(cfg::BlockId block) {
   states_[block].kedge_counter = 0;
 }
 
-std::vector<cfg::BlockId> KEdgeCompressionManager::on_edge_traversed(
+const std::vector<cfg::BlockId>& KEdgeCompressionManager::on_edge_traversed(
     cfg::BlockId target) {
-  std::vector<cfg::BlockId> to_delete;
+  to_delete_.clear();
   if (reference_scan_) {
     for (cfg::BlockId b = 0; b < states_.size(); ++b) {
       if (b == target) continue;
@@ -27,23 +27,23 @@ std::vector<cfg::BlockId> KEdgeCompressionManager::on_edge_traversed(
       if (s.form() != BlockForm::kDecompressed) continue;
       ++s.kedge_counter;
       if (s.kedge_counter >= k_ && !s.executing()) {
-        to_delete.push_back(b);
+        to_delete_.push_back(b);
       }
     }
-    return to_delete;
+    return to_delete_;
   }
   for (const cfg::BlockId b : states_.decompressed_unordered()) {
     if (b == target) continue;
     const BlockRef s = states_[b];
     ++s.kedge_counter;
     if (s.kedge_counter >= k_ && !s.executing()) {
-      to_delete.push_back(b);
+      to_delete_.push_back(b);
     }
   }
   // The id list is maintained in arbitrary order; deletions are applied
   // (and their events emitted) in the reference scan's ascending order.
-  std::sort(to_delete.begin(), to_delete.end());
-  return to_delete;
+  std::sort(to_delete_.begin(), to_delete_.end());
+  return to_delete_;
 }
 
 }  // namespace apcc::runtime

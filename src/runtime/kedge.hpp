@@ -37,7 +37,9 @@ class KEdgeCompressionManager {
   /// block's counter except `target`'s; returns the blocks whose counter
   /// reached k, i.e. whose decompressed copies must now be deleted
   /// ("compressed back"). Currently-executing blocks are never returned.
-  [[nodiscard]] std::vector<cfg::BlockId> on_edge_traversed(
+  /// The list is a buffer this manager owns and reuses: the next call
+  /// invalidates the returned reference (copy it with `auto` to keep it).
+  [[nodiscard]] const std::vector<cfg::BlockId>& on_edge_traversed(
       cfg::BlockId target);
 
   [[nodiscard]] std::uint32_t k() const { return k_; }
@@ -46,6 +48,7 @@ class KEdgeCompressionManager {
   StateTable& states_;
   std::uint32_t k_;
   bool reference_scan_;
+  std::vector<cfg::BlockId> to_delete_;  // on_edge_traversed's result
 };
 
 }  // namespace apcc::runtime

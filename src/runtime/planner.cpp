@@ -35,18 +35,20 @@ DecompressionPlanner::DecompressionPlanner(const cfg::Cfg& cfg,
   }
 }
 
-std::vector<cfg::BlockId> DecompressionPlanner::compressed_frontier(
-    cfg::BlockId block) const {
-  if (reference_frontiers_) return compressed_frontier_reference(block);
+void DecompressionPlanner::compressed_frontier(
+    cfg::BlockId block, std::vector<cfg::BlockId>& out) const {
+  if (reference_frontiers_) {
+    out = compressed_frontier_reference(block);
+    return;
+  }
   // The cached candidates are already sorted by (distance, id); keeping
   // only the compressed ones preserves that order.
-  std::vector<cfg::BlockId> out;
+  out.clear();
   for (const cfg::FrontierEntry& c : frontiers_->candidates(block)) {
     if (states_[c.block].form() == BlockForm::kCompressed) {
       out.push_back(c.block);
     }
   }
-  return out;
 }
 
 std::vector<cfg::BlockId> DecompressionPlanner::compressed_frontier_reference(
@@ -74,18 +76,22 @@ std::vector<cfg::BlockId> DecompressionPlanner::compressed_frontier_reference(
   return out;
 }
 
-std::vector<cfg::BlockId> DecompressionPlanner::plan_on_exit(
+const std::vector<cfg::BlockId>& DecompressionPlanner::plan_on_exit(
     cfg::BlockId block, std::size_t trace_index) const {
   switch (policy_.strategy) {
     case DecompressionStrategy::kOnDemand:
-      return {};
+      plan_.clear();
+      return plan_;
     case DecompressionStrategy::kPreAll:
-      return compressed_frontier(block);
-    case DecompressionStrategy::kPreSingle: {
-      const auto candidates = compressed_frontier(block);
-      if (candidates.empty()) return {};
-      return {predictor_->predict(block, candidates, trace_index)};
-    }
+      compressed_frontier(block, plan_);
+      return plan_;
+    case DecompressionStrategy::kPreSingle:
+      compressed_frontier(block, candidates_);
+      plan_.clear();
+      if (!candidates_.empty()) {
+        plan_.push_back(predictor_->predict(block, candidates_, trace_index));
+      }
+      return plan_;
   }
   APCC_ASSERT(false, "unknown decompression strategy");
 }

@@ -52,15 +52,18 @@ class DecompressionPlanner {
 
   /// Called when the execution thread exits `block` (trace position
   /// `trace_index`). Returns the blocks to request, nearest-first, all
-  /// currently in compressed form.
-  [[nodiscard]] std::vector<cfg::BlockId> plan_on_exit(
+  /// currently in compressed form. The list is a buffer this planner
+  /// owns and reuses: the next call invalidates the returned reference
+  /// (copy it with `auto` to keep it).
+  [[nodiscard]] const std::vector<cfg::BlockId>& plan_on_exit(
       cfg::BlockId block, std::size_t trace_index) const;
 
  private:
   /// Compressed blocks within the k-edge frontier of `block`, sorted by
-  /// (min edge distance, id) so the most imminent request runs first.
-  [[nodiscard]] std::vector<cfg::BlockId> compressed_frontier(
-      cfg::BlockId block) const;
+  /// (min edge distance, id) so the most imminent request runs first;
+  /// written into `out`.
+  void compressed_frontier(cfg::BlockId block,
+                           std::vector<cfg::BlockId>& out) const;
 
   /// The pre-cache implementation: one frontier BFS plus one edge-
   /// distance BFS per compressed candidate, every call.
@@ -75,6 +78,10 @@ class DecompressionPlanner {
   // Geometry: owned unless a shared cache was borrowed at construction.
   std::optional<FrontierCache> owned_frontiers_;
   const FrontierCache* frontiers_;
+  // Reused per-exit buffers: the returned plan and pre-single's
+  // candidate list.
+  mutable std::vector<cfg::BlockId> plan_;
+  mutable std::vector<cfg::BlockId> candidates_;
 };
 
 }  // namespace apcc::runtime

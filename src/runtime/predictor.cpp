@@ -35,18 +35,27 @@ const char* victim_policy_name(VictimPolicy p) {
 }
 
 ProfilePredictor::ProfilePredictor(const cfg::Cfg& cfg, std::uint32_t k)
-    : cfg_(cfg), k_(k) {}
+    : cfg_(cfg),
+      k_(k),
+      order_(cfg.block_count()),
+      ranked_(cfg.block_count(), false) {}
 
 cfg::BlockId ProfilePredictor::predict(
     cfg::BlockId from, const std::vector<cfg::BlockId>& candidates,
     std::size_t /*trace_index*/) const {
   APCC_CHECK(!candidates.empty(), "predict() needs candidates");
-  const auto scores = cfg::reach_scores(cfg_, from, k_);
-  // reach_scores is sorted by descending score; take the best candidate.
-  for (const auto& rs : scores) {
-    if (std::find(candidates.begin(), candidates.end(), rs.block) !=
+  APCC_CHECK(from < ranked_.size(), "block id out of range");
+  if (!ranked_[from]) {
+    // reach_scores is sorted by descending score; keep just the order.
+    const auto scores = cfg::reach_scores(cfg_, from, k_);
+    order_[from].reserve(scores.size());
+    for (const cfg::ReachScore& rs : scores) order_[from].push_back(rs.block);
+    ranked_[from] = true;
+  }
+  for (const cfg::BlockId b : order_[from]) {
+    if (std::find(candidates.begin(), candidates.end(), b) !=
         candidates.end()) {
-      return rs.block;
+      return b;
     }
   }
   return candidates.front();  // unreachable under probabilities: first wins

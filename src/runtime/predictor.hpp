@@ -24,6 +24,10 @@
 namespace apcc::runtime {
 
 /// Chooses which single candidate block to pre-decompress.
+///
+/// predict() is const but may fill a lazy per-block memo (like a lone
+/// planner's FrontierCache), so a predictor is not thread-safe: each
+/// BatchEngine::run builds its own and steps it on one thread.
 class Predictor {
  public:
   virtual ~Predictor() = default;
@@ -38,7 +42,10 @@ class Predictor {
   [[nodiscard]] virtual PredictorKind kind() const = 0;
 };
 
-/// Profile-guided predictor (paper default).
+/// Profile-guided predictor (paper default). The ranking of an exit
+/// block's reachable blocks is a static function of (CFG, block, k), so
+/// it is computed once per block, on the block's first exit, and each
+/// predict() walks the memo instead of re-running reach_scores.
 class ProfilePredictor final : public Predictor {
  public:
   ProfilePredictor(const cfg::Cfg& cfg, std::uint32_t k);
@@ -53,6 +60,10 @@ class ProfilePredictor final : public Predictor {
  private:
   const cfg::Cfg& cfg_;
   std::uint32_t k_;
+  // Lazily filled; order_[b] (blocks in reach_scores order from the
+  // exit of b) is meaningful only once ranked_[b].
+  mutable std::vector<std::vector<cfg::BlockId>> order_;
+  mutable std::vector<bool> ranked_;
 };
 
 /// Structural heuristic predictor. Candidate distances come from the

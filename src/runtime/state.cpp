@@ -91,11 +91,28 @@ bool StateTable::eligible(cfg::BlockId id, cfg::BlockId protect) const {
   return id != protect && batch_->executing_[at(id)] == 0;
 }
 
+void StateTable::index_put(std::set<Key>& index, Key key) {
+  if (spare_nodes_.empty()) {
+    index.insert(key);
+    return;
+  }
+  std::set<Key>::node_type node = std::move(spare_nodes_.back());
+  spare_nodes_.pop_back();
+  node.value() = key;
+  index.insert(std::move(node));
+}
+
+void StateTable::index_drop(std::set<Key>& index, Key key) {
+  std::set<Key>::node_type node = index.extract(key);
+  APCC_ASSERT(!node.empty(), "victim index out of sync with block forms");
+  spare_nodes_.push_back(std::move(node));
+}
+
 void StateTable::index_insert(cfg::BlockId id) {
   decomp_pos_[id] = static_cast<std::uint32_t>(decomp_list_.size());
   decomp_list_.push_back(id);
-  lru_index_.emplace(batch_->last_use_[at(id)], id);
-  size_index_.emplace(batch_->sizes_[at(id)], id);
+  index_put(lru_index_, Key{batch_->last_use_[at(id)], id});
+  index_put(size_index_, Key{batch_->sizes_[at(id)], id});
 }
 
 void StateTable::index_erase(cfg::BlockId id) {
@@ -105,8 +122,8 @@ void StateTable::index_erase(cfg::BlockId id) {
   decomp_pos_[moved] = pos;
   decomp_list_.pop_back();
   decomp_pos_[id] = kNotInList;
-  lru_index_.erase(Key{batch_->last_use_[at(id)], id});
-  size_index_.erase(Key{batch_->sizes_[at(id)], id});
+  index_drop(lru_index_, Key{batch_->last_use_[at(id)], id});
+  index_drop(size_index_, Key{batch_->sizes_[at(id)], id});
 }
 
 void StateTable::set_form(cfg::BlockId id, BlockForm form) {
@@ -125,8 +142,12 @@ void StateTable::touch(cfg::BlockId id, std::uint64_t time) {
   const std::size_t i = at(id);
   std::uint64_t& last_use = batch_->last_use_[i];
   if (batch_->form_[i] == BlockForm::kDecompressed && last_use != time) {
-    lru_index_.erase(Key{last_use, id});
-    lru_index_.emplace(time, id);
+    // Re-key the entry in place. Uses come at the advancing clock, so the
+    // new key usually sorts last: end() is the insertion hint.
+    std::set<Key>::node_type node = lru_index_.extract(Key{last_use, id});
+    APCC_ASSERT(!node.empty(), "victim index out of sync with block forms");
+    node.value().first = time;
+    lru_index_.insert(lru_index_.end(), std::move(node));
   }
   last_use = time;
 }
@@ -140,11 +161,11 @@ void StateTable::set_block_sizes(std::vector<std::uint64_t> sizes) {
   APCC_CHECK(sizes.size() == blocks_, "size table does not match block count");
   // Re-key the size index for any currently decompressed blocks.
   for (const cfg::BlockId id : decomp_list_) {
-    size_index_.erase(Key{batch_->sizes_[at(id)], id});
+    index_drop(size_index_, Key{batch_->sizes_[at(id)], id});
   }
   std::copy(sizes.begin(), sizes.end(), batch_->sizes_.begin() + base_);
   for (const cfg::BlockId id : decomp_list_) {
-    size_index_.emplace(batch_->sizes_[at(id)], id);
+    index_put(size_index_, Key{batch_->sizes_[at(id)], id});
   }
 }
 

@@ -226,6 +226,10 @@ class StateTable {
 
   void index_insert(cfg::BlockId id);
   void index_erase(cfg::BlockId id);
+  /// Insert / remove one victim-index key through the spare-node pool,
+  /// so steady-state index churn does no heap allocation.
+  void index_put(std::set<Key>& index, Key key);
+  void index_drop(std::set<Key>& index, Key key);
   [[nodiscard]] bool eligible(cfg::BlockId id, cfg::BlockId protect) const;
   /// Smallest id within the highest key group with an eligible entry.
   [[nodiscard]] cfg::BlockId max_key_victim(const std::set<Key>& index,
@@ -242,6 +246,7 @@ class StateTable {
   std::vector<cfg::BlockId> decomp_list_;   // dense decompressed-id list
   std::set<Key> lru_index_;                 // (last_use_time, id)
   std::set<Key> size_index_;                // (size, id)
+  std::vector<std::set<Key>::node_type> spare_nodes_;  // recycled keys
   std::size_t form_counts_[3] = {0, 0, 0};
 };
 

@@ -221,7 +221,8 @@ void StepPolicy::complete_decompression(EngineCell& c, cfg::BlockId block,
   // cannot be patched (their branch bytes are immutable); entries from
   // them pay the exception-and-patch path on arrival instead.
   std::uint64_t patch_cost = 0;
-  for (const cfg::BlockId pred : cfg_.predecessor_ids(block)) {
+  for (const cfg::EdgeId e : cfg_.block(block).in_edges) {
+    const cfg::BlockId pred = cfg_.edge(e).from;
     const auto ps = (*c.states)[pred];
     if (ps.form() != runtime::BlockForm::kDecompressed) continue;
     if (s.is_patched_for(pred)) continue;

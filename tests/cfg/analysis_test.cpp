@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 
 #include "cfg/analysis.hpp"
 #include "cfg/paper_graphs.hpp"
+#include "workloads/random_program.hpp"
 
 namespace apcc::cfg {
 namespace {
@@ -209,11 +211,23 @@ TEST(Frontier, DiamondGraphPinned) {
 }
 
 TEST(FrontierDistances, MatchFrontierAndEdgeDistance) {
-  for (const Cfg& g :
-       {loop_graph(), self_loop_graph(), diamond_graph(), figure2_cfg()}) {
+  // Seeded random programs add what the hand-built graphs lack: call and
+  // return edges, nested loops, and cycles through several functions.
+  std::vector<Cfg> graphs = {loop_graph(), self_loop_graph(),
+                             diamond_graph(), figure2_cfg()};
+  for (const std::uint64_t seed : {3u, 11u}) {
+    workloads::RandomProgramOptions options;
+    options.seed = seed;
+    graphs.push_back(workloads::make_random_workload(options).cfg);
+  }
+  for (const Cfg& g : graphs) {
+    // One scratch for the whole graph, as FrontierCache uses it: every
+    // call must leave it all-UINT_MAX for the next.
+    std::vector<unsigned> dist(g.block_count(), UINT_MAX);
+    std::vector<FrontierEntry> entries;
     for (BlockId from = 0; from < g.block_count(); ++from) {
       for (const unsigned k : {0u, 1u, 2u, 3u, 8u}) {
-        const auto entries = frontier_distances(g, from, k);
+        frontier_distances(g, from, k, dist, entries);
         std::vector<BlockId> blocks;
         for (const auto& e : entries) blocks.push_back(e.block);
         std::sort(blocks.begin(), blocks.end());
@@ -232,6 +246,9 @@ TEST(FrontierDistances, MatchFrontierAndEdgeDistance) {
         }
       }
     }
+    EXPECT_TRUE(std::all_of(dist.begin(), dist.end(),
+                            [](unsigned d) { return d == UINT_MAX; }))
+        << "the distance scratch was not restored";
   }
 }
 

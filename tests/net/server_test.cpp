@@ -8,6 +8,8 @@
 // runs this binary: one IO thread + pool workers + test threads.)
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -279,6 +281,26 @@ TEST(NetServer, EphemeralPortIsReportedAndAddressFormatted) {
   EXPECT_NE(fx.server->port(), 0u);
   EXPECT_EQ(fx.server->address(),
             "127.0.0.1:" + std::to_string(fx.server->port()));
+}
+
+TEST(NetSocket, AcceptedConnectionsDisableNagle) {
+  // A result record must leave as soon as it is written, not wait for
+  // the client's delayed ACK: accept_client sets TCP_NODELAY.
+  std::uint16_t port = 0;
+  const Fd listener = listen_tcp("127.0.0.1", 0, &port);
+  const Fd client = connect_tcp("127.0.0.1", port);
+  Fd accepted;
+  for (int attempt = 0; attempt < 1000 && !accepted.valid(); ++attempt) {
+    accepted = accept_client(listener.get());
+    if (!accepted.valid()) std::this_thread::yield();
+  }
+  ASSERT_TRUE(accepted.valid()) << "loopback connection never accepted";
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
 }
 
 }  // namespace

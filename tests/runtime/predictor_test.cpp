@@ -1,8 +1,13 @@
 // Predictor tests for pre-decompress-single (§4 / E7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cfg/paper_graphs.hpp"
 #include "runtime/predictor.hpp"
+#include "workloads/random_program.hpp"
+#include "workloads/suite.hpp"
 
 namespace apcc::runtime {
 namespace {
@@ -38,6 +43,58 @@ TEST(ProfilePredictor, DeeperFrontierUsesPathProbabilities) {
   g.normalize_probabilities();
   const ProfilePredictor p(g, 2);
   EXPECT_EQ(p.predict(0, {4, 5, 8, 9}, 0), 5u);
+}
+
+TEST(ProfilePredictor, MemoizedRankingMatchesReachScoresOnEveryCall) {
+  // predict() ranks from a per-block memo filled on the block's first
+  // exit. Every later call from that block, with any candidate subset,
+  // must still pick what a fresh reach_scores walk picks.
+  const auto reference = [](const cfg::Cfg& g, cfg::BlockId from,
+                            unsigned k,
+                            const std::vector<cfg::BlockId>& candidates) {
+    for (const cfg::ReachScore& rs : cfg::reach_scores(g, from, k)) {
+      if (std::find(candidates.begin(), candidates.end(), rs.block) !=
+          candidates.end()) {
+        return rs.block;
+      }
+    }
+    return candidates.front();
+  };
+  const workloads::Workload gsm =
+      workloads::make_workload(workloads::WorkloadKind::kGsmLike);
+  workloads::RandomProgramOptions options;
+  options.seed = 7;
+  const workloads::Workload random = workloads::make_random_workload(options);
+  for (const cfg::Cfg* g : {&gsm.cfg, &random.cfg}) {
+    for (const unsigned k : {1u, 2u, 4u, 8u}) {
+      const ProfilePredictor p(*g, k);
+      for (int round = 0; round < 2; ++round) {
+        for (cfg::BlockId from = 0; from < g->block_count(); ++from) {
+          const auto frontier = cfg::frontier_within(*g, from, k);
+          if (frontier.empty()) continue;
+          // The whole frontier, every third block dropped at three
+          // offsets, each single block, and the frontier reversed (so a
+          // fallback to candidates.front() is visible).
+          std::vector<std::vector<cfg::BlockId>> subsets = {frontier};
+          for (std::size_t skip = 0; skip < 3; ++skip) {
+            std::vector<cfg::BlockId> subset;
+            for (std::size_t i = 0; i < frontier.size(); ++i) {
+              if ((i + skip) % 3 != 0) subset.push_back(frontier[i]);
+            }
+            if (!subset.empty()) subsets.push_back(subset);
+          }
+          for (const cfg::BlockId b : frontier) subsets.push_back({b});
+          subsets.emplace_back(frontier.rbegin(), frontier.rend());
+          for (const auto& candidates : subsets) {
+            EXPECT_EQ(p.predict(from, candidates, 0),
+                      reference(*g, from, k, candidates))
+                << "from block " << from << " k " << k << " round "
+                << round << " over " << candidates.size() << " candidates";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ProfilePredictor, EmptyCandidatesThrow) {
