@@ -167,22 +167,28 @@ BENCHMARK(bm_engine_steps)
     ->Unit(benchmark::kMillisecond);
 
 void bm_engine_budget_evictions(benchmark::State& state) {
-  // Eviction-heavy variant: a tight budget exercises the victim indexes
-  // on every placement.
+  // Eviction-heavy variant: the unbounded run keeps up to ~17 copies of
+  // 16-64 B resident, so a 512 B budget forces LRU victim selection on
+  // most placements (about one eviction per step). `evictions_per_step`
+  // proves the row evicts; a budget above the resident set reads 0.
   const bool reference = state.range(0) != 0;
   const auto& w = sweep_workload(10'000, reference ? 20'000 : 500'000);
   sim::EngineConfig config =
       sweep_config(reference ? EngineMode::kReference : EngineMode::kIndexed);
-  config.policy.memory_budget = 4096;  // a handful of resident copies
+  config.policy.memory_budget = 512;
   config.policy.victim_policy = runtime::VictimPolicy::kLru;
   sim::BatchEngine engine(w.graph, *w.image, {config});
   std::uint64_t total_steps = 0;
+  std::uint64_t total_evictions = 0;
   for (auto _ : state) {
     const sim::RunResult r = engine.run(w.trace).front().value();
     benchmark::DoNotOptimize(r.evictions);
     total_steps += r.block_entries;
+    total_evictions += r.evictions;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(total_steps));
+  state.counters["evictions_per_step"] =
+      static_cast<double>(total_evictions) / static_cast<double>(total_steps);
   state.SetLabel(reference ? "reference" : "indexed");
 }
 BENCHMARK(bm_engine_budget_evictions)

@@ -1,5 +1,8 @@
 #include "memory/allocator.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 namespace apcc::memory {
 
 namespace {
@@ -11,25 +14,8 @@ std::uint64_t align_up(std::uint64_t v, std::uint64_t alignment) {
 FreeListAllocator::FreeListAllocator(std::uint64_t capacity, FitPolicy policy)
     : capacity_(capacity), policy_(policy) {
   if (capacity_ > 0) {
-    free_runs_[0] = capacity_;
+    free_runs_.push_back(Run{0, capacity_});
   }
-}
-
-void FreeListAllocator::put(Runs& runs, std::uint64_t address,
-                            std::uint64_t size) {
-  if (spare_nodes_.empty()) {
-    runs.emplace(address, size);
-    return;
-  }
-  Runs::node_type node = std::move(spare_nodes_.back());
-  spare_nodes_.pop_back();
-  node.key() = address;
-  node.mapped() = size;
-  runs.insert(std::move(node));
-}
-
-void FreeListAllocator::drop(Runs& runs, Runs::iterator it) {
-  spare_nodes_.push_back(runs.extract(it));
 }
 
 std::optional<std::uint64_t> FreeListAllocator::allocate(std::uint64_t size) {
@@ -38,17 +24,13 @@ std::optional<std::uint64_t> FreeListAllocator::allocate(std::uint64_t size) {
 
   auto chosen = free_runs_.end();
   if (policy_ == FitPolicy::kFirstFit) {
-    for (auto it = free_runs_.begin(); it != free_runs_.end(); ++it) {
-      if (it->second >= need) {
-        chosen = it;
-        break;
-      }
-    }
+    chosen = std::find_if(free_runs_.begin(), free_runs_.end(),
+                          [need](const Run& run) { return run.size >= need; });
   } else {
     std::uint64_t best_size = UINT64_MAX;
     for (auto it = free_runs_.begin(); it != free_runs_.end(); ++it) {
-      if (it->second >= need && it->second < best_size) {
-        best_size = it->second;
+      if (it->size >= need && it->size < best_size) {
+        best_size = it->size;
         chosen = it;
       }
     }
@@ -58,51 +40,56 @@ std::optional<std::uint64_t> FreeListAllocator::allocate(std::uint64_t size) {
     return std::nullopt;
   }
 
-  const std::uint64_t address = chosen->first;
-  const std::uint64_t run_size = chosen->second;
-  drop(free_runs_, chosen);
-  if (run_size > need) {
-    put(free_runs_, address + need, run_size - need);
+  const std::uint64_t address = chosen->address;
+  if (chosen->size > need) {
+    chosen->address += need;  // the run's tail stays free, in place
+    chosen->size -= need;
+  } else {
+    free_runs_.erase(chosen);
   }
-  put(allocations_, address, need);
+  allocations_.insert(
+      std::ranges::lower_bound(allocations_, address, {}, &Run::address),
+      Run{address, need});
   used_ += need;
   ++total_allocations_;
   return address;
 }
 
 void FreeListAllocator::release(std::uint64_t address) {
-  const auto it = allocations_.find(address);
-  APCC_CHECK(it != allocations_.end(), "release of unknown address");
-  std::uint64_t start = address;
-  std::uint64_t size = it->second;
-  drop(allocations_, it);
+  const auto it =
+      std::ranges::lower_bound(allocations_, address, {}, &Run::address);
+  APCC_CHECK(it != allocations_.end() && it->address == address,
+             "release of unknown address");
+  const std::uint64_t size = it->size;
+  allocations_.erase(it);
   used_ -= size;
 
-  // Coalesce with the following free run.
-  const auto next = free_runs_.find(start + size);
-  if (next != free_runs_.end()) {
-    size += next->second;
-    drop(free_runs_, next);
+  // The free runs either side of [address, address + size), coalesced
+  // with it in place.
+  const auto next =
+      std::ranges::lower_bound(free_runs_, address, {}, &Run::address);
+  const bool join_next =
+      next != free_runs_.end() && next->address == address + size;
+  const bool join_prev =
+      next != free_runs_.begin() &&
+      std::prev(next)->address + std::prev(next)->size == address;
+  if (join_prev) {
+    std::prev(next)->size += size + (join_next ? next->size : 0);
+    if (join_next) free_runs_.erase(next);
+  } else if (join_next) {
+    next->address = address;
+    next->size += size;
+  } else {
+    free_runs_.insert(next, Run{address, size});
   }
-  // Coalesce with the preceding free run.
-  if (!free_runs_.empty()) {
-    auto prev = free_runs_.lower_bound(start);
-    if (prev != free_runs_.begin()) {
-      --prev;
-      if (prev->first + prev->second == start) {
-        start = prev->first;
-        size += prev->second;
-        drop(free_runs_, prev);
-      }
-    }
-  }
-  put(free_runs_, start, size);
 }
 
 std::uint64_t FreeListAllocator::allocation_size(std::uint64_t address) const {
-  const auto it = allocations_.find(address);
-  APCC_CHECK(it != allocations_.end(), "unknown allocation address");
-  return it->second;
+  const auto it =
+      std::ranges::lower_bound(allocations_, address, {}, &Run::address);
+  APCC_CHECK(it != allocations_.end() && it->address == address,
+             "unknown allocation address");
+  return it->size;
 }
 
 AllocatorStats FreeListAllocator::stats() const {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -39,8 +38,12 @@ struct AllocatorStats {
 
 /// Byte-granular allocator over [0, capacity) with 4-byte alignment and
 /// free-run coalescing. Addresses are offsets within the managed region.
-/// Map nodes are recycled, so once the maps have grown to their peak
-/// size, allocate() and release() do no heap allocation.
+/// Free runs and live allocations are flat vectors sorted by address:
+/// the area holds only the few resident copies, and there are at most
+/// live allocations + 1 free runs, so placement scans the free runs and
+/// release binary-searches both vectors and coalesces in place. Once the
+/// vectors have grown to their peak size, allocate() and release() do no
+/// heap allocation.
 class FreeListAllocator {
  public:
   explicit FreeListAllocator(std::uint64_t capacity,
@@ -65,18 +68,16 @@ class FreeListAllocator {
  private:
   static constexpr std::uint64_t kAlignment = 4;
 
-  using Runs = std::map<std::uint64_t, std::uint64_t>;  // addr -> size
-
-  /// Insert / erase through the spare-node pool (both maps share one
-  /// node type).
-  void put(Runs& runs, std::uint64_t address, std::uint64_t size);
-  void drop(Runs& runs, Runs::iterator it);
+  struct Run {
+    std::uint64_t address;
+    std::uint64_t size;
+  };
+  using Runs = std::vector<Run>;  // sorted by address, disjoint
 
   std::uint64_t capacity_;
   FitPolicy policy_;
   Runs free_runs_;
   Runs allocations_;
-  std::vector<Runs::node_type> spare_nodes_;
   std::uint64_t used_ = 0;
   std::uint64_t total_allocations_ = 0;
   std::uint64_t failed_allocations_ = 0;

@@ -15,24 +15,23 @@
 // `StateTable(block_count)` owns a private single-cell batch, the same
 // code as a batch with N == 1.
 //
-// The view is indexed: it maintains the set of decompressed blocks as a
-// dense id list (O(D) iteration instead of O(B) full scans) plus two
-// ordered victim indexes -- (last_use_time, id) and (copy size, id) --
-// so LRU / MRU / largest-victim selection is O(log B) instead of a scan.
-// To keep the indexes consistent by construction, the indexed fields
-// (form, last_use_time, executing) are read-only on the block proxies
-// and can only be mutated through StateTable::set_form / touch /
-// set_executing.
+// The view keeps the set of decompressed blocks -- the resident set, a
+// handful of copies under k-edge deletion -- as a dense id list, so the
+// k-edge walk and LRU / MRU / largest-victim selection are one
+// O(resident) pass over it instead of an O(B) scan of the whole table.
+// To keep the list consistent by construction, the fields it and the
+// victim queries read (form, last_use_time, executing) are read-only on
+// the block proxies and can only be mutated through
+// StateTable::set_form / touch / set_executing.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "cfg/cfg.hpp"
+#include "support/assert.hpp"
 
 namespace apcc::runtime {
 
@@ -171,7 +170,7 @@ class StateTable {
 
   [[nodiscard]] std::size_t size() const { return blocks_; }
 
-  /// Move `id` to `form`, keeping the decompressed-set indexes in sync.
+  /// Move `id` to `form`, keeping the decompressed-id list in sync.
   void set_form(cfg::BlockId id, BlockForm form);
 
   /// Record a use of `id` at `time` (the budget-mode LRU timestamp).
@@ -180,14 +179,15 @@ class StateTable {
   /// Pin / unpin `id` as currently executing.
   void set_executing(cfg::BlockId id, bool executing);
 
-  /// Provide per-block decompressed-copy sizes for the largest-victim
-  /// index. All sizes are zero (no largest victim) until this is called.
-  void set_block_sizes(std::vector<std::uint64_t> sizes);
+  /// Provide per-block decompressed-copy sizes (copied into this cell's
+  /// lane) for largest-victim selection. All sizes are zero (no largest
+  /// victim) until this is called.
+  void set_block_sizes(std::span<const std::uint64_t> sizes);
 
   /// Ids of blocks currently in decompressed form, ascending.
   [[nodiscard]] std::vector<cfg::BlockId> decompressed_blocks() const;
 
-  /// Same set in index order (unspecified); O(1), no allocation.
+  /// Same set in list order (unspecified); O(1), no allocation.
   [[nodiscard]] std::span<const cfg::BlockId> decompressed_unordered() const {
     return decomp_list_;
   }
@@ -198,8 +198,10 @@ class StateTable {
   }
 
   /// Victim queries among decompressed, non-executing blocks, excluding
-  /// `protect`; kInvalidBlock if none exists. Ties on the key resolve to
-  /// the lowest block id, matching the historical full-scan order.
+  /// `protect`; kInvalidBlock if none exists. One pass over the
+  /// decompressed-id list; ties on the key resolve to the lowest block
+  /// id (matching the historical full-scan order), whatever the list
+  /// order.
   [[nodiscard]] cfg::BlockId lru_victim(cfg::BlockId protect) const;
   [[nodiscard]] cfg::BlockId mru_victim(cfg::BlockId protect) const;
   /// Blocks with size 0 are never largest-victims (matches the scan's
@@ -216,7 +218,6 @@ class StateTable {
 
  private:
   friend class StateBatch;
-  using Key = std::pair<std::uint64_t, cfg::BlockId>;  // (key, id)
 
   /// Lane view over cell `cell` of `batch`.
   StateTable(StateBatch& batch, std::size_t cell);
@@ -224,17 +225,9 @@ class StateTable {
   /// Flat index of block `id` in the batch's cell-major lanes.
   [[nodiscard]] std::size_t at(cfg::BlockId id) const { return base_ + id; }
 
-  void index_insert(cfg::BlockId id);
-  void index_erase(cfg::BlockId id);
-  /// Insert / remove one victim-index key through the spare-node pool,
-  /// so steady-state index churn does no heap allocation.
-  void index_put(std::set<Key>& index, Key key);
-  void index_drop(std::set<Key>& index, Key key);
+  void list_insert(cfg::BlockId id);
+  void list_erase(cfg::BlockId id);
   [[nodiscard]] bool eligible(cfg::BlockId id, cfg::BlockId protect) const;
-  /// Smallest id within the highest key group with an eligible entry.
-  [[nodiscard]] cfg::BlockId max_key_victim(const std::set<Key>& index,
-                                            cfg::BlockId protect,
-                                            bool require_positive_key) const;
 
   static constexpr std::uint32_t kNotInList = UINT32_MAX;
 
@@ -244,9 +237,6 @@ class StateTable {
   std::size_t blocks_;
   std::vector<std::uint32_t> decomp_pos_;   // position in decomp_list_
   std::vector<cfg::BlockId> decomp_list_;   // dense decompressed-id list
-  std::set<Key> lru_index_;                 // (last_use_time, id)
-  std::set<Key> size_index_;                // (size, id)
-  std::vector<std::set<Key>::node_type> spare_nodes_;  // recycled keys
   std::size_t form_counts_[3] = {0, 0, 0};
 };
 
@@ -288,5 +278,64 @@ class StateBatch {
   std::vector<detail::PatchSet> patches_;
   std::vector<std::unique_ptr<StateTable>> views_;  // lazy, stable
 };
+
+// The per-step accessors are inline: the engine calls several of them on
+// every trace step.
+
+inline BlockRef StateTable::operator[](cfg::BlockId id) {
+  APCC_CHECK(id < blocks_, "block id out of range");
+  const std::size_t i = at(id);
+  return BlockRef(batch_->address_[i], batch_->ready_time_[i],
+                  batch_->kedge_[i], batch_->form_[i], batch_->last_use_[i],
+                  batch_->executing_[i], batch_->patches_[i]);
+}
+
+inline ConstBlockRef StateTable::operator[](cfg::BlockId id) const {
+  APCC_CHECK(id < blocks_, "block id out of range");
+  const std::size_t i = at(id);
+  return ConstBlockRef(batch_->address_[i], batch_->ready_time_[i],
+                       batch_->kedge_[i], batch_->form_[i],
+                       batch_->last_use_[i], batch_->executing_[i],
+                       batch_->patches_[i]);
+}
+
+inline bool StateTable::eligible(cfg::BlockId id, cfg::BlockId protect) const {
+  return id != protect && batch_->executing_[at(id)] == 0;
+}
+
+inline void StateTable::list_insert(cfg::BlockId id) {
+  decomp_pos_[id] = static_cast<std::uint32_t>(decomp_list_.size());
+  decomp_list_.push_back(id);
+}
+
+inline void StateTable::list_erase(cfg::BlockId id) {
+  const std::uint32_t pos = decomp_pos_[id];
+  const cfg::BlockId moved = decomp_list_.back();
+  decomp_list_[pos] = moved;
+  decomp_pos_[moved] = pos;
+  decomp_list_.pop_back();
+  decomp_pos_[id] = kNotInList;
+}
+
+inline void StateTable::set_form(cfg::BlockId id, BlockForm form) {
+  APCC_CHECK(id < blocks_, "block id out of range");
+  BlockForm& current = batch_->form_[at(id)];
+  if (current == form) return;
+  if (current == BlockForm::kDecompressed) list_erase(id);
+  --form_counts_[static_cast<std::size_t>(current)];
+  ++form_counts_[static_cast<std::size_t>(form)];
+  current = form;
+  if (form == BlockForm::kDecompressed) list_insert(id);
+}
+
+inline void StateTable::touch(cfg::BlockId id, std::uint64_t time) {
+  APCC_CHECK(id < blocks_, "block id out of range");
+  batch_->last_use_[at(id)] = time;
+}
+
+inline void StateTable::set_executing(cfg::BlockId id, bool executing) {
+  APCC_CHECK(id < blocks_, "block id out of range");
+  batch_->executing_[at(id)] = executing ? 1 : 0;
+}
 
 }  // namespace apcc::runtime

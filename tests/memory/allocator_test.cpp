@@ -2,7 +2,10 @@
 // fragmentation metrics, and a randomized invariant property.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "memory/allocator.hpp"
 #include "support/rng.hpp"
@@ -135,16 +138,69 @@ TEST(Allocator, FragmentationBlocksLargeAllocation) {
   EXPECT_TRUE(a.allocate(16).has_value());
 }
 
-// Property: random alloc/free interleavings preserve all invariants.
+/// Placement oracle over the test's own record of live allocations
+/// (address -> requested size): the free gaps between them, and where
+/// each fit policy must place the next request.
+struct PlacementOracle {
+  struct Gap {
+    std::uint64_t address;
+    std::uint64_t size;
+  };
+
+  static std::uint64_t aligned(std::uint64_t size) {
+    return (size + 3) / 4 * 4;
+  }
+
+  static std::vector<Gap> gaps(
+      const std::map<std::uint64_t, std::uint64_t>& live,
+      std::uint64_t capacity) {
+    std::vector<Gap> out;
+    std::uint64_t cursor = 0;
+    for (const auto& [addr, size] : live) {
+      if (addr > cursor) out.push_back({cursor, addr - cursor});
+      cursor = addr + aligned(size);
+    }
+    if (capacity > cursor) out.push_back({cursor, capacity - cursor});
+    return out;
+  }
+
+  /// First fit: the lowest fitting gap. Best fit: the smallest fitting
+  /// gap, ties to the lowest address.
+  static std::optional<std::uint64_t> place(const std::vector<Gap>& free,
+                                            std::uint64_t size,
+                                            FitPolicy policy) {
+    const std::uint64_t need = aligned(size);
+    const Gap* chosen = nullptr;
+    for (const Gap& gap : free) {
+      if (gap.size < need) continue;
+      if (policy == FitPolicy::kFirstFit) return gap.address;
+      if (chosen == nullptr || gap.size < chosen->size) chosen = &gap;
+    }
+    if (chosen == nullptr) return std::nullopt;
+    return chosen->address;
+  }
+};
+
+// Property: random alloc/free interleavings preserve all invariants, and
+// every placement, failure and stats() snapshot is exactly what the
+// placement oracle derives from the live set.
 TEST(Allocator, RandomOperationInvariantProperty) {
+  constexpr std::uint64_t kCapacity = 4096;
   apcc::Rng rng(4242);
   for (const FitPolicy policy : {FitPolicy::kFirstFit, FitPolicy::kBestFit}) {
-    FreeListAllocator a(4096, policy);
+    SCOPED_TRACE(policy == FitPolicy::kFirstFit ? "first-fit" : "best-fit");
+    FreeListAllocator a(kCapacity, policy);
     std::map<std::uint64_t, std::uint64_t> live;  // addr -> requested size
+    std::uint64_t total = 0;
+    std::uint64_t failed = 0;
     for (int op = 0; op < 2000; ++op) {
       if (live.empty() || rng.next_bool(0.6)) {
         const std::uint64_t size = 1 + rng.next_below(256);
-        if (const auto addr = a.allocate(size)) {
+        const auto expected = PlacementOracle::place(
+            PlacementOracle::gaps(live, kCapacity), size, policy);
+        const auto addr = a.allocate(size);
+        ASSERT_EQ(addr, expected) << "op " << op << ", size " << size;
+        if (addr) {
           // New allocation must not overlap any live one.
           const std::uint64_t aligned = (size + 3) / 4 * 4;
           for (const auto& [la, ls] : live) {
@@ -153,6 +209,9 @@ TEST(Allocator, RandomOperationInvariantProperty) {
                 << "overlap at " << *addr;
           }
           live[*addr] = size;
+          ++total;
+        } else {
+          ++failed;
         }
       } else {
         auto it = live.begin();
@@ -162,7 +221,25 @@ TEST(Allocator, RandomOperationInvariantProperty) {
         live.erase(it);
       }
       if (op % 100 == 0) a.validate();
+
+      std::uint64_t used = 0;
+      for (const auto& [addr, size] : live) {
+        used += PlacementOracle::aligned(size);
+      }
+      std::uint64_t largest = 0;
+      for (const auto& gap : PlacementOracle::gaps(live, kCapacity)) {
+        largest = std::max(largest, gap.size);
+      }
+      const AllocatorStats s = a.stats();
+      ASSERT_EQ(s.capacity, kCapacity);
+      ASSERT_EQ(s.used, used) << "op " << op;
+      ASSERT_EQ(s.free, kCapacity - used) << "op " << op;
+      ASSERT_EQ(s.largest_free_run, largest) << "op " << op;
+      ASSERT_EQ(s.live_allocations, live.size()) << "op " << op;
+      ASSERT_EQ(s.total_allocations, total) << "op " << op;
+      ASSERT_EQ(s.failed_allocations, failed) << "op " << op;
     }
+    EXPECT_GT(failed, 0u) << "the run should exercise failed placements";
     a.validate();
     // Releasing everything must coalesce back to a single run.
     for (const auto& [addr, size] : live) a.release(addr);

@@ -165,7 +165,7 @@ TEST(StateTable, MruVictimNewestFirstLowestIdOnTies) {
 
 TEST(StateTable, LargestVictimBySizeLowestIdOnTies) {
   StateTable t = make_states(4, {0, 1, 2});
-  t.set_block_sizes({64, 128, 128, 256});
+  t.set_block_sizes(std::vector<std::uint64_t>{64, 128, 128, 256});
   EXPECT_EQ(t.largest_victim(cfg::kInvalidBlock), 1u);
   EXPECT_EQ(t.largest_victim(1), 2u);
   t.set_executing(1, true);

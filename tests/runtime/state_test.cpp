@@ -1,0 +1,151 @@
+// StateTable / StateBatch tests: a seeded differential over a multi-cell
+// batch. After every random mutation, the victim queries must agree with
+// their full-table reference scans (the tie rules included), and each
+// cell's counts, decompressed set and per-block fields must match a
+// shadow model of that cell alone -- so a lane never sees another lane's
+// writes.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <vector>
+
+#include "runtime/state.hpp"
+#include "support/rng.hpp"
+
+namespace apcc::runtime {
+namespace {
+
+constexpr std::size_t kBlocks = 24;
+constexpr std::size_t kCells = 3;
+
+/// What one cell's lane should hold.
+struct CellModel {
+  std::vector<BlockForm> form = std::vector<BlockForm>(kBlocks,
+                                                       BlockForm::kCompressed);
+  std::vector<std::uint64_t> last_use = std::vector<std::uint64_t>(kBlocks, 0);
+  std::vector<bool> executing = std::vector<bool>(kBlocks, false);
+};
+
+/// Sizes with deliberate duplicates and zeros: the largest-victim tie and
+/// `size > 0` rules only show on such tables.
+std::vector<std::uint64_t> random_sizes(apcc::Rng& rng) {
+  std::vector<std::uint64_t> sizes(kBlocks);
+  for (auto& s : sizes) s = rng.next_below(5) * 16;
+  return sizes;
+}
+
+void expect_cell_matches(const StateTable& t, const CellModel& m,
+                         std::size_t cell) {
+  SCOPED_TRACE(::testing::Message() << "cell " << cell);
+  std::array<std::size_t, 3> counts{};
+  std::vector<cfg::BlockId> decompressed;
+  for (cfg::BlockId b = 0; b < kBlocks; ++b) {
+    ++counts[static_cast<std::size_t>(m.form[b])];
+    if (m.form[b] == BlockForm::kDecompressed) decompressed.push_back(b);
+    const auto s = t[b];
+    ASSERT_EQ(s.form(), m.form[b]) << "block " << b;
+    ASSERT_EQ(s.last_use_time(), m.last_use[b]) << "block " << b;
+    ASSERT_EQ(s.executing(), m.executing[b]) << "block " << b;
+  }
+  for (const BlockForm f : {BlockForm::kCompressed, BlockForm::kDecompressing,
+                            BlockForm::kDecompressed}) {
+    ASSERT_EQ(t.count(f), counts[static_cast<std::size_t>(f)])
+        << block_form_name(f);
+  }
+  ASSERT_EQ(t.decompressed_blocks(), decompressed);
+  ASSERT_EQ(t.decompressed_unordered().size(), decompressed.size());
+}
+
+void expect_victims_match_reference(const StateTable& t,
+                                    cfg::BlockId protect) {
+  SCOPED_TRACE(::testing::Message() << "protect " << protect);
+  ASSERT_EQ(t.lru_victim(protect), t.lru_victim_reference(protect));
+  ASSERT_EQ(t.mru_victim(protect), t.mru_victim_reference(protect));
+  ASSERT_EQ(t.largest_victim(protect), t.largest_victim_reference(protect));
+}
+
+TEST(StateTable, VictimQueriesMatchReferenceAcrossBatchLanes) {
+  apcc::Rng rng(20261017);
+  StateBatch batch(kBlocks, kCells);
+  std::array<CellModel, kCells> models;
+  for (std::size_t c = 0; c < kCells; ++c) {
+    batch.cell(c).set_block_sizes(random_sizes(rng));
+  }
+
+  for (int op = 0; op < 4000; ++op) {
+    const std::size_t c = rng.next_below(kCells);
+    StateTable& t = batch.cell(c);
+    CellModel& m = models[c];
+    const auto b = static_cast<cfg::BlockId>(rng.next_below(kBlocks));
+    switch (rng.next_below(10)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3: {
+        const auto form = static_cast<BlockForm>(rng.next_below(3));
+        t.set_form(b, form);
+        m.form[b] = form;
+        break;
+      }
+      case 4:
+      case 5:
+      case 6: {
+        // A narrow clock makes equal last-use times common.
+        const std::uint64_t time = rng.next_below(12);
+        t.touch(b, time);
+        m.last_use[b] = time;
+        break;
+      }
+      case 7:
+      case 8: {
+        const bool pin = rng.next_bool(0.3);
+        t.set_executing(b, pin);
+        m.executing[b] = pin;
+        break;
+      }
+      default:
+        t.set_block_sizes(random_sizes(rng));
+        break;
+    }
+
+    for (std::size_t cell = 0; cell < kCells; ++cell) {
+      const StateTable& view = batch.cell(cell);
+      expect_cell_matches(view, models[cell], cell);
+      expect_victims_match_reference(view, cfg::kInvalidBlock);
+      expect_victims_match_reference(
+          view, static_cast<cfg::BlockId>(rng.next_below(kBlocks)));
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "after operation " << op << " on cell " << c;
+      }
+    }
+  }
+}
+
+TEST(StateTable, VictimTiesGoToTheLowestIdWhateverTheListOrder) {
+  // Decompress in descending id order, then swap-remove from the middle,
+  // so the resident list is far from id order when the ties are broken.
+  StateTable t(8);
+  t.set_block_sizes(std::vector<std::uint64_t>{0, 32, 16, 32, 32, 16, 0, 8});
+  for (cfg::BlockId b = 8; b-- > 0;) t.set_form(b, BlockForm::kDecompressed);
+  t.set_form(4, BlockForm::kCompressed);
+  t.set_form(4, BlockForm::kDecompressed);
+  for (cfg::BlockId b = 0; b < 8; ++b) t.touch(b, b % 2 == 0 ? 5 : 9);
+
+  EXPECT_EQ(t.lru_victim(cfg::kInvalidBlock), 0u);
+  EXPECT_EQ(t.lru_victim(0), 2u);
+  EXPECT_EQ(t.mru_victim(cfg::kInvalidBlock), 1u);
+  EXPECT_EQ(t.mru_victim(1), 3u);
+  EXPECT_EQ(t.largest_victim(cfg::kInvalidBlock), 1u);
+  t.set_executing(1, true);
+  EXPECT_EQ(t.largest_victim(cfg::kInvalidBlock), 3u);
+  EXPECT_EQ(t.largest_victim(3), 4u);
+  for (const cfg::BlockId protect : {cfg::kInvalidBlock, cfg::BlockId{3}}) {
+    EXPECT_EQ(t.lru_victim(protect), t.lru_victim_reference(protect));
+    EXPECT_EQ(t.mru_victim(protect), t.mru_victim_reference(protect));
+    EXPECT_EQ(t.largest_victim(protect), t.largest_victim_reference(protect));
+  }
+}
+
+}  // namespace
+}  // namespace apcc::runtime

@@ -4,7 +4,8 @@
 #   tools/run_benches.sh [--quick] [build-dir] [out-dir]
 #
 # Produces, in out-dir (default: the build dir):
-#   BENCH_engine.json   -- E11 engine hot-path throughput (steps/sec)
+#   BENCH_engine.json   -- E11 engine hot-path throughput (steps/sec),
+#                          incl. the eviction-heavy rows' evictions/step
 #   BENCH_codecs.json   -- E4 codec + huffman decoder throughput
 #   BENCH_sweep.json    -- sharded policy-grid sweep scaling (grid pts/sec
 #                          at 1/2/4/8 workers) + lockstep batch series
@@ -63,6 +64,23 @@ echo "== E11 engine throughput -> ${OUT_DIR}/BENCH_engine.json"
     --benchmark_format=json \
     --benchmark_out="${OUT_DIR}/BENCH_engine.json" \
     --benchmark_out_format=json
+
+# The eviction-heavy rows must actually evict: a zero (or missing)
+# evictions_per_step means the budget no longer forces victim selection
+# and the series silently measures the unbounded engine instead.
+if ! python3 - "${OUT_DIR}/BENCH_engine.json" <<'PY'
+import json, sys
+rows = [b for b in json.load(open(sys.argv[1]))["benchmarks"]
+        if b["name"].startswith("bm_engine_budget_evictions")
+        and b.get("run_type", "iteration") == "iteration"]
+sys.exit(0 if rows and all(b.get("evictions_per_step", 0) > 0
+                           for b in rows) else 1)
+PY
+then
+  echo "error: BENCH_engine.json has no non-zero evictions_per_step" >&2
+  echo "       (bm_engine_budget_evictions should evict on every run)" >&2
+  exit 1
+fi
 
 echo "== E4 codec throughput -> ${OUT_DIR}/BENCH_codecs.json"
 "${BUILD_DIR}/bench_e4_codecs" \
