@@ -72,15 +72,21 @@ void print_tables() {
   }
   std::cout
       << "Shape checks:\n"
-         "  * apcc peak/avg memory < no-compression and < load-time\n"
-         "    (those two hold the full uncompressed image);\n"
+         "  * apcc on-demand peak/avg memory < no-compression and <\n"
+         "    load-time (those two hold the full uncompressed image).\n"
+         "    Not reproduced for pre-decompression (see\n"
+         "    docs/REPRODUCTION.md): pre-all's peak exceeds the image\n"
+         "    on every kernel (-47% to -53% peak saving), and\n"
+         "    pre-single's on six of the eight;\n"
          "  * where cold code concentrates inside hot functions (adpcm,\n"
          "    mpeg2, g721), apcc's avg memory beats the cold-functions\n"
          "    baseline -- the paper's granularity argument (S6); where\n"
          "    whole cold *functions* dominate (gsm, jpeg), both schemes\n"
          "    compress the same bytes and land close;\n"
-         "  * apcc pre-all/pre-single cycles < apcc on-demand cycles:\n"
-         "    the decompression thread hides latency (paper S4).\n\n";
+         "  * apcc pre-single cycles < apcc on-demand cycles on every\n"
+         "    kernel: the decompression thread hides latency (paper\n"
+         "    S4). Not reproduced for pre-all on crc-like, which takes\n"
+         "    15,551 cycles against on-demand's 15,363.\n\n";
 }
 
 void bm_full_table_row(benchmark::State& state) {

@@ -44,9 +44,11 @@ void print_tables() {
     rows.push_back({std::move(outcome.label), outcome.result});
   }
   std::cout << core::render_comparison(rows) << '\n';
-  std::cout << "Shape check (paper S4): pre-all favours performance over\n"
-               "memory, pre-single favours memory over performance, and\n"
-               "on-demand pays the most critical-path decompression.\n\n";
+  std::cout << "Shape check (paper S4): on-demand pays the most\n"
+               "critical-path decompression. Not reproduced (see\n"
+               "docs/REPRODUCTION.md): the paper has pre-all favour\n"
+               "performance and pre-single favour memory; under this\n"
+               "cost regime pre-single is faster than pre-all at every k.\n\n";
 
   // The same design-space points under the adaptive best-of codec:
   // per-block selection changes the image (ratio) while the grid shape

@@ -1,19 +1,14 @@
-// Differential regression test for the indexed engine hot path.
+// Differential regression test for the engine over a 108-config grid.
 //
-// The engine keeps two implementations of its per-step queries: the
-// pre-index O(B) full-table scans (EngineConfig::reference_scans, the
-// original shipping behaviour) and the indexed structures (ready-event
-// min-heap, ordered victim indexes, decompressed-id list) -- and, since
-// the FrontierCache, two implementations of the planner's candidate
-// query (EngineConfig::reference_frontiers re-runs the per-exit BFS).
-// This test runs a policy grid through the full-reference engine
-// (both flags), the frontier-reference engine (BFS planner over indexed
-// scans), the fully indexed+memoized engine, and the campaign-style
-// engine borrowing a shared materialized FrontierCache
-// (EngineConfig::shared_frontiers), and asserts RunResult counters and
-// emitted event streams are bit-identical across all four, so any
-// divergence in settle order, victim tie-breaking, k-edge bookkeeping,
-// planner request order, or borrowed-vs-owned geometry fails loudly.
+// The reference is the naive oracle in tests/oracle: a simulator written
+// from the paper's rules that shares none of the engine's stepping code
+// (no indexed state, ready-event heap, resident-id list, frontier cache,
+// k-edge manager or planner). Each config runs through the engine with
+// owned geometry and with a borrowed shared materialized FrontierCache
+// (EngineConfig::shared_frontiers), and both must match the oracle's
+// RunResult and event stream bit for bit, so any divergence in settle
+// order, victim tie-breaking, k-edge bookkeeping, planner request order,
+// or borrowed-vs-owned geometry fails loudly.
 // Every mode runs as a width-1 BatchEngine -- the per-cell run, whose
 // lone planner owns lazy geometry. The batched axis: BatchEngine steps
 // N cells in lockstep over one trace scan, and every cell must still be
@@ -28,6 +23,8 @@
 #include <tuple>
 #include <vector>
 
+#include "common/same_run.hpp"
+#include "oracle/oracle.hpp"
 #include "sim/batch_engine.hpp"
 #include "workloads/suite.hpp"
 
@@ -42,11 +39,6 @@ struct Capture {
   RunResult result;
   std::vector<Event> events;
 };
-
-bool operator==(const Event& a, const Event& b) {
-  return a.kind == b.kind && a.time == b.time && a.block == b.block &&
-         a.aux == b.aux && a.value == b.value;
-}
 
 const workloads::Workload& workload() {
   static const workloads::Workload w =
@@ -81,10 +73,8 @@ const runtime::BlockImage& image() {
 class EngineEquivalenceTest : public ::testing::TestWithParam<GridParam> {
  protected:
   enum class Mode {
-    kReference,          // reference scans + reference frontier BFS
-    kReferenceFrontiers, // indexed scans, reference frontier BFS
-    kIndexed,            // indexed scans + memoized FrontierCache
-    kBorrowedGeometry,   // indexed scans + borrowed shared FrontierCache
+    kOwnedGeometry,     // the planner's own lazy FrontierCache
+    kBorrowedGeometry,  // a borrowed shared materialized FrontierCache
   };
 
   static EngineConfig config_for(const GridParam& p, Mode mode) {
@@ -103,9 +93,6 @@ class EngineEquivalenceTest : public ::testing::TestWithParam<GridParam> {
       }
       config.policy.memory_budget = largest * 3 + 32;
     }
-    config.reference_scans = (mode == Mode::kReference);
-    config.reference_frontiers =
-        (mode == Mode::kReference || mode == Mode::kReferenceFrontiers);
     if (mode == Mode::kBorrowedGeometry) {
       config.shared_frontiers = &shared_frontiers();
     }
@@ -121,65 +108,26 @@ class EngineEquivalenceTest : public ::testing::TestWithParam<GridParam> {
     return c;
   }
 
-  static void expect_same_result(const RunResult& a, const RunResult& b,
-                                 const char* what) {
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.total_cycles, b.total_cycles);
-    EXPECT_EQ(a.baseline_cycles, b.baseline_cycles);
-    EXPECT_EQ(a.busy_cycles, b.busy_cycles);
-    EXPECT_EQ(a.stall_cycles, b.stall_cycles);
-    EXPECT_EQ(a.exception_cycles, b.exception_cycles);
-    EXPECT_EQ(a.critical_decompress_cycles, b.critical_decompress_cycles);
-    EXPECT_EQ(a.patch_cycles, b.patch_cycles);
-    EXPECT_EQ(a.block_entries, b.block_entries);
-    EXPECT_EQ(a.exceptions, b.exceptions);
-    EXPECT_EQ(a.demand_decompressions, b.demand_decompressions);
-    EXPECT_EQ(a.predecompressions, b.predecompressions);
-    EXPECT_EQ(a.predecompress_hits, b.predecompress_hits);
-    EXPECT_EQ(a.predecompress_partial, b.predecompress_partial);
-    EXPECT_EQ(a.wasted_predecompressions, b.wasted_predecompressions);
-    EXPECT_EQ(a.deletions, b.deletions);
-    EXPECT_EQ(a.evictions, b.evictions);
-    EXPECT_EQ(a.patches, b.patches);
-    EXPECT_EQ(a.unpatches, b.unpatches);
-    EXPECT_EQ(a.dropped_requests, b.dropped_requests);
-    EXPECT_EQ(a.decomp_helper_busy_cycles, b.decomp_helper_busy_cycles);
-    EXPECT_EQ(a.comp_helper_busy_cycles, b.comp_helper_busy_cycles);
-    EXPECT_EQ(a.original_image_bytes, b.original_image_bytes);
-    EXPECT_EQ(a.compressed_area_bytes, b.compressed_area_bytes);
-    EXPECT_EQ(a.peak_occupancy_bytes, b.peak_occupancy_bytes);
-    EXPECT_EQ(a.avg_occupancy_bytes, b.avg_occupancy_bytes);
+  Capture run_oracle() {
+    oracle::OracleRun o = oracle::run_oracle(
+        workload().cfg, image(), workload().trace,
+        config_for(GetParam(), Mode::kOwnedGeometry));
+    return Capture{o.result, std::move(o.events)};
   }
 
-  static void expect_same_events(const Capture& ref, const Capture& fast,
-                                 const char* what) {
-    ASSERT_EQ(ref.events.size(), fast.events.size()) << what;
-    for (std::size_t i = 0; i < ref.events.size(); ++i) {
-      ASSERT_TRUE(ref.events[i] == fast.events[i])
-          << what << ": event " << i << " diverged: reference "
-          << event_kind_name(ref.events[i].kind) << "@" << ref.events[i].time
-          << " block " << ref.events[i].block << " vs indexed "
-          << event_kind_name(fast.events[i].kind) << "@"
-          << fast.events[i].time << " block " << fast.events[i].block;
-    }
+  static void expect_same(const Capture& want, const Capture& got,
+                          const char* what) {
+    SCOPED_TRACE(what);
+    testref::expect_same_result(want.result, got.result);
+    testref::expect_same_events(want.events, got.events);
   }
 };
 
 TEST_P(EngineEquivalenceTest, IndexedMatchesReferenceBitExactly) {
-  const Capture ref = run(Mode::kReference);
-  const Capture frontier_ref = run(Mode::kReferenceFrontiers);
-  const Capture fast = run(Mode::kIndexed);
-  const Capture borrowed = run(Mode::kBorrowedGeometry);
-
-  expect_same_result(ref.result, fast.result,
-                     "full-reference vs indexed counters");
-  expect_same_result(frontier_ref.result, fast.result,
-                     "reference-frontiers vs memoized counters");
-  expect_same_result(borrowed.result, fast.result,
-                     "borrowed-geometry vs owned-geometry counters");
-  expect_same_events(ref, fast, "full-reference vs indexed");
-  expect_same_events(frontier_ref, fast, "reference-frontiers vs memoized");
-  expect_same_events(borrowed, fast, "borrowed-geometry vs owned-geometry");
+  const Capture want = run_oracle();
+  expect_same(want, run(Mode::kOwnedGeometry), "oracle vs owned geometry");
+  expect_same(want, run(Mode::kBorrowedGeometry),
+              "oracle vs borrowed geometry");
 }
 
 // The batch widths the lockstep test sweeps. APCC_EQ_BATCH_CELLS=N
@@ -198,7 +146,7 @@ TEST_P(EngineEquivalenceTest, BatchedMatchesPerEngineBitExactly) {
   // geometry (BatchEngine injects its own materialized frontier cache
   // once two cells share the k) and borrowed campaign geometry
   // (shared_frontiers preset).
-  const Capture owned = run(Mode::kIndexed);
+  const Capture owned = run(Mode::kOwnedGeometry);
   const Capture borrowed = run(Mode::kBorrowedGeometry);
 
   for (const std::size_t width : batch_widths()) {
@@ -207,7 +155,8 @@ TEST_P(EngineEquivalenceTest, BatchedMatchesPerEngineBitExactly) {
     configs.reserve(width);
     for (std::size_t i = 0; i < width; ++i) {
       configs.push_back(config_for(
-          GetParam(), i % 2 == 0 ? Mode::kIndexed : Mode::kBorrowedGeometry));
+          GetParam(),
+          i % 2 == 0 ? Mode::kOwnedGeometry : Mode::kBorrowedGeometry));
     }
     BatchEngine engine(workload().cfg, image(), std::move(configs));
     std::vector<Capture> cells(width);
@@ -222,10 +171,8 @@ TEST_P(EngineEquivalenceTest, BatchedMatchesPerEngineBitExactly) {
       SCOPED_TRACE("cell " + std::to_string(i));
       ASSERT_TRUE(outcomes[i].ok());
       cells[i].result = outcomes[i].result;
-      const Capture& ref = i % 2 == 0 ? owned : borrowed;
-      expect_same_result(ref.result, cells[i].result,
-                         "batched vs width-1 counters");
-      expect_same_events(ref, cells[i], "batched vs width-1 events");
+      expect_same(i % 2 == 0 ? owned : borrowed, cells[i],
+                  "batched vs width-1");
     }
   }
 }

@@ -8,6 +8,8 @@
 #include <thread>
 
 #include "common/cell_reference.hpp"
+#include "common/same_run.hpp"
+#include "oracle/oracle.hpp"
 #include "core/system.hpp"
 #include "support/assert.hpp"
 #include "sweep/sweep.hpp"
@@ -62,34 +64,7 @@ std::vector<SweepTask> mixed_grid() {
 void expect_identical(const SweepOutcome& a, const SweepOutcome& b) {
   EXPECT_EQ(a.index, b.index);
   EXPECT_EQ(a.label, b.label);
-  const sim::RunResult& x = a.result;
-  const sim::RunResult& y = b.result;
-  EXPECT_EQ(x.total_cycles, y.total_cycles);
-  EXPECT_EQ(x.baseline_cycles, y.baseline_cycles);
-  EXPECT_EQ(x.busy_cycles, y.busy_cycles);
-  EXPECT_EQ(x.stall_cycles, y.stall_cycles);
-  EXPECT_EQ(x.exception_cycles, y.exception_cycles);
-  EXPECT_EQ(x.critical_decompress_cycles, y.critical_decompress_cycles);
-  EXPECT_EQ(x.patch_cycles, y.patch_cycles);
-  EXPECT_EQ(x.block_entries, y.block_entries);
-  EXPECT_EQ(x.exceptions, y.exceptions);
-  EXPECT_EQ(x.demand_decompressions, y.demand_decompressions);
-  EXPECT_EQ(x.predecompressions, y.predecompressions);
-  EXPECT_EQ(x.predecompress_hits, y.predecompress_hits);
-  EXPECT_EQ(x.predecompress_partial, y.predecompress_partial);
-  EXPECT_EQ(x.wasted_predecompressions, y.wasted_predecompressions);
-  EXPECT_EQ(x.deletions, y.deletions);
-  EXPECT_EQ(x.evictions, y.evictions);
-  EXPECT_EQ(x.patches, y.patches);
-  EXPECT_EQ(x.unpatches, y.unpatches);
-  EXPECT_EQ(x.dropped_requests, y.dropped_requests);
-  EXPECT_EQ(x.decomp_helper_busy_cycles, y.decomp_helper_busy_cycles);
-  EXPECT_EQ(x.comp_helper_busy_cycles, y.comp_helper_busy_cycles);
-  EXPECT_EQ(x.original_image_bytes, y.original_image_bytes);
-  EXPECT_EQ(x.compressed_area_bytes, y.compressed_area_bytes);
-  EXPECT_EQ(x.peak_occupancy_bytes, y.peak_occupancy_bytes);
-  EXPECT_EQ(x.avg_occupancy_bytes, y.avg_occupancy_bytes);
-  EXPECT_EQ(x.codec_ratio, y.codec_ratio);
+  testref::expect_same_result(a.result, b.result);
 }
 
 TEST(Sweep, ParallelIdenticalToSequential) {
@@ -219,23 +194,25 @@ TEST(Sweep, WorkerFailureRethrownOnCaller) {
 }
 
 TEST(Sweep, ReferenceAndMemoizedEnginesAgreeUnderSharding) {
-  // The sweep is also how the reference/memoized differential scales
-  // out: the same grid with both debug flags on must match the indexed
-  // engines task for task.
+  // The sweep is also how the oracle differential scales out: the
+  // sharded grid must match the naive oracle in tests/oracle task for
+  // task.
   auto tasks = mixed_grid();
   tasks.resize(12);
-  auto reference_tasks = tasks;
-  for (auto& t : reference_tasks) {
-    t.config.reference_scans = true;
-    t.config.reference_frontiers = true;
-  }
   SweepOptions options;
   options.workers = 4;
-  const auto fast = system_under_test().run_sweep(tasks, options);
-  const auto ref = system_under_test().run_sweep(reference_tasks, options);
-  ASSERT_EQ(fast.size(), ref.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    expect_identical(ref[i], fast[i]);
+  const auto& system = system_under_test();
+  const auto got = system.run_sweep(tasks, options);
+  ASSERT_EQ(got.size(), tasks.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(tasks[i].label);
+    EXPECT_EQ(got[i].index, i);
+    EXPECT_EQ(got[i].label, tasks[i].label);
+    testref::expect_same_result(
+        oracle::run_oracle(system.cfg(), system.image(),
+                           system.default_trace(), tasks[i].config)
+            .result,
+        got[i].result);
   }
 }
 
