@@ -44,8 +44,6 @@ sim::EngineConfig engine_config(const SystemConfig& config) {
   engine.policy = config.policy;
   engine.costs = config.costs;
   engine.fit = config.fit;
-  engine.reference_scans = config.reference_scans;
-  engine.reference_frontiers = config.reference_frontiers;
   return engine;
 }
 

@@ -40,9 +40,6 @@ struct SystemConfig {
   runtime::Policy policy{};
   runtime::CostModel costs{};
   memory::FitPolicy fit = memory::FitPolicy::kFirstFit;
-  /// Debug cross-check paths (see sim::EngineConfig).
-  bool reference_scans = false;
-  bool reference_frontiers = false;
 };
 
 /// The engine knob subset of a SystemConfig -- the one mapping every

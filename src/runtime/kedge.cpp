@@ -7,9 +7,8 @@
 namespace apcc::runtime {
 
 KEdgeCompressionManager::KEdgeCompressionManager(StateTable& states,
-                                                 std::uint32_t k,
-                                                 bool reference_scan)
-    : states_(states), k_(k), reference_scan_(reference_scan) {
+                                                 std::uint32_t k)
+    : states_(states), k_(k) {
   APCC_CHECK(k >= 1, "k-edge requires k >= 1");
 }
 
@@ -20,18 +19,6 @@ void KEdgeCompressionManager::on_block_executed(cfg::BlockId block) {
 const std::vector<cfg::BlockId>& KEdgeCompressionManager::on_edge_traversed(
     cfg::BlockId target) {
   to_delete_.clear();
-  if (reference_scan_) {
-    for (cfg::BlockId b = 0; b < states_.size(); ++b) {
-      if (b == target) continue;
-      const BlockRef s = states_[b];
-      if (s.form() != BlockForm::kDecompressed) continue;
-      ++s.kedge_counter;
-      if (s.kedge_counter >= k_ && !s.executing()) {
-        to_delete_.push_back(b);
-      }
-    }
-    return to_delete_;
-  }
   for (const cfg::BlockId b : states_.decompressed_unordered()) {
     if (b == target) continue;
     const BlockRef s = states_[b];
@@ -41,7 +28,7 @@ const std::vector<cfg::BlockId>& KEdgeCompressionManager::on_edge_traversed(
     }
   }
   // The id list is maintained in arbitrary order; deletions are applied
-  // (and their events emitted) in the reference scan's ascending order.
+  // (and their events emitted) in ascending block id.
   std::sort(to_delete_.begin(), to_delete_.end());
   return to_delete_;
 }

@@ -23,12 +23,10 @@ namespace apcc::runtime {
 /// mechanics (the engine applies the returned deletions with costs).
 class KEdgeCompressionManager {
  public:
-  /// `reference_scan` selects the pre-index O(B) full-table walk per
-  /// edge (debug cross-check path); the default walks only the table's
-  /// decompressed-id list, O(D) in the resident-copy count. Returned
-  /// deletions are ascending by block id under both paths.
-  KEdgeCompressionManager(StateTable& states, std::uint32_t k,
-                          bool reference_scan = false);
+  /// Each edge walks only the table's decompressed-id list, O(D) in
+  /// the resident-copy count. Returned deletions are ascending by block
+  /// id.
+  KEdgeCompressionManager(StateTable& states, std::uint32_t k);
 
   /// The execution thread began executing `block`: reset its counter.
   void on_block_executed(cfg::BlockId block);
@@ -47,7 +45,6 @@ class KEdgeCompressionManager {
  private:
   StateTable& states_;
   std::uint32_t k_;
-  bool reference_scan_;
   std::vector<cfg::BlockId> to_delete_;  // on_edge_traversed's result
 };
 

@@ -1,8 +1,5 @@
 #include "runtime/planner.hpp"
 
-#include <algorithm>
-#include <climits>
-
 #include "support/assert.hpp"
 
 namespace apcc::runtime {
@@ -11,13 +8,8 @@ DecompressionPlanner::DecompressionPlanner(const cfg::Cfg& cfg,
                                            const StateTable& states,
                                            const Policy& policy,
                                            const Predictor* predictor,
-                                           bool reference_frontiers,
                                            const FrontierCache* shared_frontiers)
-    : cfg_(cfg),
-      states_(states),
-      policy_(policy),
-      predictor_(predictor),
-      reference_frontiers_(reference_frontiers) {
+    : cfg_(cfg), states_(states), policy_(policy), predictor_(predictor) {
   if (policy_.strategy == DecompressionStrategy::kPreSingle) {
     APCC_CHECK(predictor_ != nullptr, "pre-single requires a predictor");
   }
@@ -37,10 +29,6 @@ DecompressionPlanner::DecompressionPlanner(const cfg::Cfg& cfg,
 
 void DecompressionPlanner::compressed_frontier(
     cfg::BlockId block, std::vector<cfg::BlockId>& out) const {
-  if (reference_frontiers_) {
-    out = compressed_frontier_reference(block);
-    return;
-  }
   // The cached candidates are already sorted by (distance, id); keeping
   // only the compressed ones preserves that order.
   out.clear();
@@ -49,31 +37,6 @@ void DecompressionPlanner::compressed_frontier(
       out.push_back(c.block);
     }
   }
-}
-
-std::vector<cfg::BlockId> DecompressionPlanner::compressed_frontier_reference(
-    cfg::BlockId block) const {
-  const auto frontier =
-      cfg::frontier_within(cfg_, block, policy_.predecompress_k);
-  struct Candidate {
-    cfg::BlockId id;
-    unsigned distance;
-  };
-  std::vector<Candidate> candidates;
-  for (const cfg::BlockId b : frontier) {
-    if (states_[b].form() != BlockForm::kCompressed) continue;
-    const auto dist = cfg::edge_distance(cfg_, block, b);
-    candidates.push_back(Candidate{b, dist.value_or(UINT_MAX)});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.id < b.id;
-            });
-  std::vector<cfg::BlockId> out;
-  out.reserve(candidates.size());
-  for (const auto& c : candidates) out.push_back(c.id);
-  return out;
 }
 
 const std::vector<cfg::BlockId>& DecompressionPlanner::plan_on_exit(

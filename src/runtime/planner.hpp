@@ -8,11 +8,7 @@
 //
 // The candidate geometry (which blocks are within k edges, and how far)
 // is static given the CFG, so it comes from a per-block FrontierCache;
-// each exit only filters the cached list by the dynamic BlockForm. The
-// seed's per-exit BFS (frontier_within + edge_distance per candidate)
-// is kept behind `reference_frontiers` as the debug cross-check path,
-// mirroring EngineConfig::reference_scans; both paths produce identical
-// request lists and the differential tests pin that.
+// each exit only filters the cached list by the dynamic BlockForm.
 //
 // The geometry is keyed on (CFG, predecompress_k) alone, so a campaign
 // that runs many engines over one workload can pass a shared,
@@ -34,15 +30,12 @@ namespace apcc::runtime {
 
 class DecompressionPlanner {
  public:
-  /// `predictor` may be null unless the strategy is kPreSingle. With
-  /// `reference_frontiers` the planner re-runs the bounded BFS on every
-  /// exit instead of reading the memoized FrontierCache.
+  /// `predictor` may be null unless the strategy is kPreSingle.
   /// `shared_frontiers`, when non-null, must be a materialized cache
   /// built on `cfg` with k == policy.predecompress_k; the planner
   /// borrows it instead of owning its own geometry.
   DecompressionPlanner(const cfg::Cfg& cfg, const StateTable& states,
                        const Policy& policy, const Predictor* predictor,
-                       bool reference_frontiers = false,
                        const FrontierCache* shared_frontiers = nullptr);
 
   // frontiers_ may point into owned_frontiers_; a copy/move would leave
@@ -65,16 +58,10 @@ class DecompressionPlanner {
   void compressed_frontier(cfg::BlockId block,
                            std::vector<cfg::BlockId>& out) const;
 
-  /// The pre-cache implementation: one frontier BFS plus one edge-
-  /// distance BFS per compressed candidate, every call.
-  [[nodiscard]] std::vector<cfg::BlockId> compressed_frontier_reference(
-      cfg::BlockId block) const;
-
   const cfg::Cfg& cfg_;
   const StateTable& states_;
   Policy policy_;
   const Predictor* predictor_;
-  bool reference_frontiers_;
   // Geometry: owned unless a shared cache was borrowed at construction.
   std::optional<FrontierCache> owned_frontiers_;
   const FrontierCache* frontiers_;

@@ -129,57 +129,4 @@ cfg::BlockId StateTable::largest_victim(cfg::BlockId protect) const {
   return victim;
 }
 
-cfg::BlockId StateTable::lru_victim_reference(cfg::BlockId protect) const {
-  cfg::BlockId victim = cfg::kInvalidBlock;
-  std::uint64_t oldest = UINT64_MAX;
-  for (std::size_t i = 0; i < blocks_; ++i) {
-    const std::size_t f = base_ + i;
-    if (batch_->form_[f] != BlockForm::kDecompressed || batch_->executing_[f]) {
-      continue;
-    }
-    if (static_cast<cfg::BlockId>(i) == protect) continue;
-    if (batch_->last_use_[f] < oldest) {
-      oldest = batch_->last_use_[f];
-      victim = static_cast<cfg::BlockId>(i);
-    }
-  }
-  return victim;
-}
-
-cfg::BlockId StateTable::mru_victim_reference(cfg::BlockId protect) const {
-  cfg::BlockId victim = cfg::kInvalidBlock;
-  std::uint64_t newest = 0;
-  bool found = false;
-  for (std::size_t i = 0; i < blocks_; ++i) {
-    const std::size_t f = base_ + i;
-    if (batch_->form_[f] != BlockForm::kDecompressed ||
-        batch_->executing_[f] || static_cast<cfg::BlockId>(i) == protect) {
-      continue;
-    }
-    if (!found || batch_->last_use_[f] > newest) {
-      newest = batch_->last_use_[f];
-      victim = static_cast<cfg::BlockId>(i);
-      found = true;
-    }
-  }
-  return victim;
-}
-
-cfg::BlockId StateTable::largest_victim_reference(cfg::BlockId protect) const {
-  cfg::BlockId victim = cfg::kInvalidBlock;
-  std::uint64_t biggest = 0;
-  for (std::size_t i = 0; i < blocks_; ++i) {
-    const std::size_t f = base_ + i;
-    if (batch_->form_[f] != BlockForm::kDecompressed ||
-        batch_->executing_[f] || static_cast<cfg::BlockId>(i) == protect) {
-      continue;
-    }
-    if (batch_->sizes_[f] > biggest) {
-      biggest = batch_->sizes_[f];
-      victim = static_cast<cfg::BlockId>(i);
-    }
-  }
-  return victim;
-}
-
 }  // namespace apcc::runtime

@@ -200,21 +200,11 @@ class StateTable {
   /// Victim queries among decompressed, non-executing blocks, excluding
   /// `protect`; kInvalidBlock if none exists. One pass over the
   /// decompressed-id list; ties on the key resolve to the lowest block
-  /// id (matching the historical full-scan order), whatever the list
-  /// order.
+  /// id, whatever the list order.
   [[nodiscard]] cfg::BlockId lru_victim(cfg::BlockId protect) const;
   [[nodiscard]] cfg::BlockId mru_victim(cfg::BlockId protect) const;
-  /// Blocks with size 0 are never largest-victims (matches the scan's
-  /// strict `size > 0` comparison).
+  /// Blocks with size 0 are never largest-victims.
   [[nodiscard]] cfg::BlockId largest_victim(cfg::BlockId protect) const;
-
-  /// O(B) full-scan counterparts of the victim queries: the pre-index
-  /// reference implementations, kept as the debug cross-check path for
-  /// the differential engine tests.
-  [[nodiscard]] cfg::BlockId lru_victim_reference(cfg::BlockId protect) const;
-  [[nodiscard]] cfg::BlockId mru_victim_reference(cfg::BlockId protect) const;
-  [[nodiscard]] cfg::BlockId largest_victim_reference(
-      cfg::BlockId protect) const;
 
  private:
   friend class StateBatch;

@@ -73,8 +73,11 @@ enum class JobStatus : std::uint8_t {
 /// v4: added the optional `batch-cells` job field (lockstep multi-cell
 /// stepping for sweep/campaign); omitted means 0, the width-1 path,
 /// which is byte-identical to every batched setting.
+/// v5: removed the engine's two debug-path keys (full-table scans and
+/// the per-exit frontier BFS) at job and task level; the engine no
+/// longer has those paths (docs/API.md, "Migrating wire v4 -> v5").
 struct JobSpec {
-  static constexpr int kWireVersion = 4;
+  static constexpr int kWireVersion = 5;
 
   JobKind kind = JobKind::kRun;
   /// Workload references ("@<id>" or a registered name). Exactly one

@@ -458,13 +458,11 @@ void task_line(std::string& out, const sweep::SweepTask& task) {
   policy_kvs(out, task.config.policy);
   costs_kvs(out, task.config.costs);
   kv(out, "fit", enum_name(kFits, task.config.fit));
-  kv(out, "reference-scans", task.config.reference_scans ? "1" : "0");
-  kv(out, "reference-frontiers", task.config.reference_frontiers ? "1" : "0");
   out += '\n';
 }
 
 /// Parse one task line over `base` -- the record-level engine config
-/// (policy/costs/fit/reference flags), so a record's `policy`/`costs`
+/// (policy/costs/fit), so a record's `policy`/`costs`
 /// lines are the base every task inherits and task kvs override
 /// per cell (exactly what the `grid strategy-k` sugar expands over).
 sweep::SweepTask parse_task_kvs(std::string_view rest, std::size_t line,
@@ -480,14 +478,6 @@ sweep::SweepTask parse_task_kvs(std::string_view rest, std::size_t line,
   add_costs_keys(p, task.config.costs, line, snippet);
   p.add("fit", [&task, line, snippet](std::string_view v) {
     task.config.fit = parse_enum(kFits, v, "fit", line, snippet);
-  });
-  p.add("reference-scans", [&task, line, snippet](std::string_view v) {
-    task.config.reference_scans =
-        parse_bool01(v, "reference-scans", line, snippet);
-  });
-  p.add("reference-frontiers", [&task, line, snippet](std::string_view v) {
-    task.config.reference_frontiers =
-        parse_bool01(v, "reference-frontiers", line, snippet);
   });
   p.run(rest);
   return task;
@@ -665,12 +655,6 @@ std::string serialize_job(const JobSpec& spec) {
   out += "fit ";
   out += enum_name(kFits, spec.config.fit);
   out += '\n';
-  out += "reference-scans ";
-  out += spec.config.reference_scans ? "1" : "0";
-  out += '\n';
-  out += "reference-frontiers ";
-  out += spec.config.reference_frontiers ? "1" : "0";
-  out += '\n';
   {
     std::string line = "policy";
     policy_kvs(line, spec.config.policy);
@@ -702,7 +686,7 @@ JobSpec parse_job(std::string_view text, std::size_t first_line) {
   std::size_t grid_line = 0;
   // Task lines are parsed after the whole record is read: keys may
   // appear in any order, and every task inherits the record-level
-  // policy/costs/fit/reference flags as its base.
+  // policy/costs/fit as its base.
   struct RawTask {
     std::string_view rest;
     std::size_t number = 0;
@@ -753,12 +737,6 @@ JobSpec parse_job(std::string_view text, std::size_t first_line) {
     } else if (key == "fit") {
       spec.config.fit =
           parse_enum(kFits, rest, "fit", line->number, line->text);
-    } else if (key == "reference-scans") {
-      spec.config.reference_scans =
-          parse_bool01(rest, "reference-scans", line->number, line->text);
-    } else if (key == "reference-frontiers") {
-      spec.config.reference_frontiers =
-          parse_bool01(rest, "reference-frontiers", line->number, line->text);
     } else if (key == "policy") {
       KvParser p(line->number, line->text);
       add_policy_keys(p, spec.config.policy, line->number, line->text);

@@ -6,7 +6,7 @@
 // round-trip gate all speak exactly this format. Records are
 // line-oriented text:
 //
-//   apcc.job v4                      <- strict versioned header
+//   apcc.job v5                      <- strict versioned header
 //   kind sweep
 //   client bench-rig
 //   priority high
@@ -20,7 +20,7 @@
 //   task label=on-demand/k=1 strategy=on-demand kc=1 kd=1 ...
 //   end
 //
-//   apcc.result v4
+//   apcc.result v5
 //   job 1
 //   client bench-rig
 //   status ok
@@ -39,6 +39,11 @@
 // for sweep/campaign jobs. Omitting it reproduces v3 behaviour exactly;
 // any value changes scheduling granularity, never results. Result
 // records are unchanged from v3 apart from the header version.
+//
+// v5 removes the engine's two debug-path keys from job records and
+// task lines (docs/API.md, "Migrating wire v4 -> v5"): a record that
+// carries either fails with "unknown key" at its line. Nothing else
+// changed.
 //
 // Contract:
 //  * **Strict**: the header must match byte-for-byte (a future schema

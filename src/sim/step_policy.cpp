@@ -55,16 +55,10 @@ cfg::BlockId StepPolicy::select_victim(const EngineCell& c,
                                        cfg::BlockId protect) const {
   const runtime::StateTable& states = *c.states;
   switch (c.config.policy.victim_policy) {
-    case runtime::VictimPolicy::kLru:
-      return c.config.reference_scans ? states.lru_victim_reference(protect)
-                                      : states.lru_victim(protect);
-    case runtime::VictimPolicy::kMru:
-      return c.config.reference_scans ? states.mru_victim_reference(protect)
-                                      : states.mru_victim(protect);
+    case runtime::VictimPolicy::kLru: return states.lru_victim(protect);
+    case runtime::VictimPolicy::kMru: return states.mru_victim(protect);
     case runtime::VictimPolicy::kLargest:
-      return c.config.reference_scans
-                 ? states.largest_victim_reference(protect)
-                 : states.largest_victim(protect);
+      return states.largest_victim(protect);
   }
   return cfg::kInvalidBlock;
 }
@@ -79,17 +73,6 @@ std::size_t StepPolicy::earliest_decomp_unit(const EngineCell& c) const {
 
 std::optional<std::uint64_t> StepPolicy::earliest_inflight_ready(
     EngineCell& c) const {
-  if (c.config.reference_scans) {
-    std::uint64_t earliest = UINT64_MAX;
-    for (cfg::BlockId b = 0; b < c.states->size(); ++b) {
-      const auto s = (*c.states)[b];
-      if (s.form() == runtime::BlockForm::kDecompressing) {
-        earliest = std::min(earliest, s.ready_time);
-      }
-    }
-    if (earliest == UINT64_MAX) return std::nullopt;
-    return earliest;
-  }
   while (!c.ready_queue.empty()) {
     const auto [time, block] = c.ready_queue.top();
     const auto s = (*c.states)[block];
@@ -188,11 +171,7 @@ void StepPolicy::issue_predecompression(EngineCell& c, cfg::BlockId block,
     c.result.decomp_helper_busy_cycles += duration;
     c.states->set_form(block, runtime::BlockForm::kDecompressing);
     s.ready_time = start + duration;
-    if (!c.config.reference_scans) {
-      // The reference path settles by scanning; feeding the queue there
-      // would only grow an unread heap for the whole run.
-      c.ready_queue.emplace(s.ready_time, block);
-    }
+    c.ready_queue.emplace(s.ready_time, block);
   } else {
     // Single-threaded ablation: the work lands in the critical path.
     c.now += duration;
@@ -245,19 +224,9 @@ void StepPolicy::complete_decompression(EngineCell& c, cfg::BlockId block,
 }
 
 void StepPolicy::settle_ready_blocks(EngineCell& c) const {
-  if (c.config.reference_scans) {
-    for (cfg::BlockId b = 0; b < c.states->size(); ++b) {
-      const auto s = (*c.states)[b];
-      if (s.form() == runtime::BlockForm::kDecompressing &&
-          s.ready_time <= c.now) {
-        complete_decompression(c, b, s.ready_time, /*inline_cost=*/false);
-      }
-    }
-    return;
-  }
   if (c.ready_queue.empty() || c.ready_queue.top().first > c.now) return;
   // Pop everything due, drop stale entries, and settle in ascending block
-  // id -- the reference scan's order, which fixes the order of the
+  // id, whatever the completion times: that order fixes the order of the
   // completion events and of the patch costs landing on helper units.
   c.settle_scratch.clear();
   while (!c.ready_queue.empty() && c.ready_queue.top().first <= c.now) {
@@ -423,7 +392,7 @@ void StepPolicy::init_cell(EngineCell& cell, runtime::StateTable& states,
   cell.states = &states;
   states.set_block_sizes(block_sizes);
   cell.kedge = std::make_unique<runtime::KEdgeCompressionManager>(
-      states, cell.config.policy.compress_k, cell.config.reference_scans);
+      states, cell.config.policy.compress_k);
   if (cell.predictor == nullptr) {
     cell.owned_predictor = runtime::make_predictor(
         cell.config.policy.predictor, cfg_, cell.config.policy.predecompress_k,
@@ -432,7 +401,7 @@ void StepPolicy::init_cell(EngineCell& cell, runtime::StateTable& states,
   }
   cell.planner = std::make_unique<runtime::DecompressionPlanner>(
       cfg_, states, cell.config.policy, cell.predictor,
-      cell.config.reference_frontiers, cell.config.shared_frontiers);
+      cell.config.shared_frontiers);
   cell.extra.assign(cfg_.block_count(), EngineCell::ExtraBlockInfo{});
   cell.failed = false;
   cell.error = nullptr;

@@ -65,15 +65,6 @@ struct EngineConfig {
   runtime::Policy policy{};
   runtime::CostModel costs{};
   memory::FitPolicy fit = memory::FitPolicy::kFirstFit;
-  /// Debug: route settle / victim-selection / earliest-ready / k-edge
-  /// queries through the pre-index O(B) full-table scans instead of the
-  /// indexed structures. Both paths produce bit-identical RunResults and
-  /// event streams; the differential test pins that.
-  bool reference_scans = false;
-  /// Debug: have the planner re-run the per-exit frontier BFS instead of
-  /// reading the memoized FrontierCache. Same bit-identical guarantee,
-  /// pinned by the same differential test.
-  bool reference_frontiers = false;
   /// Optional shared read-only planner geometry: a *materialized*
   /// FrontierCache built on this engine's CFG with
   /// k == policy.predecompress_k. Campaigns and the Service set this so
@@ -171,7 +162,7 @@ class StepPolicy {
   [[nodiscard]] std::size_t earliest_decomp_unit(const EngineCell& c) const;
 
   /// Completion time of the earliest in-flight decompression, if any.
-  /// Indexed path: lazily prunes stale ready-queue entries, O(log B).
+  /// Lazily prunes stale ready-queue entries, O(log B).
   [[nodiscard]] std::optional<std::uint64_t> earliest_inflight_ready(
       EngineCell& c) const;
 

@@ -22,9 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "common/wire_headers.hpp"
 #include "net/socket.hpp"
 
 namespace {
+
+using apcc::testref::kJobLine;
+using apcc::testref::kResultLine;
 
 constexpr const char* kCliPath = APCC_CLI_PATH;
 constexpr const char* kDataDir = APCC_CLI_DATA_DIR;
@@ -204,7 +208,7 @@ TEST(CliSmoke, BatchSummaryReportsEvictionCountersUnderBudget) {
       ::testing::TempDir() + "/apcc_smoke_budget_jobs.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v4\nkind sweep\nworkload " << workload_path()
+    out << kJobLine << "kind sweep\nworkload " << workload_path()
         << "\ngrid strategy-k\nend\n";
   }
   const auto result = run_cli_stderr("batch " + jobfile +
@@ -278,7 +282,8 @@ TEST(CliSmoke, EngineFailureNamesItsCauseWithoutTheCheckoutPath) {
 
   // The same failure served as a wire error record.
   const auto served = run_shell(
-      "printf 'apcc.job v4\\nkind run\\nworkload gsm-like\\n"
+      "printf '" + apcc::serving::wire::kJobHeader +
+      "\\nkind run\\nworkload gsm-like\\n"
       "policy budget=16\\nend\\n' | " +
       std::string(kCliPath) + " serve 2>/dev/null");
   EXPECT_EQ(served.exit_code, 0);
@@ -302,12 +307,12 @@ TEST(CliSmoke, BatchRunsWireJobFileOverTheCheckedInWorkload) {
   {
     std::ofstream out(jobfile);
     out << "# smoke jobs (wire format)\n"
-        << "apcc.job v4\n"
+        << kJobLine
         << "kind run\n"
         << "workload " << workload_path() << "\n"
         << "end\n"
         << "\n"
-        << "apcc.job v4\n"
+        << kJobLine
         << "kind sweep\n"
         << "priority high\n"
         << "max-workers 1\n"
@@ -315,7 +320,7 @@ TEST(CliSmoke, BatchRunsWireJobFileOverTheCheckedInWorkload) {
         << "grid strategy-k\n"
         << "end\n"
         << "\n"
-        << "apcc.job v4\n"
+        << kJobLine
         << "kind campaign\n"
         << "priority batch\n"
         << "workload " << workload_path() << "\n"
@@ -337,7 +342,7 @@ TEST(CliSmoke, BatchRunsWireJobFileOverTheCheckedInWorkload) {
   // --wire emits machine-readable result records instead.
   const auto wired = run_cli("batch " + jobfile + " --wire");
   ASSERT_EQ(wired.exit_code, 0);
-  EXPECT_NE(wired.output.find("apcc.result v4\njob 1\n"), std::string::npos);
+  EXPECT_NE(wired.output.find(kResultLine + "job 1\n"), std::string::npos);
   EXPECT_NE(wired.output.find("status ok"), std::string::npos);
   EXPECT_NE(wired.output.find("kind campaign"), std::string::npos);
   std::remove(jobfile.c_str());
@@ -351,19 +356,19 @@ TEST(CliSmoke, BatchWireEmitsErrorRecordsForFailedJobs) {
       ::testing::TempDir() + "/apcc_smoke_wire_fail.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v4\nkind run\nworkload " << workload_path() << "\nend\n"
-        << "apcc.job v4\nkind run\nworkload " << workload_path() << "\n"
+    out << kJobLine << "kind run\nworkload " << workload_path() << "\nend\n"
+        << kJobLine << "kind run\nworkload " << workload_path() << "\n"
         << "policy budget=1\n"  // smaller than any block: engine throws
         << "end\n"
-        << "apcc.job v4\nkind run\nworkload /nonexistent/nope.s\nend\n"
-        << "apcc.job v4\nkind run\nworkload " << workload_path() << "\nend\n";
+        << kJobLine << "kind run\nworkload /nonexistent/nope.s\nend\n"
+        << kJobLine << "kind run\nworkload " << workload_path() << "\nend\n";
   }
   const auto result = run_cli("batch " + jobfile + " --wire");
   ASSERT_EQ(result.exit_code, 0);
-  const std::size_t first = result.output.find("apcc.result v4\njob 1\n");
-  const std::size_t second = result.output.find("apcc.result v4\njob 2\n");
-  const std::size_t third = result.output.find("apcc.result v4\njob 3\n");
-  const std::size_t fourth = result.output.find("apcc.result v4\njob 4\n");
+  const std::size_t first = result.output.find(kResultLine + "job 1\n");
+  const std::size_t second = result.output.find(kResultLine + "job 2\n");
+  const std::size_t third = result.output.find(kResultLine + "job 3\n");
+  const std::size_t fourth = result.output.find(kResultLine + "job 4\n");
   ASSERT_NE(first, std::string::npos);
   ASSERT_NE(second, std::string::npos);
   ASSERT_NE(third, std::string::npos);
@@ -391,7 +396,7 @@ TEST(CliSmoke, BatchReportsLineAndSnippetOnMalformedRecords) {
   // the file, the line, and echo the offending text -- not just exit 1.
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v4\n"
+    out << kJobLine
         << "kind sweep\n"
         << "workload " << workload_path() << "\n"
         << "task label=x strategy=warp-speed\n"
@@ -414,7 +419,7 @@ TEST(CliSmoke, BatchReportsLineAndSnippetOnMalformedRecords) {
   // is still rejected, not silently dropped.
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v4\nkind run\nworkload " << workload_path() << "\nend\n";
+    out << kJobLine << "kind run\nworkload " << workload_path() << "\nend\n";
   }
   EXPECT_EQ(run_cli("batch " + jobfile + " --codec null").exit_code, 1);
   std::remove(jobfile.c_str());
@@ -428,16 +433,16 @@ TEST(CliSmoke, ServeStreamsWireResultsInSubmissionOrder) {
       ::testing::TempDir() + "/apcc_smoke_serve.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v4\n"
+    out << kJobLine
         << "kind run\n"
         << "client smoke\n"
         << "workload " << workload_path() << "\n"
         << "end\n"
-        << "apcc.job v4\n"
+        << kJobLine
         << "kind run\n"
         << "workload /nonexistent/nope.s\n"
         << "end\n"
-        << "apcc.job v4\n"
+        << kJobLine
         << "kind sweep\n"
         << "workload " << workload_path() << "\n"
         << "task label=on-demand/k=1 strategy=on-demand kc=1 kd=1\n"
@@ -445,9 +450,9 @@ TEST(CliSmoke, ServeStreamsWireResultsInSubmissionOrder) {
   }
   const auto result = run_cli("serve < " + jobfile);
   ASSERT_EQ(result.exit_code, 0);
-  const std::size_t first = result.output.find("apcc.result v4\njob 1\n");
-  const std::size_t second = result.output.find("apcc.result v4\njob 2\n");
-  const std::size_t third = result.output.find("apcc.result v4\njob 3\n");
+  const std::size_t first = result.output.find(kResultLine + "job 1\n");
+  const std::size_t second = result.output.find(kResultLine + "job 2\n");
+  const std::size_t third = result.output.find(kResultLine + "job 3\n");
   ASSERT_NE(first, std::string::npos);
   ASSERT_NE(second, std::string::npos);
   ASSERT_NE(third, std::string::npos);
@@ -475,7 +480,7 @@ TEST(CliSmoke, ServeEmitsResultsWhileStdinIsStillOpen) {
       ::testing::TempDir() + "/apcc_smoke_serve_stream.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v4\nkind run\nworkload " << workload_path() << "\nend\n";
+    out << kJobLine << "kind run\nworkload " << workload_path() << "\nend\n";
   }
   // The subshell holds stdin open for 4s after the job; the first
   // result record must complete well before that.
@@ -498,7 +503,7 @@ TEST(CliSmoke, ServeEmitsResultsWhileStdinIsStillOpen) {
     }
   }
   pclose(pipe);  // waits out the subshell's sleep
-  EXPECT_NE(output.find("apcc.result v4\njob 1\n"), std::string::npos)
+  EXPECT_NE(output.find(kResultLine + "job 1\n"), std::string::npos)
       << output;
   EXPECT_NE(output.find("status ok"), std::string::npos) << output;
   EXPECT_LT(first_record_seconds, 3.0)
@@ -511,7 +516,7 @@ TEST(CliSmoke, WireRoundtripIsAFixedPoint) {
       ::testing::TempDir() + "/apcc_smoke_roundtrip.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v4\n"
+    out << kJobLine
         << "kind sweep\n"
         << "workload gsm-like\n"
         << "grid strategy-k\n"
@@ -535,7 +540,9 @@ TEST(CliSmoke, VersionPrintsToolAndWireVersion) {
   const auto result = run_cli("version");
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_EQ(result.output.rfind("apcc_cli ", 0), 0u) << result.output;
-  EXPECT_NE(result.output.find("(wire v4)"), std::string::npos)
+  const std::string wire_tag =
+      "(wire v" + std::to_string(apcc::serving::JobSpec::kWireVersion) + ")";
+  EXPECT_NE(result.output.find(wire_tag), std::string::npos)
       << result.output;
   // Exactly-one-line contract, scripts parse it.
   EXPECT_EQ(lines_of(result.output).size(), 1u);
@@ -561,15 +568,15 @@ TEST(CliSmoke, ServeMaxQueuedRejectsOverloadAsRecords) {
       ::testing::TempDir() + "/apcc_smoke_overload.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v4\nkind sweep\nworkload " << workload_path()
+    out << kJobLine << "kind sweep\nworkload " << workload_path()
         << "\ngrid strategy-k\nend\n"
-        << "apcc.job v4\nkind run\nworkload " << workload_path() << "\nend\n"
-        << "apcc.job v4\nkind run\nworkload " << workload_path() << "\nend\n";
+        << kJobLine << "kind run\nworkload " << workload_path() << "\nend\n"
+        << kJobLine << "kind run\nworkload " << workload_path() << "\nend\n";
   }
   const auto result =
       run_cli("serve --max-queued 1 --workers 1 < " + jobfile);
   ASSERT_EQ(result.exit_code, 0);
-  EXPECT_EQ(count_occurrences(result.output, "apcc.result v4\n"), 3u)
+  EXPECT_EQ(count_occurrences(result.output, kResultLine), 3u)
       << result.output;
   for (int job = 1; job <= 3; ++job) {
     EXPECT_EQ(count_occurrences(result.output,
@@ -594,8 +601,8 @@ TEST(CliSmoke, ServeDrainsGracefullyOnSigterm) {
   const std::string jobfile = dir + "/apcc_smoke_drain.wire";
   {
     std::ofstream out(jobfile);
-    out << "apcc.job v4\nkind run\nworkload " << workload_path() << "\nend\n"
-        << "apcc.job v4\nkind sweep\nworkload " << workload_path()
+    out << kJobLine << "kind run\nworkload " << workload_path() << "\nend\n"
+        << kJobLine << "kind sweep\nworkload " << workload_path()
         << "\ngrid strategy-k\nend\n";
   }
   const std::string script =
@@ -615,7 +622,7 @@ TEST(CliSmoke, ServeDrainsGracefullyOnSigterm) {
       << result.output;
   // Exactly one record per accepted job, drained to completion (the
   // sweep may legitimately resolve cancelled if it had not started).
-  EXPECT_EQ(count_occurrences(result.output, "apcc.result v4\n"), 2u)
+  EXPECT_EQ(count_occurrences(result.output, kResultLine), 2u)
       << result.output;
   EXPECT_EQ(count_occurrences(result.output, "job 1\n"), 1u);
   EXPECT_EQ(count_occurrences(result.output, "job 2\n"), 1u);
@@ -662,10 +669,10 @@ TEST(CliSmoke, ServeListensOnTcpRejectsOverloadAndDrainsOnSigterm) {
   // still live at job 2's admission check unless the IO thread stalls
   // for the whole campaign between two adjacent submits.
   const std::string jobs =
-      "apcc.job v4\nkind campaign\nworkload gsm-like\n"
+      kJobLine + "kind campaign\nworkload gsm-like\n"
       "workload crc-like\nworkload adpcm-like\n"
-      "grid strategy-k\nend\n"
-      "apcc.job v4\nkind run\nworkload gsm-like\nend\n";
+      "grid strategy-k\nend\n" +
+      kJobLine + "kind run\nworkload gsm-like\nend\n";
   std::string response;
   {
     const apcc::net::Fd client =
@@ -685,8 +692,8 @@ TEST(CliSmoke, ServeListensOnTcpRejectsOverloadAndDrainsOnSigterm) {
       response.append(chunk, static_cast<std::size_t>(n));
     }
   }
-  const std::size_t first = response.find("apcc.result v4\njob 1\n");
-  const std::size_t second = response.find("apcc.result v4\njob 2\n");
+  const std::size_t first = response.find(kResultLine + "job 1\n");
+  const std::size_t second = response.find(kResultLine + "job 2\n");
   ASSERT_NE(first, std::string::npos) << response;
   ASSERT_NE(second, std::string::npos) << response;
   EXPECT_LT(first, second);

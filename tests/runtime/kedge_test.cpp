@@ -3,6 +3,7 @@
 // discipline the Figure 5 walkthrough implies.
 #include <gtest/gtest.h>
 
+#include "common/victim_scan.hpp"
 #include "runtime/kedge.hpp"
 #include "support/rng.hpp"
 
@@ -176,8 +177,7 @@ TEST(StateTable, LargestVictimBySizeLowestIdOnTies) {
 TEST(StateTable, LargestVictimRequiresPositiveSize) {
   StateTable t = make_states(3, {0, 1});
   EXPECT_EQ(t.largest_victim(cfg::kInvalidBlock), cfg::kInvalidBlock)
-      << "all sizes zero -> no largest victim (strict > 0, as the "
-         "historical scan)";
+      << "all sizes zero -> no largest victim (strict > 0)";
 }
 
 TEST(StateTable, VictimQueriesMatchReferenceScans) {
@@ -199,10 +199,12 @@ TEST(StateTable, VictimQueriesMatchReferenceScans) {
     const auto protect = rng.next_bool(0.5)
                              ? static_cast<cfg::BlockId>(rng.next_below(32))
                              : cfg::kInvalidBlock;
-    ASSERT_EQ(t.lru_victim(protect), t.lru_victim_reference(protect));
-    ASSERT_EQ(t.mru_victim(protect), t.mru_victim_reference(protect));
+    ASSERT_EQ(t.lru_victim(protect),
+              testref::scan_victim(t, VictimPolicy::kLru, protect, sizes));
+    ASSERT_EQ(t.mru_victim(protect),
+              testref::scan_victim(t, VictimPolicy::kMru, protect, sizes));
     ASSERT_EQ(t.largest_victim(protect),
-              t.largest_victim_reference(protect));
+              testref::scan_victim(t, VictimPolicy::kLargest, protect, sizes));
   }
 }
 

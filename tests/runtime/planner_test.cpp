@@ -2,6 +2,9 @@
 // Figure 2 graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+
 #include "cfg/paper_graphs.hpp"
 #include "runtime/planner.hpp"
 
@@ -24,6 +27,21 @@ Policy pre_single(std::uint32_t k) {
   p.strategy = DecompressionStrategy::kPreSingle;
   p.predecompress_k = k;
   return p;
+}
+
+/// The pre-all plan computed the slow way: one frontier BFS, then one
+/// edge-distance BFS per compressed candidate, sorted by (distance, id).
+std::vector<cfg::BlockId> bfs_plan(const cfg::Cfg& g, const StateTable& states,
+                                   cfg::BlockId block, std::uint32_t k) {
+  std::vector<std::pair<unsigned, cfg::BlockId>> near;
+  for (const cfg::BlockId b : cfg::frontier_within(g, block, k)) {
+    if (states[b].form() != BlockForm::kCompressed) continue;
+    near.emplace_back(cfg::edge_distance(g, block, b).value_or(UINT_MAX), b);
+  }
+  std::sort(near.begin(), near.end());
+  std::vector<cfg::BlockId> plan;
+  for (const auto& [distance, b] : near) plan.push_back(b);
+  return plan;
 }
 
 TEST(Planner, OnDemandPlansNothing) {
@@ -148,13 +166,10 @@ TEST(Planner, SelfCycleSortsAtCycleLengthNotZero) {
   g.add_edge(1, 0, cfg::EdgeKind::kJump);
   g.normalize_probabilities();
   StateTable states = all_compressed(g);
-  for (const bool reference : {false, true}) {
-    const DecompressionPlanner planner(g, states, pre_all(2), nullptr,
-                                       reference);
-    EXPECT_EQ(planner.plan_on_exit(0, 0),
-              (std::vector<cfg::BlockId>{1, 2, 0}))
-        << (reference ? "reference" : "memoized") << " planner order";
-  }
+  const DecompressionPlanner planner(g, states, pre_all(2), nullptr);
+  const std::vector<cfg::BlockId> expected{1, 2, 0};
+  EXPECT_EQ(planner.plan_on_exit(0, 0), expected);
+  EXPECT_EQ(bfs_plan(g, states, 0, 2), expected);
 }
 
 TEST(Planner, SelfLoopSortsAtDistanceOne) {
@@ -170,19 +185,16 @@ TEST(Planner, SelfLoopSortsAtDistanceOne) {
   g.add_edge(1, 2, cfg::EdgeKind::kJump);
   g.normalize_probabilities();
   StateTable states = all_compressed(g);
-  for (const bool reference : {false, true}) {
-    const DecompressionPlanner planner(g, states, pre_all(1), nullptr,
-                                       reference);
-    EXPECT_EQ(planner.plan_on_exit(1, 0),
-              (std::vector<cfg::BlockId>{0, 1, 2}))
-        << (reference ? "reference" : "memoized") << " planner order";
-  }
+  const DecompressionPlanner planner(g, states, pre_all(1), nullptr);
+  const std::vector<cfg::BlockId> expected{0, 1, 2};
+  EXPECT_EQ(planner.plan_on_exit(1, 0), expected);
+  EXPECT_EQ(bfs_plan(g, states, 1, 1), expected);
 }
 
 TEST(Planner, MemoizedMatchesReferenceAcrossFormsAndK) {
-  // Differential: the FrontierCache path must emit exactly the reference
-  // BFS path's request list for every exit block, k, and a spread of
-  // dynamic BlockForm assignments.
+  // Differential: the FrontierCache path must emit exactly the per-exit
+  // BFS's request list for every exit block, k, and a spread of dynamic
+  // BlockForm assignments.
   for (const cfg::Cfg& g : {cfg::figure2_cfg(), cfg::figure5_cfg(),
                             cfg::figure1_cfg()}) {
     for (const std::uint32_t k : {1u, 2u, 3u, 4u, 8u}) {
@@ -197,12 +209,9 @@ TEST(Planner, MemoizedMatchesReferenceAcrossFormsAndK) {
             default: break;  // compressed
           }
         }
-        const DecompressionPlanner memoized(g, states, pre_all(k), nullptr,
-                                            /*reference_frontiers=*/false);
-        const DecompressionPlanner reference(g, states, pre_all(k), nullptr,
-                                             /*reference_frontiers=*/true);
+        const DecompressionPlanner memoized(g, states, pre_all(k), nullptr);
         for (cfg::BlockId b = 0; b < g.block_count(); ++b) {
-          EXPECT_EQ(memoized.plan_on_exit(b, 0), reference.plan_on_exit(b, 0))
+          EXPECT_EQ(memoized.plan_on_exit(b, 0), bfs_plan(g, states, b, k))
               << "exit block " << b << " k " << k << " pattern " << pattern;
         }
       }
@@ -227,7 +236,6 @@ TEST(Planner, BorrowedGeometryMatchesOwnedExactly) {
         }
         const DecompressionPlanner owned(g, states, pre_all(k), nullptr);
         const DecompressionPlanner borrowed(g, states, pre_all(k), nullptr,
-                                            /*reference_frontiers=*/false,
                                             &shared);
         for (cfg::BlockId b = 0; b < g.block_count(); ++b) {
           EXPECT_EQ(borrowed.plan_on_exit(b, 0), owned.plan_on_exit(b, 0))
@@ -243,20 +251,18 @@ TEST(Planner, BorrowedGeometryMustMatchKeyAndBeMaterialized) {
   StateTable states = all_compressed(g);
   FrontierCache wrong_k(g, 3);
   wrong_k.materialize();
-  EXPECT_THROW(DecompressionPlanner(g, states, pre_all(2), nullptr, false,
-                                    &wrong_k),
+  EXPECT_THROW(DecompressionPlanner(g, states, pre_all(2), nullptr, &wrong_k),
                apcc::CheckError)
       << "borrowing k=3 geometry for a k=2 policy must be rejected";
   FrontierCache lazy(g, 2);
   EXPECT_THROW(
-      DecompressionPlanner(g, states, pre_all(2), nullptr, false, &lazy),
+      DecompressionPlanner(g, states, pre_all(2), nullptr, &lazy),
       apcc::CheckError)
       << "a lazily-filled cache is mutable and must not be shared";
   const cfg::Cfg other = cfg::figure5_cfg();
   FrontierCache other_cfg(other, 2);
   other_cfg.materialize();
-  EXPECT_THROW(DecompressionPlanner(g, states, pre_all(2), nullptr, false,
-                                    &other_cfg),
+  EXPECT_THROW(DecompressionPlanner(g, states, pre_all(2), nullptr, &other_cfg),
                apcc::CheckError)
       << "geometry computed on a different CFG must be rejected";
 }

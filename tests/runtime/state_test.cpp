@@ -1,6 +1,7 @@
 // StateTable / StateBatch tests: a seeded differential over a multi-cell
 // batch. After every random mutation, the victim queries must agree with
-// their full-table reference scans (the tie rules included), and each
+// a full-table scan over the public accessors (the tie rules included),
+// and each
 // cell's counts, decompressed set and per-block fields must match a
 // shadow model of that cell alone -- so a lane never sees another lane's
 // writes.
@@ -10,6 +11,7 @@
 #include <array>
 #include <vector>
 
+#include "common/victim_scan.hpp"
 #include "runtime/state.hpp"
 #include "support/rng.hpp"
 
@@ -25,6 +27,7 @@ struct CellModel {
                                                        BlockForm::kCompressed);
   std::vector<std::uint64_t> last_use = std::vector<std::uint64_t>(kBlocks, 0);
   std::vector<bool> executing = std::vector<bool>(kBlocks, false);
+  std::vector<std::uint64_t> sizes = std::vector<std::uint64_t>(kBlocks, 0);
 };
 
 /// Sizes with deliberate duplicates and zeros: the largest-victim tie and
@@ -58,11 +61,15 @@ void expect_cell_matches(const StateTable& t, const CellModel& m,
 }
 
 void expect_victims_match_reference(const StateTable& t,
+                                    const std::vector<std::uint64_t>& sizes,
                                     cfg::BlockId protect) {
   SCOPED_TRACE(::testing::Message() << "protect " << protect);
-  ASSERT_EQ(t.lru_victim(protect), t.lru_victim_reference(protect));
-  ASSERT_EQ(t.mru_victim(protect), t.mru_victim_reference(protect));
-  ASSERT_EQ(t.largest_victim(protect), t.largest_victim_reference(protect));
+  ASSERT_EQ(t.lru_victim(protect),
+            testref::scan_victim(t, VictimPolicy::kLru, protect, sizes));
+  ASSERT_EQ(t.mru_victim(protect),
+            testref::scan_victim(t, VictimPolicy::kMru, protect, sizes));
+  ASSERT_EQ(t.largest_victim(protect),
+            testref::scan_victim(t, VictimPolicy::kLargest, protect, sizes));
 }
 
 TEST(StateTable, VictimQueriesMatchReferenceAcrossBatchLanes) {
@@ -70,7 +77,8 @@ TEST(StateTable, VictimQueriesMatchReferenceAcrossBatchLanes) {
   StateBatch batch(kBlocks, kCells);
   std::array<CellModel, kCells> models;
   for (std::size_t c = 0; c < kCells; ++c) {
-    batch.cell(c).set_block_sizes(random_sizes(rng));
+    models[c].sizes = random_sizes(rng);
+    batch.cell(c).set_block_sizes(models[c].sizes);
   }
 
   for (int op = 0; op < 4000; ++op) {
@@ -105,16 +113,19 @@ TEST(StateTable, VictimQueriesMatchReferenceAcrossBatchLanes) {
         break;
       }
       default:
-        t.set_block_sizes(random_sizes(rng));
+        m.sizes = random_sizes(rng);
+        t.set_block_sizes(m.sizes);
         break;
     }
 
     for (std::size_t cell = 0; cell < kCells; ++cell) {
       const StateTable& view = batch.cell(cell);
       expect_cell_matches(view, models[cell], cell);
-      expect_victims_match_reference(view, cfg::kInvalidBlock);
+      expect_victims_match_reference(view, models[cell].sizes,
+                                     cfg::kInvalidBlock);
       expect_victims_match_reference(
-          view, static_cast<cfg::BlockId>(rng.next_below(kBlocks)));
+          view, models[cell].sizes,
+          static_cast<cfg::BlockId>(rng.next_below(kBlocks)));
       if (::testing::Test::HasFatalFailure()) {
         FAIL() << "after operation " << op << " on cell " << c;
       }
@@ -126,7 +137,8 @@ TEST(StateTable, VictimTiesGoToTheLowestIdWhateverTheListOrder) {
   // Decompress in descending id order, then swap-remove from the middle,
   // so the resident list is far from id order when the ties are broken.
   StateTable t(8);
-  t.set_block_sizes(std::vector<std::uint64_t>{0, 32, 16, 32, 32, 16, 0, 8});
+  const std::vector<std::uint64_t> sizes{0, 32, 16, 32, 32, 16, 0, 8};
+  t.set_block_sizes(sizes);
   for (cfg::BlockId b = 8; b-- > 0;) t.set_form(b, BlockForm::kDecompressed);
   t.set_form(4, BlockForm::kCompressed);
   t.set_form(4, BlockForm::kDecompressed);
@@ -141,9 +153,7 @@ TEST(StateTable, VictimTiesGoToTheLowestIdWhateverTheListOrder) {
   EXPECT_EQ(t.largest_victim(cfg::kInvalidBlock), 3u);
   EXPECT_EQ(t.largest_victim(3), 4u);
   for (const cfg::BlockId protect : {cfg::kInvalidBlock, cfg::BlockId{3}}) {
-    EXPECT_EQ(t.lru_victim(protect), t.lru_victim_reference(protect));
-    EXPECT_EQ(t.mru_victim(protect), t.mru_victim_reference(protect));
-    EXPECT_EQ(t.largest_victim(protect), t.largest_victim_reference(protect));
+    expect_victims_match_reference(t, sizes, protect);
   }
 }
 

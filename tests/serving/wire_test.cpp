@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/wire_headers.hpp"
 #include "serving/wire.hpp"
 #include "support/assert.hpp"
 
@@ -25,6 +26,9 @@
 
 namespace apcc::serving::wire {
 namespace {
+
+using testref::kJobLine;
+using testref::kResultLine;
 
 JobSpec sample_sweep_spec() {
   JobSpec spec;
@@ -110,7 +114,7 @@ TEST(Wire, JobRoundTripIsFixedPoint) {
 
 TEST(Wire, MinimalJobParsesToDefaults) {
   const JobSpec spec = parse_job(
-      "apcc.job v4\n"
+      kJobLine +
       "kind run\n"
       "workload gsm-like\n"
       "end\n");
@@ -140,7 +144,7 @@ TEST(Wire, RecordLevelPolicyIsTheBaseTasksOverride) {
   // expands over); task kvs override per cell. Order doesn't matter:
   // a policy line below the task lines still applies.
   const JobSpec spec = parse_job(
-      "apcc.job v4\n"
+      kJobLine +
       "kind sweep\n"
       "workload gsm-like\n"
       "task label=inherit strategy=pre-all\n"
@@ -164,7 +168,7 @@ TEST(Wire, RecordLevelPolicyIsTheBaseTasksOverride) {
 
 TEST(Wire, GridSugarExpandsToTheStandardGrid) {
   const JobSpec spec = parse_job(
-      "apcc.job v4\n"
+      kJobLine +
       "kind sweep\n"
       "workload gsm-like\n"
       "codec lzss\n"
@@ -200,90 +204,112 @@ void expect_wire_error(const std::string& text, const char* needle,
   }
 }
 
+TEST(Wire, EngineDebugKeysAreGoneInV5) {
+  // v4 let any client switch the engine onto its O(B) debug paths; v5
+  // has no such keys, at job or task level, and names the first one.
+  expect_wire_error(kJobLine + "kind run\nworkload x\nreference-scans 1\nend\n",
+                    "unknown key 'reference-scans'", 4);
+  expect_wire_error(kJobLine + "kind run\nworkload x\nreference-frontiers 0\n"
+                               "end\n",
+                    "unknown key 'reference-frontiers'", 4);
+  expect_wire_error(kJobLine + "kind sweep\nworkload x\n"
+                               "task label=a reference-scans=1\nend\n",
+                    "unknown key 'reference-scans'", 4);
+  expect_wire_error(kJobLine + "kind sweep\nworkload x\n"
+                               "task label=a reference-frontiers=0\nend\n",
+                    "unknown key 'reference-frontiers'", 4);
+}
+
 TEST(Wire, StrictParsingPositionsErrors) {
   expect_wire_error("apcc.job v1\nkind run\nend\n", "unsupported wire", 1);
-  // Older records (v2: no deadline-ms; v3: no batch-cells) are not
-  // silently accepted either: the header gate rejects anything but v4.
+  // Older records (v2: no deadline-ms; v3: no batch-cells; v4: the
+  // engine debug keys) are not silently accepted either: the header
+  // gate rejects anything but the current version.
   expect_wire_error("apcc.job v2\nkind run\nworkload x\nend\n",
                     "unsupported wire", 1);
   expect_wire_error("apcc.job v3\nkind run\nworkload x\nend\n",
                     "unsupported wire", 1);
+  expect_wire_error("apcc.job v4\nkind run\nworkload x\nend\n",
+                    "unsupported wire", 1);
+  EXPECT_THROW((void)parse_result("apcc.result v4\njob 1\nstatus error\n"
+                                  "error x\nend\n"),
+               WireError);
   expect_wire_error("bogus\n", "record header", 1);
-  expect_wire_error("apcc.job v4\nkind run\nworkload x\n", "missing 'end'",
+  expect_wire_error(kJobLine + "kind run\nworkload x\n", "missing 'end'",
                     4);
-  expect_wire_error("apcc.job v4\nworkload x\nend\n", "missing 'kind'", 1);
-  expect_wire_error("apcc.job v4\nkind run\nfrobnicate 1\nend\n",
+  expect_wire_error(kJobLine + "workload x\nend\n", "missing 'kind'", 1);
+  expect_wire_error(kJobLine + "kind run\nfrobnicate 1\nend\n",
                     "unknown key", 3);
-  expect_wire_error("apcc.job v4\nkind run\nkind sweep\nend\n",
+  expect_wire_error(kJobLine + "kind run\nkind sweep\nend\n",
                     "duplicate", 3);
   expect_wire_error(
-      "apcc.job v4\nkind sweep\nworkload x\ntask label=a bogus=1\nend\n",
+      kJobLine + "kind sweep\nworkload x\ntask label=a bogus=1\nend\n",
       "unknown key 'bogus'", 4);
   expect_wire_error(
-      "apcc.job v4\nkind sweep\nworkload x\ntask label=a kc=1 kc=2\nend\n",
+      kJobLine + "kind sweep\nworkload x\ntask label=a kc=1 kc=2\nend\n",
       "duplicate key 'kc'", 4);
-  expect_wire_error("apcc.job v4\nkind run\nmax-workers lots\nend\n",
+  expect_wire_error(kJobLine + "kind run\nmax-workers lots\nend\n",
                     "malformed max-workers", 3);
-  expect_wire_error("apcc.job v4\nkind run\ndeadline-ms soon\nend\n",
+  expect_wire_error(kJobLine + "kind run\ndeadline-ms soon\nend\n",
                     "malformed deadline-ms", 3);
   expect_wire_error(
-      "apcc.job v4\nkind run\ndeadline-ms 1\ndeadline-ms 2\nend\n",
+      kJobLine + "kind run\ndeadline-ms 1\ndeadline-ms 2\nend\n",
       "duplicate", 4);
   expect_wire_error(
-      "apcc.job v4\nkind sweep\nworkload x\nbatch-cells many\n"
+      kJobLine + "kind sweep\nworkload x\nbatch-cells many\n"
       "grid strategy-k\nend\n",
       "malformed batch-cells", 4);
   expect_wire_error(
-      "apcc.job v4\nkind sweep\nworkload x\nbatch-cells 1\nbatch-cells 2\n"
+      kJobLine + "kind sweep\nworkload x\nbatch-cells 1\nbatch-cells 2\n"
       "grid strategy-k\nend\n",
       "duplicate", 5);
   expect_wire_error(
-      "apcc.job v4\nkind sweep\nworkload x\nbatch-cells 4294967296\n"
+      kJobLine + "kind sweep\nworkload x\nbatch-cells 4294967296\n"
       "grid strategy-k\nend\n",
       "batch-cells out of range", 4);
   // batch-cells on a run job is structurally invalid (a run has one
   // cell); rejected by validate(), positioned at the record header.
   expect_wire_error(
-      "apcc.job v4\nkind run\nworkload x\nbatch-cells 4\nend\n",
+      kJobLine + "kind run\nworkload x\nbatch-cells 4\nend\n",
       "batch-cells does not apply", 1);
   // Narrowing is strict: a value past the field's width is malformed,
   // never a silent wrap (4294967296 -> 0 would read as "uncapped").
-  expect_wire_error("apcc.job v4\nkind run\nmax-workers 4294967296\nend\n",
+  expect_wire_error(kJobLine + "kind run\nmax-workers 4294967296\nend\n",
                     "max-workers out of range", 3);
   expect_wire_error(
-      "apcc.job v4\nkind sweep\nworkload x\ntask label=a kc=4294967296\n"
+      kJobLine + "kind sweep\nworkload x\ntask label=a kc=4294967296\n"
       "end\n",
       "kc out of range", 4);
-  expect_wire_error("apcc.job v4\nkind run\npriority urgent\nend\n",
+  expect_wire_error(kJobLine + "kind run\npriority urgent\nend\n",
                     "unknown priority", 3);
   expect_wire_error(
-      "apcc.job v4\nkind sweep\nworkload x\ngrid bogus\nend\n",
+      kJobLine + "kind sweep\nworkload x\ngrid bogus\nend\n",
       "unknown grid", 4);
   expect_wire_error(
-      "apcc.job v4\nkind sweep\nworkload x\ntask label=a\ngrid strategy-k\n"
+      kJobLine + "kind sweep\nworkload x\ntask label=a\ngrid strategy-k\n"
       "end\n",
       "exclusive", 5);
   // A grid job record with no grid is the silent-zero-outcomes trap:
   // rejected at the wire layer (an in-process JobSpec keeps empty-grid
   // semantics; tests/serving/service_test.cpp pins those).
-  expect_wire_error("apcc.job v4\nkind sweep\nworkload x\nend\n",
+  expect_wire_error(kJobLine + "kind sweep\nworkload x\nend\n",
                     "needs 'task' lines or 'grid strategy-k'", 1);
-  expect_wire_error("apcc.job v4\nkind campaign\nworkload x\nend\n",
+  expect_wire_error(kJobLine + "kind campaign\nworkload x\nend\n",
                     "needs 'task' lines or 'grid strategy-k'", 1);
   // ...and a campaign with no workloads (the old bare-`campaign`
   // batch line meant "whole suite"; a record spells them out).
   expect_wire_error(
-      "apcc.job v4\nkind campaign\ngrid strategy-k\nend\n",
+      kJobLine + "kind campaign\ngrid strategy-k\nend\n",
       "at least one 'workload' line", 1);
   // Structural validation is positioned too (the record header line).
-  expect_wire_error("apcc.job v4\nkind run\nend\n", "exactly one workload",
+  expect_wire_error(kJobLine + "kind run\nend\n", "exactly one workload",
                     1);
   expect_wire_error(
-      "apcc.job v4\nkind run\nworkload x\ntask label=a\nend\n",
+      kJobLine + "kind run\nworkload x\ntask label=a\nend\n",
       "not a task grid", 1);
   // Comments and blank lines inside a record are skipped but counted.
   expect_wire_error(
-      "apcc.job v4\n\n# comment\nkind run\nbroken-key 1\nend\n",
+      kJobLine + "\n# comment\nkind run\nbroken-key 1\nend\n",
       "unknown key 'broken-key'", 5);
 }
 
@@ -365,31 +391,32 @@ TEST(Wire, ResultParsingIsStrict) {
           << e.what();
     }
   };
-  expect_result_error("apcc.job v4\nend\n", "expected 'apcc.result v4'");
-  expect_result_error("apcc.result v4\njob 1\nend\n", "missing 'status'");
-  expect_result_error("apcc.result v4\nstatus done\nend\n",
+  const std::string expected_header = "expected '" + kResultHeader + "'";
+  expect_result_error(kJobLine + "end\n", expected_header.c_str());
+  expect_result_error(kResultLine + "job 1\nend\n", "missing 'status'");
+  expect_result_error(kResultLine + "status done\nend\n",
                       "unknown status");
-  expect_result_error("apcc.result v4\nstatus error\nend\n",
+  expect_result_error(kResultLine + "status error\nend\n",
                       "missing 'error'");
-  expect_result_error("apcc.result v4\nstatus ok\nend\n", "missing 'kind'");
+  expect_result_error(kResultLine + "status ok\nend\n", "missing 'kind'");
   expect_result_error(
-      "apcc.result v4\nstatus ok\nkind run\nend\n", "exactly one 'run' line");
+      kResultLine + "status ok\nkind run\nend\n", "exactly one 'run' line");
   expect_result_error(
-      "apcc.result v4\nstatus error\nerror x\nkind run\nrun total-cycles=1\n"
+      kResultLine + "status error\nerror x\nkind run\nrun total-cycles=1\n"
       "end\n",
       "cannot carry a payload");
   // Every non-ok status refuses a payload, not just error.
   expect_result_error(
-      "apcc.result v4\nstatus cancelled\nkind run\nrun total-cycles=1\n"
+      kResultLine + "status cancelled\nkind run\nrun total-cycles=1\n"
       "end\n",
       "cannot carry a payload");
   expect_result_error(
-      "apcc.result v4\nstatus ok\nkind campaign\noutcome index=0 label=a\n"
+      kResultLine + "status ok\nkind campaign\noutcome index=0 label=a\n"
       "end\n",
       "follow a 'group' line");
   // ...while a bare lifecycle status (no error, no payload) is fine.
   const ResultRecord bare =
-      parse_result("apcc.result v4\njob 3\nstatus rejected\nend\n");
+      parse_result(kResultLine + "job 3\nstatus rejected\nend\n");
   EXPECT_EQ(bare.status, JobStatus::kRejected);
   EXPECT_FALSE(bare.ok());
   EXPECT_EQ(bare.error, "");
@@ -413,13 +440,13 @@ TEST(Wire, FieldEscapingRoundTrips) {
 TEST(Wire, RecordReaderSplitsStreamsAndPositions) {
   std::istringstream in(
       "# a comment between records\n"
-      "\n"
-      "apcc.job v4\n"
+      "\n" +
+      kJobLine +
       "kind run\n"
       "workload gsm-like\n"
       "end\n"
-      "\n"
-      "apcc.result v4\n"
+      "\n" +
+      kResultLine +
       "job 1\n"
       "status error\n"
       "error boom\n"
@@ -439,20 +466,20 @@ TEST(Wire, RecordReaderSplitsStreamsAndPositions) {
   EXPECT_EQ(record.error, "boom");
   EXPECT_FALSE(reader.next().has_value());
 
-  std::istringstream garbage("apcc.job v4\nkind run\n");
+  std::istringstream garbage(kJobLine + "kind run\n");
   RecordReader bad(garbage);
   EXPECT_THROW({ (void)bad.next(); }, WireError);
 
   // The unterminated-record snippet is the header line, intact even
   // when later (longer) body lines forced the line buffer to grow.
-  std::istringstream unterminated("apcc.job v4\nkind run\nclient " +
+  std::istringstream unterminated(kJobLine + "kind run\nclient " +
                                   std::string(512, 'x') + "\n");
   RecordReader dangling(unterminated);
   try {
     (void)dangling.next();
     FAIL() << "expected WireError";
   } catch (const WireError& e) {
-    EXPECT_EQ(e.snippet(), "apcc.job v4");
+    EXPECT_EQ(e.snippet(), kJobHeader);
     EXPECT_EQ(e.line(), 1u);
   }
 }

@@ -54,7 +54,7 @@
 // batch / serve job records are the versioned wire format -- see
 // docs/API.md for the full grammar. The minimal job is:
 //
-//   apcc.job v4
+//   apcc.job v<JobSpec::kWireVersion>
 //   kind run
 //   workload gsm-like
 //   end
@@ -176,7 +176,7 @@ constexpr const char* kToolVersion = "0.6.0";
       "\n"
       "batch files and the serve stdin stream hold wire format job\n"
       "records (docs/API.md):\n"
-      "  apcc.job v4\n"
+      "  " << serving::wire::kJobHeader << "\n"
       "  kind run|sweep|campaign\n"
       "  workload <name-or-path>      (repeatable for campaign)\n"
       "  priority high|normal|batch   (optional QoS)\n"
@@ -724,7 +724,8 @@ int cmd_batch(const std::string& path, const CliOptions& global) {
     wire_usage(path, e);
   }
   if (parsed.empty()) {
-    usage(path + ": no job records (expected 'apcc.job v4' ... 'end')");
+    usage(path + ": no job records (expected '" + serving::wire::kJobHeader +
+          "' ... 'end')");
   }
 
   // Phase 2: register workloads (input errors exit 2 here, still
