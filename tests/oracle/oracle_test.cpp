@@ -131,7 +131,8 @@ Outcome run_reference(const Subject& s, const sim::EngineConfig& config) {
 }
 
 /// All `cases` as one lockstep BatchEngine (width 1 for a single case).
-std::vector<Outcome> run_engine(const Subject& s, const std::vector<Case>& cases) {
+std::vector<Outcome> run_engine(const Subject& s,
+                                const std::vector<Case>& cases) {
   std::vector<sim::EngineConfig> configs;
   for (const Case& c : cases) configs.push_back(c.config);
   sim::BatchEngine engine(s.workload.cfg, *s.image, std::move(configs));
@@ -166,7 +167,8 @@ void expect_match(const Outcome& want, const Outcome& got) {
 
 /// Every case against the oracle, with the engine at width 1 and as one
 /// batch over all the cases. Returns the oracle's runs.
-std::vector<Outcome> check_cases(const Subject& s, const std::vector<Case>& cases) {
+std::vector<Outcome> check_cases(const Subject& s,
+                                 const std::vector<Case>& cases) {
   SCOPED_TRACE(s.name);
   const std::vector<Outcome> batched = run_engine(s, cases);
   std::vector<Outcome> oracle_runs;
