@@ -462,9 +462,9 @@ void task_line(std::string& out, const sweep::SweepTask& task) {
 }
 
 /// Parse one task line over `base` -- the record-level engine config
-/// (policy/costs/fit), so a record's `policy`/`costs`
-/// lines are the base every task inherits and task kvs override
-/// per cell (exactly what the `grid strategy-k` sugar expands over).
+/// (policy/costs/fit), so a record's `policy`/`costs` lines are the
+/// base every task inherits and task kvs override per cell (exactly
+/// what the `grid strategy-k` sugar expands over).
 sweep::SweepTask parse_task_kvs(std::string_view rest, std::size_t line,
                                 std::string_view snippet,
                                 const sim::EngineConfig& base) {

@@ -245,12 +245,15 @@ std::vector<Case> policy_grid(const Subject& s,
   return cases;
 }
 
-TEST(Oracle, MatchesEngineOnSeededRandomPrograms) {
-  for (const auto& program : small_programs()) {
-    (void)check_cases(*program, policy_grid(*program, {1u, 8u}, {1u, 2u}));
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+class OracleOnRandomProgram : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(OracleOnRandomProgram, MatchesEngineAcrossThePolicyGrid) {
+  const Subject& program = *small_programs()[GetParam()];
+  (void)check_cases(program, policy_grid(program, {1u, 8u}, {1u, 2u}));
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeded, OracleOnRandomProgram,
+                         ::testing::Range<std::size_t>(0, 3));
 
 TEST(Oracle, MatchesEngineOnAnArtifactChurnSizedProgram) {
   const Subject& s = churn_program();
