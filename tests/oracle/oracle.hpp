@@ -122,6 +122,9 @@ class Simulator {
   }
 
  private:
+  /// The paper defines no event log: which events exist, their order and
+  /// their timestamps follow the stream sim::EventKind documents, as
+  /// the engine's event sinks see it.
   void emit(sim::EventKind kind, std::uint64_t time, cfg::BlockId block,
             cfg::BlockId aux = cfg::kInvalidBlock, std::uint64_t value = 0) {
     events_.push_back(sim::Event{kind, time, block, aux, value});

@@ -1,10 +1,9 @@
 // StateTable / StateBatch tests: a seeded differential over a multi-cell
 // batch. After every random mutation, the victim queries must agree with
 // a full-table scan over the public accessors (the tie rules included),
-// and each
-// cell's counts, decompressed set and per-block fields must match a
-// shadow model of that cell alone -- so a lane never sees another lane's
-// writes.
+// and each cell's counts, decompressed set and per-block fields must
+// match a shadow model of that cell alone -- so a lane never sees
+// another lane's writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>

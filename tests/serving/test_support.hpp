@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/cell_reference.hpp"
+#include "common/same_run.hpp"
 #include "core/system.hpp"
 #include "serving/service.hpp"
 #include "workloads/suite.hpp"
@@ -132,32 +133,7 @@ inline std::vector<sweep::SweepTask> test_grid() {
 }
 
 inline void expect_identical(const sim::RunResult& x, const sim::RunResult& y) {
-  EXPECT_EQ(x.total_cycles, y.total_cycles);
-  EXPECT_EQ(x.baseline_cycles, y.baseline_cycles);
-  EXPECT_EQ(x.busy_cycles, y.busy_cycles);
-  EXPECT_EQ(x.stall_cycles, y.stall_cycles);
-  EXPECT_EQ(x.exception_cycles, y.exception_cycles);
-  EXPECT_EQ(x.critical_decompress_cycles, y.critical_decompress_cycles);
-  EXPECT_EQ(x.patch_cycles, y.patch_cycles);
-  EXPECT_EQ(x.block_entries, y.block_entries);
-  EXPECT_EQ(x.exceptions, y.exceptions);
-  EXPECT_EQ(x.demand_decompressions, y.demand_decompressions);
-  EXPECT_EQ(x.predecompressions, y.predecompressions);
-  EXPECT_EQ(x.predecompress_hits, y.predecompress_hits);
-  EXPECT_EQ(x.predecompress_partial, y.predecompress_partial);
-  EXPECT_EQ(x.wasted_predecompressions, y.wasted_predecompressions);
-  EXPECT_EQ(x.deletions, y.deletions);
-  EXPECT_EQ(x.evictions, y.evictions);
-  EXPECT_EQ(x.patches, y.patches);
-  EXPECT_EQ(x.unpatches, y.unpatches);
-  EXPECT_EQ(x.dropped_requests, y.dropped_requests);
-  EXPECT_EQ(x.decomp_helper_busy_cycles, y.decomp_helper_busy_cycles);
-  EXPECT_EQ(x.comp_helper_busy_cycles, y.comp_helper_busy_cycles);
-  EXPECT_EQ(x.original_image_bytes, y.original_image_bytes);
-  EXPECT_EQ(x.compressed_area_bytes, y.compressed_area_bytes);
-  EXPECT_EQ(x.peak_occupancy_bytes, y.peak_occupancy_bytes);
-  EXPECT_EQ(x.avg_occupancy_bytes, y.avg_occupancy_bytes);
-  EXPECT_EQ(x.codec_ratio, y.codec_ratio);
+  testref::expect_same_result(x, y);
 }
 
 inline void expect_identical(const sweep::SweepOutcome& a,
