@@ -1,8 +1,5 @@
 #include "net/framer.hpp"
 
-#include <sstream>
-#include <utility>
-
 #include "support/strings.hpp"
 
 namespace apcc::net {
@@ -11,46 +8,26 @@ using serving::wire::RawRecord;
 using serving::wire::WireError;
 
 void RecordFramer::feed(std::string_view bytes) {
+  // An open record's lines stay buffered: they become its text, copied
+  // once, when its 'end' arrives. Outside a record record_start_ is
+  // unused, so it is 0 afterwards either way.
+  const std::size_t consumed = record_first_line_ != 0 ? record_start_ : pos_;
+  buffer_.erase(0, consumed);
+  pos_ -= consumed;
+  record_start_ = 0;
   buffer_.append(bytes.data(), bytes.size());
 }
 
-std::optional<std::string> RecordFramer::take_line() {
-  const std::size_t nl = buffer_.find('\n');
-  if (nl == std::string::npos) {
-    if (buffer_.size() > options_.max_record_bytes) {
-      throw WireError("line exceeds the record size limit (" +
-                          std::to_string(options_.max_record_bytes) +
-                          " bytes)",
-                      line_ + 1, buffer_.substr(0, 64));
-    }
-    return std::nullopt;
-  }
-  std::string line = buffer_.substr(0, nl);
-  buffer_.erase(0, nl + 1);
-  ++line_;
-  return line;
-}
-
 std::optional<RawRecord> RecordFramer::next() {
-  for (;;) {
-    std::optional<std::string> line = take_line();
-    if (!line) {
-      if (finished_) {
-        if (record_first_line_ != 0) {
-          throw WireError("unterminated record (missing 'end')",
-                          record_first_line_, record_.substr(0, 64));
-        }
-        if (!buffer_.empty()) {
-          throw WireError("stream ends mid-line (no trailing newline)",
-                          line_ + 1, buffer_.substr(0, 64));
-        }
-      }
-      return std::nullopt;
-    }
-    const std::string_view content = trim(*line);
+  const std::string_view buffer(buffer_);
+  for (std::size_t nl = buffer.find('\n', pos_); nl != std::string_view::npos;
+       nl = buffer.find('\n', pos_)) {
+    const std::size_t start = pos_;
+    pos_ = nl + 1;
+    ++line_;
+    const std::string_view content = trim(buffer.substr(start, nl - start));
     if (record_first_line_ == 0) {
-      // Between records: skip separators, demand a known header --
-      // the same three rules RecordReader::next applies.
+      // Between records: skip separators, demand a known header.
       if (content.empty() || content[0] == '#') continue;
       if (!starts_with(content, "apcc.job") &&
           !starts_with(content, "apcc.result")) {
@@ -58,34 +35,42 @@ std::optional<RawRecord> RecordFramer::next() {
             "expected an 'apcc.job' or 'apcc.result' record header", line_,
             std::string(content));
       }
+      record_start_ = start;
       record_first_line_ = line_;
       record_is_result_ = starts_with(content, "apcc.result");
-      record_.clear();
     }
-    record_ += *line;
-    record_ += '\n';
-    if (record_.size() > options_.max_record_bytes) {
+    if (pos_ - record_start_ > options_.max_record_bytes) {
       throw WireError("record exceeds the size limit (" +
                           std::to_string(options_.max_record_bytes) +
                           " bytes)",
-                      record_first_line_, record_.substr(0, 64));
+                      record_first_line_,
+                      std::string(buffer.substr(record_start_, 64)));
     }
-    if (trim(*line) != "end") continue;
-
-    // A complete record: run it through the real RecordReader so the
-    // socket path shares the stdin path's framing code exactly (the
-    // reader re-checks the header and the 'end' we just found), then
-    // rebase its slice-relative first_line onto this stream's.
-    std::istringstream slice(record_);
-    serving::wire::RecordReader reader(slice);
-    std::optional<RawRecord> record = reader.next();
-    APCC_CHECK(record.has_value() && record->is_result == record_is_result_,
-               "framer/reader disagreement on a complete record");
-    record->first_line = record_first_line_;
-    record_.clear();
+    if (content != "end") continue;
+    RawRecord record{
+        std::string(buffer.substr(record_start_, pos_ - record_start_)),
+        record_first_line_, record_is_result_};
     record_first_line_ = 0;
     return record;
   }
+
+  const std::string_view tail = buffer.substr(pos_);
+  if (tail.size() > options_.max_record_bytes) {
+    throw WireError("line exceeds the record size limit (" +
+                        std::to_string(options_.max_record_bytes) + " bytes)",
+                    line_ + 1, std::string(tail.substr(0, 64)));
+  }
+  if (finished_ && !tail.empty()) {
+    throw WireError("stream ends mid-line (no trailing newline)", line_ + 1,
+                    std::string(tail.substr(0, 64)));
+  }
+  if (finished_ && record_first_line_ != 0) {
+    const std::size_t header_end = buffer.find('\n', record_start_);
+    throw WireError("unterminated record (missing 'end')", record_first_line_,
+                    std::string(trim(buffer.substr(
+                        record_start_, header_end - record_start_))));
+  }
+  return std::nullopt;
 }
 
 void RecordFramer::finish() {

@@ -1,21 +1,19 @@
-// RecordFramer: the length-tolerant per-connection framing stage
-// between raw socket reads and the wire codec.
+// RecordFramer: the one framing stage between raw bytes and the wire
+// codec. Sockets, the stdin/stdout session and job files all cut their
+// records here.
 //
-// TCP delivers byte chunks at arbitrary boundaries; serving::wire's
-// RecordReader wants a stream it can getline() from. The framer
-// bridges the two without inventing a second grammar: feed() buffers
-// whatever read() produced, next() cuts one *complete* record's text
-// (header line through its "end" line, exactly RecordReader's framing
-// rules: blank and '#'-comment lines between records are skipped, a
-// record opens with an apcc.job/apcc.result header) -- and then hands
-// that text to the real serving::wire::RecordReader, so the socket
-// path parses byte-for-byte like the stdin path. The chunked-input
-// differential in tests pins exactly that: any split of a stream into
-// feed() chunks yields the same records as one whole-stream read.
+// Bytes arrive in chunks at arbitrary boundaries: feed() buffers
+// whatever read() produced, and next() cuts one *complete* record's
+// text, header line through its "end" line. The framing rules: blank
+// and '#'-comment lines between records are skipped, a record opens
+// with an apcc.job/apcc.result header, and every line -- the last one
+// included -- ends in '\n'. The chunked-input differential in tests
+// pins that any split of a stream into feed() chunks yields the same
+// records as the whole stream fed at once.
 //
-// Absolute line numbers are tracked across the connection's lifetime,
-// so a WireError from record 400 points at the 400th record's real
-// line, not line 1 of its slice.
+// Absolute line numbers are tracked across the stream's lifetime, so a
+// WireError from record 400 points at the 400th record's real line,
+// not line 1 of its slice.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +36,7 @@ class RecordFramer {
  public:
   explicit RecordFramer(FramerOptions options = {}) : options_(options) {}
 
-  /// Append raw socket bytes (any chunking, including one byte at a
-  /// time).
+  /// Append raw bytes (any chunking, including one byte at a time).
   void feed(std::string_view bytes);
 
   /// The next complete record, or nullopt until more bytes arrive.
@@ -48,12 +45,12 @@ class RecordFramer {
   /// -- after finish() -- a truncated one.
   [[nodiscard]] std::optional<serving::wire::RawRecord> next();
 
-  /// The peer half-closed its write side: no more bytes will ever
-  /// arrive. Marks the stream; keep calling next() -- it drains any
-  /// still-buffered complete records, then throws WireError if the
-  /// stream ended mid-line or mid-record (a truncated record is a
-  /// protocol error, exactly like RecordReader's missing-'end' case).
-  /// A clean end-of-stream -- between records, last line terminated --
+  /// No more bytes will ever arrive (the peer half-closed, or the file
+  /// is all fed). Marks the stream; keep calling next() -- it drains
+  /// any still-buffered complete records, then throws WireError if the
+  /// stream ended mid-line ("stream ends mid-line") or mid-record
+  /// ("unterminated record", snippet: the record's header line). A
+  /// clean end-of-stream -- between records, last line terminated --
   /// just yields nullopt.
   void finish();
 
@@ -61,13 +58,12 @@ class RecordFramer {
   [[nodiscard]] std::size_t line() const { return line_; }
 
  private:
-  /// Consume one complete line (without its '\n') from buffer_;
-  /// nullopt when no full line is buffered yet.
-  [[nodiscard]] std::optional<std::string> take_line();
-
   FramerOptions options_;
-  std::string buffer_;       // bytes fed, not yet cut into lines
-  std::string record_;       // lines of the record being assembled
+  /// Bytes fed and not yet dropped. Lines are consumed by offset and
+  /// the consumed prefix is dropped once per feed(), never per line.
+  std::string buffer_;
+  std::size_t pos_ = 0;           // start of the first unconsumed line
+  std::size_t record_start_ = 0;  // the open record's header offset
   std::size_t record_first_line_ = 0;  // 0 = not inside a record
   bool record_is_result_ = false;
   std::size_t line_ = 0;

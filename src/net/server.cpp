@@ -1,5 +1,6 @@
 #include "net/server.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -15,27 +16,70 @@ namespace apcc::net {
 
 namespace {
 
-/// Session-fatal framing diagnostics carry the connection-absolute
-/// line, in the same shape cmd_serve's stdin diagnostics use.
-std::string framing_message(const serving::wire::WireError& error) {
-  return "tcp:" + std::to_string(error.line()) + ": " + error.what();
+/// How long the listener stays out of poll() after accept() ran out of
+/// fds or memory, unless a session closes first.
+constexpr std::chrono::milliseconds kAcceptBackoff{100};
+
+/// Record-level and framing diagnostics carry the stream-absolute line,
+/// in the same shape apcc_cli's file diagnostics use.
+std::string wire_message(bool socket, const serving::wire::WireError& error) {
+  return (socket ? "tcp:" : "stdin:") + std::to_string(error.line()) + ": " +
+         error.what();
 }
+
+/// The self-pipe pool threads nudge. Both ends nonblocking: the IO
+/// thread drains without stalling, and a pool thread's nudge into a
+/// full pipe just returns EAGAIN (the pipe being full already
+/// guarantees a wakeup).
+void open_wake_pipe(Fd& read_end, Fd& write_end) {
+  int pipe_fds[2] = {-1, -1};
+  APCC_CHECK(::pipe(pipe_fds) == 0,
+             std::string("pipe: ") + std::strerror(errno));
+  read_end = Fd(pipe_fds[0]);
+  write_end = Fd(pipe_fds[1]);
+  set_nonblocking(read_end.get());
+  set_nonblocking(write_end.get());
+}
+
+/// Restores each fd's file-status flags, as they were when the guard
+/// was made, when the scope ends -- return or throw. All are read
+/// before any is changed, so fds sharing one open file description
+/// restore the same value.
+class FileFlagsGuard {
+ public:
+  explicit FileFlagsGuard(const std::vector<int>& fds) {
+    for (const int fd : fds) {
+      const int flags = ::fcntl(fd, F_GETFL, 0);
+      APCC_CHECK(flags >= 0,
+                 std::string("fcntl(F_GETFL): ") + std::strerror(errno));
+      saved_.emplace_back(fd, flags);
+    }
+  }
+  ~FileFlagsGuard() {
+    for (const auto& [fd, flags] : saved_) (void)::fcntl(fd, F_SETFL, flags);
+  }
+  FileFlagsGuard(const FileFlagsGuard&) = delete;
+  FileFlagsGuard& operator=(const FileFlagsGuard&) = delete;
+
+ private:
+  std::vector<std::pair<int, int>> saved_;  // (fd, flags)
+};
 
 }  // namespace
 
 Server::Server(serving::Service& service, ServerOptions options)
     : service_(service), options_(std::move(options)) {
   listen_ = listen_tcp(options_.host, options_.port, &port_);
-  int pipe_fds[2] = {-1, -1};
-  APCC_CHECK(::pipe(pipe_fds) == 0,
-             std::string("pipe: ") + std::strerror(errno));
-  wake_read_ = Fd(pipe_fds[0]);
-  wake_write_ = Fd(pipe_fds[1]);
-  // Both ends nonblocking: the IO thread drains without stalling, and
-  // a pool thread's nudge into a full pipe just returns EAGAIN (the
-  // pipe being full already guarantees a wakeup).
-  set_nonblocking(wake_read_.get());
-  set_nonblocking(wake_write_.get());
+  open_wake_pipe(wake_read_, wake_write_);
+}
+
+Server::Server(serving::Service& service, ServerOptions options, int in_fd,
+               int out_fd)
+    : service_(service),
+      options_(std::move(options)),
+      borrowed_fds_{in_fd, out_fd} {
+  open_wake_pipe(wake_read_, wake_write_);
+  add_session(Fd(), in_fd, out_fd);
 }
 
 Server::~Server() {
@@ -77,17 +121,31 @@ void Server::begin_drain() {
   service_.shutdown();
 }
 
+void Server::add_session(Fd socket, int in_fd, int out_fd) {
+  const std::uint64_t id = ++next_session_;
+  Session session;
+  // The fd pair's untagged records keep an empty tag: `client -`.
+  if (socket.valid()) session.tag = "conn-" + std::to_string(id);
+  session.socket = std::move(socket);
+  session.in_fd = in_fd;
+  session.out_fd = out_fd;
+  session.id = id;
+  session.framer = RecordFramer(FramerOptions{options_.max_record_bytes});
+  sessions_.emplace(id, std::move(session));
+}
+
 void Server::accept_ready() {
   for (;;) {
-    Fd client = accept_client(listen_.get());
+    bool exhausted = false;
+    Fd client = accept_client(listen_.get(), &exhausted);
+    if (exhausted) {
+      // The pending connection stays readable on the listener; polling
+      // it now would spin. Sessions closing (or the backoff) resume.
+      accept_paused_until_ = std::chrono::steady_clock::now() + kAcceptBackoff;
+    }
     if (!client.valid()) return;
-    const std::uint64_t id = ++next_session_;
-    Session session;
-    session.fd = std::move(client);
-    session.id = id;
-    session.tag = "conn-" + std::to_string(id);
-    session.framer = RecordFramer(FramerOptions{options_.max_record_bytes});
-    sessions_.emplace(id, std::move(session));
+    const int fd = client.get();
+    add_session(std::move(client), fd, fd);
   }
 }
 
@@ -97,8 +155,8 @@ void Server::submit_record(Session& session,
   slot.seq = ++session.seq;
   slot.client = session.tag;
   if (raw.is_result) {
-    // Same non-fatal contract as stdin serve: the slot becomes a
-    // status-error record and the session keeps going.
+    // Not fatal: the slot becomes a status-error record and the
+    // session keeps going.
     slot.error = "expected a job record, got a result record";
   } else {
     try {
@@ -117,7 +175,7 @@ void Server::submit_record(Session& session,
       handle.on_ready([this, sid] { notify_ready(sid); });
       slot.handle = std::move(handle);
     } catch (const serving::wire::WireError& e) {
-      slot.error = framing_message(e);
+      slot.error = wire_message(session.socket.valid(), e);
     } catch (const std::exception& e) {
       slot.error = e.what();
     }
@@ -137,29 +195,27 @@ void Server::pump_records(Session& session) {
     Slot slot;
     slot.seq = ++session.seq;
     slot.client = session.tag;
-    slot.error = framing_message(e);
+    slot.error = wire_message(session.socket.valid(), e);
     session.inflight.push_back(std::move(slot));
     session.read_done = true;
+    // The fd pair is the whole server: run() rethrows once it closed.
+    if (!session.socket.valid()) framing_error_ = std::current_exception();
   }
 }
 
 bool Server::read_ready(Session& session) {
+  // One read per wakeup, framed and submitted before the next: a
+  // regular-file stdin (always readable) streams in bounded memory.
   char buf[16384];
-  for (;;) {
-    const ssize_t n = ::recv(session.fd.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      session.framer.feed(std::string_view(buf, static_cast<size_t>(n)));
-      continue;
-    }
-    if (n == 0) {
-      // Peer half-close (shutdown(SHUT_WR)) or full close: no more
-      // jobs from this session; results for accepted ones still flow.
-      session.read_done = true;
-      session.framer.finish();
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
+  const ssize_t n = ::read(session.in_fd, buf, sizeof(buf));
+  if (n > 0) {
+    session.framer.feed(std::string_view(buf, static_cast<size_t>(n)));
+  } else if (n == 0) {
+    // EOF (a TCP peer's shutdown(SHUT_WR) or close): no more jobs from
+    // this session; results for accepted ones still flow.
+    session.read_done = true;
+    session.framer.finish();
+  } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
     return false;  // connection reset: nobody left to answer
   }
   pump_records(session);
@@ -201,8 +257,13 @@ void Server::collect_finished(Session& session) {
 
 bool Server::write_ready(Session& session) {
   while (!session.out.empty()) {
-    const ssize_t n = ::send(session.fd.get(), session.out.data(),
-                             session.out.size(), MSG_NOSIGNAL);
+    // Sockets never raise SIGPIPE; the borrowed stdout does, like any
+    // filter's.
+    const ssize_t n =
+        session.socket.valid()
+            ? ::send(session.out_fd, session.out.data(), session.out.size(),
+                     MSG_NOSIGNAL)
+            : ::write(session.out_fd, session.out.data(), session.out.size());
     if (n > 0) {
       session.out.erase(0, static_cast<size_t>(n));
       continue;
@@ -229,11 +290,20 @@ void Server::drop_session(std::uint64_t id) {
     if (slot.handle.valid() && !slot.handle.ready()) slot.handle.cancel();
   }
   sessions_.erase(it);
+  accept_paused_until_.reset();  // a closed socket frees an fd
 }
 
 void Server::run() {
+  // fds 0/1 share their open file description with the parent shell:
+  // O_NONBLOCK lasts only as long as run().
+  const FileFlagsGuard restore_flags(borrowed_fds_);
+  for (const int fd : borrowed_fds_) set_nonblocking(fd);
   std::vector<pollfd> fds;
   std::vector<std::uint64_t> owners;  // 0 = wake pipe / listener
+  const auto watch = [&](int fd, short events, std::uint64_t owner) {
+    fds.push_back(pollfd{fd, events, 0});
+    owners.push_back(owner);
+  };
   for (;;) {
     if (!draining_ &&
         (stop_requested_.load(std::memory_order_relaxed) ||
@@ -251,29 +321,33 @@ void Server::run() {
         }
       }
       for (const std::uint64_t id : finished) drop_session(id);
-      if (sessions_.empty()) return;
+    }
+    // A TCP server runs until its drain closes the listener; the fd
+    // pair, until its one session closed.
+    if (!listen_.valid() && sessions_.empty()) break;
+    if (accept_paused_until_ &&
+        std::chrono::steady_clock::now() >= *accept_paused_until_) {
+      accept_paused_until_.reset();
     }
 
     fds.clear();
     owners.clear();
-    fds.push_back(pollfd{wake_read_.get(), POLLIN, 0});
-    owners.push_back(0);
-    if (!draining_ && listen_.valid()) {
-      fds.push_back(pollfd{listen_.get(), POLLIN, 0});
-      owners.push_back(0);
+    watch(wake_read_.get(), POLLIN, 0);
+    if (!draining_ && listen_.valid() && !accept_paused_until_) {
+      watch(listen_.get(), POLLIN, 0);
     }
+    // One entry per side, even when both are one socket. A session
+    // waiting only on job completions has none: the self-pipe wakes us
+    // for it.
     for (auto& [id, session] : sessions_) {
-      short events = 0;
-      if (!draining_ && !session.read_done) events |= POLLIN;
-      if (!session.out.empty()) events |= POLLOUT;
-      // A session waiting only on job completions has no events: the
-      // self-pipe wakes us for it.
-      if (events == 0) continue;
-      fds.push_back(pollfd{session.fd.get(), events, 0});
-      owners.push_back(id);
+      if (!draining_ && !session.read_done) watch(session.in_fd, POLLIN, id);
+      if (!session.out.empty()) watch(session.out_fd, POLLOUT, id);
     }
 
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1);
+    const int timeout_ms =
+        accept_paused_until_ ? static_cast<int>(kAcceptBackoff.count()) : -1;
+    const int rc =
+        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) continue;  // signal: re-check interrupted()
       APCC_CHECK(false, std::string("poll: ") + std::strerror(errno));
@@ -305,19 +379,16 @@ void Server::run() {
         continue;
       }
       const auto it = sessions_.find(owners[i]);
-      if (it == sessions_.end()) continue;  // dropped by the pipe pass
+      if (it == sessions_.end()) continue;  // dropped by an earlier pass
+      // Readable, writable, or POLLERR/POLLHUP on that side: the read
+      // or write call reports which.
       Session& session = it->second;
-      bool alive = true;
-      if ((fds[i].revents & (POLLIN | POLLERR | POLLHUP)) != 0 &&
-          !session.read_done) {
-        alive = read_ready(session);
-      }
-      if (alive && (fds[i].revents & POLLOUT) != 0) {
-        alive = write_ready(session);
-      }
+      const bool alive = fds[i].events == POLLIN ? read_ready(session)
+                                                 : write_ready(session);
       if (!alive || done_sending(session)) drop_session(owners[i]);
     }
   }
+  if (framing_error_) std::rethrow_exception(framing_error_);
 }
 
 }  // namespace apcc::net

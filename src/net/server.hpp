@@ -1,27 +1,30 @@
-// net::Server -- the concurrent TCP front door over serving::Service.
+// net::Server -- the one serve session loop over serving::Service, on
+// two transports.
 //
-// `apcc_cli serve --listen <port>` promotes the stdin/stdout wire
-// stream to a socket: any number of clients connect, each connection
-// is one *session* speaking exactly the stdin protocol -- wire job
-// records in, wire result records out -- with the same statuses
-// (ok / error / rejected / cancelled / deadline-exceeded) unchanged on
-// the wire. Structure:
+// `apcc_cli serve` runs one session over stdin/stdout (the fd-pair
+// constructor); `apcc_cli serve --listen <port>` runs one session per
+// TCP connection. A session speaks the same protocol either way --
+// wire job records in, wire result records out -- with the same
+// statuses (ok / error / rejected / cancelled / deadline-exceeded),
+// ordering, error records and drain. Structure:
 //
 //  * **One IO thread.** run() owns a poll() loop over the listener,
-//    every session socket, and a self-pipe. All session state is
-//    touched only from that thread; the only cross-thread structure is
-//    the completion queue the self-pipe drains. (TSan runs the whole
-//    loopback suite; keeping the server single-threaded is what makes
-//    that cheap.) Sockets are nonblocking throughout -- a slow client
-//    never stalls the loop, let alone another client.
+//    every session fd, and a self-pipe. All session state is touched
+//    only from that thread; the only cross-thread structure is the
+//    completion queue the self-pipe drains. (TSan runs the whole
+//    loopback and pipe suite; keeping the server single-threaded is
+//    what makes that cheap.) Session fds are nonblocking throughout --
+//    a slow client never stalls the loop, let alone another client.
+//    Every read() is framed and submitted before the next, so a
+//    regular-file stdin streams in bounded memory.
 //  * **Per-session ordering.** Each session numbers its jobs 1,2,...
 //    in arrival order and emits exactly one result record per job *in
 //    that order*, each the moment its job retires (and every earlier
-//    record is out) -- the stdin contract, per connection. Jobs from
-//    different sessions interleave freely: ordering is a session
-//    property, never a server-wide barrier.
+//    record is out). Jobs from different sessions interleave freely:
+//    ordering is a session property, never a server-wide barrier.
 //  * **Per-client submission contexts.** A record that carries no
-//    client tag inherits the session's tag ("conn-<n>"), so admission
+//    client tag inherits the session's tag ("conn-<n>" on TCP, empty
+//    on the fd pair, which echoes as `client -`), so admission
 //    (ServiceLimits::max_queued_per_client) and the pool's weighted
 //    fair share see one tenant per connection by default; an explicit
 //    `client` line overrides (several connections may share a tenant).
@@ -32,27 +35,34 @@
 //    of finished jobs. No thread ever blocks in wait().
 //  * **Errors.** A record that parses but cannot run (unknown
 //    workload, invalid spec) occupies its slot with a `status error`
-//    record -- the session keeps going, exactly like stdin serve. A
-//    *framing* error (garbage between records, oversized or truncated
-//    record) is fatal to that session only: one final `status error`
-//    record explains it, accepted jobs still deliver their results,
-//    then the server closes the connection. Disconnects cancel the
-//    session's unfinished jobs (nobody is left to read the results).
+//    record and the session keeps going. A *framing* error (garbage
+//    between records, oversized or truncated record, a last line
+//    without '\n') ends that session's reads: one final `status error`
+//    record explains it (`tcp:<line>:` / `stdin:<line>:`), accepted
+//    jobs still deliver their results, then the session closes. A TCP
+//    server keeps serving other connections; the fd-pair run() then
+//    rethrows the WireError. Disconnects cancel the session's
+//    unfinished jobs (nobody is left to read the results).
+//  * **Fd exhaustion.** When accept() runs out of fds or memory, the
+//    listener is left out of poll() until a session closes or a short
+//    backoff passes; pending connections wait in the backlog.
 //  * **Drain.** request_stop() -- or the interrupted() hook, polled
 //    after every wakeup so a SIGTERM'd poll() reacts immediately --
 //    stops accept and reads, drains the service (in-flight jobs
-//    finish, still-queued ones resolve cancelled -- the stdin SIGTERM
-//    semantics, over live sockets), flushes every session's remaining
-//    records, then run() returns. Every accepted job gets exactly one
-//    record.
+//    finish, still-queued ones resolve cancelled), flushes every
+//    session's remaining records, then run() returns. Every accepted
+//    job gets exactly one record.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,7 +74,7 @@ namespace apcc::net {
 
 struct ServerOptions {
   /// IPv4 dotted quad to bind; loopback by default (exposing the front
-  /// door beyond the host is an explicit decision).
+  /// door beyond the host is an explicit decision). TCP only.
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
@@ -83,21 +93,36 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// Binds and listens immediately (throws CheckError on failure);
-  /// serving starts when run() is called.
+  /// The TCP front door. Binds and listens immediately (throws
+  /// CheckError on failure); serving starts when run() is called.
   Server(serving::Service& service, ServerOptions options);
+
+  /// One session over an open fd pair -- `apcc_cli serve`'s stdin and
+  /// stdout. No listener; options.host/port are unused. The fds are
+  /// borrowed, never closed. run() makes them nonblocking and restores
+  /// their original file-status flags before it returns or throws
+  /// (fds 0/1 share their open file description with the parent
+  /// shell). Output goes through write(), so a closed stdout raises
+  /// SIGPIPE like any filter's; signal dispositions are the caller's.
+  Server(serving::Service& service, ServerOptions options, int in_fd,
+         int out_fd);
+
   ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// The bound port (the kernel's pick when options.port was 0).
+  /// The bound port (the kernel's pick when options.port was 0; 0 for
+  /// the fd pair).
   [[nodiscard]] std::uint16_t port() const { return port_; }
   /// "host:port", as printed by `serve --listen`.
   [[nodiscard]] std::string address() const;
 
-  /// Serve until a graceful drain completes. Blocking: the calling
-  /// thread becomes the IO thread. Call once.
+  /// Serve until a graceful drain completes -- or, on the fd pair,
+  /// until its session has nothing more to send. Blocking: the calling
+  /// thread becomes the IO thread. Call once. On the fd pair, a
+  /// framing error is rethrown as its serving::wire::WireError after
+  /// the session's final error record is written.
   void run();
 
   /// Begin the graceful drain from any thread (idempotent,
@@ -117,25 +142,30 @@ class Server {
     std::string error;
   };
 
-  /// One connection's state. Only the IO thread touches it.
+  /// One session's state. Only the IO thread touches it.
   struct Session {
-    Fd fd;
+    Fd socket;  // the TCP connection; empty for the borrowed fd pair
+    int in_fd = -1;
+    int out_fd = -1;  // == in_fd on a socket
     std::uint64_t id = 0;
-    std::string tag;  // default client tag: "conn-<id>"
+    std::string tag;  // default client tag
     RecordFramer framer;
     std::uint64_t seq = 0;  // per-session submission sequence numbers
     std::deque<Slot> inflight;
     std::string out;  // serialized records not yet written
-    /// Read side is done: peer half-closed (shutdown(SHUT_WR)) or a
+    /// Read side is done: EOF (a TCP peer's shutdown(SHUT_WR)) or a
     /// fatal framing error. Remaining slots still resolve and flush;
-    /// the fd closes once nothing is left to send.
+    /// the session closes once nothing is left to send.
     bool read_done = false;
   };
 
+  /// Open the session that `socket` (or, when empty, the borrowed
+  /// in_fd/out_fd pair) carries.
+  void add_session(Fd socket, int in_fd, int out_fd);
   void accept_ready();
-  /// Drain readable bytes into the session's framer and submit every
-  /// complete record. Returns false when the session died (peer reset)
-  /// and must be dropped.
+  /// One read() into the session's framer, then submit every complete
+  /// record and flush what is ready. Returns false when the session
+  /// died (read error, peer reset) and must be dropped.
   [[nodiscard]] bool read_ready(Session& session);
   /// Cut and submit records the framer has complete. A framing error
   /// appends one final `status error` slot and marks the read side
@@ -160,6 +190,13 @@ class Server {
   const ServerOptions options_;
   Fd listen_;
   std::uint16_t port_ = 0;
+  /// The fd pair's in/out fds, whose flags run() saves and restores.
+  std::vector<int> borrowed_fds_;
+  /// The fd pair's framing error, rethrown once its session closed.
+  std::exception_ptr framing_error_;
+  /// Set while accept() is out of fds or memory: the listener stays out
+  /// of poll() until a session closes or this time passes.
+  std::optional<std::chrono::steady_clock::time_point> accept_paused_until_;
   Fd wake_read_;
   Fd wake_write_;
   std::atomic<bool> stop_requested_{false};

@@ -76,13 +76,20 @@ Fd listen_tcp(const std::string& host, std::uint16_t port,
   return fd;
 }
 
-Fd accept_client(int listen_fd) {
+Fd accept_client(int listen_fd, bool* exhausted) {
   const int fd = ::accept(listen_fd, nullptr, nullptr);
   if (fd < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
         errno == ECONNABORTED) {
       // Nothing usable right now -- an aborted handshake is a
       // non-event, not a server error.
+      return Fd();
+    }
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+        errno == ENOMEM) {
+      // Out of fds or memory: a condition of the moment (sessions
+      // closing free both), not a reason to stop serving the others.
+      if (exhausted != nullptr) *exhausted = true;
       return Fd();
     }
     fail_errno("accept");

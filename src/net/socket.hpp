@@ -50,10 +50,13 @@ class Fd {
                             std::uint16_t* bound_port);
 
 /// One nonblocking accept on `listen_fd`: the connection (already
-/// nonblocking, with TCP_NODELAY set) or an empty Fd when no connection
-/// is pending (EAGAIN/EWOULDBLOCK). Throws CheckError on real accept
-/// failures.
-[[nodiscard]] Fd accept_client(int listen_fd);
+/// nonblocking, with TCP_NODELAY set) or an empty Fd when none can be
+/// taken now. That covers no pending connection (EAGAIN/EWOULDBLOCK)
+/// and, setting `*exhausted` when given, the process or system running
+/// out of fds or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM): the
+/// connection stays in the backlog until the caller retries. Throws
+/// CheckError on other accept failures.
+[[nodiscard]] Fd accept_client(int listen_fd, bool* exhausted = nullptr);
 
 /// O_NONBLOCK on an existing fd. Throws CheckError on failure.
 void set_nonblocking(int fd);

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <functional>
-#include <istream>
 #include <limits>
 #include <map>
 #include <set>
@@ -967,44 +966,6 @@ ResultRecord parse_result(std::string_view text, std::size_t first_line) {
              header->text);
       }
       break;
-  }
-  return record;
-}
-
-// ------------------------------------------------------------ streams
-
-std::optional<RawRecord> RecordReader::next() {
-  std::string line;
-  std::string_view content;
-  // Skip blank / comment separators between records.
-  for (;;) {
-    if (!std::getline(in_, line)) return std::nullopt;
-    ++line_;
-    content = trim(line);
-    if (!content.empty() && content[0] != '#') break;
-  }
-
-  RawRecord record;
-  record.first_line = line_;
-  if (starts_with(content, "apcc.result")) {
-    record.is_result = true;
-  } else if (!starts_with(content, "apcc.job")) {
-    fail("expected an 'apcc.job' or 'apcc.result' record header", line_,
-         content);
-  }
-  record.text = line;
-  record.text += '\n';
-  // Copied, not viewed: `line` is reused (and may reallocate) while the
-  // record body is read, and the header is this error's snippet.
-  const std::string header(content);
-  for (;;) {
-    if (!std::getline(in_, line)) {
-      fail("unterminated record (missing 'end')", record.first_line, header);
-    }
-    ++line_;
-    record.text += line;
-    record.text += '\n';
-    if (trim(line) == "end") break;
   }
   return record;
 }

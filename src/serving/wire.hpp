@@ -71,7 +71,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -148,29 +147,14 @@ struct ResultRecord {
 
 // ------------------------------------------------------------ streams
 
-/// One raw record cut out of a stream: the exact text from its header
-/// line through its "end" line, where it started, and which header it
-/// carried. Feed `text`/`first_line` to parse_job / parse_result.
+/// One raw record cut out of a stream by net::RecordFramer: the exact
+/// text from its header line through its "end" line, where it started,
+/// and which header it carried. Feed `text`/`first_line` to parse_job /
+/// parse_result.
 struct RawRecord {
   std::string text;
   std::size_t first_line = 0;
   bool is_result = false;
-};
-
-/// Splits a stream into records: skips blank and '#'-comment lines
-/// between records, requires every record to open with a known header
-/// and close with "end". Throws WireError (absolute line numbers) on
-/// anything else.
-class RecordReader {
- public:
-  explicit RecordReader(std::istream& in) : in_(in) {}
-
-  /// The next record, or nullopt at clean EOF.
-  [[nodiscard]] std::optional<RawRecord> next();
-
- private:
-  std::istream& in_;
-  std::size_t line_ = 0;
 };
 
 // -------------------------------------------------- field encoding

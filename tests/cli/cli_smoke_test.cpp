@@ -32,6 +32,7 @@ using apcc::testref::kResultLine;
 
 constexpr const char* kCliPath = APCC_CLI_PATH;
 constexpr const char* kDataDir = APCC_CLI_DATA_DIR;
+constexpr const char* kWireDataDir = APCC_WIRE_DATA_DIR;
 
 /// The fixed to_csv header (core/csv.hpp): scripts parse on it.
 constexpr const char* kCsvHeader =
@@ -111,6 +112,16 @@ std::vector<std::string> lines_of(const std::string& text) {
 std::size_t count_fields(const std::string& line) {
   return static_cast<std::size_t>(
              std::count(line.begin(), line.end(), ',')) + 1;
+}
+
+std::size_t count_occurrences(const std::string& text,
+                              const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size())) {
+    ++count;
+  }
+  return count;
 }
 
 TEST(CliSmoke, SimReportsTheWorkload) {
@@ -511,6 +522,96 @@ TEST(CliSmoke, ServeEmitsResultsWhileStdinIsStillOpen) {
   std::remove(jobfile.c_str());
 }
 
+TEST(CliSmoke, ServeOverStdinMatchesBatchWireByteForByte) {
+  // One session loop, one framer: the stdin session and batch --wire
+  // emit the same stream for the same job file.
+  const std::string golden = std::string(kWireDataDir) + "/jobs_mixed.wire";
+  const auto served = run_cli("serve --workers 4 < " + golden);
+  const auto batched = run_cli("batch " + golden + " --wire --workers 4");
+  ASSERT_EQ(served.exit_code, 0);
+  ASSERT_EQ(batched.exit_code, 0);
+  EXPECT_FALSE(served.output.empty());
+  EXPECT_EQ(served.output, batched.output);
+}
+
+TEST(CliSmoke, ServeStdinFramingErrorWritesAFinalRecordAndExitsOne) {
+  // A framing error on stdin: accepted jobs deliver, one final status
+  // error record says where, then a positioned diagnostic and exit 1.
+  const std::string jobfile =
+      ::testing::TempDir() + "/apcc_smoke_serve_garbage.wire";
+  {
+    std::ofstream out(jobfile);
+    out << kJobLine << "kind run\nworkload " << workload_path() << "\nend\n"
+        << "not a record header\n";  // line 5
+  }
+  const auto result = run_shell(std::string(kCliPath) + " serve < " +
+                                jobfile + " 2>&1 >/dev/null; echo \"exit=$?\"");
+  ASSERT_EQ(result.exit_code, 0);
+  EXPECT_NE(result.output.find("error: stdin:5: expected an 'apcc.job' or "
+                               "'apcc.result' record header"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("exit=1"), std::string::npos) << result.output;
+  const auto stdout_only = run_shell(std::string(kCliPath) + " serve < " +
+                                     jobfile + " 2>/dev/null");
+  EXPECT_EQ(stdout_only.exit_code, 1);
+  EXPECT_EQ(count_occurrences(stdout_only.output, kResultLine), 2u)
+      << stdout_only.output;
+  const std::string last =
+      stdout_only.output.substr(stdout_only.output.rfind(kResultLine));
+  EXPECT_EQ(last, kResultLine +
+                      "job 2\nclient -\nstatus error\nerror "
+                      "stdin:5:%20expected%20an%20'apcc.job'%20or%20'apcc."
+                      "result'%20record%20header\nend\n");
+  std::remove(jobfile.c_str());
+}
+
+TEST(CliSmoke, ServeStdinBoundsRecordsLikeSocketsButBatchDoesNot) {
+  // A stdin record gets the sockets' 1 MiB framing bound; a job file is
+  // bounded only by its own size.
+  const std::string jobfile =
+      ::testing::TempDir() + "/apcc_smoke_big_record.wire";
+  {
+    std::ofstream out(jobfile);
+    out << kJobLine << "kind run\nworkload " << workload_path() << "\n";
+    const std::string comment = "# " + std::string(98, 'x') + "\n";
+    for (int i = 0; i < 11000; ++i) out << comment;  // 1.1 MB
+    out << "end\n";
+  }
+  const auto served = run_shell(std::string(kCliPath) + " serve < " +
+                                jobfile + " 2>&1 >/dev/null; echo \"exit=$?\"");
+  EXPECT_NE(served.output.find("error: stdin:1: record exceeds the size "
+                               "limit (1048576 bytes)"),
+            std::string::npos)
+      << served.output;
+  EXPECT_NE(served.output.find("exit=1"), std::string::npos) << served.output;
+  const auto batched = run_cli("batch " + jobfile + " --wire");
+  EXPECT_EQ(batched.exit_code, 0);
+  EXPECT_EQ(count_occurrences(batched.output, "status ok"), 1u);
+  std::remove(jobfile.c_str());
+}
+
+TEST(CliSmoke, BatchRejectsAFileWithoutItsFinalNewline) {
+  // The socket rule for every path: the last line must end in '\n'. The
+  // diagnostic names the unterminated line, not a missing 'end'.
+  const std::string jobfile =
+      ::testing::TempDir() + "/apcc_smoke_no_final_newline.wire";
+  {
+    std::ofstream out(jobfile);
+    out << kJobLine << "kind run\nworkload " << workload_path() << "\nend";
+  }
+  const auto result = run_cli_stderr("batch " + jobfile);
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find(jobfile +
+                               ":4: stream ends mid-line (no trailing "
+                               "newline)"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("  4 | end"), std::string::npos)
+      << result.output;
+  std::remove(jobfile.c_str());
+}
+
 TEST(CliSmoke, WireRoundtripIsAFixedPoint) {
   const std::string jobfile =
       ::testing::TempDir() + "/apcc_smoke_roundtrip.wire";
@@ -547,16 +648,6 @@ TEST(CliSmoke, VersionPrintsToolAndWireVersion) {
   // Exactly-one-line contract, scripts parse it.
   EXPECT_EQ(lines_of(result.output).size(), 1u);
   EXPECT_EQ(run_cli("version --csv").exit_code, 1);
-}
-
-std::size_t count_occurrences(const std::string& text,
-                              const std::string& needle) {
-  std::size_t count = 0;
-  for (std::size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size())) {
-    ++count;
-  }
-  return count;
 }
 
 TEST(CliSmoke, ServeMaxQueuedRejectsOverloadAsRecords) {

@@ -1,17 +1,17 @@
 // RecordFramer differentials: a wire stream fed to the framer in
 // chunks of ANY size -- one byte at a time, odd sizes, whole-stream --
-// must yield exactly the records serving::wire::RecordReader cuts from
-// the same bytes in one pass (same text, same absolute first_line,
-// same header kind). Plus the framing error surface the socket path
-// adds: garbage between records, oversized lines/records, and streams
-// truncated mid-line or mid-record at finish().
+// must yield exactly the records the whole-string reference split
+// (tests/common/record_split.hpp) cuts from the same bytes (same text,
+// same absolute first_line, same header kind). Plus the framing error
+// surface: garbage between records, oversized lines/records, and
+// streams truncated mid-line or mid-record at finish().
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/record_split.hpp"
 #include "net/framer.hpp"
 #include "serving/wire.hpp"
 
@@ -19,7 +19,6 @@ namespace apcc::net {
 namespace {
 
 using serving::wire::RawRecord;
-using serving::wire::RecordReader;
 using serving::wire::WireError;
 
 /// A small but representative stream: records separated by blank and
@@ -44,15 +43,6 @@ std::string sample_stream() {
   text += "task label=a strategy=on-demand kc=1 kd=1\n";
   text += "end\n";
   return text;
-}
-
-/// Reference: one whole-stream RecordReader pass.
-std::vector<RawRecord> read_reference(const std::string& text) {
-  std::istringstream in(text);
-  RecordReader reader(in);
-  std::vector<RawRecord> records;
-  while (auto record = reader.next()) records.push_back(*record);
-  return records;
 }
 
 /// Framer under test: feed `text` in `chunk`-sized pieces, draining
@@ -83,7 +73,7 @@ void expect_same(const std::vector<RawRecord>& want,
 
 TEST(RecordFramer, AnyChunkingMatchesWholeStreamRecordReader) {
   const std::string text = sample_stream();
-  const auto want = read_reference(text);
+  const auto want = testref::split_records(text);
   ASSERT_EQ(want.size(), 3u);
   EXPECT_FALSE(want[0].is_result);
   EXPECT_TRUE(want[1].is_result);
@@ -157,6 +147,20 @@ TEST(RecordFramer, UnterminatedLastLineThrowsAtFinish) {
   EXPECT_FALSE(framer.next().has_value());
   framer.finish();
   EXPECT_THROW((void)framer.next(), WireError);
+
+  // A record whose 'end' lacks its newline ends mid-line, at that
+  // line: the tail is reported before the record it leaves open.
+  RecordFramer open_record;
+  open_record.feed(serving::wire::kJobHeader + "\nkind run\nend");
+  open_record.finish();
+  try {
+    (void)open_record.next();
+    FAIL() << "expected WireError";
+  } catch (const WireError& e) {
+    EXPECT_STREQ(e.what(), "stream ends mid-line (no trailing newline)");
+    EXPECT_EQ(e.line(), 3u);
+    EXPECT_EQ(e.snippet(), "end");
+  }
 }
 
 TEST(RecordFramer, CleanEofYieldsNulloptForever) {

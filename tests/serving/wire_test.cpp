@@ -8,15 +8,13 @@
 // JobSpec::kWireVersion deliberately.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <fstream>
-#include <istream>
 #include <sstream>
-#include <streambuf>
 #include <string>
 #include <vector>
 
 #include "common/wire_headers.hpp"
+#include "net/framer.hpp"
 #include "serving/wire.hpp"
 #include "support/assert.hpp"
 
@@ -437,8 +435,18 @@ TEST(Wire, FieldEscapingRoundTrips) {
   EXPECT_THROW((void)unescape_field("trunc%2"), apcc::CheckError);
 }
 
-TEST(Wire, RecordReaderSplitsStreamsAndPositions) {
-  std::istringstream in(
+/// Every record a framer yields once `text` is fed whole and finished.
+std::vector<RawRecord> frame_all(const std::string& text) {
+  net::RecordFramer framer;
+  framer.feed(text);
+  framer.finish();
+  std::vector<RawRecord> records;
+  while (auto record = framer.next()) records.push_back(std::move(*record));
+  return records;
+}
+
+TEST(Wire, FramerSplitsStreamsAndPositions) {
+  const auto records = frame_all(
       "# a comment between records\n"
       "\n" +
       kJobLine +
@@ -451,100 +459,30 @@ TEST(Wire, RecordReaderSplitsStreamsAndPositions) {
       "status error\n"
       "error boom\n"
       "end\n");
-  RecordReader reader(in);
-  const auto first = reader.next();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_FALSE(first->is_result);
-  EXPECT_EQ(first->first_line, 3u);
-  const JobSpec spec = parse_job(first->text, first->first_line);
+  ASSERT_EQ(records.size(), 2u);
+  const RawRecord& first = records[0];
+  EXPECT_FALSE(first.is_result);
+  EXPECT_EQ(first.first_line, 3u);
+  const JobSpec spec = parse_job(first.text, first.first_line);
   EXPECT_EQ(spec.workloads, std::vector<std::string>{"gsm-like"});
-  const auto second = reader.next();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(second->is_result);
-  EXPECT_EQ(second->first_line, 8u);
-  const ResultRecord record = parse_result(second->text, second->first_line);
+  const RawRecord& second = records[1];
+  EXPECT_TRUE(second.is_result);
+  EXPECT_EQ(second.first_line, 8u);
+  const ResultRecord record = parse_result(second.text, second.first_line);
   EXPECT_EQ(record.error, "boom");
-  EXPECT_FALSE(reader.next().has_value());
 
-  std::istringstream garbage(kJobLine + "kind run\n");
-  RecordReader bad(garbage);
-  EXPECT_THROW({ (void)bad.next(); }, WireError);
+  EXPECT_THROW({ (void)frame_all(kJobLine + "kind run\n"); }, WireError);
 
   // The unterminated-record snippet is the header line, intact even
-  // when later (longer) body lines forced the line buffer to grow.
-  std::istringstream unterminated(kJobLine + "kind run\nclient " +
-                                  std::string(512, 'x') + "\n");
-  RecordReader dangling(unterminated);
+  // when later (longer) body lines followed it.
   try {
-    (void)dangling.next();
+    (void)frame_all(kJobLine + "kind run\nclient " + std::string(512, 'x') +
+                    "\n");
     FAIL() << "expected WireError";
   } catch (const WireError& e) {
     EXPECT_EQ(e.snippet(), kJobHeader);
     EXPECT_EQ(e.line(), 1u);
   }
-}
-
-/// A streambuf that surfaces at most `chunk` bytes per underflow --
-/// the delivery shape a socket produces, where getline() must cross
-/// buffer refills mid-line.
-class ChunkedBuf : public std::streambuf {
- public:
-  ChunkedBuf(std::string text, std::size_t chunk)
-      : text_(std::move(text)), chunk_(chunk) {}
-
- protected:
-  int_type underflow() override {
-    if (pos_ >= text_.size()) return traits_type::eof();
-    const std::size_t n = std::min(chunk_, text_.size() - pos_);
-    char* base = text_.data() + pos_;
-    setg(base, base, base + n);
-    pos_ += n;
-    return traits_type::to_int_type(*base);
-  }
-
- private:
-  std::string text_;
-  std::size_t chunk_;
-  std::size_t pos_ = 0;
-};
-
-TEST(Wire, RecordReaderIsChunkingInvariant) {
-  // The stream split into records must not depend on how the bytes
-  // arrive: a reader fed 1..7 bytes per refill yields exactly the
-  // records (text, absolute line, header kind) of a whole-string pass.
-  const std::string text =
-      "# comment\n\n" + kJobHeader +
-      "\nkind run\nworkload gsm-like\nend\n\n" + kResultHeader +
-      "\njob 1\nstatus error\nerror boom\nend\n# trailing\n" + kJobHeader +
-      "\nkind sweep\nworkload gsm-like\n"
-      "task label=a strategy=on-demand kc=1 kd=1\nend\n";
-  std::istringstream whole(text);
-  RecordReader reference(whole);
-  std::vector<RawRecord> want;
-  while (auto record = reference.next()) want.push_back(*record);
-  ASSERT_EQ(want.size(), 3u);
-
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{3}, std::size_t{7}}) {
-    SCOPED_TRACE("chunk=" + std::to_string(chunk));
-    ChunkedBuf buf(text, chunk);
-    std::istream in(&buf);
-    RecordReader reader(in);
-    std::vector<RawRecord> got;
-    while (auto record = reader.next()) got.push_back(*record);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].text, want[i].text);
-      EXPECT_EQ(got[i].first_line, want[i].first_line);
-      EXPECT_EQ(got[i].is_result, want[i].is_result);
-    }
-  }
-
-  // Truncation is detected identically under chunked delivery.
-  ChunkedBuf truncated(kJobHeader + "\nkind run\n", 2);
-  std::istream in(&truncated);
-  RecordReader reader(in);
-  EXPECT_THROW({ (void)reader.next(); }, WireError);
 }
 
 TEST(Wire, GoldenFilesAreFixedPoints) {
@@ -565,18 +503,16 @@ TEST(Wire, GoldenFilesAreFixedPoints) {
     ASSERT_TRUE(file.good()) << "missing golden " << path;
     std::ostringstream raw;
     raw << file.rdbuf();
-    std::istringstream stream(raw.str());
-    RecordReader reader(stream);
     std::string round_tripped;
     bool first = true;
-    while (const auto record = reader.next()) {
+    for (const RawRecord& record : frame_all(raw.str())) {
       if (!first) round_tripped += '\n';
       first = false;
-      round_tripped += record->is_result
+      round_tripped += record.is_result
                            ? serialize_result(
-                                 parse_result(record->text, record->first_line))
+                                 parse_result(record.text, record.first_line))
                            : serialize_job(
-                                 parse_job(record->text, record->first_line));
+                                 parse_job(record.text, record.first_line));
     }
     EXPECT_FALSE(first) << "no records in " << path;
     EXPECT_EQ(round_tripped, raw.str()) << name;

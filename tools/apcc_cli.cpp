@@ -24,23 +24,21 @@
 //                                every job submitted before the first is
 //                                waited on; --wire emits results as wire
 //                                records for machine consumption
-//   serve [options]              the remote front door: read job records
-//                                from stdin, stream result records to
-//                                stdout (in submission order). --max-queued
-//                                bounds admission (over-limit jobs get a
-//                                `status rejected` record); SIGINT/SIGTERM
-//                                drains gracefully -- in-flight jobs
-//                                finish, queued jobs resolve `status
-//                                cancelled`, and every accepted job still
-//                                gets exactly one result record.
-//                                --listen PORT serves the same protocol
-//                                over TCP instead: one session per
-//                                connection, per-session result ordering,
-//                                untagged jobs inherit the connection's
-//                                client tag ("conn-<n>"), and the same
-//                                drain semantics over live sockets. The
-//                                stdin/stdout mode stays the golden/human
-//                                path
+//   serve [options]              the remote front door: one net::Server
+//                                session reads job records from stdin and
+//                                streams result records to stdout (in
+//                                submission order). --max-queued bounds
+//                                admission (over-limit jobs get a `status
+//                                rejected` record); SIGINT/SIGTERM drains
+//                                gracefully -- in-flight jobs finish,
+//                                queued jobs resolve `status cancelled`,
+//                                and every accepted job still gets exactly
+//                                one result record. --listen PORT runs the
+//                                same session loop over TCP instead: one
+//                                session per connection, untagged jobs
+//                                inherit the connection's client tag
+//                                ("conn-<n>"), the same ordering, errors
+//                                and drain over live sockets
 //   wire-roundtrip <file>        parse every record in a wire file and
 //                                re-serialize it canonically (the CI
 //                                golden round-trip gate)
@@ -110,17 +108,15 @@
 //
 // Exit code 0 on success, 1 on usage errors (including malformed wire
 // records and contradictory grid options), 2 on input errors.
-#include <condition_variable>
+#include <unistd.h>
+
 #include <csignal>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cfg/builder.hpp"
@@ -130,6 +126,7 @@
 #include "isa/assembler.hpp"
 #include "isa/disasm.hpp"
 #include "isa/interpreter.hpp"
+#include "net/framer.hpp"
 #include "net/server.hpp"
 #include "serving/service.hpp"
 #include "serving/wire.hpp"
@@ -137,10 +134,10 @@
 #include "sweep/sweep.hpp"
 
 /// Graceful-drain flag for `serve`: set by SIGINT/SIGTERM. The handlers
-/// are installed *without* SA_RESTART so the blocking stdin read fails
-/// with EINTR instead of resuming -- the read loop then observes the
-/// flag and drains. (File scope, C linkage constraints: signal handlers
-/// cannot touch anything else here.)
+/// are installed *without* SA_RESTART, so the server's blocking poll()
+/// fails with EINTR instead of resuming -- its interrupted() hook then
+/// observes the flag and drains. (File scope, C linkage constraints:
+/// signal handlers cannot touch anything else here.)
 namespace {
 volatile std::sig_atomic_t g_serve_shutdown = 0;
 }
@@ -223,6 +220,16 @@ std::string read_file(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// A whole wire file fed to the framer the sessions use, finished, and
+/// bounded by the file's own size: files get no record size limit.
+net::RecordFramer frame_file(const std::string& path) {
+  const std::string text = read_file(path);
+  net::RecordFramer framer(net::FramerOptions{text.size()});
+  framer.feed(text);
+  framer.finish();
+  return framer;
 }
 
 compress::CodecKind parse_codec(const std::string& name) {
@@ -710,9 +717,8 @@ int cmd_batch(const std::string& path, const CliOptions& global) {
   // before a Service exists or any job is in flight.
   std::vector<serving::JobSpec> parsed;
   try {
-    std::istringstream file(read_file(path));
-    serving::wire::RecordReader reader(file);
-    while (const auto record = reader.next()) {
+    net::RecordFramer framer = frame_file(path);
+    while (const auto record = framer.next()) {
       if (record->is_result) {
         throw serving::wire::WireError("expected a job record in a job file",
                                        record->first_line, "apcc.result ...");
@@ -823,12 +829,14 @@ int cmd_batch(const std::string& path, const CliOptions& global) {
 
 // ------------------------------------------------------------ serve mode
 
-/// The remote front door: a stream of wire job records on stdin, a
-/// stream of wire result records on stdout (submission order, flushed
-/// per record). Structural stream errors (an unreadable record) are
-/// fatal; a record that parses but fails -- unknown workload, invalid
-/// job, engine failure -- produces a `status error` result record and
-/// the server keeps going.
+/// The remote front door: one net::Server session over stdin/stdout,
+/// or one per TCP connection with --listen. Wire job records in, wire
+/// result records out (per-session submission order, each written as
+/// its job retires). A record that parses but fails -- unknown
+/// workload, invalid job, engine failure -- produces a `status error`
+/// result record and the session keeps going. A framing error on stdin
+/// writes one final error record after the accepted jobs' records, then
+/// exits 1 with a positioned diagnostic.
 int cmd_serve(const CliOptions& opts) {
   reject_job_config("serve", opts);
   if (opts.csv || opts.wire) {
@@ -840,8 +848,8 @@ int cmd_serve(const CliOptions& opts) {
   }
   // SIGINT/SIGTERM mean "drain": stop reading jobs, finish what was
   // accepted, emit every result record, exit 0. No SA_RESTART, so the
-  // blocking read below (stdin getline or the TCP poll) fails with
-  // EINTR and the loop sees the flag.
+  // server's poll() fails with EINTR and its interrupted() hook sees
+  // the flag.
   struct sigaction drain {};
   drain.sa_handler = apcc_cli_serve_signal;
   sigemptyset(&drain.sa_mask);
@@ -857,148 +865,33 @@ int cmd_serve(const CliOptions& opts) {
   serving::Service service(options);
   WorkloadDirectory directory(service);
 
-  if (opts.listen) {
-    // The TCP front door: same protocol, same statuses, one session
-    // per connection (net/server.hpp). The workload directory and the
-    // share-frontiers policy are applied per record by the prepare
-    // hook, exactly as the stdin loop below does inline.
-    net::ServerOptions server_options;
-    server_options.host = opts.host;
-    server_options.port = *opts.listen;
-    server_options.prepare = [&](serving::JobSpec& spec) {
-      spec.share_frontiers = spec.share_frontiers && opts.share_frontiers;
-      for (const std::string& ref : spec.workloads) {
-        (void)directory.id_for(ref);
-      }
-    };
-    server_options.interrupted = [] { return g_serve_shutdown != 0; };
-    net::Server server(service, std::move(server_options));
-    // The bound address on stderr (stdout stays a pure wire stream in
-    // both modes): how callers learn an ephemeral --listen 0 port.
-    std::cerr << "serve: listening on " << server.address() << std::endl;
-    server.run();
-    return 0;
-  }
-
-  /// One stream slot, in submission order. An invalid handle means the
-  /// job never reached the pool (parse/validation/registration error);
-  /// its error record still waits its turn so results stream strictly
-  /// in submission order.
-  struct Pending {
-    std::uint64_t seq = 0;
-    std::string client;
-    serving::JobHandle<serving::JobResult> handle;
-    std::string error;
-  };
-
-  // The reader (main) thread blocks in getline; a dedicated writer
-  // thread owns stdout and emits each slot the moment it retires, so a
-  // request/response client that sends one job and waits for its
-  // result before sending the next never deadlocks against our stdin
-  // read. (JobHandle::wait() is callable from any thread.)
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Pending> pending;
-  bool input_done = false;
-  std::thread writer([&] {
-    for (;;) {
-      Pending slot;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return !pending.empty() || input_done; });
-        if (pending.empty()) return;
-        slot = std::move(pending.front());
-        pending.pop_front();
-      }
-      serving::wire::ResultRecord record;
-      record.job = slot.seq;
-      record.client = slot.client;
-      if (slot.handle.valid()) {
-        try {
-          // Rejected / cancelled / deadline-exceeded come back as
-          // structured results (wait() only throws for kError).
-          const serving::JobResult& result = slot.handle.wait();
-          record.status = result.status;
-          if (result.ok()) {
-            record.result = result;
-          } else {
-            record.error = result.error;
-          }
-        } catch (const std::exception& e) {
-          record.status = serving::JobStatus::kError;
-          record.error = e.what();
-        }
-      } else {
-        record.status = serving::JobStatus::kError;
-        record.error = slot.error;
-      }
-      std::cout << serving::wire::serialize_result(record) << std::flush;
+  // Both transports: the workload directory and the share-frontiers
+  // policy apply per record through the prepare hook.
+  net::ServerOptions server_options;
+  server_options.prepare = [&](serving::JobSpec& spec) {
+    spec.share_frontiers = spec.share_frontiers && opts.share_frontiers;
+    for (const std::string& ref : spec.workloads) {
+      (void)directory.id_for(ref);
     }
-  });
-  const auto push = [&](Pending slot) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      pending.push_back(std::move(slot));
-    }
-    cv.notify_all();
   };
-  const auto finish = [&] {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      input_done = true;
-    }
-    cv.notify_all();
-    writer.join();
-  };
-
-  std::uint64_t seq = 0;
-  serving::wire::RecordReader reader(std::cin);
-  for (;;) {
-    if (g_serve_shutdown) break;
-    std::optional<serving::wire::RawRecord> record;
+  server_options.interrupted = [] { return g_serve_shutdown != 0; };
+  if (!opts.listen) {
+    net::Server server(service, std::move(server_options), STDIN_FILENO,
+                       STDOUT_FILENO);
     try {
-      record = reader.next();
+      server.run();
     } catch (const serving::wire::WireError& e) {
-      // A signal can interrupt getline mid-record, which surfaces as an
-      // unterminated record -- that is a drain, not a protocol error.
-      if (g_serve_shutdown) break;
-      // Structural stream error: drain what was already accepted, then
-      // report fatally.
-      finish();
       wire_usage("stdin", e);
     }
-    if (!record) break;
-    Pending slot;
-    slot.seq = ++seq;
-    if (record->is_result) {
-      slot.error = "expected a job record, got a result record";
-    } else {
-      try {
-        serving::JobSpec spec =
-            serving::wire::parse_job(record->text, record->first_line);
-        slot.client = spec.client;
-        spec.share_frontiers = spec.share_frontiers && opts.share_frontiers;
-        for (const std::string& ref : spec.workloads) {
-          (void)directory.id_for(ref);
-        }
-        slot.handle = service.submit(std::move(spec));
-      } catch (const serving::wire::WireError& e) {
-        slot.error =
-            "stdin:" + std::to_string(e.line()) + ": " + e.what();
-      } catch (const std::exception& e) {
-        slot.error = e.what();
-      }
-    }
-    push(std::move(slot));
+    return 0;
   }
-  if (g_serve_shutdown) {
-    // Orderly drain: stop admitting, let in-flight jobs finish, fail
-    // still-queued jobs as cancelled. Every accepted job's slot is
-    // already in the writer's queue, so each still emits exactly one
-    // record (ok or cancelled) before we exit.
-    service.shutdown();
-  }
-  finish();
+  server_options.host = opts.host;
+  server_options.port = *opts.listen;
+  net::Server server(service, std::move(server_options));
+  // The bound address on stderr (stdout stays a pure wire stream in
+  // both modes): how callers learn an ephemeral --listen 0 port.
+  std::cerr << "serve: listening on " << server.address() << std::endl;
+  server.run();
   return 0;
 }
 
@@ -1009,10 +902,9 @@ int cmd_serve(const CliOptions& opts) {
 /// golden files stay fixed points of serialize(parse(.)).
 int cmd_wire_roundtrip(const std::string& path) {
   try {
-    std::istringstream file(read_file(path));
-    serving::wire::RecordReader reader(file);
+    net::RecordFramer framer = frame_file(path);
     bool first = true;
-    while (const auto record = reader.next()) {
+    while (const auto record = framer.next()) {
       if (!first) std::cout << '\n';
       first = false;
       if (record->is_result) {
