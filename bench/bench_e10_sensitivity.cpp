@@ -28,8 +28,7 @@ void print_tables() {
       .cell("exceptions/1k entries");
   for (const auto codec :
        {compress::CodecKind::kSharedHuffman, compress::CodecKind::kLzss,
-        compress::CodecKind::kCodePack, compress::CodecKind::kFpc,
-        compress::CodecKind::kBdi, compress::CodecKind::kAdaptive}) {
+        compress::CodecKind::kCodePack}) {
     auto& row = table.row().cell(compress::codec_kind_name(codec));
     sim::RunResult last;
     for (const std::uint64_t fault_cost : {50u, 250u, 1000u}) {

@@ -6,7 +6,6 @@
 // memory/performance grid, which is the quantitative content the taxonomy
 // implies. Compression always uses the k-edge algorithm, as in the paper.
 #include "bench/bench_common.hpp"
-#include "compress/adaptive.hpp"
 #include "sweep/sweep.hpp"
 
 namespace {
@@ -49,38 +48,6 @@ void print_tables() {
                "docs/REPRODUCTION.md): the paper has pre-all favour\n"
                "performance and pre-single favour memory; under this\n"
                "cost regime pre-single is faster than pre-all at every k.\n\n";
-
-  // The same design-space points under the adaptive best-of codec:
-  // per-block selection changes the image (ratio) while the grid shape
-  // stays the paper's. The usage summary shows which codec family
-  // claimed the workload's blocks.
-  core::SystemConfig adaptive_config;
-  adaptive_config.codec = compress::CodecKind::kAdaptive;
-  const auto adaptive_system =
-      core::CodeCompressionSystem::from_workload(workload, adaptive_config);
-  std::vector<sweep::SweepTask> adaptive_tasks;
-  for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,
-                              runtime::DecompressionStrategy::kPreAll,
-                              runtime::DecompressionStrategy::kPreSingle}) {
-    sweep::SweepTask task;
-    task.label = std::string("adaptive/") +
-                 runtime::strategy_name(strategy) + "/k=2";
-    task.config = adaptive_system.engine_config();
-    task.config.policy.strategy = strategy;
-    task.config.policy.compress_k = 2;
-    task.config.policy.predecompress_k = 2;
-    adaptive_tasks.push_back(std::move(task));
-  }
-  std::vector<core::ReportRow> adaptive_rows;
-  for (auto& outcome : adaptive_system.run_sweep(adaptive_tasks)) {
-    adaptive_rows.push_back({std::move(outcome.label), outcome.result});
-  }
-  std::cout << core::render_comparison(adaptive_rows) << '\n';
-  const compress::AdaptiveCodec adaptive(workload.block_bytes);
-  std::cout << "adaptive image ratio: "
-            << compress::compression_ratio(adaptive, workload.block_bytes)
-            << '\n'
-            << compress::usage_summary(adaptive) << '\n';
 }
 
 void bm_strategy(benchmark::State& state) {

@@ -1,13 +1,9 @@
 #include "compress/codec.hpp"
 
 #include <cmath>
-#include <sstream>
 
-#include "compress/adaptive.hpp"
-#include "compress/bdi.hpp"
 #include "compress/codepack.hpp"
 #include "compress/fieldsplit.hpp"
-#include "compress/fpc.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lzss.hpp"
 #include "compress/null_codec.hpp"
@@ -39,11 +35,16 @@ const char* codec_kind_name(CodecKind kind) {
     case CodecKind::kLzss: return "lzss";
     case CodecKind::kCodePack: return "codepack";
     case CodecKind::kFieldSplit: return "field-split";
-    case CodecKind::kFpc: return "fpc";
-    case CodecKind::kBdi: return "bdi";
-    case CodecKind::kAdaptive: return "adaptive";
   }
   return "?";
+}
+
+std::span<const CodecKind> all_codec_kinds() {
+  static constexpr CodecKind kKinds[] = {
+      CodecKind::kNull,          CodecKind::kMtfRle, CodecKind::kHuffman,
+      CodecKind::kSharedHuffman, CodecKind::kLzss,   CodecKind::kCodePack,
+      CodecKind::kFieldSplit};
+  return kKinds;
 }
 
 std::unique_ptr<Codec> make_codec(CodecKind kind,
@@ -63,12 +64,6 @@ std::unique_ptr<Codec> make_codec(CodecKind kind,
       return std::make_unique<CodePackCodec>(training_blocks);
     case CodecKind::kFieldSplit:
       return std::make_unique<FieldSplitCodec>(training_blocks);
-    case CodecKind::kFpc:
-      return std::make_unique<FpcCodec>();
-    case CodecKind::kBdi:
-      return std::make_unique<BdiCodec>();
-    case CodecKind::kAdaptive:
-      return std::make_unique<AdaptiveCodec>(training_blocks);
   }
   APCC_ASSERT(false, "unknown codec kind");
 }
@@ -83,38 +78,6 @@ double compression_ratio(const Codec& codec, std::span<const Bytes> blocks) {
   return original == 0 ? 1.0
                        : static_cast<double>(compressed) /
                              static_cast<double>(original);
-}
-
-std::string usage_summary(const Codec& codec) {
-  std::ostringstream out;
-  if (const auto* fpc = dynamic_cast<const FpcCodec*>(&codec)) {
-    const auto counts = fpc->pattern_counts();
-    std::uint64_t total = 0;
-    for (const auto c : counts) total += c;
-    if (total == 0) return "";
-    out << "fpc pattern usage (" << total << " prefixes):";
-    for (std::size_t p = 0; p < FpcCodec::kNumPatterns; ++p) {
-      out << ' ' << FpcCodec::pattern_name(p) << '=' << counts[p];
-    }
-    out << '\n';
-  } else if (const auto* adaptive =
-                 dynamic_cast<const AdaptiveCodec*>(&codec)) {
-    const auto stats = adaptive->selection_stats();
-    std::uint64_t blocks = 0;
-    for (const auto& s : stats) blocks += s.wins;
-    if (blocks == 0) return "";
-    out << "adaptive selection (" << blocks << " blocks):";
-    for (const auto& s : stats) {
-      out << ' ' << codec_kind_name(s.kind) << '=' << s.wins;
-    }
-    out << '\n';
-    for (const auto& s : stats) {
-      if (s.wins == 0) continue;
-      out << "  " << codec_kind_name(s.kind) << ": " << s.input_bytes
-          << " -> " << s.output_bytes << " bytes\n";
-    }
-  }
-  return out.str();
 }
 
 }  // namespace apcc::compress

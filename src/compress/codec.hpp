@@ -1,7 +1,7 @@
 // Codec interface for basic-block compression.
 //
 // The paper is codec-agnostic ("several compression and decompression
-// strategies"); APCC ships five codecs spanning the classic code
+// strategies"); APCC ships seven codecs spanning the classic code
 // compression design space:
 //
 //   kNull          identity (baseline / plumbing tests)
@@ -15,13 +15,10 @@
 //                  classes + raw escape), trained over the image
 //   kFieldSplit    per-byte-lane canonical Huffman (instruction field
 //                  separation), trained over the image
-//   kFpc           frequent-pattern compression: 3-bit prefix per 32-bit
-//                  word (zero runs, sign-extended literals, repeated
-//                  halfwords, raw), word-at-a-time decode
-//   kBdi           base-delta-immediate: per-chunk base + packed narrow
-//                  deltas with a zero-immediate second base
-//   kAdaptive      per-block best-of meta-codec: 1-byte codec-id header
-//                  + the smallest candidate encoding (compress/adaptive.hpp)
+//
+// The first three are the seed-era baselines: none of them shrinks the
+// suite's code (bench_e4_codecs). docs/PERFORMANCE.md ("Pruned codecs")
+// records the data-line codecs that were measured and removed.
 //
 // Codecs carry a cycle cost model consumed by the simulator; costs scale
 // with the *original* byte count, matching how decompressors are bounded
@@ -31,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -83,28 +79,23 @@ enum class CodecKind : std::uint8_t {
   kLzss,
   kCodePack,
   kFieldSplit,
-  kFpc,
-  kBdi,
-  kAdaptive,
 };
 
 [[nodiscard]] const char* codec_kind_name(CodecKind kind);
 
+/// Every codec kind, in enum order: the one list that CLI name lookup,
+/// the benches and the "every codec" tests iterate.
+[[nodiscard]] std::span<const CodecKind> all_codec_kinds();
+
 /// Construct a codec. `training_blocks` is the set of byte strings the
 /// codec will later see (typically all basic blocks of the image); only
-/// the trained codecs (kSharedHuffman, kCodePack) consult it.
+/// the trained codecs (kSharedHuffman, kCodePack, kFieldSplit) consult
+/// it.
 [[nodiscard]] std::unique_ptr<Codec> make_codec(
     CodecKind kind, std::span<const Bytes> training_blocks = {});
 
 /// Sum of compressed sizes divided by sum of original sizes (< 1 is good).
 [[nodiscard]] double compression_ratio(const Codec& codec,
                                        std::span<const Bytes> blocks);
-
-/// Multi-line usage summary for codecs that track per-pattern or
-/// per-candidate statistics (FpcCodec's pattern counts, AdaptiveCodec's
-/// selection distribution -- populated by prior compress() calls, e.g.
-/// a compression_ratio() pass); empty string for every other codec.
-/// The fig3/e4 tables print this under their ratio rows.
-[[nodiscard]] std::string usage_summary(const Codec& codec);
 
 }  // namespace apcc::compress

@@ -76,8 +76,11 @@ enum class JobStatus : std::uint8_t {
 /// v5: removed the engine's two debug-path keys (full-table scans and
 /// the per-exit frontier BFS) at job and task level; the engine no
 /// longer has those paths (docs/API.md, "Migrating wire v4 -> v5").
+/// v6: removed the `fpc`, `bdi` and `adaptive` values of the job-level
+/// `codec` key; the library no longer has those codecs (docs/API.md,
+/// "Migrating wire v5 -> v6").
 struct JobSpec {
-  static constexpr int kWireVersion = 5;
+  static constexpr int kWireVersion = 6;
 
   JobKind kind = JobKind::kRun;
   /// Workload references ("@<id>" or a registered name). Exactly one

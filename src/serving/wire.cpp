@@ -143,12 +143,6 @@ const EnumName<compress::CodecKind> kCodecs[] = {
      compress::codec_kind_name(compress::CodecKind::kCodePack)},
     {compress::CodecKind::kFieldSplit,
      compress::codec_kind_name(compress::CodecKind::kFieldSplit)},
-    {compress::CodecKind::kFpc,
-     compress::codec_kind_name(compress::CodecKind::kFpc)},
-    {compress::CodecKind::kBdi,
-     compress::codec_kind_name(compress::CodecKind::kBdi)},
-    {compress::CodecKind::kAdaptive,
-     compress::codec_kind_name(compress::CodecKind::kAdaptive)},
 };
 
 const EnumName<runtime::DecompressionStrategy> kStrategies[] = {

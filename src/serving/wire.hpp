@@ -6,7 +6,7 @@
 // round-trip gate all speak exactly this format. Records are
 // line-oriented text:
 //
-//   apcc.job v5                      <- strict versioned header
+//   apcc.job v6                      <- strict versioned header
 //   kind sweep
 //   client bench-rig
 //   priority high
@@ -20,7 +20,7 @@
 //   task label=on-demand/k=1 strategy=on-demand kc=1 kd=1 ...
 //   end
 //
-//   apcc.result v5
+//   apcc.result v6
 //   job 1
 //   client bench-rig
 //   status ok
@@ -44,6 +44,10 @@
 // task lines (docs/API.md, "Migrating wire v4 -> v5"): a record that
 // carries either fails with "unknown key" at its line. Nothing else
 // changed.
+//
+// v6 removes three values of the job-level `codec` key -- fpc, bdi and
+// adaptive (docs/API.md, "Migrating wire v5 -> v6"): a record that names
+// one fails with "unknown codec" at its line. Nothing else changed.
 //
 // Contract:
 //  * **Strict**: the header must match byte-for-byte (a future schema

@@ -140,7 +140,7 @@ TEST(Fuzz, WireRecordMutantsAreRejectedOrFixedPoints) {
   const std::vector<RawRecord> records = golden_records();
   ASSERT_GE(records.size(), 10u);
   // Both removed engine keys, at record level and as task kvs: a client
-  // may still send them, and v5 must refuse every one.
+  // may still send them, and the wire must refuse every one.
   const std::vector<std::string> removed_keys = {
       "reference-scans 1", "reference-frontiers 1",
       "task label=x reference-scans=1",
@@ -249,12 +249,7 @@ TEST(Fuzz, EveryCodecSurvivesCorruptedStreams) {
     }
   }
   Rng rng(11);
-  for (const auto kind :
-       {compress::CodecKind::kNull, compress::CodecKind::kMtfRle,
-        compress::CodecKind::kHuffman, compress::CodecKind::kSharedHuffman,
-        compress::CodecKind::kLzss, compress::CodecKind::kCodePack,
-        compress::CodecKind::kFieldSplit, compress::CodecKind::kFpc,
-        compress::CodecKind::kBdi, compress::CodecKind::kAdaptive}) {
+  for (const auto kind : compress::all_codec_kinds()) {
     SCOPED_TRACE(compress::codec_kind_name(kind));
     const auto codec = compress::make_codec(kind, blocks);
     for (int i = 0; i < 400; ++i) {

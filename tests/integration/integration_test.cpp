@@ -3,6 +3,9 @@
 // the properties EXPERIMENTS.md reports quantitatively.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "baselines/baselines.hpp"
 #include "core/system.hpp"
 #include "workloads/random_program.hpp"
@@ -18,6 +21,12 @@ using runtime::DecompressionStrategy;
 const workloads::Workload& mpeg2() {
   static const workloads::Workload w =
       workloads::make_workload(workloads::WorkloadKind::kMpeg2Like);
+  return w;
+}
+
+const workloads::Workload& gsm() {
+  static const workloads::Workload w =
+      workloads::make_workload(workloads::WorkloadKind::kGsmLike);
   return w;
 }
 
@@ -172,18 +181,101 @@ TEST(Shapes, HoldsOnRandomProgramsToo) {
 }
 
 TEST(Shapes, CodecRatioOrderingPropagatesToFootprint) {
-  const auto& w = mpeg2();
-  std::vector<std::pair<compress::CodecKind, std::uint64_t>> footprints;
-  for (const auto kind :
-       {compress::CodecKind::kNull, compress::CodecKind::kMtfRle,
-        compress::CodecKind::kSharedHuffman}) {
+  // bench_e4_codecs' rows: every codec's ratio over all suite blocks
+  // (trained on them) and its gsm-like average saving at k_c = 2.
+  std::vector<compress::Bytes> suite_blocks;
+  for (const auto kind : workloads::all_workload_kinds()) {
+    const auto w = workloads::make_workload(kind);
+    suite_blocks.insert(suite_blocks.end(), w.block_bytes.begin(),
+                        w.block_bytes.end());
+  }
+  struct Row {
+    compress::CodecKind kind;
+    double ratio;
+    double avg_saving;
+  };
+  std::vector<Row> rows;
+  for (const auto kind : compress::all_codec_kinds()) {
     SystemConfig config;
     config.codec = kind;
-    const auto system = CodeCompressionSystem::from_workload(w, config);
-    footprints.emplace_back(kind, system.compressed_image_bytes());
+    config.policy.compress_k = 2;
+    rows.push_back(
+        {kind,
+         compress::compression_ratio(*compress::make_codec(kind, suite_blocks),
+                                     suite_blocks),
+         CodeCompressionSystem::from_workload(gsm(), config)
+             .run()
+             .avg_saving()});
   }
-  EXPECT_LT(footprints[2].second, footprints[0].second)
+  const auto ratio_of = [&rows](compress::CodecKind kind) {
+    return std::find_if(rows.begin(), rows.end(),
+                        [kind](const Row& r) { return r.kind == kind; })
+        ->ratio;
+  };
+  // Per-stream huffman pays a table per block and loses to the shared
+  // model; the three seed-era baselines do not shrink the suite's code.
+  EXPECT_GT(ratio_of(compress::CodecKind::kHuffman),
+            ratio_of(compress::CodecKind::kSharedHuffman));
+  for (const auto kind :
+       {compress::CodecKind::kNull, compress::CodecKind::kMtfRle,
+        compress::CodecKind::kHuffman}) {
+    EXPECT_GE(ratio_of(kind), 1.0) << compress::codec_kind_name(kind);
+  }
+  // A better ratio means more memory saving at the same k, strictly,
+  // over every codec.
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.ratio < b.ratio; });
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    const char* better = compress::codec_kind_name(rows[i - 1].kind);
+    const char* worse = compress::codec_kind_name(rows[i].kind);
+    EXPECT_LT(rows[i - 1].ratio, rows[i].ratio) << better << " vs " << worse;
+    EXPECT_GT(rows[i - 1].avg_saving, rows[i].avg_saving)
+        << better << " vs " << worse;
+  }
+
+  // On one kernel's own image too, the shared model undercuts the
+  // identity baseline.
+  SystemConfig null_config;
+  null_config.codec = compress::CodecKind::kNull;
+  SystemConfig shared_config;
+  shared_config.codec = compress::CodecKind::kSharedHuffman;
+  EXPECT_LT(CodeCompressionSystem::from_workload(mpeg2(), shared_config)
+                .compressed_image_bytes(),
+            CodeCompressionSystem::from_workload(mpeg2(), null_config)
+                .compressed_image_bytes())
       << "shared huffman image must undercut the null-codec image";
+}
+
+TEST(Shapes, SlowdownTracksExceptionCostAndCpi) {
+  // bench_e10_sensitivity (gsm-like, on-demand, k_c = 16): relative
+  // overhead shrinks as the fault cost drops or the core slows.
+  for (const auto codec :
+       {compress::CodecKind::kSharedHuffman, compress::CodecKind::kLzss,
+        compress::CodecKind::kCodePack}) {
+    double previous = 0.0;
+    for (const std::uint64_t fault_cost : {50u, 250u, 1000u}) {
+      SystemConfig config;
+      config.codec = codec;
+      config.policy.compress_k = 16;
+      config.costs.exception_cycles = fault_cost;
+      const double slowdown =
+          CodeCompressionSystem::from_workload(gsm(), config).run().slowdown();
+      EXPECT_GT(slowdown, previous)
+          << compress::codec_kind_name(codec) << " exception=" << fault_cost;
+      previous = slowdown;
+    }
+  }
+  double previous = std::numeric_limits<double>::infinity();
+  for (const double cpi : {1.0, 2.0, 4.0}) {
+    SystemConfig config;
+    config.codec = compress::CodecKind::kCodePack;
+    config.policy.compress_k = 16;
+    config.costs.cycles_per_instruction = cpi;
+    const double slowdown =
+        CodeCompressionSystem::from_workload(gsm(), config).run().slowdown();
+    EXPECT_LT(slowdown, previous) << "cpi=" << cpi;
+    previous = slowdown;
+  }
 }
 
 TEST(Shapes, ExceptionRateDropsWithPredecompressionDepth) {

@@ -25,11 +25,7 @@ TEST(BlockImage, BlockCountMatchesCfg) {
 }
 
 TEST(BlockImage, EveryBlockRoundTrips) {
-  for (const auto kind :
-       {compress::CodecKind::kSharedHuffman, compress::CodecKind::kLzss,
-        compress::CodecKind::kCodePack, compress::CodecKind::kMtfRle,
-        compress::CodecKind::kFpc, compress::CodecKind::kBdi,
-        compress::CodecKind::kAdaptive}) {
+  for (const auto kind : compress::all_codec_kinds()) {
     const BlockImage image = make_image(kind);
     for (cfg::BlockId b = 0; b < image.block_count(); ++b) {
       EXPECT_NO_THROW(image.verify_block(b)) << codec_kind_name(kind);

@@ -168,8 +168,7 @@ TEST(Service, RunResultIdenticalAcrossCodecs) {
   // different images, each matching the direct path for that codec.
   for (const auto codec :
        {compress::CodecKind::kSharedHuffman, compress::CodecKind::kLzss,
-        compress::CodecKind::kFpc, compress::CodecKind::kBdi,
-        compress::CodecKind::kAdaptive}) {
+        compress::CodecKind::kCodePack, compress::CodecKind::kFieldSplit}) {
     core::SystemConfig config;
     config.codec = codec;
     const auto direct = core::CodeCompressionSystem::from_workload(

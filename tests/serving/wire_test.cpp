@@ -218,18 +218,54 @@ TEST(Wire, EngineDebugKeysAreGoneInV5) {
                     "unknown key 'reference-frontiers'", 4);
 }
 
+TEST(Wire, EveryCodecNameRoundTrips) {
+  // The goldens name only some codecs: every kind the library keeps
+  // parses from its name and serializes back to the same record.
+  for (const compress::CodecKind kind : compress::all_codec_kinds()) {
+    const std::string name = compress::codec_kind_name(kind);
+    const std::string text = serialize_job(parse_job(
+        kJobLine + "kind run\nworkload gsm-like\ncodec " + name + "\nend\n"));
+    const JobSpec spec = parse_job(text);
+    EXPECT_EQ(spec.config.codec, kind) << name;
+    EXPECT_NE(text.find("\ncodec " + name + "\n"), std::string::npos)
+        << text;
+    EXPECT_EQ(serialize_job(spec), text) << name;
+  }
+}
+
+TEST(Wire, PrunedCodecsAreGoneInV6) {
+  // v5 named three more codecs; v6 rejects each at its line and lists
+  // the names it accepts.
+  for (const std::string name : {"fpc", "bdi", "adaptive"}) {
+    const std::string needle = "unknown codec '" + name + "'";
+    expect_wire_error(
+        kJobLine + "kind run\nworkload x\ncodec " + name + "\nend\n",
+        needle.c_str(), 4);
+  }
+  expect_wire_error(kJobLine + "kind run\nworkload x\ncodec fpc\nend\n",
+                    "(expected null|mtf-rle|huffman|huffman-shared|lzss|"
+                    "codepack|field-split)",
+                    4);
+}
+
 TEST(Wire, StrictParsingPositionsErrors) {
   expect_wire_error("apcc.job v1\nkind run\nend\n", "unsupported wire", 1);
   // Older records (v2: no deadline-ms; v3: no batch-cells; v4: the
-  // engine debug keys) are not silently accepted either: the header
-  // gate rejects anything but the current version.
+  // engine debug keys; v5: the fpc/bdi/adaptive codecs) are not
+  // silently accepted either: the header gate rejects anything but the
+  // current version.
   expect_wire_error("apcc.job v2\nkind run\nworkload x\nend\n",
                     "unsupported wire", 1);
   expect_wire_error("apcc.job v3\nkind run\nworkload x\nend\n",
                     "unsupported wire", 1);
   expect_wire_error("apcc.job v4\nkind run\nworkload x\nend\n",
                     "unsupported wire", 1);
+  expect_wire_error("apcc.job v5\nkind run\nworkload x\nend\n",
+                    "unsupported wire", 1);
   EXPECT_THROW((void)parse_result("apcc.result v4\njob 1\nstatus error\n"
+                                  "error x\nend\n"),
+               WireError);
+  EXPECT_THROW((void)parse_result("apcc.result v5\njob 1\nstatus error\n"
                                   "error x\nend\n"),
                WireError);
   expect_wire_error("bogus\n", "record header", 1);
@@ -495,7 +531,6 @@ TEST(Wire, GoldenFilesAreFixedPoints) {
       "result_run.wire",   "result_sweep.wire",  "result_campaign.wire",
       "result_error.wire", "result_rejected.wire",
       "result_cancelled.wire", "jobs_mixed.wire",
-      "job_pattern_codecs.wire",
   };
   for (const std::string& name : goldens) {
     const std::string path = std::string(APCC_WIRE_DATA_DIR) + "/" + name;

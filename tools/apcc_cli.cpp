@@ -66,7 +66,7 @@
 //
 // options:
 //   --codec null|mtf-rle|huffman|huffman-shared|lzss|codepack|
-//           field-split|fpc|bdi|adaptive
+//           field-split   (null, mtf-rle and huffman are the baselines)
 //   --strategy on-demand|pre-all|pre-single   (sim/run only)
 //   --predictor profile|static|oracle
 //   --kc N            compression-side k (default 2; sim/run only)
@@ -233,16 +233,9 @@ net::RecordFramer frame_file(const std::string& path) {
 }
 
 compress::CodecKind parse_codec(const std::string& name) {
-  if (name == "null") return compress::CodecKind::kNull;
-  if (name == "mtf-rle") return compress::CodecKind::kMtfRle;
-  if (name == "huffman") return compress::CodecKind::kHuffman;
-  if (name == "huffman-shared") return compress::CodecKind::kSharedHuffman;
-  if (name == "lzss") return compress::CodecKind::kLzss;
-  if (name == "codepack") return compress::CodecKind::kCodePack;
-  if (name == "field-split") return compress::CodecKind::kFieldSplit;
-  if (name == "fpc") return compress::CodecKind::kFpc;
-  if (name == "bdi") return compress::CodecKind::kBdi;
-  if (name == "adaptive") return compress::CodecKind::kAdaptive;
+  for (const auto kind : compress::all_codec_kinds()) {
+    if (name == compress::codec_kind_name(kind)) return kind;
+  }
   usage("unknown codec '" + name + "'");
 }
 

@@ -85,21 +85,19 @@ fi
 echo "== E4 codec throughput -> ${OUT_DIR}/BENCH_codecs.json"
 "${BUILD_DIR}/bench_e4_codecs" \
     ${QUICK_ARGS[@]+"${QUICK_ARGS[@]}"} \
-    --benchmark_filter='bm_(huffman_decode|decompress|adaptive_selection)' \
+    --benchmark_filter='bm_(huffman_decode|decompress)' \
     --benchmark_format=json \
     --benchmark_out="${OUT_DIR}/BENCH_codecs.json" \
     --benchmark_out_format=json
 
-# The pattern-codec series must actually be in the artifact: the fpc
-# and bdi decompress rows (the word-at-a-time end of the table) and the
-# adaptive selection run with its per-candidate win counters. A missing
-# label/counter means the codec family silently fell out of the bench.
-for needle in '"label": "fpc"' '"label": "bdi"' '"label": "adaptive"' \
-              '"sel_fpc"' '"sel_bdi"' '"sel_total"'; do
-  if ! grep -q "${needle}" "${OUT_DIR}/BENCH_codecs.json"; then
-    echo "error: BENCH_codecs.json is missing ${needle}" >&2
-    echo "       (bm_decompress should cover the pattern family and" >&2
-    echo "        bm_adaptive_selection should emit sel_* counters)" >&2
+# Every codec the library keeps must have its decompress row in the
+# artifact. The list is spelled out on purpose: a codec that silently
+# falls out of bm_decompress (or out of the library) fails the run here
+# instead of shrinking the series.
+for codec in null mtf-rle huffman huffman-shared lzss codepack field-split; do
+  if ! grep -q "\"label\": \"${codec}\"" "${OUT_DIR}/BENCH_codecs.json"; then
+    echo "error: BENCH_codecs.json has no \"label\": \"${codec}\" row" >&2
+    echo "       (bm_decompress should cover every kept codec)" >&2
     exit 1
   fi
 done
