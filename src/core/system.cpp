@@ -76,24 +76,6 @@ std::vector<sweep::SweepOutcome> CodeCompressionSystem::run_sweep(
   return sweep::run_sweep(cfg_, *image_, trace, tasks, options);
 }
 
-std::vector<sweep::CampaignResult> run_campaign(
-    const std::vector<CampaignEntry>& entries,
-    const std::vector<sweep::SweepTask>& grid,
-    const sweep::CampaignOptions& options) {
-  std::vector<sweep::CampaignWorkload> workloads;
-  workloads.reserve(entries.size());
-  for (const CampaignEntry& entry : entries) {
-    APCC_CHECK(entry.system != nullptr,
-               "campaign entry '" + entry.name + "' has no system");
-    APCC_CHECK(!entry.system->default_trace().empty(),
-               "campaign entry '" + entry.name + "' has no default trace");
-    workloads.push_back(sweep::CampaignWorkload{
-        entry.name, &entry.system->cfg(), &entry.system->image(),
-        &entry.system->default_trace()});
-  }
-  return sweep::run_campaign(workloads, grid, options);
-}
-
 std::uint64_t CodeCompressionSystem::compressed_image_bytes() const {
   const memory::MemoryLayout layout(memory::layout_slots(image_->slot_sizes()),
                                     memory::MemoryLayout::kUnbounded);

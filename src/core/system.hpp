@@ -28,7 +28,6 @@
 #include "cfg/cfg.hpp"
 #include "runtime/block_image.hpp"
 #include "sim/step_policy.hpp"
-#include "sweep/campaign.hpp"
 #include "sweep/sweep.hpp"
 #include "workloads/suite.hpp"
 
@@ -107,24 +106,5 @@ class CodeCompressionSystem {
   SystemConfig config_;
   cfg::BlockTrace default_trace_;
 };
-
-/// One named system in a suite campaign. The system must outlive the
-/// run_campaign call.
-struct CampaignEntry {
-  std::string name;
-  const CodeCompressionSystem* system = nullptr;
-};
-
-/// Run `grid` over every entry's image and default trace through
-/// sweep::run_campaign: the whole (workload x task) matrix flattened
-/// onto one shared pool, with per-(workload, predecompress_k)
-/// FrontierCache geometry built once and borrowed by every cell when
-/// options.share_frontiers is set. Outcomes come back grouped per
-/// entry, in task order, byte-identical to running each entry's grid
-/// sequentially.
-[[nodiscard]] std::vector<sweep::CampaignResult> run_campaign(
-    const std::vector<CampaignEntry>& entries,
-    const std::vector<sweep::SweepTask>& grid,
-    const sweep::CampaignOptions& options = {});
 
 }  // namespace apcc::core

@@ -51,7 +51,8 @@ class BlockImage {
   [[nodiscard]] std::uint64_t approx_bytes() const;
 
   /// Decompress block `id` and verify it matches the original; throws on
-  /// mismatch. Used by tests and the paranoid mode of the engine.
+  /// mismatch. Tests call it from an engine event sink to check every
+  /// block a run decompresses.
   void verify_block(cfg::BlockId id) const;
 
  private:

@@ -50,12 +50,11 @@ std::uint64_t FrontierCache::approx_bytes() const {
   return bytes;
 }
 
-const FrontierCache* SharedFrontier::acquire(bool* built_this_call,
-                                             bool pin) {
+const FrontierCache* SharedFrontier::acquire(bool* built_this_call) {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     if (state_ == State::kReady) {
-      if (pin) ++pins_;
+      ++pins_;
       if (built_this_call != nullptr) *built_this_call = false;
       return &cache_;
     }
@@ -84,7 +83,7 @@ const FrontierCache* SharedFrontier::acquire(bool* built_this_call,
       // The builder pins itself before anyone can observe the ready
       // flip, so a publish-time eviction pass can never reclaim an
       // artifact out from under the cell that just built it.
-      if (pin) ++pins_;
+      ++pins_;
       ready_cv_.notify_all();
       if (built_this_call != nullptr) *built_this_call = true;
       return &cache_;

@@ -12,15 +12,15 @@
 // Ownership and thread-safety: a lazily-filled cache is not thread-safe
 // and is owned by one DecompressionPlanner / StaticPredictor inside one
 // engine cell, stepped on one thread. But the geometry is keyed on
-// (CFG, k) alone, so campaign runs (sweep::run_campaign), the Service's
-// artifact cache, and a BatchEngine whose cells share a k build one
-// cache per (workload, k), call materialize() -- which computes every
-// block's list eagerly and freezes the cache -- and hand a
-// `const FrontierCache*` to every cell sharing that key. A materialized
-// cache is immutable, so concurrent candidates() calls are pure reads;
-// the borrowed lists are the exact values an owned cache would compute,
-// which keeps borrowed and owned runs bit-identical (pinned by
-// tests/sweep and the engine equivalence grid).
+// (CFG, k) alone, so the Service's artifact cache and a BatchEngine
+// whose cells share a k build one cache per (workload, k), call
+// materialize() -- which computes every block's list eagerly and
+// freezes the cache -- and hand a `const FrontierCache*` to every cell
+// sharing that key. A materialized cache is immutable, so concurrent
+// candidates() calls are pure reads; the borrowed lists are the exact
+// values an owned cache would compute, which keeps borrowed and owned
+// runs bit-identical (pinned by tests/runtime and the engine
+// equivalence grid).
 #pragma once
 
 #include <condition_variable>
@@ -84,9 +84,9 @@ class FrontierCache {
 };
 
 /// The geometry cache key: frontier candidate lists depend on the CFG
-/// (by identity -- campaign/serving workloads hold their Cfg at a stable
-/// address) and predecompress_k, nothing else. This is the key both the
-/// campaign runner and serving::Service deduplicate artifacts under.
+/// (by identity -- registered workloads hold their Cfg at a stable
+/// address) and predecompress_k, nothing else. This is the key
+/// serving::Service deduplicates geometry artifacts under.
 struct FrontierKey {
   const cfg::Cfg* cfg = nullptr;
   unsigned k = 0;
@@ -115,8 +115,8 @@ class SharedFrontier {
   SharedFrontier(const SharedFrontier&) = delete;
   SharedFrontier& operator=(const SharedFrontier&) = delete;
 
-  /// Claim-build or wait, then return the materialized cache. The mutex
-  /// acquire/release pair orders the builder's writes before every
+  /// Claim-build or wait, pin, then return the materialized cache. The
+  /// mutex acquire/release pair orders the builder's writes before every
   /// reader's first borrow, so the returned cache is safe for concurrent
   /// candidates() reads. When `built_this_call` is non-null it is set to
   /// whether *this* call ran the build (artifact-cache accounting). If a
@@ -124,19 +124,16 @@ class SharedFrontier {
   /// -- every caller either returns a ready cache or propagates a build
   /// failure; none deadlocks.
   ///
-  /// With `pin` true the borrow refcount is incremented atomically with
-  /// the acquire (ready-check and pin under one lock hold, so an
-  /// evictor can never slip between them); the caller must balance it
-  /// with unpin() when its cell retires. Callers that own the slot for
-  /// its whole lifetime (sweep::run_campaign) skip pinning -- they
-  /// never evict.
-  [[nodiscard]] const FrontierCache* acquire(bool* built_this_call = nullptr,
-                                             bool pin = false);
+  /// The borrow refcount is incremented atomically with the acquire
+  /// (ready-check and pin under one lock hold, so an evictor can never
+  /// slip between them); the caller balances it with unpin() when its
+  /// cell retires.
+  [[nodiscard]] const FrontierCache* acquire(bool* built_this_call = nullptr);
 
-  /// Release one acquire(pin=true) borrow.
+  /// Release one acquire() borrow.
   void unpin();
 
-  /// Live borrows (cells holding the cache via acquire(pin=true)).
+  /// Live borrows (cells holding the cache via acquire()).
   [[nodiscard]] std::size_t pins() const;
 
   /// Evict the materialized geometry: a ready, unpinned slot drops its

@@ -89,9 +89,6 @@ struct Policy {
   /// Ablation: actually re-run the codec when "compressing" a block back,
   /// instead of the paper's delete-the-copy design (E6).
   bool recompress_for_real = false;
-
-  /// Decompress-and-verify every block against the original (debugging).
-  bool paranoid_verify = false;
 };
 
 }  // namespace apcc::runtime

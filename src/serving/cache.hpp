@@ -137,10 +137,10 @@ struct CacheEntry {
 [[nodiscard]] std::uint64_t estimate_frontier_cost(std::size_t block_count,
                                                    unsigned k);
 
-/// The one shared rendering of a CacheStats snapshot (bench_service,
-/// the CLI batch summary, examples) -- two lines, one per artifact
-/// kind, newline-terminated, eviction counters included so a log line
-/// proves the budget machinery ran.
+/// The one shared rendering of a CacheStats snapshot (the CLI batch
+/// summary) -- two lines, one per artifact kind, newline-terminated,
+/// eviction counters included so a log line proves the budget
+/// machinery ran.
 [[nodiscard]] std::string format_cache_stats(const CacheStats& stats);
 
 }  // namespace apcc::serving

@@ -28,7 +28,6 @@
 
 #include "core/system.hpp"
 #include "sim/result.hpp"
-#include "sweep/campaign.hpp"
 #include "sweep/pool.hpp"
 #include "sweep/sweep.hpp"
 
@@ -79,8 +78,12 @@ enum class JobStatus : std::uint8_t {
 /// v6: removed the `fpc`, `bdi` and `adaptive` values of the job-level
 /// `codec` key; the library no longer has those codecs (docs/API.md,
 /// "Migrating wire v5 -> v6").
+/// v7: removed the job-level geometry-sharing key (the service always
+/// borrows its cached geometry) and the decompress-and-verify debug kv
+/// of policy and task lines (the engine no longer has that path;
+/// docs/API.md, "Migrating wire v6 -> v7").
 struct JobSpec {
-  static constexpr int kWireVersion = 6;
+  static constexpr int kWireVersion = 7;
 
   JobKind kind = JobKind::kRun;
   /// Workload references ("@<id>" or a registered name). Exactly one
@@ -92,9 +95,6 @@ struct JobSpec {
   core::SystemConfig config{};
   /// The policy grid (sweep/campaign). Must be empty for run.
   std::vector<sweep::SweepTask> tasks;
-  /// Borrow the cached (workload, predecompress_k) geometry
-  /// (bit-identical either way).
-  bool share_frontiers = true;
   /// Grid cells stepped per pool work item (sweep/campaign only; a run
   /// job has a single cell and rejects a nonzero value): each work item
   /// advances max(1, batch_cells) consecutive grid cells in lockstep

@@ -303,10 +303,10 @@ const runtime::FrontierCache* Service::frontiers_for(
   bool built = false;
   const runtime::FrontierCache* cache = nullptr;
   try {
-    // pin=true: the ready-check (or the builder's own ready flip) and
-    // the pin happen under one slot-lock hold, so an eviction pass can
-    // never slip between them. The pin is handed to the lease below.
-    cache = slot->acquire(&built, /*pin=*/true);
+    // The ready-check (or the builder's own ready flip) and the pin
+    // happen under one slot-lock hold, so an eviction pass can never
+    // slip between them. The pin is handed to the lease below.
+    cache = slot->acquire(&built);
   } catch (...) {
     // This caller claimed the build and it threw (SharedFrontier rolled
     // its own claim back): a miss, and a rebuild if the key had failed
@@ -338,19 +338,6 @@ const runtime::FrontierCache* Service::frontiers_for(
     }
   }
   return cache;
-}
-
-sim::EngineConfig Service::cell_config(Registered& entry,
-                                       const sim::EngineConfig& base,
-                                       bool share_frontiers,
-                                       const sweep::CancelToken* token,
-                                       CellLease& lease) {
-  sim::EngineConfig config = base;
-  if (share_frontiers) {
-    config.shared_frontiers =
-        frontiers_for(entry, config.policy.predecompress_k, token, lease);
-  }
-  return config;
 }
 
 void Service::evict_over_budget_locked() {
@@ -580,9 +567,11 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
         CellLease lease;
         image =
             &image_for(target, ctx->spec.config, state->token.get(), lease);
-        configs.push_back(cell_config(target, ctx->grid[t].config,
-                                      ctx->spec.share_frontiers,
-                                      state->token.get(), lease));
+        sim::EngineConfig config = ctx->grid[t].config;
+        config.shared_frontiers =
+            frontiers_for(target, config.policy.predecompress_k,
+                          state->token.get(), lease);
+        configs.push_back(config);
         cells.push_back(t);
         leases.push_back(std::move(lease));
       } catch (const JobCancelled&) {

@@ -1,12 +1,12 @@
 // apcc::serving::Service -- the persistent job-submission API.
 //
-// The one-shot entry points (CodeCompressionSystem::run / run_sweep,
-// core::run_campaign) rebuild the compressed BlockImage per system,
-// re-materialize frontier geometry per call, and spin a pool up and
-// down. That is the wrong shape for the workload the ROADMAP aims
-// at -- the same suite replayed under many policy grids, by many
-// clients -- where the expensive transforms are *artifacts of the
-// workload*, not of the request. Service inverts the lifecycle:
+// The one-shot entry points (CodeCompressionSystem::run / run_sweep)
+// rebuild the compressed BlockImage per system, re-materialize frontier
+// geometry per call, and spin a pool up and down. That is the wrong
+// shape for the workload the ROADMAP aims at -- the same suite
+// replayed under many policy grids, by many clients -- where the
+// expensive transforms are *artifacts of the workload*, not of the
+// request. Service inverts the lifecycle:
 //
 //   serving::Service service;                          // resident pool
 //   auto id = service.register_workload(
@@ -68,7 +68,6 @@
 #include "serving/fault_plan.hpp"
 #include "serving/job_spec.hpp"
 #include "support/assert.hpp"
-#include "sweep/campaign.hpp"
 #include "sweep/pool.hpp"
 #include "sweep/sweep.hpp"
 #include "workloads/suite.hpp"
@@ -357,12 +356,6 @@ class Service {
   const runtime::FrontierCache* frontiers_for(Registered& entry, unsigned k,
                                               const sweep::CancelToken* token,
                                               CellLease& lease);
-  /// Engine config for one cell, with borrowed geometry when asked.
-  sim::EngineConfig cell_config(Registered& entry,
-                                const sim::EngineConfig& base,
-                                bool share_frontiers,
-                                const sweep::CancelToken* token,
-                                CellLease& lease);
 
   /// The publish-time eviction pass (call with mutex_ held): snapshot
   /// the resident artifacts into cache.hpp CacheEntry views, run

@@ -225,7 +225,6 @@ void policy_kvs(std::string& out, const runtime::Policy& p) {
   kv(out, "background-decompression", p.background_decompression ? "1" : "0");
   kv(out, "remember-sets", p.use_remember_sets ? "1" : "0");
   kv(out, "recompress", p.recompress_for_real ? "1" : "0");
-  kv(out, "paranoid", p.paranoid_verify ? "1" : "0");
 }
 
 void costs_kvs(std::string& out, const runtime::CostModel& c) {
@@ -351,9 +350,6 @@ void add_policy_keys(KvParser& p, runtime::Policy& policy, std::size_t line,
   });
   p.add("recompress", [&policy, line, snippet](std::string_view v) {
     policy.recompress_for_real = parse_bool01(v, "recompress", line, snippet);
-  });
-  p.add("paranoid", [&policy, line, snippet](std::string_view v) {
-    policy.paranoid_verify = parse_bool01(v, "paranoid", line, snippet);
   });
 }
 
@@ -636,9 +632,6 @@ std::string serialize_job(const JobSpec& spec) {
   out += "max-workers " + fmt_u64(spec.max_workers) + '\n';
   out += "deadline-ms " + fmt_u64(spec.deadline_ms) + '\n';
   out += "batch-cells " + fmt_u64(spec.batch_cells) + '\n';
-  out += "share-frontiers ";
-  out += spec.share_frontiers ? "1" : "0";
-  out += '\n';
   for (const std::string& ref : spec.workloads) {
     out += "workload " + escape_field(ref) + '\n';
   }
@@ -719,9 +712,6 @@ JobSpec parse_job(std::string_view text, std::size_t first_line) {
       // keeps v3-era records meaningful under the v4 header.
       spec.batch_cells =
           parse_u32(rest, "batch-cells", line->number, line->text);
-    } else if (key == "share-frontiers") {
-      spec.share_frontiers =
-          parse_bool01(rest, "share-frontiers", line->number, line->text);
     } else if (key == "workload") {
       spec.workloads.push_back(unescape_at(rest, line->number, line->text));
     } else if (key == "codec") {

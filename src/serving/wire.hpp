@@ -6,21 +6,20 @@
 // round-trip gate all speak exactly this format. Records are
 // line-oriented text:
 //
-//   apcc.job v6                      <- strict versioned header
+//   apcc.job v7                      <- strict versioned header
 //   kind sweep
 //   client bench-rig
 //   priority high
 //   max-workers 2
 //   deadline-ms 0
 //   batch-cells 0
-//   share-frontiers 1
 //   workload gsm-like
 //   codec huffman-shared
 //   ...
 //   task label=on-demand/k=1 strategy=on-demand kc=1 kd=1 ...
 //   end
 //
-//   apcc.result v6
+//   apcc.result v7
 //   job 1
 //   client bench-rig
 //   status ok
@@ -48,6 +47,12 @@
 // v6 removes three values of the job-level `codec` key -- fpc, bdi and
 // adaptive (docs/API.md, "Migrating wire v5 -> v6"): a record that names
 // one fails with "unknown codec" at its line. Nothing else changed.
+//
+// v7 removes the job-level geometry-sharing key (the service always
+// borrows its cached geometry) and the decompress-and-verify debug kv of
+// policy and task lines (docs/API.md, "Migrating wire v6 -> v7"): a
+// record that carries either fails with "unknown key" at its line.
+// Nothing else changed.
 //
 // Contract:
 //  * **Strict**: the header must match byte-for-byte (a future schema

@@ -182,9 +182,6 @@ void StepPolicy::issue_predecompression(EngineCell& c, cfg::BlockId block,
   c.extra[block].from_predecomp = true;
   c.extra[block].used_since_decomp = false;
   ++c.result.predecompressions;
-  if (c.config.policy.paranoid_verify) {
-    image_.verify_block(block);
-  }
 }
 
 void StepPolicy::complete_decompression(EngineCell& c, cfg::BlockId block,
@@ -356,9 +353,6 @@ void StepPolicy::ensure_executable(EngineCell& c, cfg::BlockId block,
   c.extra[block].from_predecomp = false;
   c.extra[block].used_since_decomp = false;
   emit(c, EventKind::kDemandDecompress, c.now, block, pred, cost);
-  if (c.config.policy.paranoid_verify) {
-    image_.verify_block(block);
-  }
 
   if (c.config.policy.use_remember_sets && pred != cfg::kInvalidBlock) {
     c.now += c.config.costs.patch_branch_cycles;

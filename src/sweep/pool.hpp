@@ -1,4 +1,4 @@
-// Shared worker pool for the sweep, campaign, and serving layers.
+// Shared worker pool for the sweep and serving layers.
 //
 // Every parallel runner in this codebase reduces to the same shape: a
 // job of N independent work items identified by a flat index, claimed
@@ -70,8 +70,8 @@
 //    resolved handle, never a stall.
 //
 // parallel_for_index is kept as the synchronous veneer the one-shot
-// runners (run_sweep / run_campaign) use: inline at workers <= 1 (items
-// in index order on the calling thread), a temporary Pool otherwise.
+// runner (run_sweep) uses: inline at workers <= 1 (items in index order
+// on the calling thread), a temporary Pool otherwise.
 #pragma once
 
 #include <atomic>

@@ -4,7 +4,7 @@
 #include <thread>
 
 #include "sim/batch_engine.hpp"
-#include "sweep/campaign.hpp"
+#include "sweep/pool.hpp"
 
 namespace apcc::sweep {
 
@@ -82,13 +82,21 @@ std::vector<SweepOutcome> run_sweep(const cfg::Cfg& cfg,
                                     const cfg::BlockTrace& trace,
                                     const std::vector<SweepTask>& tasks,
                                     const SweepOptions& options) {
-  CampaignOptions campaign;
-  campaign.workers = options.workers;
-  campaign.share_frontiers = false;
-  campaign.batch_cells = options.batch_cells;
-  std::vector<CampaignResult> results = run_campaign(
-      {CampaignWorkload{"", &cfg, &image, &trace}}, tasks, campaign);
-  return std::move(results.front().outcomes);
+  const std::vector<CellChunk> chunks =
+      chunk_cells(1, tasks.size(), options.batch_cells);
+  ResultSink sink;
+  detail::parallel_for_index(
+      chunks.size(), resolve_workers(options, chunks.size()),
+      [&](std::size_t c) {
+        std::vector<std::size_t> cells;
+        std::vector<sim::EngineConfig> configs;
+        for (std::size_t t = chunks[c].begin; t < chunks[c].end; ++t) {
+          cells.push_back(t);
+          configs.push_back(tasks[t].config);
+        }
+        run_chunk(cfg, image, trace, tasks, cells, std::move(configs), sink);
+      });
+  return sink.take_sorted();
 }
 
 }  // namespace apcc::sweep

@@ -11,11 +11,11 @@
 // sequentially (the differential tests in tests/sweep pin that against
 // an independent per-cell loop).
 //
-// The cell executor below is the one way a grid cell runs: run_campaign
-// (sweep/campaign.hpp), run_sweep (a one-workload campaign), and
-// serving::Service all cut their (workloads x grid) matrix with
-// chunk_cells() and run each chunk -- one pool work item -- through
-// run_chunk(), i.e. one sim::BatchEngine. Width 1 is the per-cell run.
+// The cell executor below is the one way a grid cell runs: run_sweep
+// and serving::Service (which runs every campaign) both cut their
+// (workloads x grid) matrix with chunk_cells() and run each chunk --
+// one pool work item -- through run_chunk(), i.e. one sim::BatchEngine.
+// Width 1 is the per-cell run.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +44,14 @@ struct SweepOutcome {
   std::size_t index = 0;
   std::string label;
   sim::RunResult result{};
+};
+
+/// One workload's slice of a campaign (a serving::JobSpec of kind
+/// campaign): the grid's outcomes in task order, exactly what run_sweep
+/// over that workload alone would return.
+struct CampaignResult {
+  std::string workload;
+  std::vector<SweepOutcome> outcomes;
 };
 
 struct SweepOptions {
@@ -108,10 +116,11 @@ void run_chunk(const cfg::Cfg& cfg, const runtime::BlockImage& image,
                std::vector<sim::EngineConfig> configs, ResultSink& sink);
 
 /// Run every task against (cfg, image, trace), sharded across a thread
-/// pool, and return the outcomes in task order: run_campaign over this
-/// one workload, every cell owning its geometry. The image and cfg are
-/// shared read-only across workers. A CheckError thrown by any run is
-/// rethrown on the calling thread after the pool drains.
+/// pool, and return the outcomes in task order: the executor's chunks
+/// of this one workload, each chunk's BatchEngine owning its geometry.
+/// The image and cfg are shared read-only across workers. A CheckError
+/// thrown by any run is rethrown on the calling thread after the pool
+/// drains.
 [[nodiscard]] std::vector<SweepOutcome> run_sweep(
     const cfg::Cfg& cfg, const runtime::BlockImage& image,
     const cfg::BlockTrace& trace, const std::vector<SweepTask>& tasks,

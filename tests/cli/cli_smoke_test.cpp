@@ -277,6 +277,12 @@ TEST(CliSmoke, UsageErrorsExitOne) {
   EXPECT_EQ(run_cli("wire-roundtrip a.wire b.wire").exit_code, 1);
 }
 
+TEST(CliSmoke, GeometrySharingFlagIsGone) {
+  // The service always borrows its cached geometry since wire v7; the
+  // flag that turned that off is an unknown option now.
+  EXPECT_EQ(run_cli("sim gsm-like --no-shared-frontiers").exit_code, 1);
+}
+
 TEST(CliSmoke, MissingInputExitsTwo) {
   EXPECT_EQ(run_cli("sim /nonexistent/nope.s").exit_code, 2);
 }

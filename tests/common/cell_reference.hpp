@@ -1,8 +1,8 @@
 // The independent per-cell reference the sweep and serving
 // differentials compare against: a plain loop that runs one width-1
 // sim::BatchEngine per task, in task order -- no pool, no ResultSink, no
-// chunker. Everything under test (run_sweep, run_campaign, Service jobs)
-// goes through the cell executor (sweep::chunk_cells + run_chunk), so a
+// chunker. Everything under test (run_sweep, Service jobs) goes
+// through the cell executor (sweep::chunk_cells + run_chunk), so a
 // chunking bug -- a dropped tail chunk, a chunk that spans workloads --
 // cannot pass on both sides of a differential.
 #pragma once
@@ -11,7 +11,7 @@
 
 #include "core/system.hpp"
 #include "sim/batch_engine.hpp"
-#include "sweep/campaign.hpp"
+#include "sweep/sweep.hpp"
 
 namespace apcc::testref {
 
@@ -34,18 +34,6 @@ inline std::vector<sweep::SweepOutcome> per_cell_sweep(
     const std::vector<sweep::SweepTask>& tasks) {
   return per_cell_sweep(system.cfg(), system.image(), system.default_trace(),
                         tasks);
-}
-
-/// per_cell_sweep over each workload in turn, workload-major.
-inline std::vector<sweep::CampaignResult> per_cell_campaign(
-    const std::vector<sweep::CampaignWorkload>& workloads,
-    const std::vector<sweep::SweepTask>& grid) {
-  std::vector<sweep::CampaignResult> results;
-  for (const sweep::CampaignWorkload& w : workloads) {
-    results.push_back(sweep::CampaignResult{
-        w.name, per_cell_sweep(*w.cfg, *w.image, *w.trace, grid)});
-  }
-  return results;
 }
 
 }  // namespace apcc::testref

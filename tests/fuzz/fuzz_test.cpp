@@ -139,12 +139,14 @@ bool accepted_at_fixed_point(const std::string& text, bool is_result) {
 TEST(Fuzz, WireRecordMutantsAreRejectedOrFixedPoints) {
   const std::vector<RawRecord> records = golden_records();
   ASSERT_GE(records.size(), 10u);
-  // Both removed engine keys, at record level and as task kvs: a client
+  // Every removed key -- v5's two engine debug keys at record level and
+  // as task kvs, v7's geometry-sharing key and verify task kv: a client
   // may still send them, and the wire must refuse every one.
   const std::vector<std::string> removed_keys = {
       "reference-scans 1", "reference-frontiers 1",
       "task label=x reference-scans=1",
-      "task label=x reference-frontiers=0"};
+      "task label=x reference-frontiers=0",
+      "share-frontiers 1", "task label=x paranoid=1"};
   Rng rng(20261017);
   std::size_t accepted = 0;
   for (int i = 0; i < 6000; ++i) {

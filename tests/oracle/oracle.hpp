@@ -379,7 +379,6 @@ class Simulator {
     s.from_predecompression = false;
     s.used_since_decompression = false;
     emit(sim::EventKind::kDemandDecompress, now_, block, pred, cost);
-    if (policy_.paranoid_verify) image_.verify_block(block);
     if (policy_.use_remember_sets && pred != cfg::kInvalidBlock) {
       now_ += costs_.patch_branch_cycles;
       result_.patch_cycles += costs_.patch_branch_cycles;
@@ -441,7 +440,6 @@ class Simulator {
     s.from_predecompression = true;
     s.used_since_decompression = false;
     ++result_.predecompressions;
-    if (policy_.paranoid_verify) image_.verify_block(block);
   }
 
   /// §3 with Figure 5's clarifications, walking the whole table: returns

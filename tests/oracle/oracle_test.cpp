@@ -294,8 +294,6 @@ TEST(Oracle, MatchesEngineAcrossEveryConfigKnob) {
        [](sim::EngineConfig& c) { c.policy.use_remember_sets = false; }},
       {"recompress",
        [](sim::EngineConfig& c) { c.policy.recompress_for_real = true; }},
-      {"paranoid",
-       [](sim::EngineConfig& c) { c.policy.paranoid_verify = true; }},
       {"best-fit",
        [](sim::EngineConfig& c) { c.fit = memory::FitPolicy::kBestFit; }},
       {"three-units",

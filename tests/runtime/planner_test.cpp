@@ -220,7 +220,7 @@ TEST(Planner, MemoizedMatchesReferenceAcrossFormsAndK) {
 }
 
 TEST(Planner, BorrowedGeometryMatchesOwnedExactly) {
-  // Campaign engines borrow one materialized (CFG, k) FrontierCache
+  // Service cells borrow one materialized (CFG, k) FrontierCache
   // instead of owning one; the plans must be identical for every exit
   // block and a spread of dynamic forms.
   for (const cfg::Cfg& g : {cfg::figure2_cfg(), cfg::figure5_cfg()}) {

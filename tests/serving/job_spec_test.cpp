@@ -71,15 +71,16 @@ TEST(JobSpec, CampaignMatchesDirect) {
 
 TEST(JobSpec, BatchedJobsMatchSequential) {
   // batch-cells is a scheduling knob only: a sweep or campaign run in
-  // lockstep batches -- 3 does not divide the grid, 16 is wider than
-  // it -- must be byte-identical to the per-cell reference.
+  // lockstep batches must be byte-identical to the per-cell reference.
+  // The grid has 12 cells: 3 divides it, 5 chunks each workload as
+  // 5 + 5 + 2 (a narrow tail chunk), and 16 is wider than it.
   const auto grid = test_grid();
   const auto direct_crc = direct_sweep(0, grid);
   const auto direct = direct_campaign(grid);
 
   for (const unsigned workers : {1u, 2u, 4u}) {
     Fixture fx(workers);
-    for (const std::uint32_t batch : {3u, 16u}) {
+    for (const std::uint32_t batch : {3u, 5u, 16u}) {
       SCOPED_TRACE(std::to_string(workers) + " workers, batch " +
                    std::to_string(batch));
       expect_identical(

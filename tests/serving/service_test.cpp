@@ -24,47 +24,39 @@ namespace {
 using namespace testsupport;
 
 TEST(Service, RunJobMatchesDirectRunColdAndWarm) {
+  // The direct run owns its geometry; the Service cell borrows the
+  // cached one. Outcomes must not tell them apart.
   const sim::RunResult direct = reference_systems()[0].run();
   for (const unsigned workers : {1u, 2u, 4u}) {
-    for (const bool share : {true, false}) {
-      Fixture fx(workers);
-      JobSpec job = run_spec(ref(fx.ids[0]));
-      job.share_frontiers = share;
-      SCOPED_TRACE(std::to_string(workers) + " workers, share=" +
-                   std::to_string(share));
-      // Cold: first submit builds the image (and geometry, if shared).
-      const auto cold = fx.service.submit(job);
-      EXPECT_EQ(cold.wait().kind, JobKind::kRun);
-      expect_identical(cold.wait().run, direct);
-      // Warm: resubmission borrows every artifact, same bytes out.
-      expect_identical(fx.service.submit(job).wait().run, direct);
-      const auto stats = fx.service.cache_stats();
-      EXPECT_EQ(stats.images.built, 1u);
-      EXPECT_EQ(stats.images.borrows, 1u);
-      EXPECT_EQ(stats.images.evictions, 0u);  // no budget, no eviction
-      if (share) {
-        EXPECT_EQ(stats.frontiers.built, 1u);
-        EXPECT_EQ(stats.frontiers.borrows, 1u);
-        EXPECT_EQ(stats.frontiers.evictions, 0u);
-      } else {
-        EXPECT_EQ(stats.frontiers.built, 0u);
-      }
-    }
+    Fixture fx(workers);
+    const JobSpec job = run_spec(ref(fx.ids[0]));
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    // Cold: first submit builds the image and the geometry.
+    const auto cold = fx.service.submit(job);
+    EXPECT_EQ(cold.wait().kind, JobKind::kRun);
+    expect_identical(cold.wait().run, direct);
+    // Warm: resubmission borrows every artifact, same bytes out.
+    expect_identical(fx.service.submit(job).wait().run, direct);
+    const auto stats = fx.service.cache_stats();
+    EXPECT_EQ(stats.images.built, 1u);
+    EXPECT_EQ(stats.images.borrows, 1u);
+    EXPECT_EQ(stats.images.evictions, 0u);  // no budget, no eviction
+    EXPECT_EQ(stats.frontiers.built, 1u);
+    EXPECT_EQ(stats.frontiers.borrows, 1u);
+    EXPECT_EQ(stats.frontiers.evictions, 0u);
   }
 }
 
 TEST(Service, SweepJobMatchesDirectRunSweep) {
+  // Borrowed Service geometry against the owned per-cell reference.
   const auto grid = test_grid();
   const auto direct = direct_sweep(0, grid);
   for (const unsigned workers : {1u, 2u, 4u}) {
-    for (const bool share : {true, false}) {
-      Fixture fx(workers);
-      JobSpec job = sweep_spec(ref(fx.ids[0]), grid);
-      job.share_frontiers = share;
-      SCOPED_TRACE(std::to_string(workers) + " workers, share=" +
-                   std::to_string(share));
-      expect_identical(direct, fx.service.submit(job).wait().sweep);
-    }
+    Fixture fx(workers);
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    expect_identical(
+        direct,
+        fx.service.submit(sweep_spec(ref(fx.ids[0]), grid)).wait().sweep);
   }
 }
 
@@ -235,6 +227,12 @@ TEST(Service, EmptyJobsRetireImmediately) {
     EXPECT_EQ(results[w].workload, fx.service.workload(fx.ids[w]).name);
     EXPECT_TRUE(results[w].outcomes.empty());
   }
+
+  // A campaign over no workloads has no cells and no slices.
+  const auto nobody = fx.service.submit(campaign_spec({}, test_grid()));
+  EXPECT_TRUE(nobody.ready());
+  EXPECT_TRUE(nobody.wait().ok());
+  EXPECT_TRUE(nobody.wait().campaign.empty());
 }
 
 TEST(Service, HandlesAreReusableAndShareState) {

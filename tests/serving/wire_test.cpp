@@ -35,7 +35,6 @@ JobSpec sample_sweep_spec() {
   spec.config.codec = compress::CodecKind::kLzss;
   spec.config.policy.predictor = runtime::PredictorKind::kStatic;
   spec.config.costs.exception_cycles = 300;
-  spec.share_frontiers = false;
   spec.priority = sweep::Priority::kHigh;
   spec.max_workers = 3;
   spec.deadline_ms = 2500;
@@ -105,7 +104,6 @@ TEST(Wire, JobRoundTripIsFixedPoint) {
     EXPECT_EQ(reparsed.max_workers, spec.max_workers);
     EXPECT_EQ(reparsed.deadline_ms, spec.deadline_ms);
     EXPECT_EQ(reparsed.batch_cells, spec.batch_cells);
-    EXPECT_EQ(reparsed.share_frontiers, spec.share_frontiers);
     EXPECT_EQ(reparsed.tasks.size(), spec.tasks.size());
   }
 }
@@ -125,7 +123,6 @@ TEST(Wire, MinimalJobParsesToDefaults) {
   // Omitted batch-cells is the v3-compatible default: the per-engine
   // scheduling path, no lockstep batching.
   EXPECT_EQ(spec.batch_cells, 0u);
-  EXPECT_TRUE(spec.share_frontiers);
   EXPECT_TRUE(spec.tasks.empty());
   const JobSpec defaults = [] {
     JobSpec s;
@@ -216,6 +213,27 @@ TEST(Wire, EngineDebugKeysAreGoneInV5) {
   expect_wire_error(kJobLine + "kind sweep\nworkload x\n"
                                "task label=a reference-frontiers=0\nend\n",
                     "unknown key 'reference-frontiers'", 4);
+}
+
+TEST(Wire, GeometryAndVerifyKeysAreGoneInV7) {
+  // v6 let a client turn geometry sharing off and switch on the
+  // engine's decompress-and-verify debug path; v7 has neither key and
+  // names the first one at its line.
+  expect_wire_error(kJobLine + "kind run\nworkload x\nshare-frontiers 1\n"
+                               "end\n",
+                    "unknown key 'share-frontiers'", 4);
+  expect_wire_error(kJobLine + "kind run\nworkload x\npolicy paranoid=1\n"
+                               "end\n",
+                    "unknown key 'paranoid'", 4);
+  expect_wire_error(kJobLine + "kind sweep\nworkload x\n"
+                               "task label=a paranoid=1\nend\n",
+                    "unknown key 'paranoid'", 4);
+  // A v6 record is refused at its header, job and result alike.
+  expect_wire_error("apcc.job v6\nkind run\nworkload x\nend\n",
+                    "unsupported wire", 1);
+  EXPECT_THROW((void)parse_result("apcc.result v6\njob 1\nstatus error\n"
+                                  "error x\nend\n"),
+               WireError);
 }
 
 TEST(Wire, EveryCodecNameRoundTrips) {

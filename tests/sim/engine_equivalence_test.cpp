@@ -46,9 +46,9 @@ const workloads::Workload& workload() {
   return w;
 }
 
-// The campaign's geometry key is (CFG, predecompress_k); the grid below
+// The Service's geometry key is (CFG, predecompress_k); the grid below
 // fixes predecompress_k = 2, so one materialized cache serves every
-// borrowed-geometry engine in this suite -- exactly how run_campaign
+// borrowed-geometry engine in this suite -- exactly how the Service
 // shares it.
 const runtime::FrontierCache& shared_frontiers() {
   static const auto* cache = [] {
@@ -144,7 +144,7 @@ std::vector<std::size_t> batch_widths() {
 TEST_P(EngineEquivalenceTest, BatchedMatchesPerEngineBitExactly) {
   // Width-1 references for the two cell flavours the batch mixes: owned
   // geometry (BatchEngine injects its own materialized frontier cache
-  // once two cells share the k) and borrowed campaign geometry
+  // once two cells share the k) and borrowed Service geometry
   // (shared_frontiers preset).
   const Capture owned = run(Mode::kOwnedGeometry);
   const Capture borrowed = run(Mode::kBorrowedGeometry);

@@ -287,11 +287,36 @@ TEST(Engine, RecompressForRealCostsMoreHelperTime) {
       << "the paper's delete-only design is the cheap path (E6)";
 }
 
-TEST(Engine, ParanoidVerifyPasses) {
+TEST(Engine, EventSinkVerifiesEveryDecompressedBlock) {
+  // Every block the engine decompresses -- on demand or ahead of time --
+  // must decode back to its original bytes. An event sink re-runs the
+  // codec on each one; the engine itself never pays for the check.
   Harness h(cfg::figure2_cfg());
-  EngineConfig config;
-  config.policy.paranoid_verify = true;
-  EXPECT_NO_THROW((void)h.run(config, fig2_long_trace()));
+  for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,
+                              runtime::DecompressionStrategy::kPreAll}) {
+    SCOPED_TRACE(runtime::strategy_name(strategy));
+    EngineConfig config;
+    config.policy.strategy = strategy;
+    config.policy.predecompress_k = 2;
+    std::size_t demand = 0;
+    std::size_t ahead = 0;
+    const auto verify = [&](const Event& e) {
+      if (e.kind == EventKind::kDemandDecompress) {
+        ++demand;
+      } else if (e.kind == EventKind::kPredecompressIssue) {
+        ++ahead;
+      } else {
+        return;
+      }
+      h.image->verify_block(e.block);
+    };
+    EXPECT_NO_THROW((void)h.run(config, fig2_long_trace(), verify));
+    if (strategy == runtime::DecompressionStrategy::kOnDemand) {
+      EXPECT_GT(demand, 0u) << "no demand decompression was checked";
+    } else {
+      EXPECT_GT(ahead, 0u) << "no pre-decompression was checked";
+    }
+  }
 }
 
 TEST(Engine, AccountingIdentities) {

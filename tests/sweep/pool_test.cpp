@@ -6,9 +6,9 @@
 // robustness surface: cooperative cancellation (queued skip + token
 // signalling + self-cancel), dispatch-time deadlines, failure-wins
 // outcome precedence, stop(kDrain|kAbort), and submit-after-stop.
-// (run_sweep / run_campaign equivalence is pinned by the sweep and
-// campaign differential tests; these cover the pool directly. The
-// TSan CI job runs this binary.)
+// (run_sweep and Service equivalence is pinned by the sweep and
+// serving differential tests; these cover the pool directly. The TSan
+// CI job runs this binary.)
 #include <gtest/gtest.h>
 
 #include <algorithm>

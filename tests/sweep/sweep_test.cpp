@@ -236,7 +236,7 @@ TEST(ResultSinkTest, SortsByIndexAndDrains) {
 }
 
 TEST(ResultSinkTest, ConcurrentOutOfOrderPushesDrainSorted) {
-  // The campaign/sweep pools push from many workers in whatever order
+  // The sweep and Service pools push from many workers in whatever order
   // tasks finish; the sink must drain to task order regardless. Each
   // thread pushes its stripe of indexes *backwards* so the sink sees
   // heavy intra- and inter-thread disorder.

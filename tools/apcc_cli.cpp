@@ -97,7 +97,6 @@
 //   --no-fair-share   serve: strict lowest-id scheduling within each
 //                     priority class (the pre-fair-share reference);
 //                     outcomes are byte-identical either way
-//   --no-shared-frontiers   engines own their geometry (no borrowing)
 //   --csv             emit CSV instead of the text report
 //   --wire            batch: emit results as wire records
 //
@@ -189,7 +188,7 @@ constexpr const char* kToolVersion = "0.6.0";
       "         --client-weight TAG=W --no-fair-share\n"
       "         --cache-budget-bytes N --cache-budget-image-bytes N\n"
       "         --cache-budget-frontier-bytes N\n"
-      "         --batch-cells N --no-shared-frontiers --csv --wire\n"
+      "         --batch-cells N --csv --wire\n"
       "(sweep and campaign grid over strategy and k themselves:\n"
       " --strategy/--kc/--kd there is a usage error; batch and serve\n"
       " take per-job configuration from the job records; --max-queued,\n"
@@ -276,7 +275,6 @@ struct CliOptions {
   /// serve-only: false = strict lowest-id scheduling within each
   /// priority class (--no-fair-share, the differential reference).
   bool fair_share = true;
-  bool share_frontiers = true;
   /// Lockstep batch width for grid commands (sweep/campaign); 0 keeps
   /// the historical one-engine-per-cell path. Run-kind commands reject
   /// it (a run job has a single cell), and batch/serve take it from
@@ -367,8 +365,6 @@ CliOptions parse_options(const std::vector<std::string>& args,
       opts.batch_cells =
           static_cast<std::uint32_t>(parse_int(need_value(i++)));
       opts.config_flags.push_back(a);
-    } else if (a == "--no-shared-frontiers") {
-      opts.share_frontiers = false;
     } else if (a == "--csv") {
       opts.csv = true;
     } else if (a == "--wire") {
@@ -577,8 +573,8 @@ serving::ServiceOptions service_options(const CliOptions& opts) {
 }
 
 /// The JobSpec a one-shot subcommand submits: `kind` over the registered
-/// workloads `ids`, carrying the command line's codec, engine knobs,
-/// geometry sharing, and batch width.
+/// workloads `ids`, carrying the command line's codec, engine knobs and
+/// batch width.
 serving::JobSpec command_spec(serving::JobKind kind,
                               const std::vector<serving::WorkloadId>& ids,
                               const CliOptions& opts) {
@@ -586,7 +582,6 @@ serving::JobSpec command_spec(serving::JobKind kind,
   spec.kind = kind;
   for (const auto id : ids) spec.workloads.push_back("@" + std::to_string(id));
   spec.config = opts.config;
-  spec.share_frontiers = opts.share_frontiers;
   spec.batch_cells = opts.batch_cells;
   if (kind != serving::JobKind::kRun) {
     spec.tasks = serving::strategy_k_grid(core::engine_config(opts.config));
@@ -737,7 +732,6 @@ int cmd_batch(const std::string& path, const CliOptions& global) {
   WorkloadDirectory directory(service);
   std::vector<BatchJob> jobs;
   for (serving::JobSpec& spec : parsed) {
-    spec.share_frontiers = spec.share_frontiers && global.share_frontiers;
     BatchJob job;
     job.banner = job_banner(spec);
     job.client = spec.client;
@@ -858,11 +852,10 @@ int cmd_serve(const CliOptions& opts) {
   serving::Service service(options);
   WorkloadDirectory directory(service);
 
-  // Both transports: the workload directory and the share-frontiers
-  // policy apply per record through the prepare hook.
+  // Both transports: the workload directory applies per record through
+  // the prepare hook.
   net::ServerOptions server_options;
   server_options.prepare = [&](serving::JobSpec& spec) {
-    spec.share_frontiers = spec.share_frontiers && opts.share_frontiers;
     for (const std::string& ref : spec.workloads) {
       (void)directory.id_for(ref);
     }

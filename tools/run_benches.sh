@@ -11,19 +11,9 @@
 #                          at 1/2/4/8 workers) + lockstep batch series
 #                          (cells-stepped/sec at batch 1..16, incl. the
 #                          wide-CFG regime where batching wins)
-#   BENCH_campaign.json -- suite x grid campaign throughput (matrix
-#                          cells/sec, shared vs owned FrontierCache
-#                          geometry)
-#   BENCH_service.json  -- serving::Service submit latency (direct
-#                          one-shot vs cold vs warm artifact cache,
-#                          width-1 vs batched warm sweeps) + the
-#                          cache-budget thrash series (warm sweeps at
-#                          25/50/100% of the working set, eviction
-#                          counters included)
-#   BENCH_serve.json    -- TCP front-door sustained jobs/sec plus
-#                          p50/p99 latency counters under mixed-tenant
-#                          QoS (weighted fair share within the normal
-#                          class, strict classes across)
+#
+# The served stack (campaigns, the artifact cache, the TCP front door)
+# is measured end to end by perfbench/ (BENCHMARK.json), not here.
 #
 # --quick is the CI smoke mode: benches shrink their scales (via
 # APCC_BENCH_QUICK) and google-benchmark runs minimal repetitions, so the
@@ -47,8 +37,7 @@ BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-${BUILD_DIR}}"
 
 for bench in bench_e11_engine_throughput bench_e4_codecs \
-             bench_sweep_scaling bench_campaign bench_service \
-             bench_serve; do
+             bench_sweep_scaling; do
   if [[ ! -x "${BUILD_DIR}/${bench}" ]]; then
     echo "error: ${BUILD_DIR}/${bench} not built" >&2
     echo "hint: cmake -B ${BUILD_DIR} -S . && cmake --build ${BUILD_DIR} -j" >&2
@@ -109,49 +98,5 @@ echo "== sweep scaling -> ${OUT_DIR}/BENCH_sweep.json"
     --benchmark_format=json \
     --benchmark_out="${OUT_DIR}/BENCH_sweep.json" \
     --benchmark_out_format=json
-
-echo "== campaign throughput -> ${OUT_DIR}/BENCH_campaign.json"
-"${BUILD_DIR}/bench_campaign" \
-    ${QUICK_ARGS[@]+"${QUICK_ARGS[@]}"} \
-    --benchmark_filter='bm_campaign' \
-    --benchmark_format=json \
-    --benchmark_out="${OUT_DIR}/BENCH_campaign.json" \
-    --benchmark_out_format=json
-
-echo "== service submit latency -> ${OUT_DIR}/BENCH_service.json"
-"${BUILD_DIR}/bench_service" \
-    ${QUICK_ARGS[@]+"${QUICK_ARGS[@]}"} \
-    --benchmark_filter='bm_(direct_run|service_cold_run|service_warm_run|service_warm_sweep|service_thrash)' \
-    --benchmark_format=json \
-    --benchmark_out="${OUT_DIR}/BENCH_service.json" \
-    --benchmark_out_format=json
-
-# The thrash series must carry its eviction counters -- that is the CI
-# proof the cache-budget machinery ran, not just that the bench binary
-# linked. A missing counter means the series silently degraded.
-if ! grep -q '"evictions"' "${OUT_DIR}/BENCH_service.json"; then
-  echo "error: BENCH_service.json has no eviction counters" >&2
-  echo "       (bm_service_thrash should emit them per run)" >&2
-  exit 1
-fi
-
-echo "== TCP serve mixed-QoS -> ${OUT_DIR}/BENCH_serve.json"
-"${BUILD_DIR}/bench_serve" \
-    ${QUICK_ARGS[@]+"${QUICK_ARGS[@]}"} \
-    --benchmark_filter='bm_serve' \
-    --benchmark_format=json \
-    --benchmark_out="${OUT_DIR}/BENCH_serve.json" \
-    --benchmark_out_format=json
-
-# The mixed-QoS series must carry its throughput + tail-latency
-# counters: sustained jobs/sec and the p50/p99 split are the acceptance
-# record for the TCP front door, so a missing counter fails the run.
-for counter in '"jobs_per_sec"' '"p50_ms"' '"p99_ms"'; do
-  if ! grep -q "${counter}" "${OUT_DIR}/BENCH_serve.json"; then
-    echo "error: BENCH_serve.json has no ${counter} counter" >&2
-    echo "       (bm_serve_mixed_qos should emit it per run)" >&2
-    exit 1
-  fi
-done
 
 echo "done."
