@@ -65,7 +65,7 @@ std::unique_ptr<Codec> make_codec(CodecKind kind,
     case CodecKind::kFieldSplit:
       return std::make_unique<FieldSplitCodec>(training_blocks);
   }
-  APCC_ASSERT(false, "unknown codec kind");
+  APCC_ASSERT_FAIL("unknown codec kind");
 }
 
 double compression_ratio(const Codec& codec, std::span<const Bytes> blocks) {

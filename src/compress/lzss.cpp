@@ -32,9 +32,24 @@ Bytes LzssCodec::compress(ByteView input) const {
   BitWriter writer;
   const std::size_t n = input.size();
   // Hash-chain matcher: head[h] is the most recent position with hash h,
-  // prev[pos & mask] chains to the previous one.
-  std::vector<std::int32_t> head(kHashSize, -1);
-  std::vector<std::int32_t> prev(kWindowSize, -1);
+  // prev[pos & mask] chains to the previous one. The 48 KiB of tables
+  // are kept per thread: an image build compresses thousands of blocks
+  // of a few words each, and filling fresh tables per block cost more
+  // than encoding it. head must be all -1 when a call starts, so on
+  // every exit the guard puts back -1 in each slot this call's inserts
+  // could have written. prev needs no reset: a chain starts at a
+  // position this call inserted, and inserting a position writes its
+  // prev slot first, so no earlier call's value is ever read.
+  thread_local std::vector<std::int32_t> head(kHashSize, -1);
+  thread_local std::vector<std::int32_t> prev(kWindowSize);
+  struct Restore {
+    ByteView input;
+    ~Restore() {
+      for (std::size_t at = 0; at + kMinMatch <= input.size(); ++at) {
+        head[hash3(input.data() + at)] = -1;
+      }
+    }
+  } const restore{input};
 
   std::size_t pos = 0;
   auto insert = [&](std::size_t at) {

@@ -17,9 +17,9 @@ CodeCompressionSystem::CodeCompressionSystem(cfg::Cfg cfg,
 
 CodeCompressionSystem CodeCompressionSystem::from_workload(
     const workloads::Workload& workload, SystemConfig config) {
-  std::vector<compress::Bytes> bytes = workload.block_bytes;
-  auto codec = compress::make_codec(config.codec, bytes);
-  runtime::BlockImage image(workload.cfg, std::move(bytes), std::move(codec));
+  runtime::BlockImage image(
+      workload.cfg, workload.block_bytes,
+      compress::make_codec(config.codec, workload.block_bytes));
   return CodeCompressionSystem(workload.cfg, std::move(image), config,
                                workload.trace);
 }

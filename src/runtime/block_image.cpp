@@ -1,75 +1,91 @@
 #include "runtime/block_image.hpp"
 
+#include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "support/assert.hpp"
 
 namespace apcc::runtime {
 
+namespace {
+
+/// The arena end as the next offset-table entry.
+std::uint32_t arena_offset(const compress::Bytes& arena) {
+  APCC_CHECK(arena.size() <= std::numeric_limits<std::uint32_t>::max(),
+             "BlockImage arena exceeds 4 GiB");
+  return static_cast<std::uint32_t>(arena.size());
+}
+
+}  // namespace
+
 BlockImage::BlockImage(const cfg::Cfg& cfg,
-                       std::vector<compress::Bytes> block_bytes,
+                       std::span<const compress::Bytes> block_bytes,
                        std::unique_ptr<compress::Codec> codec)
     : codec_(std::move(codec)) {
   APCC_CHECK(codec_ != nullptr, "BlockImage requires a codec");
   APCC_CHECK(block_bytes.size() == cfg.block_count(),
              "one byte string per CFG block required");
-  blocks_.reserve(block_bytes.size());
-  for (auto& bytes : block_bytes) {
-    ImageBlock ib;
-    ib.compressed = codec_->compress(bytes);
-    ib.original = std::move(bytes);
-    blocks_.push_back(std::move(ib));
+  std::size_t total = 0;
+  for (const compress::Bytes& bytes : block_bytes) total += bytes.size();
+  original_.reserve(total);
+  original_offsets_.reserve(block_bytes.size() + 1);
+  compressed_offsets_.reserve(block_bytes.size() + 1);
+  original_offsets_.push_back(0);
+  compressed_offsets_.push_back(0);
+  for (const compress::Bytes& bytes : block_bytes) {
+    original_.insert(original_.end(), bytes.begin(), bytes.end());
+    const compress::Bytes packed = codec_->compress(bytes);
+    compressed_.insert(compressed_.end(), packed.begin(), packed.end());
+    original_offsets_.push_back(arena_offset(original_));
+    compressed_offsets_.push_back(arena_offset(compressed_));
   }
+  // The compressed arena grew geometrically; drop the slack so the
+  // resident size is exactly the bytes held.
+  compressed_.shrink_to_fit();
 }
 
-const ImageBlock& BlockImage::block(cfg::BlockId id) const {
-  APCC_CHECK(id < blocks_.size(), "block id out of range");
-  return blocks_[id];
+compress::ByteView BlockImage::original(cfg::BlockId id) const {
+  APCC_CHECK(id < block_count(), "block id out of range");
+  return compress::ByteView(original_)
+      .subspan(original_offsets_[id],
+               original_offsets_[id + 1] - original_offsets_[id]);
 }
 
-std::uint64_t BlockImage::original_size(cfg::BlockId id) const {
-  return block(id).original.size();
-}
-
-std::uint64_t BlockImage::compressed_size(cfg::BlockId id) const {
-  return block(id).compressed.size();
+compress::ByteView BlockImage::compressed(cfg::BlockId id) const {
+  APCC_CHECK(id < block_count(), "block id out of range");
+  return compress::ByteView(compressed_)
+      .subspan(compressed_offsets_[id],
+               compressed_offsets_[id + 1] - compressed_offsets_[id]);
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> BlockImage::slot_sizes()
     const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sizes;
-  sizes.reserve(blocks_.size());
-  for (const auto& b : blocks_) {
-    sizes.emplace_back(b.compressed.size(), b.original.size());
+  sizes.reserve(block_count());
+  for (cfg::BlockId b = 0; b < block_count(); ++b) {
+    sizes.emplace_back(compressed_size(b), original_size(b));
   }
   return sizes;
 }
 
 double BlockImage::ratio() const {
-  std::uint64_t original = 0;
-  std::uint64_t compressed = 0;
-  for (const auto& b : blocks_) {
-    original += b.original.size();
-    compressed += b.compressed.size();
-  }
-  return original == 0 ? 1.0
-                       : static_cast<double>(compressed) /
-                             static_cast<double>(original);
+  return original_.empty() ? 1.0
+                           : static_cast<double>(compressed_.size()) /
+                                 static_cast<double>(original_.size());
 }
 
-std::uint64_t BlockImage::approx_bytes() const {
-  std::uint64_t bytes = 0;
-  for (const auto& b : blocks_) {
-    bytes += b.original.size() + b.compressed.size() + sizeof(ImageBlock);
-  }
-  return bytes;
+std::uint64_t BlockImage::resident_bytes() const {
+  return original_.capacity() + compressed_.capacity() +
+         (original_offsets_.capacity() + compressed_offsets_.capacity()) *
+             sizeof(std::uint32_t);
 }
 
 void BlockImage::verify_block(cfg::BlockId id) const {
-  const auto& b = block(id);
+  const compress::ByteView want = original(id);
   const compress::Bytes roundtrip =
-      codec_->decompress(b.compressed, b.original.size());
-  APCC_CHECK(roundtrip == b.original,
+      codec_->decompress(compressed(id), want.size());
+  APCC_CHECK(std::ranges::equal(roundtrip, want),
              "codec round-trip mismatch on block " + std::to_string(id));
 }
 
@@ -83,7 +99,7 @@ BlockImage make_block_image(
     bytes.push_back(provider(b));
   }
   auto codec = compress::make_codec(codec_kind, bytes);
-  return BlockImage(cfg, std::move(bytes), std::move(codec));
+  return BlockImage(cfg, bytes, std::move(codec));
 }
 
 }  // namespace apcc::runtime

@@ -5,36 +5,48 @@
 // "we start with a memory image wherein all basic blocks are stored in
 // their compressed form; note that this is the minimum memory required to
 // store the application code").
+//
+// The image is read-only once built, so it is stored flat: one arena of
+// every block's original bytes and one of every block's compressed bytes,
+// back to back in block order, each indexed by a (B+1)-entry offset table.
+// Block b's bytes are arena[offsets[b], offsets[b+1]). Four heap arrays
+// per image, whatever the block count, and resident_bytes() is their
+// exact size.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "cfg/cfg.hpp"
 #include "compress/codec.hpp"
 
 namespace apcc::runtime {
 
-/// One block's original and compressed bytes.
-struct ImageBlock {
-  compress::Bytes original;
-  compress::Bytes compressed;
-};
-
 /// The compressed program image. Owns the codec (trained codecs embed
 /// dictionaries that decompression needs for the lifetime of the run).
 class BlockImage {
  public:
-  /// Compress `block_bytes[i]` as block i. `block_bytes.size()` must equal
-  /// `cfg.block_count()`.
-  BlockImage(const cfg::Cfg& cfg, std::vector<compress::Bytes> block_bytes,
+  /// Compress `block_bytes[i]` as block i, copying the bytes into the
+  /// image's arenas. `block_bytes.size()` must equal `cfg.block_count()`.
+  BlockImage(const cfg::Cfg& cfg, std::span<const compress::Bytes> block_bytes,
              std::unique_ptr<compress::Codec> codec);
 
-  [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
-  [[nodiscard]] const ImageBlock& block(cfg::BlockId id) const;
+  [[nodiscard]] std::size_t block_count() const {
+    return original_offsets_.size() - 1;
+  }
 
-  [[nodiscard]] std::uint64_t original_size(cfg::BlockId id) const;
-  [[nodiscard]] std::uint64_t compressed_size(cfg::BlockId id) const;
+  /// Block `id`'s original / compressed bytes: views into the image's
+  /// arenas, valid for the image's lifetime.
+  [[nodiscard]] compress::ByteView original(cfg::BlockId id) const;
+  [[nodiscard]] compress::ByteView compressed(cfg::BlockId id) const;
+
+  [[nodiscard]] std::uint64_t original_size(cfg::BlockId id) const {
+    return original(id).size();
+  }
+  [[nodiscard]] std::uint64_t compressed_size(cfg::BlockId id) const {
+    return compressed(id).size();
+  }
 
   [[nodiscard]] const compress::Codec& codec() const { return *codec_; }
 
@@ -45,10 +57,10 @@ class BlockImage {
   /// Whole-image compression ratio (compressed/original, < 1 is good).
   [[nodiscard]] double ratio() const;
 
-  /// Approximate resident size of this image: every block's original +
-  /// compressed bytes plus the per-block bookkeeping. What an artifact
-  /// cache should budget against (serving::Service::cache_stats()).
-  [[nodiscard]] std::uint64_t approx_bytes() const;
+  /// Exact heap size of the image's two arenas and two offset tables.
+  /// What an artifact cache budgets against (serving::Service::
+  /// cache_stats()); the codec's own tables are not counted.
+  [[nodiscard]] std::uint64_t resident_bytes() const;
 
   /// Decompress block `id` and verify it matches the original; throws on
   /// mismatch. Tests call it from an engine event sink to check every
@@ -56,7 +68,10 @@ class BlockImage {
   void verify_block(cfg::BlockId id) const;
 
  private:
-  std::vector<ImageBlock> blocks_;
+  compress::Bytes original_;    // every block's bytes, in block order
+  compress::Bytes compressed_;  // every block's compressed bytes
+  std::vector<std::uint32_t> original_offsets_;    // block_count() + 1
+  std::vector<std::uint32_t> compressed_offsets_;  // block_count() + 1
   std::unique_ptr<compress::Codec> codec_;
 };
 

@@ -4,23 +4,29 @@
 // edges of the exit, with its minimum edge distance -- is static given
 // (CFG, predecompress_k). The seed re-ran a bounded BFS per frontier
 // block per exit; this cache computes each block's candidate list once
-// (lazily, on the first exit of that block) and hands out a span the
-// planner filters by the *dynamic* part of the query, the current
-// BlockForm. Entries are pre-sorted by (distance, id), the planner's
-// request order, so the filter preserves ordering for free.
+// and hands out a span the planner filters by the *dynamic* part of the
+// query, the current BlockForm. Entries are pre-sorted by (distance, id),
+// the planner's request order, so the filter preserves ordering for free.
+//
+// Storage is flat: one cfg::FrontierEntry array holds every computed
+// list back to back. A lazy cache appends each list the first time it is
+// requested and records its bounds per block; materialize() computes
+// every list in block order into CSR form (compressed sparse row: the
+// array plus a (B+1)-entry offset table, list b at [offsets[b],
+// offsets[b+1])) and drops the lazy bookkeeping. resident_bytes() is the
+// exact heap size of these arrays.
 //
 // Ownership and thread-safety: a lazily-filled cache is not thread-safe
 // and is owned by one DecompressionPlanner / StaticPredictor inside one
 // engine cell, stepped on one thread. But the geometry is keyed on
 // (CFG, k) alone, so the Service's artifact cache and a BatchEngine
 // whose cells share a k build one cache per (workload, k), call
-// materialize() -- which computes every block's list eagerly and
-// freezes the cache -- and hand a `const FrontierCache*` to every cell
-// sharing that key. A materialized cache is immutable, so concurrent
-// candidates() calls are pure reads; the borrowed lists are the exact
-// values an owned cache would compute, which keeps borrowed and owned
-// runs bit-identical (pinned by tests/runtime and the engine
-// equivalence grid).
+// materialize() -- which freezes the cache -- and hand a
+// `const FrontierCache*` to every cell sharing that key. A materialized
+// cache is immutable, so concurrent candidates() calls are pure reads;
+// the borrowed lists are the exact values an owned cache would compute,
+// which keeps borrowed and owned runs bit-identical (pinned by
+// tests/runtime and the engine equivalence grid).
 #pragma once
 
 #include <condition_variable>
@@ -40,47 +46,65 @@ class FrontierCache {
 
   /// Candidate list for the exit of `block`: every block within k edges,
   /// with its distance, sorted by (distance, id). Computed on first use,
-  /// O(1) afterwards. The span stays valid for the cache's lifetime.
+  /// O(1) afterwards.
+  ///
+  /// On a materialized cache the span stays valid until reset(). On a
+  /// lazy cache, computing a list appends to the shared entry array and
+  /// may move it, so a span is valid only until the next candidates()
+  /// call on the same cache (or reset()).
   [[nodiscard]] std::span<const cfg::FrontierEntry> candidates(
       cfg::BlockId block) const;
 
-  /// Eagerly compute every block's candidate list. After this the cache
-  /// is immutable: candidates() never writes, so the cache may be shared
-  /// read-only across threads (the contract EngineConfig::
+  /// Compute every block's candidate list into CSR form. After this the
+  /// cache is immutable: candidates() never writes, so the cache may be
+  /// shared read-only across threads (the contract EngineConfig::
   /// shared_frontiers relies on).
   void materialize();
 
   /// Drop every computed candidate list and return to the lazy, empty
-  /// state (artifact eviction). A later materialize() recomputes lists
-  /// bit-identical to the first build -- the geometry is a pure
-  /// function of (CFG, k) -- which is what keeps eviction invisible to
-  /// job outcomes. Only SharedFrontier::evict() calls this, and only
-  /// while no reader holds a borrow.
+  /// state (artifact eviction), releasing the arrays' storage. A later
+  /// materialize() recomputes lists bit-identical to the first build --
+  /// the geometry is a pure function of (CFG, k) -- which is what keeps
+  /// eviction invisible to job outcomes. Only SharedFrontier::evict()
+  /// calls this, and only while no reader holds a borrow.
   void reset();
 
   [[nodiscard]] bool materialized() const { return materialized_; }
 
   [[nodiscard]] unsigned k() const { return k_; }
 
-  /// Approximate resident size of the computed candidate lists. Only a
-  /// pure read on a materialized cache (on a lazy one it reflects what
-  /// has been computed so far); serving::Service reports it for the
-  /// ROADMAP's eviction budgeting.
-  [[nodiscard]] std::uint64_t approx_bytes() const;
+  /// Exact heap size of the cache's arrays: the entry array and offset
+  /// table, plus a lazy cache's per-block bounds and BFS scratch (empty
+  /// once materialized). A pure read on a materialized cache, which is
+  /// what serving::Service budgets against.
+  [[nodiscard]] std::uint64_t resident_bytes() const;
 
   /// The CFG this geometry was computed on; borrowers check identity.
   [[nodiscard]] const cfg::Cfg& cfg() const { return cfg_; }
 
  private:
+  /// A lazy cache's bounds for one block's list in entries_; begin is
+  /// kUncomputed until the list is computed.
+  struct Bounds {
+    static constexpr std::uint32_t kUncomputed = UINT32_MAX;
+    std::uint32_t begin = kUncomputed;
+    std::uint32_t end = 0;
+  };
+
   const cfg::Cfg& cfg_;
   unsigned k_;
   bool materialized_ = false;
-  // Lazily filled; entries_[b] is meaningful only once computed_[b].
-  mutable std::vector<std::vector<cfg::FrontierEntry>> entries_;
-  mutable std::vector<bool> computed_;
-  // The bounded BFS's all-UINT_MAX distance scratch, sized on the first
-  // computed list and released once materialized.
+  // Every computed list, back to back: in block order once materialized
+  // (indexed by offsets_), in first-request order while lazy (indexed
+  // by lazy_).
+  mutable std::vector<cfg::FrontierEntry> entries_;
+  std::vector<std::uint32_t> offsets_;  // materialized: block_count() + 1
+  // Lazy state, sized on the first candidates() call and released by
+  // materialize(): per-block bounds, the bounded BFS's all-UINT_MAX
+  // distance scratch, and the list frontier_distances() writes.
+  mutable std::vector<Bounds> lazy_;
   mutable std::vector<unsigned> dist_scratch_;
+  mutable std::vector<cfg::FrontierEntry> list_scratch_;
 };
 
 /// The geometry cache key: frontier candidate lists depend on the CFG

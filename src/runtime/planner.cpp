@@ -56,7 +56,7 @@ const std::vector<cfg::BlockId>& DecompressionPlanner::plan_on_exit(
       }
       return plan_;
   }
-  APCC_ASSERT(false, "unknown decompression strategy");
+  APCC_ASSERT_FAIL("unknown decompression strategy");
 }
 
 }  // namespace apcc::runtime

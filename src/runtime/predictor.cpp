@@ -142,7 +142,7 @@ std::unique_ptr<Predictor> make_predictor(PredictorKind kind,
     case PredictorKind::kOracle:
       return std::make_unique<OraclePredictor>(cfg, trace);
   }
-  APCC_ASSERT(false, "unknown predictor kind");
+  APCC_ASSERT_FAIL("unknown predictor kind");
 }
 
 }  // namespace apcc::runtime

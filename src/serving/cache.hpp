@@ -46,7 +46,9 @@ namespace apcc::serving {
 /// the per-kind ones. Budgets are pressure, not hard guarantees: an
 /// artifact borrowed by an in-flight cell is pinned and never evicted,
 /// so the resident set may transiently exceed the budget until those
-/// cells retire and the next publish re-evaluates.
+/// cells retire and the next publish re-evaluates. A budget byte is an
+/// exact byte of an artifact's arrays (its resident_bytes()); a codec's
+/// own tables are not counted.
 struct CacheBudget {
   std::uint64_t image_bytes = 0;     // compressed BlockImage ceiling
   std::uint64_t frontier_bytes = 0;  // materialized geometry ceiling
@@ -77,7 +79,7 @@ struct ArtifactStats {
   std::size_t rebuilds = 0;       // claims after a failed build
   std::size_t evictions = 0;      // artifacts evicted under budget
   std::uint64_t evicted_bytes = 0;  // cumulative bytes evicted
-  std::uint64_t bytes = 0;        // approx resident bytes
+  std::uint64_t bytes = 0;        // exact resident bytes
   std::size_t entries = 0;        // resident artifacts (query time)
 };
 

@@ -146,8 +146,8 @@ WorkloadId Service::resolve(const std::string& ref) const {
   for (std::size_t id = 0; id < registry_.size(); ++id) {
     if (registry_[id]->workload->name == ref) return id;
   }
-  APCC_CHECK(false, "unknown workload reference '" + ref +
-                        "' (register it first, or use \"@<id>\")");
+  APCC_CHECK_FAIL("unknown workload reference '" + ref +
+                  "' (register it first, or use \"@<id>\")");
 }
 
 Service::Registered& Service::entry(WorkloadId id) {
@@ -221,9 +221,10 @@ const runtime::BlockImage& Service::image_for(
         if (rebuild) ++stats_.images.rebuilds;
       }
       // Build off the lock: exactly what from_workload does -- train
-      // the codec on a copy of the block bytes, then freeze the image
-      // -- so a cached image is byte-identical to a per-call one (and a
-      // rebuilt-after-eviction image byte-identical to the first).
+      // the codec on the registered block bytes, then compress them
+      // into the image's arenas -- so a cached image is byte-identical
+      // to a per-call one (and a rebuilt-after-eviction image
+      // byte-identical to the first).
       const workloads::Workload& w = *entry.workload;
       std::unique_ptr<const runtime::BlockImage> image;
       std::uint64_t original_bytes = 0;
@@ -239,11 +240,12 @@ const runtime::BlockImage& Service::image_for(
                              std::to_string(faults_->seed) + ")");
           }
         }
-        std::vector<compress::Bytes> bytes = w.block_bytes;
-        for (const compress::Bytes& b : bytes) original_bytes += b.size();
-        auto codec = compress::make_codec(config.codec, bytes);
+        for (const compress::Bytes& b : w.block_bytes) {
+          original_bytes += b.size();
+        }
         image = std::make_unique<const runtime::BlockImage>(
-            w.cfg, std::move(bytes), std::move(codec));
+            w.cfg, w.block_bytes,
+            compress::make_codec(config.codec, w.block_bytes));
       } catch (...) {
         // Roll the claim back and wake waiters so they re-claim (and
         // hit the build failure themselves, or build it afresh after a
@@ -266,7 +268,7 @@ const runtime::BlockImage& Service::image_for(
       ++slot->pins;
       lease.image_ = slot;
       const runtime::BlockImage& built = *slot->image;
-      const std::uint64_t resident = built.approx_bytes();
+      const std::uint64_t resident = built.resident_bytes();
       slot->ready_cv.notify_all();
       slot_lock.unlock();
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -324,7 +326,7 @@ const runtime::FrontierCache* Service::frontiers_for(
     if (built) {
       ++stats_.frontiers.built;
       ++stats_.frontiers.misses;
-      const std::uint64_t resident = cache->approx_bytes();
+      const std::uint64_t resident = cache->resident_bytes();
       stats_.frontiers.bytes += resident;
       ledger.bytes = resident;
       ledger.rebuild_cost =

@@ -71,7 +71,8 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
 
   // Shared execution-cost tables (per distinct cycles_per_instruction)
   // and predictors (per kind / k / geometry; predict() is const and the
-  // batch steps cells on one thread).
+  // batch steps cells on one thread). Only a pre-single planner reads a
+  // predictor, so other cells get none.
   std::map<double, std::unique_ptr<std::vector<std::uint64_t>>> cost_tables;
   using PredictorKey = std::tuple<int, std::uint32_t,
                                   const runtime::FrontierCache*>;
@@ -94,19 +95,22 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
     }
     cell.exec_cycles = ct->second.get();
 
-    const PredictorKey key{static_cast<int>(cell.config.policy.predictor),
-                           cell.config.policy.predecompress_k,
-                           cell.config.shared_frontiers};
-    auto pr = predictors.find(key);
-    if (pr == predictors.end()) {
-      pr = predictors
-               .emplace(key, runtime::make_predictor(
-                                 cell.config.policy.predictor, cfg_,
-                                 cell.config.policy.predecompress_k, trace,
-                                 cell.config.shared_frontiers))
-               .first;
+    if (cell.config.policy.strategy ==
+        runtime::DecompressionStrategy::kPreSingle) {
+      const PredictorKey key{static_cast<int>(cell.config.policy.predictor),
+                             cell.config.policy.predecompress_k,
+                             cell.config.shared_frontiers};
+      auto pr = predictors.find(key);
+      if (pr == predictors.end()) {
+        pr = predictors
+                 .emplace(key, runtime::make_predictor(
+                                   cell.config.policy.predictor, cfg_,
+                                   cell.config.policy.predecompress_k, trace,
+                                   cell.config.shared_frontiers))
+                 .first;
+      }
+      cell.predictor = pr->second.get();
     }
-    cell.predictor = pr->second.get();
 
     try {
       // The last cell takes the layout itself; earlier cells copy it.

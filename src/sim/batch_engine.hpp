@@ -33,7 +33,9 @@
 //  * trace validation and decode        -- once per batch,
 //  * compressed slot layout             -- computed once, copied per cell,
 //  * block-size table                   -- computed once, copied per cell,
+//  * decompression-cost table           -- computed once per engine,
 //  * predictors                         -- shared per (kind, k, geometry),
+//                                          built for pre-single cells only,
 //  * planner frontier geometry          -- one materialized FrontierCache
 //                                          per predecompress_k that two or
 //                                          more planning cells share (a

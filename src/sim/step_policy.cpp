@@ -37,8 +37,25 @@ std::vector<std::uint64_t> exec_cycles_table(const cfg::Cfg& cfg,
   return out;
 }
 
+namespace {
+
+std::vector<std::uint64_t> decompress_cycles_table(
+    const runtime::BlockImage& image) {
+  const compress::CodecCosts& costs = image.codec().costs();
+  std::vector<std::uint64_t> out;
+  out.reserve(image.block_count());
+  for (cfg::BlockId b = 0; b < image.block_count(); ++b) {
+    out.push_back(costs.decompress_cycles(image.original_size(b)));
+  }
+  return out;
+}
+
+}  // namespace
+
 StepPolicy::StepPolicy(const cfg::Cfg& cfg, const runtime::BlockImage& image)
-    : cfg_(cfg), image_(image) {
+    : cfg_(cfg),
+      image_(image),
+      decompress_cycles_(decompress_cycles_table(image)) {
   APCC_CHECK(image_.block_count() == cfg_.block_count(),
              "image and CFG disagree on block count");
 }
@@ -160,8 +177,7 @@ void StepPolicy::issue_predecompression(EngineCell& c, cfg::BlockId block,
     return;
   }
   const std::uint64_t duration =
-      c.config.costs.alloc_block_cycles +
-      image_.codec().costs().decompress_cycles(image_.original_size(block));
+      c.config.costs.alloc_block_cycles + decompress_cycles_[block];
 
   emit(c, EventKind::kPredecompressIssue, c.now, block, from, duration);
   if (c.config.policy.background_decompression) {
@@ -253,10 +269,9 @@ void StepPolicy::ensure_executable(EngineCell& c, cfg::BlockId block,
   if (s.form() == runtime::BlockForm::kDecompressing) {
     const std::uint64_t wait =
         s.ready_time > c.now ? s.ready_time - c.now : 0;
-    const std::uint64_t demand_cost =
-        c.config.costs.exception_cycles + c.config.costs.alloc_block_cycles +
-        image_.codec().costs().decompress_cycles(
-            image_.original_size(block));
+    const std::uint64_t demand_cost = c.config.costs.exception_cycles +
+                                      c.config.costs.alloc_block_cycles +
+                                      decompress_cycles_[block];
     if (wait > demand_cost) {
       // The helper is backlogged: the fetch faults and the handler
       // decompresses in the critical path, beating the queued job (the
@@ -343,8 +358,7 @@ void StepPolicy::ensure_executable(EngineCell& c, cfg::BlockId block,
     address = place_with_eviction(c, block);
   }
   const std::uint64_t cost =
-      c.config.costs.alloc_block_cycles +
-      image_.codec().costs().decompress_cycles(image_.original_size(block));
+      c.config.costs.alloc_block_cycles + decompress_cycles_[block];
   c.now += cost;
   c.result.critical_decompress_cycles += cost;
   ++c.result.demand_decompressions;
@@ -387,7 +401,9 @@ void StepPolicy::init_cell(EngineCell& cell, runtime::StateTable& states,
   states.set_block_sizes(block_sizes);
   cell.kedge = std::make_unique<runtime::KEdgeCompressionManager>(
       states, cell.config.policy.compress_k);
-  if (cell.predictor == nullptr) {
+  if (cell.predictor == nullptr &&
+      cell.config.policy.strategy ==
+          runtime::DecompressionStrategy::kPreSingle) {
     cell.owned_predictor = runtime::make_predictor(
         cell.config.policy.predictor, cfg_, cell.config.policy.predecompress_k,
         trace, cell.config.shared_frontiers);

@@ -3,7 +3,8 @@
 // StepPolicy is the *scalar* per-step decision logic of the paper's
 // three-thread runtime (Figure 4): exception handling, demand and
 // pre-decompression, k-edge deletion, patching, budget eviction. It is
-// stateless apart from the immutable (CFG, image) pair and operates on
+// stateless apart from the immutable (CFG, image) pair and the per-block
+// decompression costs derived from it, and operates on
 // one EngineCell at a time through the runtime::StateTable cell-view
 // interface; sim::BatchEngine drives it over N cells in lockstep on one
 // shared StateBatch (a width-1 batch is the per-cell run).
@@ -128,8 +129,8 @@ class StepPolicy {
   /// Reset `cell` for a fresh run over `trace`. `states` is the cell's
   /// view (its lane of a StateBatch); `slots` / `block_sizes` are the
   /// immutable per-image tables the caller computed once per batch. If
-  /// `cell.predictor` is pre-set (batch-shared) it is kept; otherwise
-  /// the cell builds and owns one.
+  /// `cell.predictor` is pre-set (batch-shared) it is kept; otherwise a
+  /// pre-single cell builds and owns one (no other strategy reads it).
   void init_cell(EngineCell& cell, runtime::StateTable& states,
                  const cfg::BlockTrace& trace,
                  std::vector<memory::CompressedSlot> slots,
@@ -197,10 +198,15 @@ class StepPolicy {
 
   const cfg::Cfg& cfg_;
   const runtime::BlockImage& image_;
+  /// Per-block codec().costs().decompress_cycles(original_size(b)),
+  /// read on every demand and pre-decompression instead of
+  /// re-evaluating the codec's cost model.
+  std::vector<std::uint64_t> decompress_cycles_;
 };
 
 /// Per-block execution cost table for `costs.cycles_per_instruction`.
 [[nodiscard]] std::vector<std::uint64_t> exec_cycles_table(
     const cfg::Cfg& cfg, const runtime::CostModel& costs);
+
 
 }  // namespace apcc::sim

@@ -48,3 +48,13 @@ namespace detail {
       ::apcc::detail::check_fail(#expr, __FILE__, __LINE__, (msg));     \
     }                                                                   \
   } while (false)
+
+// Unconditional failures, rendered as APCC_ASSERT(false, msg) /
+// APCC_CHECK(false, msg) are, for the end of a non-void function whose
+// every valid path returned earlier. The [[noreturn]] call is not
+// behind a condition, so an -O0 build does not warn that control
+// reaches the end of the function (-Wreturn-type).
+#define APCC_ASSERT_FAIL(msg) \
+  ::apcc::detail::assert_fail("false", __FILE__, __LINE__, (msg))
+#define APCC_CHECK_FAIL(msg) \
+  ::apcc::detail::check_fail("false", __FILE__, __LINE__, (msg))

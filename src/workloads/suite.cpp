@@ -550,7 +550,7 @@ std::string workload_source(WorkloadKind kind,
       return dijkstra_like_source(options.scale);
     case WorkloadKind::kCrcLike: return crc_like_source(options.scale);
   }
-  APCC_ASSERT(false, "unknown workload kind");
+  APCC_ASSERT_FAIL("unknown workload kind");
 }
 
 Workload make_workload(WorkloadKind kind, const WorkloadOptions& options) {

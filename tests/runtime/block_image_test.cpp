@@ -1,5 +1,8 @@
-// BlockImage tests: construction, per-block round trips, ratios and slots.
+// BlockImage tests: construction, per-block round trips through the
+// flat arenas, exact resident bytes, ratios and slots.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "cfg/paper_graphs.hpp"
 #include "isa/isa.hpp"
@@ -25,11 +28,40 @@ TEST(BlockImage, BlockCountMatchesCfg) {
 }
 
 TEST(BlockImage, EveryBlockRoundTrips) {
+  const cfg::Cfg g = cfg::figure2_cfg();
   for (const auto kind : compress::all_codec_kinds()) {
     const BlockImage image = make_image(kind);
     for (cfg::BlockId b = 0; b < image.block_count(); ++b) {
       EXPECT_NO_THROW(image.verify_block(b)) << codec_kind_name(kind);
+      // The views read the arenas in place: the original view holds the
+      // block's own bytes, and the compressed view decodes to them.
+      const compress::Bytes want =
+          workloads::synthesize_block_bytes(g.block(b));
+      EXPECT_TRUE(std::ranges::equal(image.original(b), want))
+          << codec_kind_name(kind) << " block " << b;
+      EXPECT_EQ(image.codec().decompress(image.compressed(b), want.size()),
+                want)
+          << codec_kind_name(kind) << " block " << b;
     }
+  }
+}
+
+TEST(BlockImage, ResidentBytesAreTheFlatArrays) {
+  // Two arenas (every original byte, every compressed byte) and two
+  // (B+1)-entry offset tables, with no slack: exactly what an artifact
+  // budget is charged.
+  for (const auto kind : compress::all_codec_kinds()) {
+    const BlockImage image = make_image(kind);
+    std::uint64_t original = 0;
+    std::uint64_t compressed = 0;
+    for (cfg::BlockId b = 0; b < image.block_count(); ++b) {
+      original += image.original_size(b);
+      compressed += image.compressed_size(b);
+    }
+    const std::uint64_t offsets =
+        2 * (image.block_count() + 1) * sizeof(std::uint32_t);
+    EXPECT_EQ(image.resident_bytes(), original + compressed + offsets)
+        << codec_kind_name(kind);
   }
 }
 
@@ -79,7 +111,11 @@ TEST(BlockImage, NullCodecPointerRejected) {
 
 TEST(BlockImage, OutOfRangeBlockThrows) {
   const BlockImage image = make_image(compress::CodecKind::kNull);
-  EXPECT_THROW((void)image.block(10), apcc::CheckError);
+  EXPECT_THROW((void)image.original(10), apcc::CheckError);
+  EXPECT_THROW((void)image.compressed(10), apcc::CheckError);
+  EXPECT_THROW((void)image.original_size(10), apcc::CheckError);
+  EXPECT_THROW((void)image.compressed_size(10), apcc::CheckError);
+  EXPECT_NO_THROW((void)image.original(9));
 }
 
 TEST(SynthBytes, DeterministicPerBlockAndSeed) {
