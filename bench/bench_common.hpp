@@ -1,23 +1,19 @@
 // Shared plumbing for the APCC benchmark binaries.
 //
-// Every binary reproduces one paper artifact (figure or implied
-// experiment): it prints the regenerated table/series to stdout, then
-// runs its google-benchmark timing registrations. Tables use the same
-// renderer as the library reports so EXPERIMENTS.md can quote them
-// verbatim.
+// The benches time the library's hot paths; tools/run_benches.sh
+// collects their rows into BENCH_{engine,codecs,sweep}.json. E11 and
+// sweep scaling also print a wall-clock table before the timings. The
+// paper-reproduction tables are not here: `apcc_reproduce` prints them
+// (reproduce/, docs/REPRODUCTION.md).
 #pragma once
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <iostream>
-#include <map>
-#include <mutex>
 #include <string>
 
-#include "core/report.hpp"
 #include "core/system.hpp"
-#include "support/strings.hpp"
 #include "workloads/suite.hpp"
 
 namespace apcc::bench {
@@ -31,30 +27,7 @@ inline bool quick_mode() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-/// Build-once cache of the six suite workloads (interpreter runs are the
-/// expensive part; the benches reuse them across tables and timings).
-/// Mutex-guarded: sweep benches call this from pool workers, and an
-/// unguarded std::map insert is a data race. Map nodes are stable, so a
-/// returned reference stays valid while other threads insert.
-inline const workloads::Workload& cached_workload(workloads::WorkloadKind kind) {
-  static auto* mutex = new std::mutex();
-  static auto* cache = new std::map<workloads::WorkloadKind,
-                                    workloads::Workload>();
-  const std::lock_guard<std::mutex> lock(*mutex);
-  auto it = cache->find(kind);
-  if (it == cache->end()) {
-    it = cache->emplace(kind, workloads::make_workload(kind)).first;
-  }
-  return it->second;
-}
-
-/// Run one policy configuration on a workload.
-inline sim::RunResult run_config(const workloads::Workload& workload,
-                                 const core::SystemConfig& config) {
-  return core::CodeCompressionSystem::from_workload(workload, config).run();
-}
-
-/// Banner separating the reproduced artifact from benchmark timing noise.
+/// Banner separating a bench's table from its benchmark timing rows.
 inline void print_header(const std::string& artifact,
                          const std::string& what) {
   std::cout << "==================================================\n"
@@ -63,7 +36,7 @@ inline void print_header(const std::string& artifact,
             << "==================================================\n\n";
 }
 
-/// Standard main body: print tables, then run timings.
+/// Main body of a bench with a table: print it, then run the timings.
 #define APCC_BENCH_MAIN(print_tables_fn)                       \
   int main(int argc, char** argv) {                            \
     print_tables_fn();                                         \

@@ -13,6 +13,7 @@
 // configuration as a width-1 sim::BatchEngine -- the per-cell run, with
 // the planner owning its own (lazy) frontier geometry.
 #include <chrono>
+#include <map>
 
 #include "bench/bench_common.hpp"
 #include "sim/batch_engine.hpp"

@@ -1,12 +1,14 @@
-// E4: codec comparison on real instruction bytes.
+// E4: codec host throughput on real instruction bytes.
 //
-// The paper is codec-agnostic; this experiment grounds the choice: for
-// each codec, the whole-suite compression ratio, the modelled per-byte
-// decompression cost, and -- via google-benchmark -- the *actual* host
-// throughput of compress/decompress on basic-block-sized inputs.
-#include "bench/bench_common.hpp"
+// For each codec, the actual compress and decompress throughput on
+// basic-block-sized inputs (every basic block of the suite), plus the
+// shared-Huffman decoder A/B. tools/run_benches.sh collects every row
+// into BENCH_codecs.json; E4's ratio and cost-model table is
+// `apcc_reproduce e4_codecs` (reproduce/e4_codecs.cpp).
+#include <benchmark/benchmark.h>
+
 #include "compress/huffman.hpp"
-#include "support/table.hpp"
+#include "workloads/suite.hpp"
 
 namespace {
 
@@ -16,52 +18,12 @@ const std::vector<compress::Bytes>& all_suite_blocks() {
   static const std::vector<compress::Bytes> blocks = [] {
     std::vector<compress::Bytes> out;
     for (const auto kind : workloads::all_workload_kinds()) {
-      const auto& w = bench::cached_workload(kind);
+      const auto w = workloads::make_workload(kind);
       out.insert(out.end(), w.block_bytes.begin(), w.block_bytes.end());
     }
     return out;
   }();
   return blocks;
-}
-
-void print_tables() {
-  bench::print_header("E4",
-                      "codec comparison over all suite basic blocks\n"
-                      "(ratio = compressed/original; cost model feeds the\n"
-                      "simulator; end-to-end column = gsm-like avg saving)");
-  const auto& blocks = all_suite_blocks();
-  TextTable table;
-  table.row()
-      .cell("codec")
-      .cell("ratio")
-      .cell("decomp cyc/B")
-      .cell("comp cyc/B")
-      .cell("gsm avg-saving")
-      .cell("gsm slowdown");
-  for (const auto kind : compress::all_codec_kinds()) {
-    const auto codec = compress::make_codec(kind, blocks);
-    const double ratio = compress::compression_ratio(*codec, blocks);
-
-    core::SystemConfig config;
-    config.codec = kind;
-    config.policy.compress_k = 2;
-    const auto result = bench::run_config(
-        bench::cached_workload(workloads::WorkloadKind::kGsmLike), config);
-
-    table.row()
-        .cell(codec->name().data())
-        .cell(ratio, 3)
-        .cell(codec->costs().decompress_cycles_per_byte, 1)
-        .cell(codec->costs().compress_cycles_per_byte, 1)
-        .cell(percent(result.avg_saving()))
-        .cell(result.slowdown(), 3);
-  }
-  std::cout << table.render() << '\n';
-  std::cout << "Baselines: null, mtf-rle and huffman are the seed-era\n"
-               "baselines; none of them shrinks the suite's code.\n\n"
-               "Shape checks: per-stream huffman loses to the shared model\n"
-               "on basic blocks (header cost); better ratio -> more memory\n"
-               "saving at the same k, in strict order over every codec.\n\n";
 }
 
 /// The codec a bm_compress / bm_decompress argument names: an index
@@ -139,35 +101,6 @@ void bm_huffman_decode(benchmark::State& state) {
 }
 BENCHMARK(bm_huffman_decode)->Arg(0)->Arg(1);
 
-// Encoder-level A/B on identical inputs: batched (code,len)-pair
-// concatenation through the 64-bit accumulator (encode_all, what
-// compress() ships) against the per-symbol write_bits reference. Both
-// emit bit-identical streams (tests/compress/huffman_test.cpp pins
-// that); this isolates the symbol-encode loop from training and
-// allocation, the compress cost a warm Service artifact cache pays
-// exactly once per (workload, codec).
-void bm_huffman_encode(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  const auto& blocks = all_suite_blocks();
-  const compress::SharedHuffmanCodec codec(blocks);
-  std::size_t i = 0;
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    const auto& block = blocks[i++ % blocks.size()];
-    apcc::BitWriter writer;
-    if (batched) {
-      codec.code().encode_all(writer, block);
-    } else {
-      for (const std::uint8_t b : block) codec.code().encode(writer, b);
-    }
-    benchmark::DoNotOptimize(writer.take());
-    bytes += block.size();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-  state.SetLabel(batched ? "batched" : "per-symbol");
-}
-BENCHMARK(bm_huffman_encode)->Arg(0)->Arg(1);
-
 }  // namespace
 
-APCC_BENCH_MAIN(print_tables)
+BENCHMARK_MAIN();

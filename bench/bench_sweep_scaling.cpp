@@ -26,18 +26,17 @@ using namespace apcc;
 const core::CodeCompressionSystem& sweep_system() {
   static const auto* system = new core::CodeCompressionSystem(
       core::CodeCompressionSystem::from_workload(
-          bench::cached_workload(workloads::WorkloadKind::kGsmLike)));
+          workloads::make_workload(workloads::WorkloadKind::kGsmLike)));
   return *system;
 }
 
 /// The fig3-style grid: every decompression strategy x a k sweep x
 /// {unbounded, tight} budget x {first, best} fit.
 std::vector<sweep::SweepTask> make_grid() {
-  const auto& workload =
-      bench::cached_workload(workloads::WorkloadKind::kGsmLike);
+  const auto& system = sweep_system();
   std::uint64_t largest = 0;
-  for (const auto b : workload.trace) {
-    largest = std::max(largest, workload.cfg.block(b).size_bytes());
+  for (const auto b : system.default_trace()) {
+    largest = std::max(largest, system.cfg().block(b).size_bytes());
   }
   std::vector<sweep::SweepTask> tasks;
   for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,

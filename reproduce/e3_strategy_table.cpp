@@ -5,18 +5,19 @@
 // Kirovski procedure cache), and APCC under its three decompression
 // strategies. This is the table a DATE'05 evaluation section would
 // print; the shapes to check are listed below it.
-#include "bench/bench_common.hpp"
+#include "reproduce/common.hpp"
 #include "baselines/baselines.hpp"
 #include "baselines/function_compression.hpp"
 
+namespace apcc::reproduce {
+
 namespace {
 
-using namespace apcc;
-
-void print_workload_table(const workloads::Workload& workload) {
-  std::cout << "--- " << workload.name << " ("
-            << human_bytes(workload.image_bytes()) << ", "
-            << workload.trace.size() << " entries) ---\n";
+void print_workload_table(std::ostream& out,
+                          const workloads::Workload& workload) {
+  out << "--- " << workload.name << " ("
+      << human_bytes(workload.image_bytes()) << ", "
+      << workload.trace.size() << " entries) ---\n";
   std::vector<core::ReportRow> rows;
 
   rows.push_back({"no-compression",
@@ -45,33 +46,42 @@ void print_workload_table(const workloads::Workload& workload) {
     rows.push_back({"proc-cache (K)",
                     baselines::run_function_compression(workload, config)});
   }
+  for (const Cell& cell : e3_apcc_cells()) {
+    rows.push_back({cell.label, run_config(workload, cell.config)});
+  }
+  out << core::render_comparison(rows) << '\n';
+}
+
+}  // namespace
+
+std::vector<Cell> e3_apcc_cells() {
+  std::vector<Cell> cells;
   for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,
                               runtime::DecompressionStrategy::kPreAll,
                               runtime::DecompressionStrategy::kPreSingle}) {
-    core::SystemConfig config;
+    Cell cell;
+    cell.label = std::string("apcc/") + runtime::strategy_name(strategy);
     // CodePack-style hardware-assisted decoding: the configuration the
     // pre-decompression thread model presumes. k_c must cover the hot
     // loops' circumference or every iteration re-decompresses its body;
     // E1/E2 sweep k itself.
-    config.codec = compress::CodecKind::kCodePack;
-    config.policy.strategy = strategy;
-    config.policy.compress_k = 16;
-    config.policy.predecompress_k = 4;
-    rows.push_back({std::string("apcc/") + runtime::strategy_name(strategy),
-                    bench::run_config(workload, config)});
+    cell.config.codec = compress::CodecKind::kCodePack;
+    cell.config.policy.strategy = strategy;
+    cell.config.policy.compress_k = 16;
+    cell.config.policy.predecompress_k = 4;
+    cells.push_back(std::move(cell));
   }
-  std::cout << core::render_comparison(rows) << '\n';
+  return cells;
 }
 
-void print_tables() {
-  bench::print_header("E3",
-                      "per-benchmark comparison: baselines vs APCC\n"
-                      "(k_c = 16, k_d = 4, codepack codec)");
+void print_e3_strategy_table(std::ostream& out) {
+  print_header(out, "E3",
+               "per-benchmark comparison: baselines vs APCC\n"
+               "(k_c = 16, k_d = 4, codepack codec)");
   for (const auto kind : workloads::all_workload_kinds()) {
-    print_workload_table(bench::cached_workload(kind));
+    print_workload_table(out, cached_workload(kind));
   }
-  std::cout
-      << "Shape checks:\n"
+  out << "Shape checks:\n"
          "  * apcc on-demand peak/avg memory < no-compression and <\n"
          "    load-time (those two hold the full uncompressed image).\n"
          "    Not reproduced for pre-decompression (see\n"
@@ -89,19 +99,4 @@ void print_tables() {
          "    15,551 cycles against on-demand's 15,363.\n\n";
 }
 
-void bm_full_table_row(benchmark::State& state) {
-  const auto& workload =
-      bench::cached_workload(workloads::WorkloadKind::kPegwitLike);
-  core::SystemConfig config;
-  config.policy.strategy = runtime::DecompressionStrategy::kPreSingle;
-  const auto system =
-      core::CodeCompressionSystem::from_workload(workload, config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(system.run());
-  }
-}
-BENCHMARK(bm_full_table_row);
-
-}  // namespace
-
-APCC_BENCH_MAIN(print_tables)
+}  // namespace apcc::reproduce

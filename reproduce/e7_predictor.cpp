@@ -4,17 +4,15 @@
 // fix the predictor. This experiment compares the three implementations
 // (profile / static-heuristic / oracle) by useful-arrival rate and by the
 // end-to-end cycle cost, per workload.
-#include "bench/bench_common.hpp"
+#include "reproduce/common.hpp"
 #include "support/table.hpp"
 
-namespace {
+namespace apcc::reproduce {
 
-using namespace apcc;
-
-void print_tables() {
-  bench::print_header("E7",
-                      "pre-decompress-single predictor comparison\n"
-                      "(k_c = 4, k_d = 3; useful = hit or partial-hide)");
+void print_e7_predictor(std::ostream& out) {
+  print_header(out, "E7",
+               "pre-decompress-single predictor comparison\n"
+               "(k_c = 4, k_d = 3; useful = hit or partial-hide)");
   TextTable table;
   table.row()
       .cell("workload")
@@ -25,7 +23,7 @@ void print_tables() {
       .cell("useful-rate")
       .cell("slowdown");
   for (const auto kind : workloads::all_workload_kinds()) {
-    const auto& workload = bench::cached_workload(kind);
+    const auto& workload = cached_workload(kind);
     for (const auto predictor :
          {runtime::PredictorKind::kStatic, runtime::PredictorKind::kProfile,
           runtime::PredictorKind::kOracle}) {
@@ -34,7 +32,7 @@ void print_tables() {
       config.policy.compress_k = 4;
       config.policy.predecompress_k = 3;
       config.policy.predictor = predictor;
-      const auto r = bench::run_config(workload, config);
+      const auto r = run_config(workload, config);
       const std::uint64_t useful =
           r.predecompress_hits + r.predecompress_partial;
       table.row()
@@ -50,27 +48,10 @@ void print_tables() {
           .cell(r.slowdown(), 3);
     }
   }
-  std::cout << table.render() << '\n';
-  std::cout << "Shape check: oracle >= profile >= static on useful-rate\n"
-               "(the oracle is the upper bound; the profile predictor is\n"
-               "what the paper's profile-driven approach achieves).\n\n";
+  out << table.render() << '\n';
+  out << "Shape check: oracle >= profile >= static on useful-rate\n"
+         "(the oracle is the upper bound; the profile predictor is\n"
+         "what the paper's profile-driven approach achieves).\n\n";
 }
 
-void bm_predictor(benchmark::State& state) {
-  const auto& workload =
-      bench::cached_workload(workloads::WorkloadKind::kGsmLike);
-  core::SystemConfig config;
-  config.policy.strategy = runtime::DecompressionStrategy::kPreSingle;
-  config.policy.predictor =
-      static_cast<runtime::PredictorKind>(state.range(0));
-  const auto system =
-      core::CodeCompressionSystem::from_workload(workload, config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(system.run());
-  }
-}
-BENCHMARK(bm_predictor)->Arg(0)->Arg(1)->Arg(2);
-
-}  // namespace
-
-APCC_BENCH_MAIN(print_tables)
+}  // namespace apcc::reproduce

@@ -4,22 +4,19 @@
 // thread only wins when decompression bandwidth keeps up with the request
 // stream; with one slow software decoder the helper queue saturates, the
 // execution thread's demand path wins the race, and pre-all degenerates
-// to on-demand-with-overhead. This bench quantifies that by sweeping the
+// to on-demand-with-overhead. This table quantifies that by sweeping the
 // number of helper units for both a slow (shared-huffman) and a fast
 // (codepack) decoder.
-#include "bench/bench_common.hpp"
+#include "reproduce/common.hpp"
 #include "support/table.hpp"
 
-namespace {
+namespace apcc::reproduce {
 
-using namespace apcc;
-
-void print_tables() {
-  bench::print_header("E8 (extension)",
-                      "pre-decompress-all payoff vs decompression\n"
-                      "bandwidth (mpeg2-like, k_c = 16, k_d = 4)");
-  const auto& workload =
-      bench::cached_workload(workloads::WorkloadKind::kMpeg2Like);
+void print_e8_bandwidth(std::ostream& out) {
+  print_header(out, "E8 (extension)",
+               "pre-decompress-all payoff vs decompression\n"
+               "bandwidth (mpeg2-like, k_c = 16, k_d = 4)");
+  const auto& workload = cached_workload(workloads::WorkloadKind::kMpeg2Like);
 
   TextTable table;
   table.row()
@@ -39,7 +36,7 @@ void print_tables() {
       config.policy.compress_k = 16;
       config.policy.predecompress_k = 4;
       config.policy.decompress_units = units;
-      const auto r = bench::run_config(workload, config);
+      const auto r = run_config(workload, config);
       const std::uint64_t useful =
           r.predecompress_hits + r.predecompress_partial;
       table.row()
@@ -55,27 +52,9 @@ void print_tables() {
                             : 0.0));
     }
   }
-  std::cout << table.render() << '\n';
-  std::cout << "Shape check: more units -> fewer demand races and stalls;\n"
-               "the fast decoder needs fewer units to make pre-all pay.\n\n";
+  out << table.render() << '\n';
+  out << "Shape check: more units -> fewer demand races and stalls;\n"
+         "the fast decoder needs fewer units to make pre-all pay.\n\n";
 }
 
-void bm_units(benchmark::State& state) {
-  const auto& workload =
-      bench::cached_workload(workloads::WorkloadKind::kMpeg2Like);
-  core::SystemConfig config;
-  config.policy.strategy = runtime::DecompressionStrategy::kPreAll;
-  config.policy.compress_k = 16;
-  config.policy.predecompress_k = 4;
-  config.policy.decompress_units = static_cast<unsigned>(state.range(0));
-  const auto system =
-      core::CodeCompressionSystem::from_workload(workload, config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(system.run());
-  }
-}
-BENCHMARK(bm_units)->Arg(1)->Arg(4);
-
-}  // namespace
-
-APCC_BENCH_MAIN(print_tables)
+}  // namespace apcc::reproduce

@@ -7,16 +7,16 @@
 // The table prints, for each traversed edge, the k-edge counters and the
 // deletions triggered -- the compress-B1-before-B4 event must appear on
 // the edge into B4. A k sweep shows how the trigger point moves.
-#include "bench/bench_common.hpp"
+#include "reproduce/common.hpp"
 #include "cfg/paper_graphs.hpp"
 #include "runtime/kedge.hpp"
 #include "support/table.hpp"
 
+namespace apcc::reproduce {
+
 namespace {
 
-using namespace apcc;
-
-void trace_kedge(std::uint32_t k) {
+void trace_kedge(std::ostream& out, std::uint32_t k) {
   const cfg::Cfg graph = cfg::figure1_cfg();
   runtime::StateTable states(graph.block_count());
   // B1 was visited and is resident in decompressed form.
@@ -43,37 +43,19 @@ void trace_kedge(std::uint32_t k) {
         .cell(deleted_str);
     if (!deleted.empty()) break;  // copy gone; counters stop mattering
   }
-  std::cout << "k = " << k << ":\n" << table.render() << '\n';
+  out << "k = " << k << ":\n" << table.render() << '\n';
 }
-
-void print_tables() {
-  bench::print_header(
-      "Figure 1",
-      "2-edge compression triggers for B1 on the example CFG\n"
-      "(expected: with k=2, B1 is compressed just before entering B4)");
-  for (const std::uint32_t k : {1u, 2u, 3u}) {
-    trace_kedge(k);
-  }
-}
-
-void bm_kedge_edge_traversal(benchmark::State& state) {
-  const cfg::Cfg graph = cfg::figure1_cfg();
-  runtime::StateTable states(graph.block_count());
-  for (cfg::BlockId b = 0; b < graph.block_count(); ++b) {
-    states.set_form(b, runtime::BlockForm::kDecompressed);
-  }
-  runtime::KEdgeCompressionManager kedge(
-      states, static_cast<std::uint32_t>(state.range(0)));
-  cfg::BlockId target = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kedge.on_edge_traversed(target));
-    target = (target + 1) % graph.block_count();
-    kedge.on_block_executed(target);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(bm_kedge_edge_traversal)->Arg(2)->Arg(8);
 
 }  // namespace
 
-APCC_BENCH_MAIN(print_tables)
+void print_fig1_kedge(std::ostream& out) {
+  print_header(
+      out, "Figure 1",
+      "2-edge compression triggers for B1 on the example CFG\n"
+      "(expected: with k=2, B1 is compressed just before entering B4)");
+  for (const std::uint32_t k : {1u, 2u, 3u}) {
+    trace_kedge(out, k);
+  }
+}
+
+}  // namespace apcc::reproduce

@@ -5,20 +5,20 @@
 // are at most 3 edges that need to be traversed."  And the §4 example:
 // with k=2 and B4/B5/B8/B9 compressed, pre-decompress-all fetches exactly
 // those four at the exit of B0, while pre-decompress-single picks one.
-#include "bench/bench_common.hpp"
+#include "reproduce/common.hpp"
 #include "cfg/analysis.hpp"
 #include "cfg/paper_graphs.hpp"
 #include "runtime/planner.hpp"
 #include "support/table.hpp"
 
+namespace apcc::reproduce {
+
 namespace {
 
-using namespace apcc;
-
-void print_trigger_table() {
+void print_trigger_table(std::ostream& out) {
   const cfg::Cfg graph = cfg::figure2_cfg();
-  std::cout << "Pre-decompression of B7: earliest block exit that triggers "
-               "it, by k\n";
+  out << "Pre-decompression of B7: earliest block exit that triggers "
+         "it, by k\n";
   TextTable table;
   table.row().cell("k").cell("trigger block").cell("comment");
   // Walk the paper's illustrative path backwards from B7.
@@ -39,17 +39,17 @@ void print_trigger_table() {
         .cell(trigger)
         .cell(k == 3 ? "<- paper: end of B1" : "");
   }
-  std::cout << table.render() << '\n';
+  out << table.render() << '\n';
 }
 
-void print_strategy_example() {
+void print_strategy_example(std::ostream& out) {
   const cfg::Cfg graph = cfg::figure2_cfg();
   runtime::StateTable states(graph.block_count());
   for (const cfg::BlockId b : {0u, 1u, 2u, 3u, 6u, 7u}) {
     states.set_form(b, runtime::BlockForm::kDecompressed);
   }
-  std::cout << "S4 example: B4,B5,B8,B9 compressed; execution leaves B0; "
-               "k=2\n";
+  out << "S4 example: B4,B5,B8,B9 compressed; execution leaves B0; "
+         "k=2\n";
   TextTable table;
   table.row().cell("strategy").cell("requests");
   {
@@ -77,37 +77,17 @@ void print_strategy_example() {
     }
     table.row().cell("pre-decompress-single").cell(requests);
   }
-  std::cout << table.render() << '\n';
+  out << table.render() << '\n';
 }
-
-void print_tables() {
-  bench::print_header("Figure 2 / S4 examples",
-                      "k-edge pre-decompression trigger points and the\n"
-                      "pre-all vs pre-single request sets");
-  print_trigger_table();
-  print_strategy_example();
-}
-
-void bm_frontier_within(benchmark::State& state) {
-  const cfg::Cfg graph = cfg::figure2_cfg();
-  const auto k = static_cast<unsigned>(state.range(0));
-  cfg::BlockId from = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cfg::frontier_within(graph, from, k));
-    from = (from + 1) % graph.block_count();
-  }
-}
-BENCHMARK(bm_frontier_within)->Arg(2)->Arg(3)->Arg(5);
-
-void bm_reach_scores(benchmark::State& state) {
-  const cfg::Cfg graph = cfg::figure2_cfg();
-  const auto k = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cfg::reach_scores(graph, 0, k));
-  }
-}
-BENCHMARK(bm_reach_scores)->Arg(2)->Arg(4);
 
 }  // namespace
 
-APCC_BENCH_MAIN(print_tables)
+void print_fig2_predecomp(std::ostream& out) {
+  print_header(out, "Figure 2 / S4 examples",
+               "k-edge pre-decompression trigger points and the\n"
+               "pre-all vs pre-single request sets");
+  print_trigger_table(out);
+  print_strategy_example(out);
+}
+
+}  // namespace apcc::reproduce

@@ -5,25 +5,22 @@
 // thread and compresses back the basic blocks whose executions are over.
 // The k parameters control the distance between the threads."
 //
-// The bench replays a long looping trace with pre-decompress-single and
+// The table replays a long looping trace with pre-decompress-single and
 // prints a timeline sampling each thread's most recent activity, then
 // verifies the ordering: decompression events for a block precede its
 // execution, deletions follow it.
 #include <deque>
 
-#include "bench/bench_common.hpp"
+#include "reproduce/common.hpp"
 #include "support/table.hpp"
 
-namespace {
+namespace apcc::reproduce {
 
-using namespace apcc;
-
-void print_tables() {
-  bench::print_header("Figure 4",
-                      "three-thread cooperation timeline (mpeg2-like,\n"
-                      "pre-decompress-single, k_c = 2, k_d = 2)");
-  const auto& workload =
-      bench::cached_workload(workloads::WorkloadKind::kMpeg2Like);
+void print_fig4_threads(std::ostream& out) {
+  print_header(out, "Figure 4",
+               "three-thread cooperation timeline (mpeg2-like,\n"
+               "pre-decompress-single, k_c = 2, k_d = 2)");
+  const auto& workload = cached_workload(workloads::WorkloadKind::kMpeg2Like);
   core::SystemConfig config;
   config.policy.strategy = runtime::DecompressionStrategy::kPreSingle;
   config.policy.compress_k = 2;
@@ -76,34 +73,17 @@ void print_tables() {
   for (const auto& s : samples) {
     table.row().cell(s.time).cell(s.exec).cell(s.decomp).cell(s.comp);
   }
-  std::cout << table.render() << '\n';
-  std::cout << "pre-decompressions issued: " << lead_count
-            << ", arrived-useful: " << lead_useful << " ("
-            << percent(lead_count
-                           ? static_cast<double>(lead_useful) /
-                                 static_cast<double>(lead_count)
-                           : 0.0)
-            << ")\n";
-  std::cout << "deletions trailing execution: " << result.deletions
-            << ", helper busy: decomp=" << result.decomp_helper_busy_cycles
-            << " comp=" << result.comp_helper_busy_cycles << " cycles\n\n";
+  out << table.render() << '\n';
+  out << "pre-decompressions issued: " << lead_count
+      << ", arrived-useful: " << lead_useful << " ("
+      << percent(lead_count
+                     ? static_cast<double>(lead_useful) /
+                           static_cast<double>(lead_count)
+                     : 0.0)
+      << ")\n";
+  out << "deletions trailing execution: " << result.deletions
+      << ", helper busy: decomp=" << result.decomp_helper_busy_cycles
+      << " comp=" << result.comp_helper_busy_cycles << " cycles\n\n";
 }
 
-void bm_three_thread_run(benchmark::State& state) {
-  const auto& workload =
-      bench::cached_workload(workloads::WorkloadKind::kMpeg2Like);
-  core::SystemConfig config;
-  config.policy.strategy = runtime::DecompressionStrategy::kPreSingle;
-  config.policy.background_compression = state.range(0) != 0;
-  config.policy.background_decompression = state.range(0) != 0;
-  const auto system =
-      core::CodeCompressionSystem::from_workload(workload, config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(system.run());
-  }
-}
-BENCHMARK(bm_three_thread_run)->Arg(1)->Arg(0);
-
-}  // namespace
-
-APCC_BENCH_MAIN(print_tables)
+}  // namespace apcc::reproduce

@@ -4,19 +4,17 @@
 // Figure 5 CFG and prints the event sequence annotated with the paper's
 // step numbers, plus the decompressed-copy population after each step
 // (matching the figure's memory-image snapshots).
-#include "bench/bench_common.hpp"
+#include "reproduce/common.hpp"
 #include "cfg/paper_graphs.hpp"
 #include "support/table.hpp"
 #include "workloads/synth_bytes.hpp"
 
-namespace {
+namespace apcc::reproduce {
 
-using namespace apcc;
-
-void print_tables() {
-  bench::print_header("Figure 5",
-                      "memory image evolution for the access pattern\n"
-                      "B0, B1, B0, B1, B3 with the 2-edge algorithm");
+void print_fig5_walkthrough(std::ostream& out) {
+  print_header(out, "Figure 5",
+               "memory image evolution for the access pattern\n"
+               "B0, B1, B0, B1, B3 with the 2-edge algorithm");
 
   cfg::Cfg graph = cfg::figure5_cfg();
   core::SystemConfig config;
@@ -77,31 +75,13 @@ void print_tables() {
             .cell(population())
             .cell(step);
       });
-  std::cout << table.render() << '\n';
-  std::cout << "final: exceptions=" << result.exceptions
-            << " (paper: steps 1, 3, 5, 8), decompressions="
-            << result.demand_decompressions
-            << " (B0, B1, B3), deletions=" << result.deletions
-            << " (B0' at step 9), step 7 exception-free: "
-            << (result.exceptions == 4 ? "yes" : "NO") << "\n\n";
+  out << table.render() << '\n';
+  out << "final: exceptions=" << result.exceptions
+      << " (paper: steps 1, 3, 5, 8), decompressions="
+      << result.demand_decompressions
+      << " (B0, B1, B3), deletions=" << result.deletions
+      << " (B0' at step 9), step 7 exception-free: "
+      << (result.exceptions == 4 ? "yes" : "NO") << "\n\n";
 }
 
-void bm_figure5_run(benchmark::State& state) {
-  cfg::Cfg graph = cfg::figure5_cfg();
-  core::SystemConfig config;
-  config.policy.compress_k = 2;
-  const auto system = core::CodeCompressionSystem::from_cfg(
-      std::move(graph),
-      [](const cfg::BasicBlock& b) {
-        return workloads::synthesize_block_bytes(b);
-      },
-      config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(system.run(cfg::figure5_trace()));
-  }
-}
-BENCHMARK(bm_figure5_run);
-
-}  // namespace
-
-APCC_BENCH_MAIN(print_tables)
+}  // namespace apcc::reproduce

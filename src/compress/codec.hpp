@@ -17,8 +17,9 @@
 //                  separation), trained over the image
 //
 // The first three are the seed-era baselines: none of them shrinks the
-// suite's code (bench_e4_codecs). docs/PERFORMANCE.md ("Pruned codecs")
-// records the data-line codecs that were measured and removed.
+// suite's code (E4, `apcc_reproduce e4_codecs`). docs/PERFORMANCE.md
+// ("Pruned codecs") records the data-line codecs that were measured and
+// removed.
 //
 // Codecs carry a cycle cost model consumed by the simulator; costs scale
 // with the *original* byte count, matching how decompressors are bounded

@@ -1,7 +1,7 @@
 // Standardised experiment reporting: one row per (label, RunResult).
 //
-// Every bench binary prints through this so the tables stay comparable
-// across experiments (and with EXPERIMENTS.md).
+// The reproduction tables print through this so they stay comparable
+// across experiments (and with docs/REPRODUCTION.md).
 #pragma once
 
 #include <string>

@@ -5,11 +5,11 @@
 // testable unit instead of private Service internals. The paper's whole
 // premise is operating under a hard memory budget -- its engine manages
 // decompressed blocks under a byte ceiling with budget-LRU machinery
-// (bench_e5/bench_e9) -- and the Service's artifact cache inherits the
-// same discipline at the serving layer: compressed BlockImages and
-// materialized FrontierCaches are resident artifacts competing for a
-// configurable byte budget, evicted cost-aware (not merely
-// recency-aware) and transparently rebuilt through the existing
+// (reproduction tables E5 and E9) -- and the Service's artifact cache
+// inherits the same discipline at the serving layer: compressed
+// BlockImages and materialized FrontierCaches are resident artifacts
+// competing for a configurable byte budget, evicted cost-aware (not
+// merely recency-aware) and transparently rebuilt through the existing
 // claim-build/wait handshake when a later job needs them again.
 //
 // Division of labour:

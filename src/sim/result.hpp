@@ -1,4 +1,4 @@
-// Run metrics: what every experiment in EXPERIMENTS.md reports.
+// Run metrics: what every reproduction table reports (docs/REPRODUCTION.md).
 #pragma once
 
 #include <cstdint>

@@ -562,9 +562,16 @@ Workload make_workload(WorkloadKind kind, const WorkloadOptions& options) {
   w.cfg = std::move(built.cfg);
   w.word_to_block = std::move(built.word_to_block);
 
-  // Execute for the real access pattern.
+  // Execute for the real access pattern. Scale also lengthens the
+  // buffers a kernel streams through: adpcm-like writes 4 B per sample
+  // from address 2048, 1 KiB per unit of scale, so data memory grows by
+  // the default 64 KiB per 16 units. Scales 1-16 keep exactly the
+  // default memory, and no kernel reads the stack pointer (top of data
+  // memory), so the program and its trace do not depend on the size.
   isa::InterpreterOptions iopts;
   iopts.max_steps = options.max_steps;
+  iopts.data_memory_bytes *=
+      static_cast<std::size_t>((options.scale - 1) / 16 + 1);
   isa::Interpreter interp(w.program, iopts);
   cfg::BlockTraceBuilder tracer(w.cfg, w.word_to_block);
   interp.set_trace_hook([&tracer](std::uint32_t pc) { tracer.on_pc(pc); });

@@ -35,7 +35,8 @@ enum class WorkloadKind : std::uint8_t {
 [[nodiscard]] std::vector<WorkloadKind> all_workload_kinds();
 
 struct WorkloadOptions {
-  /// Multiplies loop trip counts (image size is unaffected).
+  /// Multiplies loop trip counts (image size is unaffected). Data
+  /// memory grows with it, so every kernel runs at least to scale 64.
   int scale = 1;
   /// Interpreter safety limit.
   std::uint64_t max_steps = 20'000'000;

@@ -1,12 +1,38 @@
-# One Reproduction.<bench> test: run the bench's table-only mode and
-# diff its stdout against the checked-in golden.
-#   cmake -DBENCH=<binary> -DGOLDEN=<golden.txt> -DACTUAL=<out.txt> -P this
-execute_process(COMMAND ${BENCH} --benchmark_filter=zzz
+# One Reproduction test: run `apcc_reproduce <table>` and diff its stdout
+# against the checked-in golden.
+#   cmake -DREPRODUCE=<apcc_reproduce> -DTABLE=<name> -DGOLDEN=<golden.txt>
+#         -DACTUAL=<out.txt> -P this
+# With -DEXPECT_TABLES=<a,b,...> instead of GOLDEN/ACTUAL, TABLE is a name
+# apcc_reproduce must reject: it must exit nonzero, print nothing on
+# stdout, and list exactly those tables (in any order) on stderr.
+execute_process(COMMAND ${REPRODUCE} ${TABLE}
                 OUTPUT_VARIABLE actual
                 ERROR_VARIABLE errors
                 RESULT_VARIABLE status)
+
+if(DEFINED EXPECT_TABLES)
+  if(status EQUAL 0 OR NOT actual STREQUAL "")
+    message(FATAL_ERROR "apcc_reproduce ${TABLE} exited with ${status} "
+                        "and printed:\n${actual}")
+  endif()
+  if(NOT errors MATCHES "\ntables:([^\n]*)\n")
+    message(FATAL_ERROR "no table list in the usage message:\n${errors}")
+  endif()
+  string(STRIP "${CMAKE_MATCH_1}" listed)
+  string(REPLACE " " ";" listed "${listed}")
+  string(REPLACE "," ";" expected "${EXPECT_TABLES}")
+  list(SORT listed)
+  list(SORT expected)
+  if(NOT listed STREQUAL expected)
+    message(FATAL_ERROR "apcc_reproduce lists '${listed}', but the goldens "
+                        "are '${expected}'")
+  endif()
+  return()
+endif()
+
 if(NOT status EQUAL 0)
-  message(FATAL_ERROR "${BENCH} exited with ${status}:\n${errors}")
+  message(FATAL_ERROR "apcc_reproduce ${TABLE} exited with ${status}:\n"
+                      "${errors}")
 endif()
 file(WRITE ${ACTUAL} "${actual}")
 execute_process(COMMAND diff -u ${GOLDEN} ${ACTUAL}

@@ -1,6 +1,8 @@
 // Cross-module integration tests: the qualitative shapes the paper's
-// evaluation depends on, checked end-to-end over real workloads. These are
-// the properties EXPERIMENTS.md reports quantitatively.
+// evaluation depends on, checked end-to-end over real workloads. The
+// reproduction tables print them quantitatively (docs/REPRODUCTION.md);
+// where a table prints a shape sentence, the test reads that table's
+// rows from reproduce/tables.hpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +10,7 @@
 
 #include "baselines/baselines.hpp"
 #include "core/system.hpp"
+#include "reproduce/tables.hpp"
 #include "workloads/random_program.hpp"
 #include "workloads/suite.hpp"
 
@@ -21,12 +24,6 @@ using runtime::DecompressionStrategy;
 const workloads::Workload& mpeg2() {
   static const workloads::Workload w =
       workloads::make_workload(workloads::WorkloadKind::kMpeg2Like);
-  return w;
-}
-
-const workloads::Workload& gsm() {
-  static const workloads::Workload w =
-      workloads::make_workload(workloads::WorkloadKind::kGsmLike);
   return w;
 }
 
@@ -181,35 +178,16 @@ TEST(Shapes, HoldsOnRandomProgramsToo) {
 }
 
 TEST(Shapes, CodecRatioOrderingPropagatesToFootprint) {
-  // bench_e4_codecs' rows: every codec's ratio over all suite blocks
-  // (trained on them) and its gsm-like average saving at k_c = 2.
-  std::vector<compress::Bytes> suite_blocks;
-  for (const auto kind : workloads::all_workload_kinds()) {
-    const auto w = workloads::make_workload(kind);
-    suite_blocks.insert(suite_blocks.end(), w.block_bytes.begin(),
-                        w.block_bytes.end());
-  }
-  struct Row {
-    compress::CodecKind kind;
-    double ratio;
-    double avg_saving;
-  };
-  std::vector<Row> rows;
-  for (const auto kind : compress::all_codec_kinds()) {
-    SystemConfig config;
-    config.codec = kind;
-    config.policy.compress_k = 2;
-    rows.push_back(
-        {kind,
-         compress::compression_ratio(*compress::make_codec(kind, suite_blocks),
-                                     suite_blocks),
-         CodeCompressionSystem::from_workload(gsm(), config)
-             .run()
-             .avg_saving()});
-  }
+  // E4's rows (`apcc_reproduce e4_codecs`): every codec's ratio over all
+  // suite blocks (trained on them) and its gsm-like average saving at
+  // k_c = 2.
+  std::vector<reproduce::E4Row> rows = reproduce::e4_rows();
+  ASSERT_EQ(rows.size(), compress::all_codec_kinds().size());
   const auto ratio_of = [&rows](compress::CodecKind kind) {
     return std::find_if(rows.begin(), rows.end(),
-                        [kind](const Row& r) { return r.kind == kind; })
+                        [kind](const reproduce::E4Row& r) {
+                          return r.codec == kind;
+                        })
         ->ratio;
   };
   // Per-stream huffman pays a table per block and loses to the shared
@@ -224,12 +202,14 @@ TEST(Shapes, CodecRatioOrderingPropagatesToFootprint) {
   // A better ratio means more memory saving at the same k, strictly,
   // over every codec.
   std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.ratio < b.ratio; });
+            [](const reproduce::E4Row& a, const reproduce::E4Row& b) {
+              return a.ratio < b.ratio;
+            });
   for (std::size_t i = 1; i < rows.size(); ++i) {
-    const char* better = compress::codec_kind_name(rows[i - 1].kind);
-    const char* worse = compress::codec_kind_name(rows[i].kind);
+    const char* better = compress::codec_kind_name(rows[i - 1].codec);
+    const char* worse = compress::codec_kind_name(rows[i].codec);
     EXPECT_LT(rows[i - 1].ratio, rows[i].ratio) << better << " vs " << worse;
-    EXPECT_GT(rows[i - 1].avg_saving, rows[i].avg_saving)
+    EXPECT_GT(rows[i - 1].gsm.avg_saving(), rows[i].gsm.avg_saving())
         << better << " vs " << worse;
   }
 
@@ -247,33 +227,27 @@ TEST(Shapes, CodecRatioOrderingPropagatesToFootprint) {
 }
 
 TEST(Shapes, SlowdownTracksExceptionCostAndCpi) {
-  // bench_e10_sensitivity (gsm-like, on-demand, k_c = 16): relative
-  // overhead shrinks as the fault cost drops or the core slows.
-  for (const auto codec :
-       {compress::CodecKind::kSharedHuffman, compress::CodecKind::kLzss,
-        compress::CodecKind::kCodePack}) {
+  // E10's rows (`apcc_reproduce e10_sensitivity`; gsm-like, on-demand,
+  // k_c = 16): relative overhead shrinks as the fault cost drops or the
+  // core slows.
+  const reproduce::E10Rows rows = reproduce::e10_rows();
+  ASSERT_EQ(rows.codecs.size(), 3u);
+  for (const auto& row : rows.codecs) {
+    ASSERT_EQ(row.results.size(), reproduce::kE10ExceptionCycles.size());
     double previous = 0.0;
-    for (const std::uint64_t fault_cost : {50u, 250u, 1000u}) {
-      SystemConfig config;
-      config.codec = codec;
-      config.policy.compress_k = 16;
-      config.costs.exception_cycles = fault_cost;
-      const double slowdown =
-          CodeCompressionSystem::from_workload(gsm(), config).run().slowdown();
+    for (std::size_t i = 0; i < row.results.size(); ++i) {
+      const double slowdown = row.results[i].slowdown();
       EXPECT_GT(slowdown, previous)
-          << compress::codec_kind_name(codec) << " exception=" << fault_cost;
+          << compress::codec_kind_name(row.codec)
+          << " exception=" << reproduce::kE10ExceptionCycles[i];
       previous = slowdown;
     }
   }
+  ASSERT_EQ(rows.cpi.size(), 3u);
   double previous = std::numeric_limits<double>::infinity();
-  for (const double cpi : {1.0, 2.0, 4.0}) {
-    SystemConfig config;
-    config.codec = compress::CodecKind::kCodePack;
-    config.policy.compress_k = 16;
-    config.costs.cycles_per_instruction = cpi;
-    const double slowdown =
-        CodeCompressionSystem::from_workload(gsm(), config).run().slowdown();
-    EXPECT_LT(slowdown, previous) << "cpi=" << cpi;
+  for (const auto& row : rows.cpi) {
+    const double slowdown = row.result.slowdown();
+    EXPECT_LT(slowdown, previous) << "cpi=" << row.cycles_per_instruction;
     previous = slowdown;
   }
 }

@@ -18,6 +18,7 @@
 
 #include "common/same_run.hpp"
 #include "oracle/oracle.hpp"
+#include "reproduce/tables.hpp"
 #include "sim/batch_engine.hpp"
 #include "workloads/random_program.hpp"
 #include "workloads/suite.hpp"
@@ -342,31 +343,36 @@ TEST(Oracle, FailsWhereTheEngineFails) {
       << runs[0].error;
 }
 
-TEST(Oracle, MatchesEngineOnTheFigure3Grid) {
-  // bench_fig3_design_space: gsm-like, shared Huffman, one unit, every
-  // strategy at k in {1, 2, 4, 8}.
-  const auto s = make_subject(
-      "gsm-like", suite_workload(workloads::WorkloadKind::kGsmLike),
-      compress::CodecKind::kSharedHuffman, SIZE_MAX);
+/// A table's labelled cells as oracle cases over its one codec.
+std::vector<Case> table_cases(const std::vector<reproduce::Cell>& cells) {
   std::vector<Case> cases;
-  for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,
-                              runtime::DecompressionStrategy::kPreAll,
-                              runtime::DecompressionStrategy::kPreSingle}) {
-    for (const std::uint32_t k : {1u, 2u, 4u, 8u}) {
-      Case c;
-      c.config.policy.strategy = strategy;
-      c.config.policy.compress_k = k;
-      c.config.policy.predecompress_k = k;
-      c.label = std::string(runtime::strategy_name(strategy)) + "/k" +
-                std::to_string(k);
-      cases.push_back(std::move(c));
-    }
+  for (const reproduce::Cell& cell : cells) {
+    EXPECT_EQ(cell.config.codec, cells.front().config.codec) << cell.label;
+    cases.push_back({cell.label, core::engine_config(cell.config)});
   }
+  return cases;
+}
+
+TEST(Oracle, MatchesEngineOnTheFigure3Grid) {
+  // Figure 3's grid (`apcc_reproduce fig3_design_space`): gsm-like,
+  // shared Huffman, one unit, every strategy at k in {1, 2, 4, 8}.
+  const std::vector<reproduce::Cell> cells = reproduce::fig3_cells();
+  const auto s = make_subject(
+      workloads::workload_name(reproduce::kFig3Workload),
+      suite_workload(reproduce::kFig3Workload), cells.front().config.codec,
+      SIZE_MAX);
+  const std::vector<Case> cases = table_cases(cells);
   const std::vector<Outcome> runs = check_cases(*s, cases);
   ASSERT_EQ(runs.size(), 12u);
   // The table's shape under this cost regime (docs/REPRODUCTION.md):
-  // pre-single is faster than pre-all at every k.
+  // pre-single is faster than pre-all at every k. Rows 4-7 are pre-all
+  // and rows 8-11 pre-single, each at k = 1, 2, 4, 8.
   for (std::size_t k = 0; k < 4; ++k) {
+    const runtime::Policy& all = cells[4 + k].config.policy;
+    const runtime::Policy& single = cells[8 + k].config.policy;
+    ASSERT_EQ(all.strategy, runtime::DecompressionStrategy::kPreAll);
+    ASSERT_EQ(single.strategy, runtime::DecompressionStrategy::kPreSingle);
+    ASSERT_EQ(all.compress_k, single.compress_k);
     ASSERT_TRUE(runs[4 + k].ok && runs[8 + k].ok);
     EXPECT_LT(runs[8 + k].result.total_cycles, runs[4 + k].result.total_cycles)
         << cases[8 + k].label << " vs " << cases[4 + k].label;
@@ -374,23 +380,22 @@ TEST(Oracle, MatchesEngineOnTheFigure3Grid) {
 }
 
 TEST(Oracle, MatchesEngineOnTheE3ApccRows) {
-  // bench_e3_strategy_table's APCC rows: every kernel, codepack,
-  // k_c = 16, k_d = 4, each strategy.
+  // E3's APCC rows (`apcc_reproduce e3_strategy_table`): every kernel,
+  // codepack, k_c = 16, k_d = 4, one row per strategy in the order
+  // on-demand, pre-all, pre-single.
+  const std::vector<reproduce::Cell> cells = reproduce::e3_apcc_cells();
+  ASSERT_EQ(cells.size(), 3u);
+  ASSERT_EQ(cells[0].config.policy.strategy,
+            runtime::DecompressionStrategy::kOnDemand);
+  ASSERT_EQ(cells[1].config.policy.strategy,
+            runtime::DecompressionStrategy::kPreAll);
+  ASSERT_EQ(cells[2].config.policy.strategy,
+            runtime::DecompressionStrategy::kPreSingle);
+  const std::vector<Case> cases = table_cases(cells);
   for (const auto kind : workloads::all_workload_kinds()) {
     const workloads::Workload& w = suite_workload(kind);
     const auto s =
-        make_subject(w.name, w, compress::CodecKind::kCodePack, SIZE_MAX);
-    std::vector<Case> cases;
-    for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,
-                                runtime::DecompressionStrategy::kPreAll,
-                                runtime::DecompressionStrategy::kPreSingle}) {
-      Case c;
-      c.config.policy.strategy = strategy;
-      c.config.policy.compress_k = 16;
-      c.config.policy.predecompress_k = 4;
-      c.label = runtime::strategy_name(strategy);
-      cases.push_back(std::move(c));
-    }
+        make_subject(w.name, w, cells.front().config.codec, SIZE_MAX);
     const std::vector<Outcome> runs = check_cases(*s, cases);
     ASSERT_EQ(runs.size(), 3u);
     ASSERT_TRUE(runs[0].ok && runs[1].ok && runs[2].ok);

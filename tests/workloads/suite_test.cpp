@@ -1,6 +1,6 @@
 // Workload suite tests: every kernel assembles, executes to completion,
 // produces a valid trace, and has the hot/cold structure the experiments
-// rely on. Parameterised over all six workloads.
+// rely on. Parameterised over all eight workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,6 +107,22 @@ TEST_P(SuiteTest, ScaleGrowsTraceNotImage) {
   EXPECT_EQ(w1.program.word_count(), w2.program.word_count())
       << "scale changes trip counts, not code size";
   EXPECT_GT(w2.trace.size(), w1.trace.size());
+}
+
+TEST_P(SuiteTest, BuildsAtScale64) {
+  // Every kernel runs to completion at scale 64 (adpcm-like's output
+  // buffer used to run off the end of data memory there), with the same
+  // program and a trace that grows with the scale.
+  std::size_t previous = workload().trace.size();
+  for (const int scale : {16, 64}) {
+    WorkloadOptions options;
+    options.scale = scale;
+    const Workload w = make_workload(GetParam(), options);
+    EXPECT_EQ(w.program.word_count(), workload().program.word_count())
+        << "scale " << scale;
+    EXPECT_GT(w.trace.size(), previous) << "scale " << scale;
+    previous = w.trace.size();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,7 +6,8 @@
 # Produces, in out-dir (default: the build dir):
 #   BENCH_engine.json   -- E11 engine hot-path throughput (steps/sec),
 #                          incl. the eviction-heavy rows' evictions/step
-#   BENCH_codecs.json   -- E4 codec + huffman decoder throughput
+#   BENCH_codecs.json   -- E4 codec compress + decompress throughput per
+#                          codec, and the huffman decoder A/B
 #   BENCH_sweep.json    -- sharded policy-grid sweep scaling (grid pts/sec
 #                          at 1/2/4/8 workers) + lockstep batch series
 #                          (cells-stepped/sec at batch 1..16, incl. the
@@ -74,22 +75,35 @@ fi
 echo "== E4 codec throughput -> ${OUT_DIR}/BENCH_codecs.json"
 "${BUILD_DIR}/bench_e4_codecs" \
     ${QUICK_ARGS[@]+"${QUICK_ARGS[@]}"} \
-    --benchmark_filter='bm_(huffman_decode|decompress)' \
     --benchmark_format=json \
     --benchmark_out="${OUT_DIR}/BENCH_codecs.json" \
     --benchmark_out_format=json
 
-# Every codec the library keeps must have its decompress row in the
-# artifact. The list is spelled out on purpose: a codec that silently
-# falls out of bm_decompress (or out of the library) fails the run here
-# instead of shrinking the series.
-for codec in null mtf-rle huffman huffman-shared lzss codepack field-split; do
-  if ! grep -q "\"label\": \"${codec}\"" "${OUT_DIR}/BENCH_codecs.json"; then
-    echo "error: BENCH_codecs.json has no \"label\": \"${codec}\" row" >&2
-    echo "       (bm_decompress should cover every kept codec)" >&2
-    exit 1
-  fi
-done
+# Every codec the library keeps must have both its compress and its
+# decompress row in the artifact: a codec's ratio is only half of its
+# story without the MB/s an artifact build and a decode pay. The list is
+# spelled out on purpose: a codec that silently falls out of either
+# series (or out of the library) fails the run here instead of
+# shrinking the series.
+if ! python3 - "${OUT_DIR}/BENCH_codecs.json" <<'PY'
+import json, sys
+rows = [b for b in json.load(open(sys.argv[1]))["benchmarks"]
+        if b.get("run_type", "iteration") == "iteration"]
+missing = [f"{series} {codec}"
+           for series in ("bm_compress", "bm_decompress")
+           for codec in ("null", "mtf-rle", "huffman", "huffman-shared",
+                         "lzss", "codepack", "field-split")
+           if not any(b["name"].startswith(series + "/")
+                      and b.get("label") == codec for b in rows)]
+for m in missing:
+    print(f"error: BENCH_codecs.json has no {m} row", file=sys.stderr)
+sys.exit(1 if missing else 0)
+PY
+then
+  echo "       (bm_compress and bm_decompress should cover every kept" >&2
+  echo "       codec)" >&2
+  exit 1
+fi
 
 echo "== sweep scaling -> ${OUT_DIR}/BENCH_sweep.json"
 "${BUILD_DIR}/bench_sweep_scaling" \
