@@ -61,21 +61,14 @@ void FrontierCache::materialize() {
     offsets.push_back(entry_offset(entries));
   }
   entries.shrink_to_fit();  // resident size is exactly the lists
-  reset();
   entries_ = std::move(entries);
   offsets_ = std::move(offsets);
-  materialized_ = true;
-}
-
-void FrontierCache::reset() {
-  // Move-assigning empty vectors releases the storage (assigning `{}`
-  // would keep the capacity).
-  entries_ = std::vector<cfg::FrontierEntry>();
-  offsets_ = std::vector<std::uint32_t>();
+  // Move-assigning empty vectors releases the lazy phase's storage
+  // (assigning `{}` would keep the capacity).
   lazy_ = std::vector<Bounds>();
   dist_scratch_ = std::vector<unsigned>();
   list_scratch_ = std::vector<cfg::FrontierEntry>();
-  materialized_ = false;
+  materialized_ = true;
 }
 
 std::uint64_t FrontierCache::resident_bytes() const {
@@ -84,78 +77,6 @@ std::uint64_t FrontierCache::resident_bytes() const {
          offsets_.capacity() * sizeof(std::uint32_t) +
          lazy_.capacity() * sizeof(Bounds) +
          dist_scratch_.capacity() * sizeof(unsigned);
-}
-
-const FrontierCache* SharedFrontier::acquire(bool* built_this_call) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (state_ == State::kReady) {
-      ++pins_;
-      if (built_this_call != nullptr) *built_this_call = false;
-      return &cache_;
-    }
-    if (state_ == State::kIdle) {
-      state_ = State::kBuilding;
-      builder_ = std::this_thread::get_id();
-      lock.unlock();
-      // The expensive part (one bounded BFS per block) runs off the
-      // lock: only callers wanting *this* key wait, everyone else keeps
-      // going. No one reads cache_ until state_ flips to kReady below,
-      // and that flip happens-before every waiter's (and later
-      // acquirer's) read via the mutex, so the off-lock writes are safe.
-      try {
-        cache_.materialize();
-      } catch (...) {
-        // Roll the claim back and wake waiters so they re-claim (and
-        // surface the build failure themselves) instead of blocking on
-        // a ready flip that will never come.
-        lock.lock();
-        state_ = State::kIdle;
-        ready_cv_.notify_all();
-        throw;
-      }
-      lock.lock();
-      state_ = State::kReady;
-      // The builder pins itself before anyone can observe the ready
-      // flip, so a publish-time eviction pass can never reclaim an
-      // artifact out from under the cell that just built it.
-      ++pins_;
-      ready_cv_.notify_all();
-      if (built_this_call != nullptr) *built_this_call = true;
-      return &cache_;
-    }
-    ready_cv_.wait(lock, [&] { return state_ != State::kBuilding; });
-  }
-}
-
-void SharedFrontier::unpin() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  APCC_CHECK(pins_ > 0, "SharedFrontier::unpin() without a pin");
-  --pins_;
-}
-
-std::size_t SharedFrontier::pins() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return pins_;
-}
-
-bool SharedFrontier::evict() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ != State::kReady || pins_ != 0) return false;
-  cache_.reset();
-  state_ = State::kIdle;
-  builder_ = {};
-  return true;
-}
-
-bool SharedFrontier::ready() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return state_ == State::kReady;
-}
-
-std::thread::id SharedFrontier::builder() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return builder_;
 }
 
 }  // namespace apcc::runtime

@@ -1,16 +1,15 @@
-// serving cache types: budgets, per-kind statistics, and the pure
+// serving cache types: the budget, per-kind statistics, and the pure
 // cost-aware eviction policy.
 //
-// PR 8 lifts these out of serving::Service so the eviction policy is a
-// testable unit instead of private Service internals. The paper's whole
-// premise is operating under a hard memory budget -- its engine manages
-// decompressed blocks under a byte ceiling with budget-LRU machinery
-// (reproduction tables E5 and E9) -- and the Service's artifact cache
-// inherits the same discipline at the serving layer: compressed
-// BlockImages and materialized FrontierCaches are resident artifacts
-// competing for a configurable byte budget, evicted cost-aware (not
-// merely recency-aware) and transparently rebuilt through the existing
-// claim-build/wait handshake when a later job needs them again.
+// The paper's whole premise is operating under a hard memory budget --
+// its engine manages decompressed blocks under a byte ceiling with
+// budget-LRU machinery (reproduction tables E5 and E9) -- and the
+// Service's artifact cache inherits the same discipline at the serving
+// layer: compressed BlockImages and materialized FrontierCaches are
+// resident artifacts competing for one byte budget, evicted cost-aware
+// (not merely recency-aware) and transparently rebuilt through their
+// slot's claim-build/wait handshake (artifact_slot.hpp) when a later job
+// needs them again.
 //
 // Division of labour:
 //  * CacheBudget / ArtifactStats / CacheStats are plain values --
@@ -38,39 +37,31 @@
 
 namespace apcc::serving {
 
-/// Byte ceilings for the Service's resident artifact cache. Every
-/// ceiling is "0 = unbounded" -- the default preserves the historical
-/// grow-without-bound behaviour (and its exact cache counters). The
-/// per-kind ceilings bound images and frontier geometry separately;
-/// total_bytes is a shared ceiling across both kinds, enforced after
-/// the per-kind ones. Budgets are pressure, not hard guarantees: an
-/// artifact borrowed by an in-flight cell is pinned and never evicted,
-/// so the resident set may transiently exceed the budget until those
-/// cells retire and the next publish re-evaluates. A budget byte is an
-/// exact byte of an artifact's arrays (its resident_bytes()); a codec's
-/// own tables are not counted.
+/// The byte ceiling for the Service's resident artifact cache, shared
+/// by images and frontier geometry; 0 -- the default -- grows without
+/// bound. Budgets are pressure, not hard guarantees: an artifact
+/// borrowed by an in-flight cell is pinned and never evicted, so the
+/// resident set may transiently exceed the budget until those cells
+/// retire and the next publish re-evaluates. A budget byte is an exact
+/// byte of an artifact's arrays (its resident_bytes()); a codec's own
+/// tables are not counted.
 struct CacheBudget {
-  std::uint64_t image_bytes = 0;     // compressed BlockImage ceiling
-  std::uint64_t frontier_bytes = 0;  // materialized geometry ceiling
-  std::uint64_t total_bytes = 0;     // shared ceiling across both kinds
-
-  [[nodiscard]] bool unbounded() const {
-    return image_bytes == 0 && frontier_bytes == 0 && total_bytes == 0;
-  }
+  std::uint64_t total_bytes = 0;
 };
 
 /// Cumulative counters for one artifact kind (images or frontier
 /// geometry). Two vocabularies, one ledger: built/borrows count
-/// *successful* resolutions (the PR 4 names, kept stable), hits/
-/// misses/rebuilds count *attempts* -- a miss is any claim of a build
-/// (including ones that then fail and roll back), a hit is a
-/// ready-artifact borrow, and a rebuild is a miss on a slot whose
-/// previous build failed. Eviction adds the third vocabulary:
-/// evictions/evicted_bytes count artifacts dropped under budget
-/// pressure; an evicted key's next claim is an ordinary miss that
-/// rebuilds the artifact bit-identically. `bytes` is the *resident*
-/// footprint (grows at publish, shrinks at evict); `entries` is the
-/// resident artifact count, snapshotted at cache_stats() query time.
+/// *successful* resolutions, hits/misses/rebuilds count *attempts* -- a
+/// miss is any claim of a build (including ones that then fail or are
+/// cancelled and roll back), a hit is a ready-artifact borrow (also
+/// after waiting out another cell's build), and a rebuild is a miss on
+/// a slot whose previous claim rolled back. Eviction adds the third
+/// vocabulary: evictions/evicted_bytes count artifacts dropped under
+/// budget pressure; an evicted key's next claim is an ordinary miss
+/// that rebuilds the artifact bit-identically. `bytes` is the
+/// *resident* footprint (grows at publish, shrinks at evict); `entries`
+/// is the resident artifact count, snapshotted at cache_stats() query
+/// time.
 struct ArtifactStats {
   std::size_t built = 0;          // artifacts materialized
   std::size_t borrows = 0;        // cells served by a cached artifact
@@ -83,10 +74,7 @@ struct ArtifactStats {
   std::size_t entries = 0;        // resident artifacts (query time)
 };
 
-/// Artifact-cache observability, one ArtifactStats per kind. (The PR
-/// 4-7 flat spellings -- images_built(), frontier_bytes(), ... -- were
-/// a one-release deprecation shim, removed in PR 9: spell them
-/// stats.images.built / stats.frontiers.bytes.)
+/// Artifact-cache observability, one ArtifactStats per kind.
 struct CacheStats {
   ArtifactStats images;
   ArtifactStats frontiers;
@@ -99,7 +87,7 @@ struct CacheStats {
 struct CacheEntry {
   std::uint64_t bytes = 0;         // resident footprint
   std::uint64_t rebuild_cost = 0;  // deterministic rebuild estimate
-  std::uint64_t last_use = 0;      // ledger clock at last borrow/publish
+  std::uint64_t last_use = 0;      // newest admitted job needing it
   bool pinned = false;             // borrowed by an in-flight cell
 };
 
@@ -107,7 +95,8 @@ struct CacheEntry {
 /// `budget_bytes` (an exact ceiling here -- the caller interprets its
 /// own "0 = unbounded" convention and simply doesn't call; budget 0 to
 /// this function means "evict everything unpinned", the fault-injection
-/// forced flush). `clock` is the ledger's current tick.
+/// forced flush). `clock` is the ledger's newest stamp (the Service's
+/// latest admission number).
 ///
 /// The score is a cost-weighted staleness: an entry's eviction
 /// priority is (clock - last_use) * bytes / max(rebuild_cost, 1) --

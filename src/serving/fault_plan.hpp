@@ -7,8 +7,8 @@
 // covering. A FaultPlan is a declarative, seeded schedule of injected
 // faults the Service consults at its two well-defined fault points:
 //
-//  * the **artifact build** (the image claim-build handshake), counted
-//    service-wide in claim order, and
+//  * the **image build** (an image slot's claim-build handshake),
+//    counted service-wide in claim order, and
 //  * the **task boundary** (the top of every pool item, before any
 //    engine work), counted service-wide in dispatch order.
 //
@@ -35,10 +35,10 @@ struct FaultPlan {
   /// are deterministic counts, the seed is an identification tag.
   std::uint64_t seed = 0;
 
-  /// Fail the Nth artifact (image) build attempt, 1-based, counted
-  /// service-wide; 0 = never. The injected throw exercises the PR 4
-  /// claim-rollback path: the slot returns to idle and waiters
-  /// re-claim.
+  /// Fail the Nth image build attempt, 1-based, counted service-wide
+  /// (geometry builds are not counted); 0 = never. The injected throw
+  /// exercises the claim-rollback path: the slot returns to idle and
+  /// waiters re-claim.
   std::size_t fail_image_build = 0;
 
   /// Throw at the Nth task boundary, 1-based, counted service-wide

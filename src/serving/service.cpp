@@ -11,45 +11,13 @@ namespace apcc::serving {
 
 namespace {
 
-/// Thrown inside a work item when its job's cancellation was observed
-/// mid-artifact-resolution: unwinds back to the item wrapper (rolling
-/// back any claimed-but-unbuilt artifact on the way), where it is
-/// swallowed -- a cancelled item retires quietly, it does not fail the
-/// job. Never escapes service.cpp.
-struct JobCancelled {};
+/// Exact heap bytes of an artifact's arrays: what a budget byte counts.
+std::uint64_t resident_bytes(const Artifact& artifact) {
+  return std::visit([](const auto& a) { return a->resident_bytes(); },
+                    artifact);
+}
 
 }  // namespace
-
-/// Claim-build / wait handshake around one (workload, codec) compressed
-/// image. Same shape as runtime::SharedFrontier: the first cell that
-/// needs the artifact builds it on its own (pool) thread off the slot
-/// lock; concurrent cells block on the cv; afterwards the image is
-/// immutable and borrowed without locks. A builder that throws -- or
-/// observes its job's cancellation -- rolls the claim back to kIdle so
-/// waiters re-claim instead of deadlocking. Eviction reuses the same
-/// state machine: a ready, unpinned slot drops its image and returns
-/// to kIdle, so the next claim rebuilds it bit-identically (an
-/// ordinary miss -- failed_before stays untouched).
-struct Service::ImageSlot {
-  enum class State : std::uint8_t { kIdle, kBuilding, kReady };
-
-  std::mutex mutex;
-  std::condition_variable ready_cv;
-  State state = State::kIdle;
-  /// The last claim of this slot rolled back (build failure or builder
-  /// cancellation); the next claim counts as a cache *rebuild*.
-  bool failed_before = false;
-  /// Borrow refcount: every borrow (and the builder's own publish)
-  /// pins, the cell's CellLease unpins at retirement; the eviction
-  /// pass never selects a pinned slot. Guarded by `mutex`.
-  std::size_t pins = 0;
-  std::unique_ptr<const runtime::BlockImage> image;
-
-  // -- eviction ledger, guarded by Service::mutex_, NOT by `mutex` ----
-  std::uint64_t bytes = 0;         // resident bytes (0 = not resident)
-  std::uint64_t rebuild_cost = 0;  // estimate_image_cost at publish
-  std::uint64_t last_use = 0;      // cache_clock_ at last borrow/publish
-};
 
 Service::CellLease::CellLease(CellLease&& other) noexcept {
   *this = std::move(other);
@@ -59,42 +27,44 @@ Service::CellLease& Service::CellLease::operator=(
     CellLease&& other) noexcept {
   if (this != &other) {
     release();
-    image_ = other.image_;
-    frontier_ = other.frontier_;
-    other.image_ = nullptr;
-    other.frontier_ = nullptr;
+    slots_ = std::exchange(other.slots_, {});
   }
   return *this;
 }
 
 Service::CellLease::~CellLease() { release(); }
 
+void Service::CellLease::hold(ArtifactSlot& slot) {
+  for (ArtifactSlot*& held : slots_) {
+    if (held == nullptr) {
+      held = &slot;
+      return;
+    }
+  }
+  APCC_CHECK_FAIL("a cell lease holds one image and one geometry");
+}
+
 void Service::CellLease::release() {
   // Only slot-level locks here (never Service::mutex_): release runs on
   // pool threads at cell retirement and must not contend with the
   // registry. The newly unpinned artifact stays resident until the next
   // publish re-evaluates the budget -- eviction is publish-driven.
-  if (image_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(image_->mutex);
-    APCC_CHECK(image_->pins > 0, "image lease released without a pin");
-    --image_->pins;
-    image_ = nullptr;
-  }
-  if (frontier_ != nullptr) {
-    frontier_->unpin();
-    frontier_ = nullptr;
+  for (ArtifactSlot*& held : slots_) {
+    if (held != nullptr) std::exchange(held, nullptr)->unpin();
   }
 }
 
-/// One registered workload plus its image artifacts. The workload lives
-/// behind a unique_ptr so its Cfg / trace / bytes keep stable addresses
-/// for the cache keys and the borrowing engines; map nodes are stable
-/// too, so slot pointers stay valid while other keys are inserted.
-/// (Frontier geometry lives in the service-wide frontiers_ map, keyed
-/// by runtime::FrontierKey -- CFG identity + k.)
+/// One registered workload plus its artifacts: images by codec, frontier
+/// geometry by predecompress_k. The workload lives behind a unique_ptr
+/// so its Cfg / trace / bytes keep stable addresses for the borrowing
+/// engines; map nodes are stable too, so slot pointers stay valid while
+/// other keys are inserted.
 struct Service::Registered {
   std::unique_ptr<const workloads::Workload> workload;
-  std::map<compress::CodecKind, std::unique_ptr<ImageSlot>> images;
+  /// Sum of the block bytes: what an image rebuild retrains over.
+  std::uint64_t original_bytes = 0;
+  std::map<compress::CodecKind, ArtifactSlot> images;
+  std::map<unsigned, ArtifactSlot> geometry;
 };
 
 Service::Service(ServiceOptions options)
@@ -116,6 +86,9 @@ WorkloadId Service::register_workload(workloads::Workload workload) {
   auto entry = std::make_unique<Registered>();
   entry->workload =
       std::make_unique<const workloads::Workload>(std::move(workload));
+  for (const compress::Bytes& b : entry->workload->block_bytes) {
+    entry->original_bytes += b.size();
+  }
   const std::lock_guard<std::mutex> lock(mutex_);
   registry_.push_back(std::move(entry));
   return registry_.size() - 1;
@@ -181,55 +154,18 @@ bool Service::task_boundary(detail::JobState& state) {
   return true;
 }
 
-const runtime::BlockImage& Service::image_for(
-    Registered& entry, const core::SystemConfig& config,
-    const sweep::CancelToken* token, CellLease& lease) {
-  ImageSlot* slot = nullptr;
+const runtime::BlockImage& Service::image_for(Registered& entry,
+                                              compress::CodecKind codec,
+                                              const sweep::CancelToken* token,
+                                              CellLease& lease) {
+  ArtifactSlot* slot = nullptr;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto& owned = entry.images[config.codec];
-    if (!owned) owned = std::make_unique<ImageSlot>();
-    slot = owned.get();
+    slot = &entry.images[codec];
   }
-
-  std::unique_lock<std::mutex> slot_lock(slot->mutex);
-  for (;;) {
-    // A cancelled job stops resolving artifacts -- before claiming, and
-    // before every re-claim attempt after a rolled-back build.
-    if (token && token->cancelled()) throw JobCancelled{};
-    if (slot->state == ImageSlot::State::kReady) {
-      // Pin before the slot lock drops: ready-check and pin are one
-      // atomic step, so the eviction pass can never reclaim the image
-      // between our check and our borrow.
-      ++slot->pins;
-      lease.image_ = slot;
-      const runtime::BlockImage& image = *slot->image;
-      slot_lock.unlock();
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.images.borrows;
-      ++stats_.images.hits;
-      slot->last_use = ++cache_clock_;
-      return image;
-    }
-    if (slot->state == ImageSlot::State::kIdle) {
-      const bool rebuild = slot->failed_before;
-      slot->state = ImageSlot::State::kBuilding;
-      slot_lock.unlock();
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.images.misses;
-        if (rebuild) ++stats_.images.rebuilds;
-      }
-      // Build off the lock: exactly what from_workload does -- train
-      // the codec on the registered block bytes, then compress them
-      // into the image's arenas -- so a cached image is byte-identical
-      // to a per-call one (and a rebuilt-after-eviction image
-      // byte-identical to the first).
-      const workloads::Workload& w = *entry.workload;
-      std::unique_ptr<const runtime::BlockImage> image;
-      std::uint64_t original_bytes = 0;
-      try {
-        if (token && token->cancelled()) throw JobCancelled{};
+  const Artifact& artifact = resolve(
+      *slot, stats_.images, estimate_image_cost(entry.original_bytes),
+      token, lease, [&]() -> Artifact {
         if (faults_) {
           const std::size_t n =
               fault_builds_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -240,214 +176,112 @@ const runtime::BlockImage& Service::image_for(
                              std::to_string(faults_->seed) + ")");
           }
         }
-        for (const compress::Bytes& b : w.block_bytes) {
-          original_bytes += b.size();
-        }
-        image = std::make_unique<const runtime::BlockImage>(
-            w.cfg, w.block_bytes,
-            compress::make_codec(config.codec, w.block_bytes));
-      } catch (...) {
-        // Roll the claim back and wake waiters so they re-claim (and
-        // hit the build failure themselves, or build it afresh after a
-        // cancelled builder) rather than deadlock on a ready flip that
-        // will never come.
-        slot_lock.lock();
-        slot->state = ImageSlot::State::kIdle;
-        slot->failed_before = true;
-        slot->ready_cv.notify_all();
-        throw;
-      }
-      slot_lock.lock();
-      slot->image = std::move(image);
-      slot->state = ImageSlot::State::kReady;
-      slot->failed_before = false;
-      // The builder borrows what it just built -- pinned before anyone
-      // can observe the ready flip, so the publish-time eviction pass
-      // below (or a concurrent one) can never reclaim the image out
-      // from under this cell.
-      ++slot->pins;
-      lease.image_ = slot;
-      const runtime::BlockImage& built = *slot->image;
-      const std::uint64_t resident = built.resident_bytes();
-      slot->ready_cv.notify_all();
-      slot_lock.unlock();
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.images.built;
-      stats_.images.bytes += resident;
-      slot->bytes = resident;
-      slot->rebuild_cost = estimate_image_cost(original_bytes);
-      slot->last_use = ++cache_clock_;
-      ++publish_count_;
-      evict_over_budget_locked();
-      return built;
-    }
-    slot->ready_cv.wait(slot_lock, [&] {
-      return slot->state != ImageSlot::State::kBuilding;
-    });
-  }
+        // Exactly what from_workload does -- train the codec on the
+        // registered block bytes, then compress them into the image's
+        // arenas -- so a cached image is byte-identical to a per-call
+        // one (and a rebuilt-after-eviction image to the first).
+        const workloads::Workload& w = *entry.workload;
+        return std::make_unique<const runtime::BlockImage>(
+            w.cfg, w.block_bytes, compress::make_codec(codec, w.block_bytes));
+      });
+  return *std::get<std::unique_ptr<const runtime::BlockImage>>(artifact);
 }
 
-const runtime::FrontierCache* Service::frontiers_for(
+const runtime::FrontierCache& Service::frontiers_for(
     Registered& entry, unsigned k, const sweep::CancelToken* token,
     CellLease& lease) {
-  if (token && token->cancelled()) throw JobCancelled{};
-  const runtime::FrontierKey key{&entry.workload->cfg, k};
-  runtime::SharedFrontier* slot = nullptr;
+  ArtifactSlot* slot = nullptr;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    FrontierLedger& ledger = frontiers_[key];
-    if (!ledger.shared) {
-      ledger.shared =
-          std::make_unique<runtime::SharedFrontier>(entry.workload->cfg, k);
-    }
-    slot = ledger.shared.get();
+    slot = &entry.geometry[k];
   }
-  bool built = false;
-  const runtime::FrontierCache* cache = nullptr;
+  const cfg::Cfg& cfg = entry.workload->cfg;
+  const Artifact& artifact = resolve(
+      *slot, stats_.frontiers, estimate_frontier_cost(cfg.block_count(), k),
+      token, lease, [&]() -> Artifact {
+        auto cache = std::make_unique<runtime::FrontierCache>(cfg, k);
+        cache->materialize();
+        return std::unique_ptr<const runtime::FrontierCache>(std::move(cache));
+      });
+  return *std::get<std::unique_ptr<const runtime::FrontierCache>>(artifact);
+}
+
+const Artifact& Service::resolve(ArtifactSlot& slot, ArtifactStats& stats,
+                                 std::uint64_t rebuild_cost,
+                                 const sweep::CancelToken* token,
+                                 CellLease& lease,
+                                 const std::function<Artifact()>& build) {
+  ArtifactSlot::Claim claim;
+  const Artifact* artifact = nullptr;
   try {
-    // The ready-check (or the builder's own ready flip) and the pin
-    // happen under one slot-lock hold, so an eviction pass can never
-    // slip between them. The pin is handed to the lease below.
-    cache = slot->acquire(&built);
+    artifact = &slot.acquire(token, build, claim);
   } catch (...) {
-    // This caller claimed the build and it threw (SharedFrontier rolled
-    // its own claim back): a miss, and a rebuild if the key had failed
-    // before.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.frontiers.misses;
-    if (!frontier_failed_.insert(key).second) ++stats_.frontiers.rebuilds;
+    // This call's claim rolled back (a throw or a cancel): still a miss,
+    // and a rebuild if the slot's last build had failed too.
+    if (claim.claimed) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++stats.misses;
+      if (claim.rebuild) ++stats.rebuilds;
+    }
     throw;
   }
-  lease.frontier_ = slot;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    FrontierLedger& ledger = frontiers_.find(key)->second;
-    ledger.last_use = ++cache_clock_;
-    if (built) {
-      ++stats_.frontiers.built;
-      ++stats_.frontiers.misses;
-      const std::uint64_t resident = cache->resident_bytes();
-      stats_.frontiers.bytes += resident;
-      ledger.bytes = resident;
-      ledger.rebuild_cost =
-          estimate_frontier_cost(entry.workload->cfg.block_count(), k);
-      if (frontier_failed_.erase(key) != 0) ++stats_.frontiers.rebuilds;
-      ++publish_count_;
-      evict_over_budget_locked();
-    } else {
-      ++stats_.frontiers.borrows;
-      ++stats_.frontiers.hits;
-    }
+  lease.hold(slot);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!claim.claimed) {
+    // A ready artifact, including one this cell waited for while
+    // another cell built it.
+    ++stats.borrows;
+    ++stats.hits;
+    return *artifact;
   }
-  return cache;
+  ++stats.misses;
+  if (claim.rebuild) ++stats.rebuilds;
+  ++stats.built;
+  slot.ledger.bytes = resident_bytes(*artifact);
+  slot.ledger.rebuild_cost = rebuild_cost;
+  stats.bytes += slot.ledger.bytes;
+  ++publish_count_;
+  evict_over_budget_locked();
+  return *artifact;
 }
 
 void Service::evict_over_budget_locked() {
   const bool forced = faults_ != nullptr && faults_->evict_at_publish != 0 &&
                       publish_count_ == faults_->evict_at_publish;
-  if (!forced && budget_.unbounded()) return;
+  if (!forced && budget_.total_bytes == 0) return;
 
-  // Snapshot the resident artifacts into policy views, in deterministic
-  // order (registry index, then codec key; then frontier key). Pins are
-  // read under each slot's lock (mutex_ -> slot order); a borrow that
-  // lands after the snapshot is caught by the apply-time re-check.
-  struct Resident {
-    ImageSlot* image = nullptr;        // exactly one of image /
-    FrontierLedger* frontier = nullptr;  // frontier is set
-    CacheEntry entry;
+  // Snapshot the resident artifacts into policy views, in registry
+  // order, images before geometry, each by key -- the order
+  // plan_evictions breaks its last ties on. Pins are read under each
+  // slot's lock (mutex_ -> slot order); a borrow that lands after the
+  // snapshot is caught by evict()'s own re-check.
+  std::vector<ArtifactSlot*> slots;
+  std::vector<ArtifactStats*> kinds;
+  std::vector<CacheEntry> view;
+  const auto snapshot = [&](auto& by_key, ArtifactStats& stats) {
+    for (auto& [key, slot] : by_key) {
+      if (slot.ledger.bytes == 0) continue;  // never published, or evicted
+      slots.push_back(&slot);
+      kinds.push_back(&stats);
+      view.push_back(CacheEntry{slot.ledger.bytes, slot.ledger.rebuild_cost,
+                                slot.ledger.last_use, slot.pins() != 0});
+    }
   };
-  std::vector<Resident> residents;
-  std::vector<std::size_t> image_indices;
-  std::vector<std::size_t> frontier_indices;
   for (const auto& registered : registry_) {
-    for (const auto& [codec, slot] : registered->images) {
-      if (slot->bytes == 0) continue;  // never published, or evicted
-      bool pinned = false;
-      {
-        const std::lock_guard<std::mutex> slot_lock(slot->mutex);
-        pinned = slot->pins != 0;
-      }
-      image_indices.push_back(residents.size());
-      residents.push_back(
-          {slot.get(), nullptr,
-           CacheEntry{slot->bytes, slot->rebuild_cost, slot->last_use,
-                      pinned}});
-    }
-  }
-  for (auto& [key, ledger] : frontiers_) {
-    if (ledger.bytes == 0) continue;
-    frontier_indices.push_back(residents.size());
-    residents.push_back(
-        {nullptr, &ledger,
-         CacheEntry{ledger.bytes, ledger.rebuild_cost, ledger.last_use,
-                    ledger.shared->pins() != 0}});
+    snapshot(registered->images, stats_.images);
+    snapshot(registered->geometry, stats_.frontiers);
   }
 
-  // Evict one victim; the apply-time ready/pinned re-check under the
-  // slot's own lock is authoritative (a racing borrow exempts the
-  // artifact this pass). On success, zero the snapshot bytes so later
-  // passes see the post-eviction resident set; on failure, mark the
-  // snapshot pinned so they stop retrying it.
-  const auto apply = [this](Resident& r) {
-    std::uint64_t freed = 0;
-    if (r.image != nullptr) {
-      {
-        const std::lock_guard<std::mutex> slot_lock(r.image->mutex);
-        if (r.image->state != ImageSlot::State::kReady ||
-            r.image->pins != 0) {
-          r.entry.pinned = true;
-          return;
-        }
-        r.image->image.reset();
-        r.image->state = ImageSlot::State::kIdle;
-      }
-      freed = r.image->bytes;
-      r.image->bytes = 0;
-      ++stats_.images.evictions;
-      stats_.images.evicted_bytes += freed;
-      stats_.images.bytes -= freed;
-    } else {
-      if (!r.frontier->shared->evict()) {
-        r.entry.pinned = true;
-        return;
-      }
-      freed = r.frontier->bytes;
-      r.frontier->bytes = 0;
-      ++stats_.frontiers.evictions;
-      stats_.frontiers.evicted_bytes += freed;
-      stats_.frontiers.bytes -= freed;
-    }
-    r.entry.bytes = 0;
-  };
-
-  const auto run_pass = [&](const std::vector<std::size_t>& subset,
-                            std::uint64_t budget) {
-    std::vector<CacheEntry> view;
-    view.reserve(subset.size());
-    for (const std::size_t idx : subset) view.push_back(residents[idx].entry);
-    for (const std::size_t victim :
-         plan_evictions(view, budget, cache_clock_)) {
-      apply(residents[subset[victim]]);
-    }
-  };
-
-  if (forced) {
-    // The fault plan's flush: every unpinned resident artifact goes,
-    // whatever the configured budget -- budget 0 to the pure policy
-    // means exactly that.
-    std::vector<std::size_t> all(residents.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    run_pass(all, 0);
-    return;
-  }
-  if (budget_.image_bytes != 0) run_pass(image_indices, budget_.image_bytes);
-  if (budget_.frontier_bytes != 0) {
-    run_pass(frontier_indices, budget_.frontier_bytes);
-  }
-  if (budget_.total_bytes != 0) {
-    std::vector<std::size_t> all(residents.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    run_pass(all, budget_.total_bytes);
+  // The fault plan's flush evicts every unpinned artifact, whatever the
+  // budget: budget 0 to the pure policy means exactly that.
+  for (const std::size_t victim :
+       plan_evictions(view, forced ? 0 : budget_.total_bytes, admitted_)) {
+    if (!slots[victim]->evict()) continue;  // a borrow raced the snapshot
+    const std::uint64_t freed = std::exchange(slots[victim]->ledger.bytes, 0);
+    ArtifactStats& stats = *kinds[victim];
+    ++stats.evictions;
+    stats.evicted_bytes += freed;
+    stats.bytes -= freed;
   }
 }
 
@@ -517,6 +351,20 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
     ++live_jobs_;
     ++live_per_client_[client];
     live_states_.emplace(state.get(), state);
+    // Stamp every artifact the job will borrow, before any of its cells
+    // runs. Then no publish of this job can pick one of its own
+    // artifacts over an older job's merely because its cells have not
+    // reached it yet, so when jobs run one at a time and one job's
+    // artifacts fit the budget, the evictions do not depend on the
+    // order in which the pool runs the job's cells.
+    const std::uint64_t stamp = ++admitted_;
+    for (Registered* target : ctx->entries) {
+      target->images[ctx->spec.config.codec].ledger.last_use = stamp;
+      for (const sweep::SweepTask& task : ctx->grid) {
+        target->geometry[task.config.policy.predecompress_k]
+            .ledger.last_use = stamp;
+      }
+    }
   }
 
   state->token = std::make_shared<sweep::CancelToken>();
@@ -567,16 +415,16 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
         // injection) fails only this cell -- siblings still run.
         if (!task_boundary(*state)) continue;
         CellLease lease;
-        image =
-            &image_for(target, ctx->spec.config, state->token.get(), lease);
+        image = &image_for(target, ctx->spec.config.codec,
+                           state->token.get(), lease);
         sim::EngineConfig config = ctx->grid[t].config;
         config.shared_frontiers =
-            frontiers_for(target, config.policy.predecompress_k,
-                          state->token.get(), lease);
+            &frontiers_for(target, config.policy.predecompress_k,
+                           state->token.get(), lease);
         configs.push_back(config);
         cells.push_back(t);
         leases.push_back(std::move(lease));
-      } catch (const JobCancelled&) {
+      } catch (const ArtifactSlot::Cancelled&) {
       } catch (...) {
         if (!first_error) first_error = std::current_exception();
       }
@@ -717,26 +565,24 @@ Service::CacheStats Service::cache_stats() const {
   // above survive artifact eviction, these reflect what eviction left.
   for (const auto& entry : registry_) {
     for (const auto& [codec, slot] : entry->images) {
-      const std::lock_guard<std::mutex> slot_lock(slot->mutex);
-      if (slot->image) ++stats.images.entries;
+      if (slot.ready()) ++stats.images.entries;
     }
-  }
-  for (const auto& [key, ledger] : frontiers_) {
-    if (ledger.shared->ready()) ++stats.frontiers.entries;
+    for (const auto& [k, slot] : entry->geometry) {
+      if (slot.ready()) ++stats.frontiers.entries;
+    }
   }
   return stats;
 }
 
 unsigned Service::workers() const { return pool_->workers(); }
 
-const runtime::SharedFrontier* Service::frontier_slot(
-    WorkloadId id, unsigned predecompress_k) const {
+const ArtifactSlot* Service::frontier_slot(WorkloadId id,
+                                          unsigned predecompress_k) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   APCC_CHECK(id < registry_.size(), "unknown workload id");
-  const runtime::FrontierKey key{&registry_[id]->workload->cfg,
-                                 predecompress_k};
-  const auto it = frontiers_.find(key);
-  return it == frontiers_.end() ? nullptr : it->second.shared.get();
+  const auto& geometry = registry_[id]->geometry;
+  const auto it = geometry.find(predecompress_k);
+  return it == geometry.end() ? nullptr : &it->second;
 }
 
 }  // namespace apcc::serving

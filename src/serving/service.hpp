@@ -23,12 +23,13 @@
 //    returned WorkloadId names it in every later job (JobSpecs may also
 //    reference it by registered name -- see job_spec.hpp).
 //  * The Service owns a per-workload **artifact cache**: the compressed
-//    BlockImage keyed by codec kind, the materialized FrontierCache
-//    keyed by (CFG, predecompress_k), and the parsed trace. Artifacts
-//    are built lazily -- by the first pool worker whose job needs them,
-//    never on the submitting thread -- deduplicated by a claim-build /
-//    wait handshake, and immutable afterwards, so any number of
-//    concurrent jobs borrow them without copies or locks.
+//    BlockImage keyed by codec kind and the materialized FrontierCache
+//    keyed by predecompress_k, each in one serving::ArtifactSlot
+//    (artifact_slot.hpp). Artifacts are built lazily -- by the first
+//    pool worker whose job needs them, never on the submitting thread --
+//    deduplicated by the slot's claim-build / wait handshake, and
+//    immutable afterwards, so any number of concurrent jobs borrow them
+//    without copies or locks.
 //  * submit(JobSpec) is the one submission path: it validates the
 //    spec, resolves its workload references, enqueues the job onto one
 //    shared sweep::Pool under the spec's QoS (priority class, worker
@@ -47,6 +48,7 @@
 // differentials (service_test.cpp, job_spec_test.cpp).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -57,13 +59,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "core/system.hpp"
-#include "runtime/frontier_cache.hpp"
+#include "serving/artifact_slot.hpp"
 #include "serving/cache.hpp"
 #include "serving/fault_plan.hpp"
 #include "serving/job_spec.hpp"
@@ -102,20 +103,19 @@ struct ServiceOptions {
   /// worker *thread* -- submit() never runs work inline.
   unsigned workers = 0;
   ServiceLimits limits;
-  /// Byte ceilings for the resident artifact cache (see cache.hpp).
-  /// All-zero -- the default -- preserves the historical
-  /// grow-without-bound behaviour, including its exact cache counters.
-  /// Under a budget, publishes trigger a cost-aware eviction pass;
-  /// evicted artifacts are transparently rebuilt (bit-identical) by the
-  /// next job that needs them, so a budget never changes any job
-  /// outcome -- only when artifacts are rebuilt.
+  /// Byte ceiling for the resident artifact cache (see cache.hpp); 0 --
+  /// the default -- grows without bound. Under a budget, publishes
+  /// trigger a cost-aware eviction pass; evicted artifacts are
+  /// transparently rebuilt (bit-identical) by the next job that needs
+  /// them, so a budget never changes any job outcome -- only when
+  /// artifacts are rebuilt.
   CacheBudget cache_budget;
   /// Deterministic fault injection (tests / soak runs); null -- the
   /// default -- costs one branch per fault point. See fault_plan.hpp.
   std::shared_ptr<const FaultPlan> faults;
   /// Within-class pool scheduling: weighted fair share over
   /// JobSpec::client tags (the default) vs the strict lowest-id order
-  /// -- the PR 5 reference the fairness differentials compare against.
+  /// -- the reference the fairness differentials compare against.
   /// Affects only when cells run, never any job outcome. See
   /// sweep::PoolOptions::fair_share.
   bool fair_share = true;
@@ -286,22 +286,20 @@ class Service {
   /// eviction on these; counters are cumulative since construction).
   /// One serving::ArtifactStats per artifact kind -- see cache.hpp for
   /// the counter semantics (built/borrows vs hits/misses/rebuilds vs
-  /// evictions/evicted_bytes, resident bytes/entries). The PR 4-7 flat
-  /// spellings (stats.image_hits and friends) are gone: spell them
-  /// stats.images.hits / stats.frontiers.hits.
+  /// evictions/evicted_bytes, resident bytes/entries).
   using CacheStats = serving::CacheStats;
   [[nodiscard]] CacheStats cache_stats() const;
 
   [[nodiscard]] unsigned workers() const;
 
-  /// The (CFG, k) geometry slot for a registered workload, if some job
-  /// has needed it. Exposed for tests and diagnostics: builder() says
-  /// which thread materialized it (pinned off the submitting thread).
-  [[nodiscard]] const runtime::SharedFrontier* frontier_slot(
+  /// The geometry slot of a registered workload at predecompress_k, if
+  /// an admitted job needs it. Exposed for tests and diagnostics: ready(),
+  /// pins(), and builder() -- which thread materialized it (pinned off
+  /// the submitting thread).
+  [[nodiscard]] const ArtifactSlot* frontier_slot(
       WorkloadId id, unsigned predecompress_k) const;
 
  private:
-  struct ImageSlot;
   struct Registered;
 
   /// RAII record of one grid cell's borrowed artifacts. Every borrow
@@ -327,44 +325,42 @@ class Service {
 
    private:
     friend class Service;
-    ImageSlot* image_ = nullptr;
-    runtime::SharedFrontier* frontier_ = nullptr;
+    /// Take over one pin acquire() just placed on `slot`.
+    void hold(ArtifactSlot& slot);
+    /// A cell borrows one image and one geometry.
+    std::array<ArtifactSlot*, 2> slots_{};
   };
 
-  /// One geometry slot plus its eviction-ledger entry. The slot guards
-  /// its own handshake state and pin count under its mutex; the ledger
-  /// fields are guarded by Service::mutex_ (bytes == 0 means "not
-  /// resident" -- never published, or evicted).
-  struct FrontierLedger {
-    std::unique_ptr<runtime::SharedFrontier> shared;
-    std::uint64_t bytes = 0;         // resident bytes (0 = not resident)
-    std::uint64_t rebuild_cost = 0;  // estimate_frontier_cost at publish
-    std::uint64_t last_use = 0;      // cache_clock_ at last borrow/publish
-  };
-
-  /// Resolve (build-or-borrow) the image artifact for a cell. `token`
-  /// (may be null) makes the claim-build handshake cancellation-aware:
-  /// a cancelled builder rolls its claim back so waiters re-claim. The
-  /// borrow is pinned into `lease` before the slot lock is released, so
-  /// the returned reference stays valid until the lease releases.
+  /// Resolve (build-or-borrow) the image / geometry artifact for a cell
+  /// of the job whose cancel token is `token` (may be null): resolve()
+  /// the slot with the kind's build.
   const runtime::BlockImage& image_for(Registered& entry,
-                                       const core::SystemConfig& config,
+                                       compress::CodecKind codec,
                                        const sweep::CancelToken* token,
                                        CellLease& lease);
-  /// Resolve the geometry artifact; creates the slot on first need.
-  /// Pins the borrow into `lease` (see image_for).
-  const runtime::FrontierCache* frontiers_for(Registered& entry, unsigned k,
+  const runtime::FrontierCache& frontiers_for(Registered& entry, unsigned k,
                                               const sweep::CancelToken* token,
                                               CellLease& lease);
 
+  /// The one resolve path: acquire `slot` for one cell (building the
+  /// artifact when this call claims it), hand the pin to `lease`, and
+  /// count the outcome into `stats`. A publish records the artifact's
+  /// bytes and `rebuild_cost` in the ledger and runs the eviction pass.
+  /// A claim that rolls back still counts its miss before the exception
+  /// propagates.
+  const Artifact& resolve(ArtifactSlot& slot, ArtifactStats& stats,
+                          std::uint64_t rebuild_cost,
+                          const sweep::CancelToken* token, CellLease& lease,
+                          const std::function<Artifact()>& build);
+
   /// The publish-time eviction pass (call with mutex_ held): snapshot
-  /// the resident artifacts into cache.hpp CacheEntry views, run
-  /// plan_evictions per ceiling (image budget, then frontier budget,
-  /// then the shared total over both kinds), and apply the victim
-  /// lists. Also evaluates the fault plan's evict_at_publish forced
-  /// flush. Per-slot eviction re-checks ready/pinned under the slot's
-  /// own lock, so a borrow that raced the snapshot simply exempts its
-  /// artifact this pass (budgets are pressure, not guarantees).
+  /// every resident artifact into a cache.hpp CacheEntry view, in
+  /// registry order, images before geometry, each by key; run
+  /// plan_evictions once against the budget's total_bytes (0 under the
+  /// fault plan's evict_at_publish flush); and evict the victims. A
+  /// victim re-checks ready/unpinned under its slot's own lock, so a
+  /// borrow that raced the snapshot simply exempts its artifact this
+  /// pass (budgets are pressure, not guarantees).
   void evict_over_budget_locked();
 
   /// The per-item prologue: polls the job token (false = the item must
@@ -374,21 +370,15 @@ class Service {
 
   Registered& entry(WorkloadId id);
 
-  mutable std::mutex mutex_;  // registry + slot maps + stats + admission
+  mutable std::mutex mutex_;  // registry + slot maps + ledger + stats
   std::vector<std::unique_ptr<Registered>> registry_;
-  /// Geometry artifacts plus their eviction ledger, keyed by (CFG
-  /// identity, k). Service-wide: the key is the CFG address, which each
-  /// registered workload owns. Map nodes are stable, so slot pointers
-  /// survive later insertions.
-  std::map<runtime::FrontierKey, FrontierLedger> frontiers_;
-  /// (CFG, k) keys whose last geometry build failed: the next claim of
-  /// that key counts as a rebuild (mirrors ImageSlot::failed_before).
-  std::set<runtime::FrontierKey> frontier_failed_;
   CacheStats stats_;
-  /// Eviction-ledger clock: one tick per artifact borrow or publish.
-  /// last_use stamps come from it, so "recency" is a deterministic
-  /// function of the borrow sequence, never of wall time.
-  std::uint64_t cache_clock_ = 0;
+  /// Admission numbers, one per admitted job: the ledger's clock.
+  /// Admission stamps the last_use of every slot the job will borrow
+  /// with its number, before any of its cells runs, so recency is a
+  /// function of the job sequence -- never of which pool worker reached
+  /// a slot first, nor of wall time.
+  std::uint64_t admitted_ = 0;
   /// Successful publishes (images + geometry), the fault plan's
   /// evict_at_publish ordinal.
   std::size_t publish_count_ = 0;

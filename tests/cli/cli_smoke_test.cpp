@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/wire_headers.hpp"
@@ -205,16 +206,41 @@ TEST(CliSmoke, CacheBudgetIsAServerKnobNeverAResultsKnob) {
               " --cache-budget-bytes 1");
   ASSERT_EQ(budgeted.exit_code, 0);
   EXPECT_EQ(budgeted.output, reference.output);
-  // The per-kind variants parse too.
-  const auto per_kind = run_cli(
-      "sweep " + workload_path() + " --csv --workers 1" +
-      " --cache-budget-image-bytes 1 --cache-budget-frontier-bytes 1");
-  ASSERT_EQ(per_kind.exit_code, 0);
-  EXPECT_EQ(per_kind.output, reference.output);
+  // One ceiling covers both artifact kinds: the per-kind flags are gone.
+  for (const char* gone :
+       {"--cache-budget-image-bytes", "--cache-budget-frontier-bytes"}) {
+    EXPECT_EQ(run_cli("sweep " + workload_path() + " --workers 1 " + gone +
+                      " 1")
+                  .exit_code,
+              1)
+        << gone;
+  }
   // A missing value is a usage error, not a silent zero.
   EXPECT_EQ(run_cli("sweep " + workload_path() + " --cache-budget-bytes")
                 .exit_code,
             1);
+}
+
+TEST(CliSmoke, NumericFlagsRejectNegativeAndOutOfRangeValues) {
+  // A value the flag's setting cannot hold is a usage error naming the
+  // flag, never a wrapped number: --kc -1 would otherwise run with
+  // k = 4294967295, --kc 4294967298 as k = 2, and --budget -1 unbounded.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"sim gsm-like --kc -1", "--kc"},
+      {"sim gsm-like --kc 4294967298", "--kc"},
+      {"sim gsm-like --budget -1", "--budget"},
+      {"sweep " + workload_path() + " --cache-budget-bytes -1",
+       "--cache-budget-bytes"},
+      {"serve --client-weight tenant=4294967297 < /dev/null",
+       "--client-weight"},
+      {"sim gsm-like --units x", "--units"},
+  };
+  for (const auto& [args, flag] : cases) {
+    const auto result = run_cli_stderr(args);
+    EXPECT_EQ(result.exit_code, 1) << args;
+    EXPECT_NE(result.output.find(flag), std::string::npos)
+        << args << ": " << result.output;
+  }
 }
 
 TEST(CliSmoke, BatchSummaryReportsEvictionCountersUnderBudget) {

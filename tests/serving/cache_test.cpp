@@ -121,16 +121,6 @@ TEST(CacheCostEstimates, AreDeterministicAndNonZero) {
   EXPECT_EQ(estimate_frontier_cost(100, 4), 500u);
 }
 
-TEST(CacheBudgetConfig, UnboundedMeansAllZero) {
-  CacheBudget budget;
-  EXPECT_TRUE(budget.unbounded());
-  budget.image_bytes = 1;
-  EXPECT_FALSE(budget.unbounded());
-  budget = CacheBudget{};
-  budget.total_bytes = 1;
-  EXPECT_FALSE(budget.unbounded());
-}
-
 TEST(CacheStatsFormat, RendersBothKindsWithEvictionCounters) {
   CacheStats stats;
   stats.images = ArtifactStats{3, 40, 40, 3, 0, 2, 8192, 4096, 1};

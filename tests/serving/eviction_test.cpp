@@ -1,12 +1,15 @@
-// Budgeted artifact cache, end to end: eviction under byte budgets
+// Budgeted artifact cache, end to end: eviction under a byte budget
 // never changes any job outcome -- only when artifacts are rebuilt.
 // These tests drive the Service with budgets small enough to force
-// constant thrash and pin four things:
+// constant thrash and pin five things:
 //
 //  * differential byte-identity: the same sweep under a tiny budget
 //    matches the direct per-cell reference at several worker counts and
-//    lockstep batch widths, while the eviction counters prove the
-//    budget machinery actually ran;
+//    lockstep batch widths, and under a budget that only both kinds
+//    together exceed, while the eviction counters prove the budget
+//    machinery actually ran;
+//  * job-stamped recency: the cache counts of a job list run one job at
+//    a time do not depend on the order of one job's cells;
 //  * pinning: artifacts borrowed by in-flight cells survive any
 //    eviction pressure (a parked batch holds its leases while another
 //    job thrashes the cache);
@@ -83,17 +86,21 @@ struct ParkAt {
   bool open_ = false;
 };
 
+/// A one-byte budget: every publish finds the cache over budget, so
+/// every unpinned artifact is evicted as soon as a new one lands.
+CacheBudget tiny_budget() {
+  CacheBudget tiny;
+  tiny.total_bytes = 1;
+  return tiny;
+}
+
 TEST(Eviction, TinyBudgetSweepIsByteIdenticalToDirect) {
-  // The acceptance differential: per-kind budgets of one byte mean
-  // every publish finds the cache over budget, so every unpinned
-  // artifact is evicted as soon as a new one lands -- maximum thrash.
-  // Outcomes must still match the direct per-cell reference byte for
-  // byte at every worker count and batch width.
+  // The acceptance differential: a one-byte budget over both kinds is
+  // maximum thrash. Outcomes must still match the direct per-cell
+  // reference byte for byte at every worker count and batch width.
   const auto grid = test_grid();
   const auto direct = direct_sweep(0, grid);
-  CacheBudget tiny;
-  tiny.image_bytes = 1;
-  tiny.frontier_bytes = 1;
+  const CacheBudget tiny = tiny_budget();
   for (const unsigned workers : {1u, 2u, 4u}) {
     for (const std::uint32_t batch : {1u, 16u}) {
       SCOPED_TRACE(std::to_string(workers) + " workers, batch " +
@@ -124,25 +131,45 @@ TEST(Eviction, TinyBudgetSweepIsByteIdenticalToDirect) {
 }
 
 TEST(Eviction, SharedTotalBudgetIsByteIdenticalToDirect) {
-  // Same differential through the shared-ceiling pass (total_bytes
-  // covers both kinds at once; per-kind ceilings unset).
+  // Same differential through the shared ceiling: total_bytes covers
+  // both kinds at once. The budget is one byte short of everything the
+  // sweep builds, so neither the image nor the two geometries alone
+  // reach it -- only their sum does. One worker, k-alternating grid:
+  // each geometry publish evicts the other (unpinned) geometry, while
+  // the publishing cell pins the image.
   const auto grid = test_grid();
   const auto direct = direct_sweep(0, grid);
+  std::uint64_t image_bytes = 0;
+  std::uint64_t frontier_bytes = 0;
+  {
+    Fixture unbounded(budgeted(1, CacheBudget{}));
+    const auto job = sweep_spec(ref(unbounded.ids[0]), grid);
+    expect_identical(direct, unbounded.service.submit(job).wait().sweep);
+    const auto stats = unbounded.service.cache_stats();
+    EXPECT_EQ(stats.frontiers.evictions, 0u);
+    image_bytes = stats.images.bytes;
+    frontier_bytes = stats.frontiers.bytes;
+  }
   CacheBudget shared;
-  shared.total_bytes = 1;
+  shared.total_bytes = image_bytes + frontier_bytes - 1;
+  ASSERT_LT(image_bytes, shared.total_bytes);
+  ASSERT_LT(frontier_bytes, shared.total_bytes);
+
   Fixture fx(budgeted(1, shared));
   const auto job = sweep_spec(ref(fx.ids[0]), grid);
   expect_identical(direct, fx.service.submit(job).wait().sweep);
-  EXPECT_GT(fx.service.cache_stats().frontiers.evictions, 0u);
+  const auto stats = fx.service.cache_stats();
+  EXPECT_GT(stats.frontiers.evictions, 0u);
+  EXPECT_EQ(stats.frontiers.misses, stats.frontiers.built);
+  EXPECT_EQ(stats.images.evictions, 0u);
+  EXPECT_LE(stats.images.bytes + stats.frontiers.bytes, shared.total_bytes);
 }
 
 TEST(Eviction, ImageEvictionAcrossWorkloadsRebuildsByteIdentical) {
-  // Two workloads, one-byte image ceiling, one worker: workload B's
-  // image publish evicts workload A's (unpinned) image, and vice versa
-  // on the rebuild -- the deterministic image-eviction sequence.
-  CacheBudget tiny;
-  tiny.image_bytes = 1;
-  Fixture fx(budgeted(1, tiny));
+  // Two workloads, one-byte budget, one worker: workload B's image
+  // publish evicts workload A's (unpinned) image, and vice versa on the
+  // rebuild -- the deterministic image-eviction sequence.
+  Fixture fx(budgeted(1, tiny_budget()));
   const sim::RunResult direct_a = reference_systems()[0].run();
   const sim::RunResult direct_b = reference_systems()[1].run();
 
@@ -173,19 +200,15 @@ TEST(Eviction, ImageEvictionAcrossWorkloadsRebuildsByteIdentical) {
 TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
   // Job A: one 12-cell lockstep batch on workload 0, parked at its
   // second cell's boundary -- cell 1's leases (image + k=1 geometry)
-  // are live. Job B then thrashes the cache on workload 1 under
-  // one-byte ceilings. A's pinned artifacts must survive every
-  // eviction pass B triggers, and A must complete byte-identical after
-  // release.
+  // are live. Job B then thrashes the cache on workload 1 under a
+  // one-byte budget. A's pinned artifacts must survive every eviction
+  // pass B triggers, and A must complete byte-identical after release.
   const auto grid = test_grid();
   const auto direct_a = direct_sweep(0, grid);
   const auto direct_b = direct_sweep(1, grid);
 
   ParkAt gate(2);  // boundary 1 = A's first cell; 2 = A's second
-  CacheBudget tiny;
-  tiny.image_bytes = 1;
-  tiny.frontier_bytes = 1;
-  ServiceOptions options = budgeted(2, tiny);
+  ServiceOptions options = budgeted(2, tiny_budget());
   options.faults = gate.plan();
   Fixture fx(options);
 
@@ -196,8 +219,7 @@ TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
   // While A is parked, its first cell's artifacts are pinned and
   // resident (the k=1 geometry slot stays ready through everything B
   // does below).
-  const runtime::SharedFrontier* slot_a =
-      fx.service.frontier_slot(fx.ids[0], 1);
+  const ArtifactSlot* slot_a = fx.service.frontier_slot(fx.ids[0], 1);
   ASSERT_NE(slot_a, nullptr);
   EXPECT_TRUE(slot_a->ready());
   EXPECT_GT(slot_a->pins(), 0u);
@@ -210,8 +232,9 @@ TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
     // B thrashed: its k-alternating publishes evicted its own unpinned
     // geometry...
     EXPECT_GT(stats.frontiers.evictions, 0u);
-    // ...but never A's pinned artifacts: both images resident (A's
-    // pinned, B's just published), A's k=1 geometry still ready.
+    // ...but never A's pinned artifacts, nor B's image, which the
+    // publishing cell pins at every B publish: both images resident,
+    // A's k=1 geometry still ready.
     EXPECT_EQ(stats.images.evictions, 0u);
     EXPECT_EQ(stats.images.entries, 2u);
     EXPECT_TRUE(slot_a->ready());
@@ -230,9 +253,7 @@ TEST(Eviction, InjectedBuildFailureUnderPressureRollsBackCleanly) {
   auto plan = std::make_shared<FaultPlan>();
   plan->seed = 17;
   plan->fail_image_build = 2;
-  CacheBudget tiny;
-  tiny.image_bytes = 1;
-  ServiceOptions options = budgeted(1, tiny);
+  ServiceOptions options = budgeted(1, tiny_budget());
   options.faults = plan;
   Fixture fx(options);
   const sim::RunResult direct_a = reference_systems()[0].run();
@@ -293,6 +314,71 @@ TEST(Eviction, FaultPlanForcedFlushDrivesRebuildDeterministically) {
   EXPECT_EQ(stats.frontiers.misses, 3u);
   EXPECT_EQ(stats.frontiers.rebuilds, 0u);   // eviction is not a failure
   EXPECT_EQ(stats.frontiers.entries, 2u);    // both resident at the end
+}
+
+void expect_same_counts(const ArtifactStats& a, const ArtifactStats& b) {
+  EXPECT_EQ(a.built, b.built);
+  EXPECT_EQ(a.borrows, b.borrows);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.rebuilds, b.rebuilds);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.evicted_bytes, b.evicted_bytes);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.entries, b.entries);
+}
+
+TEST(Eviction, RecencyFollowsTheJobSequenceNotTheCellOrder) {
+  // Two one-worker Services run the same three jobs on jpeg-like under
+  // a 4,000 B budget: (1) an on-demand sweep over k=1 and k=4, (2) an
+  // lzss run at k=2, (3) job 1 again. Job 1 lists its two cells in
+  // opposite orders in the two Services. Its own artifacts (2,741 B)
+  // fit the budget and job 2's force evictions, so which artifacts the
+  // evictions pick must follow the job sequence alone: the two
+  // Services end with the same cache counts.
+  const auto cell = [](std::uint32_t k) {
+    sweep::SweepTask task;
+    task.config.policy.strategy = runtime::DecompressionStrategy::kOnDemand;
+    task.config.policy.compress_k = k;
+    task.config.policy.predecompress_k = k;
+    task.label = "k" + std::to_string(k);
+    return task;
+  };
+  core::SystemConfig lzss;
+  lzss.codec = compress::CodecKind::kLzss;
+  lzss.policy.compress_k = 2;
+  lzss.policy.predecompress_k = 2;
+  CacheBudget budget;
+  budget.total_bytes = 4000;
+
+  std::vector<CacheStats> stats;
+  for (const auto& ks : {std::vector<std::uint32_t>{1, 4},
+                         std::vector<std::uint32_t>{4, 1}}) {
+    Service service(budgeted(1, budget));
+    const WorkloadId id = service.register_workload(
+        workloads::make_workload(workloads::WorkloadKind::kJpegLike));
+    std::vector<sweep::SweepTask> grid;
+    for (const std::uint32_t k : ks) grid.push_back(cell(k));
+    EXPECT_EQ(service.submit(sweep_spec(ref(id), grid)).wait().status,
+              JobStatus::kOk);
+    EXPECT_LE(service.cache_stats().images.bytes +
+                  service.cache_stats().frontiers.bytes,
+              budget.total_bytes);  // job 1 fits: nothing evicted yet
+    EXPECT_EQ(service.submit(run_spec(ref(id), lzss)).wait().status,
+              JobStatus::kOk);
+    EXPECT_EQ(service.submit(sweep_spec(ref(id), grid)).wait().status,
+              JobStatus::kOk);
+    stats.push_back(service.cache_stats());
+  }
+  EXPECT_GT(stats[0].frontiers.evictions, 0u);  // the budget did evict
+  {
+    SCOPED_TRACE("images");
+    expect_same_counts(stats[0].images, stats[1].images);
+  }
+  {
+    SCOPED_TRACE("frontiers");
+    expect_same_counts(stats[0].frontiers, stats[1].frontiers);
+  }
 }
 
 }  // namespace

@@ -109,8 +109,7 @@ TEST(Service, GeometryMaterializesOffTheSubmittingThread) {
   // worker, never this (submitting) thread.
   bool saw_slot = false;
   for (const std::uint32_t k : {1u, 4u}) {
-    const runtime::SharedFrontier* slot =
-        fx.service.frontier_slot(fx.ids[0], k);
+    const ArtifactSlot* slot = fx.service.frontier_slot(fx.ids[0], k);
     ASSERT_NE(slot, nullptr) << "k=" << k;
     EXPECT_TRUE(slot->ready());
     EXPECT_NE(slot->builder(), std::this_thread::get_id());

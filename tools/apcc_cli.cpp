@@ -74,13 +74,11 @@
 //   --budget BYTES    decompressed-area budget (default unbounded)
 //   --units N         decompression helper units (default 1)
 //   --workers N       service pool width (default: hardware concurrency)
-//   --cache-budget-bytes N          artifact-cache ceiling across images
+//   --cache-budget-bytes N  artifact-cache ceiling shared by images
 //                     and frontier geometry (0 = unbounded). Over-budget
 //                     artifacts are evicted cost-aware at publish time
 //                     and rebuilt bit-identically on next use -- results
 //                     never change, only when artifacts are rebuilt
-//   --cache-budget-image-bytes N    per-kind image ceiling
-//   --cache-budget-frontier-bytes N per-kind geometry ceiling
 //   --batch-cells N   sweep/campaign: grid cells stepped in lockstep per
 //                     pool work item (0 = one engine per cell; results
 //                     are byte-identical either way)
@@ -105,13 +103,19 @@
 // batch and serve take per-job configuration from the job records, so
 // per-job flags on their command lines are usage errors too.
 //
+// Every numeric option takes a non-negative integer that fits its
+// setting: a negative, out-of-range or malformed value is a usage error
+// naming the flag, never a wrapped value.
+//
 // Exit code 0 on success, 1 on usage errors (including malformed wire
 // records and contradictory grid options), 2 on input errors.
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -186,9 +190,7 @@ constexpr const char* kToolVersion = "0.6.0";
       "         --budget BYTES --units N --workers N --max-queued N\n"
       "         --max-queued-per-client N --listen PORT --host ADDR\n"
       "         --client-weight TAG=W --no-fair-share\n"
-      "         --cache-budget-bytes N --cache-budget-image-bytes N\n"
-      "         --cache-budget-frontier-bytes N\n"
-      "         --batch-cells N --csv --wire\n"
+      "         --cache-budget-bytes N --batch-cells N --csv --wire\n"
       "(sweep and campaign grid over strategy and k themselves:\n"
       " --strategy/--kc/--kd there is a usage error; batch and serve\n"
       " take per-job configuration from the job records; --max-queued,\n"
@@ -255,10 +257,9 @@ runtime::PredictorKind parse_predictor(const std::string& name) {
 struct CliOptions {
   core::SystemConfig config;
   unsigned workers = 0;
-  /// Service artifact-cache ceilings (--cache-budget-bytes and the
-  /// per-kind variants; 0 = unbounded, the historical behaviour).
-  /// Server-side configuration like --workers: accepted on every
-  /// Service-backed command, never part of the wire job records.
+  /// Service artifact-cache ceiling (--cache-budget-bytes; 0 =
+  /// unbounded). Server-side configuration like --workers: accepted on
+  /// every Service-backed command, never part of the wire job records.
   serving::CacheBudget cache_budget;
   /// serve-only admission bound (0 = unbounded): at most N jobs
   /// submitted-but-unfinished; over-limit jobs get rejected records.
@@ -293,6 +294,25 @@ struct CliOptions {
   std::vector<std::string> config_flags;
 };
 
+/// A numeric flag's value as the setting's type T. A negative value, one
+/// above T's maximum, or a malformed one is a usage error naming the
+/// flag -- the rule the wire codec applies to records -- where a cast
+/// would wrap it silently.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& value) {
+  std::int64_t v = 0;
+  try {
+    v = parse_int(value);
+  } catch (const CheckError&) {
+    usage(flag + ": malformed number '" + value + "'");
+  }
+  if (v < 0 ||
+      static_cast<std::uint64_t>(v) > std::numeric_limits<T>::max()) {
+    usage(flag + ": value out of range: '" + value + "'");
+  }
+  return static_cast<T>(v);
+}
+
 CliOptions parse_options(const std::vector<std::string>& args,
                          std::size_t first) {
   CliOptions opts;
@@ -313,40 +333,32 @@ CliOptions parse_options(const std::vector<std::string>& args,
       opts.config_flags.push_back(a);
     } else if (a == "--kc") {
       opts.config.policy.compress_k =
-          static_cast<std::uint32_t>(parse_int(need_value(i++)));
+          parse_number<std::uint32_t>(a, need_value(i++));
       opts.grid_overrides.push_back(a);
     } else if (a == "--kd") {
       opts.config.policy.predecompress_k =
-          static_cast<std::uint32_t>(parse_int(need_value(i++)));
+          parse_number<std::uint32_t>(a, need_value(i++));
       opts.grid_overrides.push_back(a);
     } else if (a == "--budget") {
       opts.config.policy.memory_budget =
-          static_cast<std::uint64_t>(parse_int(need_value(i++)));
+          parse_number<std::uint64_t>(a, need_value(i++));
       opts.config_flags.push_back(a);
     } else if (a == "--units") {
       opts.config.policy.decompress_units =
-          static_cast<unsigned>(parse_int(need_value(i++)));
+          parse_number<unsigned>(a, need_value(i++));
       opts.config_flags.push_back(a);
     } else if (a == "--workers") {
-      opts.workers = static_cast<unsigned>(parse_int(need_value(i++)));
+      opts.workers = parse_number<unsigned>(a, need_value(i++));
     } else if (a == "--cache-budget-bytes") {
       opts.cache_budget.total_bytes =
-          static_cast<std::uint64_t>(parse_int(need_value(i++)));
-    } else if (a == "--cache-budget-image-bytes") {
-      opts.cache_budget.image_bytes =
-          static_cast<std::uint64_t>(parse_int(need_value(i++)));
-    } else if (a == "--cache-budget-frontier-bytes") {
-      opts.cache_budget.frontier_bytes =
-          static_cast<std::uint64_t>(parse_int(need_value(i++)));
+          parse_number<std::uint64_t>(a, need_value(i++));
     } else if (a == "--max-queued") {
-      opts.max_queued = static_cast<std::size_t>(parse_int(need_value(i++)));
+      opts.max_queued = parse_number<std::size_t>(a, need_value(i++));
     } else if (a == "--max-queued-per-client") {
       opts.max_queued_per_client =
-          static_cast<std::size_t>(parse_int(need_value(i++)));
+          parse_number<std::size_t>(a, need_value(i++));
     } else if (a == "--listen") {
-      const std::int64_t port = parse_int(need_value(i++));
-      if (port < 0 || port > 65535) usage("--listen: port out of range");
-      opts.listen = static_cast<std::uint16_t>(port);
+      opts.listen = parse_number<std::uint16_t>(a, need_value(i++));
     } else if (a == "--host") {
       opts.host = need_value(i++);
     } else if (a == "--client-weight") {
@@ -355,15 +367,13 @@ CliOptions parse_options(const std::vector<std::string>& args,
       if (eq == std::string::npos || eq == 0) {
         usage("--client-weight wants TAG=WEIGHT, got '" + value + "'");
       }
-      const std::int64_t weight = parse_int(value.substr(eq + 1));
+      const auto weight = parse_number<unsigned>(a, value.substr(eq + 1));
       if (weight < 1) usage("--client-weight: weight must be >= 1");
-      opts.client_weights[value.substr(0, eq)] =
-          static_cast<unsigned>(weight);
+      opts.client_weights[value.substr(0, eq)] = weight;
     } else if (a == "--no-fair-share") {
       opts.fair_share = false;
     } else if (a == "--batch-cells") {
-      opts.batch_cells =
-          static_cast<std::uint32_t>(parse_int(need_value(i++)));
+      opts.batch_cells = parse_number<std::uint32_t>(a, need_value(i++));
       opts.config_flags.push_back(a);
     } else if (a == "--csv") {
       opts.csv = true;
