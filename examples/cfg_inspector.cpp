@@ -38,14 +38,16 @@ int main(int argc, char** argv) {
   for (const auto& block : workload.cfg.blocks()) {
     std::cout << "B" << block.id << " [" << block.first_word << ", "
               << block.first_word + block.word_count << ")";
-    if (!block.note.empty()) std::cout << " " << block.note;
+    if (const auto note = workload.cfg.note(block.id); !note.empty()) {
+      std::cout << " " << note;
+    }
     if (depths[block.id] > 0) {
       std::cout << " loop-depth=" << depths[block.id];
     }
     if (block.is_exit) std::cout << " EXIT";
     std::cout << " ->";
-    for (const auto succ : workload.cfg.successor_ids(block.id)) {
-      std::cout << " B" << succ;
+    for (const auto e : workload.cfg.out_edges(block.id)) {
+      std::cout << " B" << workload.cfg.edge(e).to;
     }
     std::cout << '\n';
   }

@@ -35,7 +35,7 @@ int main() {
 
   auto block_name = [&](cfg::BlockId id) {
     return id == cfg::kInvalidBlock ? std::string("-")
-                                    : system.cfg().block(id).note;
+                                    : std::string(system.cfg().note(id));
   };
 
   const sim::RunResult result = system.run_with_events(

@@ -30,7 +30,7 @@ void print_trigger_table(std::ostream& out) {
       const auto frontier = cfg::frontier_within(graph, from, k);
       if (std::binary_search(frontier.begin(), frontier.end(),
                              cfg::BlockId{7})) {
-        trigger = graph.block(from).note;
+        trigger = graph.note(from);
         break;
       }
     }
@@ -60,7 +60,7 @@ void print_strategy_example(std::ostream& out) {
                                                 nullptr);
     std::string requests;
     for (const auto b : planner.plan_on_exit(0, 0)) {
-      requests += graph.block(b).note + " ";
+      requests.append(graph.note(b)).append(" ");
     }
     table.row().cell("pre-decompress-all").cell(requests);
   }
@@ -73,7 +73,7 @@ void print_strategy_example(std::ostream& out) {
                                                 &predictor);
     std::string requests;
     for (const auto b : planner.plan_on_exit(0, 0)) {
-      requests += graph.block(b).note + " ";
+      requests.append(graph.note(b)).append(" ");
     }
     table.row().cell("pre-decompress-single").cell(requests);
   }

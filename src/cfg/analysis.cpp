@@ -14,23 +14,22 @@ std::vector<BlockId> reverse_post_order(const Cfg& cfg) {
   if (n == 0) return order;
   std::vector<bool> visited(n, false);
 
-  // Iterative DFS with an explicit stack of (block, next-successor-index).
+  // Iterative DFS with an explicit stack of (block, its next out-edge).
   std::vector<BlockId> post;
   post.reserve(n);
   auto dfs = [&](BlockId root) {
     if (visited[root]) return;
-    std::vector<std::pair<BlockId, std::size_t>> stack;
-    stack.emplace_back(root, 0);
+    std::vector<std::pair<BlockId, Cfg::EdgeList::iterator>> stack;
+    stack.emplace_back(root, cfg.out_edges(root).begin());
     visited[root] = true;
     while (!stack.empty()) {
       auto& [b, next] = stack.back();
-      const auto& out = cfg.block(b).out_edges;
-      if (next < out.size()) {
-        const BlockId succ = cfg.edge(out[next]).to;
+      if (next != cfg.out_edges(b).end()) {
+        const BlockId succ = cfg.edge(*next).to;
         ++next;
         if (!visited[succ]) {
           visited[succ] = true;
-          stack.emplace_back(succ, 0);
+          stack.emplace_back(succ, cfg.out_edges(succ).begin());
         }
       } else {
         post.push_back(b);
@@ -76,7 +75,8 @@ std::vector<BlockId> immediate_dominators(const Cfg& cfg) {
     for (const BlockId b : rpo) {
       if (b == entry) continue;
       BlockId new_idom = kInvalidBlock;
-      for (const BlockId p : cfg.predecessor_ids(b)) {
+      for (const EdgeId e : cfg.in_edges(b)) {
+        const BlockId p = cfg.edge(e).from;
         if (idom[p] == kInvalidBlock) continue;  // not yet processed
         new_idom = (new_idom == kInvalidBlock) ? p : intersect(p, new_idom);
       }
@@ -119,7 +119,8 @@ std::vector<NaturalLoop> natural_loops(const Cfg& cfg) {
       const BlockId b = work.back();
       work.pop_back();
       if (b == e.to) continue;
-      for (const BlockId p : cfg.predecessor_ids(b)) {
+      for (const EdgeId in : cfg.in_edges(b)) {
+        const BlockId p = cfg.edge(in).from;
         if (body.insert(p).second) work.push_back(p);
       }
     }
@@ -157,7 +158,8 @@ std::vector<unsigned> exit_distances(const Cfg& cfg, BlockId from,
   std::vector<unsigned> dist(cfg.block_count(), UINT_MAX);
   if (k == 0) return dist;
   std::deque<BlockId> queue;
-  for (const BlockId s : cfg.successor_ids(from)) {
+  for (const EdgeId e : cfg.out_edges(from)) {
+    const BlockId s = cfg.edge(e).to;
     if (dist[s] == UINT_MAX) {
       dist[s] = 1;
       queue.push_back(s);
@@ -167,7 +169,8 @@ std::vector<unsigned> exit_distances(const Cfg& cfg, BlockId from,
     const BlockId b = queue.front();
     queue.pop_front();
     if (dist[b] >= k) continue;
-    for (const BlockId s : cfg.successor_ids(b)) {
+    for (const EdgeId e : cfg.out_edges(b)) {
+      const BlockId s = cfg.edge(e).to;
       if (dist[s] == UINT_MAX) {
         dist[s] = dist[b] + 1;
         queue.push_back(s);
@@ -210,11 +213,11 @@ void frontier_distances(const Cfg& cfg, BlockId from, unsigned k,
     dist[b] = d;
     out.push_back(FrontierEntry{b, d});
   };
-  for (const EdgeId e : cfg.block(from).out_edges) visit(cfg.edge(e).to, 1);
+  for (const EdgeId e : cfg.out_edges(from)) visit(cfg.edge(e).to, 1);
   for (std::size_t head = 0; head < out.size(); ++head) {
     const FrontierEntry cur = out[head];  // visit() may reallocate `out`
     if (cur.distance >= k) continue;
-    for (const EdgeId e : cfg.block(cur.block).out_edges) {
+    for (const EdgeId e : cfg.out_edges(cur.block)) {
       visit(cfg.edge(e).to, cur.distance + 1);
     }
   }
@@ -235,7 +238,8 @@ std::optional<unsigned> edge_distance(const Cfg& cfg, BlockId from,
   // self-reachability instead of the old hard-coded 0.
   std::vector<unsigned> dist(cfg.block_count(), UINT_MAX);
   std::deque<BlockId> queue;
-  for (const BlockId s : cfg.successor_ids(from)) {
+  for (const EdgeId e : cfg.out_edges(from)) {
+    const BlockId s = cfg.edge(e).to;
     if (dist[s] == UINT_MAX) {
       dist[s] = 1;
       if (s == to) return dist[s];
@@ -245,7 +249,8 @@ std::optional<unsigned> edge_distance(const Cfg& cfg, BlockId from,
   while (!queue.empty()) {
     const BlockId b = queue.front();
     queue.pop_front();
-    for (const BlockId s : cfg.successor_ids(b)) {
+    for (const EdgeId e : cfg.out_edges(b)) {
+      const BlockId s = cfg.edge(e).to;
       if (dist[s] == UINT_MAX) {
         dist[s] = dist[b] + 1;
         if (s == to) return dist[s];
@@ -272,7 +277,7 @@ std::vector<ReachScore> reach_scores(const Cfg& cfg, BlockId from,
     std::fill(next.begin(), next.end(), 0.0);
     for (BlockId b = 0; b < n; ++b) {
       if (mass[b] <= 0.0) continue;
-      for (const EdgeId e : cfg.block(b).out_edges) {
+      for (const EdgeId e : cfg.out_edges(b)) {
         const auto& edge = cfg.edge(e);
         next[edge.to] += mass[b] * edge.probability;
       }

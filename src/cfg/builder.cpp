@@ -64,7 +64,7 @@ BuildResult build_cfg(const isa::Program& program) {
         f != nullptr && f->first_word == first) {
       note = f->name;
     }
-    block_at[first] = cfg.add_block(first, end - first, std::move(note));
+    block_at[first] = cfg.add_block(first, end - first, note);
   }
   cfg.set_entry(block_at.at(program.entry_word()));
 
@@ -150,6 +150,7 @@ BuildResult build_cfg(const isa::Program& program) {
   }
 
   cfg.normalize_probabilities();
+  cfg.shrink_to_fit();
   cfg.validate();
   return result;
 }

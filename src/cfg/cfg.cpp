@@ -1,6 +1,7 @@
 #include "cfg/cfg.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace apcc::cfg {
 
@@ -16,14 +17,15 @@ const char* edge_kind_name(EdgeKind kind) {
 }
 
 BlockId Cfg::add_block(std::uint32_t first_word, std::uint32_t word_count,
-                       std::string note) {
+                       std::string_view note) {
   const auto id = static_cast<BlockId>(blocks_.size());
-  BasicBlock b;
-  b.id = id;
-  b.first_word = first_word;
-  b.word_count = word_count;
-  b.note = std::move(note);
-  blocks_.push_back(std::move(b));
+  blocks_.push_back(BasicBlock{id, first_word, word_count});
+  adjacency_.emplace_back();
+  all_notes_ += note;
+  APCC_CHECK(
+      all_notes_.size() <= std::numeric_limits<std::uint32_t>::max(),
+      "block notes exceed 4 GiB");
+  note_end_.push_back(static_cast<std::uint32_t>(all_notes_.size()));
   if (entry_ == kInvalidBlock) {
     entry_ = id;
   }
@@ -34,14 +36,22 @@ EdgeId Cfg::add_edge(BlockId from, BlockId to, EdgeKind kind,
                      double probability) {
   APCC_CHECK(from < blocks_.size() && to < blocks_.size(),
              "edge endpoint out of range");
-  for (const EdgeId e : blocks_[from].out_edges) {
+  for (const EdgeId e : out_edges(from)) {
     APCC_CHECK(!(edges_[e].to == to && edges_[e].kind == kind),
                "duplicate edge");
   }
   const auto id = static_cast<EdgeId>(edges_.size());
+  APCC_CHECK(id != kNoEdge, "edge count exceeds the id space");
   edges_.push_back(Edge{from, to, kind, probability});
-  blocks_[from].out_edges.push_back(id);
-  blocks_[to].in_edges.push_back(id);
+  links_.emplace_back();
+  // Append at each list's tail, so a list stays in ascending id order.
+  Adjacency& src = adjacency_[from];
+  (src.last_out == kNoEdge ? src.first_out : links_[src.last_out].next_out) =
+      id;
+  src.last_out = id;
+  Adjacency& dst = adjacency_[to];
+  (dst.last_in == kNoEdge ? dst.first_in : links_[dst.last_in].next_in) = id;
+  dst.last_in = id;
   return id;
 }
 
@@ -70,37 +80,37 @@ void Cfg::set_entry(BlockId id) {
   entry_ = id;
 }
 
-std::vector<BlockId> Cfg::successor_ids(BlockId id) const {
-  std::vector<BlockId> out;
-  out.reserve(block(id).out_edges.size());
-  for (const EdgeId e : block(id).out_edges) {
-    out.push_back(edges_[e].to);
-  }
-  return out;
+std::string_view Cfg::note(BlockId id) const {
+  APCC_CHECK(id < blocks_.size(), "block id out of range");
+  const std::uint32_t begin = id == 0 ? 0 : note_end_[id - 1];
+  return std::string_view(all_notes_).substr(begin, note_end_[id] - begin);
 }
 
-std::vector<BlockId> Cfg::predecessor_ids(BlockId id) const {
-  std::vector<BlockId> out;
-  out.reserve(block(id).in_edges.size());
-  for (const EdgeId e : block(id).in_edges) {
-    out.push_back(edges_[e].from);
-  }
-  return out;
+Cfg::EdgeList Cfg::out_edges(BlockId id) const {
+  APCC_CHECK(id < blocks_.size(), "block id out of range");
+  return EdgeList(adjacency_[id].first_out, links_.data(),
+                  &EdgeLinks::next_out);
+}
+
+Cfg::EdgeList Cfg::in_edges(BlockId id) const {
+  APCC_CHECK(id < blocks_.size(), "block id out of range");
+  return EdgeList(adjacency_[id].first_in, links_.data(), &EdgeLinks::next_in);
 }
 
 EdgeId Cfg::find_edge(BlockId from, BlockId to) const {
-  for (const EdgeId e : block(from).out_edges) {
+  for (const EdgeId e : out_edges(from)) {
     if (edges_[e].to == to) return e;
   }
   return kNoEdge;
 }
 
 void Cfg::normalize_probabilities() {
-  for (auto& b : blocks_) {
-    if (b.out_edges.empty()) continue;
+  for (BlockId b = 0; b < blocks_.size(); ++b) {
+    const EdgeList out = out_edges(b);
+    if (out.empty()) continue;
     double assigned = 0.0;
     std::size_t unset = 0;
-    for (const EdgeId e : b.out_edges) {
+    for (const EdgeId e : out) {
       if (edges_[e].probability > 0.0) {
         assigned += edges_[e].probability;
       } else {
@@ -110,7 +120,7 @@ void Cfg::normalize_probabilities() {
     if (unset > 0) {
       const double residual = assigned < 1.0 ? (1.0 - assigned) : 0.0;
       const double each = residual / static_cast<double>(unset);
-      for (const EdgeId e : b.out_edges) {
+      for (const EdgeId e : out) {
         if (edges_[e].probability <= 0.0) {
           edges_[e].probability = each;
         }
@@ -119,16 +129,25 @@ void Cfg::normalize_probabilities() {
     }
     // Rescale so probabilities sum to exactly 1.
     if (assigned > 0.0) {
-      for (const EdgeId e : b.out_edges) {
+      for (const EdgeId e : out) {
         edges_[e].probability /= assigned;
       }
     } else {
-      const double each = 1.0 / static_cast<double>(b.out_edges.size());
-      for (const EdgeId e : b.out_edges) {
+      const double each = 1.0 / static_cast<double>(out.size());
+      for (const EdgeId e : out) {
         edges_[e].probability = each;
       }
     }
   }
+}
+
+void Cfg::shrink_to_fit() {
+  blocks_.shrink_to_fit();
+  adjacency_.shrink_to_fit();
+  edges_.shrink_to_fit();
+  links_.shrink_to_fit();
+  all_notes_.shrink_to_fit();
+  note_end_.shrink_to_fit();
 }
 
 std::uint64_t Cfg::total_code_bytes() const {
@@ -142,17 +161,12 @@ std::uint64_t Cfg::total_code_bytes() const {
 void Cfg::validate() const {
   APCC_ASSERT(entry_ == kInvalidBlock || entry_ < blocks_.size(),
               "entry out of range");
+  APCC_ASSERT(adjacency_.size() == blocks_.size() &&
+                  note_end_.size() == blocks_.size(),
+              "per-block arrays out of step");
+  APCC_ASSERT(links_.size() == edges_.size(), "per-edge links out of step");
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    const auto& b = blocks_[i];
-    APCC_ASSERT(b.id == i, "block id mismatch");
-    for (const EdgeId e : b.out_edges) {
-      APCC_ASSERT(e < edges_.size(), "out-edge id out of range");
-      APCC_ASSERT(edges_[e].from == b.id, "out-edge from mismatch");
-    }
-    for (const EdgeId e : b.in_edges) {
-      APCC_ASSERT(e < edges_.size(), "in-edge id out of range");
-      APCC_ASSERT(edges_[e].to == b.id, "in-edge to mismatch");
-    }
+    APCC_ASSERT(blocks_[i].id == i, "block id mismatch");
   }
   for (const auto& e : edges_) {
     APCC_ASSERT(e.from < blocks_.size() && e.to < blocks_.size(),
@@ -160,6 +174,35 @@ void Cfg::validate() const {
     APCC_ASSERT(std::isfinite(e.probability) && e.probability >= 0.0,
                 "edge probability must be finite and non-negative");
   }
+  // The lists and the endpoints agree: every block's out-list (in-list)
+  // holds exactly the edges whose `from` (`to`) is that block, in
+  // ascending id, and ends at the recorded tail. The id order also ends
+  // the walk of a corrupt list.
+  std::size_t listed_out = 0;
+  std::size_t listed_in = 0;
+  for (BlockId b = 0; b < blocks_.size(); ++b) {
+    EdgeId prev = kNoEdge;
+    for (const EdgeId e : out_edges(b)) {
+      APCC_ASSERT(e < edges_.size() && edges_[e].from == b,
+                  "out-edge list holds a foreign edge");
+      APCC_ASSERT(prev == kNoEdge || prev < e,
+                  "out-edge list out of id order");
+      prev = e;
+      ++listed_out;
+    }
+    APCC_ASSERT(prev == adjacency_[b].last_out, "out-edge list tail mismatch");
+    prev = kNoEdge;
+    for (const EdgeId e : in_edges(b)) {
+      APCC_ASSERT(e < edges_.size() && edges_[e].to == b,
+                  "in-edge list holds a foreign edge");
+      APCC_ASSERT(prev == kNoEdge || prev < e, "in-edge list out of id order");
+      prev = e;
+      ++listed_in;
+    }
+    APCC_ASSERT(prev == adjacency_[b].last_in, "in-edge list tail mismatch");
+  }
+  APCC_ASSERT(listed_out == edges_.size() && listed_in == edges_.size(),
+              "an edge is missing from its endpoint's list");
 }
 
 }  // namespace apcc::cfg

@@ -9,9 +9,12 @@
 // constructed directly for synthetic graphs (the paper's Figures 1/2/5).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -45,14 +48,12 @@ struct Edge {
   double probability = 0.0;
 };
 
-/// A basic block node.
+/// A basic block node. Its edge lists and display name live in the Cfg
+/// (Cfg::out_edges / in_edges / note), so a block owns no heap.
 struct BasicBlock {
   BlockId id = kInvalidBlock;
   std::uint32_t first_word = 0;   // word index in the program image
   std::uint32_t word_count = 0;   // straight-line length
-  std::string note;               // display name ("B3", function name, ...)
-  std::vector<EdgeId> out_edges;  // indices into Cfg::edges()
-  std::vector<EdgeId> in_edges;
   bool has_indirect_successors = false;  // jr through unknown target
   bool is_exit = false;                  // ends in halt (program exit)
 
@@ -60,13 +61,90 @@ struct BasicBlock {
     return std::uint64_t{word_count} * 4;
   }
 };
+static_assert(sizeof(BasicBlock) <= 16);
 
-/// The graph. Blocks and edges are stored in flat vectors; ids are stable.
+/// The graph, in flat arrays; ids are stable. Each block's out-edge and
+/// in-edge lists are threaded through the edge array: a first and last
+/// edge per block, a next-out and next-in link per edge. A list is
+/// walked in insertion order, which is ascending edge id; the analyses'
+/// visit orders, and so every result built on them, depend on it.
 class Cfg {
  public:
+  inline static constexpr EdgeId kNoEdge = std::numeric_limits<EdgeId>::max();
+
+ private:
+  /// Ends of one block's two edge lists (kNoEdge when empty).
+  struct Adjacency {
+    EdgeId first_out = kNoEdge;
+    EdgeId last_out = kNoEdge;
+    EdgeId first_in = kNoEdge;
+    EdgeId last_in = kNoEdge;
+  };
+
+  /// One edge's links to the next edge of its `from` block's out-list
+  /// and of its `to` block's in-list (kNoEdge at a list's end).
+  struct EdgeLinks {
+    EdgeId next_out = kNoEdge;
+    EdgeId next_in = kNoEdge;
+  };
+
+ public:
+  /// One block's out- or in-edge ids, in ascending order. A view into
+  /// the graph, valid while the graph lives and gains no edge.
+  class EdgeList {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = EdgeId;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const EdgeId*;
+      using reference = EdgeId;
+
+      iterator() = default;
+      iterator(EdgeId at, const EdgeLinks* links, EdgeId EdgeLinks::*next)
+          : at_(at), links_(links), next_(next) {}
+
+      EdgeId operator*() const { return at_; }
+      iterator& operator++() {
+        at_ = links_[at_].*next_;
+        return *this;
+      }
+      iterator operator++(int) {
+        const iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const iterator& other) const {
+        return at_ == other.at_;
+      }
+
+     private:
+      EdgeId at_ = kNoEdge;
+      const EdgeLinks* links_ = nullptr;
+      EdgeId EdgeLinks::*next_ = nullptr;
+    };
+
+    EdgeList(EdgeId first, const EdgeLinks* links, EdgeId EdgeLinks::*next)
+        : first_(first), links_(links), next_(next) {}
+
+    [[nodiscard]] iterator begin() const { return {first_, links_, next_}; }
+    [[nodiscard]] iterator end() const { return {kNoEdge, links_, next_}; }
+    [[nodiscard]] bool empty() const { return first_ == kNoEdge; }
+    /// Walks the list.
+    [[nodiscard]] std::size_t size() const {
+      return static_cast<std::size_t>(std::distance(begin(), end()));
+    }
+
+   private:
+    EdgeId first_;
+    const EdgeLinks* links_;
+    EdgeId EdgeLinks::*next_;
+  };
+
   /// Append a block; returns its id.
   BlockId add_block(std::uint32_t first_word, std::uint32_t word_count,
-                    std::string note = {});
+                    std::string_view note = {});
 
   /// Append an edge; returns its id. Duplicate (from,to,kind) pairs are
   /// rejected -- the builder must merge parallel edges itself.
@@ -82,6 +160,14 @@ class Cfg {
     return blocks_;
   }
 
+  /// Display name given to add_block ("B3", function name, ...); empty
+  /// if none.
+  [[nodiscard]] std::string_view note(BlockId id) const;
+
+  /// Edges leaving / entering `id`, in insertion (ascending id) order.
+  [[nodiscard]] EdgeList out_edges(BlockId id) const;
+  [[nodiscard]] EdgeList in_edges(BlockId id) const;
+
   [[nodiscard]] const Edge& edge(EdgeId id) const;
   [[nodiscard]] Edge& edge(EdgeId id);
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
@@ -89,27 +175,31 @@ class Cfg {
   [[nodiscard]] BlockId entry() const { return entry_; }
   void set_entry(BlockId id);
 
-  /// Successor block ids of `id` (one per out-edge, in insertion order).
-  [[nodiscard]] std::vector<BlockId> successor_ids(BlockId id) const;
-  [[nodiscard]] std::vector<BlockId> predecessor_ids(BlockId id) const;
-
   /// Edge from `from` to `to` if one exists (first match).
   [[nodiscard]] EdgeId find_edge(BlockId from, BlockId to) const;
-  inline static constexpr EdgeId kNoEdge = std::numeric_limits<EdgeId>::max();
 
   /// Give every block's out-edges probabilities summing to 1. Edges whose
   /// probability is unset (0) share the residual mass uniformly.
   void normalize_probabilities();
 
+  /// Drop every array's growth slack, once the graph is complete.
+  void shrink_to_fit();
+
   /// Total image size covered by the blocks.
   [[nodiscard]] std::uint64_t total_code_bytes() const;
 
-  /// Structural sanity checks; throws AssertionError on corruption.
+  /// Structural sanity checks -- including that every block's lists
+  /// hold exactly the edges with that endpoint, in ascending id --
+  /// throws AssertionError on corruption.
   void validate() const;
 
  private:
   std::vector<BasicBlock> blocks_;
+  std::vector<Adjacency> adjacency_;  // per block
   std::vector<Edge> edges_;
+  std::vector<EdgeLinks> links_;  // per edge
+  std::string all_notes_;         // every block's note, back to back
+  std::vector<std::uint32_t> note_end_;  // per block: end of its note
   BlockId entry_ = kInvalidBlock;
 };
 

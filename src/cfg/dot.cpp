@@ -5,7 +5,7 @@
 namespace apcc::cfg {
 
 namespace {
-std::string escape(const std::string& s) {
+std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -22,8 +22,8 @@ std::string to_dot(const Cfg& cfg, const DotOptions& options) {
   os << "  node [shape=box, fontname=\"monospace\"];\n";
   for (const auto& b : cfg.blocks()) {
     os << "  n" << b.id << " [label=\"";
-    if (!b.note.empty()) {
-      os << escape(b.note);
+    if (const std::string_view note = cfg.note(b.id); !note.empty()) {
+      os << escape(note);
     } else {
       os << 'B' << b.id;
     }

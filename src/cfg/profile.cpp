@@ -45,7 +45,7 @@ void EdgeProfile::apply_to(Cfg& cfg) const {
   APCC_CHECK(cfg.edge_count() == edge_counts_.size(),
              "profile built for a different CFG");
   for (BlockId b = 0; b < cfg.block_count(); ++b) {
-    const auto& out = cfg.block(b).out_edges;
+    const Cfg::EdgeList out = cfg.out_edges(b);
     std::uint64_t total = 0;
     for (const EdgeId e : out) total += edge_counts_[e];
     if (total == 0) continue;  // unobserved: keep prior probabilities
@@ -61,7 +61,7 @@ EdgeId EdgeProfile::hottest_out_edge(BlockId b) const {
   APCC_CHECK(b < cfg_.block_count(), "block id out of range");
   EdgeId best = Cfg::kNoEdge;
   std::uint64_t best_count = 0;
-  for (const EdgeId e : cfg_.block(b).out_edges) {
+  for (const EdgeId e : cfg_.out_edges(b)) {
     if (edge_counts_[e] > best_count) {
       best_count = edge_counts_[e];
       best = e;

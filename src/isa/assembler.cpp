@@ -258,8 +258,13 @@ Program assemble(std::string_view source) {
   } else if (!functions.empty()) {
     entry = functions.front().first_word;
   }
-  return Program(std::move(words), std::move(functions), std::move(labels),
-                 entry);
+  std::vector<Label> label_table;
+  label_table.reserve(labels.size());
+  for (const auto& [name, word] : labels) {
+    label_table.push_back(Label{name, word});
+  }
+  return Program(std::move(words), std::move(functions),
+                 std::move(label_table), entry);
 }
 
 }  // namespace apcc::isa

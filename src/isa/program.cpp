@@ -8,8 +8,7 @@ namespace apcc::isa {
 
 Program::Program(std::vector<std::uint32_t> words,
                  std::vector<FunctionInfo> functions,
-                 std::map<std::string, std::uint32_t> labels,
-                 std::uint32_t entry_word)
+                 std::vector<Label> labels, std::uint32_t entry_word)
     : words_(std::move(words)),
       functions_(std::move(functions)),
       labels_(std::move(labels)),
@@ -20,6 +19,10 @@ Program::Program(std::vector<std::uint32_t> words,
     APCC_CHECK(f.end_word() <= words_.size(),
                "function extent outside program image: " + f.name);
   }
+  std::ranges::sort(labels_, {}, &Label::name);
+  const auto dup = std::ranges::adjacent_find(
+      labels_, [](const Label& a, const Label& b) { return a.name == b.name; });
+  APCC_CHECK(dup == labels_.end(), "duplicate label " + dup->name);
 }
 
 std::uint32_t Program::word(std::uint32_t index) const {
@@ -41,14 +44,14 @@ const FunctionInfo* Program::function_containing(std::uint32_t word) const {
 }
 
 std::optional<std::uint32_t> Program::label(const std::string& name) const {
-  const auto it = labels_.find(name);
-  if (it == labels_.end()) return std::nullopt;
-  return it->second;
+  const auto it = std::ranges::lower_bound(labels_, name, {}, &Label::name);
+  if (it == labels_.end() || it->name != name) return std::nullopt;
+  return it->word;
 }
 
 std::optional<std::string> Program::label_at(std::uint32_t word) const {
-  for (const auto& [name, idx] : labels_) {
-    if (idx == word) return name;
+  for (const Label& l : labels_) {
+    if (l.word == word) return l.name;
   }
   return std::nullopt;
 }

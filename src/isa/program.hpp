@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -27,14 +26,19 @@ struct FunctionInfo {
   }
 };
 
+/// A named word index: an assembler label or a function name.
+struct Label {
+  std::string name;
+  std::uint32_t word = 0;
+};
+
 /// An assembled ERISC-32 program image.
 class Program {
  public:
   Program() = default;
   Program(std::vector<std::uint32_t> words,
           std::vector<FunctionInfo> functions,
-          std::map<std::string, std::uint32_t> labels,
-          std::uint32_t entry_word);
+          std::vector<Label> labels, std::uint32_t entry_word);
 
   [[nodiscard]] std::span<const std::uint32_t> words() const { return words_; }
   [[nodiscard]] std::uint32_t word(std::uint32_t index) const;
@@ -56,9 +60,8 @@ class Program {
   [[nodiscard]] const FunctionInfo* function_containing(
       std::uint32_t word) const;
 
-  [[nodiscard]] const std::map<std::string, std::uint32_t>& labels() const {
-    return labels_;
-  }
+  /// Every label, sorted by name; names are unique.
+  [[nodiscard]] const std::vector<Label>& labels() const { return labels_; }
   [[nodiscard]] std::optional<std::uint32_t> label(
       const std::string& name) const;
   /// Label at exactly `word`, if any (first alphabetically on ties).
@@ -76,7 +79,7 @@ class Program {
  private:
   std::vector<std::uint32_t> words_;
   std::vector<FunctionInfo> functions_;
-  std::map<std::string, std::uint32_t> labels_;
+  std::vector<Label> labels_;  // sorted by name
   std::uint32_t entry_word_ = 0;
 };
 

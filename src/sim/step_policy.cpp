@@ -213,7 +213,7 @@ void StepPolicy::complete_decompression(EngineCell& c, cfg::BlockId block,
   // cannot be patched (their branch bytes are immutable); entries from
   // them pay the exception-and-patch path on arrival instead.
   std::uint64_t patch_cost = 0;
-  for (const cfg::EdgeId e : cfg_.block(block).in_edges) {
+  for (const cfg::EdgeId e : cfg_.in_edges(block)) {
     const cfg::BlockId pred = cfg_.edge(e).from;
     const auto ps = (*c.states)[pred];
     if (ps.form() != runtime::BlockForm::kDecompressed) continue;

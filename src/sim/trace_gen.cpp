@@ -1,5 +1,7 @@
 #include "sim/trace_gen.hpp"
 
+#include <iterator>
+
 #include "support/assert.hpp"
 
 namespace apcc::sim {
@@ -12,16 +14,17 @@ cfg::BlockTrace generate_trace(const cfg::Cfg& cfg,
   cfg::BlockTrace trace;
   cfg::BlockId current = cfg.entry();
   trace.push_back(current);
+  std::vector<double> weights;
   while (trace.size() < options.max_blocks) {
-    const auto& block = cfg.block(current);
-    if (block.is_exit || block.out_edges.empty()) break;
-    std::vector<double> weights;
-    weights.reserve(block.out_edges.size());
-    for (const cfg::EdgeId e : block.out_edges) {
+    const cfg::Cfg::EdgeList out = cfg.out_edges(current);
+    if (cfg.block(current).is_exit || out.empty()) break;
+    weights.clear();
+    for (const cfg::EdgeId e : out) {
       weights.push_back(cfg.edge(e).probability);
     }
-    const std::size_t pick = rng.next_weighted(weights);
-    current = cfg.edge(block.out_edges[pick]).to;
+    auto chosen = out.begin();
+    std::advance(chosen, rng.next_weighted(weights));
+    current = cfg.edge(*chosen).to;
     trace.push_back(current);
   }
   return trace;

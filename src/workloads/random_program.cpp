@@ -1,8 +1,5 @@
 #include "workloads/random_program.hpp"
 
-#include "cfg/builder.hpp"
-#include "isa/assembler.hpp"
-#include "isa/interpreter.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "workloads/asm_builder.hpp"
@@ -150,37 +147,11 @@ std::string random_program_source(const RandomProgramOptions& options) {
 }
 
 Workload make_random_workload(const RandomProgramOptions& options) {
-  Workload w;
-  w.name = "random-" + std::to_string(options.seed);
-  w.program = isa::assemble(random_program_source(options));
-
-  auto built = cfg::build_cfg(w.program);
-  w.cfg = std::move(built.cfg);
-  w.word_to_block = std::move(built.word_to_block);
-
   isa::InterpreterOptions iopts;
   iopts.max_steps = options.max_steps;
-  isa::Interpreter interp(w.program, iopts);
-  cfg::BlockTraceBuilder tracer(w.cfg, w.word_to_block);
-  interp.set_trace_hook([&tracer](std::uint32_t pc) { tracer.on_pc(pc); });
-  const isa::ExecResult exec = interp.run();
-  APCC_CHECK(exec.stop == isa::StopReason::kHalted,
-             "random program did not halt (seed " +
-                 std::to_string(options.seed) + ")");
-  w.trace = tracer.take();
-  cfg::validate_trace(w.cfg, w.trace);
-
-  if (options.apply_profile) {
-    cfg::EdgeProfile profile(w.cfg);
-    profile.add_trace(w.trace);
-    profile.apply_to(w.cfg);
-  }
-  w.block_bytes.reserve(w.cfg.block_count());
-  for (const auto& block : w.cfg.blocks()) {
-    w.block_bytes.push_back(
-        w.program.bytes(block.first_word, block.word_count));
-  }
-  return w;
+  return build_workload("random-" + std::to_string(options.seed),
+                        random_program_source(options), iopts,
+                        options.apply_profile);
 }
 
 }  // namespace apcc::workloads

@@ -553,35 +553,28 @@ std::string workload_source(WorkloadKind kind,
   APCC_ASSERT_FAIL("unknown workload kind");
 }
 
-Workload make_workload(WorkloadKind kind, const WorkloadOptions& options) {
+Workload build_workload(std::string name, std::string_view source,
+                        const isa::InterpreterOptions& interpreter,
+                        bool apply_profile) {
   Workload w;
-  w.name = workload_name(kind);
-  w.program = isa::assemble(workload_source(kind, options));
-
+  w.name = std::move(name);
+  w.program = isa::assemble(source);
+  // The word -> block map serves only the trace; it stays in `built`.
   auto built = cfg::build_cfg(w.program);
   w.cfg = std::move(built.cfg);
-  w.word_to_block = std::move(built.word_to_block);
 
-  // Execute for the real access pattern. Scale also lengthens the
-  // buffers a kernel streams through: adpcm-like writes 4 B per sample
-  // from address 2048, 1 KiB per unit of scale, so data memory grows by
-  // the default 64 KiB per 16 units. Scales 1-16 keep exactly the
-  // default memory, and no kernel reads the stack pointer (top of data
-  // memory), so the program and its trace do not depend on the size.
-  isa::InterpreterOptions iopts;
-  iopts.max_steps = options.max_steps;
-  iopts.data_memory_bytes *=
-      static_cast<std::size_t>((options.scale - 1) / 16 + 1);
-  isa::Interpreter interp(w.program, iopts);
-  cfg::BlockTraceBuilder tracer(w.cfg, w.word_to_block);
+  isa::Interpreter interp(w.program, interpreter);
+  cfg::BlockTraceBuilder tracer(w.cfg, built.word_to_block);
   interp.set_trace_hook([&tracer](std::uint32_t pc) { tracer.on_pc(pc); });
   const isa::ExecResult exec = interp.run();
   APCC_CHECK(exec.stop == isa::StopReason::kHalted,
-             std::string("workload did not halt cleanly: ") + w.name);
+             w.name + ": program did not halt (stopped after " +
+                 std::to_string(exec.steps) + " steps)");
   w.trace = tracer.take();
+  w.trace.shrink_to_fit();
   cfg::validate_trace(w.cfg, w.trace);
 
-  if (options.apply_profile) {
+  if (apply_profile) {
     cfg::EdgeProfile profile(w.cfg);
     profile.add_trace(w.trace);
     profile.apply_to(w.cfg);
@@ -593,6 +586,21 @@ Workload make_workload(WorkloadKind kind, const WorkloadOptions& options) {
         w.program.bytes(block.first_word, block.word_count));
   }
   return w;
+}
+
+Workload make_workload(WorkloadKind kind, const WorkloadOptions& options) {
+  // Scale also lengthens the buffers a kernel streams through:
+  // adpcm-like writes 4 B per sample from address 2048, 1 KiB per unit
+  // of scale, so data memory grows by the default 64 KiB per 16 units.
+  // Scales 1-16 keep exactly the default memory, and no kernel reads the
+  // stack pointer (top of data memory), so the program and its trace do
+  // not depend on the size.
+  isa::InterpreterOptions iopts;
+  iopts.max_steps = options.max_steps;
+  iopts.data_memory_bytes *=
+      static_cast<std::size_t>((options.scale - 1) / 16 + 1);
+  return build_workload(workload_name(kind), workload_source(kind, options),
+                        iopts, options.apply_profile);
 }
 
 }  // namespace apcc::workloads

@@ -10,12 +10,14 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cfg/builder.hpp"
 #include "cfg/profile.hpp"
 #include "cfg/trace.hpp"
 #include "compress/codec.hpp"
+#include "isa/interpreter.hpp"
 #include "isa/program.hpp"
 
 namespace apcc::workloads {
@@ -45,12 +47,12 @@ struct WorkloadOptions {
   bool apply_profile = true;
 };
 
-/// A ready-to-simulate workload.
+/// A ready-to-simulate workload. Only `block_bytes` holds a heap object
+/// per block; the CFG and the trace are flat arrays.
 struct Workload {
   std::string name;
   isa::Program program;
   cfg::Cfg cfg;
-  std::vector<cfg::BlockId> word_to_block;
   cfg::BlockTrace trace;                     // real executed access pattern
   std::vector<compress::Bytes> block_bytes;  // per-CFG-block image bytes
 
@@ -58,6 +60,16 @@ struct Workload {
     return program.size_bytes();
   }
 };
+
+/// The one path from assembly text to a Workload: assemble `source`,
+/// build its CFG, run it on the interpreter for its block trace (checked
+/// against the CFG, stored at its exact length), apply the trace's own
+/// edge profile to the CFG when `apply_profile`, and cut every block's
+/// image bytes. Throws CheckError naming `name` if the program does not
+/// halt.
+[[nodiscard]] Workload build_workload(
+    std::string name, std::string_view source,
+    const isa::InterpreterOptions& interpreter, bool apply_profile);
 
 /// Build (assemble + CFG + execute) one workload.
 [[nodiscard]] Workload make_workload(WorkloadKind kind,

@@ -144,8 +144,8 @@ TEST(Builder, FunctionEntryBlockCarriesName) {
       ".entry main\n"
       ".func helper\n  ret\n"
       ".func main\n  halt\n");
-  EXPECT_EQ(r.cfg.block(r.word_to_block[0]).note, "helper");
-  EXPECT_EQ(r.cfg.block(r.word_to_block[1]).note, "main");
+  EXPECT_EQ(r.cfg.note(r.word_to_block[0]), "helper");
+  EXPECT_EQ(r.cfg.note(r.word_to_block[1]), "main");
 }
 
 TEST(Builder, ProbabilitiesNormalised) {
@@ -156,9 +156,9 @@ TEST(Builder, ProbabilitiesNormalised) {
       "x:\n"
       "  halt\n");
   for (const auto& block : r.cfg.blocks()) {
-    if (block.out_edges.empty()) continue;
+    if (r.cfg.out_edges(block.id).empty()) continue;
     double total = 0;
-    for (const EdgeId e : block.out_edges) {
+    for (const EdgeId e : r.cfg.out_edges(block.id)) {
       total += r.cfg.edge(e).probability;
     }
     EXPECT_NEAR(total, 1.0, 1e-9);
@@ -178,7 +178,7 @@ TEST(Builder, HaltMidFunctionMarksExitBlock) {
       "  halt\n");
   const BlockId halt_block = r.word_to_block[2];
   EXPECT_TRUE(r.cfg.block(halt_block).is_exit);
-  EXPECT_TRUE(r.cfg.block(halt_block).out_edges.empty());
+  EXPECT_TRUE(r.cfg.out_edges(halt_block).empty());
 }
 
 }  // namespace

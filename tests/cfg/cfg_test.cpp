@@ -28,16 +28,20 @@ TEST(Cfg, BlockAndEdgeAccounting) {
   EXPECT_EQ(g.block_count(), 4u);
   EXPECT_EQ(g.edge_count(), 4u);
   EXPECT_EQ(g.entry(), 0u);
-  EXPECT_EQ(g.block(1).note, "B");
+  EXPECT_EQ(g.note(1), "B");
   EXPECT_EQ(g.block(2).size_bytes(), 16u);
 }
 
 TEST(Cfg, SuccessorsAndPredecessors) {
   const Cfg g = diamond();
-  EXPECT_EQ(g.successor_ids(0), (std::vector<BlockId>{1, 2}));
-  EXPECT_EQ(g.predecessor_ids(3), (std::vector<BlockId>{1, 2}));
-  EXPECT_TRUE(g.successor_ids(3).empty());
-  EXPECT_TRUE(g.predecessor_ids(0).empty());
+  std::vector<BlockId> successors;
+  for (const EdgeId e : g.out_edges(0)) successors.push_back(g.edge(e).to);
+  std::vector<BlockId> predecessors;
+  for (const EdgeId e : g.in_edges(3)) predecessors.push_back(g.edge(e).from);
+  EXPECT_EQ(successors, (std::vector<BlockId>{1, 2}));
+  EXPECT_EQ(predecessors, (std::vector<BlockId>{1, 2}));
+  EXPECT_TRUE(g.out_edges(3).empty());
+  EXPECT_TRUE(g.in_edges(0).empty());
 }
 
 TEST(Cfg, FindEdge) {
@@ -63,9 +67,8 @@ TEST(Cfg, EdgeEndpointRangeChecked) {
 TEST(Cfg, NormalizeUniformWhenUnset) {
   Cfg g = diamond();
   g.normalize_probabilities();
-  const auto& b0 = g.block(0);
   double total = 0;
-  for (const EdgeId e : b0.out_edges) {
+  for (const EdgeId e : g.out_edges(0)) {
     EXPECT_DOUBLE_EQ(g.edge(e).probability, 0.5);
     total += g.edge(e).probability;
   }

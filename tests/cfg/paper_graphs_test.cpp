@@ -90,8 +90,8 @@ TEST(Figure5, AccessPatternMatchesPaper) {
 
 TEST(PaperGraphs, BlockNotesAreBn) {
   const Cfg g = figure2_cfg();
-  EXPECT_EQ(g.block(0).note, "B0");
-  EXPECT_EQ(g.block(9).note, "B9");
+  EXPECT_EQ(g.note(0), "B0");
+  EXPECT_EQ(g.note(9), "B9");
 }
 
 TEST(PaperGraphs, SizesVaryWhenRequested) {
@@ -117,9 +117,11 @@ TEST(PaperGraphs, BlocksLaidOutContiguously) {
 TEST(PaperGraphs, ProbabilitiesNormalised) {
   for (const Cfg& g : {figure1_cfg(), figure2_cfg(), figure5_cfg()}) {
     for (const auto& b : g.blocks()) {
-      if (b.out_edges.empty()) continue;
+      if (g.out_edges(b.id).empty()) continue;
       double total = 0;
-      for (const EdgeId e : b.out_edges) total += g.edge(e).probability;
+      for (const EdgeId e : g.out_edges(b.id)) {
+        total += g.edge(e).probability;
+      }
       EXPECT_NEAR(total, 1.0, 1e-9);
     }
   }

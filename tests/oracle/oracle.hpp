@@ -245,7 +245,7 @@ class Simulator {
     emit(sim::EventKind::kPredecompressDone, time, block);
     if (!policy_.use_remember_sets) return;
     std::uint64_t patch_cost = 0;
-    for (const cfg::EdgeId e : cfg_.block(block).in_edges) {
+    for (const cfg::EdgeId e : cfg_.in_edges(block)) {
       const cfg::BlockId pred = cfg_.edge(e).from;
       if (blocks_[pred].form != Form::kResident || patched(block, pred)) {
         continue;

@@ -448,28 +448,9 @@ std::optional<workloads::WorkloadKind> suite_kind(const std::string& name) {
 }
 
 workloads::Workload workload_from_file(const std::string& path) {
-  workloads::Workload w;
-  w.name = path;
-  w.program = isa::assemble(read_file(path));
-  auto built = cfg::build_cfg(w.program);
-  w.cfg = std::move(built.cfg);
-  w.word_to_block = std::move(built.word_to_block);
-  isa::Interpreter interp(w.program);
-  cfg::BlockTraceBuilder tracer(w.cfg, w.word_to_block);
-  interp.set_trace_hook([&](std::uint32_t pc) { tracer.on_pc(pc); });
-  const auto exec = interp.run();
-  APCC_CHECK(exec.stop == isa::StopReason::kHalted,
-             path + ": program did not halt (stopped after " +
-                 std::to_string(exec.steps) + " steps)");
-  w.trace = tracer.take();
-  cfg::EdgeProfile profile(w.cfg);
-  profile.add_trace(w.trace);
-  profile.apply_to(w.cfg);
-  for (const auto& block : w.cfg.blocks()) {
-    w.block_bytes.push_back(
-        w.program.bytes(block.first_word, block.word_count));
-  }
-  return w;
+  return workloads::build_workload(path, read_file(path),
+                                   isa::InterpreterOptions{},
+                                   /*apply_profile=*/true);
 }
 
 /// Registers workloads with the Service on first use and deduplicates
