@@ -26,24 +26,8 @@ std::uint64_t CodecCosts::compress_cycles(std::size_t original_bytes) const {
                           static_cast<double>(original_bytes)));
 }
 
-const char* codec_kind_name(CodecKind kind) {
-  switch (kind) {
-    case CodecKind::kNull: return "null";
-    case CodecKind::kMtfRle: return "mtf-rle";
-    case CodecKind::kHuffman: return "huffman";
-    case CodecKind::kSharedHuffman: return "huffman-shared";
-    case CodecKind::kLzss: return "lzss";
-    case CodecKind::kCodePack: return "codepack";
-    case CodecKind::kFieldSplit: return "field-split";
-  }
-  return "?";
-}
-
 std::span<const CodecKind> all_codec_kinds() {
-  static constexpr CodecKind kKinds[] = {
-      CodecKind::kNull,          CodecKind::kMtfRle, CodecKind::kHuffman,
-      CodecKind::kSharedHuffman, CodecKind::kLzss,   CodecKind::kCodePack,
-      CodecKind::kFieldSplit};
+  static constexpr auto kKinds = values_of(kCodecNames);
   return kKinds;
 }
 

@@ -32,6 +32,8 @@
 #include <string_view>
 #include <vector>
 
+#include "support/names.hpp"
+
 namespace apcc::compress {
 
 using Bytes = std::vector<std::uint8_t>;
@@ -82,10 +84,22 @@ enum class CodecKind : std::uint8_t {
   kFieldSplit,
 };
 
-[[nodiscard]] const char* codec_kind_name(CodecKind kind);
+inline constexpr NamedValue<CodecKind> kCodecNames[] = {
+    {CodecKind::kNull, "null"},
+    {CodecKind::kMtfRle, "mtf-rle"},
+    {CodecKind::kHuffman, "huffman"},
+    {CodecKind::kSharedHuffman, "huffman-shared"},
+    {CodecKind::kLzss, "lzss"},
+    {CodecKind::kCodePack, "codepack"},
+    {CodecKind::kFieldSplit, "field-split"},
+};
 
-/// Every codec kind, in enum order: the one list that CLI name lookup,
-/// the benches and the "every codec" tests iterate.
+[[nodiscard]] inline const char* codec_kind_name(CodecKind kind) {
+  return name_of(kCodecNames, kind);
+}
+
+/// Every codec kind, in enum order: the name table's rows, which the
+/// benches and the "every codec" tests iterate.
 [[nodiscard]] std::span<const CodecKind> all_codec_kinds();
 
 /// Construct a codec. `training_blocks` is the set of byte strings the

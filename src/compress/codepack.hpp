@@ -25,7 +25,9 @@ class CodePackCodec final : public Codec {
   /// Train dictionaries over `training_blocks` (halfword frequencies).
   explicit CodePackCodec(std::span<const Bytes> training_blocks);
 
-  [[nodiscard]] std::string_view name() const override { return "codepack"; }
+  [[nodiscard]] std::string_view name() const override {
+    return codec_kind_name(CodecKind::kCodePack);
+  }
   [[nodiscard]] Bytes compress(ByteView input) const override;
   [[nodiscard]] Bytes decompress(ByteView input,
                                  std::size_t original_size) const override;

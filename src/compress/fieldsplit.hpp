@@ -30,7 +30,7 @@ class FieldSplitCodec final : public Codec {
   explicit FieldSplitCodec(std::span<const Bytes> training_blocks);
 
   [[nodiscard]] std::string_view name() const override {
-    return "field-split";
+    return codec_kind_name(CodecKind::kFieldSplit);
   }
   [[nodiscard]] Bytes compress(ByteView input) const override;
   [[nodiscard]] Bytes decompress(ByteView input,

@@ -135,7 +135,9 @@ class HuffmanCodec final : public Codec {
  public:
   HuffmanCodec();
 
-  [[nodiscard]] std::string_view name() const override { return "huffman"; }
+  [[nodiscard]] std::string_view name() const override {
+    return codec_kind_name(CodecKind::kHuffman);
+  }
   [[nodiscard]] Bytes compress(ByteView input) const override;
   [[nodiscard]] Bytes decompress(ByteView input,
                                  std::size_t original_size) const override;
@@ -149,7 +151,7 @@ class SharedHuffmanCodec final : public Codec {
   explicit SharedHuffmanCodec(std::span<const Bytes> training_blocks);
 
   [[nodiscard]] std::string_view name() const override {
-    return "huffman-shared";
+    return codec_kind_name(CodecKind::kSharedHuffman);
   }
   [[nodiscard]] Bytes compress(ByteView input) const override;
   [[nodiscard]] Bytes decompress(ByteView input,

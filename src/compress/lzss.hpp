@@ -15,7 +15,9 @@ class LzssCodec final : public Codec {
  public:
   LzssCodec();
 
-  [[nodiscard]] std::string_view name() const override { return "lzss"; }
+  [[nodiscard]] std::string_view name() const override {
+    return codec_kind_name(CodecKind::kLzss);
+  }
   [[nodiscard]] Bytes compress(ByteView input) const override;
   [[nodiscard]] Bytes decompress(ByteView input,
                                  std::size_t original_size) const override;

@@ -20,7 +20,9 @@ class MtfRleCodec final : public Codec {
  public:
   MtfRleCodec();
 
-  [[nodiscard]] std::string_view name() const override { return "mtf-rle"; }
+  [[nodiscard]] std::string_view name() const override {
+    return codec_kind_name(CodecKind::kMtfRle);
+  }
   [[nodiscard]] Bytes compress(ByteView input) const override;
   [[nodiscard]] Bytes decompress(ByteView input,
                                  std::size_t original_size) const override;

@@ -12,11 +12,17 @@
 #include <vector>
 
 #include "support/assert.hpp"
+#include "support/names.hpp"
 
 namespace apcc::memory {
 
 /// Placement policy for free-list search.
 enum class FitPolicy : std::uint8_t { kFirstFit, kBestFit };
+
+inline constexpr NamedValue<FitPolicy> kFitNames[] = {
+    {FitPolicy::kFirstFit, "first-fit"},
+    {FitPolicy::kBestFit, "best-fit"},
+};
 
 /// Snapshot of allocator health.
 struct AllocatorStats {

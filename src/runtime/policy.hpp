@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "support/names.hpp"
+
 namespace apcc::runtime {
 
 /// Figure 3: the decompression design space.
@@ -17,7 +19,15 @@ enum class DecompressionStrategy : std::uint8_t {
   kPreSingle,   // k-edge, pre-decompress-single
 };
 
-[[nodiscard]] const char* strategy_name(DecompressionStrategy s);
+inline constexpr NamedValue<DecompressionStrategy> kStrategyNames[] = {
+    {DecompressionStrategy::kOnDemand, "on-demand"},
+    {DecompressionStrategy::kPreAll, "pre-all"},
+    {DecompressionStrategy::kPreSingle, "pre-single"},
+};
+
+[[nodiscard]] inline const char* strategy_name(DecompressionStrategy s) {
+  return name_of(kStrategyNames, s);
+}
 
 /// Predictor choices for pre-decompress-single (E7 ablation).
 enum class PredictorKind : std::uint8_t {
@@ -26,7 +36,15 @@ enum class PredictorKind : std::uint8_t {
   kOracle,   // peeks at the future trace (upper bound)
 };
 
-[[nodiscard]] const char* predictor_name(PredictorKind p);
+inline constexpr NamedValue<PredictorKind> kPredictorNames[] = {
+    {PredictorKind::kProfile, "profile"},
+    {PredictorKind::kStatic, "static"},
+    {PredictorKind::kOracle, "oracle"},
+};
+
+[[nodiscard]] inline const char* predictor_name(PredictorKind p) {
+  return name_of(kPredictorNames, p);
+}
 
 /// Victim selection for §2 budget mode ("LRU or a similar strategy").
 enum class VictimPolicy : std::uint8_t {
@@ -35,7 +53,15 @@ enum class VictimPolicy : std::uint8_t {
   kLargest,  // biggest decompressed copy (frees the most bytes per evict)
 };
 
-[[nodiscard]] const char* victim_policy_name(VictimPolicy p);
+inline constexpr NamedValue<VictimPolicy> kVictimNames[] = {
+    {VictimPolicy::kLru, "lru"},
+    {VictimPolicy::kMru, "mru"},
+    {VictimPolicy::kLargest, "largest"},
+};
+
+[[nodiscard]] inline const char* victim_policy_name(VictimPolicy p) {
+  return name_of(kVictimNames, p);
+}
 
 /// Per-event cycle costs of the runtime mechanism (paper §5). Codec
 /// (de)compression cycles come from compress::CodecCosts.
@@ -48,6 +74,20 @@ struct CostModel {
   std::uint64_t alloc_block_cycles = 24;      // allocator work per placement
   std::uint64_t dispatch_job_cycles = 8;      // enqueue work for a helper
 };
+
+/// CostModel's key table: calls f(wire key, that cost of each model)
+/// once per cost, in wire order. The wire codec's `costs` kvs and
+/// serving::validate's range checks both iterate it.
+template <typename F, typename... Models>
+constexpr void for_each_cost(F&& f, Models&... models) {
+  f("cpi", models.cycles_per_instruction...);
+  f("exception", models.exception_cycles...);
+  f("patch", models.patch_branch_cycles...);
+  f("unpatch", models.unpatch_branch_cycles...);
+  f("delete", models.delete_block_cycles...);
+  f("alloc", models.alloc_block_cycles...);
+  f("dispatch", models.dispatch_job_cycles...);
+}
 
 /// The complete policy knob set.
 struct Policy {

@@ -7,33 +7,6 @@
 
 namespace apcc::runtime {
 
-const char* strategy_name(DecompressionStrategy s) {
-  switch (s) {
-    case DecompressionStrategy::kOnDemand: return "on-demand";
-    case DecompressionStrategy::kPreAll: return "pre-all";
-    case DecompressionStrategy::kPreSingle: return "pre-single";
-  }
-  return "?";
-}
-
-const char* predictor_name(PredictorKind p) {
-  switch (p) {
-    case PredictorKind::kProfile: return "profile";
-    case PredictorKind::kStatic: return "static";
-    case PredictorKind::kOracle: return "oracle";
-  }
-  return "?";
-}
-
-const char* victim_policy_name(VictimPolicy p) {
-  switch (p) {
-    case VictimPolicy::kLru: return "lru";
-    case VictimPolicy::kMru: return "mru";
-    case VictimPolicy::kLargest: return "largest";
-  }
-  return "?";
-}
-
 ProfilePredictor::ProfilePredictor(const cfg::Cfg& cfg, std::uint32_t k)
     : cfg_(cfg),
       k_(k),

@@ -1,28 +1,60 @@
 #include "serving/job_spec.hpp"
 
+#include <cmath>
+#include <sstream>
+#include <type_traits>
+
 #include "support/assert.hpp"
 
 namespace apcc::serving {
+namespace {
 
-const char* job_kind_name(JobKind kind) {
-  switch (kind) {
-    case JobKind::kRun: return "run";
-    case JobKind::kSweep: return "sweep";
-    case JobKind::kCampaign: return "campaign";
-  }
-  return "?";
+constexpr std::uint32_t kMaxUnits = 64;
+constexpr double kMaxCpi = 65536;
+constexpr std::uint64_t kMaxEventCycles = 0xFFFFFFFF;
+
+/// `v` as a message prints it ("nan", "-1", "1e+300").
+std::string show(double v) {
+  std::ostringstream out;
+  out << v;
+  return out.str();
 }
 
-const char* status_name(JobStatus status) {
-  switch (status) {
-    case JobStatus::kOk: return "ok";
-    case JobStatus::kError: return "error";
-    case JobStatus::kRejected: return "rejected";
-    case JobStatus::kCancelled: return "cancelled";
-    case JobStatus::kDeadlineExceeded: return "deadline-exceeded";
-  }
-  return "?";
+/// One configuration's engine knobs, each kept to what the engine can
+/// take: a per-unit table it sizes and scans, and cycle sums that must
+/// neither wrap nor run backwards. `task` names the task line, if any.
+void validate_engine(const sim::EngineConfig& config,
+                     const sweep::SweepTask* task) {
+  const auto where = [task] {
+    return task == nullptr ? std::string() : "task '" + task->label + "': ";
+  };
+  const runtime::Policy& policy = config.policy;
+  APCC_CHECK(policy.compress_k >= 1,
+             where() + "kc out of range: 0 (expected at least 1)");
+  APCC_CHECK(policy.decompress_units >= 1 &&
+                 policy.decompress_units <= kMaxUnits,
+             where() + "units out of range: " +
+                 std::to_string(policy.decompress_units) + " (expected 1.." +
+                 std::to_string(kMaxUnits) + ")");
+  runtime::for_each_cost(
+      [&where](const char* key, const auto& cost) {
+        if constexpr (std::is_floating_point_v<
+                          std::remove_cvref_t<decltype(cost)>>) {
+          APCC_CHECK(std::isfinite(cost) && cost >= 0 && cost <= kMaxCpi,
+                     where() + key + " out of range: " + show(cost) +
+                         " (expected a finite value in [0, " +
+                         show(kMaxCpi) + "])");
+        } else {
+          APCC_CHECK(cost <= kMaxEventCycles,
+                     where() + key + " out of range: " +
+                         std::to_string(cost) + " (expected at most " +
+                         std::to_string(kMaxEventCycles) + ")");
+        }
+      },
+      config.costs);
 }
+
+}  // namespace
 
 void validate(const JobSpec& spec) {
   switch (spec.kind) {
@@ -53,6 +85,14 @@ void validate(const JobSpec& spec) {
                  std::to_string(static_cast<int>(spec.priority)));
   for (const std::string& ref : spec.workloads) {
     APCC_CHECK(!ref.empty(), "empty workload reference");
+  }
+  APCC_CHECK(spec.deadline_ms <= JobSpec::kMaxDeadlineMs,
+             "deadline-ms out of range: " + std::to_string(spec.deadline_ms) +
+                 " (expected at most " +
+                 std::to_string(JobSpec::kMaxDeadlineMs) + ")");
+  validate_engine(core::engine_config(spec.config), nullptr);
+  for (const sweep::SweepTask& task : spec.tasks) {
+    validate_engine(task.config, &task);
   }
 }
 

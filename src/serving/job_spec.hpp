@@ -28,6 +28,7 @@
 
 #include "core/system.hpp"
 #include "sim/result.hpp"
+#include "support/names.hpp"
 #include "sweep/pool.hpp"
 #include "sweep/sweep.hpp"
 
@@ -41,7 +42,15 @@ enum class JobKind : std::uint8_t {
   kCampaign,  // many workloads, one grid        -> vector<CampaignResult>
 };
 
-[[nodiscard]] const char* job_kind_name(JobKind kind);
+inline constexpr NamedValue<JobKind> kJobKindNames[] = {
+    {JobKind::kRun, "run"},
+    {JobKind::kSweep, "sweep"},
+    {JobKind::kCampaign, "campaign"},
+};
+
+[[nodiscard]] inline const char* job_kind_name(JobKind kind) {
+  return name_of(kJobKindNames, kind);
+}
 
 /// How a submitted job resolved. kOk is the only status with a
 /// payload; every other status carries a human-readable message in
@@ -60,9 +69,18 @@ enum class JobStatus : std::uint8_t {
 
 /// The one canonical status spelling, shared by the library, the wire
 /// codec, and the CLI (so the strings cannot drift as statuses
-/// multiply): "ok", "error", "rejected", "cancelled",
-/// "deadline-exceeded".
-[[nodiscard]] const char* status_name(JobStatus status);
+/// multiply).
+inline constexpr NamedValue<JobStatus> kStatusNames[] = {
+    {JobStatus::kOk, "ok"},
+    {JobStatus::kError, "error"},
+    {JobStatus::kRejected, "rejected"},
+    {JobStatus::kCancelled, "cancelled"},
+    {JobStatus::kDeadlineExceeded, "deadline-exceeded"},
+};
+
+[[nodiscard]] inline const char* status_name(JobStatus status) {
+  return name_of(kStatusNames, status);
+}
 
 /// The canonical, versioned job value. kWireVersion names the wire
 /// schema (serving/wire.hpp) this struct round-trips through; bump it
@@ -110,7 +128,11 @@ struct JobSpec {
   /// claimed after submit-time + deadline is skipped and the job
   /// resolves as deadline-exceeded. 0 = no job deadline (the service's
   /// ServiceLimits::default_deadline_ms, if any, applies instead).
+  /// At most kMaxDeadlineMs.
   std::uint64_t deadline_ms = 0;
+  /// 2^40 ms, about 35 years: submit time plus any deadline up to this
+  /// stays far inside steady_clock's signed nanosecond range.
+  static constexpr std::uint64_t kMaxDeadlineMs = std::uint64_t{1} << 40;
   /// Free-form client tag, echoed into wire results for attribution
   /// (and the key ServiceLimits::max_queued_per_client counts by).
   std::string client;
@@ -136,10 +158,14 @@ struct JobResult {
 };
 
 /// Structural validation (kind known, workload arity, run has no grid,
-/// priority in range). Throws CheckError naming the violation. Service
-/// ::submit(JobSpec) calls this; the CLI calls it per parsed record so
-/// a bad batch line is reported with its file position before anything
-/// is submitted.
+/// priority in range) and range checks on every value the engine or
+/// the clock would otherwise take unchecked: deadline_ms, and the engine
+/// knobs of the base config and of every task (kc >= 1, units in
+/// 1..64, cpi finite in [0, 65536], each per-event cost at most
+/// 2^32 - 1). Throws CheckError naming the violation and its wire key.
+/// Service::submit(JobSpec) calls this; the CLI calls it per parsed
+/// record so a bad batch line is reported with its file position before
+/// anything is submitted.
 void validate(const JobSpec& spec);
 
 /// The standard strategy x k policy grid (every DecompressionStrategy

@@ -72,6 +72,11 @@ Service::Service(ServiceOptions options)
       client_weights_(std::move(options.client_weights)),
       budget_(options.cache_budget),
       faults_(std::move(options.faults)) {
+  APCC_CHECK(limits_.default_deadline_ms <= JobSpec::kMaxDeadlineMs,
+             "default deadline out of range: " +
+                 std::to_string(limits_.default_deadline_ms) +
+                 " ms (expected at most " +
+                 std::to_string(JobSpec::kMaxDeadlineMs) + ")");
   unsigned workers = options.workers != 0
                          ? options.workers
                          : std::thread::hardware_concurrency();

@@ -93,7 +93,8 @@ struct ServiceLimits {
   /// Max live jobs per JobSpec::client tag (the empty tag is a tag).
   std::size_t max_queued_per_client = 0;
   /// Deadline applied to jobs that carry none of their own
-  /// (JobSpec::deadline_ms == 0), in milliseconds.
+  /// (JobSpec::deadline_ms == 0), in milliseconds. At most
+  /// JobSpec::kMaxDeadlineMs; the constructor throws CheckError above.
   std::uint64_t default_deadline_ms = 0;
 };
 

@@ -2,9 +2,9 @@
 // and every job result type.
 //
 // This is what lets jobs and results leave the address space: batch job
-// files, the `apcc_cli serve` stdin/stdout front door, and the CI golden
-// round-trip gate all speak exactly this format. Records are
-// line-oriented text:
+// files, the `apcc_cli serve` stdin/stdout front door, and the golden
+// round-trip ctests (Wire.CliRoundTrip.*) all speak exactly this format.
+// Records are line-oriented text:
 //
 //   apcc.job v7                      <- strict versioned header
 //   kind sweep
@@ -67,7 +67,16 @@
 //    order, with fixed formatting (shortest round-trip for doubles).
 //    serialize(parse(text)) is therefore a fixed point: running it
 //    twice yields byte-identical output, which is what the golden
-//    round-trip test in CI diffs against.
+//    round-trip ctests diff against.
+//  * **Bounded**: a value the engine or the clock cannot take (kc 0,
+//    units outside 1..64, cpi not finite in [0, 65536], a per-event
+//    cost above 2^32 - 1, deadline-ms above 2^40) fails
+//    serving::validate, a WireError at the record header.
+//  * **One listing per vocabulary**: `run` and `outcome` kvs iterate
+//    RunResult's field table (sim::for_each_field), `costs` kvs
+//    CostModel's (runtime::for_each_cost), `policy` kvs the policy
+//    table in wire.cpp, and every enum value is spelled by the name
+//    table next to its enum (support/names.hpp).
 //  * Field values that may contain spaces / non-printable bytes
 //    (workload refs, task labels, client tags, error messages) are
 //    percent-escaped; an empty string is the sentinel "-".

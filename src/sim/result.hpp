@@ -1,6 +1,7 @@
 // Run metrics: what every reproduction table reports (docs/REPRODUCTION.md).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -58,5 +59,55 @@ struct RunResult {
   /// Multi-line human-readable report.
   [[nodiscard]] std::string summary() const;
 };
+
+/// RunResult's field table: calls f(wire key, that field of each run)
+/// once per field, in wire order. The wire codec writes and reads every
+/// field through it and the engine differentials compare them, so a
+/// field listed here crosses the wire and is checked.
+template <typename F, typename... Runs>
+constexpr void for_each_field(F&& f, Runs&... runs) {
+  f("total-cycles", runs.total_cycles...);
+  f("baseline-cycles", runs.baseline_cycles...);
+  f("busy-cycles", runs.busy_cycles...);
+  f("stall-cycles", runs.stall_cycles...);
+  f("exception-cycles", runs.exception_cycles...);
+  f("critical-decompress-cycles", runs.critical_decompress_cycles...);
+  f("patch-cycles", runs.patch_cycles...);
+  f("block-entries", runs.block_entries...);
+  f("exceptions", runs.exceptions...);
+  f("demand-decompressions", runs.demand_decompressions...);
+  f("predecompressions", runs.predecompressions...);
+  f("predecompress-hits", runs.predecompress_hits...);
+  f("predecompress-partial", runs.predecompress_partial...);
+  f("wasted-predecompressions", runs.wasted_predecompressions...);
+  f("deletions", runs.deletions...);
+  f("evictions", runs.evictions...);
+  f("patches", runs.patches...);
+  f("unpatches", runs.unpatches...);
+  f("dropped-requests", runs.dropped_requests...);
+  f("decomp-helper-busy", runs.decomp_helper_busy_cycles...);
+  f("comp-helper-busy", runs.comp_helper_busy_cycles...);
+  f("original-bytes", runs.original_image_bytes...);
+  f("compressed-area-bytes", runs.compressed_area_bytes...);
+  f("peak-bytes", runs.peak_occupancy_bytes...);
+  f("avg-bytes", runs.avg_occupancy_bytes...);
+  f("codec-ratio", runs.codec_ratio...);
+  f("alloc-capacity", runs.allocator.capacity...);
+  f("alloc-used", runs.allocator.used...);
+  f("alloc-free", runs.allocator.free...);
+  f("alloc-largest-run", runs.allocator.largest_free_run...);
+  f("alloc-live", runs.allocator.live_allocations...);
+  f("alloc-total", runs.allocator.total_allocations...);
+  f("alloc-failed", runs.allocator.failed_allocations...);
+}
+
+// Every field is one eight-byte slot with one row above, so a member
+// added without a row changes the size and fails the build.
+static_assert(sizeof(RunResult) == 8 * [] {
+  std::size_t rows = 0;
+  RunResult run;
+  for_each_field([&rows](const char*, auto&) { ++rows; }, run);
+  return rows;
+}(), "each RunResult member needs one row in for_each_field");
 
 }  // namespace apcc::sim

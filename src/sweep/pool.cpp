@@ -4,15 +4,6 @@
 
 namespace apcc::sweep {
 
-const char* priority_name(Priority p) {
-  switch (p) {
-    case Priority::kHigh: return "high";
-    case Priority::kNormal: return "normal";
-    case Priority::kBatch: return "batch";
-  }
-  return "?";
-}
-
 Pool::Pool(unsigned workers) : Pool(PoolOptions{workers, true}) {}
 
 Pool::Pool(PoolOptions options) : fair_share_(options.fair_share) {

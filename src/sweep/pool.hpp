@@ -90,6 +90,8 @@
 #include <thread>
 #include <vector>
 
+#include "support/names.hpp"
+
 namespace apcc::sweep {
 
 /// Strict scheduling classes for pool jobs. Lower value = more urgent;
@@ -101,7 +103,15 @@ enum class Priority : std::uint8_t {
   kBatch = 2,
 };
 
-[[nodiscard]] const char* priority_name(Priority p);
+inline constexpr NamedValue<Priority> kPriorityNames[] = {
+    {Priority::kHigh, "high"},
+    {Priority::kNormal, "normal"},
+    {Priority::kBatch, "batch"},
+};
+
+[[nodiscard]] inline const char* priority_name(Priority p) {
+  return name_of(kPriorityNames, p);
+}
 
 /// How stop() treats work that is still queued.
 enum class StopMode : std::uint8_t {

@@ -26,6 +26,7 @@
 #include "common/wire_headers.hpp"
 #include "compress/codec.hpp"
 #include "net/socket.hpp"
+#include "runtime/policy.hpp"
 
 namespace {
 
@@ -158,6 +159,36 @@ TEST(CliSmoke, SimAcceptsEveryCodec) {
     EXPECT_EQ(
         run_cli("sim " + workload_path() + " --codec " + codec).exit_code, 1)
         << codec;
+  }
+}
+
+TEST(CliSmoke, EnumFlagsAcceptEveryNameAndRejectUnknownOnes) {
+  // --strategy, --predictor and --codec read their names from the same
+  // tables the wire does: every name runs (SimAcceptsEveryCodec runs the
+  // codecs), and an unknown one is a usage error that names the flag's
+  // kind and the value.
+  const auto accepts_all = [](const std::string& flag, const auto& table) {
+    for (const auto& row : table) {
+      EXPECT_EQ(run_cli("sim " + workload_path() + " " + flag + " " +
+                        row.name + " --csv")
+                    .exit_code,
+                0)
+          << flag << " " << row.name;
+    }
+  };
+  accepts_all("--strategy", apcc::runtime::kStrategyNames);
+  accepts_all("--predictor", apcc::runtime::kPredictorNames);
+  for (const auto& [flag, kind] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--strategy", "strategy"},
+           {"--predictor", "predictor"},
+           {"--codec", "codec"}}) {
+    const auto result =
+        run_cli_stderr("sim " + workload_path() + " " + flag + " bogus");
+    EXPECT_EQ(result.exit_code, 1) << flag;
+    EXPECT_NE(result.output.find("unknown " + kind + " 'bogus'"),
+              std::string::npos)
+        << flag << ": " << result.output;
   }
 }
 

@@ -259,6 +259,83 @@ TEST(JobSpec, ValidateRejectsMalformedSpecs) {
   }
 }
 
+/// The CheckError message submitting `spec` throws, or "" if it is
+/// accepted.
+std::string submit_error(Service& service, JobSpec spec) {
+  try {
+    (void)service.submit(std::move(spec));
+  } catch (const apcc::CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JobSpec, EngineKnobsOutOfRangeAreRejectedAtSubmit) {
+  // An in-process spec meets the rule a wire record does: the knob is
+  // refused at submit, by its wire key, before any cell runs.
+  Fixture fx(1);
+  JobSpec no_units = run_spec("crc-like");
+  no_units.config.policy.decompress_units = 0;
+  EXPECT_NE(submit_error(fx.service, no_units).find("units out of range"),
+            std::string::npos);
+  JobSpec slow_task = sweep_spec("crc-like", test_grid());
+  slow_task.tasks[1].config.costs.cycles_per_instruction = -1;
+  const std::string message = submit_error(fx.service, slow_task);
+  EXPECT_NE(message.find("task '" + slow_task.tasks[1].label +
+                         "': cpi out of range"),
+            std::string::npos)
+      << message;
+
+  // A job with every knob at its bound runs.
+  core::SystemConfig edge;
+  edge.policy.compress_k = 1;
+  edge.policy.decompress_units = 64;
+  edge.costs.cycles_per_instruction = 65536;
+  edge.costs.exception_cycles = 4294967295;
+  edge.costs.patch_branch_cycles = 4294967295;
+  edge.costs.unpatch_branch_cycles = 4294967295;
+  edge.costs.delete_block_cycles = 4294967295;
+  edge.costs.alloc_block_cycles = 4294967295;
+  edge.costs.dispatch_job_cycles = 4294967295;
+  const auto edge_job = fx.service.submit(run_spec("crc-like", edge));
+  const JobResult& result = edge_job.wait();
+  EXPECT_TRUE(result.ok()) << result.error;
+  EXPECT_GT(result.run.total_cycles, result.run.baseline_cycles);
+}
+
+TEST(JobSpec, DeadlineIsBoundedAtTwoToTheFortyMs) {
+  // Beyond 2^40 ms, submit time plus the deadline would overflow
+  // steady_clock's nanoseconds (or, past 2^63, wrap negative and expire
+  // at once). The bound itself is a deadline far in the future.
+  constexpr std::uint64_t kBound = std::uint64_t{1} << 40;
+  Fixture fx(1);
+  for (const std::uint64_t deadline :
+       {kBound + 1, std::uint64_t{10'000'000'000'000},
+        std::uint64_t{18446744073709551615u}}) {
+    JobSpec spec = run_spec("crc-like");
+    spec.deadline_ms = deadline;
+    EXPECT_NE(submit_error(fx.service, spec).find("deadline-ms out of range"),
+              std::string::npos)
+        << deadline;
+  }
+  JobSpec at_bound = run_spec("crc-like");
+  at_bound.deadline_ms = kBound;
+  const auto at_bound_job = fx.service.submit(at_bound);
+  const JobResult& result = at_bound_job.wait();
+  EXPECT_EQ(result.status, JobStatus::kOk) << result.error;
+
+  // The service's default deadline is held to the same bound.
+  ServiceOptions options;
+  options.workers = 1;
+  options.limits.default_deadline_ms = kBound + 1;
+  EXPECT_THROW(Service{options}, apcc::CheckError);
+  options.limits.default_deadline_ms = kBound;
+  Service service(options);
+  const auto id = service.register_workload(
+      workloads::make_workload(workloads::WorkloadKind::kCrcLike));
+  EXPECT_TRUE(service.submit(run_spec(ref(id))).wait().ok());
+}
+
 TEST(JobSpec, ResolveMapsIdsAndNames) {
   Fixture fx(1);
   EXPECT_EQ(fx.service.resolve("@0"), 0u);

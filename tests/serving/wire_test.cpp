@@ -8,9 +8,11 @@
 // JobSpec::kWireVersion deliberately.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/wire_headers.hpp"
@@ -430,6 +432,120 @@ TEST(Wire, ResultRoundTripsAllKindsAndErrors) {
             sample_result(4).avg_occupancy_bytes);
   EXPECT_EQ(reparsed.result.campaign[0].outcomes[0].result.codec_ratio,
             0.515625);
+}
+
+TEST(Wire, EveryRunResultFieldCrossesIntoItsOwnMember) {
+  // Each eight-byte slot of a RunResult holds the bits of a distinct
+  // double (slot i: i + 1.0), a valid value whether the slot is a count
+  // or a double. Written and read back as a run, a sweep and a campaign
+  // record, every slot must come back bit for bit, so a field-table row
+  // that is missing or names a member twice fails here.
+  constexpr std::size_t kSlots = sizeof(sim::RunResult) / sizeof(double);
+  static_assert(sizeof(sim::RunResult) == kSlots * sizeof(double));
+  sim::RunResult filled;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    const double bits = static_cast<double>(i) + 1.0;
+    std::memcpy(reinterpret_cast<unsigned char*>(&filled) + i * sizeof(bits),
+                &bits, sizeof(bits));
+  }
+  const auto differing_slot = [&filled](const sim::RunResult& got) {
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      if (std::memcmp(reinterpret_cast<const unsigned char*>(&got) +
+                          i * sizeof(double),
+                      reinterpret_cast<const unsigned char*>(&filled) +
+                          i * sizeof(double),
+                      sizeof(double)) != 0) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  };
+
+  ResultRecord run;
+  run.result.kind = JobKind::kRun;
+  run.result.run = filled;
+  ResultRecord sweep_rec;
+  sweep_rec.result.kind = JobKind::kSweep;
+  sweep_rec.result.sweep.push_back({0, "a", filled});
+  ResultRecord campaign_rec;
+  campaign_rec.result.kind = JobKind::kCampaign;
+  campaign_rec.result.campaign.push_back({"w", {{0, "a", filled}}});
+
+  const ResultRecord runs[] = {parse_result(serialize_result(run)),
+                               parse_result(serialize_result(sweep_rec)),
+                               parse_result(serialize_result(campaign_rec))};
+  EXPECT_EQ(differing_slot(runs[0].result.run), -1);
+  ASSERT_EQ(runs[1].result.sweep.size(), 1u);
+  EXPECT_EQ(differing_slot(runs[1].result.sweep[0].result), -1);
+  ASSERT_EQ(runs[2].result.campaign.size(), 1u);
+  ASSERT_EQ(runs[2].result.campaign[0].outcomes.size(), 1u);
+  EXPECT_EQ(differing_slot(runs[2].result.campaign[0].outcomes[0].result),
+            -1);
+}
+
+TEST(Wire, EngineKnobsOutOfRangeAreRejectedAtTheHeader) {
+  // A value the engine, its cycle arithmetic or its per-unit tables
+  // cannot take ends at validation, positioned at the record header and
+  // naming the key -- not at an internal assertion, a 32 GiB table or a
+  // wrapped sum in the middle of the run.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"costs cpi=nan", "cpi out of range"},
+      {"costs cpi=inf", "cpi out of range"},
+      {"costs cpi=-1", "cpi out of range"},
+      {"costs cpi=1e300", "cpi out of range"},
+      {"costs cpi=65536.5", "cpi out of range"},
+      {"costs exception=18446744073709551615", "exception out of range"},
+      {"costs exception=4294967296", "exception out of range"},
+      {"costs patch=4294967296", "patch out of range"},
+      {"costs unpatch=4294967296", "unpatch out of range"},
+      {"costs delete=4294967296", "delete out of range"},
+      {"costs alloc=4294967296", "alloc out of range"},
+      {"costs dispatch=4294967296", "dispatch out of range"},
+      {"policy units=4294967295", "units out of range"},
+      {"policy units=65", "units out of range"},
+      {"policy units=0", "units out of range"},
+      {"policy kc=0", "kc out of range"},
+  };
+  for (const auto& [line, needle] : cases) {
+    SCOPED_TRACE(line);
+    expect_wire_error(kJobLine + "kind run\nworkload x\n" + line + "\nend\n",
+                      needle.c_str(), 1);
+  }
+  // Task lines are held to the same rule, and the message names the task.
+  expect_wire_error(kJobLine + "kind sweep\nworkload x\n"
+                               "task label=t kc=0\nend\n",
+                    "task 't': kc out of range", 1);
+  expect_wire_error(kJobLine + "kind sweep\nworkload x\n"
+                               "task label=t cpi=nan\nend\n",
+                    "task 't': cpi out of range", 1);
+  // At the bounds the record is accepted.
+  const JobSpec edge = parse_job(
+      kJobLine +
+      "kind sweep\nworkload x\n"
+      "policy kc=1 units=64\n"
+      "costs cpi=65536 exception=4294967295 patch=4294967295 "
+      "unpatch=4294967295 delete=4294967295 alloc=4294967295 "
+      "dispatch=4294967295\n"
+      "task label=t cpi=0 units=1\nend\n");
+  EXPECT_EQ(edge.config.policy.decompress_units, 64u);
+  EXPECT_EQ(edge.tasks.at(0).config.costs.exception_cycles, 4294967295u);
+}
+
+TEST(Wire, DeadlineAboveTwoToTheFortyMsIsRejected) {
+  // Submit time plus the deadline in steady_clock nanoseconds must not
+  // overflow, nor may the value wrap negative as milliseconds.
+  expect_wire_error(
+      kJobLine + "kind run\nworkload x\ndeadline-ms 1099511627777\nend\n",
+      "deadline-ms out of range", 1);
+  expect_wire_error(kJobLine +
+                        "kind run\nworkload x\n"
+                        "deadline-ms 18446744073709551615\nend\n",
+                    "deadline-ms out of range", 1);
+  EXPECT_EQ(parse_job(kJobLine +
+                      "kind run\nworkload x\ndeadline-ms 1099511627776\n"
+                      "end\n")
+                .deadline_ms,
+            std::uint64_t{1} << 40);
 }
 
 TEST(Wire, ResultParsingIsStrict) {

@@ -40,8 +40,8 @@
 //                                ("conn-<n>"), the same ordering, errors
 //                                and drain over live sockets
 //   wire-roundtrip <file>        parse every record in a wire file and
-//                                re-serialize it canonically (the CI
-//                                golden round-trip gate)
+//                                re-serialize it canonically (the
+//                                Wire.CliRoundTrip.* golden ctests)
 //   version                      print the tool version and the wire
 //                                schema version it speaks
 //
@@ -177,9 +177,10 @@ constexpr const char* kToolVersion = "0.6.0";
       "batch files and the serve stdin stream hold wire format job\n"
       "records (docs/API.md):\n"
       "  " << serving::wire::kJobHeader << "\n"
-      "  kind run|sweep|campaign\n"
+      "  kind " << joined_names(serving::kJobKindNames) << "\n"
       "  workload <name-or-path>      (repeatable for campaign)\n"
-      "  priority high|normal|batch   (optional QoS)\n"
+      "  priority " << joined_names(sweep::kPriorityNames) <<
+      "   (optional QoS)\n"
       "  max-workers N                (optional worker budget)\n"
       "  deadline-ms N                (optional per-job deadline)\n"
       "  batch-cells N                (optional lockstep batch width)\n"
@@ -233,25 +234,13 @@ net::RecordFramer frame_file(const std::string& path) {
   return framer;
 }
 
-compress::CodecKind parse_codec(const std::string& name) {
-  for (const auto kind : compress::all_codec_kinds()) {
-    if (name == compress::codec_kind_name(kind)) return kind;
-  }
-  usage("unknown codec '" + name + "'");
-}
-
-runtime::DecompressionStrategy parse_strategy(const std::string& name) {
-  if (name == "on-demand") return runtime::DecompressionStrategy::kOnDemand;
-  if (name == "pre-all") return runtime::DecompressionStrategy::kPreAll;
-  if (name == "pre-single") return runtime::DecompressionStrategy::kPreSingle;
-  usage("unknown strategy '" + name + "'");
-}
-
-runtime::PredictorKind parse_predictor(const std::string& name) {
-  if (name == "profile") return runtime::PredictorKind::kProfile;
-  if (name == "static") return runtime::PredictorKind::kStatic;
-  if (name == "oracle") return runtime::PredictorKind::kOracle;
-  usage("unknown predictor '" + name + "'");
+/// The value an enum's name table gives `name`; an unknown name is a
+/// usage error naming `kind`.
+template <typename E, std::size_t N>
+E parse_name(const NamedValue<E> (&table)[N], const char* kind,
+             const std::string& name) {
+  if (const auto value = value_of(table, name)) return *value;
+  usage(std::string("unknown ") + kind + " '" + name + "'");
 }
 
 struct CliOptions {
@@ -323,13 +312,16 @@ CliOptions parse_options(const std::vector<std::string>& args,
   for (std::size_t i = first; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--codec") {
-      opts.config.codec = parse_codec(need_value(i++));
+      opts.config.codec =
+          parse_name(compress::kCodecNames, "codec", need_value(i++));
       opts.config_flags.push_back(a);
     } else if (a == "--strategy") {
-      opts.config.policy.strategy = parse_strategy(need_value(i++));
+      opts.config.policy.strategy =
+          parse_name(runtime::kStrategyNames, "strategy", need_value(i++));
       opts.grid_overrides.push_back(a);
     } else if (a == "--predictor") {
-      opts.config.policy.predictor = parse_predictor(need_value(i++));
+      opts.config.policy.predictor =
+          parse_name(runtime::kPredictorNames, "predictor", need_value(i++));
       opts.config_flags.push_back(a);
     } else if (a == "--kc") {
       opts.config.policy.compress_k =
@@ -875,8 +867,8 @@ int cmd_serve(const CliOptions& opts) {
 // ------------------------------------------------------- wire roundtrip
 
 /// Parse every record in a wire file and print its canonical
-/// re-serialization: `wire-roundtrip f | diff - f` is the CI gate that
-/// golden files stay fixed points of serialize(parse(.)).
+/// re-serialization: the Wire.CliRoundTrip.* ctests diff it against
+/// each golden file, which must stay a fixed point of serialize(parse(.)).
 int cmd_wire_roundtrip(const std::string& path) {
   try {
     net::RecordFramer framer = frame_file(path);
