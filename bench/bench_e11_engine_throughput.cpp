@@ -10,8 +10,8 @@
 // The table prints a direct wall-clock rate (the number quoted in
 // docs/PERFORMANCE.md); the google-benchmark registrations below give
 // the stable timed series for BENCH_engine.json. Every row runs one
-// configuration as a width-1 sim::BatchEngine -- the per-cell run, with
-// the planner owning its own (lazy) frontier geometry.
+// configuration as a width-1 sim::BatchEngine -- the per-cell run, whose
+// planner reads the frontier cache the engine materializes for its k.
 #include <chrono>
 #include <map>
 

@@ -228,11 +228,11 @@ BENCHMARK(bm_sweep_batch)
 /// setup dominates. Per cell the width-1 path pays O(B + T) setup --
 /// trace validation, slot layout, size + execution-cost tables, a
 /// profile-predictor trace pass, and for planning strategies one
-/// bounded frontier BFS per exited block -- before an O(T) run; with B
-/// large and T short that setup is the bulk of the cell, and a batch
-/// pays it once instead of once per cell. The suite workloads above are
-/// the opposite regime (tiny B, long T), which is why their batching
-/// delta sits in the noise.
+/// bounded frontier BFS per block (the frontier cache) -- before an
+/// O(T) run; with B large and T short that setup is the bulk of the
+/// cell, and a batch pays it once instead of once per cell. The suite
+/// workloads above are the opposite regime (tiny B, long T), which is
+/// why their batching delta sits in the noise.
 struct WideCfgWorkload {
   cfg::Cfg graph;
   std::unique_ptr<runtime::BlockImage> image;

@@ -50,6 +50,8 @@ void print_strategy_example(std::ostream& out) {
   }
   out << "S4 example: B4,B5,B8,B9 compressed; execution leaves B0; "
          "k=2\n";
+  runtime::FrontierCache frontiers(graph, 2);
+  frontiers.materialize();
   TextTable table;
   table.row().cell("strategy").cell("requests");
   {
@@ -57,7 +59,7 @@ void print_strategy_example(std::ostream& out) {
     policy.strategy = runtime::DecompressionStrategy::kPreAll;
     policy.predecompress_k = 2;
     const runtime::DecompressionPlanner planner(graph, states, policy,
-                                                nullptr);
+                                                nullptr, &frontiers);
     std::string requests;
     for (const auto b : planner.plan_on_exit(0, 0)) {
       requests.append(graph.note(b)).append(" ");
@@ -70,7 +72,7 @@ void print_strategy_example(std::ostream& out) {
     policy.predecompress_k = 2;
     const runtime::ProfilePredictor predictor(graph, 2);
     const runtime::DecompressionPlanner planner(graph, states, policy,
-                                                &predictor);
+                                                &predictor, &frontiers);
     std::string requests;
     for (const auto b : planner.plan_on_exit(0, 0)) {
       requests.append(graph.note(b)).append(" ");

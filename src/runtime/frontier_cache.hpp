@@ -1,4 +1,4 @@
-// Memoized k-edge frontiers for the decompression planner.
+// Materialized k-edge frontiers for the decompression planner.
 //
 // The planner's candidate set at a block exit -- every block within k
 // edges of the exit, with its minimum edge distance -- is static given
@@ -8,26 +8,20 @@
 // query, the current BlockForm. Entries are pre-sorted by (distance, id),
 // the planner's request order, so the filter preserves ordering for free.
 //
-// Storage is flat: one cfg::FrontierEntry array holds every computed
-// list back to back. A lazy cache appends each list the first time it is
-// requested and records its bounds per block; materialize() computes
-// every list in block order into CSR form (compressed sparse row: the
+// Storage is flat: materialize() computes every block's list, in block
+// order, into CSR form (compressed sparse row: one cfg::FrontierEntry
 // array plus a (B+1)-entry offset table, list b at [offsets[b],
-// offsets[b+1])) and drops the lazy bookkeeping. resident_bytes() is the
-// exact heap size of these arrays.
+// offsets[b+1])). Each list costs O(frontier), so the whole build is
+// O(total frontier size). resident_bytes() is the exact heap size of
+// the two arrays.
 //
-// Ownership and thread-safety: a lazily-filled cache is not thread-safe
-// and is owned by one DecompressionPlanner / StaticPredictor inside one
-// engine cell, stepped on one thread. But the geometry is keyed on
-// (CFG, k) alone, so the Service's artifact cache (one
-// serving::ArtifactSlot per (workload, k)) and a BatchEngine whose cells
-// share a k build one cache per key, call materialize() -- which freezes
-// the cache -- and hand a `const FrontierCache*` to every cell sharing
-// that key. A materialized cache is immutable, so concurrent
-// candidates() calls are pure reads; the borrowed lists are the exact
-// values an owned cache would compute, which keeps borrowed and owned
-// runs bit-identical (pinned by tests/runtime and the engine
-// equivalence grid).
+// Ownership: whoever runs cells over a CFG builds one cache per
+// predecompress_k and lends a `const FrontierCache*` to every planner at
+// that k -- the Service's artifact cache (one serving::ArtifactSlot per
+// (workload, k)) for served cells, sim::BatchEngine for the cells of one
+// run otherwise. A materialized cache never changes again, so
+// concurrent candidates() calls are pure reads and every borrower sees
+// the same lists.
 #pragma once
 
 #include <cstdint>
@@ -40,61 +34,36 @@ namespace apcc::runtime {
 
 class FrontierCache {
  public:
+  /// O(1): nothing is computed until materialize().
   FrontierCache(const cfg::Cfg& cfg, unsigned k);
 
   /// Candidate list for the exit of `block`: every block within k edges,
-  /// with its distance, sorted by (distance, id). Computed on first use,
-  /// O(1) afterwards.
-  ///
-  /// On a materialized cache the span stays valid for the cache's
-  /// lifetime. On a lazy cache, computing a list appends to the shared
-  /// entry array and may move it, so a span is valid only until the next
-  /// candidates() call on the same cache.
+  /// with its distance, sorted by (distance, id). The span stays valid
+  /// for the cache's lifetime. The cache must be materialized.
   [[nodiscard]] std::span<const cfg::FrontierEntry> candidates(
       cfg::BlockId block) const;
 
-  /// Compute every block's candidate list into CSR form. After this the
-  /// cache is immutable: candidates() never writes, so the cache may be
-  /// shared read-only across threads (the contract EngineConfig::
-  /// shared_frontiers relies on).
+  /// Compute every block's candidate list into CSR form; a no-op once
+  /// done. The one build step: afterwards the cache is read-only and
+  /// may be shared across threads.
   void materialize();
 
-  [[nodiscard]] bool materialized() const { return materialized_; }
+  [[nodiscard]] bool materialized() const { return !offsets_.empty(); }
 
   [[nodiscard]] unsigned k() const { return k_; }
 
-  /// Exact heap size of the cache's arrays: the entry array and offset
-  /// table, plus a lazy cache's per-block bounds and BFS scratch (empty
-  /// once materialized). A pure read on a materialized cache, which is
-  /// what serving::Service budgets against.
+  /// Exact heap size of the entry array and offset table (0 until
+  /// materialized), what serving::Service budgets against.
   [[nodiscard]] std::uint64_t resident_bytes() const;
 
   /// The CFG this geometry was computed on; borrowers check identity.
   [[nodiscard]] const cfg::Cfg& cfg() const { return cfg_; }
 
  private:
-  /// A lazy cache's bounds for one block's list in entries_; begin is
-  /// kUncomputed until the list is computed.
-  struct Bounds {
-    static constexpr std::uint32_t kUncomputed = UINT32_MAX;
-    std::uint32_t begin = kUncomputed;
-    std::uint32_t end = 0;
-  };
-
   const cfg::Cfg& cfg_;
   unsigned k_;
-  bool materialized_ = false;
-  // Every computed list, back to back: in block order once materialized
-  // (indexed by offsets_), in first-request order while lazy (indexed
-  // by lazy_).
-  mutable std::vector<cfg::FrontierEntry> entries_;
-  std::vector<std::uint32_t> offsets_;  // materialized: block_count() + 1
-  // Lazy state, sized on the first candidates() call and released by
-  // materialize(): per-block bounds, the bounded BFS's all-UINT_MAX
-  // distance scratch, and the list frontier_distances() writes.
-  mutable std::vector<Bounds> lazy_;
-  mutable std::vector<unsigned> dist_scratch_;
-  mutable std::vector<cfg::FrontierEntry> list_scratch_;
+  std::vector<cfg::FrontierEntry> entries_;  // every list, in block order
+  std::vector<std::uint32_t> offsets_;       // block_count() + 1 once built
 };
 
 }  // namespace apcc::runtime

@@ -8,22 +8,25 @@ DecompressionPlanner::DecompressionPlanner(const cfg::Cfg& cfg,
                                            const StateTable& states,
                                            const Policy& policy,
                                            const Predictor* predictor,
-                                           const FrontierCache* shared_frontiers)
-    : cfg_(cfg), states_(states), policy_(policy), predictor_(predictor) {
+                                           const FrontierCache* frontiers)
+    : states_(states),
+      policy_(policy),
+      predictor_(predictor),
+      frontiers_(frontiers) {
   if (policy_.strategy == DecompressionStrategy::kPreSingle) {
     APCC_CHECK(predictor_ != nullptr, "pre-single requires a predictor");
   }
-  if (shared_frontiers != nullptr) {
-    APCC_CHECK(&shared_frontiers->cfg() == &cfg_,
+  if (policy_.strategy != DecompressionStrategy::kOnDemand) {
+    APCC_CHECK(frontiers_ != nullptr,
+               "a planning strategy requires a FrontierCache");
+  }
+  if (frontiers_ != nullptr) {
+    APCC_CHECK(&frontiers_->cfg() == &cfg,
                "shared FrontierCache built on a different CFG");
-    APCC_CHECK(shared_frontiers->k() == policy_.predecompress_k,
+    APCC_CHECK(frontiers_->k() == policy_.predecompress_k,
                "shared FrontierCache k does not match predecompress_k");
-    APCC_CHECK(shared_frontiers->materialized(),
+    APCC_CHECK(frontiers_->materialized(),
                "shared FrontierCache must be materialized (immutable)");
-    frontiers_ = shared_frontiers;
-  } else {
-    owned_frontiers_.emplace(cfg_, policy_.predecompress_k);
-    frontiers_ = &*owned_frontiers_;
   }
 }
 

@@ -7,18 +7,11 @@
 // the decompression helper.
 //
 // The candidate geometry (which blocks are within k edges, and how far)
-// is static given the CFG, so it comes from a per-block FrontierCache;
-// each exit only filters the cached list by the dynamic BlockForm.
-//
-// The geometry is keyed on (CFG, predecompress_k) alone, so a campaign
-// that runs many engines over one workload can pass a shared,
-// materialized (immutable) FrontierCache; the planner then borrows it
-// instead of building its own. Borrowed and owned geometry produce
-// bit-identical plans -- the cache holds the same frontier_distances
-// lists either way.
+// is static given (CFG, predecompress_k), so the planner reads it from a
+// materialized FrontierCache that its owner builds once per k and lends
+// to every planner at that k (the Service per workload, BatchEngine per
+// run); each exit only filters the cached list by the dynamic BlockForm.
 #pragma once
-
-#include <optional>
 
 #include "cfg/analysis.hpp"
 #include "runtime/frontier_cache.hpp"
@@ -31,17 +24,12 @@ namespace apcc::runtime {
 class DecompressionPlanner {
  public:
   /// `predictor` may be null unless the strategy is kPreSingle.
-  /// `shared_frontiers`, when non-null, must be a materialized cache
-  /// built on `cfg` with k == policy.predecompress_k; the planner
-  /// borrows it instead of owning its own geometry.
+  /// `frontiers` may be null only for kOnDemand; otherwise it must be a
+  /// materialized cache built on `cfg` with k == policy.predecompress_k,
+  /// and it must outlive the planner.
   DecompressionPlanner(const cfg::Cfg& cfg, const StateTable& states,
                        const Policy& policy, const Predictor* predictor,
-                       const FrontierCache* shared_frontiers = nullptr);
-
-  // frontiers_ may point into owned_frontiers_; a copy/move would leave
-  // it aimed at the source object's storage.
-  DecompressionPlanner(const DecompressionPlanner&) = delete;
-  DecompressionPlanner& operator=(const DecompressionPlanner&) = delete;
+                       const FrontierCache* frontiers);
 
   /// Called when the execution thread exits `block` (trace position
   /// `trace_index`). Returns the blocks to request, nearest-first, all
@@ -58,13 +46,10 @@ class DecompressionPlanner {
   void compressed_frontier(cfg::BlockId block,
                            std::vector<cfg::BlockId>& out) const;
 
-  const cfg::Cfg& cfg_;
   const StateTable& states_;
   Policy policy_;
   const Predictor* predictor_;
-  // Geometry: owned unless a shared cache was borrowed at construction.
-  std::optional<FrontierCache> owned_frontiers_;
-  const FrontierCache* frontiers_;
+  const FrontierCache* frontiers_;  // borrowed; null for on-demand
   // Reused per-exit buffers: the returned plan and pre-single's
   // candidate list.
   mutable std::vector<cfg::BlockId> plan_;

@@ -1,7 +1,6 @@
 #include "runtime/predictor.hpp"
 
 #include <algorithm>
-#include <climits>
 
 #include "support/assert.hpp"
 
@@ -34,50 +33,18 @@ cfg::BlockId ProfilePredictor::predict(
   return candidates.front();  // unreachable under probabilities: first wins
 }
 
-StaticPredictor::StaticPredictor(const cfg::Cfg& cfg, std::uint32_t k,
-                                 const FrontierCache* shared_frontiers)
-    : cfg_(cfg), k_(k), loop_depth_(cfg::loop_depths(cfg)) {
-  if (shared_frontiers != nullptr) {
-    APCC_CHECK(&shared_frontiers->cfg() == &cfg_,
-               "shared FrontierCache built on a different CFG");
-    APCC_CHECK(shared_frontiers->k() == k_,
-               "shared FrontierCache k does not match predictor k");
-    APCC_CHECK(shared_frontiers->materialized(),
-               "shared FrontierCache must be materialized (immutable)");
-    frontiers_ = shared_frontiers;
-  } else {
-    owned_frontiers_.emplace(cfg_, k_);
-    frontiers_ = &*owned_frontiers_;
-  }
-}
+StaticPredictor::StaticPredictor(const cfg::Cfg& cfg)
+    : loop_depth_(cfg::loop_depths(cfg)) {}
 
 cfg::BlockId StaticPredictor::predict(
-    cfg::BlockId from, const std::vector<cfg::BlockId>& candidates,
+    cfg::BlockId /*from*/, const std::vector<cfg::BlockId>& candidates,
     std::size_t /*trace_index*/) const {
   APCC_CHECK(!candidates.empty(), "predict() needs candidates");
-  const auto frontier = frontiers_->candidates(from);
-  const auto distance_of = [&frontier](cfg::BlockId c) {
-    for (const cfg::FrontierEntry& e : frontier) {
-      if (e.block == c) return e.distance;
-    }
-    return UINT_MAX;  // outside the frontier: rank as unreachable
-  };
+  // Strictly deeper only: among equal depths the earliest in (distance,
+  // id) order stays.
   cfg::BlockId best = candidates.front();
-  unsigned best_depth = 0;
-  unsigned best_dist = UINT_MAX;
-  bool first = true;
   for (const cfg::BlockId c : candidates) {
-    const unsigned depth = loop_depth_[c];
-    const unsigned d = distance_of(c);
-    const bool better = first || depth > best_depth ||
-                        (depth == best_depth && d < best_dist) ||
-                        (depth == best_depth && d == best_dist && c < best);
-    if (better) {
-      best = c;
-      best_depth = depth;
-      best_dist = d;
-      first = false;
-    }
+    if (loop_depth_[c] > loop_depth_[best]) best = c;
   }
   return best;
 }
@@ -105,13 +72,12 @@ cfg::BlockId OraclePredictor::predict(
 std::unique_ptr<Predictor> make_predictor(PredictorKind kind,
                                           const cfg::Cfg& cfg,
                                           std::uint32_t k,
-                                          const cfg::BlockTrace& trace,
-                                          const FrontierCache* shared_frontiers) {
+                                          const cfg::BlockTrace& trace) {
   switch (kind) {
     case PredictorKind::kProfile:
       return std::make_unique<ProfilePredictor>(cfg, k);
     case PredictorKind::kStatic:
-      return std::make_unique<StaticPredictor>(cfg, k, shared_frontiers);
+      return std::make_unique<StaticPredictor>(cfg);
     case PredictorKind::kOracle:
       return std::make_unique<OraclePredictor>(cfg, trace);
   }

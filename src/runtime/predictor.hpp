@@ -13,28 +13,28 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "cfg/analysis.hpp"
 #include "cfg/cfg.hpp"
 #include "cfg/trace.hpp"
-#include "runtime/frontier_cache.hpp"
 #include "runtime/policy.hpp"
 
 namespace apcc::runtime {
 
 /// Chooses which single candidate block to pre-decompress.
 ///
-/// predict() is const but may fill a lazy per-block memo (like a lone
-/// planner's FrontierCache), so a predictor is not thread-safe: each
-/// BatchEngine::run builds its own and steps it on one thread.
+/// predict() is const but ProfilePredictor fills a lazy per-block memo,
+/// so a predictor is not thread-safe: each BatchEngine::run builds its
+/// own and steps it on one thread.
 class Predictor {
  public:
   virtual ~Predictor() = default;
 
-  /// Pick one of `candidates` (non-empty, all currently compressed and
-  /// within the k-edge frontier of `from`). `trace_index` is the index of
-  /// the block being exited in the driving trace (used by the oracle).
+  /// Pick one of `candidates`: non-empty, all currently compressed and
+  /// within the k-edge frontier of `from`, in the planner's request
+  /// order -- ascending (edge distance from `from`'s exit, id).
+  /// `trace_index` is the index of the block being exited in the
+  /// driving trace (used by the oracle).
   [[nodiscard]] virtual cfg::BlockId predict(
       cfg::BlockId from, const std::vector<cfg::BlockId>& candidates,
       std::size_t trace_index) const = 0;
@@ -66,24 +66,13 @@ class ProfilePredictor final : public Predictor {
   mutable std::vector<bool> ranked_;
 };
 
-/// Structural heuristic predictor. Candidate distances come from the
-/// same memoized FrontierCache the planner uses (one bounded BFS per
-/// exit block, ever) instead of one edge_distance BFS per candidate per
-/// exit; a candidate outside the k-edge frontier of `from` (out of
-/// predict()'s contract) ranks as unreachable.
-///
-/// Like the planner, the predictor can borrow a shared materialized
-/// cache (same (CFG, k) key) instead of owning one -- campaign engines
-/// pass the cache they already share with their planner.
+/// Structural heuristic predictor: the candidate in the deepest loop,
+/// then the nearest, then the lowest id. The candidates arrive in
+/// (distance, id) order, so that is the first candidate of the greatest
+/// loop depth.
 class StaticPredictor final : public Predictor {
  public:
-  StaticPredictor(const cfg::Cfg& cfg, std::uint32_t k,
-                  const FrontierCache* shared_frontiers = nullptr);
-
-  // frontiers_ may point into owned_frontiers_; a copy/move would leave
-  // it aimed at the source object's storage.
-  StaticPredictor(const StaticPredictor&) = delete;
-  StaticPredictor& operator=(const StaticPredictor&) = delete;
+  explicit StaticPredictor(const cfg::Cfg& cfg);
 
   [[nodiscard]] cfg::BlockId predict(
       cfg::BlockId from, const std::vector<cfg::BlockId>& candidates,
@@ -93,11 +82,7 @@ class StaticPredictor final : public Predictor {
   }
 
  private:
-  const cfg::Cfg& cfg_;
-  std::uint32_t k_;
   std::vector<unsigned> loop_depth_;
-  std::optional<FrontierCache> owned_frontiers_;
-  const FrontierCache* frontiers_;
 };
 
 /// Oracle predictor: picks the candidate that the trace actually reaches
@@ -118,11 +103,9 @@ class OraclePredictor final : public Predictor {
 };
 
 /// Factory keyed on PredictorKind. The oracle needs the trace; others
-/// ignore it. `shared_frontiers` (optional, used by kStatic only) is a
-/// materialized (CFG, k) geometry cache to borrow instead of owning.
+/// ignore it.
 [[nodiscard]] std::unique_ptr<Predictor> make_predictor(
     PredictorKind kind, const cfg::Cfg& cfg, std::uint32_t k,
-    const cfg::BlockTrace& trace,
-    const FrontierCache* shared_frontiers = nullptr);
+    const cfg::BlockTrace& trace);
 
 }  // namespace apcc::runtime

@@ -10,6 +10,9 @@ namespace apcc::serving {
 namespace {
 
 constexpr std::uint32_t kMaxUnits = 64;
+// The profile predictor runs kd power-iteration rounds per exit block,
+// and a frontier cache's lists grow with kd.
+constexpr std::uint32_t kMaxKd = 64;
 constexpr double kMaxCpi = 65536;
 constexpr std::uint64_t kMaxEventCycles = 0xFFFFFFFF;
 
@@ -31,6 +34,10 @@ void validate_engine(const sim::EngineConfig& config,
   const runtime::Policy& policy = config.policy;
   APCC_CHECK(policy.compress_k >= 1,
              where() + "kc out of range: 0 (expected at least 1)");
+  APCC_CHECK(policy.predecompress_k <= kMaxKd,
+             where() + "kd out of range: " +
+                 std::to_string(policy.predecompress_k) +
+                 " (expected at most " + std::to_string(kMaxKd) + ")");
   APCC_CHECK(policy.decompress_units >= 1 &&
                  policy.decompress_units <= kMaxUnits,
              where() + "units out of range: " +

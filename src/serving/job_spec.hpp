@@ -160,9 +160,9 @@ struct JobResult {
 /// Structural validation (kind known, workload arity, run has no grid,
 /// priority in range) and range checks on every value the engine or
 /// the clock would otherwise take unchecked: deadline_ms, and the engine
-/// knobs of the base config and of every task (kc >= 1, units in
-/// 1..64, cpi finite in [0, 65536], each per-event cost at most
-/// 2^32 - 1). Throws CheckError naming the violation and its wire key.
+/// knobs of the base config and of every task (kc >= 1, kd <= 64,
+/// units in 1..64, cpi finite in [0, 65536], each per-event cost at
+/// most 2^32 - 1). Throws CheckError naming the violation and its wire key.
 /// Service::submit(JobSpec) calls this; the CLI calls it per parsed
 /// record so a bad batch line is reported with its file position before
 /// anything is submitted.

@@ -69,8 +69,8 @@
 //    twice yields byte-identical output, which is what the golden
 //    round-trip ctests diff against.
 //  * **Bounded**: a value the engine or the clock cannot take (kc 0,
-//    units outside 1..64, cpi not finite in [0, 65536], a per-event
-//    cost above 2^32 - 1, deadline-ms above 2^40) fails
+//    kd above 64, units outside 1..64, cpi not finite in [0, 65536], a
+//    per-event cost above 2^32 - 1, deadline-ms above 2^40) fails
 //    serving::validate, a WireError at the record header.
 //  * **One listing per vocabulary**: `run` and `outcome` kvs iterate
 //    RunResult's field table (sim::for_each_field), `costs` kvs

@@ -1,7 +1,6 @@
 #include "sim/batch_engine.hpp"
 
 #include <map>
-#include <tuple>
 #include <utility>
 
 #include "runtime/frontier_cache.hpp"
@@ -39,44 +38,31 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
     sizes.push_back(image_.original_size(b));
   }
 
-  // One materialized FrontierCache per predecompress_k that two or more
-  // planning cells share, lent to each of them -- unless a cell already
-  // borrows campaign/service geometry. A lone planner keeps its own lazy
-  // cache, which fills only the blocks the trace actually exits;
-  // materializing every block for one reader would be pure waste.
-  // Borrowed geometry is pinned bit-identical to owned, so this changes
-  // no cell's results.
-  const auto plans_unshared = [](const EngineConfig& config) {
-    return config.shared_frontiers == nullptr &&
-           config.policy.strategy != runtime::DecompressionStrategy::kOnDemand;
-  };
-  std::map<std::uint32_t, std::size_t> planners_per_k;
-  for (const EngineConfig& config : configs_) {
-    if (plans_unshared(config)) ++planners_per_k[config.policy.predecompress_k];
-  }
-  std::map<std::uint32_t, std::unique_ptr<runtime::FrontierCache>> frontiers;
+  // One materialized FrontierCache per predecompress_k the batch plans
+  // at, lent to every planning cell that does not already borrow the
+  // caller's (the Service's) geometry. On-demand cells plan nothing and
+  // get none.
+  std::map<std::uint32_t, runtime::FrontierCache> frontiers;
   std::vector<EngineConfig> cell_configs = configs_;
   for (EngineConfig& config : cell_configs) {
-    if (!plans_unshared(config)) continue;
-    const std::uint32_t k = config.policy.predecompress_k;
-    if (planners_per_k[k] < 2) continue;
-    auto it = frontiers.find(k);
-    if (it == frontiers.end()) {
-      auto cache = std::make_unique<runtime::FrontierCache>(cfg_, k);
-      cache->materialize();
-      it = frontiers.emplace(k, std::move(cache)).first;
+    if (config.shared_frontiers != nullptr ||
+        config.policy.strategy == runtime::DecompressionStrategy::kOnDemand) {
+      continue;
     }
-    config.shared_frontiers = it->second.get();
+    const std::uint32_t k = config.policy.predecompress_k;
+    const auto [it, built] = frontiers.try_emplace(k, cfg_, k);
+    if (built) it->second.materialize();
+    config.shared_frontiers = &it->second;
   }
 
   // Shared execution-cost tables (per distinct cycles_per_instruction)
-  // and predictors (per kind / k / geometry; predict() is const and the
-  // batch steps cells on one thread). Only a pre-single planner reads a
+  // and predictors (per kind and k; predict() is const and the batch
+  // steps cells on one thread). Only a pre-single planner reads a
   // predictor, so other cells get none.
   std::map<double, std::unique_ptr<std::vector<std::uint64_t>>> cost_tables;
-  using PredictorKey = std::tuple<int, std::uint32_t,
-                                  const runtime::FrontierCache*>;
-  std::map<PredictorKey, std::unique_ptr<runtime::Predictor>> predictors;
+  std::map<std::pair<runtime::PredictorKind, std::uint32_t>,
+           std::unique_ptr<runtime::Predictor>>
+      predictors;
 
   runtime::StateBatch batch(cfg_.block_count(), cell_configs.size());
   std::vector<EngineCell> cells(cell_configs.size());
@@ -97,16 +83,13 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
 
     if (cell.config.policy.strategy ==
         runtime::DecompressionStrategy::kPreSingle) {
-      const PredictorKey key{static_cast<int>(cell.config.policy.predictor),
-                             cell.config.policy.predecompress_k,
-                             cell.config.shared_frontiers};
+      const std::pair key{cell.config.policy.predictor,
+                          cell.config.policy.predecompress_k};
       auto pr = predictors.find(key);
       if (pr == predictors.end()) {
         pr = predictors
                  .emplace(key, runtime::make_predictor(
-                                   cell.config.policy.predictor, cfg_,
-                                   cell.config.policy.predecompress_k, trace,
-                                   cell.config.shared_frontiers))
+                                   key.first, cfg_, key.second, trace))
                  .first;
       }
       cell.predictor = pr->second.get();
@@ -114,7 +97,7 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
 
     try {
       // The last cell takes the layout itself; earlier cells copy it.
-      policy_.init_cell(cell, batch.cell(i), trace,
+      policy_.init_cell(cell, batch.cell(i),
                         i + 1 == cells.size() ? std::move(slots) : slots,
                         sizes);
     } catch (...) {

@@ -34,14 +34,12 @@
 //  * compressed slot layout             -- computed once, copied per cell,
 //  * block-size table                   -- computed once, copied per cell,
 //  * decompression-cost table           -- computed once per engine,
-//  * predictors                         -- shared per (kind, k, geometry),
-//                                          built for pre-single cells only,
+//  * predictors                         -- shared per (kind, k), built
+//                                          for pre-single cells only,
 //  * planner frontier geometry          -- one materialized FrontierCache
-//                                          per predecompress_k that two or
-//                                          more planning cells share (a
-//                                          lone planner keeps its own lazy
-//                                          cache, filled only for the
-//                                          blocks the trace exits),
+//                                          per predecompress_k the batch
+//                                          plans at, unless the caller
+//                                          lends its own (the Service),
 //  * per-block dynamic state            -- one SoA runtime::StateBatch
 //                                          instead of N pointer-chased
 //                                          tables.
@@ -54,8 +52,8 @@
 // completion.
 //
 // Equivalence: a cell's outcome does not depend on its batch -- cells
-// share only immutable inputs, and borrowed frontier geometry is pinned
-// bit-identical to owned geometry. engine_equivalence_test enforces
+// share only immutable inputs, and a cache the engine builds holds the
+// same lists as one the caller lends. engine_equivalence_test enforces
 // this across the full config grid at batch sizes {1, 4, 16}.
 #pragma once
 

@@ -378,7 +378,6 @@ void StepPolicy::ensure_executable(EngineCell& c, cfg::BlockId block,
 }
 
 void StepPolicy::init_cell(EngineCell& cell, runtime::StateTable& states,
-                           const cfg::BlockTrace& trace,
                            std::vector<memory::CompressedSlot> slots,
                            const std::vector<std::uint64_t>& block_sizes) const {
   APCC_CHECK(cell.config.policy.decompress_units >= 1,
@@ -401,14 +400,6 @@ void StepPolicy::init_cell(EngineCell& cell, runtime::StateTable& states,
   states.set_block_sizes(block_sizes);
   cell.kedge = std::make_unique<runtime::KEdgeCompressionManager>(
       states, cell.config.policy.compress_k);
-  if (cell.predictor == nullptr &&
-      cell.config.policy.strategy ==
-          runtime::DecompressionStrategy::kPreSingle) {
-    cell.owned_predictor = runtime::make_predictor(
-        cell.config.policy.predictor, cfg_, cell.config.policy.predecompress_k,
-        trace, cell.config.shared_frontiers);
-    cell.predictor = cell.owned_predictor.get();
-  }
   cell.planner = std::make_unique<runtime::DecompressionPlanner>(
       cfg_, states, cell.config.policy, cell.predictor,
       cell.config.shared_frontiers);

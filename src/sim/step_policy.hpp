@@ -66,14 +66,11 @@ struct EngineConfig {
   runtime::Policy policy{};
   runtime::CostModel costs{};
   memory::FitPolicy fit = memory::FitPolicy::kFirstFit;
-  /// Optional shared read-only planner geometry: a *materialized*
+  /// Optional caller-lent planner geometry: a *materialized*
   /// FrontierCache built on this engine's CFG with
-  /// k == policy.predecompress_k. Campaigns and the Service set this so
-  /// every cell over the same (workload, k) borrows one cache instead of
-  /// rebuilding it; null means BatchEngine lends batch-level geometry
-  /// when another cell of the batch plans at the same k, and the
-  /// planner/predictor own a lazy cache otherwise. Borrowed runs are
-  /// bit-identical to owned runs.
+  /// k == policy.predecompress_k. The Service sets this so every cell
+  /// over the same (workload, k) borrows its one cached artifact; null
+  /// means BatchEngine::run lends the cache it builds for that k.
   const runtime::FrontierCache* shared_frontiers = nullptr;
 };
 
@@ -109,8 +106,7 @@ struct EngineCell {
   std::unique_ptr<memory::MemoryLayout> layout;
   runtime::StateTable* states = nullptr;   // borrowed cell view
   std::unique_ptr<runtime::KEdgeCompressionManager> kedge;
-  std::unique_ptr<runtime::Predictor> owned_predictor;  // unless shared
-  const runtime::Predictor* predictor = nullptr;
+  const runtime::Predictor* predictor = nullptr;  // BatchEngine's, pre-single
   std::unique_ptr<runtime::DecompressionPlanner> planner;
   std::vector<ExtraBlockInfo> extra;
   RunResult result;
@@ -126,13 +122,12 @@ class StepPolicy {
  public:
   StepPolicy(const cfg::Cfg& cfg, const runtime::BlockImage& image);
 
-  /// Reset `cell` for a fresh run over `trace`. `states` is the cell's
-  /// view (its lane of a StateBatch); `slots` / `block_sizes` are the
-  /// immutable per-image tables the caller computed once per batch. If
-  /// `cell.predictor` is pre-set (batch-shared) it is kept; otherwise a
-  /// pre-single cell builds and owns one (no other strategy reads it).
+  /// Reset `cell` for a fresh run. `states` is the cell's view (its
+  /// lane of a StateBatch); `slots` / `block_sizes` are the immutable
+  /// per-image tables the caller computed once per batch. The caller
+  /// sets `cell.predictor` (pre-single) and the config's
+  /// `shared_frontiers` (any planning strategy) first.
   void init_cell(EngineCell& cell, runtime::StateTable& states,
-                 const cfg::BlockTrace& trace,
                  std::vector<memory::CompressedSlot> slots,
                  const std::vector<std::uint64_t>& block_sizes) const;
 

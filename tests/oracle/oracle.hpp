@@ -512,7 +512,7 @@ class Simulator {
 /// Simulate `trace` over (`cfg`, `image`) under `config` the naive way.
 /// Throws CheckError where the engine would (bad config, budget too
 /// small for the working set). `config.shared_frontiers` is ignored: it
-/// only changes where the engine keeps its geometry.
+/// only says whose frontier cache the engine's planner reads.
 inline OracleRun run_oracle(const cfg::Cfg& cfg,
                             const runtime::BlockImage& image,
                             const cfg::BlockTrace& trace,

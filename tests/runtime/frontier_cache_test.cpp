@@ -1,14 +1,15 @@
-// FrontierCache tests: a materialized (shareable) cache must hold
-// exactly the candidate lists a per-cell lazy cache computes, so a cell
-// that borrows the Service's cached geometry cannot step differently
-// from one that owns its own; and both are stored flat, with
-// resident_bytes() the exact size of their arrays.
+// FrontierCache tests: the materialized cache every planner reads must
+// hold exactly the candidate lists an independent per-exit BFS computes,
+// refuse reads before it is built, and be stored flat, with
+// resident_bytes() the exact size of its arrays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "runtime/frontier_cache.hpp"
-#include "support/rng.hpp"
+#include "support/assert.hpp"
 #include "workloads/random_program.hpp"
 #include "workloads/suite.hpp"
 
@@ -50,29 +51,38 @@ void expect_same_list(std::span<const cfg::FrontierEntry> got,
   }
 }
 
+/// Block `b`'s list the lazy way, at one exit: a frontier_within BFS,
+/// then one edge_distance BFS per frontier block, sorted by (distance,
+/// id). Independent of the cache's frontier_distances.
+std::vector<cfg::FrontierEntry> per_exit_list(const cfg::Cfg& graph,
+                                              cfg::BlockId b, unsigned k) {
+  std::vector<std::pair<unsigned, cfg::BlockId>> near;
+  for (const cfg::BlockId x : cfg::frontier_within(graph, b, k)) {
+    near.emplace_back(cfg::edge_distance(graph, b, x).value(), x);
+  }
+  std::sort(near.begin(), near.end());
+  std::vector<cfg::FrontierEntry> list;
+  for (const auto& [distance, x] : near) list.push_back({x, distance});
+  return list;
+}
+
 TEST(FrontierCache, MaterializedCacheHoldsTheSameListsAsALazyOne) {
-  // The geometry-sharing invariant at its root: a materialized cache
-  // hands out exactly the lists a per-cell lazy cache would compute,
-  // for every block and every k a grid would key on. The lazy cache is
-  // asked in a scrambled order with repeats, so its lists land in its
-  // entry array out of block order.
+  // The geometry every planner reads, against computing it lazily at
+  // each exit, for every block and every k a grid would key on. Before
+  // materialize() the cache holds no lists and says so.
   for (const workloads::Workload& workload : programs()) {
     const cfg::Cfg& graph = workload.cfg;
     for (const unsigned k : {1u, 4u, 8u}) {
-      FrontierCache shared(graph, k);
-      shared.materialize();
-      EXPECT_TRUE(shared.materialized());
-      EXPECT_EQ(shared.k(), k);
-      const FrontierCache lazy(graph, k);
-      EXPECT_FALSE(lazy.materialized());
-      Rng rng(k * 7919 + graph.block_count());
-      for (std::size_t i = 0; i < 2 * graph.block_count(); ++i) {
-        const auto b =
-            static_cast<cfg::BlockId>(rng.next_below(graph.block_count()));
-        expect_same_list(shared.candidates(b), lazy.candidates(b), b, k);
-      }
+      FrontierCache cache(graph, k);
+      EXPECT_FALSE(cache.materialized());
+      EXPECT_THROW((void)cache.candidates(0), apcc::CheckError)
+          << "an unmaterialized cache must refuse reads";
+      cache.materialize();
+      EXPECT_TRUE(cache.materialized());
+      EXPECT_EQ(cache.k(), k);
       for (cfg::BlockId b = 0; b < graph.block_count(); ++b) {
-        expect_same_list(shared.candidates(b), lazy.candidates(b), b, k);
+        expect_same_list(cache.candidates(b), per_exit_list(graph, b, k), b,
+                         k);
       }
     }
   }
@@ -100,14 +110,11 @@ TEST(FrontierCache, MaterializedSpansStayValidAcrossLaterCalls) {
 
 TEST(FrontierCache, ResidentBytesAreTheFlatArrays) {
   // One entry array holding every list and a (B+1)-entry offset table,
-  // with no slack and no lazy bookkeeping left -- materialize() frees
-  // what a lazy phase allocated: exactly what an artifact budget is
-  // charged.
+  // with no slack: exactly what an artifact budget is charged. The
+  // constructor computes nothing, so an unbuilt cache holds no bytes.
   const cfg::Cfg& graph = programs().back().cfg;
   FrontierCache cache(graph, 4);
-  (void)cache.candidates(0);  // a lazy phase: bounds and BFS scratch
-  EXPECT_GT(cache.resident_bytes(),
-            (graph.block_count() + 1) * sizeof(std::uint32_t));
+  EXPECT_EQ(cache.resident_bytes(), 0u);
   cache.materialize();
   std::uint64_t entries = 0;
   for (cfg::BlockId b = 0; b < graph.block_count(); ++b) {

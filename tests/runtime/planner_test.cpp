@@ -29,6 +29,13 @@ Policy pre_single(std::uint32_t k) {
   return p;
 }
 
+/// A materialized cache for `g` at `k`, as a planner's owner lends it.
+FrontierCache geometry(const cfg::Cfg& g, std::uint32_t k) {
+  FrontierCache cache(g, k);
+  cache.materialize();
+  return cache;
+}
+
 /// The pre-all plan computed the slow way: one frontier BFS, then one
 /// edge-distance BFS per compressed candidate, sorted by (distance, id).
 std::vector<cfg::BlockId> bfs_plan(const cfg::Cfg& g, const StateTable& states,
@@ -48,15 +55,17 @@ TEST(Planner, OnDemandPlansNothing) {
   const cfg::Cfg g = cfg::figure2_cfg();
   StateTable states = all_compressed(g);
   Policy policy;  // default on-demand
-  const DecompressionPlanner planner(g, states, policy, nullptr);
+  const DecompressionPlanner planner(g, states, policy, nullptr, nullptr);
   EXPECT_TRUE(planner.plan_on_exit(0, 0).empty());
 }
 
 TEST(Planner, PreSingleRequiresPredictor) {
   const cfg::Cfg g = cfg::figure2_cfg();
   StateTable states = all_compressed(g);
-  EXPECT_THROW(DecompressionPlanner(g, states, pre_single(2), nullptr),
-               apcc::CheckError);
+  const FrontierCache frontiers = geometry(g, 2);
+  EXPECT_THROW(
+      DecompressionPlanner(g, states, pre_single(2), nullptr, &frontiers),
+      apcc::CheckError);
 }
 
 TEST(Planner, PaperExamplePreAllFromB0) {
@@ -68,7 +77,9 @@ TEST(Planner, PaperExamplePreAllFromB0) {
   for (const cfg::BlockId b : {0u, 1u, 2u, 3u, 6u, 7u}) {
     states.set_form(b, BlockForm::kDecompressed);
   }
-  const DecompressionPlanner planner(g, states, pre_all(2), nullptr);
+  const FrontierCache frontiers = geometry(g, 2);
+  const DecompressionPlanner planner(g, states, pre_all(2), nullptr,
+                                     &frontiers);
   const auto plan = planner.plan_on_exit(0, 0);
   EXPECT_EQ(plan, (std::vector<cfg::BlockId>{4, 5, 8, 9}));
 }
@@ -80,7 +91,9 @@ TEST(Planner, PaperExamplePreSingleFromB0PicksExactlyOne) {
     states.set_form(b, BlockForm::kDecompressed);
   }
   const ProfilePredictor predictor(g, 2);
-  const DecompressionPlanner planner(g, states, pre_single(2), &predictor);
+  const FrontierCache frontiers = geometry(g, 2);
+  const DecompressionPlanner planner(g, states, pre_single(2), &predictor,
+                                     &frontiers);
   const auto plan = planner.plan_on_exit(0, 0);
   ASSERT_EQ(plan.size(), 1u) << "pre-decompress-single picks one block";
   const std::vector<cfg::BlockId> candidates = {4, 5, 8, 9};
@@ -92,7 +105,9 @@ TEST(Planner, Figure2B7PlannedAtExitOfB1WithK3) {
   // §4 / Figure 2: with k=3, B7 is decompressed at the end of B1.
   const cfg::Cfg g = cfg::figure2_cfg();
   StateTable states = all_compressed(g);
-  const DecompressionPlanner planner(g, states, pre_all(3), nullptr);
+  const FrontierCache frontiers = geometry(g, 3);
+  const DecompressionPlanner planner(g, states, pre_all(3), nullptr,
+                                     &frontiers);
   const auto plan = planner.plan_on_exit(1, 0);
   EXPECT_NE(std::find(plan.begin(), plan.end(), 7u), plan.end());
 }
@@ -100,7 +115,9 @@ TEST(Planner, Figure2B7PlannedAtExitOfB1WithK3) {
 TEST(Planner, Figure2B7NotPlannedWithK2) {
   const cfg::Cfg g = cfg::figure2_cfg();
   StateTable states = all_compressed(g);
-  const DecompressionPlanner planner(g, states, pre_all(2), nullptr);
+  const FrontierCache frontiers = geometry(g, 2);
+  const DecompressionPlanner planner(g, states, pre_all(2), nullptr,
+                                     &frontiers);
   const auto plan = planner.plan_on_exit(1, 0);
   EXPECT_EQ(std::find(plan.begin(), plan.end(), 7u), plan.end())
       << "B7 is 3 edges away; k=2 must not reach it";
@@ -111,7 +128,9 @@ TEST(Planner, AlreadyDecompressedBlocksSkipped) {
   StateTable states = all_compressed(g);
   states.set_form(1, BlockForm::kDecompressed);
   states.set_form(2, BlockForm::kDecompressing);
-  const DecompressionPlanner planner(g, states, pre_all(1), nullptr);
+  const FrontierCache frontiers = geometry(g, 1);
+  const DecompressionPlanner planner(g, states, pre_all(1), nullptr,
+                                     &frontiers);
   const auto plan = planner.plan_on_exit(0, 0);
   EXPECT_TRUE(plan.empty())
       << "both distance-1 blocks are resident or in flight";
@@ -120,7 +139,9 @@ TEST(Planner, AlreadyDecompressedBlocksSkipped) {
 TEST(Planner, RequestsOrderedNearestFirst) {
   const cfg::Cfg g = cfg::figure2_cfg();
   StateTable states = all_compressed(g);
-  const DecompressionPlanner planner(g, states, pre_all(3), nullptr);
+  const FrontierCache frontiers = geometry(g, 3);
+  const DecompressionPlanner planner(g, states, pre_all(3), nullptr,
+                                     &frontiers);
   const auto plan = planner.plan_on_exit(0, 0);
   // Distances from B0: B1/B2 = 1; B3/B4/B5/B8/B9 = 2; B6 = 3 (B7 = 3).
   ASSERT_GE(plan.size(), 3u);
@@ -137,7 +158,9 @@ TEST(Planner, RequestsOrderedNearestFirst) {
 TEST(Planner, ExitBlockPlansNothing) {
   const cfg::Cfg g = cfg::figure2_cfg();
   StateTable states = all_compressed(g);
-  const DecompressionPlanner planner(g, states, pre_all(4), nullptr);
+  const FrontierCache frontiers = geometry(g, 4);
+  const DecompressionPlanner planner(g, states, pre_all(4), nullptr,
+                                     &frontiers);
   EXPECT_TRUE(planner.plan_on_exit(9, 0).empty());
 }
 
@@ -148,7 +171,9 @@ TEST(Planner, PreSingleEmptyWhenFrontierClear) {
     states.set_form(b, BlockForm::kDecompressed);
   }
   const ProfilePredictor predictor(g, 2);
-  const DecompressionPlanner planner(g, states, pre_single(2), &predictor);
+  const FrontierCache frontiers = geometry(g, 2);
+  const DecompressionPlanner planner(g, states, pre_single(2), &predictor,
+                                     &frontiers);
   EXPECT_TRUE(planner.plan_on_exit(0, 0).empty());
 }
 
@@ -166,7 +191,9 @@ TEST(Planner, SelfCycleSortsAtCycleLengthNotZero) {
   g.add_edge(1, 0, cfg::EdgeKind::kJump);
   g.normalize_probabilities();
   StateTable states = all_compressed(g);
-  const DecompressionPlanner planner(g, states, pre_all(2), nullptr);
+  const FrontierCache frontiers = geometry(g, 2);
+  const DecompressionPlanner planner(g, states, pre_all(2), nullptr,
+                                     &frontiers);
   const std::vector<cfg::BlockId> expected{1, 2, 0};
   EXPECT_EQ(planner.plan_on_exit(0, 0), expected);
   EXPECT_EQ(bfs_plan(g, states, 0, 2), expected);
@@ -185,7 +212,9 @@ TEST(Planner, SelfLoopSortsAtDistanceOne) {
   g.add_edge(1, 2, cfg::EdgeKind::kJump);
   g.normalize_probabilities();
   StateTable states = all_compressed(g);
-  const DecompressionPlanner planner(g, states, pre_all(1), nullptr);
+  const FrontierCache frontiers = geometry(g, 1);
+  const DecompressionPlanner planner(g, states, pre_all(1), nullptr,
+                                     &frontiers);
   const std::vector<cfg::BlockId> expected{0, 1, 2};
   EXPECT_EQ(planner.plan_on_exit(1, 0), expected);
   EXPECT_EQ(bfs_plan(g, states, 1, 1), expected);
@@ -209,36 +238,11 @@ TEST(Planner, MemoizedMatchesReferenceAcrossFormsAndK) {
             default: break;  // compressed
           }
         }
-        const DecompressionPlanner memoized(g, states, pre_all(k), nullptr);
+        const FrontierCache frontiers = geometry(g, k);
+        const DecompressionPlanner memoized(g, states, pre_all(k), nullptr,
+                                            &frontiers);
         for (cfg::BlockId b = 0; b < g.block_count(); ++b) {
           EXPECT_EQ(memoized.plan_on_exit(b, 0), bfs_plan(g, states, b, k))
-              << "exit block " << b << " k " << k << " pattern " << pattern;
-        }
-      }
-    }
-  }
-}
-
-TEST(Planner, BorrowedGeometryMatchesOwnedExactly) {
-  // Service cells borrow one materialized (CFG, k) FrontierCache
-  // instead of owning one; the plans must be identical for every exit
-  // block and a spread of dynamic forms.
-  for (const cfg::Cfg& g : {cfg::figure2_cfg(), cfg::figure5_cfg()}) {
-    for (const std::uint32_t k : {1u, 2u, 4u}) {
-      FrontierCache shared(g, k);
-      shared.materialize();
-      for (const unsigned pattern : {0u, 1u, 2u}) {
-        StateTable states(g.block_count());
-        for (cfg::BlockId b = 0; b < g.block_count(); ++b) {
-          if ((b + pattern) % 3 == 1) {
-            states.set_form(b, BlockForm::kDecompressed);
-          }
-        }
-        const DecompressionPlanner owned(g, states, pre_all(k), nullptr);
-        const DecompressionPlanner borrowed(g, states, pre_all(k), nullptr,
-                                            &shared);
-        for (cfg::BlockId b = 0; b < g.block_count(); ++b) {
-          EXPECT_EQ(borrowed.plan_on_exit(b, 0), owned.plan_on_exit(b, 0))
               << "exit block " << b << " k " << k << " pattern " << pattern;
         }
       }
@@ -254,11 +258,13 @@ TEST(Planner, BorrowedGeometryMustMatchKeyAndBeMaterialized) {
   EXPECT_THROW(DecompressionPlanner(g, states, pre_all(2), nullptr, &wrong_k),
                apcc::CheckError)
       << "borrowing k=3 geometry for a k=2 policy must be rejected";
-  FrontierCache lazy(g, 2);
-  EXPECT_THROW(
-      DecompressionPlanner(g, states, pre_all(2), nullptr, &lazy),
-      apcc::CheckError)
-      << "a lazily-filled cache is mutable and must not be shared";
+  const FrontierCache unbuilt(g, 2);
+  EXPECT_THROW(DecompressionPlanner(g, states, pre_all(2), nullptr, &unbuilt),
+               apcc::CheckError)
+      << "a cache that was never materialized holds no lists";
+  EXPECT_THROW(DecompressionPlanner(g, states, pre_all(2), nullptr, nullptr),
+               apcc::CheckError)
+      << "a planning strategy needs geometry";
   const cfg::Cfg other = cfg::figure5_cfg();
   FrontierCache other_cfg(other, 2);
   other_cfg.materialize();
@@ -272,7 +278,9 @@ TEST(Planner, MemoizedSeesFormChangesBetweenExits) {
   // state changes made after construction.
   const cfg::Cfg g = cfg::figure2_cfg();
   StateTable states = all_compressed(g);
-  const DecompressionPlanner planner(g, states, pre_all(2), nullptr);
+  const FrontierCache frontiers = geometry(g, 2);
+  const DecompressionPlanner planner(g, states, pre_all(2), nullptr,
+                                     &frontiers);
   const auto before = planner.plan_on_exit(0, 0);
   ASSERT_FALSE(before.empty());
   for (const cfg::BlockId b : before) {

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "cfg/paper_graphs.hpp"
+#include "runtime/frontier_cache.hpp"
 #include "runtime/predictor.hpp"
 #include "workloads/random_program.hpp"
 #include "workloads/suite.hpp"
@@ -106,50 +108,70 @@ TEST(ProfilePredictor, EmptyCandidatesThrow) {
 TEST(StaticPredictor, PrefersDeeperLoops) {
   // figure1: B3/B4 form the inner loop; B5 is on the outer loop only.
   const cfg::Cfg g = cfg::figure1_cfg();
-  const StaticPredictor p(g, 2);
+  const StaticPredictor p(g);
   EXPECT_EQ(p.predict(3, {4, 5}, 0), 4u)
       << "B4 sits in the deeper (inner) loop";
 }
 
 TEST(StaticPredictor, TieBreaksByDistanceThenId) {
   const cfg::Cfg g = cfg::figure2_cfg();  // acyclic: all depths 0
-  const StaticPredictor p(g, 3);
+  const StaticPredictor p(g);
   // From B0: B1/B2 at distance 1, B3..B5 at 2 -> nearest wins.
   EXPECT_EQ(p.predict(0, {1, 3}, 0), 1u);
   // Equal depth and distance -> lowest id.
   EXPECT_EQ(p.predict(0, {1, 2}, 0), 1u);
 }
 
-TEST(StaticPredictor, BorrowedGeometryPredictsIdenticallyToOwned) {
-  // Campaign engines hand the static predictor the same materialized
-  // (CFG, k) cache their planner borrows; predictions must not change.
-  for (const cfg::Cfg& g : {cfg::figure1_cfg(), cfg::figure2_cfg()}) {
-    for (const std::uint32_t k : {1u, 2u, 3u}) {
-      FrontierCache shared(g, k);
-      shared.materialize();
-      const StaticPredictor owned(g, k);
-      const StaticPredictor borrowed(g, k, &shared);
+TEST(StaticPredictor, PlannerOrderPicksDeepestThenNearestThenLowestId) {
+  // The predictor reads only loop depth: it relies on the planner
+  // handing it candidates in (distance, id) order. Fed subsets of that
+  // order, it must pick what the full ranking picks -- the minimum of
+  // (-loop depth, edge_distance, id), the distance from an independent
+  // BFS -- on every suite kernel and two random programs.
+  std::vector<workloads::Workload> programs;
+  for (const auto kind : workloads::all_workload_kinds()) {
+    programs.push_back(workloads::make_workload(kind));
+  }
+  for (const std::uint64_t seed : {3u, 11u}) {
+    workloads::RandomProgramOptions options;
+    options.seed = seed;
+    programs.push_back(workloads::make_random_workload(options));
+  }
+  for (const workloads::Workload& w : programs) {
+    const cfg::Cfg& g = w.cfg;
+    const std::vector<unsigned> depth = cfg::loop_depths(g);
+    const StaticPredictor p(g);
+    for (const unsigned k : {1u, 2u, 4u, 8u}) {
+      FrontierCache frontiers(g, k);
+      frontiers.materialize();
       for (cfg::BlockId from = 0; from < g.block_count(); ++from) {
-        std::vector<cfg::BlockId> candidates;
-        for (const auto& entry : shared.candidates(from)) {
-          candidates.push_back(entry.block);
+        std::vector<cfg::BlockId> ordered;
+        for (const cfg::FrontierEntry& e : frontiers.candidates(from)) {
+          ordered.push_back(e.block);
         }
-        if (candidates.empty()) continue;
-        EXPECT_EQ(borrowed.predict(from, candidates, 0),
-                  owned.predict(from, candidates, 0))
-            << "from block " << from << " k " << k;
+        // The whole frontier and two thinned copies, order kept.
+        std::vector<std::vector<cfg::BlockId>> subsets = {ordered, {}, {}};
+        for (std::size_t i = 0; i < ordered.size(); ++i) {
+          subsets[1 + i % 2].push_back(ordered[i]);
+        }
+        for (const auto& candidates : subsets) {
+          if (candidates.empty()) continue;
+          const auto rank = [&](cfg::BlockId b) {
+            return std::tuple(-static_cast<long>(depth[b]),
+                              cfg::edge_distance(g, from, b).value(), b);
+          };
+          const cfg::BlockId want = *std::min_element(
+              candidates.begin(), candidates.end(),
+              [&](cfg::BlockId a, cfg::BlockId b) {
+                return rank(a) < rank(b);
+              });
+          EXPECT_EQ(p.predict(from, candidates, 0), want)
+              << "from block " << from << " k " << k << " over "
+              << candidates.size() << " candidates";
+        }
       }
     }
   }
-}
-
-TEST(StaticPredictor, BorrowedGeometryMustMatchKeyAndBeMaterialized) {
-  const cfg::Cfg g = cfg::figure2_cfg();
-  FrontierCache wrong_k(g, 3);
-  wrong_k.materialize();
-  EXPECT_THROW(StaticPredictor(g, 2, &wrong_k), apcc::CheckError);
-  FrontierCache lazy(g, 2);
-  EXPECT_THROW(StaticPredictor(g, 2, &lazy), apcc::CheckError);
 }
 
 TEST(OraclePredictor, PicksNextReachableBeyondTheImmediateSuccessor) {

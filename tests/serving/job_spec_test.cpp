@@ -278,6 +278,11 @@ TEST(JobSpec, EngineKnobsOutOfRangeAreRejectedAtSubmit) {
   no_units.config.policy.decompress_units = 0;
   EXPECT_NE(submit_error(fx.service, no_units).find("units out of range"),
             std::string::npos);
+  JobSpec deep_kd = run_spec("crc-like");
+  deep_kd.config.policy.predecompress_k = 65;
+  EXPECT_NE(submit_error(fx.service, deep_kd)
+                .find("kd out of range: 65 (expected at most 64)"),
+            std::string::npos);
   JobSpec slow_task = sweep_spec("crc-like", test_grid());
   slow_task.tasks[1].config.costs.cycles_per_instruction = -1;
   const std::string message = submit_error(fx.service, slow_task);
@@ -286,9 +291,12 @@ TEST(JobSpec, EngineKnobsOutOfRangeAreRejectedAtSubmit) {
             std::string::npos)
       << message;
 
-  // A job with every knob at its bound runs.
+  // A job with every knob at its bound runs, kd's under the profile
+  // predictor that pays for it.
   core::SystemConfig edge;
   edge.policy.compress_k = 1;
+  edge.policy.strategy = runtime::DecompressionStrategy::kPreSingle;
+  edge.policy.predecompress_k = 64;
   edge.policy.decompress_units = 64;
   edge.costs.cycles_per_instruction = 65536;
   edge.costs.exception_cycles = 4294967295;

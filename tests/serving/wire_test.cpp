@@ -505,6 +505,8 @@ TEST(Wire, EngineKnobsOutOfRangeAreRejectedAtTheHeader) {
       {"policy units=65", "units out of range"},
       {"policy units=0", "units out of range"},
       {"policy kc=0", "kc out of range"},
+      {"policy kd=65", "kd out of range: 65 (expected at most 64)"},
+      {"policy kd=4294967295", "kd out of range"},
   };
   for (const auto& [line, needle] : cases) {
     SCOPED_TRACE(line);
@@ -522,12 +524,13 @@ TEST(Wire, EngineKnobsOutOfRangeAreRejectedAtTheHeader) {
   const JobSpec edge = parse_job(
       kJobLine +
       "kind sweep\nworkload x\n"
-      "policy kc=1 units=64\n"
+      "policy kc=1 kd=64 units=64\n"
       "costs cpi=65536 exception=4294967295 patch=4294967295 "
       "unpatch=4294967295 delete=4294967295 alloc=4294967295 "
       "dispatch=4294967295\n"
       "task label=t cpi=0 units=1\nend\n");
   EXPECT_EQ(edge.config.policy.decompress_units, 64u);
+  EXPECT_EQ(edge.config.policy.predecompress_k, 64u);
   EXPECT_EQ(edge.tasks.at(0).config.costs.exception_cycles, 4294967295u);
 }
 

@@ -3,20 +3,20 @@
 // The reference is the naive oracle in tests/oracle: a simulator written
 // from the paper's rules that shares none of the engine's stepping code
 // (no indexed state, ready-event heap, resident-id list, frontier cache,
-// k-edge manager or planner). Each config runs through the engine with
-// owned geometry and with a borrowed shared materialized FrontierCache
-// (EngineConfig::shared_frontiers), and both must match the oracle's
-// RunResult and event stream bit for bit, so any divergence in settle
-// order, victim tie-breaking, k-edge bookkeeping, planner request order,
-// or borrowed-vs-owned geometry fails loudly.
-// Every mode runs as a width-1 BatchEngine -- the per-cell run, whose
-// lone planner owns lazy geometry. The batched axis: BatchEngine steps
-// N cells in lockstep over one trace scan, and every cell must still be
-// bit-identical to its own width-1 run -- at batch sizes {1, 4, 16} (or
-// the single size named by APCC_EQ_BATCH_CELLS, which is how CI gates
-// the batched path at 16 explicitly), with heterogeneous
-// owned/borrowed-geometry cells mixed in one batch (owned cells that
-// share a k get batch-level materialized geometry).
+// k-edge manager or planner). Each config runs through the engine twice:
+// with the frontier cache BatchEngine builds for the cell's k, and with
+// a caller-lent materialized FrontierCache (EngineConfig::
+// shared_frontiers, as the Service lends its cached artifact). Both must
+// match the oracle's RunResult and event stream bit for bit, so any
+// divergence in settle order, victim tie-breaking, k-edge bookkeeping,
+// planner request order, or either geometry source fails loudly.
+// Every mode runs as a width-1 BatchEngine -- the per-cell run. The
+// batched axis: BatchEngine steps N cells in lockstep over one trace
+// scan, and every cell must still be bit-identical to its own width-1
+// run -- at batch sizes {1, 4, 16} (or the single size named by
+// APCC_EQ_BATCH_CELLS, which is how CI gates the batched path at 16
+// explicitly), with engine-built and caller-lent geometry cells mixed in
+// one batch.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -48,7 +48,7 @@ const workloads::Workload& workload() {
 
 // The Service's geometry key is (CFG, predecompress_k); the grid below
 // fixes predecompress_k = 2, so one materialized cache serves every
-// borrowed-geometry engine in this suite -- exactly how the Service
+// caller-lent-geometry engine in this suite -- exactly how the Service
 // shares it.
 const runtime::FrontierCache& shared_frontiers() {
   static const auto* cache = [] {
@@ -73,8 +73,8 @@ const runtime::BlockImage& image() {
 class EngineEquivalenceTest : public ::testing::TestWithParam<GridParam> {
  protected:
   enum class Mode {
-    kOwnedGeometry,     // the planner's own lazy FrontierCache
-    kBorrowedGeometry,  // a borrowed shared materialized FrontierCache
+    kEngineGeometry,  // the cache BatchEngine builds for the cell's k
+    kLentGeometry,    // a caller-lent materialized FrontierCache
   };
 
   static EngineConfig config_for(const GridParam& p, Mode mode) {
@@ -93,7 +93,7 @@ class EngineEquivalenceTest : public ::testing::TestWithParam<GridParam> {
       }
       config.policy.memory_budget = largest * 3 + 32;
     }
-    if (mode == Mode::kBorrowedGeometry) {
+    if (mode == Mode::kLentGeometry) {
       config.shared_frontiers = &shared_frontiers();
     }
     return config;
@@ -111,7 +111,7 @@ class EngineEquivalenceTest : public ::testing::TestWithParam<GridParam> {
   Capture run_oracle() {
     oracle::OracleRun o = oracle::run_oracle(
         workload().cfg, image(), workload().trace,
-        config_for(GetParam(), Mode::kOwnedGeometry));
+        config_for(GetParam(), Mode::kEngineGeometry));
     return Capture{o.result, std::move(o.events)};
   }
 
@@ -125,9 +125,10 @@ class EngineEquivalenceTest : public ::testing::TestWithParam<GridParam> {
 
 TEST_P(EngineEquivalenceTest, IndexedMatchesReferenceBitExactly) {
   const Capture want = run_oracle();
-  expect_same(want, run(Mode::kOwnedGeometry), "oracle vs owned geometry");
-  expect_same(want, run(Mode::kBorrowedGeometry),
-              "oracle vs borrowed geometry");
+  expect_same(want, run(Mode::kEngineGeometry),
+              "oracle vs engine-built geometry");
+  expect_same(want, run(Mode::kLentGeometry),
+              "oracle vs caller-lent geometry");
 }
 
 // The batch widths the lockstep test sweeps. APCC_EQ_BATCH_CELLS=N
@@ -142,12 +143,11 @@ std::vector<std::size_t> batch_widths() {
 }
 
 TEST_P(EngineEquivalenceTest, BatchedMatchesPerEngineBitExactly) {
-  // Width-1 references for the two cell flavours the batch mixes: owned
-  // geometry (BatchEngine injects its own materialized frontier cache
-  // once two cells share the k) and borrowed Service geometry
-  // (shared_frontiers preset).
-  const Capture owned = run(Mode::kOwnedGeometry);
-  const Capture borrowed = run(Mode::kBorrowedGeometry);
+  // Width-1 references for the two cell flavours the batch mixes:
+  // engine-built geometry (one cache per k for the whole batch) and
+  // caller-lent Service geometry (shared_frontiers preset).
+  const Capture engine_built = run(Mode::kEngineGeometry);
+  const Capture lent = run(Mode::kLentGeometry);
 
   for (const std::size_t width : batch_widths()) {
     SCOPED_TRACE("batch width " + std::to_string(width));
@@ -156,7 +156,7 @@ TEST_P(EngineEquivalenceTest, BatchedMatchesPerEngineBitExactly) {
     for (std::size_t i = 0; i < width; ++i) {
       configs.push_back(config_for(
           GetParam(),
-          i % 2 == 0 ? Mode::kOwnedGeometry : Mode::kBorrowedGeometry));
+          i % 2 == 0 ? Mode::kEngineGeometry : Mode::kLentGeometry));
     }
     BatchEngine engine(workload().cfg, image(), std::move(configs));
     std::vector<Capture> cells(width);
@@ -171,7 +171,7 @@ TEST_P(EngineEquivalenceTest, BatchedMatchesPerEngineBitExactly) {
       SCOPED_TRACE("cell " + std::to_string(i));
       ASSERT_TRUE(outcomes[i].ok());
       cells[i].result = outcomes[i].result;
-      expect_same(i % 2 == 0 ? owned : borrowed, cells[i],
+      expect_same(i % 2 == 0 ? engine_built : lent, cells[i],
                   "batched vs width-1");
     }
   }

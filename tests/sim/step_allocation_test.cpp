@@ -1,8 +1,9 @@
 // The engine step's allocation contract: once a run is set up, stepping
-// the trace does no heap allocation. Setup -- the state plane, each
-// block's lazily computed frontier and predictor ranking, the recycled
-// index and allocator nodes, the reused per-exit buffers -- may
-// allocate, but in proportion to the CFG, not to the trace.
+// the trace does no heap allocation. Setup -- the state plane, the
+// materialized frontier cache, each block's lazily computed predictor
+// ranking, the recycled index and allocator nodes, the reused per-exit
+// buffers -- may allocate, but in proportion to the CFG, not to the
+// trace.
 //
 // This file replaces the global operator new with a counting one (for
 // the whole apcc_sim_tests binary; it only counts, then defers to
