@@ -42,20 +42,22 @@ struct AllocatorStats {
   }
 };
 
-/// Byte-granular allocator over [0, capacity) with 4-byte alignment and
-/// free-run coalescing. Addresses are offsets within the managed region.
-/// Free runs and live allocations are flat vectors sorted by address:
-/// the area holds only the few resident copies, and there are at most
-/// live allocations + 1 free runs, so placement scans the free runs and
-/// release binary-searches both vectors and coalesces in place. Once the
-/// vectors have grown to their peak size, allocate() and release() do no
-/// heap allocation.
+/// Byte-granular allocator over [0, capacity) with 4-byte alignment.
+/// Addresses are offsets within the managed region. It keeps one flat
+/// vector of the live allocations, sorted by address; the free runs are
+/// the gaps between them and the region's two ends, so they are never
+/// stored and never need coalescing. The area holds only the few
+/// resident copies, so placement is one scan of the gaps and release is
+/// one binary search and one erase. Once the vector has grown to its
+/// peak size, allocate() and release() do no heap allocation.
 class FreeListAllocator {
  public:
   explicit FreeListAllocator(std::uint64_t capacity,
                              FitPolicy policy = FitPolicy::kFirstFit);
 
-  /// Allocate `size` bytes; nullopt when no free run fits.
+  /// Allocate `size` bytes; nullopt when no free run fits. First fit
+  /// takes the lowest fitting run; best fit the smallest, ties to the
+  /// lowest address.
   [[nodiscard]] std::optional<std::uint64_t> allocate(std::uint64_t size);
 
   /// Release an allocation previously returned by allocate().
@@ -68,22 +70,21 @@ class FreeListAllocator {
   [[nodiscard]] std::uint64_t used_bytes() const { return used_; }
   [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
 
-  /// Internal consistency check (free runs sorted, disjoint, coalesced).
+  /// Internal consistency check (live allocations sorted, disjoint,
+  /// inside the region, and summing to the used bytes).
   void validate() const;
 
  private:
   static constexpr std::uint64_t kAlignment = 4;
 
-  struct Run {
+  struct Allocation {
     std::uint64_t address;
     std::uint64_t size;
   };
-  using Runs = std::vector<Run>;  // sorted by address, disjoint
 
   std::uint64_t capacity_;
   FitPolicy policy_;
-  Runs free_runs_;
-  Runs allocations_;
+  std::vector<Allocation> live_;  // sorted by address, disjoint
   std::uint64_t used_ = 0;
   std::uint64_t total_allocations_ = 0;
   std::uint64_t failed_allocations_ = 0;

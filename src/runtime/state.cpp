@@ -17,15 +17,32 @@ const char* block_form_name(BlockForm f) {
 
 namespace detail {
 
-bool PatchSet::contains(cfg::BlockId pred) const {
-  return std::binary_search(sorted.begin(), sorted.end(), pred);
+void RememberPool::add(cfg::BlockId block, cfg::BlockId pred) {
+  std::uint32_t tail = RememberSet::kEnd;
+  for (std::uint32_t at = head_[block]; at != RememberSet::kEnd;
+       at = nodes_[at].next) {
+    if (nodes_[at].pred == pred) return;
+    tail = at;
+  }
+  std::uint32_t node = free_;
+  if (node != RememberSet::kEnd) {
+    free_ = nodes_[node].next;
+    nodes_[node] = {pred, RememberSet::kEnd};
+  } else {
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back({pred, RememberSet::kEnd});
+  }
+  (tail == RememberSet::kEnd ? head_[block] : nodes_[tail].next) = node;
 }
 
-void PatchSet::add(cfg::BlockId pred) {
-  const auto it = std::lower_bound(sorted.begin(), sorted.end(), pred);
-  if (it != sorted.end() && *it == pred) return;
-  sorted.insert(it, pred);
-  order.push_back(pred);
+void RememberPool::clear(cfg::BlockId block) {
+  const std::uint32_t head = head_[block];
+  if (head == RememberSet::kEnd) return;
+  std::uint32_t tail = head;
+  while (nodes_[tail].next != RememberSet::kEnd) tail = nodes_[tail].next;
+  nodes_[tail].next = free_;
+  free_ = head;
+  head_[block] = RememberSet::kEnd;
 }
 
 }  // namespace detail
@@ -40,7 +57,6 @@ StateBatch::StateBatch(std::size_t block_count, std::size_t cell_count)
       last_use_(block_count * cell_count, 0),
       kedge_(block_count * cell_count, 0),
       sizes_(block_count * cell_count, 0),
-      patches_(block_count * cell_count),
       views_(cell_count) {
   APCC_CHECK(cell_count > 0, "state batch needs at least one cell");
 }
@@ -58,7 +74,8 @@ StateTable::StateTable(std::size_t block_count)
       batch_(owned_.get()),
       base_(0),
       blocks_(block_count),
-      decomp_pos_(block_count, kNotInList) {
+      decomp_pos_(block_count, kNotInList),
+      remember_(block_count) {
   form_counts_[static_cast<std::size_t>(BlockForm::kCompressed)] = block_count;
 }
 
@@ -66,7 +83,8 @@ StateTable::StateTable(StateBatch& batch, std::size_t cell)
     : batch_(&batch),
       base_(cell * batch.blocks_),
       blocks_(batch.blocks_),
-      decomp_pos_(batch.blocks_, kNotInList) {
+      decomp_pos_(batch.blocks_, kNotInList),
+      remember_(batch.blocks_) {
   form_counts_[static_cast<std::size_t>(BlockForm::kCompressed)] = blocks_;
 }
 

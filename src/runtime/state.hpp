@@ -7,13 +7,16 @@
 // branch sites.
 //
 // Storage is a structure-of-arrays plane, StateBatch: one parallel
-// array per field, cell-major, so N grid cells stepping over the same
-// trace share one allocation and keep each field's lane contiguous.
-// StateTable is the *cell view* over one lane of that plane -- the
-// interface every policy-side consumer (engine step logic, k-edge
-// manager, planner, predictors) programs against. A standalone
+// array per fixed-size field, cell-major, so N grid cells stepping over
+// the same trace share one allocation and keep each field's lane
+// contiguous. StateTable is the *cell view* over one lane of that plane
+// -- the interface every policy-side consumer (engine step logic,
+// k-edge manager, planner, predictors) programs against. A standalone
 // `StateTable(block_count)` owns a private single-cell batch, the same
-// code as a batch with N == 1.
+// code as a batch with N == 1. The remember sets, which vary in length,
+// are not in the plane: each view keeps its cell's sets as one linked
+// list per block over one node pool, so a run allocates for them in
+// proportion to its peak patch count, never per block.
 //
 // The view keeps the set of decompressed blocks -- the resident set, a
 // handful of copies under k-edge deletion -- as a dense id list, so the
@@ -25,7 +28,9 @@
 // StateTable::set_form / touch / set_executing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
@@ -47,23 +52,89 @@ enum class BlockForm : std::uint8_t {
 class StateTable;
 class StateBatch;
 
-namespace detail {
-
-/// Remember set of one (cell, block): predecessor blocks whose branch to
+/// One block's remember set: the predecessor blocks whose branch to
 /// this block has been patched to target the decompressed copy directly
 /// (paper §5), in patch order (unpatch events replay it in that order).
-/// A sorted mirror backs contains(), so membership tests are O(log n)
-/// instead of a linear scan.
-struct PatchSet {
-  std::vector<cfg::BlockId> order;   // insertion (patch) order
-  std::vector<cfg::BlockId> sorted;  // sorted mirror for lookup
+/// A view into its cell's node pool, valid until the cell's remember
+/// sets next change. Sets hold a handful of entries, so membership and
+/// size() walk the list.
+class RememberSet {
+ public:
+  static constexpr std::uint32_t kEnd = UINT32_MAX;
 
-  [[nodiscard]] bool contains(cfg::BlockId pred) const;
-  void add(cfg::BlockId pred);
-  void clear() {
-    order.clear();
-    sorted.clear();
+  struct Node {
+    cfg::BlockId pred;
+    std::uint32_t next;  // next node of the list, kEnd after the last
+  };
+
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = cfg::BlockId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const cfg::BlockId*;
+    using reference = cfg::BlockId;
+
+    iterator() = default;
+    iterator(std::uint32_t at, const Node* nodes) : at_(at), nodes_(nodes) {}
+
+    cfg::BlockId operator*() const { return nodes_[at_].pred; }
+    iterator& operator++() {
+      at_ = nodes_[at_].next;
+      return *this;
+    }
+    iterator operator++(int) {
+      const iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const iterator& other) const { return at_ == other.at_; }
+
+   private:
+    std::uint32_t at_ = kEnd;
+    const Node* nodes_ = nullptr;
+  };
+
+  RememberSet(std::uint32_t head, const Node* nodes)
+      : head_(head), nodes_(nodes) {}
+
+  [[nodiscard]] iterator begin() const { return {head_, nodes_}; }
+  [[nodiscard]] iterator end() const { return {kEnd, nodes_}; }
+  [[nodiscard]] bool empty() const { return head_ == kEnd; }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(std::distance(begin(), end()));
   }
+  [[nodiscard]] bool contains(cfg::BlockId pred) const {
+    return std::find(begin(), end(), pred) != end();
+  }
+
+ private:
+  std::uint32_t head_;
+  const Node* nodes_;
+};
+
+namespace detail {
+
+/// The remember sets of one cell: one list per block, threaded through
+/// one node pool. clear() hands a block's nodes to the pool's free list,
+/// so once the pool has grown to the cell's peak patch count, adding and
+/// clearing do no heap allocation.
+class RememberPool {
+ public:
+  explicit RememberPool(std::size_t block_count)
+      : head_(block_count, RememberSet::kEnd) {}
+
+  [[nodiscard]] RememberSet set(cfg::BlockId block) const {
+    return RememberSet(head_[block], nodes_.data());
+  }
+  /// Append `pred` to `block`'s set unless it is already a member.
+  void add(cfg::BlockId block, cfg::BlockId pred);
+  void clear(cfg::BlockId block);
+
+ private:
+  std::vector<std::uint32_t> head_;  // first node per block
+  std::vector<RememberSet::Node> nodes_;
+  std::uint32_t free_ = RememberSet::kEnd;  // free-list head
 };
 
 }  // namespace detail
@@ -82,34 +153,36 @@ class BlockRef {
   [[nodiscard]] std::uint64_t last_use_time() const { return last_use_time_; }
   [[nodiscard]] bool executing() const { return executing_ != 0; }
 
-  /// Remember set in patch order; see detail::PatchSet.
-  [[nodiscard]] const std::vector<cfg::BlockId>& remember_set() const {
-    return patches_.order;
+  /// Remember set in patch order; see RememberSet.
+  [[nodiscard]] RememberSet remember_set() const {
+    return remember_.set(id_);
   }
   [[nodiscard]] bool is_patched_for(cfg::BlockId pred) const {
-    return patches_.contains(pred);
+    return remember_set().contains(pred);
   }
-  void add_patch(cfg::BlockId pred) { patches_.add(pred); }
-  void clear_patches() { patches_.clear(); }
+  void add_patch(cfg::BlockId pred) { remember_.add(id_, pred); }
+  void clear_patches() { remember_.clear(id_); }
 
  private:
   friend class StateTable;
   BlockRef(std::uint64_t& address_in, std::uint64_t& ready_time_in,
            std::uint32_t& kedge_in, const BlockForm& form_in,
            const std::uint64_t& last_use_in, const std::uint8_t& executing_in,
-           detail::PatchSet& patches_in)
+           detail::RememberPool& remember_in, cfg::BlockId id_in)
       : address(address_in),
         ready_time(ready_time_in),
         kedge_counter(kedge_in),
         form_(form_in),
         last_use_time_(last_use_in),
         executing_(executing_in),
-        patches_(patches_in) {}
+        remember_(remember_in),
+        id_(id_in) {}
 
   const BlockForm& form_;
   const std::uint64_t& last_use_time_;
   const std::uint8_t& executing_;  // pinned: never delete mid-execution
-  detail::PatchSet& patches_;
+  detail::RememberPool& remember_;
+  cfg::BlockId id_;
 };
 
 /// Read-only counterpart of BlockRef.
@@ -122,11 +195,11 @@ class ConstBlockRef {
   [[nodiscard]] BlockForm form() const { return form_; }
   [[nodiscard]] std::uint64_t last_use_time() const { return last_use_time_; }
   [[nodiscard]] bool executing() const { return executing_ != 0; }
-  [[nodiscard]] const std::vector<cfg::BlockId>& remember_set() const {
-    return patches_.order;
+  [[nodiscard]] RememberSet remember_set() const {
+    return remember_.set(id_);
   }
   [[nodiscard]] bool is_patched_for(cfg::BlockId pred) const {
-    return patches_.contains(pred);
+    return remember_set().contains(pred);
   }
 
  private:
@@ -136,19 +209,21 @@ class ConstBlockRef {
                 const std::uint32_t& kedge_in, const BlockForm& form_in,
                 const std::uint64_t& last_use_in,
                 const std::uint8_t& executing_in,
-                const detail::PatchSet& patches_in)
+                const detail::RememberPool& remember_in, cfg::BlockId id_in)
       : address(address_in),
         ready_time(ready_time_in),
         kedge_counter(kedge_in),
         form_(form_in),
         last_use_time_(last_use_in),
         executing_(executing_in),
-        patches_(patches_in) {}
+        remember_(remember_in),
+        id_(id_in) {}
 
   const BlockForm& form_;
   const std::uint64_t& last_use_time_;
   const std::uint8_t& executing_;
-  const detail::PatchSet& patches_;
+  const detail::RememberPool& remember_;
+  cfg::BlockId id_;
 };
 
 /// The cell view: per-block dynamic state of one cell plus aggregate
@@ -228,6 +303,7 @@ class StateTable {
   std::vector<std::uint32_t> decomp_pos_;   // position in decomp_list_
   std::vector<cfg::BlockId> decomp_list_;   // dense decompressed-id list
   std::size_t form_counts_[3] = {0, 0, 0};
+  detail::RememberPool remember_;
 };
 
 /// Structure-of-arrays state plane for `cell_count` cells over the same
@@ -265,7 +341,6 @@ class StateBatch {
   std::vector<std::uint64_t> last_use_;
   std::vector<std::uint32_t> kedge_;
   std::vector<std::uint64_t> sizes_;  // largest-victim key per (cell, block)
-  std::vector<detail::PatchSet> patches_;
   std::vector<std::unique_ptr<StateTable>> views_;  // lazy, stable
 };
 
@@ -277,7 +352,7 @@ inline BlockRef StateTable::operator[](cfg::BlockId id) {
   const std::size_t i = at(id);
   return BlockRef(batch_->address_[i], batch_->ready_time_[i],
                   batch_->kedge_[i], batch_->form_[i], batch_->last_use_[i],
-                  batch_->executing_[i], batch_->patches_[i]);
+                  batch_->executing_[i], remember_, id);
 }
 
 inline ConstBlockRef StateTable::operator[](cfg::BlockId id) const {
@@ -285,8 +360,8 @@ inline ConstBlockRef StateTable::operator[](cfg::BlockId id) const {
   const std::size_t i = at(id);
   return ConstBlockRef(batch_->address_[i], batch_->ready_time_[i],
                        batch_->kedge_[i], batch_->form_[i],
-                       batch_->last_use_[i], batch_->executing_[i],
-                       batch_->patches_[i]);
+                       batch_->last_use_[i], batch_->executing_[i], remember_,
+                       id);
 }
 
 inline bool StateTable::eligible(cfg::BlockId id, cfg::BlockId protect) const {

@@ -77,6 +77,10 @@ Service::Service(ServiceOptions options)
                  std::to_string(limits_.default_deadline_ms) +
                  " ms (expected at most " +
                  std::to_string(JobSpec::kMaxDeadlineMs) + ")");
+  APCC_CHECK(options.workers <= ServiceOptions::kMaxWorkers,
+             "pool width out of range: " + std::to_string(options.workers) +
+                 " workers (expected at most " +
+                 std::to_string(ServiceOptions::kMaxWorkers) + ")");
   unsigned workers = options.workers != 0
                          ? options.workers
                          : std::thread::hardware_concurrency();

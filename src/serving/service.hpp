@@ -99,9 +99,13 @@ struct ServiceLimits {
 };
 
 struct ServiceOptions {
+  /// Largest resident pool width: the pool starts one thread per worker.
+  static constexpr unsigned kMaxWorkers = 1024;
+
   /// Resident pool width; 0 means hardware concurrency (clamped to at
   /// least 1). Unlike the one-shot runners, 1 still means one resident
-  /// worker *thread* -- submit() never runs work inline.
+  /// worker *thread* -- submit() never runs work inline. At most
+  /// kMaxWorkers; the constructor throws CheckError above.
   unsigned workers = 0;
   ServiceLimits limits;
   /// Byte ceiling for the resident artifact cache (see cache.hpp); 0 --

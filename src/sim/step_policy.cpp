@@ -125,12 +125,13 @@ void StepPolicy::delete_block(EngineCell& c, cfg::BlockId block,
   // Cost: metadata delete + one unpatch per remember-set entry, plus the
   // real codec compression time under the recompress_for_real ablation.
   std::uint64_t cost = c.config.costs.delete_block_cycles;
-  const auto patches = static_cast<std::uint64_t>(s.remember_set().size());
   if (c.config.policy.use_remember_sets) {
-    cost += patches * c.config.costs.unpatch_branch_cycles;
+    std::uint64_t patches = 0;
     for (const cfg::BlockId pred : s.remember_set()) {
       emit(c, EventKind::kUnpatch, c.now, block, pred);
+      ++patches;
     }
+    cost += patches * c.config.costs.unpatch_branch_cycles;
     c.result.unpatches += patches;
   }
   if (c.config.policy.recompress_for_real) {

@@ -256,6 +256,8 @@ TEST(CliSmoke, NumericFlagsRejectNegativeAndOutOfRangeValues) {
   // A value the flag's setting cannot hold is a usage error naming the
   // flag, never a wrapped number: --kc -1 would otherwise run with
   // k = 4294967295, --kc 4294967298 as k = 2, and --budget -1 unbounded.
+  // So is one above the setting's own maximum: --workers 4000000000
+  // would ask for four billion pool threads.
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"sim gsm-like --kc -1", "--kc"},
       {"sim gsm-like --kc 4294967298", "--kc"},
@@ -265,6 +267,7 @@ TEST(CliSmoke, NumericFlagsRejectNegativeAndOutOfRangeValues) {
       {"serve --client-weight tenant=4294967297 < /dev/null",
        "--client-weight"},
       {"sim gsm-like --units x", "--units"},
+      {"sweep " + workload_path() + " --workers 4000000000", "--workers"},
   };
   for (const auto& [args, flag] : cases) {
     const auto result = run_cli_stderr(args);

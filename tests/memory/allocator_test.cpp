@@ -49,6 +49,28 @@ TEST(Allocator, ReleaseMakesRoom) {
 TEST(Allocator, ReleaseUnknownThrows) {
   FreeListAllocator a(64);
   EXPECT_THROW(a.release(12), apcc::CheckError);
+  // A released address is unknown again: releasing it twice throws.
+  const auto x = a.allocate(16).value();
+  (void)a.allocate(16);
+  a.release(x);
+  EXPECT_THROW(a.release(x), apcc::CheckError);
+  a.validate();
+  EXPECT_EQ(a.stats().live_allocations, 1u);
+}
+
+TEST(Allocator, ZeroCapacityFailsEveryRequest) {
+  for (const FitPolicy policy : {FitPolicy::kFirstFit, FitPolicy::kBestFit}) {
+    FreeListAllocator a(0, policy);
+    for (const std::uint64_t size : {1u, 4u, 64u}) {
+      EXPECT_FALSE(a.allocate(size).has_value()) << size;
+    }
+    const AllocatorStats s = a.stats();
+    EXPECT_EQ(s.free, 0u);
+    EXPECT_EQ(s.largest_free_run, 0u);
+    EXPECT_EQ(s.failed_allocations, 3u);
+    EXPECT_EQ(s.total_allocations, 0u);
+    a.validate();
+  }
 }
 
 TEST(Allocator, ZeroSizeRejected) {

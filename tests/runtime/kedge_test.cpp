@@ -218,17 +218,45 @@ TEST(StateTable, DecompressedUnorderedTracksMembership) {
   EXPECT_EQ(t.count(BlockForm::kDecompressing), 1u);
 }
 
+std::vector<cfg::BlockId> members(const RememberSet& set) {
+  return {set.begin(), set.end()};
+}
+
 TEST(StateTable, RememberSetDeduplicates) {
-  StateTable t(1);
+  StateTable t(3);
   auto s = t[0];
   s.add_patch(3);
   s.add_patch(3);
   s.add_patch(5);
   EXPECT_EQ(s.remember_set().size(), 2u);
+  EXPECT_EQ(members(s.remember_set()), (std::vector<cfg::BlockId>{3, 5}));
   EXPECT_TRUE(s.is_patched_for(3));
   EXPECT_FALSE(s.is_patched_for(7));
   s.clear_patches();
   EXPECT_TRUE(s.remember_set().empty());
+  EXPECT_FALSE(s.is_patched_for(3));
+
+  // Sets yield patch order after cleared nodes are reused, however the
+  // reuse scatters a set over the cell's pool.
+  t[1].add_patch(9);
+  t[2].add_patch(4);
+  t[1].add_patch(2);
+  t[2].add_patch(2);
+  EXPECT_EQ(members(t[1].remember_set()), (std::vector<cfg::BlockId>{9, 2}));
+  EXPECT_EQ(members(t[2].remember_set()), (std::vector<cfg::BlockId>{4, 2}));
+  t[1].clear_patches();
+  for (const cfg::BlockId pred : {6u, 1u, 8u, 0u, 7u}) s.add_patch(pred);
+  s.add_patch(1);
+  EXPECT_EQ(members(s.remember_set()),
+            (std::vector<cfg::BlockId>{6, 1, 8, 0, 7}));
+  EXPECT_EQ(members(t[2].remember_set()), (std::vector<cfg::BlockId>{4, 2}));
+  EXPECT_TRUE(t[1].remember_set().empty());
+  t[2].clear_patches();
+  t[1].add_patch(5);
+  t[1].add_patch(4);
+  EXPECT_EQ(members(t[1].remember_set()), (std::vector<cfg::BlockId>{5, 4}));
+  EXPECT_EQ(members(s.remember_set()),
+            (std::vector<cfg::BlockId>{6, 1, 8, 0, 7}));
 }
 
 TEST(StateBatch, CellsAreIndependentStableViews) {

@@ -211,6 +211,24 @@ TEST(Service, SubmitValidatesWorkloadIds) {
   EXPECT_THROW({ (void)fx.service.submit(campaign); }, apcc::CheckError);
 }
 
+TEST(Service, PoolWidthAboveTheMaximumIsRefused) {
+  // The check runs before the pool is built, so no case starts a thread.
+  for (const unsigned workers :
+       {ServiceOptions::kMaxWorkers + 1, 4'000'000'000u}) {
+    ServiceOptions options;
+    options.workers = workers;
+    try {
+      const Service service(options);
+      ADD_FAILURE() << workers << " workers accepted";
+    } catch (const apcc::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(workers) +
+                                            " workers"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Service, EmptyJobsRetireImmediately) {
   Fixture fx(1);
   const auto sweep_handle = fx.service.submit(sweep_spec(ref(fx.ids[0]), {}));

@@ -1,16 +1,22 @@
-// The engine step's allocation contract: once a run is set up, stepping
-// the trace does no heap allocation. Setup -- the state plane, the
+// The engine's allocation contract. Once a run is set up, stepping the
+// trace does no heap allocation. Setup -- the state plane, the
 // materialized frontier cache, each block's lazily computed predictor
-// ranking, the recycled index and allocator nodes, the reused per-exit
-// buffers -- may allocate, but in proportion to the CFG, not to the
-// trace.
+// ranking -- allocates a handful of flat arrays, and the vectors that
+// grow to a run's peak (the resident-id list, the allocator's live
+// copies, the remember-set node pool, the ready queue, the reused
+// per-exit buffers) reallocate a logarithmic number of times. So
+// neither the trace's length nor, for on-demand and pre-all cells, the
+// CFG's size moves a run's allocation count much.
 //
 // This file replaces the global operator new with a counting one (for
 // the whole apcc_sim_tests binary; it only counts, then defers to
-// malloc). Each case runs width-1 BatchEngines over an N-step and a
-// 2N-step prefix of a suite kernel's trace and bounds the extra
-// allocations of the longer run per CFG block, over every strategy,
-// k in {1, 8}, and an unbounded and a tight memory budget.
+// malloc). The parameterized case runs width-1 BatchEngines over an
+// N-step and a 2N-step prefix of a suite kernel's trace and bounds the
+// extra allocations of the longer run per CFG block, over every
+// strategy, k in {1, 8}, and an unbounded and a tight memory budget.
+// RunAllocationsDoNotGrowWithTheCfg counts every allocation of a whole
+// width-1 run, setup included, on a 2,444-block program and on a
+// 19-block suite kernel, and bounds the difference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +28,7 @@
 #include <vector>
 
 #include "sim/batch_engine.hpp"
+#include "workloads/random_program.hpp"
 #include "workloads/suite.hpp"
 
 namespace {
@@ -70,23 +77,29 @@ using workloads::WorkloadKind;
 /// adds 500+ steps on kernels of 12-25 blocks).
 constexpr double kMaxExtraPerBlock = 8.0;
 
+/// Allowed extra allocations of a whole width-1 run on a 2,444-block
+/// program over the same run on a 19-block kernel: a few more doublings
+/// of the vectors that grow to the run's peak, nothing per block.
+constexpr std::size_t kMaxExtraForCfg = 32;
+
 struct Kernel {
   workloads::Workload workload;
   runtime::BlockImage image;
 };
 
+std::unique_ptr<Kernel> make_kernel(workloads::Workload w) {
+  std::vector<compress::Bytes> bytes = w.block_bytes;
+  auto codec =
+      compress::make_codec(compress::CodecKind::kSharedHuffman, bytes);
+  runtime::BlockImage image(w.cfg, std::move(bytes), std::move(codec));
+  return std::unique_ptr<Kernel>(new Kernel{std::move(w), std::move(image)});
+}
+
 const Kernel& kernel(WorkloadKind kind) {
   static std::vector<std::unique_ptr<Kernel>> cache(
       workloads::all_workload_kinds().size());
   auto& slot = cache.at(static_cast<std::size_t>(kind));
-  if (!slot) {
-    workloads::Workload w = workloads::make_workload(kind);
-    std::vector<compress::Bytes> bytes = w.block_bytes;
-    auto codec =
-        compress::make_codec(compress::CodecKind::kSharedHuffman, bytes);
-    runtime::BlockImage image(w.cfg, std::move(bytes), std::move(codec));
-    slot.reset(new Kernel{std::move(w), std::move(image)});
-  }
+  if (!slot) slot = make_kernel(workloads::make_workload(kind));
   return *slot;
 }
 
@@ -111,6 +124,52 @@ std::size_t allocations_of_run(const Kernel& k, const EngineConfig& config,
   const std::size_t after = g_allocations.load();
   EXPECT_TRUE(outcomes.front().ok());
   return after - before;
+}
+
+/// Heap allocations made by one whole width-1 run over the kernel's
+/// trace: the engine's construction, its setup and every step.
+std::size_t allocations_of_whole_run(const Kernel& k,
+                                     const EngineConfig& config) {
+  const std::size_t before = g_allocations.load();
+  std::vector<CellOutcome> outcomes;
+  {
+    BatchEngine engine(k.workload.cfg, k.image, {config});
+    outcomes = engine.run(k.workload.trace);
+  }
+  const std::size_t after = g_allocations.load();
+  EXPECT_TRUE(outcomes.front().ok());
+  return after - before;
+}
+
+TEST(StepAllocation, RunAllocationsDoNotGrowWithTheCfg) {
+  // artifact-churn's program shape (perfbench's plan), first seed.
+  workloads::RandomProgramOptions options;
+  options.seed = 9001;
+  options.max_depth = 3;
+  options.statements_per_body = 40;
+  options.leaf_functions = 16;
+  options.loop_iters_max = 6;
+  const std::unique_ptr<Kernel> big =
+      make_kernel(workloads::make_random_workload(options));
+  const Kernel& small = kernel(WorkloadKind::kJpegLike);
+  ASSERT_EQ(big->workload.cfg.block_count(), 2444u);
+  ASSERT_EQ(small.workload.cfg.block_count(), 19u);
+
+  for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,
+                              runtime::DecompressionStrategy::kPreAll}) {
+    for (const std::uint32_t kk : {1u, 8u}) {
+      EngineConfig config;
+      config.policy.strategy = strategy;
+      config.policy.compress_k = kk;
+      config.policy.predecompress_k = kk;
+      const std::size_t on_small = allocations_of_whole_run(small, config);
+      const std::size_t on_big = allocations_of_whole_run(*big, config);
+      EXPECT_LE(on_big, on_small + kMaxExtraForCfg)
+          << runtime::strategy_name(strategy) << " k " << kk << ": "
+          << on_big << " allocations on 2444 blocks, " << on_small
+          << " on 19";
+    }
+  }
 }
 
 class StepAllocationTest : public ::testing::TestWithParam<WorkloadKind> {};

@@ -73,7 +73,8 @@
 //   --kd N            pre-decompression k (default 2; sim/run only)
 //   --budget BYTES    decompressed-area budget (default unbounded)
 //   --units N         decompression helper units (default 1)
-//   --workers N       service pool width (default: hardware concurrency)
+//   --workers N       service pool width (default: hardware concurrency;
+//                     at most 1024)
 //   --cache-budget-bytes N  artifact-cache ceiling shared by images
 //                     and frontier geometry (0 = unbounded). Over-budget
 //                     artifacts are evicted cost-aware at publish time
@@ -284,19 +285,19 @@ struct CliOptions {
 };
 
 /// A numeric flag's value as the setting's type T. A negative value, one
-/// above T's maximum, or a malformed one is a usage error naming the
-/// flag -- the rule the wire codec applies to records -- where a cast
-/// would wrap it silently.
+/// above `max` (T's maximum unless the setting has a smaller one), or a
+/// malformed one is a usage error naming the flag -- the rule the wire
+/// codec applies to records -- where a cast would wrap it silently.
 template <typename T>
-T parse_number(const std::string& flag, const std::string& value) {
+T parse_number(const std::string& flag, const std::string& value,
+               T max = std::numeric_limits<T>::max()) {
   std::int64_t v = 0;
   try {
     v = parse_int(value);
   } catch (const CheckError&) {
     usage(flag + ": malformed number '" + value + "'");
   }
-  if (v < 0 ||
-      static_cast<std::uint64_t>(v) > std::numeric_limits<T>::max()) {
+  if (v < 0 || static_cast<std::uint64_t>(v) > max) {
     usage(flag + ": value out of range: '" + value + "'");
   }
   return static_cast<T>(v);
@@ -340,7 +341,8 @@ CliOptions parse_options(const std::vector<std::string>& args,
           parse_number<unsigned>(a, need_value(i++));
       opts.config_flags.push_back(a);
     } else if (a == "--workers") {
-      opts.workers = parse_number<unsigned>(a, need_value(i++));
+      opts.workers = parse_number<unsigned>(
+          a, need_value(i++), serving::ServiceOptions::kMaxWorkers);
     } else if (a == "--cache-budget-bytes") {
       opts.cache_budget.total_bytes =
           parse_number<std::uint64_t>(a, need_value(i++));
