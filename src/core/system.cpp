@@ -1,6 +1,5 @@
 #include "core/system.hpp"
 
-#include "memory/layout.hpp"
 #include "sim/batch_engine.hpp"
 #include "support/assert.hpp"
 
@@ -77,9 +76,7 @@ std::vector<sweep::SweepOutcome> CodeCompressionSystem::run_sweep(
 }
 
 std::uint64_t CodeCompressionSystem::compressed_image_bytes() const {
-  const memory::MemoryLayout layout(memory::layout_slots(image_->slot_sizes()),
-                                    memory::MemoryLayout::kUnbounded);
-  return layout.compressed_area_bytes();
+  return image_->footprint().compressed_area_bytes;
 }
 
 std::uint64_t CodeCompressionSystem::original_image_bytes() const {

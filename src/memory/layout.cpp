@@ -6,58 +6,32 @@ namespace {
 std::uint64_t align4(std::uint64_t v) { return (v + 3) & ~std::uint64_t{3}; }
 }  // namespace
 
-std::vector<CompressedSlot> layout_slots(
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-        compressed_and_original_sizes) {
-  std::vector<CompressedSlot> slots;
-  slots.reserve(compressed_and_original_sizes.size());
-  std::uint64_t cursor = 0;
-  for (const auto& [compressed, original] : compressed_and_original_sizes) {
-    CompressedSlot slot;
-    slot.address = cursor;
-    slot.compressed_size = compressed;
-    slot.original_size = original;
-    cursor += align4(compressed);
-    slots.push_back(slot);
-  }
-  return slots;
+void ImageFootprint::add_block(std::uint64_t compressed_size,
+                               std::uint64_t original_size) {
+  compressed_area_bytes += align4(compressed_size) + kIndexEntryBytes;
+  original_bytes += original_size;
+  all_decompressed_bytes += align4(original_size);
 }
 
-MemoryLayout::MemoryLayout(std::vector<CompressedSlot> slots,
+MemoryLayout::MemoryLayout(const ImageFootprint& image,
                            std::uint64_t decompressed_capacity,
                            FitPolicy fit)
-    : slots_(std::move(slots)),
+    : compressed_area_bytes_(image.compressed_area_bytes),
+      original_image_bytes_(image.original_bytes),
+      // "Unbounded" still needs a finite region; the whole image
+      // decompressed at once is the upper bound, padded for allocator
+      // alignment.
       allocator_(decompressed_capacity == kUnbounded
-                     ? [&] {
-                         // "Unbounded" still needs a finite region; the
-                         // whole image decompressed at once is the upper
-                         // bound, padded for allocator alignment.
-                         std::uint64_t total = 0;
-                         for (const auto& s : slots_) {
-                           total += align4(s.original_size);
-                         }
-                         return total + 4096;
-                       }()
+                     ? image.all_decompressed_bytes + 4096
                      : decompressed_capacity,
                  fit) {
-  for (const auto& s : slots_) {
-    compressed_area_bytes_ =
-        std::max(compressed_area_bytes_, s.address + align4(s.compressed_size));
-    original_image_bytes_ += s.original_size;
-  }
-  compressed_area_bytes_ += index_bytes();
   peak_occupancy_ = occupancy_bytes();
   occupancy_series_.sample(0, static_cast<double>(peak_occupancy_));
 }
 
-const CompressedSlot& MemoryLayout::slot(std::size_t block) const {
-  APCC_CHECK(block < slots_.size(), "block index out of range");
-  return slots_[block];
-}
-
 std::optional<std::uint64_t> MemoryLayout::place_decompressed(
-    std::size_t block, std::uint64_t now) {
-  const auto address = allocator_.allocate(slot(block).original_size);
+    std::uint64_t size, std::uint64_t now) {
+  const auto address = allocator_.allocate(size);
   if (address) sample(now);
   return address;
 }

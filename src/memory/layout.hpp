@@ -10,23 +10,18 @@
 //
 // Total occupancy at any instant = compressed area + live decompressed
 // copies + runtime metadata. MemoryLayout tracks the time series so the
-// engine can report peak and time-averaged footprints.
+// engine can report peak and time-averaged footprints. It reads three
+// sums of the image (an ImageFootprint), never a per-block table: the
+// caller passes each block's size when it places the block's copy.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <optional>
 
 #include "memory/allocator.hpp"
 #include "support/stats.hpp"
 
 namespace apcc::memory {
-
-/// Static description of one block's slot in the compressed code area.
-struct CompressedSlot {
-  std::uint64_t address = 0;        // offset within the compressed area
-  std::uint64_t compressed_size = 0;
-  std::uint64_t original_size = 0;
-};
 
 /// Per-block index entry overhead, modelling the paper's bookkeeping: the
 /// §4 "bit per basic block" state flag, the §5 k-edge counter, and the
@@ -36,6 +31,23 @@ struct CompressedSlot {
 /// number so reported savings are conservative.
 inline constexpr std::uint64_t kIndexEntryBytes = 4;
 
+/// The three sums of a compressed image that a MemoryLayout needs. The
+/// compressed code area packs each block's compressed bytes back to back
+/// from offset 0, each slot 4-byte aligned, and adds one index entry per
+/// block; a block's slot address is the prefix sum of the aligned slots
+/// before it, so no per-block table is kept. runtime::BlockImage sums
+/// its footprint once, when it is built.
+struct ImageFootprint {
+  std::uint64_t compressed_area_bytes = 0;  // aligned slots + the index
+  std::uint64_t original_bytes = 0;         // the uncompressed image
+  /// Every block decompressed at once, each copy 4-byte aligned: what an
+  /// unbounded decompressed area must be able to hold.
+  std::uint64_t all_decompressed_bytes = 0;
+
+  /// Count one more block, with its compressed and original sizes.
+  void add_block(std::uint64_t compressed_size, std::uint64_t original_size);
+};
+
 /// Layout + occupancy tracker.
 class MemoryLayout {
  public:
@@ -43,20 +55,14 @@ class MemoryLayout {
   /// pass kUnbounded for the paper's default unrestricted mode.
   static constexpr std::uint64_t kUnbounded = UINT64_MAX;
 
-  MemoryLayout(std::vector<CompressedSlot> slots,
+  MemoryLayout(const ImageFootprint& image,
                std::uint64_t decompressed_capacity,
                FitPolicy fit = FitPolicy::kFirstFit);
-
-  [[nodiscard]] const CompressedSlot& slot(std::size_t block) const;
-  [[nodiscard]] std::size_t block_count() const { return slots_.size(); }
 
   /// Fixed size of the compressed code area (sum of slots, 4-byte aligned
   /// each) plus the block index.
   [[nodiscard]] std::uint64_t compressed_area_bytes() const {
     return compressed_area_bytes_;
-  }
-  [[nodiscard]] std::uint64_t index_bytes() const {
-    return kIndexEntryBytes * slots_.size();
   }
 
   /// Original (uncompressed) image size.
@@ -64,11 +70,11 @@ class MemoryLayout {
     return original_image_bytes_;
   }
 
-  /// Allocate room for a decompressed copy of `block`; nullopt if the
-  /// area is full (caller evicts and retries). `now` timestamps the
-  /// occupancy sample.
+  /// Allocate room for a decompressed copy of a block of `size` bytes;
+  /// nullopt if the area is full (caller evicts and retries). `now`
+  /// timestamps the occupancy sample.
   [[nodiscard]] std::optional<std::uint64_t> place_decompressed(
-      std::size_t block, std::uint64_t now);
+      std::uint64_t size, std::uint64_t now);
 
   /// Release the decompressed copy previously placed at `address`.
   void drop_decompressed(std::uint64_t address, std::uint64_t now);
@@ -97,18 +103,11 @@ class MemoryLayout {
  private:
   void sample(std::uint64_t now);
 
-  std::vector<CompressedSlot> slots_;
-  std::uint64_t compressed_area_bytes_ = 0;
-  std::uint64_t original_image_bytes_ = 0;
+  std::uint64_t compressed_area_bytes_;
+  std::uint64_t original_image_bytes_;
   FreeListAllocator allocator_;
   std::uint64_t peak_occupancy_ = 0;
   apcc::TimeWeightedAverage occupancy_series_;
 };
-
-/// Lay out compressed blocks back to back (4-byte aligned), computing slot
-/// addresses from the given sizes.
-[[nodiscard]] std::vector<CompressedSlot> layout_slots(
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-        compressed_and_original_sizes);
 
 }  // namespace apcc::memory

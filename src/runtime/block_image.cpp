@@ -10,11 +10,11 @@ namespace apcc::runtime {
 
 namespace {
 
-/// The arena end as the next offset-table entry.
-std::uint32_t arena_offset(const compress::Bytes& arena) {
-  APCC_CHECK(arena.size() <= std::numeric_limits<std::uint32_t>::max(),
+/// Append the running byte total `end` as the next offset-table entry.
+void push_offset(std::vector<std::uint32_t>& offsets, std::size_t end) {
+  APCC_CHECK(end <= std::numeric_limits<std::uint32_t>::max(),
              "BlockImage arena exceeds 4 GiB");
-  return static_cast<std::uint32_t>(arena.size());
+  offsets.push_back(static_cast<std::uint32_t>(end));
 }
 
 }  // namespace
@@ -26,30 +26,20 @@ BlockImage::BlockImage(const cfg::Cfg& cfg,
   APCC_CHECK(codec_ != nullptr, "BlockImage requires a codec");
   APCC_CHECK(block_bytes.size() == cfg.block_count(),
              "one byte string per CFG block required");
-  std::size_t total = 0;
-  for (const compress::Bytes& bytes : block_bytes) total += bytes.size();
-  original_.reserve(total);
   original_offsets_.reserve(block_bytes.size() + 1);
   compressed_offsets_.reserve(block_bytes.size() + 1);
   original_offsets_.push_back(0);
   compressed_offsets_.push_back(0);
   for (const compress::Bytes& bytes : block_bytes) {
-    original_.insert(original_.end(), bytes.begin(), bytes.end());
     const compress::Bytes packed = codec_->compress(bytes);
     compressed_.insert(compressed_.end(), packed.begin(), packed.end());
-    original_offsets_.push_back(arena_offset(original_));
-    compressed_offsets_.push_back(arena_offset(compressed_));
+    push_offset(original_offsets_, original_offsets_.back() + bytes.size());
+    push_offset(compressed_offsets_, compressed_.size());
+    footprint_.add_block(packed.size(), bytes.size());
   }
   // The compressed arena grew geometrically; drop the slack so the
   // resident size is exactly the bytes held.
   compressed_.shrink_to_fit();
-}
-
-compress::ByteView BlockImage::original(cfg::BlockId id) const {
-  APCC_CHECK(id < block_count(), "block id out of range");
-  return compress::ByteView(original_)
-      .subspan(original_offsets_[id],
-               original_offsets_[id + 1] - original_offsets_[id]);
 }
 
 compress::ByteView BlockImage::compressed(cfg::BlockId id) const {
@@ -59,33 +49,24 @@ compress::ByteView BlockImage::compressed(cfg::BlockId id) const {
                compressed_offsets_[id + 1] - compressed_offsets_[id]);
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> BlockImage::slot_sizes()
-    const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sizes;
-  sizes.reserve(block_count());
-  for (cfg::BlockId b = 0; b < block_count(); ++b) {
-    sizes.emplace_back(compressed_size(b), original_size(b));
-  }
-  return sizes;
-}
-
 double BlockImage::ratio() const {
-  return original_.empty() ? 1.0
-                           : static_cast<double>(compressed_.size()) /
-                                 static_cast<double>(original_.size());
+  const std::uint32_t original = original_offsets_.back();
+  return original == 0 ? 1.0
+                       : static_cast<double>(compressed_.size()) /
+                             static_cast<double>(original);
 }
 
 std::uint64_t BlockImage::resident_bytes() const {
-  return original_.capacity() + compressed_.capacity() +
+  return compressed_.capacity() +
          (original_offsets_.capacity() + compressed_offsets_.capacity()) *
              sizeof(std::uint32_t);
 }
 
-void BlockImage::verify_block(cfg::BlockId id) const {
-  const compress::ByteView want = original(id);
+void BlockImage::verify_block(cfg::BlockId id,
+                              compress::ByteView expected) const {
   const compress::Bytes roundtrip =
-      codec_->decompress(compressed(id), want.size());
-  APCC_CHECK(std::ranges::equal(roundtrip, want),
+      codec_->decompress(compressed(id), original_size(id));
+  APCC_CHECK(std::ranges::equal(roundtrip, expected),
              "codec round-trip mismatch on block " + std::to_string(id));
 }
 

@@ -7,11 +7,13 @@
 // store the application code").
 //
 // The image is read-only once built, so it is stored flat: one arena of
-// every block's original bytes and one of every block's compressed bytes,
-// back to back in block order, each indexed by a (B+1)-entry offset table.
-// Block b's bytes are arena[offsets[b], offsets[b+1]). Four heap arrays
-// per image, whatever the block count, and resident_bytes() is their
-// exact size.
+// every block's compressed bytes, back to back in block order, and two
+// (B+1)-entry prefix tables. Block b's compressed bytes are
+// arena[compressed_offsets[b], compressed_offsets[b+1]), and its original
+// size is original_offsets[b+1] - original_offsets[b]; the original bytes
+// themselves are not kept. Three heap arrays per image, whatever the
+// block count, and resident_bytes() is their exact size. Every engine
+// cell reads the block sizes and the footprint here in place.
 #pragma once
 
 #include <functional>
@@ -20,6 +22,8 @@
 
 #include "cfg/cfg.hpp"
 #include "compress/codec.hpp"
+#include "memory/layout.hpp"
+#include "support/assert.hpp"
 
 namespace apcc::runtime {
 
@@ -27,8 +31,8 @@ namespace apcc::runtime {
 /// dictionaries that decompression needs for the lifetime of the run).
 class BlockImage {
  public:
-  /// Compress `block_bytes[i]` as block i, copying the bytes into the
-  /// image's arenas. `block_bytes.size()` must equal `cfg.block_count()`.
+  /// Compress `block_bytes[i]` as block i into the image's arena.
+  /// `block_bytes.size()` must equal `cfg.block_count()`.
   BlockImage(const cfg::Cfg& cfg, std::span<const compress::Bytes> block_bytes,
              std::unique_ptr<compress::Codec> codec);
 
@@ -36,13 +40,13 @@ class BlockImage {
     return original_offsets_.size() - 1;
   }
 
-  /// Block `id`'s original / compressed bytes: views into the image's
-  /// arenas, valid for the image's lifetime.
-  [[nodiscard]] compress::ByteView original(cfg::BlockId id) const;
+  /// Block `id`'s compressed bytes: a view into the image's arena, valid
+  /// for the image's lifetime.
   [[nodiscard]] compress::ByteView compressed(cfg::BlockId id) const;
 
   [[nodiscard]] std::uint64_t original_size(cfg::BlockId id) const {
-    return original(id).size();
+    APCC_CHECK(id < block_count(), "block id out of range");
+    return original_offsets_[id + 1] - original_offsets_[id];
   }
   [[nodiscard]] std::uint64_t compressed_size(cfg::BlockId id) const {
     return compressed(id).size();
@@ -50,28 +54,30 @@ class BlockImage {
 
   [[nodiscard]] const compress::Codec& codec() const { return *codec_; }
 
-  /// (compressed, original) size pairs in block order, for layout_slots.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  slot_sizes() const;
+  /// The compressed-area, original and all-decompressed sums a
+  /// memory::MemoryLayout is built from, summed when the image was.
+  [[nodiscard]] const memory::ImageFootprint& footprint() const {
+    return footprint_;
+  }
 
   /// Whole-image compression ratio (compressed/original, < 1 is good).
   [[nodiscard]] double ratio() const;
 
-  /// Exact heap size of the image's two arenas and two offset tables.
-  /// What an artifact cache budgets against (serving::Service::
-  /// cache_stats()); the codec's own tables are not counted.
+  /// Exact heap size of the image's arena and two offset tables. What
+  /// an artifact cache budgets against (serving::Service::cache_stats());
+  /// the codec's own tables are not counted.
   [[nodiscard]] std::uint64_t resident_bytes() const;
 
-  /// Decompress block `id` and verify it matches the original; throws on
-  /// mismatch. Tests call it from an engine event sink to check every
-  /// block a run decompresses.
-  void verify_block(cfg::BlockId id) const;
+  /// Decompress block `id` and check that it decodes to `expected`, the
+  /// block's original bytes; throws on mismatch. Tests call it from an
+  /// engine event sink to check every block a run decompresses.
+  void verify_block(cfg::BlockId id, compress::ByteView expected) const;
 
  private:
-  compress::Bytes original_;    // every block's bytes, in block order
   compress::Bytes compressed_;  // every block's compressed bytes
   std::vector<std::uint32_t> original_offsets_;    // block_count() + 1
   std::vector<std::uint32_t> compressed_offsets_;  // block_count() + 1
+  memory::ImageFootprint footprint_;
   std::unique_ptr<compress::Codec> codec_;
 };
 

@@ -21,7 +21,7 @@ const std::vector<cfg::BlockId>& KEdgeCompressionManager::on_edge_traversed(
   to_delete_.clear();
   for (const cfg::BlockId b : states_.decompressed_unordered()) {
     if (b == target) continue;
-    const BlockRef s = states_[b];
+    BlockState& s = states_[b];
     ++s.kedge_counter;
     if (s.kedge_counter >= k_ && !s.executing()) {
       to_delete_.push_back(b);

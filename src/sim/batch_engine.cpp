@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "runtime/frontier_cache.hpp"
-#include "runtime/state.hpp"
 #include "support/assert.hpp"
 
 namespace apcc::sim {
@@ -28,20 +27,11 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
   APCC_CHECK(!trace.empty(), "cannot run an empty trace");
   cfg::validate_trace(cfg_, trace);
 
-  // Batch-amortized immutable inputs. Declared before `cells` so the
-  // borrowing planners/predictors are destroyed first.
-  std::vector<memory::CompressedSlot> slots =
-      memory::layout_slots(image_.slot_sizes());
-  std::vector<std::uint64_t> sizes;
-  sizes.reserve(cfg_.block_count());
-  for (cfg::BlockId b = 0; b < cfg_.block_count(); ++b) {
-    sizes.push_back(image_.original_size(b));
-  }
-
-  // One materialized FrontierCache per predecompress_k the batch plans
-  // at, lent to every planning cell that does not already borrow the
-  // caller's (the Service's) geometry. On-demand cells plan nothing and
-  // get none.
+  // Batch-amortized immutable inputs, declared before `cells` so the
+  // borrowing planners are destroyed first. One materialized
+  // FrontierCache per predecompress_k the batch plans at, lent to every
+  // planning cell that does not already borrow the caller's (the
+  // Service's) geometry. On-demand cells plan nothing and get none.
   std::map<std::uint32_t, runtime::FrontierCache> frontiers;
   std::vector<EngineConfig> cell_configs = configs_;
   for (EngineConfig& config : cell_configs) {
@@ -64,7 +54,6 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
            std::unique_ptr<runtime::Predictor>>
       predictors;
 
-  runtime::StateBatch batch(cfg_.block_count(), cell_configs.size());
   std::vector<EngineCell> cells(cell_configs.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     EngineCell& cell = cells[i];
@@ -96,10 +85,7 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
     }
 
     try {
-      // The last cell takes the layout itself; earlier cells copy it.
-      policy_.init_cell(cell, batch.cell(i),
-                        i + 1 == cells.size() ? std::move(slots) : slots,
-                        sizes);
+      policy_.init_cell(cell);
     } catch (...) {
       cell.failed = true;
       cell.error = std::current_exception();

@@ -31,22 +31,24 @@
 // everything immutable out of the per-cell loop:
 //
 //  * trace validation and decode        -- once per batch,
-//  * compressed slot layout             -- computed once, copied per cell,
-//  * block-size table                   -- computed once, copied per cell,
+//  * block sizes and image footprint    -- read from the BlockImage in
+//                                          place, never copied,
+//  * execution-cost table               -- one per distinct
+//                                          cycles_per_instruction,
 //  * decompression-cost table           -- computed once per engine,
 //  * predictors                         -- shared per (kind, k), built
 //                                          for pre-single cells only,
 //  * planner frontier geometry          -- one materialized FrontierCache
 //                                          per predecompress_k the batch
 //                                          plans at, unless the caller
-//                                          lends its own (the Service),
-//  * per-block dynamic state            -- one SoA runtime::StateBatch
-//                                          instead of N pointer-chased
-//                                          tables.
+//                                          lends its own (the Service).
 //
-// Stepping is lockstep: trace entry i is applied to every live cell
-// before advancing to i+1, so the trace is streamed once per batch
-// instead of once per cell. Cells are isolated: a cell that throws
+// What stays per cell is its own: each EngineCell owns one
+// runtime::StateTable, one record per block.
+//
+// Stepping is tiled lockstep: the batch walks the trace one tile at a
+// time and steps every live cell through the tile, so the trace is
+// streamed once per batch instead of once per cell. Cells are isolated: a cell that throws
 // (bad budget, fault injection, sink error) stops stepping and reports
 // its exception in its CellOutcome while the siblings run to
 // completion.

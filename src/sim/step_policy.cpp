@@ -68,18 +68,6 @@ void StepPolicy::emit(EngineCell& c, EventKind kind, std::uint64_t time,
   }
 }
 
-cfg::BlockId StepPolicy::select_victim(const EngineCell& c,
-                                       cfg::BlockId protect) const {
-  const runtime::StateTable& states = *c.states;
-  switch (c.config.policy.victim_policy) {
-    case runtime::VictimPolicy::kLru: return states.lru_victim(protect);
-    case runtime::VictimPolicy::kMru: return states.mru_victim(protect);
-    case runtime::VictimPolicy::kLargest:
-      return states.largest_victim(protect);
-  }
-  return cfg::kInvalidBlock;
-}
-
 std::size_t StepPolicy::earliest_decomp_unit(const EngineCell& c) const {
   std::size_t best = 0;
   for (std::size_t u = 1; u < c.decomp_free.size(); ++u) {
@@ -92,7 +80,7 @@ std::optional<std::uint64_t> StepPolicy::earliest_inflight_ready(
     EngineCell& c) const {
   while (!c.ready_queue.empty()) {
     const auto [time, block] = c.ready_queue.top();
-    const auto s = (*c.states)[block];
+    const runtime::BlockState& s = c.states[block];
     if (s.form() == runtime::BlockForm::kDecompressing &&
         s.ready_time == time) {
       return time;
@@ -105,10 +93,13 @@ std::optional<std::uint64_t> StepPolicy::earliest_inflight_ready(
 std::optional<std::uint64_t> StepPolicy::place_with_eviction(
     EngineCell& c, cfg::BlockId block) const {
   for (;;) {
-    if (auto address = c.layout->place_decompressed(block, c.now)) {
+    if (auto address =
+            c.layout->place_decompressed(image_.original_size(block), c.now)) {
       return address;
     }
-    const cfg::BlockId victim = select_victim(c, block);
+    const cfg::BlockId victim = c.states.victim(
+        c.config.policy.victim_policy, block,
+        [this](cfg::BlockId b) { return image_.original_size(b); });
     if (victim == cfg::kInvalidBlock) {
       return std::nullopt;
     }
@@ -119,7 +110,7 @@ std::optional<std::uint64_t> StepPolicy::place_with_eviction(
 
 void StepPolicy::delete_block(EngineCell& c, cfg::BlockId block,
                               cfg::BlockId evicted_for) const {
-  auto s = (*c.states)[block];
+  runtime::BlockState& s = c.states[block];
   APCC_ASSERT(s.form() == runtime::BlockForm::kDecompressed,
               "delete of non-resident block");
   // Cost: metadata delete + one unpatch per remember-set entry, plus the
@@ -127,7 +118,7 @@ void StepPolicy::delete_block(EngineCell& c, cfg::BlockId block,
   std::uint64_t cost = c.config.costs.delete_block_cycles;
   if (c.config.policy.use_remember_sets) {
     std::uint64_t patches = 0;
-    for (const cfg::BlockId pred : s.remember_set()) {
+    for (const cfg::BlockId pred : c.states.remember_set(block)) {
       emit(c, EventKind::kUnpatch, c.now, block, pred);
       ++patches;
     }
@@ -149,14 +140,15 @@ void StepPolicy::delete_block(EngineCell& c, cfg::BlockId block,
   // compressed original never moved, so "compressing back" is dropping
   // the copy (§5) -- the helper cost above models the bookkeeping.
   c.layout->drop_decompressed(s.address, c.now);
-  c.states->set_form(block, runtime::BlockForm::kCompressed);
+  c.states.set_form(block, runtime::BlockForm::kCompressed);
   s.address = 0;
   s.kedge_counter = 0;
-  s.clear_patches();
-  if (!c.extra[block].used_since_decomp && c.extra[block].from_predecomp) {
+  c.states.clear_patches(block);
+  if (!s.used_since_decomp && s.from_predecomp) {
     ++c.result.wasted_predecompressions;
   }
-  c.extra[block] = EngineCell::ExtraBlockInfo{};
+  s.from_predecomp = false;
+  s.used_since_decomp = false;
   ++c.result.deletions;
   if (evicted_for != cfg::kInvalidBlock) {
     emit(c, EventKind::kEvict, c.now, block, evicted_for);
@@ -167,7 +159,7 @@ void StepPolicy::delete_block(EngineCell& c, cfg::BlockId block,
 
 void StepPolicy::issue_predecompression(EngineCell& c, cfg::BlockId block,
                                         cfg::BlockId from) const {
-  auto s = (*c.states)[block];
+  runtime::BlockState& s = c.states[block];
   if (s.form() != runtime::BlockForm::kCompressed) return;
 
   c.now += c.config.costs.dispatch_job_cycles;
@@ -186,7 +178,7 @@ void StepPolicy::issue_predecompression(EngineCell& c, cfg::BlockId block,
     const std::uint64_t start = std::max(c.now, unit);
     unit = start + duration;
     c.result.decomp_helper_busy_cycles += duration;
-    c.states->set_form(block, runtime::BlockForm::kDecompressing);
+    c.states.set_form(block, runtime::BlockForm::kDecompressing);
     s.ready_time = start + duration;
     c.ready_queue.emplace(s.ready_time, block);
   } else {
@@ -196,17 +188,16 @@ void StepPolicy::issue_predecompression(EngineCell& c, cfg::BlockId block,
     complete_decompression(c, block, c.now, /*inline_cost=*/true);
   }
   s.address = *address;
-  c.extra[block].from_predecomp = true;
-  c.extra[block].used_since_decomp = false;
+  s.from_predecomp = true;
+  s.used_since_decomp = false;
   ++c.result.predecompressions;
 }
 
 void StepPolicy::complete_decompression(EngineCell& c, cfg::BlockId block,
                                         std::uint64_t completion_time,
                                         bool inline_cost) const {
-  auto s = (*c.states)[block];
-  c.states->set_form(block, runtime::BlockForm::kDecompressed);
-  s.kedge_counter = 0;  // its k-edge window starts now
+  c.states.set_form(block, runtime::BlockForm::kDecompressed);
+  c.states[block].kedge_counter = 0;  // its k-edge window starts now
   emit(c, EventKind::kPredecompressDone, completion_time, block);
   if (!c.config.policy.use_remember_sets) return;
   // Patch the branch sites of already-decompressed predecessors so the
@@ -216,10 +207,9 @@ void StepPolicy::complete_decompression(EngineCell& c, cfg::BlockId block,
   std::uint64_t patch_cost = 0;
   for (const cfg::EdgeId e : cfg_.in_edges(block)) {
     const cfg::BlockId pred = cfg_.edge(e).from;
-    const auto ps = (*c.states)[pred];
-    if (ps.form() != runtime::BlockForm::kDecompressed) continue;
-    if (s.is_patched_for(pred)) continue;
-    s.add_patch(pred);
+    if (c.states[pred].form() != runtime::BlockForm::kDecompressed) continue;
+    if (c.states.is_patched_for(block, pred)) continue;
+    c.states.add_patch(block, pred);
     ++c.result.patches;
     patch_cost += c.config.costs.patch_branch_cycles;
     emit(c, EventKind::kPatch, completion_time, block, pred);
@@ -246,7 +236,7 @@ void StepPolicy::settle_ready_blocks(EngineCell& c) const {
   while (!c.ready_queue.empty() && c.ready_queue.top().first <= c.now) {
     const auto [time, block] = c.ready_queue.top();
     c.ready_queue.pop();
-    const auto s = (*c.states)[block];
+    const runtime::BlockState& s = c.states[block];
     if (s.form() == runtime::BlockForm::kDecompressing &&
         s.ready_time == time) {
       c.settle_scratch.push_back(block);
@@ -254,7 +244,7 @@ void StepPolicy::settle_ready_blocks(EngineCell& c) const {
   }
   std::sort(c.settle_scratch.begin(), c.settle_scratch.end());
   for (const cfg::BlockId block : c.settle_scratch) {
-    const auto s = (*c.states)[block];
+    const runtime::BlockState& s = c.states[block];
     if (s.form() != runtime::BlockForm::kDecompressing) continue;  // dup entry
     complete_decompression(c, block, s.ready_time, /*inline_cost=*/false);
   }
@@ -262,7 +252,7 @@ void StepPolicy::settle_ready_blocks(EngineCell& c) const {
 
 void StepPolicy::ensure_executable(EngineCell& c, cfg::BlockId block,
                                    cfg::BlockId pred) const {
-  auto s = (*c.states)[block];
+  runtime::BlockState& s = c.states[block];
 
   // Settle an in-flight copy first: if the helper has already finished by
   // the execution thread's clock, the block is simply decompressed;
@@ -299,8 +289,7 @@ void StepPolicy::ensure_executable(EngineCell& c, cfg::BlockId block,
       complete_decompression(c, block, c.now, /*inline_cost=*/false);
     }
   } else if (s.form() == runtime::BlockForm::kDecompressed &&
-             c.extra[block].from_predecomp &&
-             !c.extra[block].used_since_decomp) {
+             s.from_predecomp && !s.used_since_decomp) {
     ++c.result.predecompress_hits;
   }
 
@@ -308,13 +297,13 @@ void StepPolicy::ensure_executable(EngineCell& c, cfg::BlockId block,
     if (c.config.policy.use_remember_sets) {
       // Re-entry through an already patched branch is exception-free;
       // a new branch site pays one exception + one patch.
-      if (pred != cfg::kInvalidBlock && !s.is_patched_for(pred)) {
+      if (pred != cfg::kInvalidBlock && !c.states.is_patched_for(block, pred)) {
         ++c.result.exceptions;
         c.result.exception_cycles += c.config.costs.exception_cycles;
         c.result.patch_cycles += c.config.costs.patch_branch_cycles;
         c.now += c.config.costs.exception_cycles +
                  c.config.costs.patch_branch_cycles;
-        s.add_patch(pred);
+        c.states.add_patch(block, pred);
         ++c.result.patches;
         emit(c, EventKind::kException, c.now, block, pred);
         emit(c, EventKind::kPatch, c.now, block, pred);
@@ -363,24 +352,22 @@ void StepPolicy::ensure_executable(EngineCell& c, cfg::BlockId block,
   c.now += cost;
   c.result.critical_decompress_cycles += cost;
   ++c.result.demand_decompressions;
-  c.states->set_form(block, runtime::BlockForm::kDecompressed);
+  c.states.set_form(block, runtime::BlockForm::kDecompressed);
   s.address = *address;
-  c.extra[block].from_predecomp = false;
-  c.extra[block].used_since_decomp = false;
+  s.from_predecomp = false;
+  s.used_since_decomp = false;
   emit(c, EventKind::kDemandDecompress, c.now, block, pred, cost);
 
   if (c.config.policy.use_remember_sets && pred != cfg::kInvalidBlock) {
     c.now += c.config.costs.patch_branch_cycles;
     c.result.patch_cycles += c.config.costs.patch_branch_cycles;
-    s.add_patch(pred);
+    c.states.add_patch(block, pred);
     ++c.result.patches;
     emit(c, EventKind::kPatch, c.now, block, pred);
   }
 }
 
-void StepPolicy::init_cell(EngineCell& cell, runtime::StateTable& states,
-                           std::vector<memory::CompressedSlot> slots,
-                           const std::vector<std::uint64_t>& block_sizes) const {
+void StepPolicy::init_cell(EngineCell& cell) const {
   APCC_CHECK(cell.config.policy.decompress_units >= 1,
              "at least one decompression unit is required");
   APCC_CHECK(cell.exec_cycles != nullptr &&
@@ -392,19 +379,17 @@ void StepPolicy::init_cell(EngineCell& cell, runtime::StateTable& states,
   cell.ready_queue = {};
   cell.result = RunResult{};
   cell.layout = std::make_unique<memory::MemoryLayout>(
-      std::move(slots),
+      image_.footprint(),
       cell.config.policy.memory_budget == runtime::Policy::kUnbounded
           ? memory::MemoryLayout::kUnbounded
           : cell.config.policy.memory_budget,
       cell.config.fit);
-  cell.states = &states;
-  states.set_block_sizes(block_sizes);
+  cell.states = runtime::StateTable(cfg_.block_count());
   cell.kedge = std::make_unique<runtime::KEdgeCompressionManager>(
-      states, cell.config.policy.compress_k);
+      cell.states, cell.config.policy.compress_k);
   cell.planner = std::make_unique<runtime::DecompressionPlanner>(
-      cfg_, states, cell.config.policy, cell.predictor,
+      cfg_, cell.states, cell.config.policy, cell.predictor,
       cell.config.shared_frontiers);
-  cell.extra.assign(cfg_.block_count(), EngineCell::ExtraBlockInfo{});
   cell.failed = false;
   cell.error = nullptr;
 
@@ -423,9 +408,9 @@ void StepPolicy::step(EngineCell& cell, const cfg::BlockTrace& trace,
   ensure_executable(c, block, pred);
 
   // Execute the block.
-  c.states->set_executing(block, true);
-  c.states->touch(block, c.now);
-  c.extra[block].used_since_decomp = true;
+  c.states.set_executing(block, true);
+  c.states.touch(block, c.now);
+  c.states[block].used_since_decomp = true;
   c.kedge->on_block_executed(block);
   ++c.result.block_entries;
   emit(c, EventKind::kBlockEnter, c.now, block, pred);
@@ -433,7 +418,7 @@ void StepPolicy::step(EngineCell& cell, const cfg::BlockTrace& trace,
   c.now += exec_cycles;
   c.result.busy_cycles += exec_cycles;
   c.result.baseline_cycles += exec_cycles;
-  c.states->set_executing(block, false);
+  c.states.set_executing(block, false);
 
   if (i + 1 == trace.size()) return;
   const cfg::BlockId next = trace[i + 1];

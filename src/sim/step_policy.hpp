@@ -4,17 +4,17 @@
 // three-thread runtime (Figure 4): exception handling, demand and
 // pre-decompression, k-edge deletion, patching, budget eviction. It is
 // stateless apart from the immutable (CFG, image) pair and the per-block
-// decompression costs derived from it, and operates on
-// one EngineCell at a time through the runtime::StateTable cell-view
-// interface; sim::BatchEngine drives it over N cells in lockstep on one
-// shared StateBatch (a width-1 batch is the per-cell run).
+// decompression costs derived from it, and operates on one EngineCell
+// at a time; sim::BatchEngine drives it over N cells (a width-1 batch
+// is the per-cell run).
 //
 // EngineCell is everything one simulated configuration owns: its clock,
-// helper-thread availability, memory layout, state-table view, k-edge
-// manager, planner, predictor, and the accumulating RunResult. Cells
-// never see each other; amortization happens strictly on immutable
-// inputs (trace decode, slot layout, block sizes, predictors, frontier
-// geometry), which is why batched and sequential runs are byte-identical.
+// helper-thread availability, memory layout, StateTable (one record per
+// block), k-edge manager, planner, predictor, and the accumulating
+// RunResult. Cells never see each other. They share only immutable
+// inputs -- the trace, the image (whose block sizes and footprint they
+// read in place), the cost tables, predictors and frontier geometry --
+// which is why batched and sequential runs are byte-identical.
 #pragma once
 
 #include <exception>
@@ -76,15 +76,10 @@ struct EngineConfig {
 
 /// One simulated configuration's complete mutable run state. Plain
 /// aggregate: StepPolicy::init_cell wires it up, step()/finish() advance
-/// it. The state-table view and the exec-cycles table are borrowed --
-/// their owners (BatchEngine's StateBatch / cost cache) outlive the
-/// cell.
+/// it. The exec-cycles table is borrowed -- its owner (BatchEngine's
+/// cost cache) outlives the cell. A cell never moves after init_cell:
+/// its k-edge manager and planner hold its StateTable.
 struct EngineCell {
-  struct ExtraBlockInfo {
-    bool from_predecomp = false;
-    bool used_since_decomp = false;
-  };
-
   EngineConfig config;
   EventSink sink;
   /// Per-block execution cost, hoisted out of the step loop; shared
@@ -104,11 +99,10 @@ struct EngineCell {
   std::vector<std::uint64_t> decomp_free;  // per-unit availability
   std::uint64_t comp_free_at = 0;          // compression helper availability
   std::unique_ptr<memory::MemoryLayout> layout;
-  runtime::StateTable* states = nullptr;   // borrowed cell view
+  runtime::StateTable states;
   std::unique_ptr<runtime::KEdgeCompressionManager> kedge;
   const runtime::Predictor* predictor = nullptr;  // BatchEngine's, pre-single
   std::unique_ptr<runtime::DecompressionPlanner> planner;
-  std::vector<ExtraBlockInfo> extra;
   RunResult result;
 
   // Batched stepping: a cell that threw stops stepping; its siblings
@@ -122,14 +116,10 @@ class StepPolicy {
  public:
   StepPolicy(const cfg::Cfg& cfg, const runtime::BlockImage& image);
 
-  /// Reset `cell` for a fresh run. `states` is the cell's view (its
-  /// lane of a StateBatch); `slots` / `block_sizes` are the immutable
-  /// per-image tables the caller computed once per batch. The caller
-  /// sets `cell.predictor` (pre-single) and the config's
-  /// `shared_frontiers` (any planning strategy) first.
-  void init_cell(EngineCell& cell, runtime::StateTable& states,
-                 std::vector<memory::CompressedSlot> slots,
-                 const std::vector<std::uint64_t>& block_sizes) const;
+  /// Reset `cell` for a fresh run, with a fresh StateTable. The caller
+  /// sets `cell.exec_cycles`, `cell.predictor` (pre-single) and the
+  /// config's `shared_frontiers` (any planning strategy) first.
+  void init_cell(EngineCell& cell) const;
 
   /// Advance `cell` over trace entry `i` (settle, ensure executable,
   /// execute, plan pre-decompressions, apply k-edge deletions).
@@ -149,10 +139,6 @@ class StepPolicy {
   /// when impossible.
   [[nodiscard]] std::optional<std::uint64_t> place_with_eviction(
       EngineCell& c, cfg::BlockId block) const;
-
-  /// Choose the budget-mode eviction victim; kInvalidBlock if none.
-  [[nodiscard]] cfg::BlockId select_victim(const EngineCell& c,
-                                           cfg::BlockId protect) const;
 
   /// Index of the decompression unit that frees up first.
   [[nodiscard]] std::size_t earliest_decomp_unit(const EngineCell& c) const;

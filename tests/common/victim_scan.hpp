@@ -1,6 +1,6 @@
 // Victim selection by a full-table scan over StateTable's public
-// accessors: the reference the indexed victim queries are tested
-// against.
+// accessors: the reference StateTable::victim's one pass over the
+// resident list is tested against.
 #pragma once
 
 #include <span>
@@ -13,15 +13,15 @@ namespace apcc::testref {
 /// The §2 budget victim among decompressed, non-executing blocks other
 /// than `protect`: least recent use for LRU, most recent for MRU, the
 /// biggest size > 0 for largest; ties go to the lowest id.
-/// kInvalidBlock when no block qualifies. `sizes` are the sizes the
-/// test handed set_block_sizes.
+/// kInvalidBlock when no block qualifies. `sizes` are the block sizes
+/// the test hands StateTable::victim through size_of(sizes).
 inline cfg::BlockId scan_victim(const runtime::StateTable& t,
                                 runtime::VictimPolicy policy,
                                 cfg::BlockId protect,
                                 std::span<const std::uint64_t> sizes) {
   cfg::BlockId victim = cfg::kInvalidBlock;
   for (cfg::BlockId b = 0; b < t.size(); ++b) {
-    const auto s = t[b];
+    const runtime::BlockState& s = t[b];
     if (s.form() != runtime::BlockForm::kDecompressed || s.executing() ||
         b == protect) {
       continue;
@@ -47,6 +47,11 @@ inline cfg::BlockId scan_victim(const runtime::StateTable& t,
     }
   }
   return victim;
+}
+
+/// The block-size lookup StateTable::victim takes, over a test's table.
+inline auto size_of(std::span<const std::uint64_t> sizes) {
+  return [sizes](cfg::BlockId b) { return sizes[b]; };
 }
 
 }  // namespace apcc::testref

@@ -28,8 +28,9 @@
 // Where the paper is silent (tie-breaks, settle order, event order) the
 // oracle follows the engine's documented contract, and each such point
 // names the contract it follows. It reuses only code with its own tests:
-// memory::MemoryLayout (placement and occupancy), runtime::BlockImage's
-// cost model, runtime::make_predictor, and the EngineConfig, Event and
+// memory::MemoryLayout (placement and occupancy) over the image's
+// memory::ImageFootprint, runtime::BlockImage's block sizes and cost
+// model, runtime::make_predictor, and the EngineConfig, Event and
 // RunResult types.
 #pragma once
 
@@ -94,7 +95,7 @@ class Simulator {
                "at least one decompression unit is required");
     APCC_CHECK(policy_.compress_k >= 1, "k-edge requires k >= 1");
     layout_ = std::make_unique<memory::MemoryLayout>(
-        memory::layout_slots(image.slot_sizes()),
+        image.footprint(),
         policy_.memory_budget == runtime::Policy::kUnbounded
             ? memory::MemoryLayout::kUnbounded
             : policy_.memory_budget,
@@ -224,7 +225,8 @@ class Simulator {
   /// Room for a copy of `block`, evicting victims until it fits (§2).
   std::optional<std::uint64_t> place(cfg::BlockId block) {
     for (;;) {
-      if (auto address = layout_->place_decompressed(block, now_)) {
+      if (auto address = layout_->place_decompressed(
+              image_.original_size(block), now_)) {
         return address;
       }
       const cfg::BlockId v = victim(block);

@@ -1,5 +1,5 @@
 // BlockImage tests: construction, per-block round trips through the
-// flat arenas, exact resident bytes, ratios and slots.
+// flat arena, exact resident bytes, ratios and the footprint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,35 +32,54 @@ TEST(BlockImage, EveryBlockRoundTrips) {
   for (const auto kind : compress::all_codec_kinds()) {
     const BlockImage image = make_image(kind);
     for (cfg::BlockId b = 0; b < image.block_count(); ++b) {
-      EXPECT_NO_THROW(image.verify_block(b)) << codec_kind_name(kind);
-      // The views read the arenas in place: the original view holds the
-      // block's own bytes, and the compressed view decodes to them.
+      // The compressed view reads the arena in place and decodes to the
+      // block's own bytes; verify_block checks the same against them,
+      // and refuses any other bytes.
       const compress::Bytes want =
           workloads::synthesize_block_bytes(g.block(b));
-      EXPECT_TRUE(std::ranges::equal(image.original(b), want))
-          << codec_kind_name(kind) << " block " << b;
+      EXPECT_NO_THROW(image.verify_block(b, want)) << codec_kind_name(kind);
       EXPECT_EQ(image.codec().decompress(image.compressed(b), want.size()),
                 want)
+          << codec_kind_name(kind) << " block " << b;
+      compress::Bytes wrong = want;
+      wrong.push_back(0);
+      EXPECT_THROW(image.verify_block(b, wrong), apcc::CheckError)
           << codec_kind_name(kind) << " block " << b;
     }
   }
 }
 
 TEST(BlockImage, ResidentBytesAreTheFlatArrays) {
-  // Two arenas (every original byte, every compressed byte) and two
-  // (B+1)-entry offset tables, with no slack: exactly what an artifact
-  // budget is charged.
+  // One arena of every compressed byte and two (B+1)-entry offset
+  // tables, with no slack: exactly what an artifact budget is charged.
+  // The original bytes are not kept.
   for (const auto kind : compress::all_codec_kinds()) {
     const BlockImage image = make_image(kind);
-    std::uint64_t original = 0;
     std::uint64_t compressed = 0;
     for (cfg::BlockId b = 0; b < image.block_count(); ++b) {
-      original += image.original_size(b);
       compressed += image.compressed_size(b);
     }
     const std::uint64_t offsets =
         2 * (image.block_count() + 1) * sizeof(std::uint32_t);
-    EXPECT_EQ(image.resident_bytes(), original + compressed + offsets)
+    EXPECT_EQ(image.resident_bytes(), compressed + offsets)
+        << codec_kind_name(kind);
+  }
+}
+
+TEST(BlockImage, FootprintSumsEveryBlockOnce) {
+  // The footprint is summed when the image is built; it must equal the
+  // sum of one ImageFootprint::add_block per block.
+  for (const auto kind : compress::all_codec_kinds()) {
+    const BlockImage image = make_image(kind);
+    memory::ImageFootprint want;
+    for (cfg::BlockId b = 0; b < image.block_count(); ++b) {
+      want.add_block(image.compressed_size(b), image.original_size(b));
+    }
+    const memory::ImageFootprint& got = image.footprint();
+    EXPECT_EQ(got.compressed_area_bytes, want.compressed_area_bytes)
+        << codec_kind_name(kind);
+    EXPECT_EQ(got.original_bytes, want.original_bytes) << codec_kind_name(kind);
+    EXPECT_EQ(got.all_decompressed_bytes, want.all_decompressed_bytes)
         << codec_kind_name(kind);
   }
 }
@@ -84,16 +103,6 @@ TEST(BlockImage, NullCodecRatioOne) {
   EXPECT_DOUBLE_EQ(image.ratio(), 1.0);
 }
 
-TEST(BlockImage, SlotSizesPairUp) {
-  const BlockImage image = make_image(compress::CodecKind::kSharedHuffman);
-  const auto sizes = image.slot_sizes();
-  ASSERT_EQ(sizes.size(), image.block_count());
-  for (cfg::BlockId b = 0; b < image.block_count(); ++b) {
-    EXPECT_EQ(sizes[b].first, image.compressed_size(b));
-    EXPECT_EQ(sizes[b].second, image.original_size(b));
-  }
-}
-
 TEST(BlockImage, MismatchedByteCountRejected) {
   const cfg::Cfg g = cfg::figure5_cfg();
   std::vector<compress::Bytes> bytes(2);  // CFG has 4 blocks
@@ -111,11 +120,10 @@ TEST(BlockImage, NullCodecPointerRejected) {
 
 TEST(BlockImage, OutOfRangeBlockThrows) {
   const BlockImage image = make_image(compress::CodecKind::kNull);
-  EXPECT_THROW((void)image.original(10), apcc::CheckError);
   EXPECT_THROW((void)image.compressed(10), apcc::CheckError);
   EXPECT_THROW((void)image.original_size(10), apcc::CheckError);
   EXPECT_THROW((void)image.compressed_size(10), apcc::CheckError);
-  EXPECT_NO_THROW((void)image.original(9));
+  EXPECT_NO_THROW((void)image.original_size(9));
 }
 
 TEST(SynthBytes, DeterministicPerBlockAndSeed) {

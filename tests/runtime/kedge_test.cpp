@@ -10,6 +10,11 @@
 namespace apcc::runtime {
 namespace {
 
+using testref::size_of;
+
+/// Sizes for the LRU / MRU queries, which never read them.
+const std::vector<std::uint64_t> kNoSizes(8, 0);
+
 StateTable make_states(std::size_t n,
                        std::initializer_list<cfg::BlockId> decompressed) {
   StateTable t(n);
@@ -136,7 +141,8 @@ TEST(StateTable, LruVictimOldestFirst) {
   t.touch(0, 30);
   t.touch(1, 10);
   t.touch(2, 20);
-  EXPECT_EQ(t.lru_victim(cfg::kInvalidBlock), 1u);
+  EXPECT_EQ(t.victim(VictimPolicy::kLru, cfg::kInvalidBlock, size_of(kNoSizes)),
+            1u);
 }
 
 TEST(StateTable, LruVictimSkipsProtectedAndExecuting) {
@@ -145,12 +151,14 @@ TEST(StateTable, LruVictimSkipsProtectedAndExecuting) {
   t.touch(1, 2);
   t.touch(2, 3);
   t.set_executing(0, true);
-  EXPECT_EQ(t.lru_victim(1), 2u) << "0 executing, 1 protected -> 2";
+  EXPECT_EQ(t.victim(VictimPolicy::kLru, 1, size_of(kNoSizes)), 2u)
+      << "0 executing, 1 protected -> 2";
 }
 
 TEST(StateTable, LruVictimNoneAvailable) {
   StateTable t = make_states(2, {});
-  EXPECT_EQ(t.lru_victim(cfg::kInvalidBlock), cfg::kInvalidBlock);
+  EXPECT_EQ(t.victim(VictimPolicy::kLru, cfg::kInvalidBlock, size_of(kNoSizes)),
+            cfg::kInvalidBlock);
 }
 
 TEST(StateTable, MruVictimNewestFirstLowestIdOnTies) {
@@ -159,24 +167,29 @@ TEST(StateTable, MruVictimNewestFirstLowestIdOnTies) {
   t.touch(1, 30);
   t.touch(2, 30);
   t.touch(3, 20);
-  EXPECT_EQ(t.mru_victim(cfg::kInvalidBlock), 1u)
+  EXPECT_EQ(t.victim(VictimPolicy::kMru, cfg::kInvalidBlock, size_of(kNoSizes)),
+            1u)
       << "ties on last_use_time resolve to the lowest id";
-  EXPECT_EQ(t.mru_victim(1), 2u);
+  EXPECT_EQ(t.victim(VictimPolicy::kMru, 1, size_of(kNoSizes)), 2u);
 }
 
 TEST(StateTable, LargestVictimBySizeLowestIdOnTies) {
   StateTable t = make_states(4, {0, 1, 2});
-  t.set_block_sizes(std::vector<std::uint64_t>{64, 128, 128, 256});
-  EXPECT_EQ(t.largest_victim(cfg::kInvalidBlock), 1u);
-  EXPECT_EQ(t.largest_victim(1), 2u);
+  const std::vector<std::uint64_t> sizes{64, 128, 128, 256};
+  EXPECT_EQ(t.victim(VictimPolicy::kLargest, cfg::kInvalidBlock, size_of(sizes)),
+            1u);
+  EXPECT_EQ(t.victim(VictimPolicy::kLargest, 1, size_of(sizes)), 2u);
   t.set_executing(1, true);
   t.set_executing(2, true);
-  EXPECT_EQ(t.largest_victim(cfg::kInvalidBlock), 0u);
+  EXPECT_EQ(t.victim(VictimPolicy::kLargest, cfg::kInvalidBlock, size_of(sizes)),
+            0u);
 }
 
 TEST(StateTable, LargestVictimRequiresPositiveSize) {
   StateTable t = make_states(3, {0, 1});
-  EXPECT_EQ(t.largest_victim(cfg::kInvalidBlock), cfg::kInvalidBlock)
+  EXPECT_EQ(
+      t.victim(VictimPolicy::kLargest, cfg::kInvalidBlock, size_of(kNoSizes)),
+      cfg::kInvalidBlock)
       << "all sizes zero -> no largest victim (strict > 0)";
 }
 
@@ -185,7 +198,6 @@ TEST(StateTable, VictimQueriesMatchReferenceScans) {
   StateTable t(32);
   std::vector<std::uint64_t> sizes;
   for (int b = 0; b < 32; ++b) sizes.push_back(rng.next_below(8) * 16);
-  t.set_block_sizes(sizes);
   for (int step = 0; step < 2000; ++step) {
     const auto b = static_cast<cfg::BlockId>(rng.next_below(32));
     switch (rng.next_below(4)) {
@@ -199,12 +211,12 @@ TEST(StateTable, VictimQueriesMatchReferenceScans) {
     const auto protect = rng.next_bool(0.5)
                              ? static_cast<cfg::BlockId>(rng.next_below(32))
                              : cfg::kInvalidBlock;
-    ASSERT_EQ(t.lru_victim(protect),
-              testref::scan_victim(t, VictimPolicy::kLru, protect, sizes));
-    ASSERT_EQ(t.mru_victim(protect),
-              testref::scan_victim(t, VictimPolicy::kMru, protect, sizes));
-    ASSERT_EQ(t.largest_victim(protect),
-              testref::scan_victim(t, VictimPolicy::kLargest, protect, sizes));
+    for (const VictimPolicy policy :
+         {VictimPolicy::kLru, VictimPolicy::kMru, VictimPolicy::kLargest}) {
+      ASSERT_EQ(t.victim(policy, protect, size_of(sizes)),
+                testref::scan_victim(t, policy, protect, sizes))
+          << victim_policy_name(policy);
+    }
   }
 }
 
@@ -224,65 +236,38 @@ std::vector<cfg::BlockId> members(const RememberSet& set) {
 
 TEST(StateTable, RememberSetDeduplicates) {
   StateTable t(3);
-  auto s = t[0];
-  s.add_patch(3);
-  s.add_patch(3);
-  s.add_patch(5);
-  EXPECT_EQ(s.remember_set().size(), 2u);
-  EXPECT_EQ(members(s.remember_set()), (std::vector<cfg::BlockId>{3, 5}));
-  EXPECT_TRUE(s.is_patched_for(3));
-  EXPECT_FALSE(s.is_patched_for(7));
-  s.clear_patches();
-  EXPECT_TRUE(s.remember_set().empty());
-  EXPECT_FALSE(s.is_patched_for(3));
+  t.add_patch(0, 3);
+  t.add_patch(0, 3);
+  t.add_patch(0, 5);
+  EXPECT_EQ(t.remember_set(0).size(), 2u);
+  EXPECT_EQ(members(t.remember_set(0)), (std::vector<cfg::BlockId>{3, 5}));
+  EXPECT_TRUE(t.is_patched_for(0, 3));
+  EXPECT_FALSE(t.is_patched_for(0, 7));
+  t.clear_patches(0);
+  EXPECT_TRUE(t.remember_set(0).empty());
+  EXPECT_FALSE(t.is_patched_for(0, 3));
 
   // Sets yield patch order after cleared nodes are reused, however the
-  // reuse scatters a set over the cell's pool.
-  t[1].add_patch(9);
-  t[2].add_patch(4);
-  t[1].add_patch(2);
-  t[2].add_patch(2);
-  EXPECT_EQ(members(t[1].remember_set()), (std::vector<cfg::BlockId>{9, 2}));
-  EXPECT_EQ(members(t[2].remember_set()), (std::vector<cfg::BlockId>{4, 2}));
-  t[1].clear_patches();
-  for (const cfg::BlockId pred : {6u, 1u, 8u, 0u, 7u}) s.add_patch(pred);
-  s.add_patch(1);
-  EXPECT_EQ(members(s.remember_set()),
+  // reuse scatters a set over the table's pool.
+  t.add_patch(1, 9);
+  t.add_patch(2, 4);
+  t.add_patch(1, 2);
+  t.add_patch(2, 2);
+  EXPECT_EQ(members(t.remember_set(1)), (std::vector<cfg::BlockId>{9, 2}));
+  EXPECT_EQ(members(t.remember_set(2)), (std::vector<cfg::BlockId>{4, 2}));
+  t.clear_patches(1);
+  for (const cfg::BlockId pred : {6u, 1u, 8u, 0u, 7u}) t.add_patch(0, pred);
+  t.add_patch(0, 1);
+  EXPECT_EQ(members(t.remember_set(0)),
             (std::vector<cfg::BlockId>{6, 1, 8, 0, 7}));
-  EXPECT_EQ(members(t[2].remember_set()), (std::vector<cfg::BlockId>{4, 2}));
-  EXPECT_TRUE(t[1].remember_set().empty());
-  t[2].clear_patches();
-  t[1].add_patch(5);
-  t[1].add_patch(4);
-  EXPECT_EQ(members(t[1].remember_set()), (std::vector<cfg::BlockId>{5, 4}));
-  EXPECT_EQ(members(s.remember_set()),
+  EXPECT_EQ(members(t.remember_set(2)), (std::vector<cfg::BlockId>{4, 2}));
+  EXPECT_TRUE(t.remember_set(1).empty());
+  t.clear_patches(2);
+  t.add_patch(1, 5);
+  t.add_patch(1, 4);
+  EXPECT_EQ(members(t.remember_set(1)), (std::vector<cfg::BlockId>{5, 4}));
+  EXPECT_EQ(members(t.remember_set(0)),
             (std::vector<cfg::BlockId>{6, 1, 8, 0, 7}));
-}
-
-TEST(StateBatch, CellsAreIndependentStableViews) {
-  StateBatch batch(4, 3);
-  EXPECT_EQ(batch.block_count(), 4u);
-  EXPECT_EQ(batch.cell_count(), 3u);
-  StateTable& a = batch.cell(0);
-  StateTable& b = batch.cell(2);
-  EXPECT_EQ(&a, &batch.cell(0)) << "views must be stable across calls";
-
-  a.set_form(1, BlockForm::kDecompressed);
-  a.touch(1, 7);
-  a[1].kedge_counter = 9;
-  a[1].add_patch(0);
-
-  // Cell 2 shares the storage plane but none of the state.
-  EXPECT_EQ(b.count(BlockForm::kDecompressed), 0u);
-  EXPECT_EQ(b[1].form(), BlockForm::kCompressed);
-  EXPECT_EQ(b[1].kedge_counter, 0u);
-  EXPECT_FALSE(b[1].is_patched_for(0));
-
-  b.set_form(1, BlockForm::kDecompressed);
-  EXPECT_EQ(b[1].last_use_time(), 0u);
-  EXPECT_EQ(a[1].last_use_time(), 7u);
-  EXPECT_EQ(a.lru_victim(cfg::kInvalidBlock), 1u);
-  EXPECT_EQ(b.lru_victim(cfg::kInvalidBlock), 1u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// StateTable / StateBatch tests: a seeded differential over a multi-cell
-// batch. After every random mutation, the victim queries must agree with
-// a full-table scan over the public accessors (the tie rules included),
-// and each cell's counts, decompressed set and per-block fields must
-// match a shadow model of that cell alone -- so a lane never sees
-// another lane's writes.
+// StateTable tests: a seeded differential over several independent
+// tables, one per cell. After every random mutation, the victim query
+// must agree with a full-table scan over the public accessors (the tie
+// rules included), and each table's counts, decompressed set and
+// per-block fields must match a shadow model of that cell alone -- so a
+// table never sees another table's writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,7 @@ namespace {
 constexpr std::size_t kBlocks = 24;
 constexpr std::size_t kCells = 3;
 
-/// What one cell's lane should hold.
+/// What one cell's table should hold.
 struct CellModel {
   std::vector<BlockForm> form = std::vector<BlockForm>(kBlocks,
                                                        BlockForm::kCompressed);
@@ -45,7 +45,7 @@ void expect_cell_matches(const StateTable& t, const CellModel& m,
   for (cfg::BlockId b = 0; b < kBlocks; ++b) {
     ++counts[static_cast<std::size_t>(m.form[b])];
     if (m.form[b] == BlockForm::kDecompressed) decompressed.push_back(b);
-    const auto s = t[b];
+    const BlockState& s = t[b];
     ASSERT_EQ(s.form(), m.form[b]) << "block " << b;
     ASSERT_EQ(s.last_use_time(), m.last_use[b]) << "block " << b;
     ASSERT_EQ(s.executing(), m.executing[b]) << "block " << b;
@@ -63,26 +63,24 @@ void expect_victims_match_reference(const StateTable& t,
                                     const std::vector<std::uint64_t>& sizes,
                                     cfg::BlockId protect) {
   SCOPED_TRACE(::testing::Message() << "protect " << protect);
-  ASSERT_EQ(t.lru_victim(protect),
-            testref::scan_victim(t, VictimPolicy::kLru, protect, sizes));
-  ASSERT_EQ(t.mru_victim(protect),
-            testref::scan_victim(t, VictimPolicy::kMru, protect, sizes));
-  ASSERT_EQ(t.largest_victim(protect),
-            testref::scan_victim(t, VictimPolicy::kLargest, protect, sizes));
+  for (const VictimPolicy policy :
+       {VictimPolicy::kLru, VictimPolicy::kMru, VictimPolicy::kLargest}) {
+    ASSERT_EQ(t.victim(policy, protect, testref::size_of(sizes)),
+              testref::scan_victim(t, policy, protect, sizes))
+        << victim_policy_name(policy);
+  }
 }
 
 TEST(StateTable, VictimQueriesMatchReferenceAcrossBatchLanes) {
   apcc::Rng rng(20261017);
-  StateBatch batch(kBlocks, kCells);
+  std::vector<StateTable> tables;
+  for (std::size_t c = 0; c < kCells; ++c) tables.emplace_back(kBlocks);
   std::array<CellModel, kCells> models;
-  for (std::size_t c = 0; c < kCells; ++c) {
-    models[c].sizes = random_sizes(rng);
-    batch.cell(c).set_block_sizes(models[c].sizes);
-  }
+  for (CellModel& m : models) m.sizes = random_sizes(rng);
 
   for (int op = 0; op < 4000; ++op) {
     const std::size_t c = rng.next_below(kCells);
-    StateTable& t = batch.cell(c);
+    StateTable& t = tables[c];
     CellModel& m = models[c];
     const auto b = static_cast<cfg::BlockId>(rng.next_below(kBlocks));
     switch (rng.next_below(10)) {
@@ -113,17 +111,16 @@ TEST(StateTable, VictimQueriesMatchReferenceAcrossBatchLanes) {
       }
       default:
         m.sizes = random_sizes(rng);
-        t.set_block_sizes(m.sizes);
         break;
     }
 
     for (std::size_t cell = 0; cell < kCells; ++cell) {
-      const StateTable& view = batch.cell(cell);
-      expect_cell_matches(view, models[cell], cell);
-      expect_victims_match_reference(view, models[cell].sizes,
+      const StateTable& table = tables[cell];
+      expect_cell_matches(table, models[cell], cell);
+      expect_victims_match_reference(table, models[cell].sizes,
                                      cfg::kInvalidBlock);
       expect_victims_match_reference(
-          view, models[cell].sizes,
+          table, models[cell].sizes,
           static_cast<cfg::BlockId>(rng.next_below(kBlocks)));
       if (::testing::Test::HasFatalFailure()) {
         FAIL() << "after operation " << op << " on cell " << c;
@@ -137,20 +134,20 @@ TEST(StateTable, VictimTiesGoToTheLowestIdWhateverTheListOrder) {
   // so the resident list is far from id order when the ties are broken.
   StateTable t(8);
   const std::vector<std::uint64_t> sizes{0, 32, 16, 32, 32, 16, 0, 8};
-  t.set_block_sizes(sizes);
+  const auto size_of = testref::size_of(sizes);
   for (cfg::BlockId b = 8; b-- > 0;) t.set_form(b, BlockForm::kDecompressed);
   t.set_form(4, BlockForm::kCompressed);
   t.set_form(4, BlockForm::kDecompressed);
   for (cfg::BlockId b = 0; b < 8; ++b) t.touch(b, b % 2 == 0 ? 5 : 9);
 
-  EXPECT_EQ(t.lru_victim(cfg::kInvalidBlock), 0u);
-  EXPECT_EQ(t.lru_victim(0), 2u);
-  EXPECT_EQ(t.mru_victim(cfg::kInvalidBlock), 1u);
-  EXPECT_EQ(t.mru_victim(1), 3u);
-  EXPECT_EQ(t.largest_victim(cfg::kInvalidBlock), 1u);
+  EXPECT_EQ(t.victim(VictimPolicy::kLru, cfg::kInvalidBlock, size_of), 0u);
+  EXPECT_EQ(t.victim(VictimPolicy::kLru, 0, size_of), 2u);
+  EXPECT_EQ(t.victim(VictimPolicy::kMru, cfg::kInvalidBlock, size_of), 1u);
+  EXPECT_EQ(t.victim(VictimPolicy::kMru, 1, size_of), 3u);
+  EXPECT_EQ(t.victim(VictimPolicy::kLargest, cfg::kInvalidBlock, size_of), 1u);
   t.set_executing(1, true);
-  EXPECT_EQ(t.largest_victim(cfg::kInvalidBlock), 3u);
-  EXPECT_EQ(t.largest_victim(3), 4u);
+  EXPECT_EQ(t.victim(VictimPolicy::kLargest, cfg::kInvalidBlock, size_of), 3u);
+  EXPECT_EQ(t.victim(VictimPolicy::kLargest, 3, size_of), 4u);
   for (const cfg::BlockId protect : {cfg::kInvalidBlock, cfg::BlockId{3}}) {
     expect_victims_match_reference(t, sizes, protect);
   }

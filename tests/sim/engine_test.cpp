@@ -308,7 +308,8 @@ TEST(Engine, EventSinkVerifiesEveryDecompressedBlock) {
       } else {
         return;
       }
-      h.image->verify_block(e.block);
+      h.image->verify_block(
+          e.block, workloads::synthesize_block_bytes(h.graph.block(e.block)));
     };
     EXPECT_NO_THROW((void)h.run(config, fig2_long_trace(), verify));
     if (strategy == runtime::DecompressionStrategy::kOnDemand) {

@@ -1,5 +1,5 @@
 // The engine's allocation contract. Once a run is set up, stepping the
-// trace does no heap allocation. Setup -- the state plane, the
+// trace does no heap allocation. Setup -- each cell's record table, the
 // materialized frontier cache, each block's lazily computed predictor
 // ranking -- allocates a handful of flat arrays, and the vectors that
 // grow to a run's peak (the resident-id list, the allocator's live

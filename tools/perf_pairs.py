@@ -4,28 +4,35 @@
     python3 tools/perf_pairs.py --parent REV --workload NAME --seeds 21-30
                                 [--seconds 15]
 
-Checks REV out as a git worktree under .bench_build/ and runs
-`perfbench/run.py --workload NAME --seed S --seconds T` once per seed in
-that tree and once in this checkout's working tree (uncommitted edits
-included), alternating which side runs first. It then prints, for every
-end-to-end metric BENCHMARK.json lists that the workload reports, the
-parent's median and quartiles, the change's median, their ratio
-(change / parent) and the number of pairs the change won (ties count for
-neither side), and says for each seed whether the `perfbench-detail`
-line (result digest, simulated metrics, cache counts) is identical on
-both sides. Any failed or incorrect run fails the script; the worktree
-is removed either way. Seeds are a comma-separated list of numbers and
-ranges, e.g. `21-30` or `1,7,40-42`.
+Extracts REV with `git archive` into a directory under .bench_build/
+and runs `perfbench/run.py --workload NAME --seed S --seconds T` once
+per seed in that tree and once in this checkout's working tree
+(uncommitted edits included), alternating which side runs first. It then
+prints, for every end-to-end metric BENCHMARK.json lists that the
+workload reports, the parent's median and quartiles, the change's median,
+their ratio (change / parent) and the number of pairs the change won
+(ties count for neither side). For each seed it compares the
+`perfbench-detail` lines field by field: the result digest,
+`sim_slowdown`, `sim_peak_mem_pct` and each artifact kind's hits,
+misses, built, evictions and evicted bytes must be equal, and each
+kind's `resident_bytes`, which a change to an artifact's layout moves
+without moving a result, is printed as parent -> change. Any failed or
+incorrect run fails the script; the extracted tree is removed either
+way. Seeds are a comma-separated list of numbers and ranges, e.g.
+`21-30` or `1,7,40-42`.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The artifact-cache counts a change that keeps every result must repeat.
+COUNTS = ("hits", "misses", "built", "evictions", "evicted_bytes")
 
 
 def git(*args):
@@ -47,10 +54,16 @@ def parse_seeds(text):
     return seeds
 
 
-def remove_worktree(path):
-    if os.path.exists(path):
-        subprocess.run(["git", "worktree", "remove", "--force", path], cwd=ROOT)
-    subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
+def extract(commit, path):
+    """Write `commit`'s files into a fresh directory `path`."""
+    shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(path)
+    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", path], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or untar.returncode != 0:
+        raise SystemExit("perf_pairs: could not extract %s" % commit)
 
 
 def run_side(tree, label, args, seed):
@@ -62,8 +75,9 @@ def run_side(tree, label, args, seed):
     lines = done.stdout.splitlines()
     result = next((json.loads(l) for l in reversed(lines) if l.startswith("{")),
                   None)
-    detail = next((l for l in reversed(lines)
-                   if l.startswith("perfbench-detail ")), None)
+    prefix = "perfbench-detail "
+    detail = next((json.loads(l[len(prefix):]) for l in reversed(lines)
+                   if l.startswith(prefix)), None)
     if (done.returncode != 0 or result is None or not result.get("correct")
             or result.get("failed")):
         sys.stderr.write(done.stdout[-4000:])
@@ -102,13 +116,30 @@ def report(args, end_to_end, runs):
         print("  %-18s %-6s %12.6g %25s %12.6g %6.3fx %3d/%d"
               % (name, metric["unit"], p_med, "[%.6g, %.6g]" % (q1, q3),
                  c_med, ratio, wins, len(runs)))
-    print("  perfbench-detail identical on both sides:")
+    print("  perfbench-detail, field by field (results and cache counts"
+          " must match; resident bytes parent -> change):")
     for seed, r in zip(args.seeds, runs):
-        same = r["parent"][1] == r["change"][1]
-        print("    seed %-5d %s" % (seed, "yes" if same else "NO"))
-        if not same:
+        parent, change = r["parent"][1], r["change"][1]
+        if parent is None or change is None:
+            print("    seed %-5d NO detail line" % seed)
+            continue
+        differ = [f for f in ("digest", "sim_slowdown", "sim_peak_mem_pct")
+                  if parent.get(f) != change.get(f)]
+        resident = []
+        for kind in sorted(set(parent.get("cache", {}))
+                           | set(change.get("cache", {}))):
+            p = parent.get("cache", {}).get(kind, {})
+            c = change.get("cache", {}).get(kind, {})
+            differ += ["%s.%s" % (kind, f) for f in COUNTS
+                       if p.get(f) != c.get(f)]
+            resident.append("%s %s -> %s" % (kind, p.get("resident_bytes"),
+                                             c.get("resident_bytes")))
+        print("    seed %-5d %s; %s"
+              % (seed, "equal" if not differ else
+                 "NO (%s differ)" % ", ".join(differ), "; ".join(resident)))
+        if differ:
             print("      parent: %s\n      change: %s"
-                  % (r["parent"][1], r["change"][1]))
+                  % (json.dumps(parent), json.dumps(change)))
 
 
 def main():
@@ -124,8 +155,7 @@ def main():
         end_to_end = json.load(f)["end_to_end"]
     commit = git("rev-parse", "--verify", args.parent + "^{commit}")
     tree = os.path.join(ROOT, ".bench_build", "pairs-" + commit[:12])
-    remove_worktree(tree)
-    git("worktree", "add", "--detach", tree, commit)
+    extract(commit, tree)
     try:
         runs = []
         for i, seed in enumerate(args.seeds):
@@ -136,7 +166,7 @@ def main():
                          for label, path in sides})
         report(args, end_to_end, runs)
     finally:
-        remove_worktree(tree)
+        shutil.rmtree(tree, ignore_errors=True)
     return 0
 
 
