@@ -12,6 +12,8 @@
 // the stable timed series for BENCH_engine.json. Every row runs one
 // configuration as a width-1 sim::BatchEngine -- the per-cell run, whose
 // planner reads the frontier cache the engine materializes for its k.
+// One row runs pre-decompress-single on a 2,444-block program, where
+// the profile predictor's per-block ranking is most of the cell.
 #include <chrono>
 #include <map>
 
@@ -19,6 +21,7 @@
 #include "sim/batch_engine.hpp"
 #include "sim/trace_gen.hpp"
 #include "support/table.hpp"
+#include "workloads/random_program.hpp"
 
 namespace {
 
@@ -146,6 +149,54 @@ void bm_engine_budget_evictions(benchmark::State& state) {
       static_cast<double>(total_evictions) / static_cast<double>(total_steps);
 }
 BENCHMARK(bm_engine_budget_evictions)->Unit(benchmark::kMillisecond);
+
+/// artifact-churn's first program (perfbench's plan: seed 9001, 2,444
+/// blocks) with its own trace, in a huffman-shared image.
+struct ChurnProgram {
+  workloads::Workload workload;
+  std::unique_ptr<runtime::BlockImage> image;
+};
+
+const ChurnProgram& churn_program() {
+  static const ChurnProgram* program = [] {
+    workloads::RandomProgramOptions options;
+    options.seed = 9001;
+    options.max_depth = 3;
+    options.statements_per_body = 40;
+    options.leaf_functions = 16;
+    options.loop_iters_max = 6;
+    auto* p = new ChurnProgram{workloads::make_random_workload(options), {}};
+    std::vector<compress::Bytes> bytes = p->workload.block_bytes;
+    auto codec =
+        compress::make_codec(compress::CodecKind::kSharedHuffman, bytes);
+    p->image = std::make_unique<runtime::BlockImage>(
+        p->workload.cfg, std::move(bytes), std::move(codec));
+    return p;
+  }();
+  return *program;
+}
+
+void bm_engine_presingle(benchmark::State& state) {
+  // One width-1 pre-single cell, profile predictor, k = 8: each run
+  // builds its frontier cache and ranks every block the trace exits
+  // with reach_scores, so the row tracks the ranking's cost on a large
+  // CFG. No gated perfbench workload runs pre-single on one.
+  const ChurnProgram& p = churn_program();
+  sim::EngineConfig config;
+  config.policy.strategy = runtime::DecompressionStrategy::kPreSingle;
+  config.policy.predictor = runtime::PredictorKind::kProfile;
+  config.policy.compress_k = 8;
+  config.policy.predecompress_k = 8;
+  sim::BatchEngine engine(p.workload.cfg, *p.image, {config});
+  std::uint64_t total_steps = 0;
+  for (auto _ : state) {
+    const sim::RunResult r = engine.run(p.workload.trace).front().value();
+    benchmark::DoNotOptimize(r.total_cycles);
+    total_steps += r.block_entries;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(total_steps));
+}
+BENCHMARK(bm_engine_presingle)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -261,47 +261,62 @@ std::optional<unsigned> edge_distance(const Cfg& cfg, BlockId from,
   return std::nullopt;
 }
 
-std::vector<ReachScore> reach_scores(const Cfg& cfg, BlockId from,
-                                     unsigned k) {
+void reach_scores(const Cfg& cfg, BlockId from, unsigned k,
+                  ReachScratch& scratch, std::vector<ReachScore>& out) {
   APCC_CHECK(from < cfg.block_count(), "block id out of range");
   const std::size_t n = cfg.block_count();
+  if (scratch.mass.size() < n) {
+    scratch.mass.resize(n, 0.0);
+    scratch.next.resize(n, 0.0);
+    scratch.score.resize(n, 0.0);
+  }
+  std::vector<double>& mass = scratch.mass;
+  std::vector<double>& next = scratch.next;
+  std::vector<double>& score = scratch.score;
+  std::vector<BlockId>& live = scratch.live;
+  std::vector<BlockId>& touched = scratch.touched;
+  out.clear();
   // Markov chain power iteration: mass[t][b] = probability the walk is at
   // b after t steps. score(b) = sum over t in [1,k] of mass[t][b], an
-  // expected-visit count within k steps.
-  std::vector<double> mass(n, 0.0);
-  std::vector<double> next(n, 0.0);
-  std::vector<double> score(n, 0.0);
-  std::vector<unsigned> min_dist(n, UINT_MAX);
+  // expected-visit count within k steps. `live` lists, in ascending id,
+  // the blocks whose mass the last round wrote (every other entry is
+  // zero), so each `next[to] +=` below runs in the order a sweep over
+  // all B blocks would run it. `out` doubles as the list of reached
+  // blocks, with the round that first reached each.
   mass[from] = 1.0;
+  live.assign(1, from);
   for (unsigned step = 1; step <= k; ++step) {
-    std::fill(next.begin(), next.end(), 0.0);
-    for (BlockId b = 0; b < n; ++b) {
+    touched.clear();
+    for (const BlockId b : live) {
       if (mass[b] <= 0.0) continue;
       for (const EdgeId e : cfg.out_edges(b)) {
         const auto& edge = cfg.edge(e);
+        touched.push_back(edge.to);
         next[edge.to] += mass[b] * edge.probability;
       }
     }
-    for (BlockId b = 0; b < n; ++b) {
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (const BlockId b : touched) {
       if (next[b] > 0.0) {
+        if (score[b] == 0.0) out.push_back(ReachScore{b, 0.0, step});
         score[b] += next[b];
-        if (min_dist[b] == UINT_MAX) min_dist[b] = step;
       }
     }
+    for (const BlockId b : live) mass[b] = 0.0;
     mass.swap(next);
+    live.swap(touched);
   }
-  std::vector<ReachScore> out;
-  for (BlockId b = 0; b < n; ++b) {
-    if (score[b] > 0.0) {
-      out.push_back(ReachScore{b, score[b], min_dist[b]});
-    }
+  for (const BlockId b : live) mass[b] = 0.0;
+  for (ReachScore& rs : out) {
+    rs.score = score[rs.block];
+    score[rs.block] = 0.0;
   }
   std::sort(out.begin(), out.end(), [](const ReachScore& a,
                                        const ReachScore& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.block < b.block;
   });
-  return out;
 }
 
 }  // namespace apcc::cfg

@@ -84,7 +84,26 @@ struct ReachScore {
   double score = 0.0;
   unsigned min_distance = 0;
 };
-[[nodiscard]] std::vector<ReachScore> reach_scores(const Cfg& cfg,
-                                                   BlockId from, unsigned k);
+
+/// Caller-owned scratch for reach_scores, reusable across calls and
+/// graphs. Between calls its three per-block arrays are all zero:
+/// reach_scores grows them to the graph's block count when they are
+/// shorter and restores every entry it writes before it returns.
+struct ReachScratch {
+  std::vector<double> mass;   // the walk's mass per block, this round
+  std::vector<double> next;   // ... next round
+  std::vector<double> score;  // mass summed over the rounds so far
+  std::vector<BlockId> live;     // blocks whose `mass` was written
+  std::vector<BlockId> touched;  // blocks whose `next` was written
+};
+
+/// Every block with a positive score, with its score and the first
+/// round that reached it, sorted by descending score then id, written
+/// into `out`. Each round visits only the blocks holding mass, in
+/// ascending id, so a call costs O(k x reach) rather than O(k x B);
+/// each block's sums run in the order a sweep over every block would
+/// run them, so the scores are that sweep's, bit for bit.
+void reach_scores(const Cfg& cfg, BlockId from, unsigned k,
+                  ReachScratch& scratch, std::vector<ReachScore>& out);
 
 }  // namespace apcc::cfg

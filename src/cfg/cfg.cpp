@@ -55,26 +55,6 @@ EdgeId Cfg::add_edge(BlockId from, BlockId to, EdgeKind kind,
   return id;
 }
 
-const BasicBlock& Cfg::block(BlockId id) const {
-  APCC_CHECK(id < blocks_.size(), "block id out of range");
-  return blocks_[id];
-}
-
-BasicBlock& Cfg::block(BlockId id) {
-  APCC_CHECK(id < blocks_.size(), "block id out of range");
-  return blocks_[id];
-}
-
-const Edge& Cfg::edge(EdgeId id) const {
-  APCC_CHECK(id < edges_.size(), "edge id out of range");
-  return edges_[id];
-}
-
-Edge& Cfg::edge(EdgeId id) {
-  APCC_CHECK(id < edges_.size(), "edge id out of range");
-  return edges_[id];
-}
-
 void Cfg::set_entry(BlockId id) {
   APCC_CHECK(id < blocks_.size(), "entry id out of range");
   entry_ = id;
@@ -84,24 +64,6 @@ std::string_view Cfg::note(BlockId id) const {
   APCC_CHECK(id < blocks_.size(), "block id out of range");
   const std::uint32_t begin = id == 0 ? 0 : note_end_[id - 1];
   return std::string_view(all_notes_).substr(begin, note_end_[id] - begin);
-}
-
-Cfg::EdgeList Cfg::out_edges(BlockId id) const {
-  APCC_CHECK(id < blocks_.size(), "block id out of range");
-  return EdgeList(adjacency_[id].first_out, links_.data(),
-                  &EdgeLinks::next_out);
-}
-
-Cfg::EdgeList Cfg::in_edges(BlockId id) const {
-  APCC_CHECK(id < blocks_.size(), "block id out of range");
-  return EdgeList(adjacency_[id].first_in, links_.data(), &EdgeLinks::next_in);
-}
-
-EdgeId Cfg::find_edge(BlockId from, BlockId to) const {
-  for (const EdgeId e : out_edges(from)) {
-    if (edges_[e].to == to) return e;
-  }
-  return kNoEdge;
 }
 
 void Cfg::normalize_probabilities() {

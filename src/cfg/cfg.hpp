@@ -154,8 +154,14 @@ class Cfg {
   [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
 
-  [[nodiscard]] const BasicBlock& block(BlockId id) const;
-  [[nodiscard]] BasicBlock& block(BlockId id);
+  [[nodiscard]] const BasicBlock& block(BlockId id) const {
+    APCC_CHECK(id < blocks_.size(), "block id out of range");
+    return blocks_[id];
+  }
+  [[nodiscard]] BasicBlock& block(BlockId id) {
+    APCC_CHECK(id < blocks_.size(), "block id out of range");
+    return blocks_[id];
+  }
   [[nodiscard]] const std::vector<BasicBlock>& blocks() const {
     return blocks_;
   }
@@ -165,18 +171,37 @@ class Cfg {
   [[nodiscard]] std::string_view note(BlockId id) const;
 
   /// Edges leaving / entering `id`, in insertion (ascending id) order.
-  [[nodiscard]] EdgeList out_edges(BlockId id) const;
-  [[nodiscard]] EdgeList in_edges(BlockId id) const;
+  [[nodiscard]] EdgeList out_edges(BlockId id) const {
+    APCC_CHECK(id < blocks_.size(), "block id out of range");
+    return EdgeList(adjacency_[id].first_out, links_.data(),
+                    &EdgeLinks::next_out);
+  }
+  [[nodiscard]] EdgeList in_edges(BlockId id) const {
+    APCC_CHECK(id < blocks_.size(), "block id out of range");
+    return EdgeList(adjacency_[id].first_in, links_.data(),
+                    &EdgeLinks::next_in);
+  }
 
-  [[nodiscard]] const Edge& edge(EdgeId id) const;
-  [[nodiscard]] Edge& edge(EdgeId id);
+  [[nodiscard]] const Edge& edge(EdgeId id) const {
+    APCC_CHECK(id < edges_.size(), "edge id out of range");
+    return edges_[id];
+  }
+  [[nodiscard]] Edge& edge(EdgeId id) {
+    APCC_CHECK(id < edges_.size(), "edge id out of range");
+    return edges_[id];
+  }
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
 
   [[nodiscard]] BlockId entry() const { return entry_; }
   void set_entry(BlockId id);
 
   /// Edge from `from` to `to` if one exists (first match).
-  [[nodiscard]] EdgeId find_edge(BlockId from, BlockId to) const;
+  [[nodiscard]] EdgeId find_edge(BlockId from, BlockId to) const {
+    for (const EdgeId e : out_edges(from)) {
+      if (edges_[e].to == to) return e;
+    }
+    return kNoEdge;
+  }
 
   /// Give every block's out-edges probabilities summing to 1. Edges whose
   /// probability is unset (0) share the residual mass uniformly.

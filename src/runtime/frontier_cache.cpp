@@ -9,19 +9,18 @@ namespace apcc::runtime {
 FrontierCache::FrontierCache(const cfg::Cfg& cfg, unsigned k)
     : cfg_(cfg), k_(k) {}
 
-std::span<const cfg::FrontierEntry> FrontierCache::candidates(
+std::span<const cfg::BlockId> FrontierCache::candidates(
     cfg::BlockId block) const {
   APCC_CHECK(materialized(), "FrontierCache read before materialize()");
   APCC_CHECK(block < cfg_.block_count(), "block id out of range");
-  return {entries_.data() + offsets_[block],
-          entries_.data() + offsets_[block + 1]};
+  return {ids_.data() + offsets_[block], ids_.data() + offsets_[block + 1]};
 }
 
 void FrontierCache::materialize() {
   if (materialized()) return;
   // Built into fresh arrays, swapped in only once complete.
   const std::size_t n = cfg_.block_count();
-  std::vector<cfg::FrontierEntry> entries;
+  std::vector<cfg::BlockId> ids;
   std::vector<std::uint32_t> offsets;
   offsets.reserve(n + 1);
   offsets.push_back(0);
@@ -29,18 +28,17 @@ void FrontierCache::materialize() {
   std::vector<cfg::FrontierEntry> list;
   for (cfg::BlockId b = 0; b < n; ++b) {
     cfg::frontier_distances(cfg_, b, k_, dist, list);
-    entries.insert(entries.end(), list.begin(), list.end());
-    APCC_CHECK(entries.size() < UINT32_MAX,
-               "FrontierCache exceeds 2^32 entries");
-    offsets.push_back(static_cast<std::uint32_t>(entries.size()));
+    for (const cfg::FrontierEntry& entry : list) ids.push_back(entry.block);
+    APCC_CHECK(ids.size() < UINT32_MAX, "FrontierCache exceeds 2^32 entries");
+    offsets.push_back(static_cast<std::uint32_t>(ids.size()));
   }
-  entries.shrink_to_fit();  // resident size is exactly the lists
-  entries_ = std::move(entries);
+  ids.shrink_to_fit();  // resident size is exactly the lists
+  ids_ = std::move(ids);
   offsets_ = std::move(offsets);
 }
 
 std::uint64_t FrontierCache::resident_bytes() const {
-  return entries_.capacity() * sizeof(cfg::FrontierEntry) +
+  return ids_.capacity() * sizeof(cfg::BlockId) +
          offsets_.capacity() * sizeof(std::uint32_t);
 }
 

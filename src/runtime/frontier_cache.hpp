@@ -1,16 +1,17 @@
 // Materialized k-edge frontiers for the decompression planner.
 //
 // The planner's candidate set at a block exit -- every block within k
-// edges of the exit, with its minimum edge distance -- is static given
+// edges of the exit, ordered by minimum edge distance -- is static given
 // (CFG, predecompress_k). The seed re-ran a bounded BFS per frontier
 // block per exit; this cache computes each block's candidate list once
 // and hands out a span the planner filters by the *dynamic* part of the
-// query, the current BlockForm. Entries are pre-sorted by (distance, id),
-// the planner's request order, so the filter preserves ordering for free.
+// query, the current BlockForm. Lists are pre-sorted by (distance, id),
+// the planner's request order, so the filter preserves ordering for free;
+// the distances themselves are dropped, since no reader needs them.
 //
 // Storage is flat: materialize() computes every block's list, in block
-// order, into CSR form (compressed sparse row: one cfg::FrontierEntry
-// array plus a (B+1)-entry offset table, list b at [offsets[b],
+// order, into CSR form (compressed sparse row: one cfg::BlockId array
+// plus a (B+1)-entry offset table, list b at [offsets[b],
 // offsets[b+1])). Each list costs O(frontier), so the whole build is
 // O(total frontier size). resident_bytes() is the exact heap size of
 // the two arrays.
@@ -38,9 +39,9 @@ class FrontierCache {
   FrontierCache(const cfg::Cfg& cfg, unsigned k);
 
   /// Candidate list for the exit of `block`: every block within k edges,
-  /// with its distance, sorted by (distance, id). The span stays valid
-  /// for the cache's lifetime. The cache must be materialized.
-  [[nodiscard]] std::span<const cfg::FrontierEntry> candidates(
+  /// sorted by (distance, id). The span stays valid for the cache's
+  /// lifetime. The cache must be materialized.
+  [[nodiscard]] std::span<const cfg::BlockId> candidates(
       cfg::BlockId block) const;
 
   /// Compute every block's candidate list into CSR form; a no-op once
@@ -52,7 +53,7 @@ class FrontierCache {
 
   [[nodiscard]] unsigned k() const { return k_; }
 
-  /// Exact heap size of the entry array and offset table (0 until
+  /// Exact heap size of the id array and offset table (0 until
   /// materialized), what serving::Service budgets against.
   [[nodiscard]] std::uint64_t resident_bytes() const;
 
@@ -62,8 +63,8 @@ class FrontierCache {
  private:
   const cfg::Cfg& cfg_;
   unsigned k_;
-  std::vector<cfg::FrontierEntry> entries_;  // every list, in block order
-  std::vector<std::uint32_t> offsets_;       // block_count() + 1 once built
+  std::vector<cfg::BlockId> ids_;       // every list, in block order
+  std::vector<std::uint32_t> offsets_;  // block_count() + 1 once built
 };
 
 }  // namespace apcc::runtime

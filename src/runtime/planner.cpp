@@ -35,10 +35,8 @@ void DecompressionPlanner::compressed_frontier(
   // The cached candidates are already sorted by (distance, id); keeping
   // only the compressed ones preserves that order.
   out.clear();
-  for (const cfg::FrontierEntry& c : frontiers_->candidates(block)) {
-    if (states_[c.block].form() == BlockForm::kCompressed) {
-      out.push_back(c.block);
-    }
+  for (const cfg::BlockId c : frontiers_->candidates(block)) {
+    if (states_[c].form() == BlockForm::kCompressed) out.push_back(c);
   }
 }
 

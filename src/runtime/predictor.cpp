@@ -1,30 +1,32 @@
 #include "runtime/predictor.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "support/assert.hpp"
 
 namespace apcc::runtime {
 
 ProfilePredictor::ProfilePredictor(const cfg::Cfg& cfg, std::uint32_t k)
-    : cfg_(cfg),
-      k_(k),
-      order_(cfg.block_count()),
-      ranked_(cfg.block_count(), false) {}
+    : cfg_(cfg), k_(k), ranking_of_(cfg.block_count()) {}
 
 cfg::BlockId ProfilePredictor::predict(
     cfg::BlockId from, const std::vector<cfg::BlockId>& candidates,
     std::size_t /*trace_index*/) const {
   APCC_CHECK(!candidates.empty(), "predict() needs candidates");
-  APCC_CHECK(from < ranked_.size(), "block id out of range");
-  if (!ranked_[from]) {
+  APCC_CHECK(from < ranking_of_.size(), "block id out of range");
+  Ranking& ranking = ranking_of_[from];
+  if (ranking.offset == kUnranked) {
     // reach_scores is sorted by descending score; keep just the order.
-    const auto scores = cfg::reach_scores(cfg_, from, k_);
-    order_[from].reserve(scores.size());
-    for (const cfg::ReachScore& rs : scores) order_[from].push_back(rs.block);
-    ranked_[from] = true;
+    cfg::reach_scores(cfg_, from, k_, scratch_, scores_);
+    APCC_CHECK(rankings_.size() + scores_.size() < kUnranked,
+               "ProfilePredictor rankings exceed 2^32 entries");
+    ranking.offset = static_cast<std::uint32_t>(rankings_.size());
+    ranking.length = static_cast<std::uint32_t>(scores_.size());
+    for (const cfg::ReachScore& rs : scores_) rankings_.push_back(rs.block);
   }
-  for (const cfg::BlockId b : order_[from]) {
+  for (const cfg::BlockId b :
+       std::span(rankings_).subspan(ranking.offset, ranking.length)) {
     if (std::find(candidates.begin(), candidates.end(), b) !=
         candidates.end()) {
       return b;

@@ -12,6 +12,7 @@
 //    upper bound on what any predictor could achieve.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "cfg/analysis.hpp"
@@ -45,7 +46,9 @@ class Predictor {
 /// Profile-guided predictor (paper default). The ranking of an exit
 /// block's reachable blocks is a static function of (CFG, block, k), so
 /// it is computed once per block, on the block's first exit, and each
-/// predict() walks the memo instead of re-running reach_scores.
+/// predict() walks the memo instead of re-running reach_scores. Every
+/// ranking lives in one array, so a run allocates a logarithmic number
+/// of times however many blocks it exits.
 class ProfilePredictor final : public Predictor {
  public:
   ProfilePredictor(const cfg::Cfg& cfg, std::uint32_t k);
@@ -58,12 +61,23 @@ class ProfilePredictor final : public Predictor {
   }
 
  private:
+  static constexpr std::uint32_t kUnranked = UINT32_MAX;
+
+  /// Where one block's ranking sits in `rankings_`.
+  struct Ranking {
+    std::uint32_t offset = kUnranked;  // until the block's first exit
+    std::uint32_t length = 0;
+  };
+
   const cfg::Cfg& cfg_;
   std::uint32_t k_;
-  // Lazily filled; order_[b] (blocks in reach_scores order from the
-  // exit of b) is meaningful only once ranked_[b].
-  mutable std::vector<std::vector<cfg::BlockId>> order_;
-  mutable std::vector<bool> ranked_;
+  // Lazily filled: each ranked block's reach_scores order, back to back
+  // in first-exit order, and the per-block (offset, length) into it.
+  mutable std::vector<cfg::BlockId> rankings_;
+  mutable std::vector<Ranking> ranking_of_;
+  // reach_scores' reused scratch and output.
+  mutable cfg::ReachScratch scratch_;
+  mutable std::vector<cfg::ReachScore> scores_;
 };
 
 /// Structural heuristic predictor: the candidate in the deepest loop,

@@ -283,9 +283,17 @@ TEST(EdgeDistance, Figure2B1ToB7IsExactlyThree) {
   EXPECT_EQ(edge_distance(g, 1, 7).value(), 3u);
 }
 
+/// reach_scores into a fresh scratch.
+std::vector<ReachScore> scores_of(const Cfg& g, BlockId from, unsigned k) {
+  ReachScratch scratch;
+  std::vector<ReachScore> scores;
+  reach_scores(g, from, k, scratch, scores);
+  return scores;
+}
+
 TEST(ReachScores, SortedAndPositive) {
   const Cfg g = loop_graph();
-  const auto scores = reach_scores(g, 0, 3);
+  const auto scores = scores_of(g, 0, 3);
   ASSERT_FALSE(scores.empty());
   for (std::size_t i = 1; i < scores.size(); ++i) {
     EXPECT_GE(scores[i - 1].score, scores[i].score);
@@ -304,7 +312,7 @@ TEST(ReachScores, FollowsProbabilityMass) {
   g.add_edge(0, 1, EdgeKind::kBranchTaken, 0.9);
   g.add_edge(0, 2, EdgeKind::kFallThrough, 0.1);
   g.normalize_probabilities();
-  const auto scores = reach_scores(g, 0, 1);
+  const auto scores = scores_of(g, 0, 1);
   ASSERT_EQ(scores.size(), 2u);
   EXPECT_EQ(scores[0].block, 1u);
   EXPECT_NEAR(scores[0].score, 0.9, 1e-9);
@@ -313,7 +321,7 @@ TEST(ReachScores, FollowsProbabilityMass) {
 
 TEST(ReachScores, KZeroEmpty) {
   const Cfg g = loop_graph();
-  EXPECT_TRUE(reach_scores(g, 0, 0).empty());
+  EXPECT_TRUE(scores_of(g, 0, 0).empty());
 }
 
 }  // namespace

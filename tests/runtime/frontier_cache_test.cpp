@@ -1,10 +1,13 @@
 // FrontierCache tests: the materialized cache every planner reads must
 // hold exactly the candidate lists an independent per-exit BFS computes,
-// refuse reads before it is built, and be stored flat, with
-// resident_bytes() the exact size of its arrays.
+// in the same (distance, id) order, refuse reads before it is built, and
+// be stored flat, 4 bytes per entry, with resident_bytes() the exact
+// size of its arrays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -40,29 +43,34 @@ const std::vector<workloads::Workload>& programs() {
   return all;
 }
 
-void expect_same_list(std::span<const cfg::FrontierEntry> got,
-                      std::span<const cfg::FrontierEntry> want,
-                      cfg::BlockId b, unsigned k) {
-  ASSERT_EQ(got.size(), want.size()) << "block " << b << " k " << k;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].block, want[i].block) << "block " << b << " k " << k;
-    EXPECT_EQ(got[i].distance, want[i].distance)
-        << "block " << b << " k " << k;
-  }
+// The cache stores bare ids, 4 bytes per entry (a cfg::FrontierEntry,
+// with its distance, is 8).
+using CandidateList =
+    decltype(std::declval<const FrontierCache&>().candidates(0));
+static_assert(std::is_same_v<CandidateList, std::span<const cfg::BlockId>>);
+static_assert(sizeof(CandidateList::element_type) == 4);
+
+void expect_same_list(std::span<const cfg::BlockId> got,
+                      std::span<const cfg::BlockId> want, cfg::BlockId b,
+                      unsigned k) {
+  EXPECT_EQ(std::vector<cfg::BlockId>(got.begin(), got.end()),
+            std::vector<cfg::BlockId>(want.begin(), want.end()))
+      << "block " << b << " k " << k;
 }
 
 /// Block `b`'s list the lazy way, at one exit: a frontier_within BFS,
 /// then one edge_distance BFS per frontier block, sorted by (distance,
-/// id). Independent of the cache's frontier_distances.
-std::vector<cfg::FrontierEntry> per_exit_list(const cfg::Cfg& graph,
-                                              cfg::BlockId b, unsigned k) {
+/// id), keeping the ids in that order. Independent of the cache's
+/// frontier_distances.
+std::vector<cfg::BlockId> per_exit_list(const cfg::Cfg& graph,
+                                        cfg::BlockId b, unsigned k) {
   std::vector<std::pair<unsigned, cfg::BlockId>> near;
   for (const cfg::BlockId x : cfg::frontier_within(graph, b, k)) {
     near.emplace_back(cfg::edge_distance(graph, b, x).value(), x);
   }
   std::sort(near.begin(), near.end());
-  std::vector<cfg::FrontierEntry> list;
-  for (const auto& [distance, x] : near) list.push_back({x, distance});
+  std::vector<cfg::BlockId> list;
+  for (const auto& [distance, x] : near) list.push_back(x);
   return list;
 }
 
@@ -94,8 +102,8 @@ TEST(FrontierCache, MaterializedSpansStayValidAcrossLaterCalls) {
   const cfg::Cfg& graph = programs().back().cfg;
   FrontierCache cache(graph, 4);
   cache.materialize();
-  std::vector<std::span<const cfg::FrontierEntry>> spans;
-  std::vector<std::vector<cfg::FrontierEntry>> copies;
+  std::vector<std::span<const cfg::BlockId>> spans;
+  std::vector<std::vector<cfg::BlockId>> copies;
   for (cfg::BlockId b = 0; b < graph.block_count(); ++b) {
     spans.push_back(cache.candidates(b));
     copies.emplace_back(spans.back().begin(), spans.back().end());
@@ -109,9 +117,10 @@ TEST(FrontierCache, MaterializedSpansStayValidAcrossLaterCalls) {
 }
 
 TEST(FrontierCache, ResidentBytesAreTheFlatArrays) {
-  // One entry array holding every list and a (B+1)-entry offset table,
-  // with no slack: exactly what an artifact budget is charged. The
-  // constructor computes nothing, so an unbuilt cache holds no bytes.
+  // One id array holding every list, 4 bytes per entry, and a
+  // (B+1)-entry offset table, with no slack: exactly what an artifact
+  // budget is charged. The constructor computes nothing, so an unbuilt
+  // cache holds no bytes.
   const cfg::Cfg& graph = programs().back().cfg;
   FrontierCache cache(graph, 4);
   EXPECT_EQ(cache.resident_bytes(), 0u);
@@ -121,8 +130,7 @@ TEST(FrontierCache, ResidentBytesAreTheFlatArrays) {
     entries += cache.candidates(b).size();
   }
   EXPECT_EQ(cache.resident_bytes(),
-            entries * sizeof(cfg::FrontierEntry) +
-                (graph.block_count() + 1) * sizeof(std::uint32_t));
+            entries * 4 + (graph.block_count() + 1) * 4);
 }
 
 }  // namespace

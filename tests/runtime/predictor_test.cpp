@@ -54,7 +54,10 @@ TEST(ProfilePredictor, MemoizedRankingMatchesReachScoresOnEveryCall) {
   const auto reference = [](const cfg::Cfg& g, cfg::BlockId from,
                             unsigned k,
                             const std::vector<cfg::BlockId>& candidates) {
-    for (const cfg::ReachScore& rs : cfg::reach_scores(g, from, k)) {
+    cfg::ReachScratch scratch;
+    std::vector<cfg::ReachScore> scores;
+    cfg::reach_scores(g, from, k, scratch, scores);
+    for (const cfg::ReachScore& rs : scores) {
       if (std::find(candidates.begin(), candidates.end(), rs.block) !=
           candidates.end()) {
         return rs.block;
@@ -145,10 +148,8 @@ TEST(StaticPredictor, PlannerOrderPicksDeepestThenNearestThenLowestId) {
       FrontierCache frontiers(g, k);
       frontiers.materialize();
       for (cfg::BlockId from = 0; from < g.block_count(); ++from) {
-        std::vector<cfg::BlockId> ordered;
-        for (const cfg::FrontierEntry& e : frontiers.candidates(from)) {
-          ordered.push_back(e.block);
-        }
+        const auto list = frontiers.candidates(from);
+        const std::vector<cfg::BlockId> ordered(list.begin(), list.end());
         // The whole frontier and two thinned copies, order kept.
         std::vector<std::vector<cfg::BlockId>> subsets = {ordered, {}, {}};
         for (std::size_t i = 0; i < ordered.size(); ++i) {

@@ -330,11 +330,11 @@ void expect_same_counts(const ArtifactStats& a, const ArtifactStats& b) {
 
 TEST(Eviction, RecencyFollowsTheJobSequenceNotTheCellOrder) {
   // Two one-worker Services run the same three jobs on jpeg-like under
-  // a 2,200 B budget: (1) an on-demand sweep over k=1 and k=4, (2) an
+  // a 1,800 B budget: (1) an on-demand sweep over k=1 and k=4, (2) an
   // lzss run at k=2, (3) job 1 again. Job 1 lists its two cells in
-  // opposite orders in the two Services. Its own artifacts (1,813 B: a
-  // 645 B image and 1,168 B of geometry) fit the budget and job 2's
-  // force evictions (unbounded, the three jobs end holding 2,889 B), so
+  // opposite orders in the two Services. Its own artifacts (1,309 B: a
+  // 645 B image and 664 B of geometry) fit the budget and job 2's
+  // force evictions (unbounded, the three jobs end holding 2,181 B), so
   // which artifacts the evictions pick must follow the job sequence
   // alone: the two Services end with the same cache counts.
   const auto cell = [](std::uint32_t k) {
@@ -350,7 +350,7 @@ TEST(Eviction, RecencyFollowsTheJobSequenceNotTheCellOrder) {
   lzss.policy.compress_k = 2;
   lzss.policy.predecompress_k = 2;
   CacheBudget budget;
-  budget.total_bytes = 2200;
+  budget.total_bytes = 1800;
 
   std::vector<CacheStats> stats;
   for (const auto& ks : {std::vector<std::uint32_t>{1, 4},

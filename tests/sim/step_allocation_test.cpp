@@ -1,12 +1,12 @@
 // The engine's allocation contract. Once a run is set up, stepping the
 // trace does no heap allocation. Setup -- each cell's record table, the
-// materialized frontier cache, each block's lazily computed predictor
-// ranking -- allocates a handful of flat arrays, and the vectors that
-// grow to a run's peak (the resident-id list, the allocator's live
-// copies, the remember-set node pool, the ready queue, the reused
-// per-exit buffers) reallocate a logarithmic number of times. So
-// neither the trace's length nor, for on-demand and pre-all cells, the
-// CFG's size moves a run's allocation count much.
+// materialized frontier cache, the profile predictor's per-block index
+// and reach scratch -- allocates a handful of flat arrays, and the
+// vectors that grow to a run's peak (the resident-id list, the
+// allocator's live copies, the remember-set node pool, the ready queue,
+// the reused per-exit buffers, the predictor's one ranking array)
+// reallocate a logarithmic number of times. So neither the trace's
+// length nor the CFG's size moves a run's allocation count much.
 //
 // This file replaces the global operator new with a counting one (for
 // the whole apcc_sim_tests binary; it only counts, then defers to
@@ -156,7 +156,8 @@ TEST(StepAllocation, RunAllocationsDoNotGrowWithTheCfg) {
   ASSERT_EQ(small.workload.cfg.block_count(), 19u);
 
   for (const auto strategy : {runtime::DecompressionStrategy::kOnDemand,
-                              runtime::DecompressionStrategy::kPreAll}) {
+                              runtime::DecompressionStrategy::kPreAll,
+                              runtime::DecompressionStrategy::kPreSingle}) {
     for (const std::uint32_t kk : {1u, 8u}) {
       EngineConfig config;
       config.policy.strategy = strategy;

@@ -6,6 +6,7 @@
 # Produces, in out-dir (default: the build dir):
 #   BENCH_engine.json   -- E11 engine hot-path throughput (steps/sec),
 #                          incl. the eviction-heavy rows' evictions/step
+#                          and the pre-single row on a 2,444-block program
 #   BENCH_codecs.json   -- E4 codec compress + decompress throughput per
 #                          codec, and the huffman decoder A/B
 #   BENCH_sweep.json    -- sharded policy-grid sweep scaling (grid pts/sec
@@ -69,6 +70,21 @@ PY
 then
   echo "error: BENCH_engine.json has no non-zero evictions_per_step" >&2
   echo "       (bm_engine_budget_evictions should evict on every run)" >&2
+  exit 1
+fi
+
+# The pre-single row is the one series that times the profile
+# predictor's ranking on a large CFG; a run without it has silently
+# stopped measuring that cost.
+if ! python3 - "${OUT_DIR}/BENCH_engine.json" <<'PY'
+import json, sys
+rows = [b for b in json.load(open(sys.argv[1]))["benchmarks"]
+        if b["name"].startswith("bm_engine_presingle")
+        and b.get("run_type", "iteration") == "iteration"]
+sys.exit(0 if rows else 1)
+PY
+then
+  echo "error: BENCH_engine.json has no bm_engine_presingle row" >&2
   exit 1
 fi
 
