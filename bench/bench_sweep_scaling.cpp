@@ -2,19 +2,21 @@
 //
 // The fig3 / E10 grids are embarrassingly parallel -- every grid point
 // is an independent engine cell over the same immutable BlockImage -- and
-// sweep::run_sweep shards them across a thread pool. This bench builds a
-// fig3-style grid (strategy x k x budget x fit, 72 points) on the
-// gsm-like workload and reports wall clock and speedup per worker count;
-// the google-benchmark registrations below emit the stable series for
-// BENCH_sweep.json. Parallel outcomes are byte-identical to the
-// sequential grid (tests/sweep/sweep_test.cpp pins that); the table's
-// checksum column makes a divergence visible here too.
+// a serving::Service sweep job shards them across the Service's resident
+// pool. This bench builds a fig3-style grid (strategy x k x budget x
+// fit, 72 points) on the gsm-like workload and reports wall clock and
+// speedup per pool width; the google-benchmark registrations below emit
+// the stable series for BENCH_sweep.json. Parallel outcomes are
+// byte-identical to the sequential grid (tests/sweep/sweep_test.cpp
+// pins that); the table's checksum column makes a divergence visible
+// here too.
 #include <chrono>
 #include <cstdio>
 #include <thread>
 
 #include "bench/bench_common.hpp"
 #include "runtime/block_image.hpp"
+#include "serving/service.hpp"
 #include "sim/trace_gen.hpp"
 #include "support/table.hpp"
 #include "sweep/sweep.hpp"
@@ -23,11 +25,73 @@ namespace {
 
 using namespace apcc;
 
+const workloads::Workload& sweep_workload() {
+  static const auto* workload = new workloads::Workload(
+      workloads::make_workload(workloads::WorkloadKind::kGsmLike));
+  return *workload;
+}
+
 const core::CodeCompressionSystem& sweep_system() {
   static const auto* system = new core::CodeCompressionSystem(
-      core::CodeCompressionSystem::from_workload(
-          workloads::make_workload(workloads::WorkloadKind::kGsmLike)));
+      core::CodeCompressionSystem::from_workload(sweep_workload()));
   return *system;
+}
+
+/// A resident Service of `workers` pool threads with the gsm-like
+/// workload registered, warmed by one run of `tasks`: its image and
+/// geometry are cached before anything is timed, so a timed run is the
+/// grid's cells on the pool.
+class WarmService {
+ public:
+  WarmService(unsigned workers, const std::vector<sweep::SweepTask>& tasks)
+      : service_(options(workers)),
+        workload_(service_.register_workload(sweep_workload())) {
+    (void)run(tasks);
+  }
+
+  /// One sweep job of `tasks`; outcomes in task order.
+  std::vector<sweep::SweepOutcome> run(
+      const std::vector<sweep::SweepTask>& tasks) {
+    serving::JobSpec spec;
+    spec.kind = serving::JobKind::kSweep;
+    spec.workloads = {"@" + std::to_string(workload_)};
+    spec.tasks = tasks;
+    return service_.submit(std::move(spec)).wait().sweep;
+  }
+
+ private:
+  static serving::ServiceOptions options(unsigned workers) {
+    serving::ServiceOptions options;
+    options.workers = workers;
+    return options;
+  }
+
+  serving::Service service_;
+  serving::WorkloadId workload_;
+};
+
+/// The grid on the calling thread: each sweep::chunk_cells chunk of
+/// `batch` cells stepped by one BatchEngine, which builds its own
+/// setup -- geometry included -- as every one-thread run does. That
+/// per-chunk setup is what the batch width amortizes, and what a warm
+/// Service would cache away.
+std::vector<sweep::SweepOutcome> run_chunks(
+    const cfg::Cfg& cfg, const runtime::BlockImage& image,
+    const cfg::BlockTrace& trace, const std::vector<sweep::SweepTask>& tasks,
+    std::uint32_t batch) {
+  sweep::ResultSink sink;
+  for (const sweep::CellChunk& chunk :
+       sweep::chunk_cells(1, tasks.size(), batch)) {
+    std::vector<std::size_t> cells;
+    std::vector<sim::EngineConfig> configs;
+    for (std::size_t t = chunk.begin; t < chunk.end; ++t) {
+      cells.push_back(t);
+      configs.push_back(tasks[t].config);
+    }
+    sweep::run_chunk(cfg, image, trace, tasks, cells, std::move(configs),
+                     sink);
+  }
+  return sink.take_sorted();
 }
 
 /// The fig3-style grid: every decompression strategy x a k sweep x
@@ -91,7 +155,7 @@ void print_tables() {
   bench::print_header(
       "Sweep scaling",
       "sharded policy-grid sweep (fig3-style grid, gsm-like workload)\n"
-      "wall clock and speedup vs a 1-worker sequential grid");
+      "wall clock and speedup of a warm Service sweep job vs 1 worker");
   const auto tasks = make_grid();
   std::cout << "hardware threads: " << std::thread::hardware_concurrency()
             << " (speedup saturates there; on one vCPU the pool can only\n"
@@ -106,10 +170,9 @@ void print_tables() {
       .cell("checksum");
   double sequential_ms = 0.0;
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    sweep::SweepOptions options;
-    options.workers = workers;
+    WarmService warm(workers, tasks);
     const auto start = std::chrono::steady_clock::now();
-    const auto outcomes = sweep_system().run_sweep(tasks, options);
+    const auto outcomes = warm.run(tasks);
     const std::chrono::duration<double, std::milli> elapsed =
         std::chrono::steady_clock::now() - start;
     if (workers == 1) sequential_ms = elapsed.count();
@@ -128,7 +191,7 @@ void print_tables() {
                "(deterministic sharding), speedup approaching the worker\n"
                "count until the grid runs out of tasks per worker.\n\n";
 
-  // Lockstep batching at one worker. On this grid the traces are long
+  // Lockstep batching on one thread. On this grid the traces are long
   // relative to the CFG, so the amortized setup is small and the
   // column is expected to be ~flat; the regime where batching wins
   // outright is the wide-CFG/short-trace series below
@@ -143,12 +206,11 @@ void print_tables() {
       .cell("vs batch=1")
       .cell("checksum");
   double unbatched_ms = 0.0;
+  const auto& system = sweep_system();
   for (const std::uint32_t batch : {1u, 2u, 4u, 8u, 16u}) {
-    sweep::SweepOptions options;
-    options.workers = 1;
-    options.batch_cells = batch;
     const auto start = std::chrono::steady_clock::now();
-    const auto outcomes = sweep_system().run_sweep(tasks, options);
+    const auto outcomes = run_chunks(system.cfg(), system.image(),
+                                     system.default_trace(), tasks, batch);
     const std::chrono::duration<double, std::milli> elapsed =
         std::chrono::steady_clock::now() - start;
     if (batch == 1) unbatched_ms = elapsed.count();
@@ -176,16 +238,16 @@ void print_tables() {
 
 void bm_sweep_grid(benchmark::State& state) {
   const auto tasks = make_grid();
-  sweep::SweepOptions options;
-  options.workers = static_cast<unsigned>(state.range(0));
+  const auto workers = static_cast<unsigned>(state.range(0));
+  WarmService warm(workers, tasks);
   std::uint64_t grid_points = 0;
   for (auto _ : state) {
-    const auto outcomes = sweep_system().run_sweep(tasks, options);
+    const auto outcomes = warm.run(tasks);
     benchmark::DoNotOptimize(outcomes.data());
     grid_points += outcomes.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(grid_points));
-  state.SetLabel(std::to_string(options.workers) + "-worker");
+  state.SetLabel(std::to_string(workers) + "-worker");
 }
 BENCHMARK(bm_sweep_grid)
     ->Arg(1)
@@ -197,22 +259,22 @@ BENCHMARK(bm_sweep_grid)
     ->UseRealTime();
 
 /// The batching trend for BENCH_sweep.json: grid cells stepped per
-/// second at one worker as the lockstep batch width grows.
+/// second on one thread as the lockstep batch width grows.
 /// items_per_second IS cells-stepped/sec, so real hardware can read the
 /// series past the 1-vCPU container this repo's CI runs on.
 void bm_sweep_batch(benchmark::State& state) {
+  const auto& system = sweep_system();
   const auto tasks = make_grid();
-  sweep::SweepOptions options;
-  options.workers = 1;
-  options.batch_cells = static_cast<std::uint32_t>(state.range(0));
+  const auto batch = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t cells_stepped = 0;
   for (auto _ : state) {
-    const auto outcomes = sweep_system().run_sweep(tasks, options);
+    const auto outcomes = run_chunks(system.cfg(), system.image(),
+                                     system.default_trace(), tasks, batch);
     benchmark::DoNotOptimize(outcomes.data());
     cells_stepped += outcomes.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cells_stepped));
-  state.SetLabel("batch-" + std::to_string(options.batch_cells));
+  state.SetLabel("batch-" + std::to_string(batch));
 }
 BENCHMARK(bm_sweep_batch)
     ->Arg(1)
@@ -303,18 +365,15 @@ std::vector<sweep::SweepTask> wide_cfg_grid() {
 void bm_sweep_batch_widecfg(benchmark::State& state) {
   const auto& w = wide_cfg_workload();
   const auto tasks = wide_cfg_grid();
-  sweep::SweepOptions options;
-  options.workers = 1;
-  options.batch_cells = static_cast<std::uint32_t>(state.range(0));
+  const auto batch = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t cells_stepped = 0;
   for (auto _ : state) {
-    const auto outcomes =
-        sweep::run_sweep(w.graph, *w.image, w.trace, tasks, options);
+    const auto outcomes = run_chunks(w.graph, *w.image, w.trace, tasks, batch);
     benchmark::DoNotOptimize(outcomes.data());
     cells_stepped += outcomes.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cells_stepped));
-  state.SetLabel("wide-cfg batch-" + std::to_string(options.batch_cells));
+  state.SetLabel("wide-cfg batch-" + std::to_string(batch));
 }
 BENCHMARK(bm_sweep_batch_widecfg)
     ->Arg(1)

@@ -6,7 +6,6 @@
 // memory/performance grid, which is the quantitative content the taxonomy
 // implies. Compression always uses the k-edge algorithm, as in the paper.
 #include "reproduce/common.hpp"
-#include "sweep/sweep.hpp"
 
 namespace apcc::reproduce {
 
@@ -32,20 +31,10 @@ void print_fig3_design_space(std::ostream& out) {
   print_header(out, "Figure 3",
                "the decompression design space, instantiated on the\n"
                "gsm-like workload (codec: shared huffman)");
-  const std::vector<Cell> cells = fig3_cells();
-
-  // One system (one compressed image: every cell has the same codec),
-  // the whole grid sharded across worker threads; outcomes come back in
-  // task order, identical to the sequential loop this replaced.
-  const auto system = core::CodeCompressionSystem::from_workload(
-      cached_workload(kFig3Workload), cells.front().config);
-  std::vector<sweep::SweepTask> tasks;
-  for (const Cell& cell : cells) {
-    tasks.push_back({cell.label, core::engine_config(cell.config)});
-  }
+  const auto& workload = cached_workload(kFig3Workload);
   std::vector<core::ReportRow> rows;
-  for (auto& outcome : system.run_sweep(tasks)) {
-    rows.push_back({std::move(outcome.label), outcome.result});
+  for (const Cell& cell : fig3_cells()) {
+    rows.push_back({cell.label, run_config(workload, cell.config)});
   }
   out << core::render_comparison(rows) << '\n';
   out << "Shape check (paper S4): on-demand pays the most\n"

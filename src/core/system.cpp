@@ -61,20 +61,6 @@ sim::RunResult CodeCompressionSystem::run_with_events(
   return engine.run(trace).front().value();
 }
 
-std::vector<sweep::SweepOutcome> CodeCompressionSystem::run_sweep(
-    const std::vector<sweep::SweepTask>& tasks,
-    const sweep::SweepOptions& options) const {
-  APCC_CHECK(!default_trace_.empty(),
-             "no default trace; pass one to run_sweep(trace, tasks)");
-  return run_sweep(default_trace_, tasks, options);
-}
-
-std::vector<sweep::SweepOutcome> CodeCompressionSystem::run_sweep(
-    const cfg::BlockTrace& trace, const std::vector<sweep::SweepTask>& tasks,
-    const sweep::SweepOptions& options) const {
-  return sweep::run_sweep(cfg_, *image_, trace, tasks, options);
-}
-
 std::uint64_t CodeCompressionSystem::compressed_image_bytes() const {
   return image_->footprint().compressed_area_bytes;
 }

@@ -4,11 +4,10 @@
 // and the three-thread execution engine -- behind one object. This is
 // the synchronous, build-per-call layer: each from_workload call
 // compresses the image afresh and each run steps a fresh width-1
-// sim::BatchEngine. For repeated submissions over a persistent workload
-// set -- cached compressed images, cached frontier geometry, several
-// grids in flight on one shared pool -- use serving::Service
-// (docs/API.md); a Service job's outcome is byte-identical to the
-// equivalent call here.
+// sim::BatchEngine. A policy grid runs as a serving::Service sweep job
+// (docs/API.md): cached compressed images, cached frontier geometry,
+// several grids in flight on one shared pool. Each Service cell's
+// outcome is byte-identical to the equivalent run() here.
 //
 //   auto workload = workloads::make_workload(WorkloadKind::kGsmLike);
 //   core::SystemConfig config;
@@ -28,7 +27,6 @@
 #include "cfg/cfg.hpp"
 #include "runtime/block_image.hpp"
 #include "sim/step_policy.hpp"
-#include "sweep/sweep.hpp"
 #include "workloads/suite.hpp"
 
 namespace apcc::core {
@@ -68,19 +66,6 @@ class CodeCompressionSystem {
   /// Like run(), but streaming engine events into `sink`.
   [[nodiscard]] sim::RunResult run_with_events(const cfg::BlockTrace& trace,
                                                sim::EventSink sink) const;
-
-  /// Run a policy grid over this system's image and default trace,
-  /// sharded across worker threads (sweep::run_sweep). Every task shares
-  /// the immutable image; outcomes come back in task order, identical to
-  /// running the grid sequentially.
-  [[nodiscard]] std::vector<sweep::SweepOutcome> run_sweep(
-      const std::vector<sweep::SweepTask>& tasks,
-      const sweep::SweepOptions& options = {}) const;
-
-  /// Same, over an explicit trace.
-  [[nodiscard]] std::vector<sweep::SweepOutcome> run_sweep(
-      const cfg::BlockTrace& trace, const std::vector<sweep::SweepTask>& tasks,
-      const sweep::SweepOptions& options = {}) const;
 
   /// The engine knob subset of this system's config, the starting point
   /// for building SweepTasks that vary one policy axis at a time.

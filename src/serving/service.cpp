@@ -81,12 +81,11 @@ Service::Service(ServiceOptions options)
              "pool width out of range: " + std::to_string(options.workers) +
                  " workers (expected at most " +
                  std::to_string(ServiceOptions::kMaxWorkers) + ")");
-  unsigned workers = options.workers != 0
-                         ? options.workers
-                         : std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
+  // 0 means hardware concurrency, which may itself be 0 ("not
+  // computable"); the pool clamps that to one worker.
   pool_ = std::make_shared<sweep::Pool>(
-      sweep::PoolOptions{workers, options.fair_share});
+      options.workers != 0 ? options.workers
+                           : std::thread::hardware_concurrency());
 }
 
 Service::~Service() { shutdown(std::nullopt); }
@@ -564,7 +563,7 @@ void Service::shutdown(
     }
   }
   pool_->drain();
-  pool_->stop(sweep::StopMode::kDrain);
+  pool_->stop();
 }
 
 Service::CacheStats Service::cache_stats() const {

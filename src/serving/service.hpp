@@ -1,12 +1,12 @@
 // apcc::serving::Service -- the persistent job-submission API.
 //
-// The one-shot entry points (CodeCompressionSystem::run / run_sweep)
-// rebuild the compressed BlockImage per system, re-materialize frontier
-// geometry per call, and spin a pool up and down. That is the wrong
-// shape for the workload the ROADMAP aims at -- the same suite
-// replayed under many policy grids, by many clients -- where the
-// expensive transforms are *artifacts of the workload*, not of the
-// request. Service inverts the lifecycle:
+// The one-shot entry point (CodeCompressionSystem::run) rebuilds the
+// compressed BlockImage per system and re-materializes frontier
+// geometry per call. That is the wrong shape for the workload the
+// ROADMAP aims at -- the same suite replayed under many policy grids,
+// by many clients -- where the expensive transforms are *artifacts of
+// the workload*, not of the request. Service inverts the lifecycle, and
+// it is the one runner that runs a grid in parallel:
 //
 //   serving::Service service;                          // resident pool
 //   auto id = service.register_workload(
@@ -103,9 +103,9 @@ struct ServiceOptions {
   static constexpr unsigned kMaxWorkers = 1024;
 
   /// Resident pool width; 0 means hardware concurrency (clamped to at
-  /// least 1). Unlike the one-shot runners, 1 still means one resident
-  /// worker *thread* -- submit() never runs work inline. At most
-  /// kMaxWorkers; the constructor throws CheckError above.
+  /// least 1). 1 still means one resident worker *thread* -- submit()
+  /// never runs work inline. At most kMaxWorkers; the constructor
+  /// throws CheckError above.
   unsigned workers = 0;
   ServiceLimits limits;
   /// Byte ceiling for the resident artifact cache (see cache.hpp); 0 --
@@ -118,12 +118,6 @@ struct ServiceOptions {
   /// Deterministic fault injection (tests / soak runs); null -- the
   /// default -- costs one branch per fault point. See fault_plan.hpp.
   std::shared_ptr<const FaultPlan> faults;
-  /// Within-class pool scheduling: weighted fair share over
-  /// JobSpec::client tags (the default) vs the strict lowest-id order
-  /// -- the reference the fairness differentials compare against.
-  /// Affects only when cells run, never any job outcome. See
-  /// sweep::PoolOptions::fair_share.
-  bool fair_share = true;
   /// Server-side fair-share weights by client tag; absent tags weigh 1.
   /// Weights are deployment policy, not job payload -- they never cross
   /// the wire, so the wire format is unchanged.

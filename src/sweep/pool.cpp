@@ -4,17 +4,15 @@
 
 namespace apcc::sweep {
 
-Pool::Pool(unsigned workers) : Pool(PoolOptions{workers, true}) {}
-
-Pool::Pool(PoolOptions options) : fair_share_(options.fair_share) {
-  const unsigned count = std::max(1u, options.workers);
+Pool::Pool(unsigned workers) {
+  const unsigned count = std::max(1u, workers);
   threads_.reserve(count);
   for (unsigned w = 0; w < count; ++w) {
     threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
-Pool::~Pool() { stop(StopMode::kDrain); }
+Pool::~Pool() { stop(); }
 
 std::shared_ptr<Pool::Job> Pool::claimable_locked() {
   // queue_ is in submission (= ascending id) order, so within an equal
@@ -32,10 +30,10 @@ std::shared_ptr<Pool::Job> Pool::claimable_locked() {
     }
     if (!best || job->priority < best->priority) {
       best = job;
-      if (fair_share_) best_vtime = share_locked(job->client).vtime;
+      best_vtime = share_locked(job->client).vtime;
       continue;
     }
-    if (!fair_share_ || job->priority != best->priority) continue;
+    if (job->priority != best->priority) continue;
     // Same class: the least-served account goes first, so a heavy
     // tenant's backlog cannot starve a light one queued behind it.
     const std::uint64_t vtime = share_locked(job->client).vtime;
@@ -66,12 +64,10 @@ Pool::ClientShare& Pool::share_locked(const std::string& tag) {
 }
 
 void Pool::charge_locked(const Job& job) {
-  if (!fair_share_) return;
   share_locked(job.client).vtime += kVtimeUnit / std::max(1u, job.weight);
 }
 
 void Pool::release_locked(const Job& job) {
-  if (!fair_share_) return;
   const auto it = shares_.find(job.client);
   if (it == shares_.end()) return;
   if (it->second.live > 0) --it->second.live;
@@ -112,13 +108,8 @@ FinalizeInfo Pool::finalize_info(const Job& job) {
   return {JobOutcome::kCompleted, nullptr};
 }
 
-void Pool::retire_locked(JobId id) {
-  retired_.push_back(id);
-  std::sort(retired_.begin(), retired_.end());
-  while (!retired_.empty() && retired_.front() == retired_below_) {
-    retired_.erase(retired_.begin());
-    ++retired_below_;
-  }
+void Pool::retire_locked() {
+  ++finalized_;
   finished_cv_.notify_all();
 }
 
@@ -141,7 +132,7 @@ Pool::JobId Pool::submit(std::size_t total, ItemFn item, FinalizeFn finalize,
     dead = stopping_;
     if (!dead && total > 0) {
       queue_.push_back(job);
-      if (fair_share_) ++share_locked(job->client).live;
+      ++share_locked(job->client).live;
     }
   }
   if (dead) {
@@ -151,15 +142,15 @@ Pool::JobId Pool::submit(std::size_t total, ItemFn item, FinalizeFn finalize,
     if (job->token) job->token->request();
     if (job->finalize) job->finalize({JobOutcome::kCancelled, nullptr});
     const std::lock_guard<std::mutex> lock(mutex_);
-    retire_locked(job->id);
+    retire_locked();
     return job->id;
   }
   if (total == 0) {
     // Nothing to schedule: finalize synchronously (callers get a handle
-    // that is already ready) and retire the id.
+    // that is already ready) and retire the job.
     if (job->finalize) job->finalize({JobOutcome::kCompleted, nullptr});
     const std::lock_guard<std::mutex> lock(mutex_);
-    retire_locked(job->id);
+    retire_locked();
     return job->id;
   }
   work_cv_.notify_all();
@@ -182,7 +173,7 @@ void Pool::finalize_unstarted_locked(std::unique_lock<std::mutex>& lock,
   lock.unlock();
   if (finalize) finalize(info);
   lock.lock();
-  retire_locked(job->id);
+  retire_locked();
   work_cv_.notify_all();
 }
 
@@ -278,7 +269,7 @@ void Pool::worker_loop() {
       lock.unlock();
       if (finalize) finalize(info);
       lock.lock();
-      retire_locked(job->id);
+      retire_locked();
       // A retiring job can be what a stopping pool's idle workers were
       // waiting on.
       work_cv_.notify_all();
@@ -286,40 +277,23 @@ void Pool::worker_loop() {
   }
 }
 
-void Pool::wait(JobId id) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  finished_cv_.wait(lock, [&] {
-    if (id >= next_id_) return true;  // never issued
-    if (id < retired_below_) return true;
-    return std::find(retired_.begin(), retired_.end(), id) != retired_.end();
-  });
-}
-
 void Pool::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  finished_cv_.wait(lock, [&] { return retired_below_ == next_id_; });
+  finished_cv_.wait(lock, [&] { return finalized_ == next_id_ - 1; });
 }
 
 bool Pool::drain_for(std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(mutex_);
   return finished_cv_.wait_for(lock, timeout,
-                               [&] { return retired_below_ == next_id_; });
+                               [&] { return finalized_ == next_id_ - 1; });
 }
 
-void Pool::stop(StopMode mode) {
+void Pool::stop() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopped_) return;
+    // Workers finish every queued job, then exit once the queue is empty.
     stopping_ = true;
-    if (mode == StopMode::kAbort) {
-      // Queued jobs are cancelled wholesale; whatever items are already
-      // on a worker finish (cooperatively early if they poll their
-      // token), then each job finalizes as cancelled. kDrain leaves the
-      // queue alone -- workers exit once it empties naturally.
-      for (const auto& job : queue_) {
-        cancel_locked(*job, CancelCause::kCancel);
-      }
-    }
   }
   work_cv_.notify_all();
   for (std::thread& t : threads_) {
@@ -328,29 +302,5 @@ void Pool::stop(StopMode mode) {
   const std::lock_guard<std::mutex> lock(mutex_);
   stopped_ = true;
 }
-
-namespace detail {
-
-void parallel_for_index(std::size_t total, unsigned workers,
-                        const std::function<void(std::size_t)>& fn) {
-  if (total == 0) return;
-
-  if (workers <= 1) {
-    // Inline: no pool, no locks, items in index order.
-    for (std::size_t i = 0; i < total; ++i) fn(i);
-    return;
-  }
-
-  Pool pool(static_cast<unsigned>(
-      std::min<std::size_t>(workers, total)));
-  std::exception_ptr failure;
-  pool.submit(total, fn, [&failure](const FinalizeInfo& info) {
-    failure = info.failure;
-  });
-  pool.drain();
-  if (failure) std::rethrow_exception(failure);
-}
-
-}  // namespace detail
 
 }  // namespace apcc::sweep

@@ -1,12 +1,10 @@
-// Shared worker pool for the sweep and serving layers.
+// The resident worker pool under serving::Service.
 //
-// Every parallel runner in this codebase reduces to the same shape: a
+// Every parallel grid in this codebase reduces to the same shape: a
 // job of N independent work items identified by a flat index, claimed
-// off a shared counter by a fixed set of worker threads. PR 2/3 ran
-// that loop per call (parallel_for_index); the serving layer needs it
-// *resident* -- one pool owned by a long-lived Service, with several
-// jobs (grids, campaigns) in flight at once. Pool is that resident
-// generalization:
+// off a shared counter by a fixed set of worker threads. Pool keeps
+// that loop *resident* -- one pool owned by a long-lived Service, with
+// several jobs (grids, campaigns) in flight at once:
 //
 //  * submit() enqueues a job (total item count + per-item callback +
 //    finalize callback, plus optional QoS: a priority class and a
@@ -21,7 +19,7 @@
 //    its item index and collected order-independently, scheduling
 //    affects only *when* an item runs, never what any job returns.
 //  * **Within** a class the pick is weighted fair share keyed by the
-//    job's client tag (PR 9): every tag carries a virtual-time account,
+//    job's client tag: every tag carries a virtual-time account,
 //    each dispatched item charges its account kVtimeUnit/weight, and
 //    the claimable tag with the smallest vtime goes first (ties break
 //    on the lexicographically smaller tag, then the lowest job id, so
@@ -29,11 +27,10 @@
 //    returns is aged forward to the busiest-minus-nothing baseline --
 //    max(own vtime, min active vtime) -- so it resumes sharing instead
 //    of monopolizing the pool to repay its idle time. Jobs that carry
-//    no tag all share the "" account, which degenerates to exactly the
-//    historical lowest-id-first order; PoolOptions::fair_share = false
-//    keeps that strict-FIFO pick as the live reference the
-//    differential tests compare against (scheduling may change when an
-//    item runs -- never any result).
+//    no tag all share the "" account, which gives exactly the
+//    lowest-id-first order: the same jobs submitted untagged are the
+//    reference the fairness differentials compare tagged runs against
+//    (scheduling may change when an item runs -- never any result).
 //  * A job's max_workers budget caps how many pool threads run its
 //    items concurrently (0 = no cap). A budget-capped job yields its
 //    surplus workers to lower-priority jobs instead of idling them.
@@ -43,9 +40,8 @@
 //    handed to the job's finalize callback, which runs exactly once, on
 //    a pool thread, after the job's last item retires.
 //
-// Robustness (PR 6) extends the same claim loop with three controls,
-// all of which change only *whether* an item runs, never what a run
-// item computes:
+// Three lifecycle controls extend the same claim loop, all of which
+// change only *whether* an item runs, never what a run item computes:
 //
 //  * **Cancellation** is cooperative and two-speed. cancel(id) marks
 //    the job so every still-unclaimed item is skipped at claim time
@@ -60,18 +56,12 @@
 //    kDeadlineExceeded. Items already running are not interrupted
 //    (their token is requested, so boundary-checking items stop
 //    early). A job with no deadline never reads the clock.
-//  * **stop(StopMode)** is the explicit teardown path, distinct from
-//    the destructor only in being callable early and in kAbort:
-//    kDrain finishes every queued job first (what the destructor
-//    does), kAbort cancels all queued jobs (running items still finish
-//    their current item) and finalizes them as cancelled. After stop()
-//    returns the workers are joined; submit() still hands out ids but
+//  * **stop()** is the explicit teardown path, the destructor's drain
+//    made callable early: it finishes every queued job, then joins the
+//    workers. After stop() returns, submit() still hands out ids but
 //    finalizes the job immediately as cancelled -- callers get a
-//    resolved handle, never a stall.
-//
-// parallel_for_index is kept as the synchronous veneer the one-shot
-// runner (run_sweep) uses: inline at workers <= 1 (items in index order
-// on the calling thread), a temporary Pool otherwise.
+//    resolved handle, never a stall. (Service::shutdown cancels
+//    still-queued jobs itself before it stops the pool.)
 #pragma once
 
 #include <atomic>
@@ -112,13 +102,6 @@ inline constexpr NamedValue<Priority> kPriorityNames[] = {
 [[nodiscard]] inline const char* priority_name(Priority p) {
   return name_of(kPriorityNames, p);
 }
-
-/// How stop() treats work that is still queued.
-enum class StopMode : std::uint8_t {
-  kDrain,  // finish every queued job, then join (destructor behaviour)
-  kAbort,  // cancel every queued job (running items finish their
-           // current item), finalize them as cancelled, then join
-};
 
 /// Why a job finalized. Failure wins over cancellation (the first
 /// thrown exception is the job's outcome even if a cancel raced it);
@@ -178,18 +161,6 @@ struct SubmitOptions {
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
-/// Pool-wide construction knobs.
-struct PoolOptions {
-  /// Resident worker threads (clamped to at least 1).
-  unsigned workers = 1;
-  /// Within-class scheduling: true (the default) picks by weighted
-  /// fair share over client tags; false keeps the strict
-  /// lowest-id-first order -- the PR 5 reference the fairness
-  /// differentials compare against. With no distinct tags the two are
-  /// identical, so existing tag-less callers see no change either way.
-  bool fair_share = true;
-};
-
 class Pool {
  public:
   using JobId = std::uint64_t;
@@ -207,14 +178,11 @@ class Pool {
   /// says how the job ended and carries the first item failure.
   using FinalizeFn = std::function<void(const FinalizeInfo&)>;
 
-  /// Spin up `workers` resident threads (clamped to at least 1),
-  /// fair-share scheduling on (see PoolOptions).
+  /// Spin up `workers` resident threads (clamped to at least 1).
   explicit Pool(unsigned workers);
 
-  explicit Pool(PoolOptions options);
-
-  /// Equivalent to stop(StopMode::kDrain): drains every submitted job
-  /// (finalizers included), then joins.
+  /// Equivalent to stop(): drains every submitted job (finalizers
+  /// included), then joins.
   ~Pool();
 
   Pool(const Pool&) = delete;
@@ -244,21 +212,17 @@ class Pool {
   /// iff the job was live and unstarted (and is now cancelled).
   bool cancel_if_unstarted(JobId id);
 
-  /// Block until job `id` has finalized (returns immediately for ids
-  /// already retired or never issued).
-  void wait(JobId id);
-
   /// Block until every job submitted so far has finalized.
   void drain();
 
   /// drain() with a timeout; true when everything finalized in time.
   bool drain_for(std::chrono::milliseconds timeout);
 
-  /// Explicit teardown: refuse-and-finalize future submits, handle
-  /// queued work per `mode`, run every finalizer, join the workers.
+  /// Explicit teardown: refuse-and-finalize future submits, finish
+  /// every queued job (finalizers included), join the workers.
   /// Idempotent; the second call (and the destructor afterwards) is a
-  /// cheap no-op. kAbort after kDrain cannot un-drain.
-  void stop(StopMode mode);
+  /// cheap no-op.
+  void stop();
 
  private:
   /// Why a job stopped claiming items; kFailure wins for the outcome.
@@ -290,9 +254,8 @@ class Pool {
   /// whose worker budget has a free slot (cancelled jobs bypass the
   /// budget -- their items are skipped, not run): highest priority
   /// class first; within the class, the minimum-vtime client tag (ties
-  /// to the lexicographically smaller tag), then the lowest job id --
-  /// or plain lowest id when fair_share is off. nullptr when nothing
-  /// is claimable.
+  /// to the lexicographically smaller tag), then the lowest job id.
+  /// nullptr when nothing is claimable.
   [[nodiscard]] std::shared_ptr<Job> claimable_locked();
 
   /// Per-tag fair-share account. `live` counts queued (not yet
@@ -336,37 +299,21 @@ class Pool {
   /// mutex_ (reads cause/failure).
   [[nodiscard]] static FinalizeInfo finalize_info(const Job& job);
 
-  /// Record a finalized id (compacting into retired_below_) and wake
-  /// waiters. Caller holds mutex_.
-  void retire_locked(JobId id);
+  /// Count one finalized job and wake drain() waiters. Caller holds
+  /// mutex_.
+  void retire_locked();
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;      // workers: new work or shutdown
   std::condition_variable finished_cv_;  // waiters: some job finalized
   std::deque<std::shared_ptr<Job>> queue_;  // submitted, not yet retired
-  const bool fair_share_;
   /// Fair-share accounts of tags with live jobs (guarded by mutex_).
   std::map<std::string, ClientShare> shares_;
   JobId next_id_ = 1;
-  JobId retired_below_ = 1;  // every id < this has finalized
-  std::vector<JobId> retired_;  // finalized ids >= retired_below_
+  std::size_t finalized_ = 0;  // jobs whose finalize has run
   bool stopping_ = false;
   bool stopped_ = false;  // workers joined; submit() cancels instantly
   std::vector<std::thread> threads_;
 };
-
-namespace detail {
-
-/// Run `fn(i)` for every i in [0, total), sharded across `workers`
-/// threads. `workers` must be >= 1; 1 runs every index inline on the
-/// calling thread with no pool at all. The first exception thrown by
-/// any `fn(i)` is rethrown on the calling thread after the pool drains
-/// (remaining indexes are abandoned so the drain is quick). `fn` must
-/// be safe to call concurrently from `workers` threads for distinct
-/// indexes.
-void parallel_for_index(std::size_t total, unsigned workers,
-                        const std::function<void(std::size_t)>& fn);
-
-}  // namespace detail
 
 }  // namespace apcc::sweep

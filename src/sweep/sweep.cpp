@@ -1,10 +1,8 @@
 #include "sweep/sweep.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "sim/batch_engine.hpp"
-#include "sweep/pool.hpp"
 
 namespace apcc::sweep {
 
@@ -27,18 +25,6 @@ std::vector<SweepOutcome> ResultSink::take_sorted() {
               return a.index < b.index;
             });
   return out;
-}
-
-unsigned resolve_workers(const SweepOptions& options,
-                         std::size_t task_count) {
-  // hardware_concurrency() is allowed to return 0 ("not computable"), so
-  // the 0-means-auto default clamps to at least one worker.
-  unsigned workers = options.workers != 0
-                         ? options.workers
-                         : std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  if (task_count < workers) workers = static_cast<unsigned>(task_count);
-  return std::max(1u, workers);
 }
 
 std::vector<CellChunk> chunk_cells(std::size_t workloads,
@@ -75,28 +61,6 @@ void run_chunk(const cfg::Cfg& cfg, const runtime::BlockImage& image,
     sink.push(SweepOutcome{cells[c], grid[cells[c]].label, outcomes[c].result});
   }
   if (first_error) std::rethrow_exception(first_error);
-}
-
-std::vector<SweepOutcome> run_sweep(const cfg::Cfg& cfg,
-                                    const runtime::BlockImage& image,
-                                    const cfg::BlockTrace& trace,
-                                    const std::vector<SweepTask>& tasks,
-                                    const SweepOptions& options) {
-  const std::vector<CellChunk> chunks =
-      chunk_cells(1, tasks.size(), options.batch_cells);
-  ResultSink sink;
-  detail::parallel_for_index(
-      chunks.size(), resolve_workers(options, chunks.size()),
-      [&](std::size_t c) {
-        std::vector<std::size_t> cells;
-        std::vector<sim::EngineConfig> configs;
-        for (std::size_t t = chunks[c].begin; t < chunks[c].end; ++t) {
-          cells.push_back(t);
-          configs.push_back(tasks[t].config);
-        }
-        run_chunk(cfg, image, trace, tasks, cells, std::move(configs), sink);
-      });
-  return sink.take_sorted();
 }
 
 }  // namespace apcc::sweep

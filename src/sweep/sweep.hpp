@@ -1,21 +1,21 @@
-// Sharded policy-grid sweeps and the cell executor every grid runner
-// shares.
+// The policy grid's value types and the cell executor every grid runs
+// through.
 //
-// The paper's evaluation (and the fig3 / E10 benches) is a grid of
+// The paper's evaluation (and the fig3 / E10 tables) is a grid of
 // policy configurations run over the same workload. Each grid point is
 // an independent engine cell, and everything a cell reads -- the Cfg,
 // the BlockImage, the trace -- is immutable after construction, so the
 // grid shards across a thread pool with zero shared mutable state.
 // Results funnel into a thread-safe ResultSink and come back in task
-// order, so the parallel sweep is byte-identical to running the grid
-// sequentially (the differential tests in tests/sweep pin that against
-// an independent per-cell loop).
+// order, so a parallel grid is byte-identical to running it
+// sequentially (the differential tests in tests/sweep and tests/serving
+// pin that against an independent per-cell loop).
 //
-// The cell executor below is the one way a grid cell runs: run_sweep
-// and serving::Service (which runs every campaign) both cut their
-// (workloads x grid) matrix with chunk_cells() and run each chunk --
-// one pool work item -- through run_chunk(), i.e. one sim::BatchEngine.
-// Width 1 is the per-cell run.
+// serving::Service is the one runner that runs a grid in parallel: it
+// cuts a job's (workloads x grid) matrix with chunk_cells() and runs
+// each chunk -- one pool work item -- through run_chunk(), i.e. one
+// sim::BatchEngine. Width 1 is the per-cell run. On one thread, a grid
+// is one BatchEngine over its configs (or one per chunk_cells() chunk).
 #pragma once
 
 #include <cstddef>
@@ -47,26 +47,11 @@ struct SweepOutcome {
 };
 
 /// One workload's slice of a campaign (a serving::JobSpec of kind
-/// campaign): the grid's outcomes in task order, exactly what run_sweep
-/// over that workload alone would return.
+/// campaign): the grid's outcomes in task order, exactly what a sweep
+/// job over that workload alone would return.
 struct CampaignResult {
   std::string workload;
   std::vector<SweepOutcome> outcomes;
-};
-
-struct SweepOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency() (and
-  /// never more than there are tasks). 1 runs inline on the caller's
-  /// thread with no pool at all.
-  unsigned workers = 0;
-  /// Grid cells stepped per pool work item: the task list is chunked
-  /// into consecutive runs of max(1, batch_cells) cells, each advanced
-  /// in lockstep by one sim::BatchEngine (amortized trace decode, block
-  /// metadata, and frontier geometry). 0 and 1 are the same width-1
-  /// path. Results are byte-identical at every width (tests/sweep pins
-  /// it); the knob trades scheduling granularity for per-cell setup
-  /// cost.
-  std::uint32_t batch_cells = 0;
 };
 
 /// Thread-safe collection point for sweep outcomes.
@@ -84,11 +69,6 @@ class ResultSink {
   std::vector<SweepOutcome> outcomes_;
 };
 
-/// Number of workers a sweep of `task_count` tasks would actually use
-/// under `options` (benches report it next to their scaling numbers).
-[[nodiscard]] unsigned resolve_workers(const SweepOptions& options,
-                                       std::size_t task_count);
-
 /// A run of consecutive grid cells of one workload: one pool work item,
 /// stepped by one BatchEngine.
 struct CellChunk {
@@ -98,7 +78,10 @@ struct CellChunk {
 };
 
 /// Split the workload-major (workloads x grid_size) matrix into chunks
-/// of max(1, batch_cells) cells. Chunks never span workloads (a chunk
+/// of max(1, batch_cells) cells, each advanced in lockstep by one
+/// sim::BatchEngine (amortized trace decode, block metadata, and
+/// frontier geometry). 0 and 1 are the same width-1 path; results are
+/// byte-identical at every width. Chunks never span workloads (a chunk
 /// shares one (cfg, image, trace) triple), so each workload's last chunk
 /// may be narrower; at width 1, chunk i is matrix cell i.
 [[nodiscard]] std::vector<CellChunk> chunk_cells(std::size_t workloads,
@@ -114,16 +97,5 @@ void run_chunk(const cfg::Cfg& cfg, const runtime::BlockImage& image,
                const std::vector<SweepTask>& grid,
                const std::vector<std::size_t>& cells,
                std::vector<sim::EngineConfig> configs, ResultSink& sink);
-
-/// Run every task against (cfg, image, trace), sharded across a thread
-/// pool, and return the outcomes in task order: the executor's chunks
-/// of this one workload, each chunk's BatchEngine owning its geometry.
-/// The image and cfg are shared read-only across workers. A CheckError
-/// thrown by any run is rethrown on the calling thread after the pool
-/// drains.
-[[nodiscard]] std::vector<SweepOutcome> run_sweep(
-    const cfg::Cfg& cfg, const runtime::BlockImage& image,
-    const cfg::BlockTrace& trace, const std::vector<SweepTask>& tasks,
-    const SweepOptions& options = {});
 
 }  // namespace apcc::sweep

@@ -343,6 +343,15 @@ TEST(CliSmoke, GeometrySharingFlagIsGone) {
   EXPECT_EQ(run_cli("sim gsm-like --no-shared-frontiers").exit_code, 1);
 }
 
+TEST(CliSmoke, FifoSchedulingFlagIsGone) {
+  // Untagged jobs already run in lowest-id order under fair share; the
+  // flag that switched fair share off is an unknown option now.
+  const auto serve = run_cli_stderr("serve --no-fair-share < /dev/null");
+  EXPECT_EQ(serve.exit_code, 1);
+  EXPECT_NE(serve.output.find("unknown option"), std::string::npos)
+      << serve.output;
+}
+
 TEST(CliSmoke, MissingInputExitsTwo) {
   EXPECT_EQ(run_cli("sim /nonexistent/nope.s").exit_code, 2);
 }

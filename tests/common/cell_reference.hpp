@@ -1,10 +1,10 @@
 // The independent per-cell reference the sweep and serving
 // differentials compare against: a plain loop that runs one width-1
 // sim::BatchEngine per task, in task order -- no pool, no ResultSink, no
-// chunker. Everything under test (run_sweep, Service jobs) goes
-// through the cell executor (sweep::chunk_cells + run_chunk), so a
-// chunking bug -- a dropped tail chunk, a chunk that spans workloads --
-// cannot pass on both sides of a differential.
+// chunker. Everything under test (Service sweep, campaign and run
+// jobs) goes through the cell executor (sweep::chunk_cells +
+// run_chunk), so a chunking bug -- a dropped tail chunk, a chunk that
+// spans workloads -- cannot pass on both sides of a differential.
 #pragma once
 
 #include <vector>

@@ -155,24 +155,21 @@ TEST(JobSpec, MixedPriorityAndBudgetByteIdenticalToFifo) {
 }
 
 TEST(JobSpec, FairShareWithWeightsByteIdenticalToFifo) {
-  // The PR 9 acceptance differential: an identical multi-tenant
+  // The fair-share acceptance differential: an identical multi-tenant
   // submission -- three client tags, server-side weights, mixed
-  // priorities -- once under the default weighted fair share and once
-  // on the strict lowest-id reference (fair_share off), at workers
-  // 1/2/4. The scheduler moves items *between tenants*; every result
-  // must be byte-identical (fair share changes when cells run, never
-  // what any job returns).
+  // priorities -- once tagged, under weighted fair share, and once with
+  // every client tag cleared, where the jobs share one account and so
+  // run in the strict lowest-id order, at workers 1/2/4. The scheduler
+  // moves items *between tenants*; every result must be byte-identical
+  // (fair share changes when cells run, never what any job returns).
   const auto grid = test_grid();
   for (const unsigned workers : {1u, 2u, 4u}) {
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    ServiceOptions fair_options;
-    fair_options.workers = workers;
-    fair_options.client_weights = {{"latency-tier", 4}, {"nightly", 1}};
-    Fixture fair(std::move(fair_options));
-    ServiceOptions fifo_options;
-    fifo_options.workers = workers;
-    fifo_options.fair_share = false;  // tags become inert: lowest id wins
-    Fixture fifo(std::move(fifo_options));
+    ServiceOptions options;
+    options.workers = workers;
+    options.client_weights = {{"latency-tier", 4}, {"nightly", 1}};
+    Fixture fair(options);
+    Fixture fifo(options);
 
     auto j1 = run_spec("crc-like");
     j1.priority = sweep::Priority::kHigh;
@@ -190,7 +187,9 @@ TEST(JobSpec, FairShareWithWeightsByteIdenticalToFifo) {
     std::vector<JobHandle<JobResult>> fifo_handles;
     for (const auto* job : {&j1, &j2, &j3, &j4}) {
       fair_handles.push_back(fair.service.submit(*job));
-      fifo_handles.push_back(fifo.service.submit(*job));
+      JobSpec untagged = *job;
+      untagged.client.clear();  // one shared account: lowest id wins
+      fifo_handles.push_back(fifo.service.submit(std::move(untagged)));
     }
 
     expect_identical(fair_handles[0].wait().run, fifo_handles[0].wait().run);

@@ -229,6 +229,19 @@ TEST(Service, PoolWidthAboveTheMaximumIsRefused) {
   }
 }
 
+TEST(Service, DefaultPoolWidthIsAtLeastOneWorker) {
+  // workers = 0 defers to std::thread::hardware_concurrency(), which
+  // the standard allows to return 0 ("not computable"); the Service
+  // clamps that to one resident worker, never zero -- a zero-thread
+  // pool would run nothing and hang every handle.
+  const Service automatic{ServiceOptions{}};
+  EXPECT_GE(automatic.workers(), 1u);
+  EXPECT_EQ(automatic.workers(),
+            std::max(1u, std::thread::hardware_concurrency()));
+  const Service three(pool_options(3));
+  EXPECT_EQ(three.workers(), 3u);
+}
+
 TEST(Service, EmptyJobsRetireImmediately) {
   Fixture fx(1);
   const auto sweep_handle = fx.service.submit(sweep_spec(ref(fx.ids[0]), {}));

@@ -1,14 +1,13 @@
 // Resident Pool semantics: job ids, cross-job scheduling, failure
-// cancellation scoped to one job, wait/drain, the zero-item fast
-// path, the QoS scheduler -- strict priority classes with the
-// lowest-id tie-break, per-job worker budgets, and cancellation of
+// cancellation scoped to one job, drain, the zero-item fast path, the
+// QoS scheduler -- strict priority classes with the lowest-id
+// tie-break, per-job worker budgets, and cancellation of
 // queued-but-unstarted items across priority classes -- and the
 // robustness surface: cooperative cancellation (queued skip + token
 // signalling + self-cancel), dispatch-time deadlines, failure-wins
-// outcome precedence, stop(kDrain|kAbort), and submit-after-stop.
-// (run_sweep and Service equivalence is pinned by the sweep and
-// serving differential tests; these cover the pool directly. The TSan
-// CI job runs this binary.)
+// outcome precedence, stop(), and submit-after-stop. (Service
+// equivalence is pinned by the sweep and serving differential tests;
+// these cover the pool directly. The TSan CI job runs this binary.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sweep/pool.hpp"
@@ -40,14 +38,14 @@ TEST(Pool, RunsEveryIndexExactlyOnce) {
   Pool pool(4);
   std::mutex mutex;
   std::multiset<std::size_t> seen;
-  const auto id = pool.submit(
+  pool.submit(
       100,
       [&](std::size_t i) {
         const std::lock_guard<std::mutex> lock(mutex);
         seen.insert(i);
       },
       nullptr);
-  pool.wait(id);
+  pool.drain();
   ASSERT_EQ(seen.size(), 100u);
   for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(seen.count(i), 1u);
 }
@@ -67,12 +65,10 @@ TEST(Pool, JobIdsAreUniqueAndFinalizeRunsOnce) {
 TEST(Pool, SeveralJobsInFlightAllComplete) {
   Pool pool(3);
   std::atomic<std::size_t> items{0};
-  std::vector<Pool::JobId> ids;
   for (int j = 0; j < 5; ++j) {
-    ids.push_back(pool.submit(
-        20, [&](std::size_t) { ++items; }, nullptr));
+    pool.submit(20, [&](std::size_t) { ++items; }, nullptr);
   }
-  for (const auto id : ids) pool.wait(id);
+  pool.drain();
   EXPECT_EQ(items.load(), 100u);
 }
 
@@ -82,18 +78,17 @@ TEST(Pool, FailureCancelsOnlyTheFailingJob) {
   std::atomic<std::size_t> healthy_ran{0};
   FinalizeInfo poisoned_info;
   FinalizeInfo healthy_info;
-  const auto poisoned = pool.submit(
+  pool.submit(
       50,
       [&](std::size_t i) {
         if (i == 0) throw std::runtime_error("boom");
         ++poisoned_ran;
       },
       [&](const FinalizeInfo& info) { poisoned_info = info; });
-  const auto healthy = pool.submit(
+  pool.submit(
       50, [&](std::size_t) { ++healthy_ran; },
       [&](const FinalizeInfo& info) { healthy_info = info; });
-  pool.wait(poisoned);
-  pool.wait(healthy);
+  pool.drain();
   EXPECT_EQ(poisoned_info.outcome, JobOutcome::kFailed);
   ASSERT_TRUE(poisoned_info.failure != nullptr);
   EXPECT_THROW(std::rethrow_exception(poisoned_info.failure),
@@ -107,18 +102,13 @@ TEST(Pool, FailureCancelsOnlyTheFailingJob) {
 TEST(Pool, ZeroItemJobFinalizesImmediately) {
   Pool pool(1);
   bool finalized = false;
-  const auto id = pool.submit(0, nullptr, [&](const FinalizeInfo& info) {
+  pool.submit(0, nullptr, [&](const FinalizeInfo& info) {
     EXPECT_EQ(info.outcome, JobOutcome::kCompleted);
     EXPECT_TRUE(info.failure == nullptr);
     finalized = true;
   });
   EXPECT_TRUE(finalized);  // synchronous, no pool round trip
-  pool.wait(id);  // and wait() on it returns at once
-}
-
-TEST(Pool, WaitOnUnknownIdReturns) {
-  Pool pool(1);
-  pool.wait(12345);  // never issued: must not hang
+  pool.drain();  // and drain() returns at once
 }
 
 TEST(Pool, DestructorDrainsOutstandingJobs) {
@@ -200,7 +190,7 @@ TEST(Pool, WorkerBudgetCapsConcurrencyAndFreesSlots) {
   std::atomic<unsigned> running{0};
   std::atomic<unsigned> peak{0};
   std::atomic<std::size_t> other_ran{0};
-  const auto budgeted = pool.submit(
+  pool.submit(
       48,
       [&](std::size_t) {
         const unsigned now = ++running;
@@ -214,11 +204,10 @@ TEST(Pool, WorkerBudgetCapsConcurrencyAndFreesSlots) {
       },
       nullptr, qos(Priority::kNormal, 2));
   // The surplus workers must flow to other jobs instead of idling.
-  const auto other = pool.submit(
+  pool.submit(
       48, [&](std::size_t) { ++other_ran; }, nullptr,
       qos(Priority::kBatch, 0));
-  pool.wait(budgeted);
-  pool.wait(other);
+  pool.drain();
   EXPECT_LE(peak.load(), 2u);  // the budget is a hard cap
   EXPECT_EQ(other_ran.load(), 48u);
 }
@@ -239,7 +228,7 @@ TEST(Pool, FailureCancelsQueuedItemsAcrossPriorityClasses) {
   std::atomic<std::size_t> healthy_ran{0};
   FinalizeInfo poison_info;
   FinalizeInfo healthy_info;
-  const auto poison = pool.submit(
+  pool.submit(
       40,
       [&](std::size_t i) {
         if (i == 0) throw std::runtime_error("boom");
@@ -247,13 +236,12 @@ TEST(Pool, FailureCancelsQueuedItemsAcrossPriorityClasses) {
       },
       [&](const FinalizeInfo& info) { poison_info = info; },
       qos(Priority::kHigh, 1));
-  const auto healthy = pool.submit(
+  pool.submit(
       40, [&](std::size_t) { ++healthy_ran; },
       [&](const FinalizeInfo& info) { healthy_info = info; },
       qos(Priority::kBatch, 0));
   gate.release();
-  pool.wait(poison);
-  pool.wait(healthy);
+  pool.drain();
   EXPECT_EQ(poison_info.outcome, JobOutcome::kFailed);
   ASSERT_TRUE(poison_info.failure != nullptr);
   EXPECT_THROW(std::rethrow_exception(poison_info.failure),
@@ -264,9 +252,9 @@ TEST(Pool, FailureCancelsQueuedItemsAcrossPriorityClasses) {
 
   // Serviceable afterwards: a fresh job runs cleanly.
   std::atomic<std::size_t> after{0};
-  const auto next = pool.submit(
+  pool.submit(
       8, [&](std::size_t) { ++after; }, nullptr, qos(Priority::kHigh, 0));
-  pool.wait(next);
+  pool.drain();
   EXPECT_EQ(after.load(), 8u);
 }
 
@@ -325,7 +313,7 @@ TEST(Pool, CancelSignalsRunningItemsViaToken) {
   EXPECT_TRUE(pool.cancel(id));
   EXPECT_TRUE(token->cancelled());  // cancel() requested the token
   started.release();
-  pool.wait(id);
+  pool.drain();
   EXPECT_EQ(info.outcome, JobOutcome::kCancelled);
   EXPECT_EQ(ran.load(), 0u);  // item 0 bailed; the tail was skipped
 }
@@ -340,14 +328,14 @@ TEST(Pool, ItemCanCancelItsOwnJobThroughTheToken) {
   FinalizeInfo info;
   SubmitOptions options;
   options.cancel = token;
-  const auto id = pool.submit(
+  pool.submit(
       8,
       [&](std::size_t i) {
         ++ran;
         if (i == 2) token->request();
       },
       [&](const FinalizeInfo& i) { info = i; }, options);
-  pool.wait(id);
+  pool.drain();
   EXPECT_EQ(info.outcome, JobOutcome::kCancelled);
   EXPECT_EQ(ran.load(), 3u);  // items 0..2 ran, the rest were skipped
 }
@@ -361,10 +349,10 @@ TEST(Pool, DeadlineIsEnforcedAtDispatch) {
     SubmitOptions options;
     options.deadline = std::chrono::steady_clock::now() -
                        std::chrono::milliseconds(1);
-    const auto id = pool.submit(
+    pool.submit(
         8, [&](std::size_t) { ++ran; },
         [&](const FinalizeInfo& i) { info = i; }, options);
-    pool.wait(id);
+    pool.drain();
     EXPECT_EQ(info.outcome, JobOutcome::kDeadlineExceeded);
     EXPECT_EQ(ran.load(), 0u);
   }
@@ -375,10 +363,10 @@ TEST(Pool, DeadlineIsEnforcedAtDispatch) {
     SubmitOptions options;
     options.deadline = std::chrono::steady_clock::now() +
                        std::chrono::hours(1);
-    const auto id = pool.submit(
+    pool.submit(
         8, [&](std::size_t) { ++ran; },
         [&](const FinalizeInfo& i) { info = i; }, options);
-    pool.wait(id);
+    pool.drain();
     EXPECT_EQ(info.outcome, JobOutcome::kCompleted);
     EXPECT_EQ(ran.load(), 8u);
   }
@@ -393,7 +381,7 @@ TEST(Pool, FailureWinsOverCancel) {
       4,
       [&](std::size_t) { throw std::runtime_error("boom"); },
       [&](const FinalizeInfo& i) { info = i; });
-  pool.wait(id);
+  pool.drain();
   pool.cancel(id);  // after finalize: a no-op, not an overwrite
   EXPECT_EQ(info.outcome, JobOutcome::kFailed);
   ASSERT_TRUE(info.failure != nullptr);
@@ -406,55 +394,22 @@ TEST(Pool, StopDrainFinishesQueuedJobs) {
   pool.submit(
       24, [&](std::size_t) { ++ran; },
       [&](const FinalizeInfo& i) { info = i; });
-  pool.stop(StopMode::kDrain);
+  pool.stop();
   EXPECT_EQ(ran.load(), 24u);
   EXPECT_EQ(info.outcome, JobOutcome::kCompleted);
-  pool.stop(StopMode::kDrain);  // idempotent
-}
-
-TEST(Pool, StopAbortCancelsQueuedJobs) {
-  // With the lone worker parked, the queued job's items are all
-  // unclaimed at stop(kAbort): the job must finalize kCancelled and
-  // run nothing; the parked job still finishes its in-flight item.
-  // stop() runs on a helper thread (it joins the parked worker); the
-  // queued job's token flipping is the proof the abort landed before
-  // the gate opens, so queued_ran == 0 is deterministic.
-  Pool pool(1);
-  Gate gate;
-  std::atomic<std::size_t> first_ran{0};
-  pool.submit(1, [&](std::size_t) {
-    gate.wait();
-    ++first_ran;
-  }, nullptr);
-  gate.await_arrivals(1);
-
-  std::atomic<std::size_t> queued_ran{0};
-  FinalizeInfo info;
-  const auto token = std::make_shared<CancelToken>();
-  SubmitOptions options;
-  options.cancel = token;
-  pool.submit(
-      16, [&](std::size_t) { ++queued_ran; },
-      [&](const FinalizeInfo& i) { info = i; }, options);
-  std::thread stopper([&] { pool.stop(StopMode::kAbort); });
-  while (!token->cancelled()) std::this_thread::yield();
-  gate.release();
-  stopper.join();
-  EXPECT_EQ(first_ran.load(), 1u);  // running items finish
-  EXPECT_EQ(queued_ran.load(), 0u);
-  EXPECT_EQ(info.outcome, JobOutcome::kCancelled);
+  pool.stop();  // idempotent
 }
 
 TEST(Pool, SubmitAfterStopFinalizesAsCancelled) {
   Pool pool(1);
-  pool.stop(StopMode::kDrain);
+  pool.stop();
   std::atomic<std::size_t> ran{0};
   FinalizeInfo info;
   bool finalized = false;
   const auto token = std::make_shared<CancelToken>();
   SubmitOptions options;
   options.cancel = token;
-  const auto id = pool.submit(
+  pool.submit(
       8, [&](std::size_t) { ++ran; },
       [&](const FinalizeInfo& i) {
         info = i;
@@ -465,7 +420,7 @@ TEST(Pool, SubmitAfterStopFinalizesAsCancelled) {
   EXPECT_EQ(info.outcome, JobOutcome::kCancelled);
   EXPECT_TRUE(token->cancelled());
   EXPECT_EQ(ran.load(), 0u);
-  pool.wait(id);  // the id is retired, so wait() returns at once
+  pool.drain();  // the job is retired, so drain() returns at once
 }
 
 /// SubmitOptions carrying the fair-share fields the QoS tests vary.
@@ -509,11 +464,12 @@ TEST(Pool, LightTenantIsNotStarvedByAHeavyBacklog) {
   // The acceptance scenario: one tenant has piled up three 8-item jobs
   // when a second tenant submits four items. Fair share completes the
   // light tenant's work interleaved with the backlog's head -- while
-  // the strict lowest-id reference (fair_share off) makes it wait out
-  // all 24 backlog items. Same items, same results, different *when*.
-  for (const bool fair : {true, false}) {
-    SCOPED_TRACE(fair ? "fair-share" : "fifo reference");
-    Pool pool(PoolOptions{1, fair});
+  // the same jobs submitted untagged (one shared account: lowest id
+  // first) make it wait out all 24 backlog items. Same items, same
+  // results, different *when*.
+  for (const bool tagged : {true, false}) {
+    SCOPED_TRACE(tagged ? "tagged" : "untagged reference");
+    Pool pool(1);
     Gate gate;
     pool.submit(1, [&](std::size_t) { gate.wait(); }, nullptr);
     gate.await_arrivals(1);
@@ -527,9 +483,9 @@ TEST(Pool, LightTenantIsNotStarvedByAHeavyBacklog) {
       };
     };
     for (int j = 0; j < 3; ++j) {
-      pool.submit(8, recorder('h'), nullptr, tenant("heavy"));
+      pool.submit(8, recorder('h'), nullptr, tenant(tagged ? "heavy" : ""));
     }
-    pool.submit(4, recorder('l'), nullptr, tenant("light"));
+    pool.submit(4, recorder('l'), nullptr, tenant(tagged ? "light" : ""));
     gate.release();
     pool.drain();
     ASSERT_EQ(order.size(), 28u);
@@ -537,7 +493,7 @@ TEST(Pool, LightTenantIsNotStarvedByAHeavyBacklog) {
         std::find(order.rbegin(), order.rend(), 'l');
     const auto last_index = static_cast<std::size_t>(
         order.rend() - last_light - 1);
-    if (fair) {
+    if (tagged) {
       // Strict alternation until the light tenant is done: its last
       // item is the 8th dispatch, nowhere near the backlog's tail.
       EXPECT_EQ(last_index, 7u);
@@ -619,31 +575,28 @@ TEST(Pool, ReturningTenantResumesAtTheActiveBaseline) {
 
 TEST(Pool, UntaggedJobsKeepLowestIdOrderUnderFairShare) {
   // Tag-less jobs all share the "" account, so fair share degenerates
-  // to the historical lowest-id-first order -- byte-identical claim
-  // sequences with the scheduler on or off (the no-tenants no-change
-  // pin for every existing Pool caller).
-  for (const bool fair : {true, false}) {
-    SCOPED_TRACE(fair ? "fair-share" : "fifo reference");
-    Pool pool(PoolOptions{1, fair});
-    Gate gate;
-    pool.submit(1, [&](std::size_t) { gate.wait(); }, nullptr);
-    gate.await_arrivals(1);
+  // to the lowest-id-first order: the claim sequence of jobs that carry
+  // no tenant is plain submission order, which makes untagged
+  // submissions the reference the tagged differentials compare against.
+  Pool pool(1);
+  Gate gate;
+  pool.submit(1, [&](std::size_t) { gate.wait(); }, nullptr);
+  gate.await_arrivals(1);
 
-    std::mutex mutex;
-    std::vector<char> order;
-    const auto recorder = [&](char tag) {
-      return [&, tag](std::size_t) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        order.push_back(tag);
-      };
+  std::mutex mutex;
+  std::vector<char> order;
+  const auto recorder = [&](char tag) {
+    return [&, tag](std::size_t) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      order.push_back(tag);
     };
-    pool.submit(2, recorder('a'), nullptr);
-    pool.submit(2, recorder('b'), nullptr);
-    pool.submit(2, recorder('c'), nullptr);
-    gate.release();
-    pool.drain();
-    EXPECT_EQ((std::vector<char>{'a', 'a', 'b', 'b', 'c', 'c'}), order);
-  }
+  };
+  pool.submit(2, recorder('a'), nullptr);
+  pool.submit(2, recorder('b'), nullptr);
+  pool.submit(2, recorder('c'), nullptr);
+  gate.release();
+  pool.drain();
+  EXPECT_EQ((std::vector<char>{'a', 'a', 'b', 'b', 'c', 'c'}), order);
 }
 
 TEST(Pool, StrictClassOrderTrumpsFairShare) {
@@ -671,16 +624,6 @@ TEST(Pool, StrictClassOrderTrumpsFairShare) {
   gate.release();
   pool.drain();
   EXPECT_EQ((std::vector<char>{'z', 'z', 'a', 'a'}), order);
-}
-
-TEST(Pool, ParallelForIndexCoversAndRethrows) {
-  std::atomic<std::size_t> count{0};
-  detail::parallel_for_index(17, 4, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 17u);
-  EXPECT_THROW(
-      detail::parallel_for_index(
-          8, 2, [](std::size_t i) { if (i == 3) throw std::logic_error("x"); }),
-      std::logic_error);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Sharded sweep tests: the policy-grid runner must be byte-identical to
-// running each task alone (the independent per-cell reference in
-// tests/common), regardless of worker count or batch width, and its
-// sink/exception plumbing must behave.
+// Grid tests: a sweep job on serving::Service -- the one parallel grid
+// runner -- must be byte-identical to running each task alone (the
+// independent per-cell reference in tests/common), regardless of pool
+// width or batch width, and its sink/exception plumbing must behave.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include "common/same_run.hpp"
 #include "oracle/oracle.hpp"
 #include "core/system.hpp"
+#include "serving/service.hpp"
 #include "support/assert.hpp"
 #include "sweep/sweep.hpp"
 #include "workloads/suite.hpp"
@@ -18,11 +19,35 @@
 namespace apcc::sweep {
 namespace {
 
+const workloads::Workload& workload_under_test() {
+  static const auto* workload = new workloads::Workload(
+      workloads::make_workload(workloads::WorkloadKind::kGsmLike));
+  return *workload;
+}
+
 const core::CodeCompressionSystem& system_under_test() {
   static const auto* system = new core::CodeCompressionSystem(
-      core::CodeCompressionSystem::from_workload(
-          workloads::make_workload(workloads::WorkloadKind::kGsmLike)));
+      core::CodeCompressionSystem::from_workload(workload_under_test()));
   return *system;
+}
+
+/// `tasks` as one sweep job on a fresh Service of `workers` pool
+/// threads (cold artifact cache), cut into chunks of `batch_cells`.
+/// wait() rethrows the job's first failure.
+std::vector<SweepOutcome> service_sweep(const std::vector<SweepTask>& tasks,
+                                        unsigned workers,
+                                        std::uint32_t batch_cells = 0) {
+  serving::ServiceOptions options;
+  options.workers = workers;
+  serving::Service service(options);
+  const serving::WorkloadId id =
+      service.register_workload(workload_under_test());
+  serving::JobSpec spec;
+  spec.kind = serving::JobKind::kSweep;
+  spec.workloads = {"@" + std::to_string(id)};
+  spec.tasks = tasks;
+  spec.batch_cells = batch_cells;
+  return service.submit(std::move(spec)).wait().sweep;
 }
 
 /// A mixed grid: every strategy, a k sweep, both budget modes, all
@@ -73,9 +98,7 @@ TEST(Sweep, ParallelIdenticalToSequential) {
   ASSERT_EQ(expected.size(), tasks.size());
 
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    SweepOptions options;
-    options.workers = workers;
-    const auto got = system_under_test().run_sweep(tasks, options);
+    const auto got = service_sweep(tasks, workers);
     ASSERT_EQ(got.size(), expected.size()) << workers << " workers";
     for (std::size_t i = 0; i < got.size(); ++i) {
       expect_identical(expected[i], got[i]);
@@ -96,10 +119,7 @@ TEST(Sweep, BatchedIdenticalToSequential) {
     for (const unsigned workers : {1u, 2u, 4u}) {
       SCOPED_TRACE("batch " + std::to_string(batch) + " x " +
                    std::to_string(workers) + " workers");
-      SweepOptions options;
-      options.workers = workers;
-      options.batch_cells = batch;
-      const auto got = system_under_test().run_sweep(tasks, options);
+      const auto got = service_sweep(tasks, workers, batch);
       ASSERT_EQ(got.size(), expected.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         expect_identical(expected[i], got[i]);
@@ -112,10 +132,7 @@ TEST(Sweep, BatchWiderThanGridIsOneChunk) {
   auto tasks = mixed_grid();
   tasks.resize(5);
   const auto expected = testref::per_cell_sweep(system_under_test(), tasks);
-  SweepOptions options;
-  options.workers = 4;
-  options.batch_cells = 64;
-  const auto got = system_under_test().run_sweep(tasks, options);
+  const auto got = service_sweep(tasks, 4, 64);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     expect_identical(expected[i], got[i]);
@@ -124,9 +141,7 @@ TEST(Sweep, BatchWiderThanGridIsOneChunk) {
 
 TEST(Sweep, OutcomesComeBackInTaskOrder) {
   const auto tasks = mixed_grid();
-  SweepOptions options;
-  options.workers = 4;
-  const auto outcomes = system_under_test().run_sweep(tasks, options);
+  const auto outcomes = service_sweep(tasks, 4);
   ASSERT_EQ(outcomes.size(), tasks.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_EQ(outcomes[i].index, i);
@@ -135,46 +150,17 @@ TEST(Sweep, OutcomesComeBackInTaskOrder) {
 }
 
 TEST(Sweep, EmptyGridIsEmpty) {
-  EXPECT_TRUE(system_under_test().run_sweep({}).empty());
+  EXPECT_TRUE(service_sweep({}, 1).empty());
 }
 
 TEST(Sweep, MoreWorkersThanTasks) {
   auto tasks = mixed_grid();
   tasks.resize(3);
-  SweepOptions options;
-  options.workers = 16;
-  const auto outcomes = system_under_test().run_sweep(tasks, options);
+  const auto outcomes = service_sweep(tasks, 16);
   ASSERT_EQ(outcomes.size(), 3u);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_EQ(outcomes[i].index, i);
   }
-}
-
-TEST(Sweep, ResolveWorkersClampsToTasks) {
-  SweepOptions options;
-  options.workers = 8;
-  EXPECT_EQ(resolve_workers(options, 3), 3u);
-  EXPECT_EQ(resolve_workers(options, 100), 8u);
-  options.workers = 0;
-  EXPECT_GE(resolve_workers(options, 100), 1u);
-  EXPECT_EQ(resolve_workers(options, 0), 1u);
-}
-
-TEST(Sweep, ResolveWorkersNeverResolvesToZero) {
-  // workers == 0 defers to std::thread::hardware_concurrency(), which
-  // the standard allows to return 0 ("not computable"); the resolver
-  // must clamp that to one worker, never zero -- a zero-worker pool
-  // would run nothing and hang the caller's expectations (and the
-  // 1-vCPU CI box is exactly where concurrency detection gets flaky).
-  SweepOptions auto_workers;
-  auto_workers.workers = 0;
-  for (const std::size_t tasks : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{1000}}) {
-    const unsigned resolved = resolve_workers(auto_workers, tasks);
-    EXPECT_GE(resolved, 1u) << tasks << " tasks";
-    EXPECT_LE(resolved, tasks) << tasks << " tasks";
-  }
-  EXPECT_EQ(resolve_workers(auto_workers, 0), 1u);
 }
 
 TEST(Sweep, WorkerFailureRethrownOnCaller) {
@@ -184,25 +170,19 @@ TEST(Sweep, WorkerFailureRethrownOnCaller) {
   // loop finds no victim and no in-flight completion, and throws.
   tasks[2].config.policy.memory_budget = 1;
   for (const unsigned workers : {1u, 4u}) {
-    SweepOptions options;
-    options.workers = workers;
-    EXPECT_THROW(
-        { (void)system_under_test().run_sweep(tasks, options); },
-        apcc::CheckError)
+    EXPECT_THROW({ (void)service_sweep(tasks, workers); }, apcc::CheckError)
         << workers << " workers";
   }
 }
 
 TEST(Sweep, ReferenceAndMemoizedEnginesAgreeUnderSharding) {
-  // The sweep is also how the oracle differential scales out: the
+  // A sweep job is also how the oracle differential scales out: the
   // sharded grid must match the naive oracle in tests/oracle task for
   // task.
   auto tasks = mixed_grid();
   tasks.resize(12);
-  SweepOptions options;
-  options.workers = 4;
   const auto& system = system_under_test();
-  const auto got = system.run_sweep(tasks, options);
+  const auto got = service_sweep(tasks, 4);
   ASSERT_EQ(got.size(), tasks.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     SCOPED_TRACE(tasks[i].label);
@@ -236,8 +216,8 @@ TEST(ResultSinkTest, SortsByIndexAndDrains) {
 }
 
 TEST(ResultSinkTest, ConcurrentOutOfOrderPushesDrainSorted) {
-  // The sweep and Service pools push from many workers in whatever order
-  // tasks finish; the sink must drain to task order regardless. Each
+  // The Service pool pushes from many workers in whatever order tasks
+  // finish; the sink must drain to task order regardless. Each
   // thread pushes its stripe of indexes *backwards* so the sink sees
   // heavy intra- and inter-thread disorder.
   constexpr std::size_t kPerThread = 64;

@@ -93,9 +93,6 @@
 //   --client-weight TAG=W  serve: fair-share weight for a client tag
 //                     (repeatable; absent tags weigh 1). Server-side
 //                     policy -- never part of the wire records
-//   --no-fair-share   serve: strict lowest-id scheduling within each
-//                     priority class (the pre-fair-share reference);
-//                     outcomes are byte-identical either way
 //   --csv             emit CSV instead of the text report
 //   --wire            batch: emit results as wire records
 //
@@ -191,16 +188,16 @@ constexpr const char* kToolVersion = "0.6.0";
       "options: --codec K --strategy S --predictor P --kc N --kd N\n"
       "         --budget BYTES --units N --workers N --max-queued N\n"
       "         --max-queued-per-client N --listen PORT --host ADDR\n"
-      "         --client-weight TAG=W --no-fair-share\n"
-      "         --cache-budget-bytes N --batch-cells N --csv --wire\n"
+      "         --client-weight TAG=W --cache-budget-bytes N\n"
+      "         --batch-cells N --csv --wire\n"
       "(sweep and campaign grid over strategy and k themselves:\n"
       " --strategy/--kc/--kd there is a usage error; batch and serve\n"
       " take per-job configuration from the job records; --max-queued,\n"
-      " --max-queued-per-client, --listen, --host, --client-weight, and\n"
-      " --no-fair-share are serve-only. serve --listen PORT speaks the\n"
-      " same wire protocol over TCP -- one session per connection,\n"
-      " results in per-session submission order, untagged jobs billed\n"
-      " to the connection's own client tag)\n";
+      " --max-queued-per-client, --listen, --host, and --client-weight\n"
+      " are serve-only. serve --listen PORT speaks the same wire\n"
+      " protocol over TCP -- one session per connection, results in\n"
+      " per-session submission order, untagged jobs billed to the\n"
+      " connection's own client tag)\n";
   std::exit(message.empty() ? 0 : 1);
 }
 
@@ -263,9 +260,6 @@ struct CliOptions {
   std::string host = "127.0.0.1";
   /// serve-only: per-tag fair-share weights (--client-weight TAG=W).
   std::map<std::string, unsigned> client_weights;
-  /// serve-only: false = strict lowest-id scheduling within each
-  /// priority class (--no-fair-share, the differential reference).
-  bool fair_share = true;
   /// Lockstep batch width for grid commands (sweep/campaign); 0 keeps
   /// the historical one-engine-per-cell path. Run-kind commands reject
   /// it (a run job has a single cell), and batch/serve take it from
@@ -364,8 +358,6 @@ CliOptions parse_options(const std::vector<std::string>& args,
       const auto weight = parse_number<unsigned>(a, value.substr(eq + 1));
       if (weight < 1) usage("--client-weight: weight must be >= 1");
       opts.client_weights[value.substr(0, eq)] = weight;
-    } else if (a == "--no-fair-share") {
-      opts.fair_share = false;
     } else if (a == "--batch-cells") {
       opts.batch_cells = parse_number<std::uint32_t>(a, need_value(i++));
       opts.config_flags.push_back(a);
@@ -398,7 +390,6 @@ void reject_max_queued(const std::string& command, const CliOptions& opts) {
   if (opts.listen) flag = "--listen";
   if (opts.host != "127.0.0.1") flag = "--host";
   if (!opts.client_weights.empty()) flag = "--client-weight";
-  if (!opts.fair_share) flag = "--no-fair-share";
   if (flag.empty()) return;
   usage("'" + command + "' submits a fixed set of jobs; " + flag +
         " is only meaningful for 'serve'");
@@ -832,7 +823,6 @@ int cmd_serve(const CliOptions& opts) {
   serving::ServiceOptions options = service_options(opts);
   options.limits.max_queued_jobs = opts.max_queued;
   options.limits.max_queued_per_client = opts.max_queued_per_client;
-  options.fair_share = opts.fair_share;
   options.client_weights = opts.client_weights;
   serving::Service service(options);
   WorkloadDirectory directory(service);

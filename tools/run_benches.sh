@@ -129,4 +129,24 @@ echo "== sweep scaling -> ${OUT_DIR}/BENCH_sweep.json"
     --benchmark_out="${OUT_DIR}/BENCH_sweep.json" \
     --benchmark_out_format=json
 
+# Each sweep series must be in the artifact: the Service's pool scaling
+# (bm_sweep_grid) and the one-thread lockstep batching trend on both
+# the suite grid and the wide CFG. A series that drops out of the
+# filter or the bench fails the run here instead of shrinking the file.
+if ! python3 - "${OUT_DIR}/BENCH_sweep.json" <<'PY'
+import json, sys
+rows = [b for b in json.load(open(sys.argv[1]))["benchmarks"]
+        if b.get("run_type", "iteration") == "iteration"]
+missing = [series
+           for series in ("bm_sweep_grid", "bm_sweep_batch",
+                          "bm_sweep_batch_widecfg")
+           if not any(b["name"].split("/")[0] == series for b in rows)]
+for m in missing:
+    print(f"error: BENCH_sweep.json has no {m} row", file=sys.stderr)
+sys.exit(1 if missing else 0)
+PY
+then
+  exit 1
+fi
+
 echo "done."
