@@ -12,8 +12,9 @@
 // the stable timed series for BENCH_engine.json. Every row runs one
 // configuration as a width-1 sim::BatchEngine -- the per-cell run, whose
 // planner reads the frontier cache the engine materializes for its k.
-// One row runs pre-decompress-single on a 2,444-block program, where
-// the profile predictor's per-block ranking is most of the cell.
+// Two rows run pre-decompress-single: the profile predictor on a
+// 2,444-block program, where its per-block ranking is most of the cell,
+// and the oracle predictor on mpeg2-like's 94k-entry scale-16 trace.
 #include <chrono>
 #include <map>
 
@@ -150,41 +151,53 @@ void bm_engine_budget_evictions(benchmark::State& state) {
 }
 BENCHMARK(bm_engine_budget_evictions)->Unit(benchmark::kMillisecond);
 
-/// artifact-churn's first program (perfbench's plan: seed 9001, 2,444
-/// blocks) with its own trace, in a huffman-shared image.
-struct ChurnProgram {
+/// A workload with its own trace, in a huffman-shared image.
+struct ImagedWorkload {
   workloads::Workload workload;
   std::unique_ptr<runtime::BlockImage> image;
 };
 
-const ChurnProgram& churn_program() {
-  static const ChurnProgram* program = [] {
+const ImagedWorkload* with_image(workloads::Workload w) {
+  auto* p = new ImagedWorkload{std::move(w), {}};
+  p->image = std::make_unique<runtime::BlockImage>(
+      p->workload.cfg, p->workload.block_bytes,
+      compress::make_codec(compress::CodecKind::kSharedHuffman,
+                           p->workload.block_bytes));
+  return p;
+}
+
+/// artifact-churn's first program (perfbench's plan: seed 9001, 2,444
+/// blocks).
+const ImagedWorkload& churn_program() {
+  static const ImagedWorkload* program = [] {
     workloads::RandomProgramOptions options;
     options.seed = 9001;
     options.max_depth = 3;
     options.statements_per_body = 40;
     options.leaf_functions = 16;
     options.loop_iters_max = 6;
-    auto* p = new ChurnProgram{workloads::make_random_workload(options), {}};
-    std::vector<compress::Bytes> bytes = p->workload.block_bytes;
-    auto codec =
-        compress::make_codec(compress::CodecKind::kSharedHuffman, bytes);
-    p->image = std::make_unique<runtime::BlockImage>(
-        p->workload.cfg, std::move(bytes), std::move(codec));
-    return p;
+    return with_image(workloads::make_random_workload(options));
   }();
   return *program;
 }
 
-void bm_engine_presingle(benchmark::State& state) {
-  // One width-1 pre-single cell, profile predictor, k = 8: each run
-  // builds its frontier cache and ranks every block the trace exits
-  // with reach_scores, so the row tracks the ranking's cost on a large
-  // CFG. No gated perfbench workload runs pre-single on one.
-  const ChurnProgram& p = churn_program();
+/// mpeg2-like at scale 16: a 94k-entry trace.
+const ImagedWorkload& mpeg2_scale16() {
+  static const ImagedWorkload* program = [] {
+    workloads::WorkloadOptions options;
+    options.scale = 16;
+    return with_image(
+        workloads::make_workload(workloads::WorkloadKind::kMpeg2Like, options));
+  }();
+  return *program;
+}
+
+/// Time one width-1 pre-single cell at k = 8 over `p`'s trace.
+void run_presingle(benchmark::State& state, const ImagedWorkload& p,
+                   runtime::PredictorKind predictor) {
   sim::EngineConfig config;
   config.policy.strategy = runtime::DecompressionStrategy::kPreSingle;
-  config.policy.predictor = runtime::PredictorKind::kProfile;
+  config.policy.predictor = predictor;
   config.policy.compress_k = 8;
   config.policy.predecompress_k = 8;
   sim::BatchEngine engine(p.workload.cfg, *p.image, {config});
@@ -196,7 +209,23 @@ void bm_engine_presingle(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(total_steps));
 }
+
+void bm_engine_presingle(benchmark::State& state) {
+  // Profile predictor on the churn program: each run builds its
+  // frontier cache and ranks every block the trace exits with
+  // reach_scores, so the row tracks the ranking's cost on a large CFG.
+  // No gated perfbench workload runs pre-single on one.
+  run_presingle(state, churn_program(), runtime::PredictorKind::kProfile);
+}
 BENCHMARK(bm_engine_presingle)->Unit(benchmark::kMillisecond);
+
+void bm_engine_presingle_oracle(benchmark::State& state) {
+  // Oracle predictor on a long trace: each run indexes the trace's
+  // positions per block, and each prediction binary-searches them, so
+  // the row grows with the trace only through that O(T) index.
+  run_presingle(state, mpeg2_scale16(), runtime::PredictorKind::kOracle);
+}
+BENCHMARK(bm_engine_presingle_oracle)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

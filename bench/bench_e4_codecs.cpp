@@ -14,12 +14,14 @@ namespace {
 
 using namespace apcc;
 
-const std::vector<compress::Bytes>& all_suite_blocks() {
-  static const std::vector<compress::Bytes> blocks = [] {
-    std::vector<compress::Bytes> out;
+const compress::BlockBytes& all_suite_blocks() {
+  static const compress::BlockBytes blocks = [] {
+    compress::BlockBytes out;
     for (const auto kind : workloads::all_workload_kinds()) {
       const auto w = workloads::make_workload(kind);
-      out.insert(out.end(), w.block_bytes.begin(), w.block_bytes.end());
+      for (const compress::ByteView block : w.block_bytes) {
+        out.push_back(block);
+      }
     }
     return out;
   }();

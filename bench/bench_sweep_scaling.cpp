@@ -4,15 +4,18 @@
 // is an independent engine cell over the same immutable BlockImage -- and
 // a serving::Service sweep job shards them across the Service's resident
 // pool. This bench builds a fig3-style grid (strategy x k x budget x
-// fit, 72 points) on the gsm-like workload and reports wall clock and
-// speedup per pool width; the google-benchmark registrations below emit
-// the stable series for BENCH_sweep.json. Parallel outcomes are
+// fit, 72 points) on the gsm-like workload and reports, per pool width,
+// the median and quartiles of the job's wall clock over repetitions and
+// the speedup of the medians; the google-benchmark registrations below
+// emit the stable series for BENCH_sweep.json. Parallel outcomes are
 // byte-identical to the sequential grid (tests/sweep/sweep_test.cpp
 // pins that); the table's checksum column makes a divergence visible
 // here too.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "runtime/block_image.hpp"
@@ -151,45 +154,75 @@ std::uint64_t grid_checksum(const std::vector<sweep::SweepOutcome>& outcomes) {
   return h;
 }
 
+/// The p-quantile of `sorted` by nearest rank (p in [0, 1]).
+double quantile(const std::vector<double>& sorted, double p) {
+  const auto rank = static_cast<std::size_t>(
+      p * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[rank];
+}
+
 void print_tables() {
   bench::print_header(
       "Sweep scaling",
       "sharded policy-grid sweep (fig3-style grid, gsm-like workload)\n"
-      "wall clock and speedup of a warm Service sweep job vs 1 worker");
+      "wall clock of a warm Service sweep job per pool width, over\n"
+      "repetitions: median and quartiles, speedup of the medians");
   const auto tasks = make_grid();
+  const std::size_t repetitions = bench::quick_mode() ? 5 : 21;
   std::cout << "hardware threads: " << std::thread::hardware_concurrency()
             << " (speedup saturates there; on one vCPU the pool can only\n"
-               "add scheduling overhead, so expect ~1.0 or slightly below)\n\n";
+               "add scheduling overhead, so expect ~1.0 or slightly below)\n"
+            << "repetitions per width: " << repetitions
+            << " (bm_sweep_grid times the same job for the JSON series)\n\n";
 
   TextTable table;
   table.row()
       .cell("workers")
       .cell("tasks")
-      .cell("wall ms")
+      .cell("median ms")
+      .cell("p25 ms")
+      .cell("p75 ms")
       .cell("speedup")
       .cell("checksum");
   double sequential_ms = 0.0;
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
     WarmService warm(workers, tasks);
-    const auto start = std::chrono::steady_clock::now();
-    const auto outcomes = warm.run(tasks);
-    const std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (workers == 1) sequential_ms = elapsed.count();
-    char checksum[32];
-    std::snprintf(checksum, sizeof(checksum), "%016llx",
-                  static_cast<unsigned long long>(grid_checksum(outcomes)));
+    std::vector<double> ms;
+    std::uint64_t checksum = 0;
+    std::size_t cells = 0;
+    for (std::size_t r = 0; r < repetitions; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto outcomes = warm.run(tasks);
+      const std::chrono::duration<double, std::milli> elapsed =
+          std::chrono::steady_clock::now() - start;
+      ms.push_back(elapsed.count());
+      const std::uint64_t sum = grid_checksum(outcomes);
+      // Every repetition must produce the same bytes; a zero checksum
+      // column marks one that did not.
+      checksum = r == 0 ? sum : (sum == checksum ? checksum : 0);
+      cells = outcomes.size();
+    }
+    std::sort(ms.begin(), ms.end());
+    const double median = quantile(ms, 0.5);
+    if (workers == 1) sequential_ms = median;
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(checksum));
     table.row()
         .cell(std::uint64_t{workers})
-        .cell(std::uint64_t{outcomes.size()})
-        .cell(elapsed.count(), 1)
-        .cell(sequential_ms > 0 ? sequential_ms / elapsed.count() : 1.0, 2)
-        .cell(checksum);
+        .cell(std::uint64_t{cells})
+        .cell(median, 1)
+        .cell(quantile(ms, 0.25), 1)
+        .cell(quantile(ms, 0.75), 1)
+        .cell(median > 0 ? sequential_ms / median : 1.0, 2)
+        .cell(hex);
   }
   std::cout << table.render() << '\n';
   std::cout << "Shape check: identical checksums across worker counts\n"
                "(deterministic sharding), speedup approaching the worker\n"
-               "count until the grid runs out of tasks per worker.\n\n";
+               "count until the grid runs out of tasks per worker. Read\n"
+               "the speedup against the quartiles: host load moves a\n"
+               "single ~10 ms job by more than a worker's gain.\n\n";
 
   // Lockstep batching on one thread. On this grid the traces are long
   // relative to the CFG, so the amortized setup is small and the

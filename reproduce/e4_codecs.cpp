@@ -11,10 +11,11 @@
 namespace apcc::reproduce {
 
 std::vector<E4Row> e4_rows() {
-  std::vector<compress::Bytes> blocks;
+  compress::BlockBytes blocks;
   for (const auto kind : workloads::all_workload_kinds()) {
-    const auto& w = cached_workload(kind);
-    blocks.insert(blocks.end(), w.block_bytes.begin(), w.block_bytes.end());
+    for (const compress::ByteView block : cached_workload(kind).block_bytes) {
+      blocks.push_back(block);
+    }
   }
   std::vector<E4Row> rows;
   for (const auto kind : compress::all_codec_kinds()) {

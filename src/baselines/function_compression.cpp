@@ -41,16 +41,15 @@ FunctionMap build_function_map(const workloads::Workload& w,
 
   // Whole-function byte strings compress better than per-block ones; that
   // is the granularity advantage these baselines get.
-  std::vector<compress::Bytes> function_blobs;
-  function_blobs.reserve(functions.size());
-  for (const auto& f : functions) {
-    function_blobs.push_back(w.program.bytes(f.first_word, f.word_count));
-    m.function_bytes[function_blobs.size() - 1] =
-        function_blobs.back().size();
+  compress::BlockBytes function_blobs;
+  for (std::size_t f = 0; f < functions.size(); ++f) {
+    function_blobs.push_back(
+        w.program.bytes(functions[f].first_word, functions[f].word_count));
+    m.function_bytes[f] = function_blobs[f].size();
   }
   const auto codec = compress::make_codec(codec_kind, function_blobs);
   m.function_compressed.reserve(functions.size());
-  for (const auto& blob : function_blobs) {
+  for (const compress::ByteView blob : function_blobs) {
     m.function_compressed.push_back(codec->compress(blob).size());
   }
   return m;

@@ -32,7 +32,7 @@ std::span<const CodecKind> all_codec_kinds() {
 }
 
 std::unique_ptr<Codec> make_codec(CodecKind kind,
-                                  std::span<const Bytes> training_blocks) {
+                                  const BlockBytes& training_blocks) {
   switch (kind) {
     case CodecKind::kNull:
       return std::make_unique<NullCodec>();
@@ -52,11 +52,10 @@ std::unique_ptr<Codec> make_codec(CodecKind kind,
   APCC_ASSERT_FAIL("unknown codec kind");
 }
 
-double compression_ratio(const Codec& codec, std::span<const Bytes> blocks) {
-  std::uint64_t original = 0;
+double compression_ratio(const Codec& codec, const BlockBytes& blocks) {
+  const std::uint64_t original = blocks.total_bytes();
   std::uint64_t compressed = 0;
-  for (const auto& block : blocks) {
-    original += block.size();
+  for (const ByteView block : blocks) {
     compressed += codec.compress(block).size();
   }
   return original == 0 ? 1.0

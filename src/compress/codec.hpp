@@ -30,14 +30,11 @@
 #include <memory>
 #include <span>
 #include <string_view>
-#include <vector>
 
+#include "compress/block_bytes.hpp"
 #include "support/names.hpp"
 
 namespace apcc::compress {
-
-using Bytes = std::vector<std::uint8_t>;
-using ByteView = std::span<const std::uint8_t>;
 
 /// Cycle cost model for the simulator. Costs are per *original* byte.
 struct CodecCosts {
@@ -102,15 +99,14 @@ inline constexpr NamedValue<CodecKind> kCodecNames[] = {
 /// benches and the "every codec" tests iterate.
 [[nodiscard]] std::span<const CodecKind> all_codec_kinds();
 
-/// Construct a codec. `training_blocks` is the set of byte strings the
-/// codec will later see (typically all basic blocks of the image); only
-/// the trained codecs (kSharedHuffman, kCodePack, kFieldSplit) consult
-/// it.
+/// Construct a codec. `training_blocks` holds the byte strings the codec
+/// will later see (typically all basic blocks of the image); only the
+/// trained codecs (kSharedHuffman, kCodePack, kFieldSplit) read it.
 [[nodiscard]] std::unique_ptr<Codec> make_codec(
-    CodecKind kind, std::span<const Bytes> training_blocks = {});
+    CodecKind kind, const BlockBytes& training_blocks = {});
 
 /// Sum of compressed sizes divided by sum of original sizes (< 1 is good).
 [[nodiscard]] double compression_ratio(const Codec& codec,
-                                       std::span<const Bytes> blocks);
+                                       const BlockBytes& blocks);
 
 }  // namespace apcc::compress

@@ -8,14 +8,14 @@
 
 namespace apcc::compress {
 
-CodePackCodec::CodePackCodec(std::span<const Bytes> training_blocks) {
+CodePackCodec::CodePackCodec(const BlockBytes& training_blocks) {
   costs_ = CodecCosts{.decompress_cycles_per_byte = 1.2,
                       .compress_cycles_per_byte = 4.0,
                       .decompress_fixed_cycles = 32,
                       .compress_fixed_cycles = 64};
 
   std::map<std::uint16_t, std::uint64_t> freqs;
-  for (const auto& block : training_blocks) {
+  for (const ByteView block : training_blocks) {
     for (std::size_t i = 0; i + 1 < block.size(); i += 2) {
       const auto half = static_cast<std::uint16_t>(
           block[i] | (std::uint16_t{block[i + 1]} << 8));

@@ -23,7 +23,7 @@ namespace apcc::compress {
 class CodePackCodec final : public Codec {
  public:
   /// Train dictionaries over `training_blocks` (halfword frequencies).
-  explicit CodePackCodec(std::span<const Bytes> training_blocks);
+  explicit CodePackCodec(const BlockBytes& training_blocks);
 
   [[nodiscard]] std::string_view name() const override {
     return codec_kind_name(CodecKind::kCodePack);

@@ -5,12 +5,12 @@
 
 namespace apcc::compress {
 
-FieldSplitCodec::FieldSplitCodec(std::span<const Bytes> training_blocks) {
+FieldSplitCodec::FieldSplitCodec(const BlockBytes& training_blocks) {
   costs_ = CodecCosts{.decompress_cycles_per_byte = 6.5,
                       .compress_cycles_per_byte = 11.0,
                       .decompress_fixed_cycles = 96,
                       .compress_fixed_cycles = 128};
-  for (const auto& block : training_blocks) {
+  for (const ByteView block : training_blocks) {
     for (std::size_t i = 0; i < block.size(); ++i) {
       ++freqs_[i % kLanes][block[i]];
     }

@@ -27,7 +27,7 @@ class FieldSplitCodec final : public Codec {
   static constexpr std::size_t kLanes = 4;
 
   /// Train one table per byte lane over `training_blocks`.
-  explicit FieldSplitCodec(std::span<const Bytes> training_blocks);
+  explicit FieldSplitCodec(const BlockBytes& training_blocks);
 
   [[nodiscard]] std::string_view name() const override {
     return codec_kind_name(CodecKind::kFieldSplit);

@@ -294,12 +294,12 @@ Bytes HuffmanCodec::decompress(ByteView input,
   return out;
 }
 
-SharedHuffmanCodec::SharedHuffmanCodec(std::span<const Bytes> training_blocks)
+SharedHuffmanCodec::SharedHuffmanCodec(const BlockBytes& training_blocks)
     : code_([&] {
+        // A byte's count does not depend on its block, so the arena is
+        // read straight through.
         std::array<std::uint64_t, kAlphabetSize> freqs{};
-        for (const auto& block : training_blocks) {
-          for (const std::uint8_t b : block) ++freqs[b];
-        }
+        for (const std::uint8_t b : training_blocks.arena()) ++freqs[b];
         // Add-one smoothing: every byte value stays encodable even if it
         // never appeared in training (e.g. patched or synthetic blocks).
         std::array<std::uint64_t, kAlphabetSize> smoothed{};

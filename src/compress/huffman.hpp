@@ -148,7 +148,7 @@ class SharedHuffmanCodec final : public Codec {
  public:
   /// Train the shared table over `training_blocks`. If no training data
   /// is supplied, falls back to a uniform table (8-bit codes).
-  explicit SharedHuffmanCodec(std::span<const Bytes> training_blocks);
+  explicit SharedHuffmanCodec(const BlockBytes& training_blocks);
 
   [[nodiscard]] std::string_view name() const override {
     return codec_kind_name(CodecKind::kSharedHuffman);

@@ -20,7 +20,7 @@ void push_offset(std::vector<std::uint32_t>& offsets, std::size_t end) {
 }  // namespace
 
 BlockImage::BlockImage(const cfg::Cfg& cfg,
-                       std::span<const compress::Bytes> block_bytes,
+                       const compress::BlockBytes& block_bytes,
                        std::unique_ptr<compress::Codec> codec)
     : codec_(std::move(codec)) {
   APCC_CHECK(codec_ != nullptr, "BlockImage requires a codec");
@@ -30,7 +30,7 @@ BlockImage::BlockImage(const cfg::Cfg& cfg,
   compressed_offsets_.reserve(block_bytes.size() + 1);
   original_offsets_.push_back(0);
   compressed_offsets_.push_back(0);
-  for (const compress::Bytes& bytes : block_bytes) {
+  for (const compress::ByteView bytes : block_bytes) {
     const compress::Bytes packed = codec_->compress(bytes);
     compressed_.insert(compressed_.end(), packed.begin(), packed.end());
     push_offset(original_offsets_, original_offsets_.back() + bytes.size());
@@ -74,11 +74,8 @@ BlockImage make_block_image(
     const cfg::Cfg& cfg,
     const std::function<compress::Bytes(const cfg::BasicBlock&)>& provider,
     compress::CodecKind codec_kind) {
-  std::vector<compress::Bytes> bytes;
-  bytes.reserve(cfg.block_count());
-  for (const auto& b : cfg.blocks()) {
-    bytes.push_back(provider(b));
-  }
+  compress::BlockBytes bytes;
+  for (const auto& b : cfg.blocks()) bytes.push_back(provider(b));
   auto codec = compress::make_codec(codec_kind, bytes);
   return BlockImage(cfg, bytes, std::move(codec));
 }

@@ -33,7 +33,7 @@ class BlockImage {
  public:
   /// Compress `block_bytes[i]` as block i into the image's arena.
   /// `block_bytes.size()` must equal `cfg.block_count()`.
-  BlockImage(const cfg::Cfg& cfg, std::span<const compress::Bytes> block_bytes,
+  BlockImage(const cfg::Cfg& cfg, const compress::BlockBytes& block_bytes,
              std::unique_ptr<compress::Codec> codec);
 
   [[nodiscard]] std::size_t block_count() const {
@@ -82,7 +82,8 @@ class BlockImage {
 };
 
 /// Convenience: build the image for a CFG whose blocks' bytes come from a
-/// provider callback (program images, synthetic bytes, ...).
+/// provider callback (program images, synthetic bytes, ...), appended to
+/// one BlockBytes that trains the codec and fills the image.
 [[nodiscard]] BlockImage make_block_image(
     const cfg::Cfg& cfg,
     const std::function<compress::Bytes(const cfg::BasicBlock&)>& provider,

@@ -16,7 +16,7 @@ DecompressionPlanner::DecompressionPlanner(const cfg::Cfg& cfg,
   if (policy_.strategy == DecompressionStrategy::kPreSingle) {
     APCC_CHECK(predictor_ != nullptr, "pre-single requires a predictor");
   }
-  if (policy_.strategy != DecompressionStrategy::kOnDemand) {
+  if (plans_ahead(policy_.strategy)) {
     APCC_CHECK(frontiers_ != nullptr,
                "a planning strategy requires a FrontierCache");
   }

@@ -29,6 +29,12 @@ inline constexpr NamedValue<DecompressionStrategy> kStrategyNames[] = {
   return name_of(kStrategyNames, s);
 }
 
+/// Whether a strategy plans pre-decompressions, and so reads k-edge
+/// frontier geometry (a runtime::FrontierCache). On-demand reads none.
+[[nodiscard]] inline bool plans_ahead(DecompressionStrategy s) {
+  return s != DecompressionStrategy::kOnDemand;
+}
+
 /// Predictor choices for pre-decompress-single (E7 ablation).
 enum class PredictorKind : std::uint8_t {
   kProfile,  // argmax expected-visit score under profiled edge probabilities

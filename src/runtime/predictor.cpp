@@ -1,6 +1,7 @@
 #include "runtime/predictor.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 
 #include "support/assert.hpp"
@@ -51,9 +52,26 @@ cfg::BlockId StaticPredictor::predict(
   return best;
 }
 
-OraclePredictor::OraclePredictor(const cfg::Cfg& /*cfg*/,
+OraclePredictor::OraclePredictor(const cfg::Cfg& cfg,
                                  const cfg::BlockTrace& trace)
-    : trace_(trace) {}
+    : first_(cfg.block_count() + 1, 0), positions_(trace.size()) {
+  APCC_CHECK(trace.size() <= std::numeric_limits<std::uint32_t>::max(),
+             "oracle trace exceeds 2^32 entries");
+  // Count each block's entries into first_[b + 1], then prefix-sum, so
+  // first_[b] is where block b's positions start.
+  for (const cfg::BlockId b : trace) {
+    APCC_CHECK(b < cfg.block_count(), "trace block id out of range");
+    ++first_[b + 1];
+  }
+  for (std::size_t b = 1; b < first_.size(); ++b) first_[b] += first_[b - 1];
+  // Fill in trace order, using first_[b] as block b's cursor; each
+  // cursor ends at the next block's start, so shift the table back.
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    positions_[first_[trace[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  std::copy_backward(first_.begin(), first_.end() - 1, first_.end());
+  first_[0] = 0;
+}
 
 cfg::BlockId OraclePredictor::predict(
     cfg::BlockId /*from*/, const std::vector<cfg::BlockId>& candidates,
@@ -62,13 +80,21 @@ cfg::BlockId OraclePredictor::predict(
   // Start two entries ahead: the immediately-next block cannot profit
   // from pre-decompression (there is no lead time to hide any latency),
   // so predicting it would waste the single request pre-single gets.
-  for (std::size_t i = trace_index + 2; i < trace_.size(); ++i) {
-    if (std::find(candidates.begin(), candidates.end(), trace_[i]) !=
-        candidates.end()) {
-      return trace_[i];
+  const std::size_t from = trace_index + 2;
+  // A trace position holds one block, so the earliest next use is
+  // unique: the block a forward walk from `from` would meet first.
+  cfg::BlockId best = candidates.front();  // never reached again: arbitrary
+  std::size_t best_position = std::numeric_limits<std::size_t>::max();
+  for (const cfg::BlockId c : candidates) {
+    const auto begin = positions_.begin() + first_[c];
+    const auto end = positions_.begin() + first_[c + 1];
+    const auto next = std::lower_bound(begin, end, from);
+    if (next != end && *next < best_position) {
+      best_position = *next;
+      best = c;
     }
   }
-  return candidates.front();  // never reached again: arbitrary
+  return best;
 }
 
 std::unique_ptr<Predictor> make_predictor(PredictorKind kind,

@@ -100,9 +100,15 @@ class StaticPredictor final : public Predictor {
 };
 
 /// Oracle predictor: picks the candidate that the trace actually reaches
-/// first after `trace_index`.
+/// first, counting from two entries after `trace_index`. The trace is
+/// indexed once, at construction: each block's positions in ascending
+/// order, in CSR form. So predict() finds each candidate's next use by
+/// binary search, O(|candidates| log T) on a trace of T entries, instead
+/// of walking the trace forward; it picks the block the walk would.
 class OraclePredictor final : public Predictor {
  public:
+  /// `trace` must hold only `cfg`'s block ids and fewer than 2^32
+  /// entries; it is not kept.
   OraclePredictor(const cfg::Cfg& cfg, const cfg::BlockTrace& trace);
 
   [[nodiscard]] cfg::BlockId predict(
@@ -113,7 +119,10 @@ class OraclePredictor final : public Predictor {
   }
 
  private:
-  const cfg::BlockTrace& trace_;
+  // Block b's trace positions, ascending: positions_[first_[b],
+  // first_[b+1]).
+  std::vector<std::uint32_t> first_;      // block_count() + 1
+  std::vector<std::uint32_t> positions_;  // one per trace entry
 };
 
 /// Factory keyed on PredictorKind. The oracle needs the trace; others

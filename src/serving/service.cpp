@@ -61,8 +61,6 @@ void Service::CellLease::release() {
 /// other keys are inserted.
 struct Service::Registered {
   std::unique_ptr<const workloads::Workload> workload;
-  /// Sum of the block bytes: what an image rebuild retrains over.
-  std::uint64_t original_bytes = 0;
   std::map<compress::CodecKind, ArtifactSlot> images;
   std::map<unsigned, ArtifactSlot> geometry;
 };
@@ -94,9 +92,6 @@ WorkloadId Service::register_workload(workloads::Workload workload) {
   auto entry = std::make_unique<Registered>();
   entry->workload =
       std::make_unique<const workloads::Workload>(std::move(workload));
-  for (const compress::Bytes& b : entry->workload->block_bytes) {
-    entry->original_bytes += b.size();
-  }
   const std::lock_guard<std::mutex> lock(mutex_);
   registry_.push_back(std::move(entry));
   return registry_.size() - 1;
@@ -171,9 +166,11 @@ const runtime::BlockImage& Service::image_for(Registered& entry,
     const std::lock_guard<std::mutex> lock(mutex_);
     slot = &entry.images[codec];
   }
+  // An image rebuild retrains over, and compresses, every block byte.
+  const std::uint64_t rebuild_cost =
+      estimate_image_cost(entry.workload->block_bytes.total_bytes());
   const Artifact& artifact = resolve(
-      *slot, stats_.images, estimate_image_cost(entry.original_bytes),
-      token, lease, [&]() -> Artifact {
+      *slot, stats_.images, rebuild_cost, token, lease, [&]() -> Artifact {
         if (faults_) {
           const std::size_t n =
               fault_builds_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -360,15 +357,17 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
     ++live_per_client_[client];
     live_states_.emplace(state.get(), state);
     // Stamp every artifact the job will borrow, before any of its cells
-    // runs. Then no publish of this job can pick one of its own
-    // artifacts over an older job's merely because its cells have not
-    // reached it yet, so when jobs run one at a time and one job's
-    // artifacts fit the budget, the evictions do not depend on the
-    // order in which the pool runs the job's cells.
+    // runs: its image, and the geometry of each k a planning cell reads.
+    // Then no publish of this job can pick one of its own artifacts over
+    // an older job's merely because its cells have not reached it yet,
+    // so when jobs run one at a time and one job's artifacts fit the
+    // budget, the evictions do not depend on the order in which the
+    // pool runs the job's cells.
     const std::uint64_t stamp = ++admitted_;
     for (Registered* target : ctx->entries) {
       target->images[ctx->spec.config.codec].ledger.last_use = stamp;
       for (const sweep::SweepTask& task : ctx->grid) {
+        if (!runtime::plans_ahead(task.config.policy.strategy)) continue;
         target->geometry[task.config.policy.predecompress_k]
             .ledger.last_use = stamp;
       }
@@ -426,9 +425,12 @@ JobHandle<JobResult> Service::submit(JobSpec spec) {
         image = &image_for(target, ctx->spec.config.codec,
                            state->token.get(), lease);
         sim::EngineConfig config = ctx->grid[t].config;
-        config.shared_frontiers =
-            &frontiers_for(target, config.policy.predecompress_k,
-                           state->token.get(), lease);
+        // An on-demand cell plans nothing, so it borrows no geometry.
+        if (runtime::plans_ahead(config.policy.strategy)) {
+          config.shared_frontiers =
+              &frontiers_for(target, config.policy.predecompress_k,
+                             state->token.get(), lease);
+        }
         configs.push_back(config);
         cells.push_back(t);
         leases.push_back(std::move(lease));

@@ -326,7 +326,7 @@ class Service {
     friend class Service;
     /// Take over one pin acquire() just placed on `slot`.
     void hold(ArtifactSlot& slot);
-    /// A cell borrows one image and one geometry.
+    /// A cell borrows one image, and one geometry if it plans.
     std::array<ArtifactSlot*, 2> slots_{};
   };
 

@@ -36,7 +36,7 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
   std::vector<EngineConfig> cell_configs = configs_;
   for (EngineConfig& config : cell_configs) {
     if (config.shared_frontiers != nullptr ||
-        config.policy.strategy == runtime::DecompressionStrategy::kOnDemand) {
+        !runtime::plans_ahead(config.policy.strategy)) {
       continue;
     }
     const std::uint32_t k = config.policy.predecompress_k;

@@ -580,12 +580,26 @@ Workload build_workload(std::string name, std::string_view source,
     profile.apply_to(w.cfg);
   }
 
-  w.block_bytes.reserve(w.cfg.block_count());
-  for (const auto& block : w.cfg.blocks()) {
-    w.block_bytes.push_back(
-        w.program.bytes(block.first_word, block.word_count));
-  }
+  w.block_bytes = cut_block_bytes(w.program, w.cfg);
   return w;
+}
+
+compress::BlockBytes cut_block_bytes(const isa::Program& program,
+                                     const cfg::Cfg& cfg) {
+  // One serialisation of the whole image, cut into views: no vector per
+  // block.
+  const compress::Bytes image = program.bytes();
+  compress::BlockBytes bytes;
+  bytes.reserve(cfg.block_count(), cfg.total_code_bytes());
+  for (const auto& block : cfg.blocks()) {
+    APCC_CHECK(std::uint64_t{block.first_word} + block.word_count <=
+                   program.word_count(),
+               "block outside the program image");
+    bytes.push_back(compress::ByteView(image).subspan(
+        std::size_t{block.first_word} * isa::kInstructionBytes,
+        block.size_bytes()));
+  }
+  return bytes;
 }
 
 Workload make_workload(WorkloadKind kind, const WorkloadOptions& options) {

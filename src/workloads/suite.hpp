@@ -47,14 +47,14 @@ struct WorkloadOptions {
   bool apply_profile = true;
 };
 
-/// A ready-to-simulate workload. Only `block_bytes` holds a heap object
-/// per block; the CFG and the trace are flat arrays.
+/// A ready-to-simulate workload. It holds no heap object per block: the
+/// CFG, the trace and the block bytes are flat arrays.
 struct Workload {
   std::string name;
   isa::Program program;
   cfg::Cfg cfg;
-  cfg::BlockTrace trace;                     // real executed access pattern
-  std::vector<compress::Bytes> block_bytes;  // per-CFG-block image bytes
+  cfg::BlockTrace trace;            // real executed access pattern
+  compress::BlockBytes block_bytes;  // per-CFG-block image bytes
 
   [[nodiscard]] std::uint64_t image_bytes() const {
     return program.size_bytes();
@@ -70,6 +70,12 @@ struct Workload {
 [[nodiscard]] Workload build_workload(
     std::string name, std::string_view source,
     const isa::InterpreterOptions& interpreter, bool apply_profile);
+
+/// Every block's image bytes in block id order, in one arena: block b
+/// holds `program.bytes(first_word, word_count)` of the CFG's block b.
+/// Allocates a fixed number of times, whatever the block count.
+[[nodiscard]] compress::BlockBytes cut_block_bytes(const isa::Program& program,
+                                                   const cfg::Cfg& cfg);
 
 /// Build (assemble + CFG + execute) one workload.
 [[nodiscard]] Workload make_workload(WorkloadKind kind,

@@ -18,9 +18,9 @@ const workloads::Workload& adpcm() {
 }
 
 runtime::BlockImage make_image(const workloads::Workload& w) {
-  auto bytes = w.block_bytes;
-  auto codec = compress::make_codec(compress::CodecKind::kLzss, bytes);
-  return runtime::BlockImage(w.cfg, std::move(bytes), std::move(codec));
+  return runtime::BlockImage(
+      w.cfg, w.block_bytes,
+      compress::make_codec(compress::CodecKind::kLzss, w.block_bytes));
 }
 
 TEST(NoCompression, SlowdownIsExactlyOne) {

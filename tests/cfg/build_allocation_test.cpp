@@ -2,7 +2,9 @@
 // edges, edge lists and notes in a fixed set of flat arrays, so building
 // a graph allocates O(log B) times (vector growth), not once or twice
 // per block. A per-block heap member -- an edge vector, a note string --
-// costs at least one allocation per block and fails the bound here.
+// costs at least one allocation per block and fails the bound here. A
+// workload's block bytes keep the same contract: one arena and one
+// offset table, never a vector per block.
 //
 // This file replaces the global operator new with a counting one (for
 // the whole apcc_cfg_tests binary; it only counts, then defers to
@@ -16,6 +18,8 @@
 #include <string>
 
 #include "cfg/cfg.hpp"
+#include "workloads/random_program.hpp"
+#include "workloads/suite.hpp"
 
 namespace {
 
@@ -82,6 +86,39 @@ TEST(CfgBuildAllocation, IndependentOfBlockCount) {
   const std::size_t large = allocations_to_build_chain(16'000);
   // 16x the blocks adds four doublings to each of the graph's arrays.
   EXPECT_LE(large, small + 64) << "small=" << small << " large=" << large;
+}
+
+/// Allocations made while cutting `w`'s block bytes from its program.
+std::size_t allocations_to_cut_block_bytes(const workloads::Workload& w) {
+  const std::size_t before = g_allocations.load();
+  {
+    const compress::BlockBytes bytes =
+        workloads::cut_block_bytes(w.program, w.cfg);
+    EXPECT_EQ(bytes.size(), w.cfg.block_count());
+  }
+  return g_allocations.load() - before;
+}
+
+TEST(WorkloadBlockBytesAllocation, IndependentOfBlockCount) {
+  // A workload keeps its block bytes in one arena with one offset
+  // table, so cutting them from the program allocates a fixed number
+  // of times: a vector per block would cost 2,444 allocations here.
+  const workloads::Workload kernel =
+      workloads::make_workload(workloads::WorkloadKind::kAdpcmLike);
+  workloads::RandomProgramOptions churn;  // artifact-churn's shape
+  churn.seed = 9001;
+  churn.max_depth = 3;
+  churn.statements_per_body = 40;
+  churn.leaf_functions = 16;
+  churn.loop_iters_max = 6;
+  const workloads::Workload large = workloads::make_random_workload(churn);
+  ASSERT_EQ(large.cfg.block_count(), 2444u);
+  const std::size_t small_count = allocations_to_cut_block_bytes(kernel);
+  const std::size_t large_count = allocations_to_cut_block_bytes(large);
+  EXPECT_LE(small_count, 8u);
+  EXPECT_LE(large_count, small_count + 16)
+      << "kernel=" << small_count << " (" << kernel.cfg.block_count()
+      << " blocks) large=" << large_count;
 }
 
 }  // namespace

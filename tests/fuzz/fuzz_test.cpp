@@ -243,11 +243,11 @@ TEST(Fuzz, FramerUnderRandomChunkingMatchesRecordReader) {
 }
 
 TEST(Fuzz, EveryCodecSurvivesCorruptedStreams) {
-  std::vector<compress::Bytes> blocks;
+  compress::BlockBytes blocks;
   for (const auto kind : workloads::all_workload_kinds()) {
-    workloads::Workload w = workloads::make_workload(kind);
-    for (compress::Bytes& b : w.block_bytes) {
-      if (!b.empty()) blocks.push_back(std::move(b));
+    const workloads::Workload w = workloads::make_workload(kind);
+    for (const compress::ByteView b : w.block_bytes) {
+      if (!b.empty()) blocks.push_back(b);
     }
   }
   Rng rng(11);
@@ -255,7 +255,7 @@ TEST(Fuzz, EveryCodecSurvivesCorruptedStreams) {
     SCOPED_TRACE(compress::codec_kind_name(kind));
     const auto codec = compress::make_codec(kind, blocks);
     for (int i = 0; i < 400; ++i) {
-      const compress::Bytes& original = blocks[rng.next_below(blocks.size())];
+      const compress::ByteView original = blocks[rng.next_below(blocks.size())];
       compress::Bytes stream = codec->compress(original);
       switch (rng.next_below(4)) {
         case 0:  // flip bits

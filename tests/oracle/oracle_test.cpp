@@ -40,10 +40,8 @@ std::unique_ptr<Subject> make_subject(std::string name, workloads::Workload w,
                                       std::size_t max_steps) {
   auto s = std::make_unique<Subject>();
   s->name = std::move(name);
-  std::vector<compress::Bytes> bytes = w.block_bytes;
-  auto c = compress::make_codec(codec, bytes);
-  s->image = std::make_unique<runtime::BlockImage>(w.cfg, std::move(bytes),
-                                                   std::move(c));
+  s->image = std::make_unique<runtime::BlockImage>(
+      w.cfg, w.block_bytes, compress::make_codec(codec, w.block_bytes));
   const std::size_t steps = std::min(max_steps, w.trace.size());
   s->trace.assign(w.trace.begin(),
                   w.trace.begin() + static_cast<std::ptrdiff_t>(steps));

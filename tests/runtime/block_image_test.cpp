@@ -7,6 +7,8 @@
 #include "cfg/paper_graphs.hpp"
 #include "isa/isa.hpp"
 #include "runtime/block_image.hpp"
+#include "workloads/random_program.hpp"
+#include "workloads/suite.hpp"
 #include "workloads/synth_bytes.hpp"
 
 namespace apcc::runtime {
@@ -124,6 +126,80 @@ TEST(BlockImage, OutOfRangeBlockThrows) {
   EXPECT_THROW((void)image.original_size(10), apcc::CheckError);
   EXPECT_THROW((void)image.compressed_size(10), apcc::CheckError);
   EXPECT_NO_THROW((void)image.original_size(9));
+}
+
+/// An image's compressed arena and both (B+1)-entry offset tables, read
+/// back through its accessors.
+struct ImageTables {
+  compress::Bytes arena;
+  std::vector<std::uint64_t> compressed_offsets{0};
+  std::vector<std::uint64_t> original_offsets{0};
+
+  bool operator==(const ImageTables&) const = default;
+
+  void add_block(compress::ByteView packed, std::uint64_t original_size) {
+    arena.insert(arena.end(), packed.begin(), packed.end());
+    compressed_offsets.push_back(arena.size());
+    original_offsets.push_back(original_offsets.back() + original_size);
+  }
+};
+
+ImageTables tables_of(const BlockImage& image) {
+  ImageTables t;
+  const std::uint8_t* base = image.compressed(0).data();
+  for (cfg::BlockId b = 0; b < image.block_count(); ++b) {
+    const compress::ByteView packed = image.compressed(b);
+    // The views sit back to back in one arena.
+    EXPECT_EQ(packed.data(), base + t.compressed_offsets.back()) << b;
+    t.add_block(packed, image.original_size(b));
+  }
+  return t;
+}
+
+TEST(BlockImage, ArenaAndPerBlockVectorsBuildTheSameImage) {
+  // The workload's arena against one vector per block, cut the way the
+  // workload used to cut them: for every codec, the codec trained on
+  // each and the image compressed from each hold the same arena and
+  // offset tables as a reference loop that compresses the vectors one
+  // by one.
+  std::vector<workloads::Workload> programs;
+  for (const auto kind : workloads::all_workload_kinds()) {
+    programs.push_back(workloads::make_workload(kind));
+  }
+  workloads::RandomProgramOptions churn;  // artifact-churn's shape
+  churn.seed = 9001;
+  churn.max_depth = 3;
+  churn.statements_per_body = 40;
+  churn.leaf_functions = 16;
+  churn.loop_iters_max = 6;
+  programs.push_back(workloads::make_random_workload(churn));
+  ASSERT_EQ(programs.back().cfg.block_count(), 2444u);
+
+  for (const workloads::Workload& w : programs) {
+    std::vector<compress::Bytes> per_block;
+    for (const cfg::BasicBlock& b : w.cfg.blocks()) {
+      per_block.push_back(w.program.bytes(b.first_word, b.word_count));
+    }
+    for (const auto kind : compress::all_codec_kinds()) {
+      SCOPED_TRACE(w.name + " / " + codec_kind_name(kind));
+      const BlockImage from_arena(w.cfg, w.block_bytes,
+                                  compress::make_codec(kind, w.block_bytes));
+      const BlockImage from_vectors(w.cfg, per_block,
+                                    compress::make_codec(kind, per_block));
+      const auto codec = compress::make_codec(kind, per_block);
+      ImageTables reference;
+      for (const compress::Bytes& bytes : per_block) {
+        reference.add_block(codec->compress(bytes), bytes.size());
+      }
+      const ImageTables got = tables_of(from_arena);
+      EXPECT_TRUE(got == reference);
+      EXPECT_TRUE(tables_of(from_vectors) == reference);
+      EXPECT_EQ(from_arena.resident_bytes(), from_vectors.resident_bytes());
+      EXPECT_EQ(from_arena.footprint().compressed_area_bytes,
+                from_vectors.footprint().compressed_area_bytes);
+      EXPECT_EQ(from_arena.ratio(), from_vectors.ratio());
+    }
+  }
 }
 
 TEST(SynthBytes, DeterministicPerBlockAndSeed) {

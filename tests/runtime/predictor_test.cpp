@@ -8,6 +8,7 @@
 #include "cfg/paper_graphs.hpp"
 #include "runtime/frontier_cache.hpp"
 #include "runtime/predictor.hpp"
+#include "sim/trace_gen.hpp"
 #include "workloads/random_program.hpp"
 #include "workloads/suite.hpp"
 
@@ -195,6 +196,87 @@ TEST(OraclePredictor, FallsBackWhenNeverReached) {
   const cfg::BlockTrace trace = {0, 1, 3};
   const OraclePredictor p(g, trace);
   EXPECT_EQ(p.predict(0, {2}, 2), 2u) << "never reached: first candidate";
+}
+
+/// The oracle's reference: walk the trace forward from trace_index + 2
+/// and take the first candidate met, or the first candidate if none is
+/// met again. OraclePredictor answers from its index instead.
+cfg::BlockId scan_oracle(const cfg::BlockTrace& trace,
+                         const std::vector<cfg::BlockId>& candidates,
+                         std::size_t trace_index) {
+  for (std::size_t i = trace_index + 2; i < trace.size(); ++i) {
+    if (std::find(candidates.begin(), candidates.end(), trace[i]) !=
+        candidates.end()) {
+      return trace[i];
+    }
+  }
+  return candidates.front();
+}
+
+TEST(OraclePredictor, IndexPicksWhatTheTraceScanPicks) {
+  // At every exit of every trace below, for the exit block's whole k-edge
+  // frontier and two thinned copies of it (order kept), the indexed
+  // oracle must pick the block the scan picks.
+  struct Case {
+    std::string name;
+    cfg::Cfg cfg;
+    cfg::BlockTrace trace;
+  };
+  std::vector<Case> cases;
+  for (const auto kind : workloads::all_workload_kinds()) {
+    auto w = workloads::make_workload(kind);
+    cases.push_back({w.name, std::move(w.cfg), std::move(w.trace)});
+  }
+  workloads::WorkloadOptions scale16;
+  scale16.scale = 16;
+  {
+    auto w = workloads::make_workload(workloads::WorkloadKind::kAdpcmLike,
+                                      scale16);
+    cases.push_back({w.name + "@16", std::move(w.cfg), std::move(w.trace)});
+  }
+  workloads::RandomProgramOptions churn;  // artifact-churn's shape
+  churn.seed = 9001;
+  churn.max_depth = 3;
+  churn.statements_per_body = 40;
+  churn.leaf_functions = 16;
+  churn.loop_iters_max = 6;
+  {
+    auto w = workloads::make_random_workload(churn);
+    cases.push_back({w.name, std::move(w.cfg), std::move(w.trace)});
+  }
+  sim::TraceGenOptions walk;
+  walk.max_blocks = 2000;
+  for (auto [name, g] : {std::pair{"figure1", cfg::figure1_cfg()},
+                         std::pair{"figure2", cfg::figure2_cfg()},
+                         std::pair{"figure5", cfg::figure5_cfg()}}) {
+    cfg::BlockTrace trace = sim::generate_trace(g, walk);
+    cases.push_back({name, std::move(g), std::move(trace)});
+  }
+
+  std::size_t compared = 0;
+  for (const Case& c : cases) {
+    const OraclePredictor oracle(c.cfg, c.trace);
+    for (const unsigned k : {2u, 8u}) {
+      FrontierCache frontiers(c.cfg, k);
+      frontiers.materialize();
+      for (std::size_t i = 0; i < c.trace.size(); ++i) {
+        const auto list = frontiers.candidates(c.trace[i]);
+        const std::vector<cfg::BlockId> ordered(list.begin(), list.end());
+        std::vector<std::vector<cfg::BlockId>> subsets = {ordered, {}, {}};
+        for (std::size_t j = 0; j < ordered.size(); ++j) {
+          subsets[1 + j % 2].push_back(ordered[j]);
+        }
+        for (const auto& candidates : subsets) {
+          if (candidates.empty()) continue;
+          ASSERT_EQ(oracle.predict(c.trace[i], candidates, i),
+                    scan_oracle(c.trace, candidates, i))
+              << c.name << " k " << k << " at trace index " << i;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 100'000u);
 }
 
 TEST(MakePredictor, FactoryKinds) {

@@ -199,15 +199,20 @@ TEST(Eviction, ImageEvictionAcrossWorkloadsRebuildsByteIdentical) {
 
 TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
   // Job A: one 12-cell lockstep batch on workload 0, parked at its
-  // second cell's boundary -- cell 1's leases (image + k=1 geometry)
-  // are live. Job B then thrashes the cache on workload 1 under a
-  // one-byte budget. A's pinned artifacts must survive every eviction
-  // pass B triggers, and A must complete byte-identical after release.
+  // sixth cell's boundary -- the leases of cells 1-5 are live: the
+  // image for all five, and the k=1 geometry for cell 5, the first
+  // planning cell (cells 1-4 are on-demand and borrow no geometry).
+  // Job B then thrashes the cache on workload 1 under a one-byte
+  // budget. A's pinned artifacts must survive every eviction pass B
+  // triggers, and A must complete byte-identical after release.
   const auto grid = test_grid();
+  ASSERT_FALSE(runtime::plans_ahead(grid[3].config.policy.strategy));
+  ASSERT_TRUE(runtime::plans_ahead(grid[4].config.policy.strategy));
+  ASSERT_EQ(grid[4].config.policy.predecompress_k, 1u);
   const auto direct_a = direct_sweep(0, grid);
   const auto direct_b = direct_sweep(1, grid);
 
-  ParkAt gate(2);  // boundary 1 = A's first cell; 2 = A's second
+  ParkAt gate(6);  // boundaries 1-5 = A's first five cells; 6 = its sixth
   ServiceOptions options = budgeted(2, tiny_budget());
   options.faults = gate.plan();
   Fixture fx(options);
@@ -216,7 +221,7 @@ TEST(Eviction, PinnedArtifactsSurviveWhileBorrowed) {
   const auto handle_a = fx.service.submit(sweep_spec(ref(fx.ids[0]), grid, 16));
   gate.await_parked();
 
-  // While A is parked, its first cell's artifacts are pinned and
+  // While A is parked, its first five cells' artifacts are pinned and
   // resident (the k=1 geometry slot stays ready through everything B
   // does below).
   const ArtifactSlot* slot_a = fx.service.frontier_slot(fx.ids[0], 1);
@@ -330,16 +335,17 @@ void expect_same_counts(const ArtifactStats& a, const ArtifactStats& b) {
 
 TEST(Eviction, RecencyFollowsTheJobSequenceNotTheCellOrder) {
   // Two one-worker Services run the same three jobs on jpeg-like under
-  // a 1,800 B budget: (1) an on-demand sweep over k=1 and k=4, (2) an
-  // lzss run at k=2, (3) job 1 again. Job 1 lists its two cells in
-  // opposite orders in the two Services. Its own artifacts (1,309 B: a
-  // 645 B image and 664 B of geometry) fit the budget and job 2's
-  // force evictions (unbounded, the three jobs end holding 2,181 B), so
-  // which artifacts the evictions pick must follow the job sequence
-  // alone: the two Services end with the same cache counts.
+  // a 1,800 B budget: (1) a pre-all sweep over k=1 and k=4, (2) a
+  // pre-all lzss run at k=2, (3) job 1 again. Every cell plans, so each
+  // reads the geometry of its k. Job 1 lists its two cells in opposite
+  // orders in the two Services. Its own artifacts (1,309 B: a 645 B
+  // image and 664 B of geometry) fit the budget and job 2's force
+  // evictions (unbounded, the three jobs end holding 2,181 B), so which
+  // artifacts the evictions pick must follow the job sequence alone:
+  // the two Services end with the same cache counts.
   const auto cell = [](std::uint32_t k) {
     sweep::SweepTask task;
-    task.config.policy.strategy = runtime::DecompressionStrategy::kOnDemand;
+    task.config.policy.strategy = runtime::DecompressionStrategy::kPreAll;
     task.config.policy.compress_k = k;
     task.config.policy.predecompress_k = k;
     task.label = "k" + std::to_string(k);
@@ -347,6 +353,7 @@ TEST(Eviction, RecencyFollowsTheJobSequenceNotTheCellOrder) {
   };
   core::SystemConfig lzss;
   lzss.codec = compress::CodecKind::kLzss;
+  lzss.policy.strategy = runtime::DecompressionStrategy::kPreAll;
   lzss.policy.compress_k = 2;
   lzss.policy.predecompress_k = 2;
   CacheBudget budget;

@@ -24,14 +24,15 @@ namespace {
 using namespace testsupport;
 
 TEST(Service, RunJobMatchesDirectRunColdAndWarm) {
-  // The direct run owns its geometry; the Service cell borrows the
-  // cached one. Outcomes must not tell them apart.
+  // The default run cell is on-demand: it plans nothing, so it borrows
+  // the cached image and no geometry. Outcomes must not tell the
+  // Service cell from the direct run.
   const sim::RunResult direct = reference_systems()[0].run();
   for (const unsigned workers : {1u, 2u, 4u}) {
     Fixture fx(workers);
     const JobSpec job = run_spec(ref(fx.ids[0]));
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    // Cold: first submit builds the image and the geometry.
+    // Cold: first submit builds the image.
     const auto cold = fx.service.submit(job);
     EXPECT_EQ(cold.wait().kind, JobKind::kRun);
     expect_identical(cold.wait().run, direct);
@@ -41,9 +42,13 @@ TEST(Service, RunJobMatchesDirectRunColdAndWarm) {
     EXPECT_EQ(stats.images.built, 1u);
     EXPECT_EQ(stats.images.borrows, 1u);
     EXPECT_EQ(stats.images.evictions, 0u);  // no budget, no eviction
-    EXPECT_EQ(stats.frontiers.built, 1u);
-    EXPECT_EQ(stats.frontiers.borrows, 1u);
-    EXPECT_EQ(stats.frontiers.evictions, 0u);
+    EXPECT_EQ(stats.frontiers.built, 0u);
+    EXPECT_EQ(stats.frontiers.borrows, 0u);
+    EXPECT_EQ(stats.frontiers.misses, 0u);
+    EXPECT_EQ(stats.frontiers.entries, 0u);
+    EXPECT_EQ(fx.service.frontier_slot(fx.ids[0],
+                                       job.config.policy.predecompress_k),
+              nullptr);
   }
 }
 
@@ -128,13 +133,18 @@ TEST(Service, ArtifactCacheDeduplicatesAcrossJobs) {
   (void)second.wait();
   const auto stats = fx.service.cache_stats();
   // One image and one geometry cache per distinct key, no matter how
-  // many cells or jobs borrowed them.
+  // many cells or jobs borrowed them. Every cell borrows the image;
+  // only the planning (pre-all, pre-single) cells borrow geometry.
+  const auto planning = static_cast<std::size_t>(
+      std::ranges::count_if(job.tasks, [](const sweep::SweepTask& t) {
+        return runtime::plans_ahead(t.config.policy.strategy);
+      }));
+  EXPECT_EQ(planning, 8u);
   EXPECT_EQ(stats.images.built, 1u);
   EXPECT_EQ(stats.frontiers.built, 2u);  // k=1 and k=4
   EXPECT_EQ(stats.images.borrows + stats.images.built,
             2 * job.tasks.size());
-  EXPECT_EQ(stats.frontiers.borrows + stats.frontiers.built,
-            2 * job.tasks.size());
+  EXPECT_EQ(stats.frontiers.borrows + stats.frontiers.built, 2 * planning);
   // The hit/miss ledger tells the same story: every build was a miss,
   // every borrow a hit, and nothing was ever rebuilt.
   EXPECT_EQ(stats.images.misses, stats.images.built);

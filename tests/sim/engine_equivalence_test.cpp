@@ -61,11 +61,11 @@ const runtime::FrontierCache& shared_frontiers() {
 
 const runtime::BlockImage& image() {
   static const runtime::BlockImage img = [] {
-    std::vector<compress::Bytes> bytes = workload().block_bytes;
-    auto codec =
-        compress::make_codec(compress::CodecKind::kSharedHuffman, bytes);
-    return runtime::BlockImage(workload().cfg, std::move(bytes),
-                               std::move(codec));
+    const workloads::Workload& w = workload();
+    return runtime::BlockImage(
+        w.cfg, w.block_bytes,
+        compress::make_codec(compress::CodecKind::kSharedHuffman,
+                             w.block_bytes));
   }();
   return img;
 }

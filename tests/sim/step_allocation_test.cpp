@@ -88,10 +88,10 @@ struct Kernel {
 };
 
 std::unique_ptr<Kernel> make_kernel(workloads::Workload w) {
-  std::vector<compress::Bytes> bytes = w.block_bytes;
-  auto codec =
-      compress::make_codec(compress::CodecKind::kSharedHuffman, bytes);
-  runtime::BlockImage image(w.cfg, std::move(bytes), std::move(codec));
+  runtime::BlockImage image(
+      w.cfg, w.block_bytes,
+      compress::make_codec(compress::CodecKind::kSharedHuffman,
+                           w.block_bytes));
   return std::unique_ptr<Kernel>(new Kernel{std::move(w), std::move(image)});
 }
 

@@ -5,8 +5,9 @@
 #
 # Produces, in out-dir (default: the build dir):
 #   BENCH_engine.json   -- E11 engine hot-path throughput (steps/sec),
-#                          incl. the eviction-heavy rows' evictions/step
-#                          and the pre-single row on a 2,444-block program
+#                          incl. the eviction-heavy rows' evictions/step,
+#                          the pre-single row on a 2,444-block program and
+#                          the oracle pre-single row on a scale-16 trace
 #   BENCH_codecs.json   -- E4 codec compress + decompress throughput per
 #                          codec, and the huffman decoder A/B
 #   BENCH_sweep.json    -- sharded policy-grid sweep scaling (grid pts/sec
@@ -73,18 +74,22 @@ then
   exit 1
 fi
 
-# The pre-single row is the one series that times the profile
-# predictor's ranking on a large CFG; a run without it has silently
-# stopped measuring that cost.
+# The two pre-single rows are the series that time a predictor's cost:
+# the profile predictor's ranking on a large CFG, and the oracle
+# predictor on a long trace. A run without either has silently stopped
+# measuring that cost.
 if ! python3 - "${OUT_DIR}/BENCH_engine.json" <<'PY'
 import json, sys
 rows = [b for b in json.load(open(sys.argv[1]))["benchmarks"]
-        if b["name"].startswith("bm_engine_presingle")
-        and b.get("run_type", "iteration") == "iteration"]
-sys.exit(0 if rows else 1)
+        if b.get("run_type", "iteration") == "iteration"]
+missing = [series
+           for series in ("bm_engine_presingle", "bm_engine_presingle_oracle")
+           if not any(b["name"].split("/")[0] == series for b in rows)]
+for m in missing:
+    print(f"error: BENCH_engine.json has no {m} row", file=sys.stderr)
+sys.exit(1 if missing else 0)
 PY
 then
-  echo "error: BENCH_engine.json has no bm_engine_presingle row" >&2
   exit 1
 fi
 
