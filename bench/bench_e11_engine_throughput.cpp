@@ -15,10 +15,13 @@
 // Two rows run pre-decompress-single: the profile predictor on a
 // 2,444-block program, where its per-block ranking is most of the cell,
 // and the oracle predictor on mpeg2-like's 94k-entry scale-16 trace.
+// bm_frontier_build times one planner geometry build on that program,
+// every block's lists against only those of the blocks its trace exits.
 #include <chrono>
 #include <map>
 
 #include "bench/bench_common.hpp"
+#include "runtime/frontier_cache.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/trace_gen.hpp"
 #include "support/table.hpp"
@@ -226,6 +229,29 @@ void bm_engine_presingle_oracle(benchmark::State& state) {
   run_presingle(state, mpeg2_scale16(), runtime::PredictorKind::kOracle);
 }
 BENCHMARK(bm_engine_presingle_oracle)->Unit(benchmark::kMillisecond);
+
+void bm_frontier_build(benchmark::State& state) {
+  // One k = 8 geometry build on the churn program: arg 0 builds every
+  // block's list (materialize(), what perfbench's isolated pass lends),
+  // arg 1 only the lists of the blocks its trace exits
+  // (materialize(trace), what BatchEngine::run and the Service build).
+  const workloads::Workload& w = churn_program().workload;
+  const bool trace_exits = state.range(0) != 0;
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    runtime::FrontierCache cache(w.cfg, 8);
+    if (trace_exits) {
+      cache.materialize(w.trace);
+    } else {
+      cache.materialize();
+    }
+    bytes = cache.resident_bytes();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetLabel(trace_exits ? "trace-exits" : "every-block");
+  state.counters["resident_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(bm_frontier_build)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

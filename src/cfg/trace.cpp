@@ -32,4 +32,13 @@ void validate_trace(const Cfg& cfg, const BlockTrace& trace) {
   }
 }
 
+std::vector<bool> exited_blocks(const Cfg& cfg, const BlockTrace& trace) {
+  std::vector<bool> exited(cfg.block_count(), false);
+  for (std::size_t i = 0; i + 1 < trace.size(); ++i) {
+    APCC_CHECK(trace[i] < exited.size(), "trace block id out of range");
+    exited[trace[i]] = true;
+  }
+  return exited;
+}
+
 }  // namespace apcc::cfg

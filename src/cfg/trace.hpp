@@ -44,4 +44,11 @@ class BlockTraceBuilder {
 /// used by tests and to validate externally supplied traces.
 void validate_trace(const Cfg& cfg, const BlockTrace& trace);
 
+/// One flag per block of `cfg`: whether `trace` exits it, that is,
+/// whether it is any entry but the last. A run over `trace` plans
+/// pre-decompressions at these blocks and at no others. Throws
+/// CheckError on a block id out of range.
+[[nodiscard]] std::vector<bool> exited_blocks(const Cfg& cfg,
+                                              const BlockTrace& trace);
+
 }  // namespace apcc::cfg

@@ -6,6 +6,14 @@
 
 namespace apcc::runtime {
 
+namespace {
+
+// Set in offsets_[b] when block b's list was not built. The low bits
+// still hold where b's list would start, which is where b - 1's ends.
+constexpr std::uint32_t kUnbuilt = 1u << 31;
+
+}  // namespace
+
 FrontierCache::FrontierCache(const cfg::Cfg& cfg, unsigned k)
     : cfg_(cfg), k_(k) {}
 
@@ -13,10 +21,21 @@ std::span<const cfg::BlockId> FrontierCache::candidates(
     cfg::BlockId block) const {
   APCC_CHECK(materialized(), "FrontierCache read before materialize()");
   APCC_CHECK(block < cfg_.block_count(), "block id out of range");
-  return {ids_.data() + offsets_[block], ids_.data() + offsets_[block + 1]};
+  const std::uint32_t begin = offsets_[block];
+  APCC_CHECK((begin & kUnbuilt) == 0,
+             "FrontierCache has no list for a block its trace never exits");
+  return {ids_.data() + begin,
+          ids_.data() + (offsets_[block + 1] & ~kUnbuilt)};
 }
 
-void FrontierCache::materialize() {
+void FrontierCache::materialize() { build(nullptr); }
+
+void FrontierCache::materialize(const cfg::BlockTrace& trace) {
+  const std::vector<bool> exited = cfg::exited_blocks(cfg_, trace);
+  build(&exited);
+}
+
+void FrontierCache::build(const std::vector<bool>* exited) {
   if (materialized()) return;
   // Built into fresh arrays, swapped in only once complete.
   const std::size_t n = cfg_.block_count();
@@ -27,9 +46,13 @@ void FrontierCache::materialize() {
   std::vector<unsigned> dist(n, UINT_MAX);
   std::vector<cfg::FrontierEntry> list;
   for (cfg::BlockId b = 0; b < n; ++b) {
-    cfg::frontier_distances(cfg_, b, k_, dist, list);
-    for (const cfg::FrontierEntry& entry : list) ids.push_back(entry.block);
-    APCC_CHECK(ids.size() < UINT32_MAX, "FrontierCache exceeds 2^32 entries");
+    if (exited != nullptr && !(*exited)[b]) {
+      offsets.back() |= kUnbuilt;
+    } else {
+      cfg::frontier_distances(cfg_, b, k_, dist, list);
+      for (const cfg::FrontierEntry& entry : list) ids.push_back(entry.block);
+      APCC_CHECK(ids.size() < kUnbuilt, "FrontierCache exceeds 2^31 entries");
+    }
     offsets.push_back(static_cast<std::uint32_t>(ids.size()));
   }
   ids.shrink_to_fit();  // resident size is exactly the lists

@@ -8,9 +8,10 @@
 //
 // The candidate geometry (which blocks are within k edges, and how far)
 // is static given (CFG, predecompress_k), so the planner reads it from a
-// materialized FrontierCache that its owner builds once per k and lends
-// to every planner at that k (the Service per workload, BatchEngine per
-// run); each exit only filters the cached list by the dynamic BlockForm.
+// materialized FrontierCache that its owner builds once per k, for the
+// blocks its trace exits, and lends to every planner at that k (the
+// Service per workload, BatchEngine per run); each exit only filters the
+// cached list by the dynamic BlockForm.
 #pragma once
 
 #include "cfg/analysis.hpp"
@@ -26,7 +27,8 @@ class DecompressionPlanner {
   /// `predictor` may be null unless the strategy is kPreSingle.
   /// `frontiers` may be null only for kOnDemand; otherwise it must be a
   /// materialized cache built on `cfg` with k == policy.predecompress_k,
-  /// and it must outlive the planner.
+  /// holding the list of every block plan_on_exit is called at, and it
+  /// must outlive the planner.
   DecompressionPlanner(const cfg::Cfg& cfg, const StateTable& states,
                        const Policy& policy, const Predictor* predictor,
                        const FrontierCache* frontiers);

@@ -60,12 +60,12 @@ std::uint64_t estimate_image_cost(std::uint64_t original_bytes) {
   return std::max<std::uint64_t>(original_bytes, 1);
 }
 
-std::uint64_t estimate_frontier_cost(std::size_t block_count, unsigned k) {
-  // One k-bounded BFS per block: each BFS visits O(frontier) blocks,
-  // which grows with k. (k + 1) keeps k = 0 geometry from costing
-  // nothing.
+std::uint64_t estimate_frontier_cost(std::size_t exited_blocks, unsigned k) {
+  // One k-bounded BFS per block the workload's trace exits: each BFS
+  // visits O(frontier) blocks, which grows with k. (k + 1) keeps k = 0
+  // geometry from costing nothing.
   return std::max<std::uint64_t>(
-      static_cast<std::uint64_t>(block_count) * (k + 1), 1);
+      static_cast<std::uint64_t>(exited_blocks) * (k + 1), 1);
 }
 
 namespace {

@@ -24,9 +24,10 @@
 // The determinism contract (ROADMAP invariant): eviction only changes
 // *when* an artifact is rebuilt, never any job outcome. Rebuilt
 // artifacts are byte-identical to their first build (codec training
-// over the same bytes, BFS over the same CFG), so the differential
-// suites pass byte-identical with any budget -- including one small
-// enough to force constant thrash (tests/serving/eviction_test.cpp).
+// over the same bytes, BFS over the same CFG and trace), so the
+// differential suites pass byte-identical with any budget -- including
+// one small enough to force constant thrash
+// (tests/serving/eviction_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -101,8 +102,8 @@ struct CacheEntry {
 /// The score is a cost-weighted staleness: an entry's eviction
 /// priority is (clock - last_use) * bytes / max(rebuild_cost, 1) --
 /// "stale resident bytes per unit of rebuild cost". A big, stale,
-/// cheap-to-rebuild artifact (one-BFS-per-block geometry) goes long
-/// before a small, recent, expensive one (a trained codec image).
+/// cheap-to-rebuild artifact (geometry: one BFS per exited block) goes
+/// long before a small, recent, expensive one (a trained codec image).
 /// Pure LRU is the rebuild_cost == bytes special case. Ties break on
 /// older last_use, then lower index, so the plan is a deterministic
 /// function of its inputs. Pinned entries are never selected; if
@@ -120,12 +121,14 @@ struct CacheEntry {
 /// kinds, not wall-clock): rebuilding an image means retraining the
 /// codec over every block byte, so its cost scales with the original
 /// image size; rebuilding frontier geometry means one k-bounded BFS per
-/// block, so its cost scales with block_count * (k + 1). The estimates
-/// only steer eviction *order*; they can be wrong by a constant factor
+/// block the workload's trace exits (the only lists it builds), so its
+/// cost scales with exited_blocks * (k + 1). The Service counts a
+/// workload's exited blocks once, at registration. The estimates only
+/// steer eviction *order*; they can be wrong by a constant factor
 /// without affecting any job outcome.
 [[nodiscard]] std::uint64_t estimate_image_cost(
     std::uint64_t original_bytes);
-[[nodiscard]] std::uint64_t estimate_frontier_cost(std::size_t block_count,
+[[nodiscard]] std::uint64_t estimate_frontier_cost(std::size_t exited_blocks,
                                                    unsigned k);
 
 /// The one shared rendering of a CacheStats snapshot (the CLI batch

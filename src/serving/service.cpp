@@ -1,5 +1,6 @@
 #include "serving/service.hpp"
 
+#include <algorithm>
 #include <map>
 #include <thread>
 #include <utility>
@@ -61,6 +62,9 @@ void Service::CellLease::release() {
 /// other keys are inserted.
 struct Service::Registered {
   std::unique_ptr<const workloads::Workload> workload;
+  /// Distinct blocks the workload's trace exits: one geometry build
+  /// runs one BFS per such block.
+  std::size_t exited_blocks = 0;
   std::map<compress::CodecKind, ArtifactSlot> images;
   std::map<unsigned, ArtifactSlot> geometry;
 };
@@ -92,6 +96,10 @@ WorkloadId Service::register_workload(workloads::Workload workload) {
   auto entry = std::make_unique<Registered>();
   entry->workload =
       std::make_unique<const workloads::Workload>(std::move(workload));
+  const std::vector<bool> exited =
+      cfg::exited_blocks(entry->workload->cfg, entry->workload->trace);
+  entry->exited_blocks =
+      static_cast<std::size_t>(std::count(exited.begin(), exited.end(), true));
   const std::lock_guard<std::mutex> lock(mutex_);
   registry_.push_back(std::move(entry));
   return registry_.size() - 1;
@@ -200,12 +208,14 @@ const runtime::FrontierCache& Service::frontiers_for(
     const std::lock_guard<std::mutex> lock(mutex_);
     slot = &entry.geometry[k];
   }
-  const cfg::Cfg& cfg = entry.workload->cfg;
+  // Every cell the Service runs steps the workload's own trace, so the
+  // geometry holds the lists of the blocks that trace exits, no others.
+  const workloads::Workload& w = *entry.workload;
   const Artifact& artifact = resolve(
-      *slot, stats_.frontiers, estimate_frontier_cost(cfg.block_count(), k),
+      *slot, stats_.frontiers, estimate_frontier_cost(entry.exited_blocks, k),
       token, lease, [&]() -> Artifact {
-        auto cache = std::make_unique<runtime::FrontierCache>(cfg, k);
-        cache->materialize();
+        auto cache = std::make_unique<runtime::FrontierCache>(w.cfg, k);
+        cache->materialize(w.trace);
         return std::unique_ptr<const runtime::FrontierCache>(std::move(cache));
       });
   return *std::get<std::unique_ptr<const runtime::FrontierCache>>(artifact);

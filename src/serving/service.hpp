@@ -24,7 +24,9 @@
 //    reference it by registered name -- see job_spec.hpp).
 //  * The Service owns a per-workload **artifact cache**: the compressed
 //    BlockImage keyed by codec kind and the materialized FrontierCache
-//    keyed by predecompress_k, each in one serving::ArtifactSlot
+//    keyed by predecompress_k (the lists of the blocks the workload's
+//    trace exits, the only ones its cells read), each in one
+//    serving::ArtifactSlot
 //    (artifact_slot.hpp). Artifacts are built lazily -- by the first
 //    pool worker whose job needs them, never on the submitting thread --
 //    deduplicated by the slot's claim-build / wait handshake, and
@@ -41,9 +43,10 @@
 // The invariant the whole design hangs on: a job's outcome is
 // **byte-identical** to running each of its cells alone, in order, on a
 // width-1 BatchEngine. Cached images are built by the same codec
-// training on the same bytes; borrowed geometry holds exactly the
-// lists an owned cache would compute (pinned by the engine-equivalence
-// grid); scheduling -- including priorities and budgets -- only changes
+// training on the same bytes; borrowed geometry, built for the blocks
+// the workload's trace exits, holds exactly the lists an owned cache
+// would compute there (pinned by the engine-equivalence grid and
+// tests/sim/restricted_geometry_test.cpp); scheduling -- including priorities and budgets -- only changes
 // *when* a cell runs, never what it computes. tests/serving pins the
 // differentials (service_test.cpp, job_spec_test.cpp).
 #pragma once

@@ -28,10 +28,11 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
   cfg::validate_trace(cfg_, trace);
 
   // Batch-amortized immutable inputs, declared before `cells` so the
-  // borrowing planners are destroyed first. One materialized
-  // FrontierCache per predecompress_k the batch plans at, lent to every
-  // planning cell that does not already borrow the caller's (the
-  // Service's) geometry. On-demand cells plan nothing and get none.
+  // borrowing planners are destroyed first. One FrontierCache per
+  // predecompress_k the batch plans at, holding the lists of the blocks
+  // this trace exits, lent to every planning cell that does not already
+  // borrow the caller's (the Service's) geometry. On-demand cells plan
+  // nothing and get none.
   std::map<std::uint32_t, runtime::FrontierCache> frontiers;
   std::vector<EngineConfig> cell_configs = configs_;
   for (EngineConfig& config : cell_configs) {
@@ -41,7 +42,7 @@ std::vector<CellOutcome> BatchEngine::run(const cfg::BlockTrace& trace) {
     }
     const std::uint32_t k = config.policy.predecompress_k;
     const auto [it, built] = frontiers.try_emplace(k, cfg_, k);
-    if (built) it->second.materialize();
+    if (built) it->second.materialize(trace);
     config.shared_frontiers = &it->second;
   }
 

@@ -38,10 +38,12 @@
 //  * decompression-cost table           -- computed once per engine,
 //  * predictors                         -- shared per (kind, k), built
 //                                          for pre-single cells only,
-//  * planner frontier geometry          -- one materialized FrontierCache
-//                                          per predecompress_k the batch
-//                                          plans at, unless the caller
-//                                          lends its own (the Service).
+//  * planner frontier geometry          -- one FrontierCache per
+//                                          predecompress_k the batch
+//                                          plans at, built for the blocks
+//                                          the trace exits, unless the
+//                                          caller lends its own (the
+//                                          Service).
 //
 // What stays per cell is its own: each EngineCell owns one
 // runtime::StateTable, one record per block.
@@ -55,8 +57,9 @@
 //
 // Equivalence: a cell's outcome does not depend on its batch -- cells
 // share only immutable inputs, and a cache the engine builds holds the
-// same lists as one the caller lends. engine_equivalence_test enforces
-// this across the full config grid at batch sizes {1, 4, 16}.
+// same lists, at every block the trace exits, as one the caller lends.
+// engine_equivalence_test enforces this across the full config grid at
+// batch sizes {1, 4, 16}.
 #pragma once
 
 #include <vector>

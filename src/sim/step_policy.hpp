@@ -68,9 +68,11 @@ struct EngineConfig {
   memory::FitPolicy fit = memory::FitPolicy::kFirstFit;
   /// Optional caller-lent planner geometry: a *materialized*
   /// FrontierCache built on this engine's CFG with
-  /// k == policy.predecompress_k. The Service sets this so every cell
-  /// over the same (workload, k) borrows its one cached artifact; null
-  /// means BatchEngine::run lends the cache it builds for that k.
+  /// k == policy.predecompress_k, holding the list of every block the
+  /// run's trace exits (a read of any other throws). The Service sets
+  /// this so every cell over the same (workload, k) borrows its one
+  /// cached artifact; null means BatchEngine::run lends the cache it
+  /// builds for that k and its trace.
   const runtime::FrontierCache* shared_frontiers = nullptr;
 };
 

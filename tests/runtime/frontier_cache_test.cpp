@@ -2,15 +2,18 @@
 // hold exactly the candidate lists an independent per-exit BFS computes,
 // in the same (distance, id) order, refuse reads before it is built, and
 // be stored flat, 4 bytes per entry, with resident_bytes() the exact
-// size of its arrays.
+// size of its arrays. A cache built for a trace's exits must hold the
+// every-block cache's list at each of them and refuse every other read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "cfg/paper_graphs.hpp"
 #include "runtime/frontier_cache.hpp"
 #include "support/assert.hpp"
 #include "workloads/random_program.hpp"
@@ -116,6 +119,100 @@ TEST(FrontierCache, MaterializedSpansStayValidAcrossLaterCalls) {
   }
 }
 
+/// A CFG with the trace a run steps over it.
+struct TracedGraph {
+  std::string name;
+  cfg::Cfg cfg;
+  cfg::BlockTrace trace;
+};
+
+/// The 8 suite kernels, the paper's figure graphs with their access
+/// patterns, and the first four of artifact-churn's 2.4k-block programs.
+const std::vector<TracedGraph>& traced_graphs() {
+  static const std::vector<TracedGraph> all = [] {
+    std::vector<TracedGraph> out;
+    const auto add = [&out](workloads::Workload w) {
+      out.push_back({w.name, std::move(w.cfg), std::move(w.trace)});
+    };
+    for (const auto kind : workloads::all_workload_kinds()) {
+      add(workloads::make_workload(kind));
+    }
+    out.push_back({"figure1", cfg::figure1_cfg(), cfg::figure1_trace()});
+    out.push_back({"figure4", cfg::figure2_cfg(), cfg::figure4_trace()});
+    out.push_back({"figure5", cfg::figure5_cfg(), cfg::figure5_trace()});
+    for (std::uint64_t seed = 9001; seed <= 9004; ++seed) {
+      workloads::RandomProgramOptions churn;
+      churn.seed = seed;
+      churn.max_depth = 3;
+      churn.statements_per_body = 40;
+      churn.leaf_functions = 16;
+      churn.loop_iters_max = 6;
+      add(workloads::make_random_workload(churn));
+    }
+    return out;
+  }();
+  return all;
+}
+
+/// The what() of the CheckError a read of `block` throws, or "" when it
+/// does not throw.
+std::string read_error(const FrontierCache& cache, cfg::BlockId block) {
+  try {
+    (void)cache.candidates(block);
+  } catch (const apcc::CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr const char* kUnexitedRead =
+    "FrontierCache has no list for a block its trace never exits";
+
+TEST(FrontierCache, TraceExitCacheHoldsTheEveryBlockListAtEveryExit) {
+  // A run reads geometry only where its trace exits a block, so the
+  // cache built for those exits must give each of them the every-block
+  // cache's list, id for id and in order, and refuse every other block.
+  for (const TracedGraph& g : traced_graphs()) {
+    const std::vector<bool> exited = cfg::exited_blocks(g.cfg, g.trace);
+    for (const unsigned k : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(g.name + " k " + std::to_string(k));
+      FrontierCache every(g.cfg, k);
+      every.materialize();
+      FrontierCache restricted(g.cfg, k);
+      restricted.materialize(g.trace);
+      EXPECT_TRUE(restricted.materialized());
+      EXPECT_EQ(restricted.k(), k);
+      for (cfg::BlockId b = 0; b < g.cfg.block_count(); ++b) {
+        if (exited[b]) {
+          expect_same_list(restricted.candidates(b), every.candidates(b), b,
+                           k);
+        } else {
+          EXPECT_NE(read_error(restricted, b).find(kUnexitedRead),
+                    std::string::npos)
+              << "block " << b << " is never exited";
+        }
+      }
+    }
+  }
+}
+
+TEST(FrontierCache, ReadOfAnUnexitedBlockThrowsAFixedMessage) {
+  // Figure 5's access pattern B0, B1, B0, B1, B3 exits B0 and B1 only.
+  // B2 is never entered and B3 is entered last, so neither has a list:
+  // both reads throw, with the same message, whichever block it is.
+  const cfg::Cfg graph = cfg::figure5_cfg();
+  FrontierCache cache(graph, 2);
+  cache.materialize(cfg::figure5_trace());
+  EXPECT_FALSE(cache.candidates(0).empty());
+  EXPECT_FALSE(cache.candidates(1).empty());
+  const std::string unentered = read_error(cache, 2);
+  const std::string entered_last = read_error(cache, 3);
+  EXPECT_NE(unentered.find(kUnexitedRead), std::string::npos) << unentered;
+  EXPECT_EQ(entered_last, unentered);
+  EXPECT_THROW((void)cache.candidates(4), apcc::CheckError)
+      << "a block id out of range is refused before the mark is read";
+}
+
 TEST(FrontierCache, ResidentBytesAreTheFlatArrays) {
   // One id array holding every list, 4 bytes per entry, and a
   // (B+1)-entry offset table, with no slack: exactly what an artifact
@@ -131,6 +228,33 @@ TEST(FrontierCache, ResidentBytesAreTheFlatArrays) {
   }
   EXPECT_EQ(cache.resident_bytes(),
             entries * 4 + (graph.block_count() + 1) * 4);
+}
+
+TEST(FrontierCache, TraceExitResidentBytesAreTheArraysHeld) {
+  // Built for a trace, the cache holds the exited blocks' lists and the
+  // whole (B+1)-entry offset table, nothing else: a trace of one entry
+  // exits no block, so its cache is the offset table alone.
+  for (const TracedGraph& g : traced_graphs()) {
+    SCOPED_TRACE(g.name);
+    const std::vector<bool> exited = cfg::exited_blocks(g.cfg, g.trace);
+    FrontierCache every(g.cfg, 4);
+    every.materialize();
+    FrontierCache cache(g.cfg, 4);
+    EXPECT_EQ(cache.resident_bytes(), 0u);
+    cache.materialize(g.trace);
+    std::uint64_t entries = 0;
+    for (cfg::BlockId b = 0; b < g.cfg.block_count(); ++b) {
+      if (exited[b]) entries += every.candidates(b).size();
+    }
+    const std::uint64_t offsets = (g.cfg.block_count() + 1) * 4;
+    EXPECT_EQ(cache.resident_bytes(), entries * 4 + offsets);
+
+    FrontierCache none(g.cfg, 4);
+    none.materialize(cfg::BlockTrace{g.trace.front()});
+    EXPECT_TRUE(none.materialized());
+    EXPECT_EQ(none.resident_bytes(), offsets);
+    EXPECT_THROW((void)none.candidates(g.trace.front()), apcc::CheckError);
+  }
 }
 
 }  // namespace

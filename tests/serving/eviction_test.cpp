@@ -338,11 +338,12 @@ TEST(Eviction, RecencyFollowsTheJobSequenceNotTheCellOrder) {
   // a 1,800 B budget: (1) a pre-all sweep over k=1 and k=4, (2) a
   // pre-all lzss run at k=2, (3) job 1 again. Every cell plans, so each
   // reads the geometry of its k. Job 1 lists its two cells in opposite
-  // orders in the two Services. Its own artifacts (1,309 B: a 645 B
-  // image and 664 B of geometry) fit the budget and job 2's force
-  // evictions (unbounded, the three jobs end holding 2,181 B), so which
-  // artifacts the evictions pick must follow the job sequence alone:
-  // the two Services end with the same cache counts.
+  // orders in the two Services. Its own artifacts (1,249 B: a 645 B
+  // image and 604 B of geometry for the 15 of 19 blocks the trace
+  // exits) fit the budget and job 2's force evictions (unbounded, the
+  // three jobs end holding 2,097 B), so which artifacts the evictions
+  // pick must follow the job sequence alone: the two Services end with
+  // the same cache counts.
   const auto cell = [](std::uint32_t k) {
     sweep::SweepTask task;
     task.config.policy.strategy = runtime::DecompressionStrategy::kPreAll;

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "core/system.hpp"
+#include "runtime/frontier_cache.hpp"
 #include "serving/service.hpp"
 #include "support/assert.hpp"
 #include "workloads/suite.hpp"
@@ -122,6 +123,32 @@ TEST(Service, GeometryMaterializesOffTheSubmittingThread) {
   }
   EXPECT_TRUE(saw_slot);
   EXPECT_EQ(fx.service.frontier_slot(fx.ids[0], 99u), nullptr);
+}
+
+TEST(Service, GeometryHoldsTheListsOfTheBlocksTheTraceExits) {
+  // The Service's cells all step the registered workload's trace, so
+  // its geometry holds the lists of the blocks that trace exits and no
+  // others: exactly a materialize(trace) build's bytes, and a rebuild
+  // cost of one BFS per exited block.
+  Fixture fx(2);
+  (void)fx.service.submit(sweep_spec(ref(fx.ids[0]), test_grid())).wait();
+  const workloads::Workload& w = fx.service.workload(fx.ids[0]);
+  const std::vector<bool> exited = cfg::exited_blocks(w.cfg, w.trace);
+  const auto exits =
+      static_cast<std::size_t>(std::ranges::count(exited, true));
+  ASSERT_LT(exits, w.cfg.block_count()) << "the trace must skip a block";
+  for (const std::uint32_t k : {1u, 4u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const ArtifactSlot* slot = fx.service.frontier_slot(fx.ids[0], k);
+    ASSERT_NE(slot, nullptr);
+    runtime::FrontierCache every(w.cfg, k);
+    every.materialize();
+    runtime::FrontierCache restricted(w.cfg, k);
+    restricted.materialize(w.trace);
+    EXPECT_EQ(slot->ledger.bytes, restricted.resident_bytes());
+    EXPECT_LT(slot->ledger.bytes, every.resident_bytes());
+    EXPECT_EQ(slot->ledger.rebuild_cost, estimate_frontier_cost(exits, k));
+  }
 }
 
 TEST(Service, ArtifactCacheDeduplicatesAcrossJobs) {
