@@ -16,7 +16,9 @@
 // 2,444-block program, where its per-block ranking is most of the cell,
 // and the oracle predictor on mpeg2-like's 94k-entry scale-16 trace.
 // bm_frontier_build times one planner geometry build on that program,
-// every block's lists against only those of the blocks its trace exits.
+// every block's lists against only those of the blocks its trace exits,
+// and bm_workload_build one build of the program itself, from its
+// generator options to its block bytes.
 #include <chrono>
 #include <map>
 
@@ -171,15 +173,19 @@ const ImagedWorkload* with_image(workloads::Workload w) {
 
 /// artifact-churn's first program (perfbench's plan: seed 9001, 2,444
 /// blocks).
+workloads::RandomProgramOptions churn_program_options() {
+  workloads::RandomProgramOptions options;
+  options.seed = 9001;
+  options.max_depth = 3;
+  options.statements_per_body = 40;
+  options.leaf_functions = 16;
+  options.loop_iters_max = 6;
+  return options;
+}
+
 const ImagedWorkload& churn_program() {
   static const ImagedWorkload* program = [] {
-    workloads::RandomProgramOptions options;
-    options.seed = 9001;
-    options.max_depth = 3;
-    options.statements_per_body = 40;
-    options.leaf_functions = 16;
-    options.loop_iters_max = 6;
-    return with_image(workloads::make_random_workload(options));
+    return with_image(workloads::make_random_workload(churn_program_options()));
   }();
   return *program;
 }
@@ -252,6 +258,28 @@ void bm_frontier_build(benchmark::State& state) {
   state.counters["resident_bytes"] = static_cast<double>(bytes);
 }
 BENCHMARK(bm_frontier_build)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void bm_workload_build(benchmark::State& state) {
+  // One build of the churn program from its options, as perfbench's
+  // setup builds each of artifact-churn's 16: generate the source,
+  // assemble, build the CFG, interpret for the trace, apply the profile
+  // and cut the block bytes.
+  const workloads::RandomProgramOptions options = churn_program_options();
+  std::size_t blocks = 0;
+  std::size_t edges = 0;
+  std::size_t labels = 0;
+  for (auto _ : state) {
+    const workloads::Workload w = workloads::make_random_workload(options);
+    blocks = w.cfg.block_count();
+    edges = w.cfg.edge_count();
+    labels = w.program.label_count();
+    benchmark::DoNotOptimize(blocks);
+  }
+  state.counters["blocks"] = static_cast<double>(blocks);
+  state.counters["edges"] = static_cast<double>(edges);
+  state.counters["labels"] = static_cast<double>(labels);
+}
+BENCHMARK(bm_workload_build)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

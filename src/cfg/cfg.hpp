@@ -38,15 +38,16 @@ enum class EdgeKind : std::uint8_t {
 
 [[nodiscard]] const char* edge_kind_name(EdgeKind kind);
 
-/// A directed CFG edge.
+/// A directed CFG edge. Its kind lives in the Cfg (Cfg::edge_kind), so
+/// an edge carries no padding.
 struct Edge {
   BlockId from = kInvalidBlock;
   BlockId to = kInvalidBlock;
-  EdgeKind kind = EdgeKind::kFallThrough;
   /// Probability that control leaving `from` takes this edge. Out-edge
   /// probabilities of a block sum to 1 after normalize_probabilities().
   double probability = 0.0;
 };
+static_assert(sizeof(Edge) == 16);
 
 /// A basic block node. Its edge lists and display name live in the Cfg
 /// (Cfg::out_edges / in_edges / note), so a block owns no heap.
@@ -64,25 +65,26 @@ struct BasicBlock {
 static_assert(sizeof(BasicBlock) <= 16);
 
 /// The graph, in flat arrays; ids are stable. Each block's out-edge and
-/// in-edge lists are threaded through the edge array: a first and last
-/// edge per block, a next-out and next-in link per edge. A list is
-/// walked in insertion order, which is ascending edge id; the analyses'
-/// visit orders, and so every result built on them, depend on it.
+/// in-edge lists are threaded through the edge array as circular lists:
+/// a block keeps only each list's last edge, each edge a next-out and a
+/// next-in link, and a list's last edge links back to its first. A list
+/// is walked in insertion order, which is ascending edge id; the
+/// analyses' visit orders, and so every result built on them, depend on
+/// it.
 class Cfg {
  public:
   inline static constexpr EdgeId kNoEdge = std::numeric_limits<EdgeId>::max();
 
  private:
-  /// Ends of one block's two edge lists (kNoEdge when empty).
+  /// Last edges of one block's two lists (kNoEdge when empty).
   struct Adjacency {
-    EdgeId first_out = kNoEdge;
     EdgeId last_out = kNoEdge;
-    EdgeId first_in = kNoEdge;
     EdgeId last_in = kNoEdge;
   };
 
   /// One edge's links to the next edge of its `from` block's out-list
-  /// and of its `to` block's in-list (kNoEdge at a list's end).
+  /// and of its `to` block's in-list; a list's last edge links to its
+  /// first.
   struct EdgeLinks {
     EdgeId next_out = kNoEdge;
     EdgeId next_in = kNoEdge;
@@ -102,12 +104,13 @@ class Cfg {
       using reference = EdgeId;
 
       iterator() = default;
-      iterator(EdgeId at, const EdgeLinks* links, EdgeId EdgeLinks::*next)
-          : at_(at), links_(links), next_(next) {}
+      iterator(EdgeId at, EdgeId last, const EdgeLinks* links,
+               EdgeId EdgeLinks::*next)
+          : at_(at), last_(last), links_(links), next_(next) {}
 
       EdgeId operator*() const { return at_; }
       iterator& operator++() {
-        at_ = links_[at_].*next_;
+        at_ = at_ == last_ ? kNoEdge : links_[at_].*next_;
         return *this;
       }
       iterator operator++(int) {
@@ -121,23 +124,28 @@ class Cfg {
 
      private:
       EdgeId at_ = kNoEdge;
+      EdgeId last_ = kNoEdge;
       const EdgeLinks* links_ = nullptr;
       EdgeId EdgeLinks::*next_ = nullptr;
     };
 
-    EdgeList(EdgeId first, const EdgeLinks* links, EdgeId EdgeLinks::*next)
-        : first_(first), links_(links), next_(next) {}
+    EdgeList(EdgeId last, const EdgeLinks* links, EdgeId EdgeLinks::*next)
+        : last_(last), links_(links), next_(next) {}
 
-    [[nodiscard]] iterator begin() const { return {first_, links_, next_}; }
-    [[nodiscard]] iterator end() const { return {kNoEdge, links_, next_}; }
-    [[nodiscard]] bool empty() const { return first_ == kNoEdge; }
+    [[nodiscard]] iterator begin() const {
+      return {empty() ? kNoEdge : links_[last_].*next_, last_, links_, next_};
+    }
+    [[nodiscard]] iterator end() const {
+      return {kNoEdge, last_, links_, next_};
+    }
+    [[nodiscard]] bool empty() const { return last_ == kNoEdge; }
     /// Walks the list.
     [[nodiscard]] std::size_t size() const {
       return static_cast<std::size_t>(std::distance(begin(), end()));
     }
 
    private:
-    EdgeId first_;
+    EdgeId last_;
     const EdgeLinks* links_;
     EdgeId EdgeLinks::*next_;
   };
@@ -173,12 +181,12 @@ class Cfg {
   /// Edges leaving / entering `id`, in insertion (ascending id) order.
   [[nodiscard]] EdgeList out_edges(BlockId id) const {
     APCC_CHECK(id < blocks_.size(), "block id out of range");
-    return EdgeList(adjacency_[id].first_out, links_.data(),
+    return EdgeList(adjacency_[id].last_out, links_.data(),
                     &EdgeLinks::next_out);
   }
   [[nodiscard]] EdgeList in_edges(BlockId id) const {
     APCC_CHECK(id < blocks_.size(), "block id out of range");
-    return EdgeList(adjacency_[id].first_in, links_.data(),
+    return EdgeList(adjacency_[id].last_in, links_.data(),
                     &EdgeLinks::next_in);
   }
 
@@ -191,6 +199,11 @@ class Cfg {
     return edges_[id];
   }
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
+  /// The kind add_edge gave edge `id`.
+  [[nodiscard]] EdgeKind edge_kind(EdgeId id) const {
+    APCC_CHECK(id < edges_.size(), "edge id out of range");
+    return edge_kinds_[id];
+  }
 
   [[nodiscard]] BlockId entry() const { return entry_; }
   void set_entry(BlockId id);
@@ -214,17 +227,29 @@ class Cfg {
   [[nodiscard]] std::uint64_t total_code_bytes() const;
 
   /// Structural sanity checks -- including that every block's lists
-  /// hold exactly the edges with that endpoint, in ascending id --
+  /// hold exactly the edges with that endpoint, in ascending id, end at
+  /// the block's stored last edge and close back to their first --
   /// throws AssertionError on corruption.
   void validate() const;
 
  private:
+  /// Where one noted block's note ends in `all_notes_`; it starts where
+  /// the previous entry's ends.
+  struct NoteEnd {
+    BlockId block = kInvalidBlock;
+    std::uint32_t end = 0;
+  };
+
+  /// Append `id` to the circular list whose last edge is `last`.
+  void append(EdgeId& last, EdgeId id, EdgeId EdgeLinks::*next);
+
   std::vector<BasicBlock> blocks_;
   std::vector<Adjacency> adjacency_;  // per block
   std::vector<Edge> edges_;
-  std::vector<EdgeLinks> links_;  // per edge
-  std::string all_notes_;         // every block's note, back to back
-  std::vector<std::uint32_t> note_end_;  // per block: end of its note
+  std::vector<EdgeKind> edge_kinds_;  // per edge
+  std::vector<EdgeLinks> links_;      // per edge
+  std::string all_notes_;  // the non-empty notes, back to back
+  std::vector<NoteEnd> note_ends_;  // per noted block, in block order
   BlockId entry_ = kInvalidBlock;
 };
 

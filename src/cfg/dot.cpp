@@ -35,9 +35,10 @@ std::string to_dot(const Cfg& cfg, const DotOptions& options) {
     if (b.is_exit) os << ", peripheries=2";
     os << "];\n";
   }
-  for (const auto& e : cfg.edges()) {
+  for (EdgeId id = 0; id < cfg.edge_count(); ++id) {
+    const Edge& e = cfg.edge(id);
     os << "  n" << e.from << " -> n" << e.to << " [label=\""
-       << edge_kind_name(e.kind);
+       << edge_kind_name(cfg.edge_kind(id));
     if (options.show_probabilities) {
       os << "\\np=" << e.probability;
     }

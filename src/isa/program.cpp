@@ -1,6 +1,8 @@
 #include "isa/program.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <ranges>
 
 #include "support/assert.hpp"
 
@@ -11,7 +13,6 @@ Program::Program(std::vector<std::uint32_t> words,
                  std::vector<Label> labels, std::uint32_t entry_word)
     : words_(std::move(words)),
       functions_(std::move(functions)),
-      labels_(std::move(labels)),
       entry_word_(entry_word) {
   APCC_CHECK(entry_word_ < words_.size() || words_.empty(),
              "entry point outside program image");
@@ -19,10 +20,22 @@ Program::Program(std::vector<std::uint32_t> words,
     APCC_CHECK(f.end_word() <= words_.size(),
                "function extent outside program image: " + f.name);
   }
-  std::ranges::sort(labels_, {}, &Label::name);
-  const auto dup = std::ranges::adjacent_find(
-      labels_, [](const Label& a, const Label& b) { return a.name == b.name; });
-  APCC_CHECK(dup == labels_.end(), "duplicate label " + dup->name);
+  std::ranges::sort(labels, {}, &Label::name);
+  const auto dup = std::ranges::adjacent_find(labels, {}, &Label::name);
+  APCC_CHECK(dup == labels.end(), "duplicate label " + dup->name);
+  // The names go back to back into one arena, in name order, so an
+  // entry's name ends where the next entry's begins.
+  std::size_t name_bytes = 0;
+  for (const Label& l : labels) name_bytes += l.name.size();
+  APCC_CHECK(name_bytes <= std::numeric_limits<std::uint32_t>::max(),
+             "label names exceed 4 GiB");
+  label_names_.reserve(name_bytes);
+  label_table_.reserve(labels.size());
+  for (const Label& l : labels) {
+    label_table_.push_back(
+        LabelEntry{static_cast<std::uint32_t>(label_names_.size()), l.word});
+    label_names_ += l.name;
+  }
 }
 
 std::uint32_t Program::word(std::uint32_t index) const {
@@ -43,15 +56,26 @@ const FunctionInfo* Program::function_containing(std::uint32_t word) const {
   return nullptr;
 }
 
+std::string_view Program::label_name(std::size_t index) const {
+  const std::size_t begin = label_table_[index].name_begin;
+  const std::size_t end = index + 1 < label_table_.size()
+                              ? label_table_[index + 1].name_begin
+                              : label_names_.size();
+  return std::string_view(label_names_).substr(begin, end - begin);
+}
+
 std::optional<std::uint32_t> Program::label(const std::string& name) const {
-  const auto it = std::ranges::lower_bound(labels_, name, {}, &Label::name);
-  if (it == labels_.end() || it->name != name) return std::nullopt;
-  return it->word;
+  const auto indices = std::views::iota(std::size_t{0}, label_table_.size());
+  const auto it = std::ranges::lower_bound(
+      indices, std::string_view(name), {},
+      [this](std::size_t i) { return label_name(i); });
+  if (it == indices.end() || label_name(*it) != name) return std::nullopt;
+  return label_table_[*it].word;
 }
 
 std::optional<std::string> Program::label_at(std::uint32_t word) const {
-  for (const Label& l : labels_) {
-    if (l.word == word) return l.name;
+  for (std::size_t i = 0; i < label_table_.size(); ++i) {
+    if (label_table_[i].word == word) return std::string(label_name(i));
   }
   return std::nullopt;
 }

@@ -9,6 +9,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -60,8 +61,8 @@ class Program {
   [[nodiscard]] const FunctionInfo* function_containing(
       std::uint32_t word) const;
 
-  /// Every label, sorted by name; names are unique.
-  [[nodiscard]] const std::vector<Label>& labels() const { return labels_; }
+  /// Number of labels; their names are unique.
+  [[nodiscard]] std::size_t label_count() const { return label_table_.size(); }
   [[nodiscard]] std::optional<std::uint32_t> label(
       const std::string& name) const;
   /// Label at exactly `word`, if any (first alphabetically on ties).
@@ -77,9 +78,19 @@ class Program {
   }
 
  private:
+  /// One label: where its name starts in `label_names_` (it ends where
+  /// the next entry's starts) and the word it names.
+  struct LabelEntry {
+    std::uint32_t name_begin = 0;
+    std::uint32_t word = 0;
+  };
+
+  [[nodiscard]] std::string_view label_name(std::size_t index) const;
+
   std::vector<std::uint32_t> words_;
   std::vector<FunctionInfo> functions_;
-  std::vector<Label> labels_;  // sorted by name
+  std::string label_names_;               // every name, in name order
+  std::vector<LabelEntry> label_table_;  // sorted by name
   std::uint32_t entry_word_ = 0;
 };
 

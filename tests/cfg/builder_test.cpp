@@ -46,9 +46,9 @@ TEST(Builder, EdgeKindsAreLabelled) {
   const BlockId b0 = r.word_to_block[0];
   const BlockId b1 = r.word_to_block[1];
   const BlockId b2 = r.word_to_block[2];
-  EXPECT_EQ(r.cfg.edge(r.cfg.find_edge(b0, b2)).kind, EdgeKind::kBranchTaken);
-  EXPECT_EQ(r.cfg.edge(r.cfg.find_edge(b0, b1)).kind, EdgeKind::kFallThrough);
-  EXPECT_EQ(r.cfg.edge(r.cfg.find_edge(b1, b2)).kind, EdgeKind::kJump);
+  EXPECT_EQ(r.cfg.edge_kind(r.cfg.find_edge(b0, b2)), EdgeKind::kBranchTaken);
+  EXPECT_EQ(r.cfg.edge_kind(r.cfg.find_edge(b0, b1)), EdgeKind::kFallThrough);
+  EXPECT_EQ(r.cfg.edge_kind(r.cfg.find_edge(b1, b2)), EdgeKind::kJump);
 }
 
 TEST(Builder, LoopBackEdge) {
@@ -80,10 +80,10 @@ TEST(Builder, CallAndReturnEdges) {
   const BlockId resume = r.word_to_block[4];      // halt
   const EdgeId call_edge = r.cfg.find_edge(call_block, helper_entry);
   ASSERT_NE(call_edge, Cfg::kNoEdge);
-  EXPECT_EQ(r.cfg.edge(call_edge).kind, EdgeKind::kCall);
+  EXPECT_EQ(r.cfg.edge_kind(call_edge), EdgeKind::kCall);
   const EdgeId ret_edge = r.cfg.find_edge(helper_entry, resume);
   ASSERT_NE(ret_edge, Cfg::kNoEdge);
-  EXPECT_EQ(r.cfg.edge(ret_edge).kind, EdgeKind::kReturn);
+  EXPECT_EQ(r.cfg.edge_kind(ret_edge), EdgeKind::kReturn);
 }
 
 TEST(Builder, MultipleCallSitesAllGetReturnEdges) {

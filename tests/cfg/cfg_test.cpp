@@ -2,6 +2,10 @@
 // validation, DOT export.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "cfg/cfg.hpp"
 #include "cfg/dot.hpp"
 #include "support/assert.hpp"
@@ -114,6 +118,135 @@ TEST(Cfg, OutOfRangeAccessThrows) {
   const Cfg g = diamond();
   EXPECT_THROW((void)g.block(99), CheckError);
   EXPECT_THROW((void)g.edge(99), CheckError);
+}
+
+TEST(Cfg, NotesOnlyForTheBlocksGivenOne) {
+  Cfg g;
+  g.add_block(0, 1);
+  g.add_block(1, 1, "f");
+  g.add_block(2, 1);
+  g.add_block(3, 1);
+  g.add_block(4, 1, "a_function_name_past_the_small_string_buffer");
+  g.add_block(5, 1);
+  EXPECT_EQ(g.note(0), "");
+  EXPECT_EQ(g.note(1), "f");
+  EXPECT_EQ(g.note(2), "");
+  EXPECT_EQ(g.note(3), "");
+  EXPECT_EQ(g.note(4), "a_function_name_past_the_small_string_buffer");
+  EXPECT_EQ(g.note(5), "");
+  EXPECT_THROW((void)g.note(6), CheckError);
+  EXPECT_NO_THROW(g.validate());
+}
+
+TEST(Cfg, EdgeKindsKeptPerEdge) {
+  const Cfg g = diamond();
+  EXPECT_EQ(g.edge_kind(0), EdgeKind::kBranchTaken);
+  EXPECT_EQ(g.edge_kind(1), EdgeKind::kFallThrough);
+  EXPECT_EQ(g.edge_kind(2), EdgeKind::kJump);
+  EXPECT_THROW((void)g.edge_kind(4), CheckError);
+}
+
+// The shapes a one-tail circular edge list can get wrong. Each case
+// checks both lists' order, find_edge, size()/empty() and validate().
+
+std::vector<EdgeId> listed(const Cfg::EdgeList& list) {
+  return {list.begin(), list.end()};
+}
+
+TEST(CircularLists, SelfLoopIsInBothListsOfItsBlock) {
+  Cfg g;
+  g.add_block(0, 4);
+  g.add_block(4, 4);
+  const EdgeId loop = g.add_edge(0, 0, EdgeKind::kBranchTaken);
+  EXPECT_EQ(listed(g.out_edges(0)), (std::vector<EdgeId>{loop}));
+  EXPECT_EQ(listed(g.in_edges(0)), (std::vector<EdgeId>{loop}));
+  EXPECT_EQ(g.out_edges(0).size(), 1u);
+  EXPECT_EQ(g.in_edges(0).size(), 1u);
+  EXPECT_EQ(g.find_edge(0, 0), loop);
+  EXPECT_NO_THROW(g.validate());
+  // Edges on either side of the loop join the same two circles.
+  const EdgeId exit = g.add_edge(0, 1, EdgeKind::kFallThrough);
+  const EdgeId back = g.add_edge(1, 0, EdgeKind::kJump);
+  EXPECT_EQ(listed(g.out_edges(0)), (std::vector<EdgeId>{loop, exit}));
+  EXPECT_EQ(listed(g.in_edges(0)), (std::vector<EdgeId>{loop, back}));
+  EXPECT_EQ(listed(g.out_edges(1)), (std::vector<EdgeId>{back}));
+  EXPECT_EQ(listed(g.in_edges(1)), (std::vector<EdgeId>{exit}));
+  EXPECT_EQ(g.find_edge(0, 0), loop);
+  EXPECT_EQ(g.find_edge(0, 1), exit);
+  EXPECT_EQ(g.find_edge(1, 0), back);
+  EXPECT_EQ(g.find_edge(1, 1), Cfg::kNoEdge);
+  EXPECT_NO_THROW(g.validate());
+}
+
+TEST(CircularLists, OneEdgeListIsACircleOfOne) {
+  Cfg g;
+  g.add_block(0, 4);
+  g.add_block(4, 4);
+  const EdgeId only = g.add_edge(0, 1, EdgeKind::kJump);
+  const Cfg::EdgeList out = g.out_edges(0);
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(*out.begin(), only);
+  EXPECT_EQ(std::next(out.begin()), out.end());  // the walk stops at it
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_EQ(listed(g.in_edges(1)), (std::vector<EdgeId>{only}));
+  EXPECT_TRUE(g.in_edges(0).empty());
+  EXPECT_EQ(g.in_edges(0).size(), 0u);
+  EXPECT_TRUE(g.out_edges(1).empty());
+  EXPECT_EQ(g.find_edge(0, 1), only);
+  EXPECT_EQ(g.find_edge(1, 0), Cfg::kNoEdge);
+  EXPECT_NO_THROW(g.validate());
+}
+
+TEST(CircularLists, EdgesAddedAfterOtherBlocksEdgesKeepIdOrder) {
+  // Each block's lists gain edges interleaved with other blocks', so a
+  // list's successive ids are far apart and its last edge changes after
+  // other lists have closed their circles.
+  Cfg g;
+  for (int i = 0; i < 4; ++i) g.add_block(4 * i, 4);
+  g.add_edge(0, 1, EdgeKind::kFallThrough);  // 0
+  g.add_edge(1, 2, EdgeKind::kFallThrough);  // 1
+  g.add_edge(2, 3, EdgeKind::kFallThrough);  // 2
+  g.add_edge(3, 0, EdgeKind::kJump);         // 3
+  g.add_edge(0, 2, EdgeKind::kBranchTaken);  // 4
+  g.add_edge(2, 0, EdgeKind::kBranchTaken);  // 5
+  g.add_edge(0, 3, EdgeKind::kCall);         // 6
+  g.add_edge(1, 0, EdgeKind::kReturn);       // 7
+  EXPECT_EQ(listed(g.out_edges(0)), (std::vector<EdgeId>{0, 4, 6}));
+  EXPECT_EQ(listed(g.in_edges(0)), (std::vector<EdgeId>{3, 5, 7}));
+  EXPECT_EQ(listed(g.out_edges(1)), (std::vector<EdgeId>{1, 7}));
+  EXPECT_EQ(listed(g.in_edges(2)), (std::vector<EdgeId>{1, 4}));
+  EXPECT_EQ(listed(g.out_edges(2)), (std::vector<EdgeId>{2, 5}));
+  EXPECT_EQ(listed(g.in_edges(3)), (std::vector<EdgeId>{2, 6}));
+  EXPECT_EQ(g.out_edges(0).size(), 3u);
+  EXPECT_EQ(g.in_edges(1).size(), 1u);
+  EXPECT_FALSE(g.out_edges(3).empty());
+  EXPECT_EQ(g.find_edge(0, 3), 6u);
+  EXPECT_EQ(g.find_edge(1, 0), 7u);
+  EXPECT_EQ(g.find_edge(3, 1), Cfg::kNoEdge);
+  EXPECT_NO_THROW(g.validate());
+}
+
+TEST(CircularLists, AddEdgeAfterShrinkToFit) {
+  Cfg g = diamond();
+  g.shrink_to_fit();
+  const EdgeId back = g.add_edge(3, 0, EdgeKind::kJump);
+  const EdgeId skip = g.add_edge(0, 3, EdgeKind::kBranchTaken);
+  const EdgeId loop = g.add_edge(3, 3, EdgeKind::kBranchTaken);
+  EXPECT_EQ(listed(g.out_edges(0)), (std::vector<EdgeId>{0, 1, skip}));
+  EXPECT_EQ(listed(g.in_edges(0)), (std::vector<EdgeId>{back}));
+  EXPECT_EQ(listed(g.out_edges(3)), (std::vector<EdgeId>{back, loop}));
+  EXPECT_EQ(listed(g.in_edges(3)), (std::vector<EdgeId>{2, 3, skip, loop}));
+  EXPECT_EQ(g.in_edges(3).size(), 4u);
+  EXPECT_FALSE(g.in_edges(0).empty());
+  EXPECT_EQ(g.find_edge(0, 3), skip);
+  EXPECT_EQ(g.find_edge(3, 3), loop);
+  EXPECT_EQ(g.edge_kind(skip), EdgeKind::kBranchTaken);
+  EXPECT_NO_THROW(g.validate());
+  g.add_block(16, 4, "E");
+  g.add_edge(3, 4, EdgeKind::kFallThrough);
+  EXPECT_EQ(g.note(4), "E");
+  EXPECT_EQ(listed(g.out_edges(3)), (std::vector<EdgeId>{back, loop, 7}));
+  EXPECT_NO_THROW(g.validate());
 }
 
 TEST(Dot, ContainsNodesAndEdges) {

@@ -2,6 +2,10 @@
 // and range checking.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "isa/assembler.hpp"
 #include "isa/program.hpp"
 #include "support/assert.hpp"
@@ -62,6 +66,68 @@ TEST(Program, LabelAtWord) {
   ASSERT_TRUE(at2.has_value());
   EXPECT_TRUE(*at2 == "start" || *at2 == "main");
   EXPECT_FALSE(p.label_at(1).has_value());
+}
+
+/// A program of `words` halts labelled with `labels`.
+Program halts_labelled(std::uint32_t words, std::vector<Label> labels) {
+  return Program(std::vector<std::uint32_t>(
+                     words, encode(Instruction{Opcode::kHalt, 0, 0, 0, 0})),
+                 {}, std::move(labels), 0);
+}
+
+TEST(Program, ManyLabelsLongAndShort) {
+  // 400 labels given out of name order, three to a word, with names of
+  // 2 to 43 characters, many past the small-string buffer; and 20 more
+  // on the last word, each name the prefix of the next.
+  std::vector<Label> labels;
+  std::map<std::string, std::uint32_t> want;  // name order
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    std::string name = "L" + std::to_string((i * 7919) % 400);
+    name.append(i % 40, static_cast<char>('a' + i % 26));
+    labels.push_back(Label{name, i / 3});
+    want[name] = i / 3;
+  }
+  for (std::uint32_t length = 20; length >= 1; --length) {
+    labels.push_back(Label{std::string(length, 'p'), 133});
+    want[std::string(length, 'p')] = 133;
+  }
+  ASSERT_EQ(want.size(), 420u);
+  const Program p = halts_labelled(134, labels);
+  EXPECT_EQ(p.label_count(), 420u);
+  for (const auto& [name, word] : want) {
+    EXPECT_EQ(p.label(name), word) << name;
+    EXPECT_FALSE(p.label(name + "~").has_value()) << name;
+  }
+  EXPECT_FALSE(p.label("L").has_value());
+  EXPECT_FALSE(p.label("").has_value());
+  // Ties go to the first name alphabetically.
+  std::map<std::uint32_t, std::string> first_at;
+  for (const auto& [name, word] : want) first_at.try_emplace(word, name);
+  for (std::uint32_t w = 0; w < 134; ++w) {
+    EXPECT_EQ(p.label_at(w), first_at.at(w)) << "word " << w;
+  }
+  EXPECT_FALSE(p.label_at(134).has_value());
+}
+
+TEST(Program, DuplicateLabelNamedInTheError) {
+  const std::string long_name = "a_label_name_past_the_small_string_buffer";
+  try {
+    (void)halts_labelled(
+        2, {{"x", 0}, {long_name, 0}, {"short", 1}, {long_name, 1}});
+    FAIL() << "a duplicate label must be refused";
+  } catch (const apcc::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate label " + long_name),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)halts_labelled(2, {{"b", 0}, {"a", 1}, {"b", 1}});
+    FAIL() << "a duplicate label must be refused";
+  } catch (const apcc::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate label b"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Program, ByteRangeExtraction) {
