@@ -17,12 +17,15 @@
 // and the oracle predictor on mpeg2-like's 94k-entry scale-16 trace.
 // bm_frontier_build times one planner geometry build on that program,
 // every block's lists against only those of the blocks its trace exits,
-// and bm_workload_build one build of the program itself, from its
-// generator options to its block bytes.
+// bm_workload_build one build of the program itself, from its
+// generator options to its block bytes, and bm_workload_stage each
+// stage of that build alone.
 #include <chrono>
 #include <map>
+#include <string>
 
 #include "bench/bench_common.hpp"
+#include "isa/assembler.hpp"
 #include "runtime/frontier_cache.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/trace_gen.hpp"
@@ -280,6 +283,61 @@ void bm_workload_build(benchmark::State& state) {
   state.counters["labels"] = static_cast<double>(labels);
 }
 BENCHMARK(bm_workload_build)->Unit(benchmark::kMillisecond);
+
+void bm_workload_stage(benchmark::State& state) {
+  // bm_workload_build's stages, one row each, so a build regression
+  // names its stage: /0 generates the churn program's source, /1
+  // assembles it (input MB/s), /2 builds its CFG, and /3 runs it --
+  // interpret for the trace, check it, apply the profile and cut the
+  // block bytes, as workloads::build_workload does.
+  const workloads::RandomProgramOptions options = churn_program_options();
+  const std::string source = workloads::random_program_source(options);
+  const isa::Program program = isa::assemble(source);
+  const cfg::BuildResult built = cfg::build_cfg(program);
+  cfg::Cfg graph = built.cfg;  // the profile is applied to it each run
+  const isa::InterpreterOptions interpreter{.max_steps = options.max_steps};
+  static constexpr const char* kStages[] = {"source", "assemble", "cfg",
+                                            "run"};
+  const auto stage = state.range(0);
+  for (auto _ : state) {
+    switch (stage) {
+      case 0:
+        benchmark::DoNotOptimize(workloads::random_program_source(options));
+        break;
+      case 1:
+        benchmark::DoNotOptimize(isa::assemble(source));
+        break;
+      case 2:
+        benchmark::DoNotOptimize(cfg::build_cfg(program));
+        break;
+      default: {
+        isa::Interpreter interp(program, interpreter);
+        cfg::BlockTraceBuilder tracer(graph, built.word_to_block);
+        interp.set_trace_hook(
+            [&tracer](std::uint32_t pc) { tracer.on_pc(pc); });
+        (void)interp.run();
+        cfg::BlockTrace trace = tracer.take();
+        trace.shrink_to_fit();
+        cfg::validate_trace(graph, trace);
+        cfg::EdgeProfile profile(graph);
+        profile.add_trace(trace);
+        profile.apply_to(graph);
+        benchmark::DoNotOptimize(workloads::cut_block_bytes(program, graph));
+        break;
+      }
+    }
+  }
+  state.SetLabel(kStages[stage]);
+  if (stage == 1) {
+    state.counters["input_mb_per_s"] = benchmark::Counter(
+        static_cast<double>(source.size()) / 1e6 *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+  }
+}
+BENCHMARK(bm_workload_stage)
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

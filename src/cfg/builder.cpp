@@ -1,8 +1,11 @@
 #include "cfg/builder.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "support/assert.hpp"
 
@@ -24,127 +27,127 @@ std::optional<std::uint32_t> direct_target(const isa::Instruction& inst,
   return std::nullopt;
 }
 
+// One byte per word marks the leaders.
+constexpr std::uint8_t kLeader = 1;
+constexpr std::uint8_t kFunctionStart = 2;  // a non-empty function's first
+
 }  // namespace
 
 BuildResult build_cfg(const isa::Program& program) {
   const std::uint32_t n = program.word_count();
   APCC_CHECK(n > 0, "cannot build a CFG for an empty program");
+  const std::span<const std::uint32_t> words = program.words();
 
-  // Pass 1: find leaders.
-  std::set<std::uint32_t> leaders;
-  leaders.insert(program.entry_word());
+  // Pass 1: mark the leaders.
+  std::vector<std::uint8_t> mark(n, 0);
+  mark[program.entry_word()] |= kLeader;
   for (const auto& f : program.functions()) {
-    if (f.word_count > 0) leaders.insert(f.first_word);
+    if (f.word_count > 0) mark[f.first_word] |= kLeader | kFunctionStart;
   }
   for (std::uint32_t w = 0; w < n; ++w) {
-    const isa::Instruction inst = program.instruction(w);
+    const isa::Instruction inst = isa::decode(words[w]);
     if (!inst.is_control()) continue;
     if (const auto target = direct_target(inst, w)) {
       APCC_CHECK(*target < n, "control target outside image at word " +
                                   std::to_string(w));
-      leaders.insert(*target);
+      mark[*target] |= kLeader;
     }
     if (w + 1 < n) {
-      leaders.insert(w + 1);  // instruction after a control transfer
+      mark[w + 1] |= kLeader;  // instruction after a control transfer
     }
   }
 
-  // Pass 2: create blocks between consecutive leaders.
+  // Pass 2: number the blocks between consecutive leaders in word order.
+  // Words before the first leader belong to no block.
   BuildResult result;
   Cfg& cfg = result.cfg;
-  std::map<std::uint32_t, BlockId> block_at;  // leader word -> block
-  auto it = leaders.begin();
-  while (it != leaders.end()) {
-    const std::uint32_t first = *it;
-    ++it;
-    const std::uint32_t end = (it == leaders.end()) ? n : *it;
-    APCC_ASSERT(end > first, "empty block span");
-    std::string note;
-    if (const auto* f = program.function_containing(first);
-        f != nullptr && f->first_word == first) {
-      note = f->name;
-    }
-    block_at[first] = cfg.add_block(first, end - first, note);
-  }
-  cfg.set_entry(block_at.at(program.entry_word()));
-
   result.word_to_block.assign(n, kInvalidBlock);
-  for (const auto& [first, id] : block_at) {
-    const auto& b = cfg.block(id);
-    for (std::uint32_t w = b.first_word; w < b.first_word + b.word_count;
-         ++w) {
-      result.word_to_block[w] = id;
+  std::uint32_t w = 0;
+  while (w < n && (mark[w] & kLeader) == 0) ++w;
+  while (w < n) {
+    const std::uint32_t first = w;
+    do {
+      ++w;
+    } while (w < n && (mark[w] & kLeader) == 0);
+    std::string_view note;
+    if ((mark[first] & kFunctionStart) != 0) {
+      if (const auto* f = program.function_containing(first);
+          f != nullptr && f->first_word == first) {
+        note = f->name;
+      }
     }
+    const BlockId id = cfg.add_block(first, w - first, note);
+    std::fill(result.word_to_block.begin() + first,
+              result.word_to_block.begin() + w, id);
   }
+  // A leader is the first word of its block, so word_to_block maps a
+  // target or a resume word to the block it starts.
+  const std::vector<BlockId>& block_at = result.word_to_block;
+  cfg.set_entry(block_at[program.entry_word()]);
 
-  // Record call sites for return-edge wiring: callee entry word ->
-  // list of blocks following a call to it.
-  std::map<std::uint32_t, std::vector<BlockId>> resume_blocks_of_callee;
-
-  // Pass 3: edges.
-  for (const auto& [first, id] : block_at) {
-    const auto& b = cfg.block(id);
+  // Pass 3: edges, in block order. Each call's (callee word, resume
+  // block) is kept for the return edges, and each return block.
+  std::vector<std::pair<std::uint32_t, BlockId>> resumes;
+  std::vector<BlockId> returns;
+  for (BlockId id = 0; id < cfg.block_count(); ++id) {
+    const BasicBlock& b = cfg.block(id);
     const std::uint32_t last = b.first_word + b.word_count - 1;
-    const isa::Instruction term = program.instruction(last);
+    const isa::Instruction term = isa::decode(words[last]);
     const auto& info = isa::opcode_info(term.opcode);
 
     if (info.is_branch) {
-      const auto target = direct_target(term, last);
-      APCC_ASSERT(target.has_value(), "branch without target");
-      cfg.add_edge(id, block_at.at(*target), EdgeKind::kBranchTaken);
+      cfg.add_edge(id, block_at[*direct_target(term, last)],
+                   EdgeKind::kBranchTaken);
       if (last + 1 < n) {
-        const BlockId ft = block_at.at(last + 1);
+        const BlockId ft = block_at[last + 1];
         if (cfg.find_edge(id, ft) == Cfg::kNoEdge) {
           cfg.add_edge(id, ft, EdgeKind::kFallThrough);
         }
       }
     } else if (info.is_call) {
-      const auto target = direct_target(term, last);
-      APCC_ASSERT(target.has_value(), "call without target");
-      cfg.add_edge(id, block_at.at(*target), EdgeKind::kCall);
-      if (last + 1 < n) {
-        resume_blocks_of_callee[*target].push_back(block_at.at(last + 1));
-      }
+      const std::uint32_t target = *direct_target(term, last);
+      cfg.add_edge(id, block_at[target], EdgeKind::kCall);
+      if (last + 1 < n) resumes.emplace_back(target, block_at[last + 1]);
     } else if (info.is_jump) {
-      const auto target = direct_target(term, last);
-      APCC_ASSERT(target.has_value(), "jump without target");
-      cfg.add_edge(id, block_at.at(*target), EdgeKind::kJump);
+      cfg.add_edge(id, block_at[*direct_target(term, last)], EdgeKind::kJump);
     } else if (info.is_return) {
-      // Wired in pass 4 once all call sites are known.
+      returns.push_back(id);  // wired in pass 4 once all calls are known
     } else if (info.is_indirect) {
       cfg.block(id).has_indirect_successors = true;
     } else if (info.is_halt) {
       cfg.block(id).is_exit = true;
     } else if (last + 1 < n) {
       // Straight-line fall-through into the next leader.
-      cfg.add_edge(id, block_at.at(last + 1), EdgeKind::kFallThrough);
+      cfg.add_edge(id, block_at[last + 1], EdgeKind::kFallThrough);
     } else {
       cfg.block(id).is_exit = true;  // runs off the end of the image
     }
   }
 
   // Pass 4: return edges. A `ret` block of function F flows to every
-  // block that resumes after a call to F.
-  for (const auto& [first, id] : block_at) {
-    const auto& b = cfg.block(id);
-    const std::uint32_t last = b.first_word + b.word_count - 1;
-    const isa::Instruction term = program.instruction(last);
-    if (!isa::opcode_info(term.opcode).is_return) continue;
-    const auto* f = program.function_containing(last);
+  // block that resumes after a call to F, in call-site order: the
+  // resumes were found in block order, so sorting by (callee, block)
+  // keeps each callee's in that order.
+  std::ranges::sort(resumes);
+  for (const BlockId id : returns) {
+    const BasicBlock& b = cfg.block(id);
+    const auto* f =
+        program.function_containing(b.first_word + b.word_count - 1);
     if (f == nullptr) {
       cfg.block(id).has_indirect_successors = true;
       continue;
     }
-    const auto resumes = resume_blocks_of_callee.find(f->first_word);
-    if (resumes == resume_blocks_of_callee.end()) {
+    const auto callers = std::ranges::equal_range(
+        resumes, f->first_word, {}, &std::pair<std::uint32_t, BlockId>::first);
+    if (callers.empty()) {
       // Function never called directly (e.g. the entry function): its
       // return exits the program.
       cfg.block(id).is_exit = true;
       continue;
     }
-    for (const BlockId resume : resumes->second) {
-      if (cfg.find_edge(id, resume) == Cfg::kNoEdge) {
-        cfg.add_edge(id, resume, EdgeKind::kReturn);
+    for (const auto& caller : callers) {
+      if (cfg.find_edge(id, caller.second) == Cfg::kNoEdge) {
+        cfg.add_edge(id, caller.second, EdgeKind::kReturn);
       }
     }
   }

@@ -1,6 +1,10 @@
 #include "isa/assembler.hpp"
 
-#include <map>
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <charconv>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,25 +16,137 @@ namespace apcc::isa {
 
 namespace {
 
-struct PendingInstruction {
-  Instruction inst;
-  std::string target_label;  // non-empty if imm must be resolved from label
-  int line = 0;
-};
+// One pass over the text, allocating nothing per line or token: lines
+// are cut with memchr, fields are views into the source, mnemonics and
+// the common register spellings are matched in place, and labels and
+// label fixups hold views. Instructions are encoded as they are read;
+// an encoding error and an undefined label are still reported in
+// instruction order after the whole text has parsed, as a second pass
+// would find them.
 
 [[noreturn]] void fail(int line, const std::string& msg) {
   throw CheckError("assembler: line " + std::to_string(line) + ": " + msg);
 }
 
-std::uint8_t parse_register(std::string_view tok, int line) {
-  const std::string low = to_lower(trim(tok));
+/// Whitespace as std::isspace sees it in the "C" locale.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// A field delimiter: fields are split on spaces, tabs and commas.
+constexpr bool is_delimiter(char c) {
+  return c == ' ' || c == '\t' || c == ',';
+}
+
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+constexpr char lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+/// A lower-cased copy, for error messages.
+std::string lowered(std::string_view s) {
+  std::string out(s);
+  std::ranges::transform(out, out.begin(), lower);
+  return out;
+}
+
+/// True if `s` lower-cases to `word` (which is lower case).
+bool equals_lower(std::string_view s, std::string_view word) {
+  return s.size() == word.size() &&
+         std::ranges::equal(s, word, {}, lower);
+}
+
+std::string_view trim(std::string_view s) {
+  std::size_t b = 0;
+  std::size_t e = s.size();
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
+
+/// A statement's fields: the first kKept views, and how many there are.
+struct Fields {
+  static constexpr std::size_t kKept = 4;  // a mnemonic and 3 operands
+  std::array<std::string_view, kKept> at;
+  std::size_t count = 0;
+};
+
+Fields split_fields(std::string_view text) {
+  Fields f;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (true) {
+    while (p != end && is_delimiter(*p)) ++p;
+    if (p == end) break;
+    const char* const start = p;
+    while (p != end && !is_delimiter(*p)) ++p;
+    if (f.count < Fields::kKept) {
+      f.at[f.count] =
+          std::string_view(start, static_cast<std::size_t>(p - start));
+    }
+    ++f.count;
+  }
+  return f;
+}
+
+/// `s` lower-cased and packed with its length into one integer, or 0
+/// when it is longer than any mnemonic can be.
+std::uint64_t mnemonic_key(std::string_view s) {
+  if (s.empty() || s.size() > 7) return 0;
+  std::uint64_t key = s.size();
+  for (const char c : s) {
+    key = key << 8 | static_cast<unsigned char>(lower(c));
+  }
+  return key;
+}
+
+/// The mnemonic table: 64 slots, twice the opcodes, probed linearly
+/// from a key's multiplicative hash.
+constexpr std::size_t kOpcodeSlots = 64;
+static_assert(kOpcodeSlots >= 2 * kNumOpcodes);
+
+constexpr std::size_t opcode_slot(std::uint64_t key) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 58);
+}
+
+/// The opcode spelled `s` in any case.
+std::optional<Opcode> find_opcode(std::string_view s) {
+  struct Slot {
+    std::uint64_t key = 0;  // 0 when free
+    Opcode op = Opcode::kNop;
+  };
+  static const std::array<Slot, kOpcodeSlots> table = [] {
+    std::array<Slot, kOpcodeSlots> t{};
+    for (unsigned i = 0; i < kNumOpcodes; ++i) {
+      const auto op = static_cast<Opcode>(i);
+      const std::uint64_t key = mnemonic_key(opcode_info(op).mnemonic);
+      std::size_t at = opcode_slot(key);
+      while (t[at].key != 0) at = (at + 1) % kOpcodeSlots;
+      t[at] = Slot{key, op};
+    }
+    return t;
+  }();
+  const std::uint64_t key = mnemonic_key(s);
+  if (key == 0) return std::nullopt;
+  for (std::size_t at = opcode_slot(key);; at = (at + 1) % kOpcodeSlots) {
+    if (table[at].key == key) return table[at].op;
+    if (table[at].key == 0) return std::nullopt;
+  }
+}
+
+/// Every spelling parse_register accepts but does not match in place:
+/// the register file's number in decimal or 0x hex after an `r` in any
+/// case (`r03`, `R0x0F`, `r+3`), space-padded.
+std::uint8_t parse_register_fallback(std::string_view tok, int line) {
+  const std::string low = lowered(trim(tok));
   if (low == "zero") return 0;
   if (low == "sp") return kStackRegister;
   if (low == "ra") return kLinkRegister;
   if (low.size() >= 2 && low[0] == 'r') {
     std::int64_t n = -1;
     try {
-      n = parse_int(low.substr(1));
+      n = parse_int(std::string_view(low).substr(1));
     } catch (const CheckError&) {
       fail(line, "bad register '" + std::string(tok) + "'");
     }
@@ -41,11 +157,37 @@ std::uint8_t parse_register(std::string_view tok, int line) {
   fail(line, "bad register '" + std::string(tok) + "'");
 }
 
+std::uint8_t parse_register(std::string_view tok, int line) {
+  // rN / rNN, and the three aliases, in any case.
+  if ((tok.size() == 2 || tok.size() == 3) && lower(tok[0]) == 'r' &&
+      is_digit(tok[1]) && (tok.size() == 2 || is_digit(tok[2]))) {
+    const unsigned tens = tok.size() == 2 ? 0 : unsigned(tok[1] - '0');
+    const unsigned n = tens * 10 + unsigned(tok.back() - '0');
+    if (n < kNumRegisters) return static_cast<std::uint8_t>(n);
+  } else if (equals_lower(tok, "zero")) {
+    return 0;
+  } else if (equals_lower(tok, "sp")) {
+    return kStackRegister;
+  } else if (equals_lower(tok, "ra")) {
+    return kLinkRegister;
+  }
+  return parse_register_fallback(tok, line);
+}
+
+/// A 32-bit immediate: plain decimal is read with from_chars, and every
+/// other spelling parse_int accepts (a `+` sign, 0x hex, padding) goes
+/// through it.
 std::int32_t parse_imm(std::string_view tok, int line) {
+  std::int32_t v = 0;
+  const char* const end = tok.data() + tok.size();
+  if (const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+      ec == std::errc{} && ptr == end) {
+    return v;
+  }
   try {
-    const std::int64_t v = parse_int(tok);
-    APCC_CHECK(v >= INT32_MIN && v <= INT32_MAX, "immediate overflow");
-    return static_cast<std::int32_t>(v);
+    const std::int64_t wide = parse_int(tok);
+    APCC_CHECK(wide >= INT32_MIN && wide <= INT32_MAX, "immediate overflow");
+    return static_cast<std::int32_t>(wide);
   } catch (const CheckError&) {
     fail(line, "bad immediate '" + std::string(tok) + "'");
   }
@@ -55,7 +197,7 @@ bool looks_numeric(std::string_view tok) {
   const std::string_view t = trim(tok);
   if (t.empty()) return false;
   const char c = t.front();
-  return c == '-' || c == '+' || (c >= '0' && c <= '9');
+  return c == '-' || c == '+' || is_digit(c);
 }
 
 /// Parse "imm(rN)" memory operand syntax.
@@ -73,34 +215,144 @@ void parse_mem_operand(std::string_view tok, int line, std::int32_t& imm,
   base = parse_register(tok.substr(open + 1, close - open - 1), line);
 }
 
+/// The text before the line's first ';' or '#'.
 std::string_view strip_comment(std::string_view line) {
-  const std::size_t pos = line.find_first_of(";#");
-  return pos == std::string_view::npos ? line : line.substr(0, pos);
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    if (line[i] == ';' || line[i] == '#') return line.substr(0, i);
+  }
+  return line;
 }
+
+/// The labels, keyed by views into the source: open addressing with
+/// linear probing over a power-of-two table kept at most half full.
+class LabelTable {
+ public:
+  /// Room for `expected` labels before the table grows.
+  explicit LabelTable(std::size_t expected)
+      : slots_(std::bit_ceil(std::max<std::size_t>(16, 2 * expected))) {}
+
+  /// The word `name` labels, or nullptr.
+  [[nodiscard]] const std::uint32_t* find(std::string_view name) const {
+    const Slot& s = slots_[probe(name)];
+    return s.name.empty() ? nullptr : &s.word;
+  }
+
+  /// Adds `name` -> `word`; false (and no change) if `name` is there.
+  bool insert(std::string_view name, std::uint32_t word) {
+    Slot* s = &slots_[probe(name)];
+    if (!s->name.empty()) return false;
+    *s = Slot{name, word};
+    if (++size_ * 2 > slots_.size()) grow();
+    return true;
+  }
+
+  /// Every label, in no particular order.
+  [[nodiscard]] std::vector<Label> labels() const {
+    std::vector<Label> out;
+    out.reserve(size_);
+    for (const Slot& s : slots_) {
+      if (!s.name.empty()) out.push_back(Label{s.name, s.word});
+    }
+    return out;
+  }
+
+ private:
+  struct Slot {
+    std::string_view name;  // empty when free: a label name never is
+    std::uint32_t word = 0;
+  };
+
+  /// Mixes the name eight bytes at a time.
+  static std::uint64_t hash(std::string_view name) {
+    std::uint64_t h = name.size() * 0x9E3779B97F4A7C15ull;
+    const auto mix = [&h](std::uint64_t chunk) {
+      h = (h ^ chunk) * 0xBF58476D1CE4E5B9ull;
+      h ^= h >> 31;
+    };
+    std::size_t i = 0;
+    for (; i + 8 <= name.size(); i += 8) {
+      std::uint64_t chunk = 0;
+      std::memcpy(&chunk, name.data() + i, 8);
+      mix(chunk);
+    }
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, name.data() + i, name.size() - i);
+    mix(tail);
+    return h;
+  }
+
+  /// The slot holding `name`, or the free slot where it would go.
+  [[nodiscard]] std::size_t probe(std::string_view name) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash(name) & mask;
+    while (!slots_[i].name.empty() && slots_[i].name != name) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (!s.name.empty()) slots_[probe(s.name)] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
+/// An instruction whose target is a label, resolved once every label is
+/// known.
+struct Fixup {
+  Instruction inst;
+  std::uint32_t index = 0;  // word index
+  int line = 0;
+  std::string_view target;
+};
+
+/// The first instruction, by index, whose encoding failed.
+struct EncodeError {
+  std::uint32_t index = 0;
+  int line = 0;
+  std::string what;
+};
 
 }  // namespace
 
 Program assemble(std::string_view source) {
-  std::vector<PendingInstruction> pending;
-  std::map<std::string, std::uint32_t> labels;
+  std::vector<std::uint32_t> words;
+  // At most one instruction per line, and about one label per colon.
+  words.reserve(static_cast<std::size_t>(
+                    std::count(source.begin(), source.end(), '\n')) + 1);
+  LabelTable labels(static_cast<std::size_t>(
+      std::count(source.begin(), source.end(), ':')));
   std::vector<FunctionInfo> functions;
-  std::optional<std::string> entry_label;
+  std::vector<Fixup> fixups;
+  std::string_view entry_label;
+  std::optional<EncodeError> encode_error;
 
   auto close_function = [&](std::uint32_t at_word) {
     if (!functions.empty() && functions.back().word_count == 0) {
       functions.back().word_count = at_word - functions.back().first_word;
     }
   };
+  auto next_word = [&] { return static_cast<std::uint32_t>(words.size()); };
 
   int line_no = 0;
-  std::size_t cursor = 0;
-  while (cursor <= source.size()) {
-    const std::size_t eol = source.find('\n', cursor);
-    std::string_view raw =
-        source.substr(cursor, (eol == std::string_view::npos)
-                                  ? source.size() - cursor
-                                  : eol - cursor);
-    cursor = (eol == std::string_view::npos) ? source.size() + 1 : eol + 1;
+  const char* cursor = source.data();
+  const char* const source_end = cursor + source.size();
+  // The text ends with one more line after its last '\n' (maybe empty).
+  for (bool last = false; !last;) {
+    const std::size_t rest = static_cast<std::size_t>(source_end - cursor);
+    const auto* eol = rest == 0 ? nullptr
+                                : static_cast<const char*>(
+                                      std::memchr(cursor, '\n', rest));
+    last = eol == nullptr;
+    if (last) eol = source_end;
+    const std::string_view raw(cursor, static_cast<std::size_t>(eol - cursor));
+    cursor = last ? source_end : eol + 1;
     ++line_no;
 
     std::string_view text = trim(strip_comment(raw));
@@ -111,160 +363,168 @@ Program assemble(std::string_view source) {
       const std::size_t colon = text.find(':');
       if (colon == std::string_view::npos) break;
       const std::string_view head = trim(text.substr(0, colon));
-      if (head.empty() || head.find_first_of(" \t") != std::string_view::npos) {
+      if (head.empty() || std::ranges::any_of(head, [](char c) {
+            return c == ' ' || c == '\t';
+          })) {
         break;  // ':' belongs to something else, e.g. nothing we support
       }
-      const std::string name(head);
-      if (labels.contains(name)) {
-        fail(line_no, "duplicate label '" + name + "'");
+      if (!labels.insert(head, next_word())) {
+        fail(line_no, "duplicate label '" + std::string(head) + "'");
       }
-      labels[name] = static_cast<std::uint32_t>(pending.size());
       text = trim(text.substr(colon + 1));
       if (text.empty()) break;
     }
     if (text.empty()) continue;
 
+    const Fields fields = split_fields(text);
+    if (fields.count == 0) fail(line_no, "statement has no mnemonic");
+
     // Directives.
     if (text.front() == '.') {
-      const auto fields = split_fields(text);
-      const std::string dir = to_lower(fields[0]);
-      if (dir == ".func") {
-        if (fields.size() != 2) fail(line_no, ".func expects a name");
-        close_function(static_cast<std::uint32_t>(pending.size()));
+      const std::string_view dir = fields.at[0];
+      if (equals_lower(dir, ".func")) {
+        if (fields.count != 2) fail(line_no, ".func expects a name");
+        close_function(next_word());
         FunctionInfo f;
-        f.name = std::string(fields[1]);
-        f.first_word = static_cast<std::uint32_t>(pending.size());
+        f.name = std::string(fields.at[1]);
+        f.first_word = next_word();
         functions.push_back(std::move(f));
         // A function name is implicitly a label too.
-        const std::string name(fields[1]);
-        if (!labels.contains(name)) {
-          labels[name] = static_cast<std::uint32_t>(pending.size());
-        }
-      } else if (dir == ".entry") {
-        if (fields.size() != 2) fail(line_no, ".entry expects a name");
-        entry_label = std::string(fields[1]);
+        (void)labels.insert(fields.at[1], next_word());
+      } else if (equals_lower(dir, ".entry")) {
+        if (fields.count != 2) fail(line_no, ".entry expects a name");
+        entry_label = fields.at[1];
       } else {
-        fail(line_no, "unknown directive '" + dir + "'");
+        fail(line_no, "unknown directive '" + lowered(dir) + "'");
       }
       continue;
     }
 
     // Instruction.
-    const auto fields = split_fields(text);
-    const std::string mnemonic = to_lower(fields[0]);
-    const auto op = opcode_from_mnemonic(mnemonic);
-    if (!op) fail(line_no, "unknown mnemonic '" + mnemonic + "'");
+    const auto op = find_opcode(fields.at[0]);
+    if (!op) {
+      fail(line_no, "unknown mnemonic '" + lowered(fields.at[0]) + "'");
+    }
     const OpcodeInfo& info = opcode_info(*op);
-
-    PendingInstruction pi;
-    pi.inst.opcode = *op;
-    pi.line = line_no;
-    const auto operands =
-        std::vector<std::string_view>(fields.begin() + 1, fields.end());
+    const std::size_t operands = fields.count - 1;
     auto need = [&](std::size_t n) {
-      if (operands.size() != n) {
-        fail(line_no, mnemonic + " expects " + std::to_string(n) +
-                          " operand(s), got " +
-                          std::to_string(operands.size()));
+      if (operands != n) {
+        fail(line_no, lowered(fields.at[0]) + " expects " +
+                          std::to_string(n) + " operand(s), got " +
+                          std::to_string(operands));
       }
     };
+    auto operand = [&](std::size_t i) { return fields.at[i + 1]; };
 
+    Instruction inst;
+    inst.opcode = *op;
+    std::string_view target;  // a label to resolve into inst.imm
+    auto parse_target = [&](std::string_view tok) {
+      if (looks_numeric(tok)) {
+        inst.imm = parse_imm(tok, line_no);
+      } else {
+        target = trim(tok);
+      }
+    };
     switch (info.format) {
       case Format::kR:
         if (info.is_indirect) {  // jr rs1
           need(1);
-          pi.inst.rs1 = parse_register(operands[0], line_no);
+          inst.rs1 = parse_register(operand(0), line_no);
         } else {
           need(3);
-          pi.inst.rd = parse_register(operands[0], line_no);
-          pi.inst.rs1 = parse_register(operands[1], line_no);
-          pi.inst.rs2 = parse_register(operands[2], line_no);
+          inst.rd = parse_register(operand(0), line_no);
+          inst.rs1 = parse_register(operand(1), line_no);
+          inst.rs2 = parse_register(operand(2), line_no);
         }
         break;
       case Format::kI:
         if (info.is_load || info.is_store) {  // lw rd, imm(rs1)
           need(2);
-          pi.inst.rd = parse_register(operands[0], line_no);
-          parse_mem_operand(operands[1], line_no, pi.inst.imm, pi.inst.rs1);
+          inst.rd = parse_register(operand(0), line_no);
+          parse_mem_operand(operand(1), line_no, inst.imm, inst.rs1);
         } else if (*op == Opcode::kLui) {  // lui rd, imm
           need(2);
-          pi.inst.rd = parse_register(operands[0], line_no);
-          pi.inst.imm = parse_imm(operands[1], line_no);
+          inst.rd = parse_register(operand(0), line_no);
+          inst.imm = parse_imm(operand(1), line_no);
         } else {  // addi rd, rs1, imm
           need(3);
-          pi.inst.rd = parse_register(operands[0], line_no);
-          pi.inst.rs1 = parse_register(operands[1], line_no);
-          pi.inst.imm = parse_imm(operands[2], line_no);
+          inst.rd = parse_register(operand(0), line_no);
+          inst.rs1 = parse_register(operand(1), line_no);
+          inst.imm = parse_imm(operand(2), line_no);
         }
         break;
       case Format::kB:  // beq rs1, rs2, target
         need(3);
-        pi.inst.rs1 = parse_register(operands[0], line_no);
-        pi.inst.rs2 = parse_register(operands[1], line_no);
-        if (looks_numeric(operands[2])) {
-          pi.inst.imm = parse_imm(operands[2], line_no);
-        } else {
-          pi.target_label = std::string(trim(operands[2]));
-        }
+        inst.rs1 = parse_register(operand(0), line_no);
+        inst.rs2 = parse_register(operand(1), line_no);
+        parse_target(operand(2));
         break;
       case Format::kJ:  // jmp target
         need(1);
-        if (looks_numeric(operands[0])) {
-          pi.inst.imm = parse_imm(operands[0], line_no);
-        } else {
-          pi.target_label = std::string(trim(operands[0]));
-        }
+        parse_target(operand(0));
         break;
       case Format::kNone:
         need(0);
         break;
     }
-    pending.push_back(std::move(pi));
+
+    if (!target.empty()) {
+      fixups.push_back(Fixup{inst, next_word(), line_no, target});
+      words.push_back(0);
+    } else {
+      try {
+        words.push_back(encode(inst));
+      } catch (const CheckError& e) {
+        if (!encode_error) {
+          encode_error = EncodeError{next_word(), line_no, e.what()};
+        }
+        words.push_back(0);
+      }
+    }
   }
 
-  close_function(static_cast<std::uint32_t>(pending.size()));
+  close_function(next_word());
 
-  // Second pass: resolve labels and encode.
-  std::vector<std::uint32_t> words;
-  words.reserve(pending.size());
-  for (std::uint32_t index = 0; index < pending.size(); ++index) {
-    auto& pi = pending[index];
-    if (!pi.target_label.empty()) {
-      const auto it = labels.find(pi.target_label);
-      if (it == labels.end()) {
-        fail(pi.line, "undefined label '" + pi.target_label + "'");
-      }
-      const OpcodeInfo& info = opcode_info(pi.inst.opcode);
-      if (info.format == Format::kB) {
-        // Offset is relative to the following instruction.
-        pi.inst.imm = static_cast<std::int32_t>(it->second) -
-                      static_cast<std::int32_t>(index) - 1;
-      } else {
-        pi.inst.imm = static_cast<std::int32_t>(it->second);
-      }
+  // Resolve the label targets. The first failing instruction, in word
+  // order, names the error: an unresolved or unencodable target, or an
+  // operand encode() refused above.
+  for (const Fixup& fix : fixups) {
+    if (encode_error && encode_error->index < fix.index) break;
+    const std::uint32_t* word = labels.find(fix.target);
+    if (word == nullptr) {
+      fail(fix.line, "undefined label '" + std::string(fix.target) + "'");
+    }
+    Instruction inst = fix.inst;
+    if (opcode_info(inst.opcode).format == Format::kB) {
+      // Offset is relative to the following instruction.
+      inst.imm = static_cast<std::int32_t>(*word) -
+                 static_cast<std::int32_t>(fix.index) - 1;
+    } else {
+      inst.imm = static_cast<std::int32_t>(*word);
     }
     try {
-      words.push_back(encode(pi.inst));
+      words[fix.index] = encode(inst);
     } catch (const CheckError& e) {
-      fail(pi.line, e.what());
+      fail(fix.line, e.what());
     }
   }
+  if (encode_error) fail(encode_error->line, encode_error->what);
 
   std::uint32_t entry = 0;
-  if (entry_label) {
-    const auto it = labels.find(*entry_label);
-    APCC_CHECK(it != labels.end(), "undefined .entry label " + *entry_label);
-    entry = it->second;
+  if (!entry_label.empty()) {
+    const std::uint32_t* word = labels.find(entry_label);
+    APCC_CHECK(word != nullptr,
+               "undefined .entry label " + std::string(entry_label));
+    entry = *word;
   } else if (!functions.empty()) {
     entry = functions.front().first_word;
   }
-  std::vector<Label> label_table;
-  label_table.reserve(labels.size());
-  for (const auto& [name, word] : labels) {
-    label_table.push_back(Label{name, word});
-  }
-  return Program(std::move(words), std::move(functions),
-                 std::move(label_table), entry);
+  words.shrink_to_fit();
+  functions.shrink_to_fit();
+  // The labels' names are views into `source`; Program copies them.
+  return Program(std::move(words), std::move(functions), labels.labels(),
+                 entry);
 }
 
 }  // namespace apcc::isa

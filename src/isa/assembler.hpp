@@ -1,4 +1,6 @@
-// Two-pass assembler for ERISC-32 assembly text.
+// Assembler for ERISC-32 assembly text: one pass over the text, which
+// allocates nothing per line or token; label targets are resolved once
+// the whole text has been read.
 //
 // Syntax overview (one statement per line, ';' or '#' starts a comment):
 //
@@ -14,8 +16,11 @@
 //   jmp  tgt / jal tgt  jumps; tgt is a label or absolute word index
 //   jr   rs1 / ret / nop / halt
 //
+// Mnemonics, directives and registers are case-insensitive; fields are
+// split on spaces, tabs and commas.
 // Registers: r0..r15, plus aliases zero (r0), sp (r14), ra (r15).
-// Errors throw CheckError with the offending line number.
+// Errors throw CheckError with the offending line number (an undefined
+// .entry label names none).
 #pragma once
 
 #include <string_view>

@@ -127,17 +127,19 @@ bool Interpreter::step() {
       set_reg(inst.rd, static_cast<std::int32_t>(
                            static_cast<std::uint32_t>(inst.imm) << 14));
       break;
+    // Effective addresses wrap modulo 2^32 too; a wrapped address fails
+    // the bounds check.
     case Opcode::kLw:
-      set_reg(inst.rd, load_word(static_cast<std::uint32_t>(a + inst.imm)));
+      set_reg(inst.rd, load_word(ua + static_cast<std::uint32_t>(inst.imm)));
       break;
     case Opcode::kSw:
-      store_word(static_cast<std::uint32_t>(a + inst.imm), reg(inst.rd));
+      store_word(ua + static_cast<std::uint32_t>(inst.imm), reg(inst.rd));
       break;
     case Opcode::kLb:
-      set_reg(inst.rd, load_byte(static_cast<std::uint32_t>(a + inst.imm)));
+      set_reg(inst.rd, load_byte(ua + static_cast<std::uint32_t>(inst.imm)));
       break;
     case Opcode::kSb:
-      store_byte(static_cast<std::uint32_t>(a + inst.imm),
+      store_byte(ua + static_cast<std::uint32_t>(inst.imm),
                  static_cast<std::uint8_t>(reg(inst.rd) & 0xff));
       break;
     case Opcode::kBeq:

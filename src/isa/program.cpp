@@ -22,7 +22,8 @@ Program::Program(std::vector<std::uint32_t> words,
   }
   std::ranges::sort(labels, {}, &Label::name);
   const auto dup = std::ranges::adjacent_find(labels, {}, &Label::name);
-  APCC_CHECK(dup == labels.end(), "duplicate label " + dup->name);
+  APCC_CHECK(dup == labels.end(),
+             "duplicate label " + std::string(dup->name));
   // The names go back to back into one arena, in name order, so an
   // entry's name ends where the next entry's begins.
   std::size_t name_bytes = 0;

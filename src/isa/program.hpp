@@ -27,9 +27,11 @@ struct FunctionInfo {
   }
 };
 
-/// A named word index: an assembler label or a function name.
+/// A named word index: an assembler label or a function name. The name
+/// is a view: the Program constructor copies it into its label arena, so
+/// it need only live until the constructor returns.
 struct Label {
-  std::string name;
+  std::string_view name;
   std::uint32_t word = 0;
 };
 

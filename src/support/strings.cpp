@@ -32,15 +32,6 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  return out;
-}
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

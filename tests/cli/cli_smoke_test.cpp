@@ -563,6 +563,51 @@ TEST(CliSmoke, ServeStreamsWireResultsInSubmissionOrder) {
   std::remove(jobfile.c_str());
 }
 
+TEST(CliSmoke, ServeAnswersAnUnassemblableWorkloadAndKeepsServing) {
+  // A workload file with a statement of only delimiters: `asm` exits 2
+  // with the assembler's line, and `serve` answers a record naming it
+  // with an error record, then answers the next record. (Reading the
+  // missing first field of that statement once took the server down.)
+  const std::string source =
+      ::testing::TempDir() + "/apcc_smoke_delimiters.s";
+  {
+    std::ofstream out(source);
+    out << ".func main\n  ,\n  halt\n";
+  }
+  const auto assembled = run_cli_stderr("asm " + source);
+  EXPECT_EQ(assembled.exit_code, 2);
+  EXPECT_NE(assembled.output.find("line 2: statement has no mnemonic"),
+            std::string::npos)
+      << assembled.output;
+
+  const std::string jobfile =
+      ::testing::TempDir() + "/apcc_smoke_delimiters.wire";
+  {
+    std::ofstream out(jobfile);
+    out << kJobLine << "kind run\n"
+        << "workload " << source << "\n"
+        << "end\n"
+        << kJobLine << "kind run\n"
+        << "workload " << workload_path() << "\n"
+        << "end\n";
+  }
+  const auto served = run_cli("serve < " + jobfile);
+  ASSERT_EQ(served.exit_code, 0) << served.output;
+  const std::size_t first = served.output.find(kResultLine + "job 1\n");
+  const std::size_t second = served.output.find(kResultLine + "job 2\n");
+  ASSERT_NE(first, std::string::npos) << served.output;
+  ASSERT_NE(second, std::string::npos) << served.output;
+  const std::string bad = served.output.substr(first, second - first);
+  EXPECT_NE(bad.find("status error"), std::string::npos) << bad;
+  EXPECT_NE(bad.find("statement%20has%20no%20mnemonic"), std::string::npos)
+      << bad;
+  EXPECT_NE(served.output.substr(second).find("status ok"),
+            std::string::npos)
+      << served.output;
+  std::remove(jobfile.c_str());
+  std::remove(source.c_str());
+}
+
 TEST(CliSmoke, ServeEmitsResultsWhileStdinIsStillOpen) {
   // The request/response shape: a client writes one job and waits for
   // its result before sending anything else. The result record must

@@ -5,10 +5,13 @@
 //
 // The contract every input must meet: it throws CheckError (WireError
 // for wire records) or it is accepted -- and an accepted wire record
-// must parse to a serialize/parse fixed point. Anything else (another
-// exception type, a crash, a sanitizer report under the ASan+UBSan CI
-// job) fails. The loops are a net against regressions; they are not
-// expected to find anything on a healthy tree.
+// must parse to a serialize/parse fixed point, while assembler text
+// must assemble, or fail, exactly as the test-side reference assembler
+// does (tests/common/assembler_reference.hpp), and build the reference
+// builder's CFG. Anything else (another exception type, a crash, a
+// sanitizer report under the ASan+UBSan CI job) fails. The loops are a
+// net against regressions; they are not expected to find anything on a
+// healthy tree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,9 +19,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/record_split.hpp"
+#include "common/same_build.hpp"
 #include "compress/codec.hpp"
 #include "isa/assembler.hpp"
 #include "net/framer.hpp"
@@ -49,13 +54,42 @@ std::string join_lines(const std::vector<std::string>& lines) {
   return text;
 }
 
+/// Drop one field (a run of characters other than space, tab and comma)
+/// of `line`, or replace it with one to three of those delimiters.
+void mutate_field(std::string& line, Rng& rng) {
+  const auto is_delimiter = [](char c) {
+    return c == ' ' || c == '\t' || c == ',';
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> fields;  // (at, size)
+  for (std::size_t i = 0; i < line.size();) {
+    if (is_delimiter(line[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i;
+    while (end < line.size() && !is_delimiter(line[end])) ++end;
+    fields.emplace_back(i, end - i);
+    i = end;
+  }
+  if (fields.empty()) return;
+  const auto [at, size] = fields[rng.next_below(fields.size())];
+  std::string with;
+  if (rng.next_bool(0.5)) {
+    for (std::uint64_t n = 1 + rng.next_below(3); n-- > 0;) {
+      with += " \t,"[rng.next_below(3)];
+    }
+  }
+  line.replace(at, size, with);
+}
+
 /// One random edit of `text`: a byte flip, a truncation, a dropped,
-/// duplicated or swapped line, or -- when `keys` is non-empty -- an
-/// inserted line from `keys`.
+/// duplicated or swapped line, a dropped field or one replaced with
+/// delimiters, or -- when `keys` is non-empty -- an inserted line from
+/// `keys`.
 std::string mutate(const std::string& text, Rng& rng,
                    const std::vector<std::string>& keys = {}) {
   std::vector<std::string> lines = split_lines(text);
-  switch (rng.next_below(keys.empty() ? 5 : 6)) {
+  switch (rng.next_below(keys.empty() ? 6 : 7)) {
     case 0: {
       std::string out = text;
       if (out.empty()) return out;
@@ -82,6 +116,11 @@ std::string mutate(const std::string& text, Rng& rng,
       if (lines.size() >= 2) {
         std::swap(lines[rng.next_below(lines.size())],
                   lines[rng.next_below(lines.size())]);
+      }
+      return join_lines(lines);
+    case 5:
+      if (!lines.empty()) {
+        mutate_field(lines[rng.next_below(lines.size())], rng);
       }
       return join_lines(lines);
     default:
@@ -296,7 +335,11 @@ TEST(Fuzz, EveryCodecSurvivesCorruptedStreams) {
 }
 
 TEST(Fuzz, AssemblerMutantsAssembleOrThrowCheckError) {
+  // Each mutant must also assemble as the reference assembler does (the
+  // same Program or the same error text), and a mutant that assembles
+  // must give the reference CFG builder's graph.
   Rng rng(3);
+  std::size_t assembled = 0;
   for (const auto kind : workloads::all_workload_kinds()) {
     const std::string source = workloads::workload_source(kind);
     SCOPED_TRACE(static_cast<int>(kind));
@@ -306,15 +349,24 @@ TEST(Fuzz, AssemblerMutantsAssembleOrThrowCheckError) {
         text = mutate(text, rng);
       }
       try {
-        (void)isa::assemble(text);
-      } catch (const CheckError&) {
+        const auto program = testref::expect_same_assembly(text);
+        if (program && program->word_count() > 0) {
+          ++assembled;
+          testref::expect_same_cfg_build(*program);
+        }
       } catch (const std::exception& e) {
         FAIL() << "iteration " << i << ": unexpected " << e.what()
                << " on mutant:\n"
                << text;
       }
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "iteration " << i << " on mutant:\n" << text;
+      }
     }
   }
+  // Many mutants (a dropped comment, a swapped ALU line) stay valid; a
+  // loop that assembles nothing is not exercising the accept path.
+  EXPECT_GT(assembled, 0u);
 }
 
 }  // namespace

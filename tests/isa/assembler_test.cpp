@@ -2,6 +2,8 @@
 // and a disassembler sanity pass.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "isa/assembler.hpp"
 #include "isa/disasm.hpp"
 #include "support/assert.hpp"
@@ -160,6 +162,25 @@ TEST(Assembler, WrongOperandCountThrows) {
 TEST(Assembler, BadRegisterThrows) {
   EXPECT_THROW((void)assemble(".func f\n  add r1, r99, r2\n"), CheckError);
   EXPECT_THROW((void)assemble(".func f\n  add r1, x2, r2\n"), CheckError);
+}
+
+TEST(Assembler, DelimiterOnlyStatementIsAnError) {
+  // A statement of only commas, spaces or tabs, alone or after a label,
+  // has no mnemonic: a CheckError naming its line, not a read of a
+  // missing first field.
+  for (const char* source :
+       {".func main\n  ,\n  halt\n", ".func main\nfoo: ,\n  halt\n",
+        ".func main\n \t, ,\t\n  halt\n", ".func main\na: b: , ,\n"}) {
+    try {
+      (void)assemble(source);
+      FAIL() << "expected CheckError for " << source;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2: statement has no "
+                                           "mnemonic"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Assembler, UnknownDirectiveThrows) {

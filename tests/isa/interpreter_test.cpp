@@ -2,6 +2,10 @@
 // calls, tracing, and stop conditions.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "isa/assembler.hpp"
 #include "isa/interpreter.hpp"
 #include "support/assert.hpp"
@@ -108,6 +112,29 @@ TEST(Interpreter, OutOfBoundsAccessThrows) {
       "  halt\n");
   Interpreter interp(p);
   EXPECT_THROW((void)interp.run(), CheckError);
+}
+
+TEST(Interpreter, EffectiveAddressWrapsIntoTheBoundsCheck) {
+  // A base of INT32_MAX plus 1 overflows a signed add (undefined, and an
+  // abort under UBSan); the address wraps modulo 2^32 to 0x80000000
+  // instead, and the bounds check refuses it.
+  for (const char* access :
+       {"lw r2, 1(r1)", "sw r2, 1(r1)", "lb r2, 1(r1)", "sb r2, 1(r1)"}) {
+    const Program p = assemble(std::string(".func main\n"
+                                           "  lui r1, 131071\n"
+                                           "  ori r1, r1, 16383\n  ") +
+                               access + "\n  halt\n");
+    Interpreter interp(p);
+    try {
+      (void)interp.run();
+      FAIL() << access << ": a wrapped address must be out of bounds";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("out of bounds"),
+                std::string::npos)
+          << access << ": " << e.what();
+    }
+    EXPECT_EQ(interp.reg(1), std::numeric_limits<std::int32_t>::max());
+  }
 }
 
 TEST(Interpreter, CountedLoopRunsExactly) {

@@ -79,18 +79,21 @@ TEST(Program, ManyLabelsLongAndShort) {
   // 400 labels given out of name order, three to a word, with names of
   // 2 to 43 characters, many past the small-string buffer; and 20 more
   // on the last word, each name the prefix of the next.
-  std::vector<Label> labels;
-  std::map<std::string, std::uint32_t> want;  // name order
+  std::vector<std::pair<std::string, std::uint32_t>> given;
   for (std::uint32_t i = 0; i < 400; ++i) {
     std::string name = "L" + std::to_string((i * 7919) % 400);
     name.append(i % 40, static_cast<char>('a' + i % 26));
-    labels.push_back(Label{name, i / 3});
-    want[name] = i / 3;
+    given.emplace_back(name, i / 3);
   }
   for (std::uint32_t length = 20; length >= 1; --length) {
-    labels.push_back(Label{std::string(length, 'p'), 133});
-    want[std::string(length, 'p')] = 133;
+    given.emplace_back(std::string(length, 'p'), 133);
   }
+  const std::map<std::string, std::uint32_t> want(given.begin(),
+                                                  given.end());  // name order
+  // A Label's name is a view into `given`, which outlives the Program's
+  // construction.
+  std::vector<Label> labels;
+  for (const auto& [name, word] : given) labels.push_back(Label{name, word});
   ASSERT_EQ(want.size(), 420u);
   const Program p = halts_labelled(134, labels);
   EXPECT_EQ(p.label_count(), 420u);

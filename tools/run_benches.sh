@@ -9,8 +9,9 @@
 #                          the pre-single row on a 2,444-block program,
 #                          the oracle pre-single row on a scale-16 trace,
 #                          the k = 8 geometry build on that program
-#                          (every block vs the blocks its trace exits)
-#                          and the build of the program itself
+#                          (every block vs the blocks its trace exits),
+#                          the build of the program itself and each
+#                          stage of that build alone
 #   BENCH_codecs.json   -- E4 codec compress + decompress throughput per
 #                          codec, and the huffman decoder A/B
 #   BENCH_sweep.json    -- sharded policy-grid sweep scaling (grid pts/sec
@@ -80,17 +81,20 @@ fi
 # The two pre-single rows are the series that time a predictor's cost:
 # the profile predictor's ranking on a large CFG, and the oracle
 # predictor on a long trace. bm_frontier_build times the planner
-# geometry build, every block's lists and the trace exits' alone, and
+# geometry build, every block's lists and the trace exits' alone,
 # bm_workload_build one workload build (source to block bytes), the
-# setup cost of each of artifact-churn's programs. A run without any of
-# them has silently stopped measuring that cost.
+# setup cost of each of artifact-churn's programs, and
+# bm_workload_stage that build's stages one by one (source, assemble,
+# CFG, run), so a build regression names its stage. A run without any
+# of them has silently stopped measuring that cost.
 if ! python3 - "${OUT_DIR}/BENCH_engine.json" <<'PY'
 import json, sys
 rows = [b for b in json.load(open(sys.argv[1]))["benchmarks"]
         if b.get("run_type", "iteration") == "iteration"]
 missing = [series
            for series in ("bm_engine_presingle", "bm_engine_presingle_oracle",
-                          "bm_frontier_build", "bm_workload_build")
+                          "bm_frontier_build", "bm_workload_build",
+                          "bm_workload_stage")
            if not any(b["name"].split("/")[0] == series for b in rows)]
 for m in missing:
     print(f"error: BENCH_engine.json has no {m} row", file=sys.stderr)
