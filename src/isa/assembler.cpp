@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <charconv>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -16,21 +16,16 @@ namespace apcc::isa {
 
 namespace {
 
-// One pass over the text, allocating nothing per line or token: lines
+// One pass over the text, allocating nothing per line or operand: lines
 // are cut with memchr, fields are views into the source, mnemonics and
-// the common register spellings are matched in place, and labels and
-// label fixups hold views. Instructions are encoded as they are read;
-// an encoding error and an undefined label are still reported in
-// instruction order after the whole text has parsed, as a second pass
-// would find them.
+// the common register spellings are matched in place, and labels (one
+// hash-map node each) and label fixups hold views. Instructions are
+// encoded as they are read; an encoding error and an undefined label are
+// still reported in instruction order after the whole text has parsed,
+// as a second pass would find them.
 
 [[noreturn]] void fail(int line, const std::string& msg) {
   throw CheckError("assembler: line " + std::to_string(line) + ": " + msg);
-}
-
-/// Whitespace as std::isspace sees it in the "C" locale.
-constexpr bool is_space(char c) {
-  return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
 /// A field delimiter: fields are split on spaces, tabs and commas.
@@ -44,25 +39,10 @@ constexpr char lower(char c) {
   return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
-/// A lower-cased copy, for error messages.
-std::string lowered(std::string_view s) {
-  std::string out(s);
-  std::ranges::transform(out, out.begin(), lower);
-  return out;
-}
-
 /// True if `s` lower-cases to `word` (which is lower case).
 bool equals_lower(std::string_view s, std::string_view word) {
   return s.size() == word.size() &&
          std::ranges::equal(s, word, {}, lower);
-}
-
-std::string_view trim(std::string_view s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && is_space(s[b])) ++b;
-  while (e > b && is_space(s[e - 1])) --e;
-  return s.substr(b, e - b);
 }
 
 /// A statement's fields: the first kKept views, and how many there are.
@@ -72,7 +52,7 @@ struct Fields {
   std::size_t count = 0;
 };
 
-Fields split_fields(std::string_view text) {
+Fields split_statement(std::string_view text) {
   Fields f;
   const char* p = text.data();
   const char* const end = p + text.size();
@@ -90,56 +70,11 @@ Fields split_fields(std::string_view text) {
   return f;
 }
 
-/// `s` lower-cased and packed with its length into one integer, or 0
-/// when it is longer than any mnemonic can be.
-std::uint64_t mnemonic_key(std::string_view s) {
-  if (s.empty() || s.size() > 7) return 0;
-  std::uint64_t key = s.size();
-  for (const char c : s) {
-    key = key << 8 | static_cast<unsigned char>(lower(c));
-  }
-  return key;
-}
-
-/// The mnemonic table: 64 slots, twice the opcodes, probed linearly
-/// from a key's multiplicative hash.
-constexpr std::size_t kOpcodeSlots = 64;
-static_assert(kOpcodeSlots >= 2 * kNumOpcodes);
-
-constexpr std::size_t opcode_slot(std::uint64_t key) {
-  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 58);
-}
-
-/// The opcode spelled `s` in any case.
-std::optional<Opcode> find_opcode(std::string_view s) {
-  struct Slot {
-    std::uint64_t key = 0;  // 0 when free
-    Opcode op = Opcode::kNop;
-  };
-  static const std::array<Slot, kOpcodeSlots> table = [] {
-    std::array<Slot, kOpcodeSlots> t{};
-    for (unsigned i = 0; i < kNumOpcodes; ++i) {
-      const auto op = static_cast<Opcode>(i);
-      const std::uint64_t key = mnemonic_key(opcode_info(op).mnemonic);
-      std::size_t at = opcode_slot(key);
-      while (t[at].key != 0) at = (at + 1) % kOpcodeSlots;
-      t[at] = Slot{key, op};
-    }
-    return t;
-  }();
-  const std::uint64_t key = mnemonic_key(s);
-  if (key == 0) return std::nullopt;
-  for (std::size_t at = opcode_slot(key);; at = (at + 1) % kOpcodeSlots) {
-    if (table[at].key == key) return table[at].op;
-    if (table[at].key == 0) return std::nullopt;
-  }
-}
-
 /// Every spelling parse_register accepts but does not match in place:
 /// the register file's number in decimal or 0x hex after an `r` in any
 /// case (`r03`, `R0x0F`, `r+3`), space-padded.
 std::uint8_t parse_register_fallback(std::string_view tok, int line) {
-  const std::string low = lowered(trim(tok));
+  const std::string low = to_lower(trim(tok));
   if (low == "zero") return 0;
   if (low == "sp") return kStackRegister;
   if (low == "ra") return kLinkRegister;
@@ -223,86 +158,6 @@ std::string_view strip_comment(std::string_view line) {
   return line;
 }
 
-/// The labels, keyed by views into the source: open addressing with
-/// linear probing over a power-of-two table kept at most half full.
-class LabelTable {
- public:
-  /// Room for `expected` labels before the table grows.
-  explicit LabelTable(std::size_t expected)
-      : slots_(std::bit_ceil(std::max<std::size_t>(16, 2 * expected))) {}
-
-  /// The word `name` labels, or nullptr.
-  [[nodiscard]] const std::uint32_t* find(std::string_view name) const {
-    const Slot& s = slots_[probe(name)];
-    return s.name.empty() ? nullptr : &s.word;
-  }
-
-  /// Adds `name` -> `word`; false (and no change) if `name` is there.
-  bool insert(std::string_view name, std::uint32_t word) {
-    Slot* s = &slots_[probe(name)];
-    if (!s->name.empty()) return false;
-    *s = Slot{name, word};
-    if (++size_ * 2 > slots_.size()) grow();
-    return true;
-  }
-
-  /// Every label, in no particular order.
-  [[nodiscard]] std::vector<Label> labels() const {
-    std::vector<Label> out;
-    out.reserve(size_);
-    for (const Slot& s : slots_) {
-      if (!s.name.empty()) out.push_back(Label{s.name, s.word});
-    }
-    return out;
-  }
-
- private:
-  struct Slot {
-    std::string_view name;  // empty when free: a label name never is
-    std::uint32_t word = 0;
-  };
-
-  /// Mixes the name eight bytes at a time.
-  static std::uint64_t hash(std::string_view name) {
-    std::uint64_t h = name.size() * 0x9E3779B97F4A7C15ull;
-    const auto mix = [&h](std::uint64_t chunk) {
-      h = (h ^ chunk) * 0xBF58476D1CE4E5B9ull;
-      h ^= h >> 31;
-    };
-    std::size_t i = 0;
-    for (; i + 8 <= name.size(); i += 8) {
-      std::uint64_t chunk = 0;
-      std::memcpy(&chunk, name.data() + i, 8);
-      mix(chunk);
-    }
-    std::uint64_t tail = 0;
-    std::memcpy(&tail, name.data() + i, name.size() - i);
-    mix(tail);
-    return h;
-  }
-
-  /// The slot holding `name`, or the free slot where it would go.
-  [[nodiscard]] std::size_t probe(std::string_view name) const {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash(name) & mask;
-    while (!slots_[i].name.empty() && slots_[i].name != name) {
-      i = (i + 1) & mask;
-    }
-    return i;
-  }
-
-  void grow() {
-    std::vector<Slot> old(slots_.size() * 2);
-    old.swap(slots_);
-    for (const Slot& s : old) {
-      if (!s.name.empty()) slots_[probe(s.name)] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-};
-
 /// An instruction whose target is a label, resolved once every label is
 /// known.
 struct Fixup {
@@ -326,7 +181,9 @@ Program assemble(std::string_view source) {
   // At most one instruction per line, and about one label per colon.
   words.reserve(static_cast<std::size_t>(
                     std::count(source.begin(), source.end(), '\n')) + 1);
-  LabelTable labels(static_cast<std::size_t>(
+  // The labels, keyed by views into the source.
+  std::unordered_map<std::string_view, std::uint32_t> labels;
+  labels.reserve(static_cast<std::size_t>(
       std::count(source.begin(), source.end(), ':')));
   std::vector<FunctionInfo> functions;
   std::vector<Fixup> fixups;
@@ -368,7 +225,7 @@ Program assemble(std::string_view source) {
           })) {
         break;  // ':' belongs to something else, e.g. nothing we support
       }
-      if (!labels.insert(head, next_word())) {
+      if (!labels.try_emplace(head, next_word()).second) {
         fail(line_no, "duplicate label '" + std::string(head) + "'");
       }
       text = trim(text.substr(colon + 1));
@@ -376,7 +233,7 @@ Program assemble(std::string_view source) {
     }
     if (text.empty()) continue;
 
-    const Fields fields = split_fields(text);
+    const Fields fields = split_statement(text);
     if (fields.count == 0) fail(line_no, "statement has no mnemonic");
 
     // Directives.
@@ -390,26 +247,26 @@ Program assemble(std::string_view source) {
         f.first_word = next_word();
         functions.push_back(std::move(f));
         // A function name is implicitly a label too.
-        (void)labels.insert(fields.at[1], next_word());
+        labels.try_emplace(fields.at[1], next_word());
       } else if (equals_lower(dir, ".entry")) {
         if (fields.count != 2) fail(line_no, ".entry expects a name");
         entry_label = fields.at[1];
       } else {
-        fail(line_no, "unknown directive '" + lowered(dir) + "'");
+        fail(line_no, "unknown directive '" + to_lower(dir) + "'");
       }
       continue;
     }
 
     // Instruction.
-    const auto op = find_opcode(fields.at[0]);
+    const auto op = opcode_from_mnemonic(fields.at[0]);
     if (!op) {
-      fail(line_no, "unknown mnemonic '" + lowered(fields.at[0]) + "'");
+      fail(line_no, "unknown mnemonic '" + to_lower(fields.at[0]) + "'");
     }
     const OpcodeInfo& info = opcode_info(*op);
     const std::size_t operands = fields.count - 1;
     auto need = [&](std::size_t n) {
       if (operands != n) {
-        fail(line_no, lowered(fields.at[0]) + " expects " +
+        fail(line_no, to_lower(fields.at[0]) + " expects " +
                           std::to_string(n) + " operand(s), got " +
                           std::to_string(operands));
       }
@@ -491,17 +348,18 @@ Program assemble(std::string_view source) {
   // operand encode() refused above.
   for (const Fixup& fix : fixups) {
     if (encode_error && encode_error->index < fix.index) break;
-    const std::uint32_t* word = labels.find(fix.target);
-    if (word == nullptr) {
+    const auto label = labels.find(fix.target);
+    if (label == labels.end()) {
       fail(fix.line, "undefined label '" + std::string(fix.target) + "'");
     }
+    const std::uint32_t word = label->second;
     Instruction inst = fix.inst;
     if (opcode_info(inst.opcode).format == Format::kB) {
       // Offset is relative to the following instruction.
-      inst.imm = static_cast<std::int32_t>(*word) -
+      inst.imm = static_cast<std::int32_t>(word) -
                  static_cast<std::int32_t>(fix.index) - 1;
     } else {
-      inst.imm = static_cast<std::int32_t>(*word);
+      inst.imm = static_cast<std::int32_t>(word);
     }
     try {
       words[fix.index] = encode(inst);
@@ -513,18 +371,23 @@ Program assemble(std::string_view source) {
 
   std::uint32_t entry = 0;
   if (!entry_label.empty()) {
-    const std::uint32_t* word = labels.find(entry_label);
-    APCC_CHECK(word != nullptr,
+    const auto label = labels.find(entry_label);
+    APCC_CHECK(label != labels.end(),
                "undefined .entry label " + std::string(entry_label));
-    entry = *word;
+    entry = label->second;
   } else if (!functions.empty()) {
     entry = functions.front().first_word;
   }
   words.shrink_to_fit();
   functions.shrink_to_fit();
   // The labels' names are views into `source`; Program copies them.
-  return Program(std::move(words), std::move(functions), labels.labels(),
-                 entry);
+  std::vector<LabelView> label_views;
+  label_views.reserve(labels.size());
+  for (const auto& [name, word] : labels) {
+    label_views.push_back(LabelView{name, word});
+  }
+  return Program(std::move(words), std::move(functions),
+                 std::move(label_views), entry);
 }
 
 }  // namespace apcc::isa

@@ -1,6 +1,6 @@
 // Assembler for ERISC-32 assembly text: one pass over the text, which
-// allocates nothing per line or token; label targets are resolved once
-// the whole text has been read.
+// allocates nothing per line or operand; label targets are resolved
+// once the whole text has been read.
 //
 // Syntax overview (one statement per line, ';' or '#' starts a comment):
 //

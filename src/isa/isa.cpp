@@ -59,6 +59,48 @@ constexpr std::array<OpcodeInfo, kNumOpcodes> make_table() {
 
 constexpr auto kOpcodeTable = make_table();
 
+constexpr char lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+/// `m` lower-cased and packed with its length into one integer, or 0
+/// when it is longer than any mnemonic can be.
+constexpr std::uint64_t mnemonic_key(std::string_view m) {
+  if (m.empty() || m.size() > 7) return 0;
+  std::uint64_t key = m.size();
+  for (const char c : m) {
+    key = key << 8 | static_cast<unsigned char>(lower(c));
+  }
+  return key;
+}
+
+/// The mnemonic table: 64 slots, twice the opcodes, probed linearly
+/// from the top six bits of a key's multiplicative hash.
+constexpr std::size_t kMnemonicSlots = 64;
+static_assert(kMnemonicSlots >= 2 * kNumOpcodes);
+
+constexpr std::size_t mnemonic_slot(std::uint64_t key) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 58);
+}
+
+struct MnemonicSlot {
+  std::uint64_t key = 0;  // 0 when free
+  Opcode op = Opcode::kNop;
+};
+
+constexpr std::array<MnemonicSlot, kMnemonicSlots> make_mnemonic_table() {
+  std::array<MnemonicSlot, kMnemonicSlots> t{};
+  for (unsigned i = 0; i < kNumOpcodes; ++i) {
+    const std::uint64_t key = mnemonic_key(kOpcodeTable[i].mnemonic);
+    std::size_t at = mnemonic_slot(key);
+    while (t[at].key != 0) at = (at + 1) % kMnemonicSlots;
+    t[at] = MnemonicSlot{key, static_cast<Opcode>(i)};
+  }
+  return t;
+}
+
+constexpr auto kMnemonicTable = make_mnemonic_table();
+
 constexpr std::uint32_t kFieldMask18 = (1u << 18) - 1;
 constexpr std::uint32_t kFieldMask26 = (1u << 26) - 1;
 
@@ -76,12 +118,12 @@ const OpcodeInfo& opcode_info(Opcode op) {
 }
 
 std::optional<Opcode> opcode_from_mnemonic(std::string_view m) {
-  for (unsigned i = 0; i < kNumOpcodes; ++i) {
-    if (kOpcodeTable[i].mnemonic == m) {
-      return static_cast<Opcode>(i);
-    }
+  const std::uint64_t key = mnemonic_key(m);
+  if (key == 0) return std::nullopt;
+  for (std::size_t at = mnemonic_slot(key);; at = (at + 1) % kMnemonicSlots) {
+    if (kMnemonicTable[at].key == key) return kMnemonicTable[at].op;
+    if (kMnemonicTable[at].key == 0) return std::nullopt;
   }
-  return std::nullopt;
 }
 
 bool Instruction::is_control() const {

@@ -104,7 +104,8 @@ struct OpcodeInfo {
 /// Lookup table entry for `op`. Asserts on the sentinel value.
 [[nodiscard]] const OpcodeInfo& opcode_info(Opcode op);
 
-/// Reverse lookup by mnemonic; nullopt if unknown.
+/// Reverse lookup by mnemonic, in any case (`add`, `ADD`, `Add`);
+/// nullopt if unknown.
 [[nodiscard]] std::optional<Opcode> opcode_from_mnemonic(std::string_view m);
 
 /// A decoded instruction. Fields that do not apply to the format are zero.

@@ -10,7 +10,7 @@ namespace apcc::isa {
 
 Program::Program(std::vector<std::uint32_t> words,
                  std::vector<FunctionInfo> functions,
-                 std::vector<Label> labels, std::uint32_t entry_word)
+                 std::vector<LabelView> labels, std::uint32_t entry_word)
     : words_(std::move(words)),
       functions_(std::move(functions)),
       entry_word_(entry_word) {
@@ -20,19 +20,19 @@ Program::Program(std::vector<std::uint32_t> words,
     APCC_CHECK(f.end_word() <= words_.size(),
                "function extent outside program image: " + f.name);
   }
-  std::ranges::sort(labels, {}, &Label::name);
-  const auto dup = std::ranges::adjacent_find(labels, {}, &Label::name);
+  std::ranges::sort(labels, {}, &LabelView::name);
+  const auto dup = std::ranges::adjacent_find(labels, {}, &LabelView::name);
   APCC_CHECK(dup == labels.end(),
              "duplicate label " + std::string(dup->name));
   // The names go back to back into one arena, in name order, so an
   // entry's name ends where the next entry's begins.
   std::size_t name_bytes = 0;
-  for (const Label& l : labels) name_bytes += l.name.size();
+  for (const LabelView& l : labels) name_bytes += l.name.size();
   APCC_CHECK(name_bytes <= std::numeric_limits<std::uint32_t>::max(),
              "label names exceed 4 GiB");
   label_names_.reserve(name_bytes);
   label_table_.reserve(labels.size());
-  for (const Label& l : labels) {
+  for (const LabelView& l : labels) {
     label_table_.push_back(
         LabelEntry{static_cast<std::uint32_t>(label_names_.size()), l.word});
     label_names_ += l.name;

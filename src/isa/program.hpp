@@ -27,10 +27,11 @@ struct FunctionInfo {
   }
 };
 
-/// A named word index: an assembler label or a function name. The name
-/// is a view: the Program constructor copies it into its label arena, so
-/// it need only live until the constructor returns.
-struct Label {
+/// A named word index handed to the Program constructor: an assembler
+/// label or a function name. The name is a view, not a copy: the
+/// constructor copies it into the program's label arena, so the viewed
+/// text need only live until the constructor returns.
+struct LabelView {
   std::string_view name;
   std::uint32_t word = 0;
 };
@@ -41,7 +42,7 @@ class Program {
   Program() = default;
   Program(std::vector<std::uint32_t> words,
           std::vector<FunctionInfo> functions,
-          std::vector<Label> labels, std::uint32_t entry_word);
+          std::vector<LabelView> labels, std::uint32_t entry_word);
 
   [[nodiscard]] std::span<const std::uint32_t> words() const { return words_; }
   [[nodiscard]] std::uint32_t word(std::uint32_t index) const;

@@ -24,12 +24,31 @@ std::vector<std::string_view> split_fields(std::string_view s,
   return out;
 }
 
+namespace {
+
+/// Whitespace as std::isspace sees it in the "C" locale, tested without
+/// a locale lookup per character.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+}  // namespace
+
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
   return s.substr(b, e - b);
+}
+
+std::string to_lower(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  }
+  return out;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {

@@ -15,6 +15,9 @@ namespace apcc {
 /// Strip leading/trailing whitespace.
 [[nodiscard]] std::string_view trim(std::string_view s);
 
+/// Lower-case ASCII copy.
+[[nodiscard]] std::string to_lower(std::string_view s);
+
 /// True if `s` starts with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 

@@ -11,7 +11,6 @@
 // read the first field of an empty field list.
 #pragma once
 
-#include <cctype>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -37,14 +36,13 @@ struct PendingInstruction {
   throw CheckError("assembler: line " + std::to_string(line) + ": " + msg);
 }
 
-inline std::string to_lower(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    out.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+/// The opcode spelled exactly `m`, by a scan of the opcode table.
+inline std::optional<isa::Opcode> find_opcode(std::string_view m) {
+  for (unsigned i = 0; i < isa::kNumOpcodes; ++i) {
+    const auto op = static_cast<isa::Opcode>(i);
+    if (isa::opcode_info(op).mnemonic == m) return op;
   }
-  return out;
+  return std::nullopt;
 }
 
 inline std::uint8_t parse_register(std::string_view tok, int line) {
@@ -183,7 +181,7 @@ inline isa::Program reference_assemble(std::string_view source) {
     const auto fields = split_fields(text);
     if (fields.empty()) fail(line_no, "statement has no mnemonic");
     const std::string mnemonic = to_lower(fields[0]);
-    const auto op = isa::opcode_from_mnemonic(mnemonic);
+    const auto op = find_opcode(mnemonic);
     if (!op) fail(line_no, "unknown mnemonic '" + mnemonic + "'");
     const OpcodeInfo& info = isa::opcode_info(*op);
 
@@ -290,10 +288,10 @@ inline isa::Program reference_assemble(std::string_view source) {
     entry = functions.front().first_word;
   }
   // The views name the map's keys, which outlive the constructor call.
-  std::vector<isa::Label> label_table;
+  std::vector<isa::LabelView> label_table;
   label_table.reserve(labels.size());
   for (const auto& [name, word] : labels) {
-    label_table.push_back(isa::Label{name, word});
+    label_table.push_back(isa::LabelView{name, word});
   }
   return isa::Program(std::move(words), std::move(functions),
                       std::move(label_table), entry);

@@ -2,6 +2,8 @@
 // round-trip property over all opcodes and operand extremes.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "isa/isa.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -25,9 +27,25 @@ TEST(OpcodeInfo, MnemonicLookupRoundTrips) {
   }
 }
 
+TEST(OpcodeInfo, MnemonicLookupIgnoresCase) {
+  for (unsigned i = 0; i < kNumOpcodes; ++i) {
+    const auto op = static_cast<Opcode>(i);
+    std::string upper(opcode_info(op).mnemonic);
+    for (char& c : upper) c = static_cast<char>(c - 'a' + 'A');
+    EXPECT_EQ(opcode_from_mnemonic(upper), op) << upper;
+  }
+  EXPECT_EQ(opcode_from_mnemonic("Halt"), Opcode::kHalt);
+  EXPECT_EQ(opcode_from_mnemonic("aDdI"), Opcode::kAddi);
+}
+
 TEST(OpcodeInfo, UnknownMnemonicIsNullopt) {
   EXPECT_FALSE(opcode_from_mnemonic("frobnicate").has_value());
   EXPECT_FALSE(opcode_from_mnemonic("").has_value());
+  // Near misses: a prefix, an extension, a stray space, a digit.
+  EXPECT_FALSE(opcode_from_mnemonic("ad").has_value());
+  EXPECT_FALSE(opcode_from_mnemonic("addiu").has_value());
+  EXPECT_FALSE(opcode_from_mnemonic("add ").has_value());
+  EXPECT_FALSE(opcode_from_mnemonic("r1").has_value());
 }
 
 TEST(OpcodeInfo, ClassificationFlags) {

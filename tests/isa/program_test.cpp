@@ -69,7 +69,7 @@ TEST(Program, LabelAtWord) {
 }
 
 /// A program of `words` halts labelled with `labels`.
-Program halts_labelled(std::uint32_t words, std::vector<Label> labels) {
+Program halts_labelled(std::uint32_t words, std::vector<LabelView> labels) {
   return Program(std::vector<std::uint32_t>(
                      words, encode(Instruction{Opcode::kHalt, 0, 0, 0, 0})),
                  {}, std::move(labels), 0);
@@ -90,10 +90,12 @@ TEST(Program, ManyLabelsLongAndShort) {
   }
   const std::map<std::string, std::uint32_t> want(given.begin(),
                                                   given.end());  // name order
-  // A Label's name is a view into `given`, which outlives the Program's
-  // construction.
-  std::vector<Label> labels;
-  for (const auto& [name, word] : given) labels.push_back(Label{name, word});
+  // A LabelView's name is a view into `given`, which outlives the
+  // Program's construction.
+  std::vector<LabelView> labels;
+  for (const auto& [name, word] : given) {
+    labels.push_back(LabelView{name, word});
+  }
   ASSERT_EQ(want.size(), 420u);
   const Program p = halts_labelled(134, labels);
   EXPECT_EQ(p.label_count(), 420u);
